@@ -380,8 +380,8 @@ int print_comm(const std::string& path) {
   const Value* comm = r.doc.find("comm");
   if (comm == nullptr || !comm->is_object()) {
     std::fprintf(stderr,
-                 "error: %s: no comm section (single-process run, comm probes "
-                 "never armed, or a CASURF_METRICS=OFF build)\n",
+                 "error: %s: no comm section (single-process run, or comm "
+                 "probes never armed)\n",
                  path.c_str());
     return 1;
   }
@@ -813,10 +813,6 @@ int print_serve(std::uint16_t port) {
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: GET /metrics: %s\n", e.what());
     return 1;
-  }
-  if (metrics.status == 404) {
-    std::printf("  (no /metrics — daemon built with CASURF_METRICS=OFF)\n");
-    return 0;
   }
   if (metrics.status != 200) {
     std::fprintf(stderr, "error: GET /metrics returned %d\n", metrics.status);

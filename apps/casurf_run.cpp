@@ -358,8 +358,6 @@ Options parse_args(int argc, char** argv) {
   }
   if (opt.watchdog < 0) usage(argv[0], "--watchdog must be non-negative");
   if (!opt.failpoints.empty()) {
-    // Rejects both malformed specs and any spec in a CASURF_FAILPOINTS=OFF
-    // build: silently running faultless would defeat the torture test.
     const std::string err = fail::validate(opt.failpoints);
     if (!err.empty()) usage(argv[0], ("--failpoints: " + err).c_str());
   }
@@ -630,8 +628,8 @@ int run_once(const Options& opt, obs::RecoveryLog& recovery) {
     if (opt.fast_path && !sim->fast_path_active() && !opt.quiet) {
       std::fprintf(stderr,
                    "note: --fast-path not engaged for %s (no batched path, "
-                   "build without it, or partition failed the gate); running "
-                   "the scalar reference loop\n",
+                   "or partition failed the gate); running the scalar "
+                   "reference loop\n",
                    sim->name().c_str());
     }
 
@@ -697,20 +695,13 @@ int run_once(const Options& opt, obs::RecoveryLog& recovery) {
     // Attached after any resume: a restore fallback rebuilds the
     // simulator, which would drop probe handles attached earlier.
     obs::MetricsRegistry registry;
-    if (!opt.metrics.empty()) sim->set_metrics(&registry);
     obs::Tracer tracer(static_cast<std::size_t>(opt.trace_buffer));
     if (!opt.trace_id.empty()) tracer.set_trace_id(opt.trace_id);
-    if (!opt.trace.empty()) sim->set_tracer(&tracer);
     std::optional<obs::SpatialMap> spatial_map;
-    if (!opt.heatmap.empty()) {
-      spatial_map.emplace(sim->configuration().size());
-      sim->set_spatial(&*spatial_map);
-#ifdef CASURF_NO_METRICS
-      std::fprintf(stderr,
-                   "note: built with CASURF_METRICS=OFF; activity grids in the "
-                   "heatmap artifacts will be empty\n");
-#endif
-    }
+    if (!opt.heatmap.empty()) spatial_map.emplace(sim->configuration().size());
+    sim->attach({opt.metrics.empty() ? nullptr : &registry,
+                 opt.trace.empty() ? nullptr : &tracer,
+                 spatial_map ? &*spatial_map : nullptr});
     // Partition-level aggregation happens at export time only; algorithms
     // without a partition (the DMC family, plain NDCA) get a null summary.
     const auto spatial_summary = [&]() -> std::optional<obs::SpatialSummary> {
@@ -1165,8 +1156,6 @@ int main(int argc, char** argv) {
   }
   const Options opt = parse_args(argc, argv);
   if (opt.log_flags) {
-    // Explicit flags refuse loudly when logging is compiled out
-    // (CASURF_METRICS=OFF); the env variable degrades silently.
     if (const std::string err = log::configure(opt.log_level, opt.log_file);
         !err.empty()) {
       usage(argv[0], err.c_str());

@@ -137,8 +137,6 @@ int main(int argc, char** argv) {
   if (opt.runner.empty()) usage(argv[0], "--runner PATH is required");
   if (opt.data_dir.empty()) usage(argv[0], "--data-dir DIR is required");
   if (log_flags) {
-    // Explicit flags refuse loudly when logging is compiled out; the env
-    // variable above degrades silently (same contract as failpoints).
     if (const std::string err = casurf::log::configure(log_level, log_file);
         !err.empty()) {
       usage(argv[0], err.c_str());

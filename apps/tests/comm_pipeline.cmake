@@ -3,9 +3,7 @@
 # environment default), stamp them into their run-report headers and trace
 # footers, and casurf_report --merge-traces stitches the two traces into
 # one clock-aligned Chrome trace that --trace must accept as a valid
-# casurf-trace/1 document. The id plumbing and the merge are independent
-# of CASURF_METRICS (an OFF build merges valid empty traces), so the
-# script runs on both flavors.
+# casurf-trace/1 document.
 #
 # Driven by ctest as:  cmake -DCASURF_RUN=... -DCASURF_REPORT=... -DWORK_DIR=... -P this
 file(REMOVE_RECURSE "${WORK_DIR}")

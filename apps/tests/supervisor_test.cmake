@@ -6,7 +6,7 @@
 # the retry budget, and the exact usage-error exit codes.
 #
 # Driven by ctest as:
-#   cmake -DCASURF_RUN=... -DCASURF_REPORT=... -DWORK_DIR=... -DFAILPOINTS=ON|OFF -P this
+#   cmake -DCASURF_RUN=... -DCASURF_REPORT=... -DWORK_DIR=... -P this
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
@@ -54,16 +54,9 @@ require_identical("${WORK_DIR}/ref.csv" "${WORK_DIR}/calm.csv" "calm supervised 
 require_report_matches("${WORK_DIR}/calm.json" "calm supervised run"
                        "recovery: supervised" "0 restarts")
 
-# 3. Usage errors are exit 2, in every build flavor.
+# 3. Usage errors are exit 2.
 run_expecting(2 ${CASURF_RUN} ${common} --supervise)                  # no --checkpoint
 run_expecting(2 ${CASURF_RUN} ${common} --failpoints "a=hit@0")       # bad spec
-
-if(NOT FAILPOINTS)
-  # Compiled-out builds must refuse any armed spec up front — and that is
-  # all the fault-injection this build can do, so stop here.
-  run_expecting(2 ${CASURF_RUN} ${common} --failpoints "run/kill=hit@2")
-  return()
-endif()
 
 # 4. The torture run: the worker is SIGKILLed at its second checkpoint in
 #    every generation, and every second checkpoint write is corrupted on

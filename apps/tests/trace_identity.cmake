@@ -37,15 +37,11 @@ execute_process(COMMAND ${CASURF_REPORT} --trace ${WORK_DIR}/trace.json
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "casurf_report --trace rejected the trace (exit ${rc})")
 endif()
-# Under CASURF_METRICS=OFF span recording compiles out: the trace is a
-# valid, empty document, and only the byte-identity half applies.
-if(METRICS)
-  foreach(needle "threads/busy" "threads/wait" "worker6" "\\(main\\)")
-    if(NOT out MATCHES "${needle}")
-      message(FATAL_ERROR "trace summary missing '${needle}':\n${out}")
-    endif()
-  endforeach()
-endif()
+foreach(needle "threads/busy" "threads/wait" "worker6" "\\(main\\)")
+  if(NOT out MATCHES "${needle}")
+    message(FATAL_ERROR "trace summary missing '${needle}':\n${out}")
+  endif()
+endforeach()
 
 # And the run report must load in casurf_report's single-file mode.
 execute_process(COMMAND ${CASURF_REPORT} ${WORK_DIR}/report.json

@@ -48,10 +48,7 @@ int main() {
     params.seed = 7;
     params.t_end = t_end;
     params.sample_dt = 1.0;
-    if (ranks == 8) {
-      params.metrics = &registry8;
-      params.tracer = &tracer8;
-    }
+    if (ranks == 8) params.sinks = {&registry8, &tracer8};
     const auto t0 = std::chrono::steady_clock::now();
     const auto res = run_domain_decomp(zgb.model, initial, params);
     if (ranks == 8) {

@@ -46,7 +46,7 @@ inline void print_series(const char* label, const TimeSeries& ts, std::size_t ro
 
 /// Dump an instrumented bench run as bench_out/BENCH_<name>.json — the
 /// same schema casurf_run --metrics emits, written through the atomic
-/// path. Attach the registry (sim.set_metrics) before the timed section
+/// path. Attach the registry (sim.attach) before the timed section
 /// so the per-phase timers cover it. Pass a SpatialSummary to fill the
 /// report's "spatial" section (null leaves it null, as casurf_run does
 /// without --heatmap). Multi-process benches pass the communicator stats

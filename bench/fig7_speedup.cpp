@@ -80,7 +80,7 @@ int main() {
     ParallelPndcaEngine engine(zgb.model, Configuration(small, 3, zgb.vacant),
                                {make_partition(small, zgb.model)}, 7, threads);
     obs::MetricsRegistry registry;
-    engine.set_metrics(&registry);
+    engine.attach({&registry});
     const auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < steps; ++i) engine.mc_step();
     const double dt = std::chrono::duration<double>(
@@ -123,8 +123,7 @@ int main() {
     dd.seed = 7;
     dd.t_end = dd_t_end;
     dd.sample_dt = 1.0;
-    dd.metrics = &registry;
-    dd.tracer = &tracer;
+    dd.sinks = {&registry, &tracer};
     const Configuration dd_initial(Lattice(dd_side, dd_side), 3, zgb.vacant);
     const auto t0 = std::chrono::steady_clock::now();
     const auto res = run_domain_decomp(zgb.model, dd_initial, dd);

@@ -112,7 +112,7 @@ int main() {
 
   PndcaSimulator cached(pt.model, initial, {five}, 5, ChunkPolicy::kRateWeighted);
   obs::MetricsRegistry cached_reg;
-  cached.set_metrics(&cached_reg);
+  cached.attach({&cached_reg});
   const auto t_after0 = clock::now();
   for (int i = 0; i < throughput_steps; ++i) cached.mc_step();
   const double after_s = std::chrono::duration<double>(clock::now() - t_after0).count();
@@ -121,7 +121,7 @@ int main() {
 
   PndcaSimulator brute(pt.model, initial, {five}, 5, ChunkPolicy::kRateWeighted);
   obs::MetricsRegistry brute_reg;
-  brute.set_metrics(&brute_reg);
+  brute.attach({&brute_reg});
   std::vector<double> weights(five.num_chunks());
   const auto t_before0 = clock::now();
   for (int i = 0; i < throughput_steps; ++i) {

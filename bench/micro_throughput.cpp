@@ -332,7 +332,7 @@ void emit_report(const char* name, const char* model, Simulator& sim,
   // instrumented pair would understate the trial-loop delta the artifact
   // exists to record.
   obs::MetricsRegistry registry;
-  if (instrument) sim.set_metrics(&registry);
+  if (instrument) sim.attach({&registry});
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < steps; ++i) sim.mc_step();
   const double wall = std::chrono::duration<double>(
@@ -381,7 +381,7 @@ void emit_reports() {
   ParallelPndcaEngine engine(zgb().model, Configuration(zlat, 3, zgb().vacant),
                              {Partition::linear_form(zlat, 1, 3, 5)}, 21, 2);
   obs::MetricsRegistry registry;
-  engine.set_metrics(&registry);
+  engine.attach({&registry});
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < steps; ++i) engine.mc_step();
   const double wall = std::chrono::duration<double>(

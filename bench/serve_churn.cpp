@@ -9,8 +9,7 @@
 //
 // A 10 Hz scraper thread hits GET /metrics throughout each wave and runs
 // every response through the strict exposition parser, so the bench also
-// smoke-tests the telemetry path under load (on CASURF_METRICS=OFF builds
-// it instead checks the route 404s).
+// smoke-tests the telemetry path under load.
 //
 // CASURF_BENCH_FAST=1 shrinks the wave for CI smoke runs.
 
@@ -60,26 +59,20 @@ ChurnResult run_wave(unsigned slots, int jobs, const std::string& data_dir) {
   ChurnResult result;
 
   // 10 Hz scraper: every /metrics body must survive the strict 0.0.4
-  // parser while runners churn underneath it (or 404 when compiled out).
+  // parser while runners churn underneath it.
   std::atomic<bool> scraping{true};
   std::atomic<int> scrapes{0};
   std::thread scraper([&] {
     while (scraping.load(std::memory_order_relaxed)) {
       const HttpResponse resp = http_request(daemon.port(), "GET", "/metrics");
-      if (casurf::obs::prom::kPromCompiled) {
-        if (resp.status != 200) {
-          std::fprintf(stderr, "/metrics returned %d\n", resp.status);
-          std::exit(1);
-        }
-        try {
-          (void)casurf::obs::prom::parse(resp.body);
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "/metrics failed strict parse: %s\n", e.what());
-          std::exit(1);
-        }
-      } else if (resp.status != 404) {
-        std::fprintf(stderr, "/metrics on an OFF build returned %d\n",
-                     resp.status);
+      if (resp.status != 200) {
+        std::fprintf(stderr, "/metrics returned %d\n", resp.status);
+        std::exit(1);
+      }
+      try {
+        (void)casurf::obs::prom::parse(resp.body);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "/metrics failed strict parse: %s\n", e.what());
         std::exit(1);
       }
       scrapes.fetch_add(1, std::memory_order_relaxed);

@@ -128,9 +128,8 @@ int main() {
     auto sim = make_simulator(
         zgb.model, Configuration(Lattice(side, side), 3, zgb.vacant), opt);
     obs::MetricsRegistry registry;
-    sim->set_metrics(&registry);
     obs::SpatialMap activity(sim->configuration().size());
-    sim->set_spatial(&activity);
+    sim->attach({&registry, nullptr, &activity});
     const auto t0 = std::chrono::steady_clock::now();
     sim->advance_to(fast ? 10.0 : 30.0);
     const double wall =

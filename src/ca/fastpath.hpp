@@ -10,15 +10,6 @@
 
 namespace casurf {
 
-/// Compile-time master switch for the batched bitplane trial path. When the
-/// build disables it (CASURF_FASTPATH=OFF), every set_fast_path() request
-/// falls through to the scalar reference implementation.
-#ifdef CASURF_NO_FASTPATH
-inline constexpr bool kFastPathCompiled = false;
-#else
-inline constexpr bool kFastPathCompiled = true;
-#endif
-
 /// One 64-column slice of a chunk: the sites of the chunk that fall in row
 /// `y`, columns [x0, x0 + 64) of the lattice (x0 is 64-aligned, so member
 /// bit f corresponds to column x0 + f < width). Enumerating a chunk's

@@ -69,7 +69,7 @@ void LPndcaSimulator::trial_at(SiteIndex s) {
 
 bool LPndcaSimulator::set_fast_path(bool on) {
   fast_.reset();
-  if (!kFastPathCompiled || !on) return false;
+  if (!on) return false;
   fast_ = std::make_unique<FastState>(config_, model_);
   return true;
 }
@@ -138,8 +138,9 @@ void LPndcaSimulator::audit_derived_state(AuditReport& report, bool repair) {
   }
 }
 
-void LPndcaSimulator::set_metrics(obs::MetricsRegistry* registry) {
-  Simulator::set_metrics(registry);
+void LPndcaSimulator::attach(const obs::Sinks& sinks) {
+  Simulator::attach(sinks);
+  obs::MetricsRegistry* const registry = sinks.metrics;
   step_timer_ = registry ? &registry->timer("lpndca/step") : nullptr;
   select_timer_ = registry ? &registry->timer("lpndca/select") : nullptr;
   rate_rechecks_ = registry ? &registry->counter("lpndca/rate_rechecks") : nullptr;

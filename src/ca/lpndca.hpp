@@ -46,7 +46,7 @@ class LPndcaSimulator final : public Simulator {
   void mc_step() override;
   [[nodiscard]] std::string name() const override { return "L-PNDCA"; }
 
-  void set_metrics(obs::MetricsRegistry* registry) override;
+  void attach(const obs::Sinks& sinks) override;
 
   [[nodiscard]] const Partition& partition() const { return partition_; }
   [[nodiscard]] const Partition* spatial_partition() const override {

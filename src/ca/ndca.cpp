@@ -69,8 +69,9 @@ void NdcaSimulator::mc_step() {
   ++counters_.steps;
 }
 
-void NdcaSimulator::set_metrics(obs::MetricsRegistry* registry) {
-  Simulator::set_metrics(registry);
+void NdcaSimulator::attach(const obs::Sinks& sinks) {
+  Simulator::attach(sinks);
+  obs::MetricsRegistry* const registry = sinks.metrics;
   step_timer_ = registry ? &registry->timer("ndca/step") : nullptr;
   shuffle_timer_ = registry ? &registry->timer("ndca/shuffle") : nullptr;
 }

@@ -29,7 +29,7 @@ class NdcaSimulator final : public Simulator {
   void mc_step() override;
   [[nodiscard]] std::string name() const override { return "NDCA"; }
 
-  void set_metrics(obs::MetricsRegistry* registry) override;
+  void attach(const obs::Sinks& sinks) override;
 
   /// Checkpointing: besides the RNG, the visit order is saved — under
   /// kShuffled it carries the permutation state the next shuffle starts

@@ -64,8 +64,9 @@ void PndcaSimulator::refresh_rate_cache(const ReactionType& reaction, SiteIndex 
   }
 }
 
-void PndcaSimulator::set_metrics(obs::MetricsRegistry* registry) {
-  Simulator::set_metrics(registry);
+void PndcaSimulator::attach(const obs::Sinks& sinks) {
+  Simulator::attach(sinks);
+  obs::MetricsRegistry* const registry = sinks.metrics;
   step_timer_ = registry ? &registry->timer("pndca/step") : nullptr;
   plan_timer_ = registry ? &registry->timer("pndca/plan") : nullptr;
   sweep_timer_ = registry ? &registry->timer("pndca/sweep") : nullptr;
@@ -237,7 +238,7 @@ void PndcaSimulator::mc_step() {
 
 bool PndcaSimulator::set_fast_path(bool on) {
   fast_.reset();
-  if (!kFastPathCompiled || !on) return false;
+  if (!on) return false;
   // The batched evaluation reads whole windows against the pre-commit
   // planes; that equals the scalar site-at-a-time loop exactly when no
   // in-chunk execution can flip another same-chunk anchor's enabledness —

@@ -47,7 +47,7 @@ class PndcaSimulator : public Simulator {
   void mc_step() override;
   [[nodiscard]] std::string name() const override { return "PNDCA"; }
 
-  void set_metrics(obs::MetricsRegistry* registry) override;
+  void attach(const obs::Sinks& sinks) override;
 
   [[nodiscard]] const Partition& current_partition() const {
     return partitions_[partition_cursor_];

@@ -50,7 +50,7 @@ TPndcaSimulator::TPndcaSimulator(const ReactionModel& model, Configuration confi
 
 bool TPndcaSimulator::set_fast_path(bool on) {
   fast_.reset();
-  if (!kFastPathCompiled || !on) return false;
+  if (!on) return false;
   auto state = std::make_unique<FastState>(config_, subsets_.size());
   state->safe.assign(subsets_.size(),
                      std::vector<char>(model_.num_reactions(), 0));
@@ -118,8 +118,9 @@ ChunkId TPndcaSimulator::select_chunk(std::size_t subset_index, ReactionIndex ch
   return static_cast<ChunkId>(uniform_below(rng_, m));
 }
 
-void TPndcaSimulator::set_metrics(obs::MetricsRegistry* registry) {
-  Simulator::set_metrics(registry);
+void TPndcaSimulator::attach(const obs::Sinks& sinks) {
+  Simulator::attach(sinks);
+  obs::MetricsRegistry* const registry = sinks.metrics;
   step_timer_ = registry ? &registry->timer("tpndca/step") : nullptr;
   sweep_timer_ = registry ? &registry->timer("tpndca/sweep") : nullptr;
   rate_rechecks_ = registry ? &registry->counter("tpndca/rate_rechecks") : nullptr;

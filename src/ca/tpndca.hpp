@@ -45,7 +45,7 @@ class TPndcaSimulator final : public Simulator {
   void mc_step() override;
   [[nodiscard]] std::string name() const override { return "TPNDCA"; }
 
-  void set_metrics(obs::MetricsRegistry* registry) override;
+  void attach(const obs::Sinks& sinks) override;
 
   [[nodiscard]] const std::vector<TypeSubset>& subsets() const { return subsets_; }
   [[nodiscard]] const Partition* spatial_partition() const override {

@@ -41,10 +41,10 @@ struct SimulationOptions {
   std::uint32_t tpndca_sweeps = 0;  ///< 0 = auto
 
   /// Request the batched bitplane trial path (PNDCA family). Best effort:
-  /// algorithms without one, builds with CASURF_FASTPATH=OFF, and
-  /// partitions failing the runtime non-overlap gate silently keep the
-  /// scalar reference loop — query Simulator::fast_path_active() to see
-  /// what engaged. Trajectories are bit-identical either way.
+  /// algorithms without one and partitions failing the runtime non-overlap
+  /// gate silently keep the scalar reference loop — query
+  /// Simulator::fast_path_active() to see what engaged. Trajectories are
+  /// bit-identical either way.
   bool fast_path = false;
 };
 

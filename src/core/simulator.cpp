@@ -4,14 +4,14 @@
 
 namespace casurf {
 
-void Simulator::set_tracer(obs::Tracer* tracer) {
-  tracer_ = tracer;
-  if (tracer != nullptr) {
-    trace_ = &tracer->ring(0);
-    tracer->set_thread_name(0, "main");
-  } else {
-    trace_ = nullptr;
+void Simulator::attach(const obs::Sinks& sinks) {
+  sinks_ = sinks;
+  trace_ = nullptr;
+  if (sinks.tracer != nullptr) {
+    trace_ = &sinks.tracer->ring(0);
+    sinks.tracer->set_thread_name(0, "main");
   }
+  spatial_.attach(sinks.spatial);
 }
 
 void Simulator::advance_to(double t) {

@@ -8,6 +8,7 @@
 #include "core/state_io.hpp"
 #include "lattice/configuration.hpp"
 #include "model/reaction_model.hpp"
+#include "obs/sinks.hpp"
 #include "obs/spatial.hpp"
 
 namespace casurf {
@@ -15,8 +16,6 @@ namespace casurf {
 class Partition;
 
 namespace obs {
-class MetricsRegistry;
-class Tracer;
 class TraceRing;
 }
 
@@ -76,35 +75,27 @@ class Simulator {
   /// Human-readable algorithm name ("RSM", "PNDCA", ...).
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Attach a metrics registry (nullptr detaches). Implementations resolve
-  /// their probes by name once, here, and keep raw pointers; the hot path
-  /// then pays one branch per probe when detached. Probes never read or
-  /// write simulation state or RNG streams, so trajectories are
-  /// bit-identical with metrics on or off. The registry is borrowed and
-  /// must outlive the simulator (or be detached first).
-  virtual void set_metrics(obs::MetricsRegistry* registry) { metrics_ = registry; }
+  /// Attach observation sinks, replacing whatever was attached before; a
+  /// null member turns that sink off, so attach({}) detaches everything.
+  /// Implementations resolve their probes by name once, here, and keep raw
+  /// pointers; the hot path then pays one branch per probe for a sink that
+  /// is off. The base resolves tracer ring 0 (the simulation thread) and
+  /// the spatial probe; the threaded engine adds one ring per worker.
+  /// Probes never read or write simulation state or RNG streams, so
+  /// trajectories are bit-identical whatever is attached. The sinks are
+  /// borrowed and must outlive the simulator (or be detached first).
+  virtual void attach(const obs::Sinks& sinks);
 
-  [[nodiscard]] obs::MetricsRegistry* metrics() const { return metrics_; }
-
-  /// Attach a structured-event tracer (nullptr detaches). Same contract as
-  /// set_metrics: the base resolves ring 0 (the simulation thread) once and
-  /// the hot path pays one branch per span when detached; span recording
-  /// never touches simulation state or RNG streams, so trajectories are
-  /// bit-identical with tracing on or off. The threaded engine override
-  /// additionally resolves one ring per worker. The tracer is borrowed and
-  /// must outlive the simulator (or be detached first).
-  virtual void set_tracer(obs::Tracer* tracer);
-
-  [[nodiscard]] obs::Tracer* tracer() const { return tracer_; }
+  [[nodiscard]] const obs::Sinks& sinks() const { return sinks_; }
 
   /// Request the batched (bitplane) trial path. Returns whether it engaged;
   /// false means the simulator keeps its scalar reference loop — either the
-  /// algorithm has no batched path, the build disabled it (CASURF_FASTPATH
-  /// =OFF), or a runtime gate failed (e.g. the partition does not satisfy
-  /// the non-overlap rule the batch evaluation relies on). Engaged or not,
-  /// the trajectory is identical: the fast path is an implementation of the
-  /// same per-trial semantics, bit for bit, and the determinism suite
-  /// (test_fastpath) holds every algorithm to that.
+  /// algorithm has no batched path, or a runtime gate failed (e.g. the
+  /// partition does not satisfy the non-overlap rule the batch evaluation
+  /// relies on). Engaged or not, the trajectory is identical: the fast
+  /// path is an implementation of the same per-trial semantics, bit for
+  /// bit, and the determinism suite (test_fastpath) holds every algorithm
+  /// to that.
   virtual bool set_fast_path(bool on) {
     (void)on;
     return false;
@@ -112,16 +103,6 @@ class Simulator {
 
   /// Whether the batched trial path is currently driving this simulator.
   [[nodiscard]] virtual bool fast_path_active() const { return false; }
-
-  /// Attach a per-site activity map (nullptr detaches). Same contract as
-  /// set_metrics/set_tracer: the probe is resolved once, recording is a
-  /// pair of plain increments that never touch simulation state or RNG
-  /// streams, so trajectories are bit-identical with the map on or off
-  /// (and the whole thing compiles out under CASURF_METRICS=OFF). The map
-  /// is borrowed and must outlive the simulator (or be detached first).
-  virtual void set_spatial(obs::SpatialMap* map) { spatial_.attach(map); }
-
-  [[nodiscard]] const obs::SpatialMap* spatial_map() const { return spatial_.map(); }
 
   /// The partition that spatial accounting (per-chunk activity, seam
   /// classification) should aggregate on, or nullptr for unpartitioned
@@ -168,10 +149,9 @@ class Simulator {
   Configuration config_;
   SimCounters counters_;
   double time_ = 0.0;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
+  obs::Sinks sinks_;
   obs::TraceRing* trace_ = nullptr;  ///< ring 0; null = tracing off
-  obs::SpatialProbe spatial_;        ///< per-site activity; empty when off
+  obs::SpatialProbe spatial_;        ///< per-site activity; null map = off
 };
 
 }  // namespace casurf

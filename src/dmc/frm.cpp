@@ -71,8 +71,9 @@ bool FrmSimulator::drop_stale_heads() {
   return false;
 }
 
-void FrmSimulator::set_metrics(obs::MetricsRegistry* registry) {
-  Simulator::set_metrics(registry);
+void FrmSimulator::attach(const obs::Sinks& sinks) {
+  Simulator::attach(sinks);
+  obs::MetricsRegistry* const registry = sinks.metrics;
   step_timer_ = registry ? &registry->timer("frm/step") : nullptr;
   stale_dropped_ = registry ? &registry->counter("frm/stale_dropped") : nullptr;
 }

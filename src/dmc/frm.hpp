@@ -26,7 +26,7 @@ class FrmSimulator final : public Simulator {
   void advance_to(double t) override;
   [[nodiscard]] std::string name() const override { return "FRM"; }
 
-  void set_metrics(obs::MetricsRegistry* registry) override;
+  void attach(const obs::Sinks& sinks) override;
 
   /// Number of (type, site) pairs currently enabled.
   [[nodiscard]] std::uint64_t enabled_pairs() const { return enabled_pairs_; }

@@ -43,8 +43,9 @@ void RsmSimulator::mc_step() {
   ++counters_.steps;
 }
 
-void RsmSimulator::set_metrics(obs::MetricsRegistry* registry) {
-  Simulator::set_metrics(registry);
+void RsmSimulator::attach(const obs::Sinks& sinks) {
+  Simulator::attach(sinks);
+  obs::MetricsRegistry* const registry = sinks.metrics;
   step_timer_ = registry ? &registry->timer("rsm/step") : nullptr;
   advance_timer_ = registry ? &registry->timer("rsm/advance") : nullptr;
 }

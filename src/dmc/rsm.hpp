@@ -27,7 +27,7 @@ class RsmSimulator final : public Simulator {
 
   [[nodiscard]] std::string name() const override { return "RSM"; }
 
-  void set_metrics(obs::MetricsRegistry* registry) override;
+  void attach(const obs::Sinks& sinks) override;
 
   void save_state(StateWriter& w) const override;
   void restore_state(StateReader& r) override;

@@ -25,8 +25,9 @@ void VssmSimulator::rebuild_enabled() {
   }
 }
 
-void VssmSimulator::set_metrics(obs::MetricsRegistry* registry) {
-  Simulator::set_metrics(registry);
+void VssmSimulator::attach(const obs::Sinks& sinks) {
+  Simulator::attach(sinks);
+  obs::MetricsRegistry* const registry = sinks.metrics;
   step_timer_ = registry ? &registry->timer("vssm/step") : nullptr;
   rate_scan_timer_ = registry ? &registry->timer("vssm/rate_scan") : nullptr;
 }

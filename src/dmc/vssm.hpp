@@ -24,7 +24,7 @@ class VssmSimulator final : public Simulator {
   void advance_to(double t) override;
   [[nodiscard]] std::string name() const override { return "VSSM"; }
 
-  void set_metrics(obs::MetricsRegistry* registry) override;
+  void attach(const obs::Sinks& sinks) override;
 
   /// Sum over types of k_i * |enabled_i|: the total propensity R(S).
   [[nodiscard]] double total_enabled_rate() const;

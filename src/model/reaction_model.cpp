@@ -15,16 +15,11 @@ ReactionIndex ReactionModel::add(ReactionType rt) {
   total_rate_ += rt.rate();
   if (rt.radius_l1() > max_radius_) max_radius_ = rt.radius_l1();
   reactions_.push_back(std::move(rt));
-  alias_dirty_ = true;
-  return static_cast<ReactionIndex>(reactions_.size() - 1);
-}
-
-void ReactionModel::rebuild_alias() const {
   std::vector<double> weights;
   weights.reserve(reactions_.size());
-  for (const ReactionType& rt : reactions_) weights.push_back(rt.rate());
+  for (const ReactionType& r : reactions_) weights.push_back(r.rate());
   alias_ = AliasTable(weights);
-  alias_dirty_ = false;
+  return static_cast<ReactionIndex>(reactions_.size() - 1);
 }
 
 void ReactionModel::validate() const {

@@ -22,8 +22,9 @@ class ReactionModel {
  public:
   explicit ReactionModel(SpeciesSet species);
 
-  /// Add a reaction type; returns its index. Invalidate-and-rebuild of the
-  /// sampling tables happens lazily on first use after a change.
+  /// Add a reaction type; returns its index. The sampling table is rebuilt
+  /// here, so a model that is no longer edited is immutable and may be
+  /// shared by threads without synchronization.
   ReactionIndex add(ReactionType rt);
 
   [[nodiscard]] const SpeciesSet& species() const { return species_; }
@@ -42,16 +43,16 @@ class ReactionModel {
   /// O(1) sample of a reaction-type index with probability k_i / K,
   /// given two uniforms in [0,1).
   [[nodiscard]] ReactionIndex sample_type(double u_slot, double u_flip) const {
-    return static_cast<ReactionIndex>(alias().sample(u_slot, u_flip));
+    return static_cast<ReactionIndex>(alias_.sample(u_slot, u_flip));
   }
 
   /// The alias table behind sample_type, for samplers that draw whole lanes
   /// at once (the batched trial kernel gathers from its raw arrays).
-  [[nodiscard]] const AliasTable& alias_table() const { return alias(); }
+  [[nodiscard]] const AliasTable& alias_table() const { return alias_; }
 
   template <class Rng>
   [[nodiscard]] ReactionIndex sample_type(Rng& rng) const {
-    return static_cast<ReactionIndex>(alias().sample(rng));
+    return static_cast<ReactionIndex>(alias_.sample(rng));
   }
 
   /// For each reaction type, the offsets whose change may flip the
@@ -67,20 +68,11 @@ class ReactionModel {
   void validate() const;
 
  private:
-  /// Inline fast path — one predictable branch on the trial hot loop; the
-  /// rebuild after a model edit stays out of line.
-  [[nodiscard]] const AliasTable& alias() const {
-    if (alias_dirty_) rebuild_alias();
-    return alias_;
-  }
-  void rebuild_alias() const;
-
   SpeciesSet species_;
   std::vector<ReactionType> reactions_;
   double total_rate_ = 0.0;
   std::int32_t max_radius_ = 0;
-  mutable AliasTable alias_;
-  mutable bool alias_dirty_ = true;
+  AliasTable alias_;
 };
 
 /// Arrhenius rate constant k = nu * exp(-E / (kB T)). Energies in eV,

@@ -23,9 +23,8 @@ class TraceRing;
 /// / relative tolerance) and statistically significant (z-score).
 ///
 /// All statistics are functions of simulated time and the configuration,
-/// never of wall clock, so drift monitoring works identically under
-/// CASURF_METRICS=OFF and is itself observation-only (bit-exact
-/// trajectories with or without a monitor attached).
+/// never of wall clock, and drift monitoring is itself observation-only
+/// (bit-exact trajectories with or without a monitor attached).
 
 /// Streaming mean/variance (Welford's algorithm): numerically stable, no
 /// sample storage.

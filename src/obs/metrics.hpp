@@ -13,26 +13,18 @@ namespace casurf::obs {
 ///
 /// Usage discipline: a `MetricsRegistry` owns every probe and hands out
 /// stable references; hot code resolves each probe by name ONCE (at
-/// `Simulator::set_metrics` time) and keeps the pointer. A null pointer
+/// `Simulator::attach` time) and keeps the pointer. A null pointer
 /// means "metrics off" — every probe call degrades to a single branch, so
 /// the instrumented trajectory is bit-identical with and without metrics
 /// (probes never touch RNG or simulation state) and the disabled overhead
 /// stays under the noise floor.
-///
-/// Compile-out mode: building with -DCASURF_NO_METRICS (CMake option
-/// CASURF_METRICS=OFF) turns the clock reads into constants so even an
-/// attached registry records zero durations; counters still count.
 
-/// Monotonic clock read in nanoseconds (0 in the compiled-out build).
+/// Monotonic clock read in nanoseconds.
 inline std::uint64_t now_ns() {
-#ifdef CASURF_NO_METRICS
-  return 0;
-#else
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-#endif
 }
 
 /// Monotonic event counter. Relaxed atomics: workers of the threaded

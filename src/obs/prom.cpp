@@ -117,15 +117,6 @@ std::string series(
   return key;
 }
 
-#ifdef CASURF_NO_METRICS
-
-std::string render(const MetricsRegistry& registry) {
-  (void)registry;
-  return {};
-}
-
-#else
-
 std::string render(const MetricsRegistry& registry) {
   // Kind order fixes who wins a sanitised-base collision (header contract).
   std::map<std::string, PendingFamily> families;
@@ -201,8 +192,6 @@ std::string render(const MetricsRegistry& registry) {
   }
   return out;
 }
-
-#endif  // CASURF_NO_METRICS
 
 namespace {
 

@@ -24,17 +24,6 @@ namespace casurf::obs::prom {
 ///   Histogram → histogram               (cumulative le buckets from
 ///               Histogram::bucket_limit — power-of-two grid — truncated
 ///               after the last occupied bucket, then +Inf, _sum, _count)
-///
-/// Compile-out: under CASURF_METRICS=OFF (-DCASURF_NO_METRICS) render()
-/// returns the empty string and the daemon's /metrics route 404s; parse()
-/// and series() stay available (they are pure string code the tooling
-/// still links).
-
-#ifdef CASURF_NO_METRICS
-inline constexpr bool kPromCompiled = false;
-#else
-inline constexpr bool kPromCompiled = true;
-#endif
 
 /// Content-Type of a 0.0.4 exposition body.
 inline constexpr const char* kContentType =
@@ -58,7 +47,7 @@ void append_escaped_label(std::string& out, std::string_view s);
 /// → `trial_attempts`); if two probe kinds collide on one sanitised base,
 /// the first kind rendered (counter < gauge < summary < histogram) keeps
 /// the name and the rest are dropped rather than emitting an invalid
-/// exposition. Returns "" when compiled out.
+/// exposition.
 [[nodiscard]] std::string render(const MetricsRegistry& registry);
 
 /// One parsed sample (`casurf_jobs{state="running"} 3` →

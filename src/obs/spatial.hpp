@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "lattice/configuration.hpp"
@@ -25,11 +24,9 @@ class Writer;
 /// whose lattice is visibly striped along partition seams.
 ///
 /// Same discipline as the metrics/trace probes: simulators hold a
-/// `SpatialProbe` resolved ONCE at `Simulator::set_spatial`; a null map
+/// `SpatialProbe` resolved ONCE at `Simulator::attach`; a null map
 /// means "off" — one branch per trial, never touching RNG or simulation
 /// state, so the instrumented trajectory is bit-identical to the bare run.
-/// Under -DCASURF_NO_METRICS the record paths compile out and the probe
-/// becomes an empty type (checked by a static_assert below).
 
 /// Per-site attempt/fire tallies over a run. "Attempt" is one trial landing
 /// on the site (or one DMC event selection); "fire" is an executed
@@ -45,21 +42,8 @@ class SpatialMap {
   explicit SpatialMap(SiteIndex num_sites)
       : attempts_(num_sites, 0), fires_(num_sites, 0) {}
 
-  void record_attempt(SiteIndex s) {
-#ifndef CASURF_NO_METRICS
-    ++attempts_[s];
-#else
-    (void)s;
-#endif
-  }
-
-  void record_fire(SiteIndex s) {
-#ifndef CASURF_NO_METRICS
-    ++fires_[s];
-#else
-    (void)s;
-#endif
-  }
+  void record_attempt(SiteIndex s) { ++attempts_[s]; }
+  void record_fire(SiteIndex s) { ++fires_[s]; }
 
   [[nodiscard]] SiteIndex size() const {
     return static_cast<SiteIndex>(attempts_.size());
@@ -81,23 +65,8 @@ class SpatialMap {
   std::vector<std::uint64_t> fires_;
 };
 
-/// The handle simulators hold. Mirrors the TraceRing/ScopedSpan pattern:
-/// with metrics compiled out it is an empty no-op type, otherwise a nullable
-/// pointer whose null state is the "off" fast path.
-#ifdef CASURF_NO_METRICS
-class SpatialProbe {
- public:
-  void attach(SpatialMap* /*map*/) {}
-  void attempt(SiteIndex /*s*/) const {}
-  void fire(SiteIndex /*s*/) const {}
-  [[nodiscard]] const SpatialMap* map() const { return nullptr; }
-};
-/// The zero-cost-when-off guarantee: with CASURF_METRICS=OFF the site
-/// accumulator handle must compile down to nothing a trajectory (or a
-/// profile) could notice.
-static_assert(std::is_empty_v<SpatialProbe>,
-              "SpatialProbe must compile out to a no-op under CASURF_NO_METRICS");
-#else
+/// The handle simulators hold: a nullable pointer whose null state is the
+/// "off" fast path, mirroring the TraceRing/ScopedSpan pattern.
 class SpatialProbe {
  public:
   void attach(SpatialMap* map) { map_ = map; }
@@ -112,7 +81,6 @@ class SpatialProbe {
  private:
   SpatialMap* map_ = nullptr;
 };
-#endif
 
 /// Per-site seam classification: mask[s] != 0 when some conflict offset d
 /// takes s into a different chunk (periodic), i.e. reactions anchored at s

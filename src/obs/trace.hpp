@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -15,16 +14,13 @@ namespace casurf::obs {
 /// (chrome://tracing / Perfetto).
 ///
 /// Same discipline as the metrics probes (metrics.hpp): the simulator
-/// resolves its ring ONCE at `Simulator::set_tracer` and holds a raw
+/// resolves its ring ONCE at `Simulator::attach` and holds a raw
 /// pointer; a null ring means "tracing off" — one branch per span site,
 /// never touching RNG or simulation state, so the traced trajectory is
 /// bit-identical to the bare run. Each ring has exactly one writer (its
 /// logical thread), so recording is lock- and atomic-free; when a ring
 /// wraps, the oldest events are overwritten and a drop counter keeps the
 /// loss visible in the exported footer (no silent truncation).
-///
-/// Under -DCASURF_NO_METRICS the record paths compile out entirely and
-/// `ScopedSpan` becomes an empty type (checked by a static_assert below).
 
 /// One recorded event. `name` must point at a string with static storage
 /// duration (phase names are literals) — recording never allocates.
@@ -62,51 +58,34 @@ class TraceRing {
 
   void span(const char* name, std::uint64_t start_ns, std::uint64_t dur_ns,
             double sim_time, std::uint64_t step) {
-#ifndef CASURF_NO_METRICS
     push({name, start_ns, dur_ns, sim_time, step, TraceEvent::Kind::kSpan});
-#else
-    (void)name, (void)start_ns, (void)dur_ns, (void)sim_time, (void)step;
-#endif
   }
 
   void instant(const char* name, double sim_time, std::uint64_t step) {
-#ifndef CASURF_NO_METRICS
     push({name, now_ns(), 0, sim_time, step, TraceEvent::Kind::kInstant});
-#else
-    (void)name, (void)sim_time, (void)step;
-#endif
   }
 
   /// Comm-layer span: like span(), but the exported event's args carry
   /// (src,dst,tag,bytes) so the edge and payload are identifiable.
   void comm_span(const char* name, std::uint64_t start_ns, std::uint64_t dur_ns,
                  int src, int dst, int tag, std::uint64_t bytes) {
-#ifndef CASURF_NO_METRICS
     TraceEvent e{name, start_ns, dur_ns, 0.0, 0, TraceEvent::Kind::kSpan};
     e.src = src;
     e.dst = dst;
     e.tag = tag;
     e.bytes = bytes;
     push(e);
-#else
-    (void)name, (void)start_ns, (void)dur_ns, (void)src, (void)dst, (void)tag,
-        (void)bytes;
-#endif
   }
 
   /// Comm-layer instant (e.g. a non-blocking send) with edge args.
   void comm_instant(const char* name, int src, int dst, int tag,
                     std::uint64_t bytes) {
-#ifndef CASURF_NO_METRICS
     TraceEvent e{name, now_ns(), 0, 0.0, 0, TraceEvent::Kind::kInstant};
     e.src = src;
     e.dst = dst;
     e.tag = tag;
     e.bytes = bytes;
     push(e);
-#else
-    (void)name, (void)src, (void)dst, (void)tag, (void)bytes;
-#endif
   }
 
   [[nodiscard]] unsigned tid() const { return tid_; }
@@ -142,19 +121,6 @@ class TraceRing {
 
 /// RAII span: records [construction, destruction) into a ring. A null ring
 /// costs one branch — the "tracing off" fast path mirroring ScopedTimer.
-#ifdef CASURF_NO_METRICS
-class ScopedSpan {
- public:
-  ScopedSpan(TraceRing* /*ring*/, const char* /*name*/, double /*sim_time*/,
-             std::uint64_t /*step*/) {}
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-};
-/// The zero-cost-when-off guarantee: with CASURF_METRICS=OFF a span site
-/// must compile down to nothing a trajectory (or profile) could notice.
-static_assert(std::is_empty_v<ScopedSpan>,
-              "ScopedSpan must compile out to a no-op under CASURF_NO_METRICS");
-#else
 class ScopedSpan {
  public:
   ScopedSpan(TraceRing* ring, const char* name, double sim_time, std::uint64_t step)
@@ -175,7 +141,6 @@ class ScopedSpan {
   std::uint64_t step_;
   std::uint64_t start_;
 };
-#endif
 
 /// Owns one ring per logical thread (tid 0 = the simulation/coordinator
 /// thread, tid k+1 = threaded-engine worker k). Ring creation is

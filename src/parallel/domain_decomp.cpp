@@ -47,10 +47,6 @@ DomainDecompResult run_domain_decomp(const ReactionModel& model,
                                      const Configuration& initial,
                                      const DomainDecompParams& params) {
   model.validate();
-  // Build the lazily-rebuilt alias table before the rank threads spawn:
-  // they share the model, and a first-use rebuild from several ranks at
-  // once would race.
-  (void)model.alias_table();
   const Lattice& lat = initial.lattice();
   const int p = params.ranks;
   const std::int32_t r = model.max_radius_l1();
@@ -75,7 +71,6 @@ DomainDecompResult run_domain_decomp(const ReactionModel& model,
   std::mutex result_mutex;
   std::atomic<std::uint64_t> total_trials{0};
 
-  const CommObs comm_obs{params.metrics, params.tracer};
   result.comm = Communicator::run(p, [&](Communicator::Rank& rank) {
     const int me = rank.rank();
     obs::TraceRing* lane = rank.trace();
@@ -167,7 +162,7 @@ DomainDecompResult run_domain_decomp(const ReactionModel& model,
       }
     }
     total_trials.fetch_add(my_trials, std::memory_order_relaxed);
-  }, comm_obs);
+  }, params.sinks);
 
   result.total_trials = total_trials.load();
   return result;

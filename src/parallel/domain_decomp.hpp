@@ -18,13 +18,12 @@ struct DomainDecompParams {
   std::uint64_t seed = 1;
   double t_end = 10.0;
   double sample_dt = 1.0;
-  /// Observability sinks, forwarded to Communicator::run (null = off; see
-  /// CommObs). The tracer additionally gets dd/interior and dd/seam
-  /// compute spans on each rank's lane, so the exported timeline shows
-  /// compute and communication interleaved per rank. Probes never touch
-  /// RNG or lattice state: trajectories are bit-identical either way.
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::Tracer* tracer = nullptr;
+  /// Observability sinks, forwarded to Communicator::run (null = off). The
+  /// tracer additionally gets dd/interior and dd/seam compute spans on
+  /// each rank's lane, so the exported timeline shows compute and
+  /// communication interleaved per rank. Probes never touch RNG or
+  /// lattice state: trajectories are bit-identical either way.
+  obs::Sinks sinks;
 };
 
 /// Output of a domain-decomposed run: the coverage time series (one row per

@@ -27,23 +27,21 @@ bool is_comm_aborted(const std::exception_ptr& e) {
 
 }  // namespace
 
-#ifndef CASURF_NO_METRICS
-
-void CommProbes::arm(int world_size, const CommObs& obs) {
+void CommProbes::arm(int world_size, const obs::Sinks& sinks) {
   world_ = world_size;
-  if (obs.metrics == nullptr && obs.tracer == nullptr) return;
+  if (sinks.metrics == nullptr && sinks.tracer == nullptr) return;
   armed_ = true;
   lanes_.assign(world_size, nullptr);
   high_water_.assign(world_size, 0);
-  if (obs.tracer != nullptr) {
+  if (sinks.tracer != nullptr) {
     for (int r = 0; r < world_size; ++r) {
       const unsigned tid = obs::kRankLaneBase + static_cast<unsigned>(r);
-      obs.tracer->set_thread_name(tid, "rank" + std::to_string(r));
-      lanes_[r] = &obs.tracer->ring(tid);
+      sinks.tracer->set_thread_name(tid, "rank" + std::to_string(r));
+      lanes_[r] = &sinks.tracer->ring(tid);
     }
   }
-  if (obs.metrics != nullptr) {
-    obs::MetricsRegistry& reg = *obs.metrics;
+  if (sinks.metrics != nullptr) {
+    obs::MetricsRegistry& reg = *sinks.metrics;
     edge_messages_.assign(static_cast<std::size_t>(world_size) * world_size,
                           nullptr);
     edge_bytes_.assign(edge_messages_.size(), nullptr);
@@ -127,18 +125,11 @@ void CommProbes::finish_coll(int rank, std::uint64_t t0,
   }
 }
 
-#endif  // CASURF_NO_METRICS
-
-Communicator::Stats Communicator::run(int world_size,
-                                      const std::function<void(Rank&)>& rank_main) {
-  return run(world_size, rank_main, CommObs{});
-}
-
 Communicator::Stats Communicator::run(int world_size,
                                       const std::function<void(Rank&)>& rank_main,
-                                      const CommObs& obs) {
+                                      const obs::Sinks& sinks) {
   Communicator comm(world_size);
-  comm.probes_.arm(world_size, obs);
+  comm.probes_.arm(world_size, sinks);
   std::vector<std::thread> threads;
   std::vector<std::exception_ptr> errors(world_size);
   threads.reserve(world_size);

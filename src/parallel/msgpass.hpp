@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/sinks.hpp"
 #include "obs/trace.hpp"
 
 namespace casurf {
@@ -31,41 +32,6 @@ class CommAborted : public std::runtime_error {
             "completing this exchange)") {}
 };
 
-/// Observability sinks for one Communicator::run(): a registry for the
-/// per-edge / wait / skew comm metrics and a tracer for the per-rank trace
-/// lanes. Either may be null ("off") — same null-probe-off discipline as
-/// Simulator::set_metrics, so an unobserved world pays one branch per
-/// record site and the trajectory is bit-identical either way.
-struct CommObs {
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::Tracer* tracer = nullptr;
-};
-
-#ifdef CASURF_NO_METRICS
-/// Compiled-out comm probes: every record site vanishes (the empty-type
-/// contract below mirrors ScopedSpan), so a CASURF_METRICS=OFF build's
-/// communicator touches no registry and records no spans even when a
-/// CommObs is attached.
-class CommProbes {
- public:
-  void arm(int /*world_size*/, const CommObs& /*obs*/) {}
-  [[nodiscard]] obs::TraceRing* ring(int /*rank*/) const { return nullptr; }
-  [[nodiscard]] std::uint64_t begin_wait() const { return 0; }
-  void on_send(int /*src*/, int /*dst*/, int /*tag*/, std::size_t /*bytes*/) {}
-  void note_queue_depth(int /*dst*/, std::size_t /*depth*/) {}
-  void on_recv(int /*rank*/, int /*src*/, int /*tag*/, std::size_t /*bytes*/,
-               std::uint64_t /*t0*/) {}
-  void on_coll_arrival(int /*arrived_before*/) {}
-  void on_coll_release() {}
-  void finish_coll(int /*rank*/, std::uint64_t /*t0*/,
-                   std::uint64_t /*generation*/, bool /*allreduce*/) {}
-};
-/// The zero-cost-when-off guarantee for the comm layer: with
-/// CASURF_METRICS=OFF a probe site must compile down to nothing a
-/// trajectory (or profile) could notice.
-static_assert(std::is_empty_v<CommProbes>,
-              "CommProbes must compile out to a no-op under CASURF_NO_METRICS");
-#else
 /// Pre-resolved comm probes for one Communicator world. arm() resolves
 /// every registry probe and trace lane ONCE, before the rank threads
 /// start; record sites then cost one branch when disarmed and touch only
@@ -81,9 +47,9 @@ static_assert(std::is_empty_v<CommProbes>,
 ///   comm/barrier_skew_ns              histogram, first→last arrival/epoch
 class CommProbes {
  public:
-  /// Resolve every probe once. Safe with an all-null CommObs: the probes
+  /// Resolve every probe once. Safe with no sinks attached: the probes
   /// stay disarmed and every record site below is a single branch.
-  void arm(int world_size, const CommObs& obs);
+  void arm(int world_size, const obs::Sinks& sinks);
 
   /// Rank k's trace lane (tid obs::kRankLaneBase + k); null when no tracer
   /// is attached.
@@ -124,7 +90,6 @@ class CommProbes {
   obs::Histogram* barrier_skew_ = nullptr;
   std::uint64_t epoch_first_ns_ = 0;  ///< guarded by the collective mutex
 };
-#endif
 
 /// In-process message-passing substrate, MPI-flavored: a fixed world of
 /// ranks (one thread each) exchanging tagged point-to-point messages plus
@@ -155,16 +120,18 @@ class Communicator {
   /// that can never complete, so run() always returns: it joins every
   /// rank and rethrows the first *original* exception — the CommAborted
   /// cascade it triggered in the survivors is not reported.
-  static Stats run(int world_size, const std::function<void(Rank&)>& rank_main);
-
-  /// Same, with observability attached: per-edge message/byte counters,
-  /// blocked-wait timers, queue-depth high-water gauges, and a
-  /// barrier-skew histogram into `obs.metrics`; per-rank trace lanes (tid
-  /// obs::kRankLaneBase + rank) into `obs.tracer`. Probes are resolved
-  /// once before the rank threads start and are per-instance — concurrent
-  /// worlds with different sinks never cross-contaminate.
+  ///
+  /// Observability: per-edge message/byte counters, blocked-wait timers,
+  /// queue-depth high-water gauges, and a barrier-skew histogram go into
+  /// `sinks.metrics`; per-rank trace lanes (tid obs::kRankLaneBase + rank)
+  /// into `sinks.tracer` (`sinks.spatial` is unused). A null sink is off,
+  /// same null-probe-off discipline as Simulator::attach, so an unobserved
+  /// world pays one branch per record site and the trajectory is
+  /// bit-identical either way. Probes are resolved once before the rank
+  /// threads start and are per-instance — concurrent worlds with different
+  /// sinks never cross-contaminate.
   static Stats run(int world_size, const std::function<void(Rank&)>& rank_main,
-                   const CommObs& obs);
+                   const obs::Sinks& sinks = {});
 
   /// A rank's endpoint: the handle `rank_main` receives.
   class Rank {
@@ -221,9 +188,8 @@ class Communicator {
     [[nodiscard]] std::uint64_t allreduce_sum(std::uint64_t value);
 
     /// This rank's trace lane, for compute spans between exchanges
-    /// (null when the world runs without a tracer or under
-    /// CASURF_METRICS=OFF). Single-writer: only this rank's thread may
-    /// record into it.
+    /// (null when the world runs without a tracer). Single-writer: only
+    /// this rank's thread may record into it.
     [[nodiscard]] obs::TraceRing* trace() const {
       return comm_->probes_.ring(rank_);
     }

@@ -32,31 +32,27 @@ ParallelPndcaEngine::ParallelPndcaEngine(const ReactionModel& model,
   fired_.assign(pool_.size(), {});
 }
 
-void ParallelPndcaEngine::set_metrics(obs::MetricsRegistry* registry) {
-  PndcaSimulator::set_metrics(registry);
+void ParallelPndcaEngine::attach(const obs::Sinks& sinks) {
+  PndcaSimulator::attach(sinks);  // resolves ring 0 for the coordinator
+  obs::MetricsRegistry* const registry = sinks.metrics;
   busy_timers_.clear();
   wait_timers_.clear();
-  if (registry != nullptr) {
-    for (unsigned tid = 0; tid < pool_.size(); ++tid) {
-      busy_timers_.push_back(&registry->timer("threads/busy/worker" + std::to_string(tid)));
-      wait_timers_.push_back(&registry->timer("threads/wait/worker" + std::to_string(tid)));
+  worker_rings_.clear();
+  for (unsigned tid = 0; tid < pool_.size(); ++tid) {
+    const std::string worker = "worker" + std::to_string(tid);
+    if (registry != nullptr) {
+      busy_timers_.push_back(&registry->timer("threads/busy/" + worker));
+      wait_timers_.push_back(&registry->timer("threads/wait/" + worker));
     }
-    busy_scratch_.assign(pool_.size(), 0);
+    if (sinks.tracer != nullptr) {
+      worker_rings_.push_back(&sinks.tracer->ring(tid + 1));
+      sinks.tracer->set_thread_name(tid + 1, worker);
+    }
   }
+  busy_scratch_.assign(pool_.size(), 0);
+  trace_busy_end_.assign(pool_.size(), 0);
   merge_timer_ = registry ? &registry->timer("threads/merge") : nullptr;
   recheck_timer_ = registry ? &registry->timer("threads/recheck") : nullptr;
-}
-
-void ParallelPndcaEngine::set_tracer(obs::Tracer* tracer) {
-  PndcaSimulator::set_tracer(tracer);  // resolves ring 0 for the coordinator
-  worker_rings_.clear();
-  if (tracer != nullptr) {
-    for (unsigned tid = 0; tid < pool_.size(); ++tid) {
-      worker_rings_.push_back(&tracer->ring(tid + 1));
-      tracer->set_thread_name(tid + 1, "worker" + std::to_string(tid));
-    }
-    trace_busy_end_.assign(pool_.size(), 0);
-  }
 }
 
 bool ParallelPndcaEngine::set_fast_path(bool on) {

@@ -31,18 +31,15 @@ class ParallelPndcaEngine final : public PndcaSimulator {
   [[nodiscard]] std::string name() const override { return "PNDCA(threads)"; }
   [[nodiscard]] unsigned num_threads() const { return pool_.size(); }
 
-  /// Adds the threading probes on top of PNDCA's: per-worker busy and
-  /// barrier-wait timers (threads/busy/worker<k>, threads/wait/worker<k> —
-  /// the run report derives load imbalance from the busy set), the
+  /// Adds the threading probes on top of PNDCA's. Metrics: per-worker busy
+  /// and barrier-wait timers (threads/busy/worker<k>, threads/wait/worker<k>
+  /// — the run report derives load imbalance from the busy set), the
   /// post-join merge (threads/merge), and the rate-cache replay
-  /// (threads/recheck).
-  void set_metrics(obs::MetricsRegistry* registry) override;
-
-  /// Adds per-worker trace rings on top of PNDCA's ring 0: worker k writes
-  /// its threads/busy spans into ring k+1 (single-writer, race-free); the
-  /// coordinator appends the matching threads/wait span after the join and
-  /// records threads/merge + threads/recheck on ring 0.
-  void set_tracer(obs::Tracer* tracer) override;
+  /// (threads/recheck). Tracer: worker k writes its threads/busy spans into
+  /// ring k+1 (single-writer, race-free); the coordinator appends the
+  /// matching threads/wait span after the join and records threads/merge +
+  /// threads/recheck on ring 0.
+  void attach(const obs::Sinks& sinks) override;
 
   /// The threaded batched path runs the trial kernel per worker slice.
   /// Workers read the enabled bitset and bitplanes only (they reflect the

@@ -165,22 +165,7 @@ Daemon::Daemon(DaemonOptions opt) : opt_(std::move(opt)) {
   if (opt_.slots == 0) opt_.slots = 1;
   fs::create_directories(opt_.data_dir);
   journal_path_ = opt_.data_dir + "/" + kDaemonEvents;
-#ifdef CASURF_NO_FAILPOINTS
-  constexpr const char* kFailpointsState = "off";
-#else
-  constexpr const char* kFailpointsState = "on";
-#endif
-#ifdef CASURF_NO_FASTPATH
-  constexpr const char* kFastpathState = "off";
-#else
-  constexpr const char* kFastpathState = "on";
-#endif
-  registry_
-      .gauge(obs::prom::series("casurf_build_info",
-                               {{"metrics", "on"},
-                                {"failpoints", kFailpointsState},
-                                {"fastpath", kFastpathState}}))
-      .set(1);
+  registry_.gauge("casurf_build_info").set(1);
   const std::size_t recovered = recover_jobs();
   runners_.reserve(opt_.slots);
   for (unsigned i = 0; i < opt_.slots; ++i) {
@@ -699,7 +684,7 @@ void Daemon::stop() {
   runners_.clear();
   if (server_) server_->stop();
   // Runner lanes are quiet now (threads joined): export the daemon-side
-  // timeline. Skipped when nothing recorded (e.g. CASURF_METRICS=OFF).
+  // timeline. Skipped when nothing recorded.
   if (trace_.total_recorded() > 0) {
     try {
       trace_.write(opt_.data_dir + "/trace.json");
@@ -770,9 +755,6 @@ HttpResponse Daemon::route(const HttpRequest& req, RouteInfo& info) {
   if (target == "/metrics") {
     info.route = "/metrics";
     if (req.method != "GET") return error_response(405, "method not allowed");
-    if (!obs::prom::kPromCompiled) {
-      return error_response(404, "metrics are compiled out (CASURF_METRICS=OFF)");
-    }
     return metrics();
   }
   if (target == "/jobs") {

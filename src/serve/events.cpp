@@ -11,7 +11,7 @@ namespace casurf::serve {
 void append_event(const std::string& path, std::string_view event,
                   const std::function<void(obs::json::Writer&)>& fields) {
   // Wall clock on purpose (not obs::now_ns): the journal outlives the
-  // process and must stay meaningful under CASURF_METRICS=OFF.
+  // process, and a steady-clock reading means nothing after a reboot.
   const double ts =
       static_cast<double>(
           std::chrono::duration_cast<std::chrono::microseconds>(

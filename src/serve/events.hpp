@@ -11,9 +11,8 @@ namespace casurf::serve {
 /// Durable lifecycle event journal (`events.jsonl`, one JSON object per
 /// line, schema `casurf-events/1`). Two instances exist per daemon: a
 /// per-job journal inside each job directory and a daemon-level journal in
-/// data_dir. Unlike metrics this is durability plumbing, so it is NOT
-/// compiled out under CASURF_METRICS=OFF — a recovered daemon still owes
-/// its tenants the history of what happened to their jobs.
+/// data_dir. Unlike metrics this is durability plumbing: a recovered daemon
+/// still owes its tenants the history of what happened to their jobs.
 ///
 /// Job lifecycle grammar (validated by casurf_report --events and the
 /// serve tests):

@@ -72,8 +72,6 @@ std::string parse_spec(const std::string& spec, std::vector<ParsedTerm>& out) {
   return {};
 }
 
-#ifndef CASURF_NO_FAILPOINTS
-
 /// FNV-1a, used instead of std::hash so the prob@P streams are identical
 /// across processes and library versions (replayability is the point).
 std::uint64_t name_hash(const std::string& name) {
@@ -103,30 +101,12 @@ Registry& registry() {
   return r;
 }
 
-#endif  // CASURF_NO_FAILPOINTS
-
 }  // namespace
 
 std::string validate(const std::string& spec) {
   std::vector<ParsedTerm> terms;
-  if (std::string err = parse_spec(spec, terms); !err.empty()) return err;
-  if (!kFailpointsCompiled && !terms.empty()) {
-    return "failpoints requested but this build compiled them out "
-           "(CASURF_FAILPOINTS=OFF)";
-  }
-  return {};
+  return parse_spec(spec, terms);
 }
-
-#ifdef CASURF_NO_FAILPOINTS
-
-std::string configure(const std::string& spec) { return validate(spec); }
-void set_seed(std::uint64_t) {}
-void reset() {}
-std::vector<std::string> armed_names() { return {}; }
-std::uint64_t evaluations(const std::string&) { return 0; }
-std::uint64_t fires(const std::string&) { return 0; }
-
-#else
 
 std::string configure(const std::string& spec) {
   std::vector<ParsedTerm> terms;
@@ -214,7 +194,5 @@ bool should_fail(const char* name) {
 }
 
 }  // namespace detail
-
-#endif  // CASURF_NO_FAILPOINTS
 
 }  // namespace casurf::fail

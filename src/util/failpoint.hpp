@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 namespace casurf::fail {
@@ -20,25 +19,15 @@ namespace casurf::fail {
 ///                 pattern, which is what makes torture runs reproducible
 ///
 /// Same discipline as the metrics probes (obs/metrics.hpp): a disarmed
-/// registry costs one relaxed atomic load per site, and the CMake option
-/// CASURF_FAILPOINTS=OFF (-DCASURF_NO_FAILPOINTS) compiles every site out
-/// to a constant-false branch — Failpoint becomes an empty type, checked
-/// by a static_assert below. Firing never touches simulation RNG or state:
-/// a run with failpoints that never fire is bit-identical to a bare run.
+/// registry costs one relaxed atomic load per site. Firing never touches
+/// simulation RNG or state: a run with failpoints that never fire is
+/// bit-identical to a bare run.
 ///
 /// The registry is process-global. Arming is meant for one place near
 /// main(); the wired sites only evaluate.
 
-#ifdef CASURF_NO_FAILPOINTS
-inline constexpr bool kFailpointsCompiled = false;
-#else
-inline constexpr bool kFailpointsCompiled = true;
-#endif
-
 /// Parse `spec` without arming anything; returns the empty string when the
-/// spec is well-formed, else a message naming the first bad term. In the
-/// compiled-out build every nonempty spec is an error (the caller should
-/// refuse it loudly rather than silently run faultless).
+/// spec is well-formed, else a message naming the first bad term.
 [[nodiscard]] std::string validate(const std::string& spec);
 
 /// Replace the armed set with `spec` (validate() grammar; the empty spec
@@ -62,44 +51,24 @@ void reset();
 [[nodiscard]] std::uint64_t fires(const std::string& name);
 
 namespace detail {
-#ifndef CASURF_NO_FAILPOINTS
 extern std::atomic<int> g_armed;  ///< number of armed failpoints
 [[nodiscard]] bool should_fail(const char* name);
-#endif
 }  // namespace detail
 
 /// A wired failpoint site. Constructed (constexpr) with the site's name;
 /// fire() asks the registry whether the injected failure triggers now.
-/// Disarmed cost: one relaxed load. Compiled-out cost: nothing.
+/// Disarmed cost: one relaxed load.
 class Failpoint {
  public:
-  explicit constexpr Failpoint(const char* name)
-#ifndef CASURF_NO_FAILPOINTS
-      : name_(name)
-#endif
-  {
-    (void)name;
-  }
+  explicit constexpr Failpoint(const char* name) : name_(name) {}
 
   [[nodiscard]] bool fire() const {
-#ifdef CASURF_NO_FAILPOINTS
-    return false;
-#else
     if (detail::g_armed.load(std::memory_order_relaxed) == 0) return false;
     return detail::should_fail(name_);
-#endif
   }
 
  private:
-#ifndef CASURF_NO_FAILPOINTS
   const char* name_;
-#endif
 };
-
-#ifdef CASURF_NO_FAILPOINTS
-static_assert(std::is_empty_v<Failpoint>,
-              "Failpoint must compile out to an empty no-op under "
-              "CASURF_FAILPOINTS=OFF");
-#endif
 
 }  // namespace casurf::fail

@@ -40,19 +40,6 @@ bool parse_level(std::string_view text, Level& out) {
   return false;
 }
 
-#ifdef CASURF_NO_METRICS
-
-std::string configure(Level level, const std::string& path) {
-  (void)level, (void)path;
-  return "structured logging is compiled out (CASURF_METRICS=OFF)";
-}
-
-std::string configure_from_env() { return {}; }
-
-Level threshold() { return Level::kOff; }
-
-#else  // logging compiled in
-
 namespace detail {
 
 std::atomic<int> g_level{static_cast<int>(Level::kWarn)};
@@ -229,7 +216,5 @@ Event& Event::boolean(std::string_view key, bool value) {
   line_ += value ? ":true" : ":false";
   return *this;
 }
-
-#endif  // CASURF_NO_METRICS
 
 }  // namespace casurf::log

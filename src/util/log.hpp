@@ -5,7 +5,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <type_traits>
 
 namespace casurf::log {
 
@@ -22,20 +21,11 @@ namespace casurf::log {
 ///     bytes within a line;
 ///   - a disabled site (level below threshold) costs one relaxed atomic
 ///     load plus a branch, the same discipline as obs::MetricsRegistry
-///     probes and fail::Failpoint sites;
-///   - CASURF_METRICS=OFF (-DCASURF_NO_METRICS) compiles the subsystem out:
-///     Event becomes an empty type (static_assert below), configure()
-///     refuses explicit requests, and CASURF_LOG is ignored.
+///     probes and fail::Failpoint sites.
 ///
 /// Configuration precedence: compiled default (warn → stderr), then the
 /// CASURF_LOG environment variable (`configure_from_env`), then explicit
 /// --log-level / --log-file flags (`configure`).
-
-#ifdef CASURF_NO_METRICS
-inline constexpr bool kLogCompiled = false;
-#else
-inline constexpr bool kLogCompiled = true;
-#endif
 
 enum class Level : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
@@ -47,28 +37,24 @@ enum class Level : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 
 
 /// Point the logger at `path` ("" or "stderr" → standard error) with the
 /// given threshold. Returns the empty string on success, else a message
-/// (unwritable path, or logging compiled out while a sink/level was
-/// explicitly requested). The sink fd is opened O_APPEND|O_CLOEXEC: append
+/// naming the unwritable path. The sink fd is opened O_APPEND|O_CLOEXEC: append
 /// atomicity across forked supervisors, no leak into exec'd workers.
 std::string configure(Level level, const std::string& path);
 
 /// Apply the CASURF_LOG environment variable, e.g.
 /// `CASURF_LOG=level=debug,file=/tmp/casurf.log` (a bare `debug` is
 /// shorthand for `level=debug`). Unset/empty → no change. Returns "" on
-/// success or when compiled out (env config degrades silently; only
-/// explicit flags refuse), else a parse error.
+/// success, else a parse error.
 std::string configure_from_env();
 
-/// Current threshold (kOff when compiled out).
+/// Current threshold.
 [[nodiscard]] Level threshold();
 
 namespace detail {
-#ifndef CASURF_NO_METRICS
 extern std::atomic<int> g_level;  ///< Level as int; relaxed site-gate load
 void emit_line(std::string&& line);  // appends '\n', single write(2)
 [[nodiscard]] std::uint64_t mono_ns();
 [[nodiscard]] double wall_seconds();
-#endif
 }  // namespace detail
 
 /// One site's token bucket: `rate` tokens/second, up to `burst` banked.
@@ -79,28 +65,20 @@ void emit_line(std::string&& line);  // appends '\n', single write(2)
 ///   log::Event(log::Level::kWarn, "serve.daemon", "scrape_failed", &limit)
 ///       .str("why", err);
 ///
-/// allow() is thread-safe; compiled out it is constant-false (the Event it
-/// gates is a no-op anyway).
+/// allow() is thread-safe.
 class RateLimit {
  public:
   constexpr RateLimit(double rate, double burst)
-#ifndef CASURF_NO_METRICS
-      : rate_(rate), burst_(burst), tokens_(burst)
-#endif
-  {
-    (void)rate, (void)burst;
-  }
+      : rate_(rate), burst_(burst), tokens_(burst) {}
 
   [[nodiscard]] bool allow();
 
  private:
-#ifndef CASURF_NO_METRICS
   double rate_;
   double burst_;
   std::mutex mutex_;
   double tokens_;
   std::uint64_t last_ns_ = 0;
-#endif
 };
 
 /// Fluent one-line event builder. Constructing below the threshold (or
@@ -122,23 +100,7 @@ class Event {
   Event& boolean(std::string_view key, bool value);
 
  private:
-#ifndef CASURF_NO_METRICS
   std::string line_;  ///< empty ⇔ disarmed
-#endif
 };
-
-#ifdef CASURF_NO_METRICS
-inline Event::Event(Level, std::string_view, std::string_view, RateLimit*) {}
-inline Event::~Event() = default;
-inline Event& Event::str(std::string_view, std::string_view) { return *this; }
-inline Event& Event::u64(std::string_view, std::uint64_t) { return *this; }
-inline Event& Event::i64(std::string_view, std::int64_t) { return *this; }
-inline Event& Event::f64(std::string_view, double) { return *this; }
-inline Event& Event::boolean(std::string_view, bool) { return *this; }
-inline bool RateLimit::allow() { return false; }
-static_assert(std::is_empty_v<Event>,
-              "log::Event must compile out to an empty no-op under "
-              "CASURF_METRICS=OFF");
-#endif
 
 }  // namespace casurf::log

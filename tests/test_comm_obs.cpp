@@ -37,7 +37,7 @@ Communicator::Stats run_instrumented(obs::MetricsRegistry* registry,
         }
         (void)rank.allreduce_sum(static_cast<std::uint64_t>(1));
       },
-      CommObs{registry, tracer});
+      {registry, tracer});
 }
 
 TEST(CommObsReport, CommSectionReconcilesWithStats) {
@@ -74,7 +74,6 @@ TEST(CommObsReport, CommSectionReconcilesWithStats) {
   EXPECT_EQ(comm->number_or("barriers", 0),
             static_cast<double>(stats.barriers));
 
-#ifndef CASURF_NO_METRICS
   // Per-edge rows sum back to the communicator totals, exactly.
   const Value& edges = comm->at("edges");
   ASSERT_TRUE(edges.is_array());
@@ -114,13 +113,6 @@ TEST(CommObsReport, CommSectionReconcilesWithStats) {
   const Value* gauges = doc.at("metrics").find("gauges");
   ASSERT_NE(gauges, nullptr);
   EXPECT_FALSE(gauges->members().empty());
-#else
-  // Compile-out contract: the comm section still reports the communicator
-  // totals, but has no probe-derived detail to offer.
-  EXPECT_TRUE(comm->at("edges").items().empty());
-  EXPECT_TRUE(comm->at("ranks").items().empty());
-  EXPECT_TRUE(comm->at("barrier_skew").is_null());
-#endif
 
   // The cost-model prediction is embedded for measured-vs-model output.
   const Value& m = comm->at("model");
@@ -150,7 +142,6 @@ TEST(CommObsReport, TraceFooterCarriesIdAndOrigin) {
   EXPECT_EQ(other.number_or("t0_ns", 0),
             static_cast<double>(tracer.t0_ns()));
 
-#ifndef CASURF_NO_METRICS
   // The comm event's args carry the edge and payload.
   bool seen = false;
   for (const Value& e : doc.at("traceEvents").items()) {
@@ -163,9 +154,6 @@ TEST(CommObsReport, TraceFooterCarriesIdAndOrigin) {
     EXPECT_EQ(args.number_or("bytes", -1), 16);
   }
   EXPECT_TRUE(seen);
-#else
-  EXPECT_EQ(tracer.total_recorded(), 0u);
-#endif
 }
 
 }  // namespace

@@ -2,8 +2,7 @@
 // hit@N / prob@P triggers and their deterministic replay, the disarmed
 // null-probe contract, and the wired sites — atomic writes, checkpoint
 // content damage, thread-pool worker failures, and the fast-path partition
-// gate. Trigger tests skip under CASURF_FAILPOINTS=OFF, where the only
-// contract is that every nonempty spec is refused.
+// gate.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "ca/fastpath.hpp"
 #include "core/simulation.hpp"
 #include "io/atomic_file.hpp"
 #include "io/checkpoint.hpp"
@@ -44,7 +42,6 @@ class FailpointTest : public ::testing::Test {
 
 TEST_F(FailpointTest, ValidatesWellFormedSpecs) {
   EXPECT_EQ(fail::validate(""), "");
-  if (!fail::kFailpointsCompiled) return;
   EXPECT_EQ(fail::validate("io/checkpoint/corrupt=hit@2"), "");
   EXPECT_EQ(fail::validate("a=hit@1,b=prob@0.25,c=prob@0"), "");
   EXPECT_EQ(fail::validate("x=prob@1"), "");
@@ -63,13 +60,6 @@ TEST_F(FailpointTest, RejectsMalformedSpecs) {
   EXPECT_NE(fail::validate("a=hit@1,"), "");
 }
 
-TEST_F(FailpointTest, CompiledOutBuildRefusesEveryNonEmptySpec) {
-  if (fail::kFailpointsCompiled) GTEST_SKIP() << "failpoints compiled in";
-  EXPECT_NE(fail::validate("a=hit@1"), "");
-  EXPECT_NE(fail::configure("a=hit@1"), "");
-  EXPECT_TRUE(fail::armed_names().empty());
-}
-
 // --- Triggers -------------------------------------------------------------
 
 TEST_F(FailpointTest, DisarmedSiteNeverFiresAndCountsNothing) {
@@ -79,7 +69,6 @@ TEST_F(FailpointTest, DisarmedSiteNeverFiresAndCountsNothing) {
 }
 
 TEST_F(FailpointTest, HitFiresExactlyOnTheNthEvaluation) {
-  if (!fail::kFailpointsCompiled) GTEST_SKIP() << "CASURF_FAILPOINTS=OFF";
   ASSERT_EQ(fail::configure("test/hit=hit@3"), "");
   constexpr fail::Failpoint fp{"test/hit"};
   EXPECT_FALSE(fp.fire());
@@ -92,7 +81,6 @@ TEST_F(FailpointTest, HitFiresExactlyOnTheNthEvaluation) {
 }
 
 TEST_F(FailpointTest, ArmedNamesFollowTheSpec) {
-  if (!fail::kFailpointsCompiled) GTEST_SKIP() << "CASURF_FAILPOINTS=OFF";
   ASSERT_EQ(fail::configure("b=hit@1,a=prob@0.5"), "");
   const std::vector<std::string> names = fail::armed_names();
   ASSERT_EQ(names.size(), 2u);
@@ -103,7 +91,6 @@ TEST_F(FailpointTest, ArmedNamesFollowTheSpec) {
 }
 
 TEST_F(FailpointTest, ProbReplaysExactlyForAFixedSeed) {
-  if (!fail::kFailpointsCompiled) GTEST_SKIP() << "CASURF_FAILPOINTS=OFF";
   const auto pattern = [](std::uint64_t seed) {
     fail::reset();
     fail::set_seed(seed);
@@ -125,7 +112,6 @@ TEST_F(FailpointTest, ProbReplaysExactlyForAFixedSeed) {
 }
 
 TEST_F(FailpointTest, ProbEdgeCasesNeverAndAlways) {
-  if (!fail::kFailpointsCompiled) GTEST_SKIP() << "CASURF_FAILPOINTS=OFF";
   ASSERT_EQ(fail::configure("never=prob@0,always=prob@1"), "");
   constexpr fail::Failpoint never{"never"};
   constexpr fail::Failpoint always{"always"};
@@ -140,7 +126,6 @@ TEST_F(FailpointTest, ProbEdgeCasesNeverAndAlways) {
 // --- Wired sites ----------------------------------------------------------
 
 TEST_F(FailpointTest, AtomicWriteShortWriteLeavesTargetUntouched) {
-  if (!fail::kFailpointsCompiled) GTEST_SKIP() << "CASURF_FAILPOINTS=OFF";
   const std::string path = temp_path("short_write");
   io::atomic_write_file(path, "old contents");
   ASSERT_EQ(fail::configure("io/atomic_write/short_write=hit@1"), "");
@@ -153,7 +138,6 @@ TEST_F(FailpointTest, AtomicWriteShortWriteLeavesTargetUntouched) {
 }
 
 TEST_F(FailpointTest, AtomicWriteFsyncAndRenameFailuresNameTheSyscall) {
-  if (!fail::kFailpointsCompiled) GTEST_SKIP() << "CASURF_FAILPOINTS=OFF";
   const std::string path = temp_path("fsync");
   ASSERT_EQ(fail::configure("io/atomic_write/fsync=hit@1"), "");
   try {
@@ -174,7 +158,6 @@ TEST_F(FailpointTest, AtomicWriteFsyncAndRenameFailuresNameTheSyscall) {
 }
 
 TEST_F(FailpointTest, CheckpointCorruptionIsCaughtAtRestore) {
-  if (!fail::kFailpointsCompiled) GTEST_SKIP() << "CASURF_FAILPOINTS=OFF";
   auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
   SimulationOptions opt;
   opt.algorithm = Algorithm::kRsm;
@@ -199,7 +182,6 @@ TEST_F(FailpointTest, CheckpointCorruptionIsCaughtAtRestore) {
 }
 
 TEST_F(FailpointTest, ThreadPoolWorkerThrowSurfacesAndPoolStaysUsable) {
-  if (!fail::kFailpointsCompiled) GTEST_SKIP() << "CASURF_FAILPOINTS=OFF";
   ThreadPool pool(4);
   ASSERT_EQ(fail::configure("thread_pool/worker_throw=hit@1"), "");
   EXPECT_THROW(
@@ -216,8 +198,6 @@ TEST_F(FailpointTest, ThreadPoolWorkerThrowSurfacesAndPoolStaysUsable) {
 }
 
 TEST_F(FailpointTest, PartitionGateFailureForcesScalarFallback) {
-  if (!fail::kFailpointsCompiled) GTEST_SKIP() << "CASURF_FAILPOINTS=OFF";
-  if (!kFastPathCompiled) GTEST_SKIP() << "CASURF_FASTPATH=OFF";
   auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
   const Configuration init(Lattice(32, 32), 3, zgb.vacant);
   SimulationOptions opt;

@@ -1,9 +1,8 @@
 // Structured JSON-lines logging (util/log.hpp): line schema and field
 // round-trip through the shared JSON parser, threshold filtering, token
-// buckets, the single-write atomicity contract under concurrent writers,
-// and the CASURF_METRICS=OFF compile-out behaviour. The suite reconfigures
-// the process-global logger per test, which is safe because gtest runs
-// tests serially within this binary.
+// buckets, and the single-write atomicity contract under concurrent
+// writers. The suite reconfigures the process-global logger per test,
+// which is safe because gtest runs tests serially within this binary.
 
 #include "util/log.hpp"
 
@@ -36,7 +35,7 @@ std::vector<std::string> lines_of(const std::string& path) {
   try {
     text = io::read_file(path);
   } catch (const std::exception&) {
-    return out;  // never written — the compiled-out / filtered cases
+    return out;  // never written — the filtered cases
   }
   std::size_t pos = 0;
   while (pos < text.size()) {
@@ -68,7 +67,6 @@ TEST(LogLevel, ParseAcceptsTheDocumentedSpellingsOnly) {
 }
 
 TEST(LogEvent, RoundTripsEveryFieldKindThroughTheJsonParser) {
-  if (!kLogCompiled) GTEST_SKIP() << "logging compiled out";
   const std::string path = temp_log("roundtrip");
   ASSERT_EQ(configure(Level::kDebug, path), "");
 
@@ -98,7 +96,6 @@ TEST(LogEvent, RoundTripsEveryFieldKindThroughTheJsonParser) {
 }
 
 TEST(LogEvent, ThresholdFiltersLowerLevels) {
-  if (!kLogCompiled) GTEST_SKIP() << "logging compiled out";
   const std::string path = temp_log("threshold");
   ASSERT_EQ(configure(Level::kWarn, path), "");
   EXPECT_EQ(threshold(), Level::kWarn);
@@ -116,7 +113,6 @@ TEST(LogEvent, ThresholdFiltersLowerLevels) {
 }
 
 TEST(LogEvent, OffSinkEmitsNothing) {
-  if (!kLogCompiled) GTEST_SKIP() << "logging compiled out";
   const std::string path = temp_log("off");
   ASSERT_EQ(configure(Level::kOff, path), "");
   Event(Level::kError, "test.log", "suppressed");
@@ -125,7 +121,6 @@ TEST(LogEvent, OffSinkEmitsNothing) {
 }
 
 TEST(LogConfigure, UnwritablePathIsAnError) {
-  if (!kLogCompiled) GTEST_SKIP() << "logging compiled out";
   const std::string err =
       configure(Level::kInfo, testing::TempDir() + "/no-such-dir/x.jsonl");
   EXPECT_NE(err, "");
@@ -136,51 +131,31 @@ TEST(LogConfigure, EnvVariableParsesLevelAndFile) {
   const std::string path = temp_log("env");
   ::setenv("CASURF_LOG", ("level=debug,file=" + path).c_str(), 1);
   EXPECT_EQ(configure_from_env(), "");
-  if (kLogCompiled) {
-    EXPECT_EQ(threshold(), Level::kDebug);
-    Event(Level::kDebug, "test.log", "via_env");
-    ASSERT_EQ(lines_of(path).size(), 1u);
-  } else {
-    // Compiled out, the env degrades silently and nothing is written.
-    EXPECT_EQ(threshold(), Level::kOff);
-    Event(Level::kError, "test.log", "via_env");
-    EXPECT_TRUE(lines_of(path).empty());
-  }
+  EXPECT_EQ(threshold(), Level::kDebug);
+  Event(Level::kDebug, "test.log", "via_env");
+  ASSERT_EQ(lines_of(path).size(), 1u);
 
   ::setenv("CASURF_LOG", "info", 1);  // bare level shorthand
   EXPECT_EQ(configure_from_env(), "");
-  if (kLogCompiled) EXPECT_EQ(threshold(), Level::kInfo);
+  EXPECT_EQ(threshold(), Level::kInfo);
 
   ::setenv("CASURF_LOG", "level=bogus", 1);
-  if (kLogCompiled) {
-    EXPECT_NE(configure_from_env(), "");
-  } else {
-    EXPECT_EQ(configure_from_env(), "");  // silent even for junk
-  }
+  EXPECT_NE(configure_from_env(), "");
 
   ::unsetenv("CASURF_LOG");
   EXPECT_EQ(configure_from_env(), "");  // unset → no change, no error
-  if (kLogCompiled) ASSERT_EQ(configure(Level::kWarn, ""), "");
+  ASSERT_EQ(configure(Level::kWarn, ""), "");
 }
 
+// Logging is always compiled in, so explicit configuration is accepted and
+// takes effect.
 TEST(LogConfigure, CompileOutContractMatchesBuildFlavor) {
-  if (kLogCompiled) {
-    EXPECT_EQ(configure(Level::kInfo, ""), "");
-    ASSERT_EQ(configure(Level::kWarn, ""), "");
-  } else {
-    // Explicit configuration must refuse loudly so --log-level on an OFF
-    // build is a usage error, not a silent no-op.
-    EXPECT_NE(configure(Level::kInfo, ""), "");
-    EXPECT_EQ(threshold(), Level::kOff);
-  }
+  EXPECT_EQ(configure(Level::kInfo, ""), "");
+  EXPECT_EQ(threshold(), Level::kInfo);
+  ASSERT_EQ(configure(Level::kWarn, ""), "");
 }
 
 TEST(LogRateLimit, BurstThenRefusalThenRefill) {
-  if (!kLogCompiled) {
-    RateLimit limit(1.0, 5.0);
-    EXPECT_FALSE(limit.allow()) << "compiled out, allow() is constant-false";
-    return;
-  }
   // Effectively no refill within the test's lifetime: exactly burst allowed.
   RateLimit stingy(1e-6, 3.0);
   EXPECT_TRUE(stingy.allow());
@@ -195,7 +170,6 @@ TEST(LogRateLimit, BurstThenRefusalThenRefill) {
 }
 
 TEST(LogEvent, ConcurrentWritersNeverTearLines) {
-  if (!kLogCompiled) GTEST_SKIP() << "logging compiled out";
   const std::string path = temp_log("threads");
   ASSERT_EQ(configure(Level::kInfo, path), "");
 

@@ -314,8 +314,6 @@ TEST(MsgPass, RecvValueSizeMismatchThrows) {
   }
 }
 
-#ifndef CASURF_NO_METRICS
-
 /// Total of the registry's comm/edge counters matching `suffix`
 /// ("messages" or "bytes"); also verifies the src->dst name shape.
 std::uint64_t edge_total(const obs::MetricsRegistry& registry,
@@ -356,7 +354,7 @@ TEST(MsgPassObs, EdgeCountersReconcileWithStats) {
         rank.barrier();
         (void)rank.allreduce_sum(1.0);
       },
-      CommObs{&registry, nullptr});
+      obs::Sinks{&registry});
 
   EXPECT_EQ(stats.messages, 4u);
   EXPECT_EQ(stats.bytes, 3u * 4 + 32 * 8);
@@ -405,7 +403,7 @@ TEST(MsgPassObs, RankLanesCarryCommEvents) {
         }
         rank.barrier();
       },
-      CommObs{nullptr, &tracer});
+      obs::Sinks{nullptr, &tracer});
 
   // Rank k records onto lane kRankLaneBase + k — its own ring, single
   // writer, so lanes never interleave.
@@ -460,7 +458,7 @@ TEST(MsgPassObs, ConcurrentWorldsIsolateProbes) {
           }
           rank.barrier();
         },
-        CommObs{&registry, &tracer});
+        obs::Sinks{&registry, &tracer});
   };
 
   obs::MetricsRegistry reg_a, reg_b;
@@ -491,7 +489,7 @@ TEST(MsgPassObs, ConcurrentWorldsIsolateProbes) {
 }
 
 TEST(MsgPassObs, NullSinksRecordNothing) {
-  // The null-probe-off contract: a CommObs with both sinks null must leave
+  // The null-probe-off contract: a world with no sinks attached must leave
   // probes disarmed — rank.trace() stays null and nothing is recorded.
   Communicator::run(
       2,
@@ -503,37 +501,8 @@ TEST(MsgPassObs, NullSinksRecordNothing) {
           (void)rank.recv_value<int>(0, 1);
         }
       },
-      CommObs{});
+      obs::Sinks{});
 }
-
-#else  // CASURF_NO_METRICS
-
-TEST(MsgPassObs, ProbesCompileOutUnderNoMetrics) {
-  // CommProbes is an empty no-op class on this build (static_assert in
-  // msgpass.hpp): arming with live sinks must record nothing anywhere,
-  // while the communicator's own Stats keep counting.
-  obs::MetricsRegistry registry;
-  obs::Tracer tracer;
-  const Communicator::Stats stats = Communicator::run(
-      2,
-      [](Communicator::Rank& rank) {
-        EXPECT_EQ(rank.trace(), nullptr);
-        if (rank.rank() == 0) {
-          rank.send_value<int>(1, 1, 42);
-        } else {
-          (void)rank.recv_value<int>(0, 1);
-        }
-        rank.barrier();
-      },
-      CommObs{&registry, &tracer});
-  EXPECT_EQ(stats.messages, 1u);
-  EXPECT_TRUE(registry.counters().empty());
-  EXPECT_TRUE(registry.timers().empty());
-  EXPECT_TRUE(registry.histograms().empty());
-  EXPECT_EQ(tracer.total_recorded(), 0u);
-}
-
-#endif  // CASURF_NO_METRICS
 
 }  // namespace
 }  // namespace casurf

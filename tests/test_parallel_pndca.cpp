@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <latch>
+#include <thread>
+#include <vector>
+
 #include "models/pt100.hpp"
 #include "models/zgb.hpp"
 #include "partition/coloring.hpp"
@@ -152,6 +157,55 @@ TEST(ParallelPndca, CountsConsistentAfterLongRun) {
   }
   for (Species s = 0; s < 3; ++s) {
     EXPECT_EQ(par.configuration().count(s), recount[s]);
+  }
+}
+
+TEST(ParallelPndca, FreshModelIsSafeToSampleFromManyThreads) {
+  // The pool workers share the engine's model without locks. Four threads
+  // released together sample a model nothing has sampled from before; any
+  // state the model still builds lazily on first use is a data race, which
+  // the ThreadSanitizer build reports whatever the timing.
+  const auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
+  constexpr int kThreads = 4;
+  std::latch start(kThreads);
+  std::vector<ReactionIndex> sampled(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      sampled[t] = zgb.model.sample_type(0.3, 0.7);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const ReactionIndex r : sampled) EXPECT_EQ(r, sampled[0]);
+}
+
+TEST(ParallelPndca, FreshModelFastPathMatchesSerial) {
+  // Every repetition builds fresh models, so the pool workers' first sweep
+  // is the first time anything samples from the engine's model. Workers
+  // share the model without locks, so it must be immutable by then; the
+  // result must replay serial PNDCA on another fresh model byte for byte.
+  const Lattice lat(64, 64);
+  for (int rep = 0; rep < 20; ++rep) {
+    const auto serial_zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
+    const auto threaded_zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
+    PndcaSimulator seq(serial_zgb.model, Configuration(lat, 3, serial_zgb.vacant),
+                       {make_partition(lat, serial_zgb.model)}, 3);
+    ParallelPndcaEngine par(threaded_zgb.model,
+                            Configuration(lat, 3, threaded_zgb.vacant),
+                            {make_partition(lat, threaded_zgb.model)}, 3, 4);
+    ASSERT_TRUE(par.set_fast_path(true));
+    for (int step = 0; step < 3; ++step) {
+      seq.mc_step();
+      par.mc_step();
+    }
+    ASSERT_TRUE(std::ranges::equal(seq.configuration().raw(), par.configuration().raw()))
+        << "repetition " << rep;
+    EXPECT_EQ(seq.time(), par.time());
+    EXPECT_EQ(seq.counters().trials, par.counters().trials);
+    EXPECT_EQ(seq.counters().executed, par.counters().executed);
+    EXPECT_EQ(seq.counters().steps, par.counters().steps);
+    EXPECT_EQ(seq.counters().executed_per_type, par.counters().executed_per_type);
   }
 }
 

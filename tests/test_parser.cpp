@@ -102,10 +102,16 @@ end
   EXPECT_EQ(model.reaction(0).transforms()[1].offset, (Vec2{-1, -2}));
 }
 
+// Each case carries a name for gtest to print. Without a PrintTo, gtest
+// prints the struct's raw bytes, which hold the string literals' addresses,
+// so the test ids would change from one build to the next.
 struct BadCase {
+  const char* name;
   const char* text;
   const char* what;  // substring expected in the error
 };
+
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.name; }
 
 class ParserErrors : public ::testing::TestWithParam<BadCase> {};
 
@@ -122,27 +128,39 @@ TEST_P(ParserErrors, RejectsWithUsefulMessage) {
 INSTANTIATE_TEST_SUITE_P(
     Cases, ParserErrors,
     ::testing::Values(
-        BadCase{"reaction r rate=1\n (0,0) A -> B\nend\n", "before 'species'"},
-        BadCase{"species * A\nspecies * B\nreaction r rate=1\n(0,0) * -> A\nend\n",
+        BadCase{"reaction_before_species", "reaction r rate=1\n (0,0) A -> B\nend\n",
+                "before 'species'"},
+        BadCase{"duplicate_species",
+                "species * A\nspecies * B\nreaction r rate=1\n(0,0) * -> A\nend\n",
                 "duplicate 'species'"},
-        BadCase{"species * A\n", "no reactions"},
-        BadCase{"species\nreaction r rate=1\n(0,0) * -> A\nend\n", "names no species"},
-        BadCase{"species * A\nreaction r\n(0,0) * -> A\nend\n", "needs rate"},
-        BadCase{"species * A\nreaction r rate=0\n(0,0) * -> A\nend\n", "positive"},
-        BadCase{"species * A\nreaction r rate=1 orientations=up\n(0,0) * -> A\nend\n",
+        BadCase{"no_reactions", "species * A\n", "no reactions"},
+        BadCase{"empty_species", "species\nreaction r rate=1\n(0,0) * -> A\nend\n",
+                "names no species"},
+        BadCase{"missing_rate", "species * A\nreaction r\n(0,0) * -> A\nend\n",
+                "needs rate"},
+        BadCase{"zero_rate", "species * A\nreaction r rate=0\n(0,0) * -> A\nend\n",
+                "positive"},
+        BadCase{"bad_orientations",
+                "species * A\nreaction r rate=1 orientations=up\n(0,0) * -> A\nend\n",
                 "none|xy|all"},
-        BadCase{"species * A\nreaction r rate=1\n(0,0) Z -> A\nend\n",
+        BadCase{"unknown_source_species",
+                "species * A\nreaction r rate=1\n(0,0) Z -> A\nend\n",
                 "unknown species 'Z'"},
-        BadCase{"species * A\nreaction r rate=1\n(0,0) * -> Z\nend\n",
+        BadCase{"unknown_target_species",
+                "species * A\nreaction r rate=1\n(0,0) * -> Z\nend\n",
                 "unknown species 'Z'"},
-        BadCase{"species * A\nreaction r rate=1\n0,0 * -> A\nend\n", "expected offset"},
-        BadCase{"species * A\nreaction r rate=1\n(0,0) * A\nend\n",
+        BadCase{"offset_without_parens",
+                "species * A\nreaction r rate=1\n0,0 * -> A\nend\n", "expected offset"},
+        BadCase{"missing_arrow", "species * A\nreaction r rate=1\n(0,0) * A\nend\n",
                 "expected '(dx,dy) SRC -> TG'"},
-        BadCase{"species * A\nreaction r rate=1\n(0,0) * -> A\n", "not closed"},
-        BadCase{"species * A\nend\n", "'end' without"},
-        BadCase{"species * A\nreaction r rate=1\n(1,0) * -> A\nend\n", "anchor"},
-        BadCase{"species * A\nreaction r rate=1\nreaction q rate=1\nend\n", "nested"},
-        BadCase{"species * A\nbogus\n", "unexpected token"}));
+        BadCase{"unclosed_reaction", "species * A\nreaction r rate=1\n(0,0) * -> A\n",
+                "not closed"},
+        BadCase{"stray_end", "species * A\nend\n", "'end' without"},
+        BadCase{"transform_off_anchor",
+                "species * A\nreaction r rate=1\n(1,0) * -> A\nend\n", "anchor"},
+        BadCase{"nested_reaction",
+                "species * A\nreaction r rate=1\nreaction q rate=1\nend\n", "nested"},
+        BadCase{"unknown_token", "species * A\nbogus\n", "unexpected token"}));
 
 TEST(ModelParser, ErrorCarriesLineNumber) {
   try {
@@ -157,9 +175,12 @@ TEST(ModelParser, ErrorCarriesLineNumber) {
 // shape, not just species errors — it is the only thing a user has to go
 // on in a hand-written .model file.
 struct LineCase {
+  const char* name;
   const char* text;
   std::size_t line;
 };
+
+void PrintTo(const LineCase& c, std::ostream* os) { *os << c.name; }
 
 class ParserErrorLines : public ::testing::TestWithParam<LineCase> {};
 
@@ -176,20 +197,24 @@ INSTANTIATE_TEST_SUITE_P(
     Cases, ParserErrorLines,
     ::testing::Values(
         // reaction before species: flagged at the reaction line
-        LineCase{"reaction r rate=1\n(0,0) A -> B\nend\n", 1},
+        LineCase{"reaction_before_species", "reaction r rate=1\n(0,0) A -> B\nend\n", 1},
         // duplicate species block: flagged at the second one
-        LineCase{"species * A\n\nspecies * B\nreaction r rate=1\n(0,0) * -> A\nend\n",
+        LineCase{"duplicate_species",
+                 "species * A\n\nspecies * B\nreaction r rate=1\n(0,0) * -> A\nend\n",
                  3},
         // missing rate: flagged at the reaction header
-        LineCase{"species * A\nreaction r\n(0,0) * -> A\nend\n", 2},
+        LineCase{"missing_rate", "species * A\nreaction r\n(0,0) * -> A\nend\n", 2},
         // malformed transform after blank lines: line count includes them
-        LineCase{"species * A\n\n\nreaction r rate=1\n\n0,0 * -> A\nend\n", 6},
+        LineCase{"blank_lines_counted",
+                 "species * A\n\n\nreaction r rate=1\n\n0,0 * -> A\nend\n", 6},
         // unclosed reaction: flagged at the reaction header it belongs to
-        LineCase{"species * A\nreaction r rate=1\n(0,0) * -> A\n", 2},
+        LineCase{"unclosed_reaction", "species * A\nreaction r rate=1\n(0,0) * -> A\n",
+                 2},
         // stray 'end': flagged where it appears
-        LineCase{"species * A\nend\n", 2},
+        LineCase{"stray_end", "species * A\nend\n", 2},
         // unknown target species deep in a multi-transform reaction
-        LineCase{"species * A\nreaction r rate=1\n(0,0) * -> A\n(0,1) * -> Z\nend\n",
+        LineCase{"unknown_target_in_second_transform",
+                 "species * A\nreaction r rate=1\n(0,0) * -> A\n(0,1) * -> Z\nend\n",
                  4}));
 
 TEST(ModelParser, FileRoundTrip) {

@@ -50,8 +50,8 @@ TEST(ReactionModel, SampleTypeProportionalToRates) {
 }
 
 TEST(ReactionModel, SampleTypeAfterLateAdd) {
-  // The alias table must rebuild after add() — sampling then add() then
-  // sampling again exercises the lazy invalidation.
+  // The alias table must rebuild in add(): sampling, then add(), then
+  // sampling again must see the new rate.
   ReactionModel m(SpeciesSet({"*", "A"}));
   m.add(ReactionType("a", 1.0, {exact({0, 0}, 0, 1)}));
   Xoshiro256 rng(6);

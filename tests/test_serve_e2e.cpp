@@ -120,7 +120,6 @@ TEST(ServeE2E, SoakHundredsOfJobsAroundALongCheckpointingRun) {
 
 // ── Worker-crash recovery: byte-identical trajectory ────────────────────
 
-#ifndef CASURF_NO_FAILPOINTS
 TEST(ServeE2E, KilledWorkerRecoversWithByteIdenticalCsv) {
   DaemonOptions opt;
   opt.runner = CASURF_RUN_PATH;
@@ -161,7 +160,6 @@ TEST(ServeE2E, KilledWorkerRecoversWithByteIdenticalCsv) {
       << "crash recovery must reproduce the uninterrupted trajectory byte "
          "for byte";
 }
-#endif  // CASURF_NO_FAILPOINTS
 
 // ── The real binary: drain on SIGTERM ───────────────────────────────────
 

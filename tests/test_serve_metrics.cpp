@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -205,10 +206,6 @@ class ServeMetricsTest : public ::testing::Test {
 TEST_F(ServeMetricsTest, MetricsRouteMatchesBuildFlavor) {
   Daemon daemon(options());
   const HttpResponse resp = get(daemon, "/metrics");
-  if (!obs::prom::kPromCompiled) {
-    EXPECT_EQ(resp.status, 404) << "OFF build must refuse /metrics loudly";
-    return;
-  }
   ASSERT_EQ(resp.status, 200);
   EXPECT_EQ(resp.content_type, obs::prom::kContentType);
   const auto families = obs::prom::parse(resp.body);
@@ -217,11 +214,15 @@ TEST_F(ServeMetricsTest, MetricsRouteMatchesBuildFlavor) {
   EXPECT_EQ(sample_value(families, "casurf_queue_depth"), 0);
   EXPECT_EQ(sample_value(families, "casurf_draining"), 0);
   EXPECT_EQ(sample_value(families, "casurf_build_info"), 1);
+  // There is one build flavour, so build_info carries no labels.
+  const auto info = std::ranges::find(families, "casurf_build_info", &Family::name);
+  ASSERT_NE(info, families.end());
+  ASSERT_EQ(info->samples.size(), 1u);
+  EXPECT_TRUE(info->samples[0].labels.empty());
   EXPECT_EQ(post(daemon, "/metrics").status, 405);
 }
 
 TEST_F(ServeMetricsTest, MetricsReconcileWithStatsAfterJobsComplete) {
-  if (!obs::prom::kPromCompiled) GTEST_SKIP() << "metrics compiled out";
   Daemon daemon(options());
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 3; ++i) {
@@ -376,10 +377,7 @@ TEST_F(ServeMetricsTest, WorkerLogRotatesBetweenSpawns) {
   EXPECT_NE(std::find(events.begin(), events.end(), "log_rotated"),
             events.end());
   check_chain(job_dir(id) + "/" + kJobEvents);
-  if (obs::prom::kPromCompiled) {
-    EXPECT_GE(family_total(scrape(daemon), "casurf_job_log_rotations_total"),
-              1);
-  }
+  EXPECT_GE(family_total(scrape(daemon), "casurf_job_log_rotations_total"), 1);
 }
 
 TEST_F(ServeMetricsTest, SoakScrapeUnderLoadStaysParseableAndReconciles) {
@@ -390,24 +388,19 @@ TEST_F(ServeMetricsTest, SoakScrapeUnderLoadStaysParseableAndReconciles) {
   Daemon daemon(opt);
 
   // 10 Hz scraper riding along for the whole churn: every /metrics body
-  // must parse strictly (or 404 consistently on an OFF build) and every
-  // scrape must be internally consistent.
+  // must parse strictly and every scrape must be internally consistent.
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> scrapes{0};
   std::thread scraper([&] {
     while (!done.load(std::memory_order_relaxed)) {
       const HttpResponse resp = get(daemon, "/metrics");
-      if (!obs::prom::kPromCompiled) {
-        EXPECT_EQ(resp.status, 404);
-      } else {
-        ASSERT_EQ(resp.status, 200);
-        std::vector<Family> families;
-        ASSERT_NO_THROW(families = obs::prom::parse(resp.body))
-            << resp.body.substr(0, 400);
-        // Both gauges are computed under one lock hold: always equal.
-        EXPECT_EQ(sample_value(families, "casurf_queue_depth"),
-                  sample_value(families, "casurf_jobs", {{"state", "queued"}}));
-      }
+      ASSERT_EQ(resp.status, 200);
+      std::vector<Family> families;
+      ASSERT_NO_THROW(families = obs::prom::parse(resp.body))
+          << resp.body.substr(0, 400);
+      // Both gauges are computed under one lock hold: always equal.
+      EXPECT_EQ(sample_value(families, "casurf_queue_depth"),
+                sample_value(families, "casurf_jobs", {{"state", "queued"}}));
       ASSERT_NO_THROW((void)Value::parse(get(daemon, "/stats").body));
       scrapes.fetch_add(1, std::memory_order_relaxed);
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -469,27 +462,25 @@ TEST_F(ServeMetricsTest, SoakScrapeUnderLoadStaysParseableAndReconciles) {
   EXPECT_EQ(stats.at("running").as_u64(), 0u);
   EXPECT_EQ(stats.at("done").as_u64(), 100u);
   EXPECT_EQ(stats.at("stopped").as_u64(), 4u);
-  if (obs::prom::kPromCompiled) {
-    const auto families = scrape(daemon);
-    EXPECT_EQ(sample_value(families, "casurf_jobs", {{"state", "queued"}}), 0);
-    EXPECT_EQ(sample_value(families, "casurf_jobs", {{"state", "running"}}), 0);
-    EXPECT_EQ(sample_value(families, "casurf_jobs", {{"state", "done"}}),
-              stats.at("done").as_number());
-    EXPECT_EQ(sample_value(families, "casurf_jobs", {{"state", "failed"}}),
-              stats.at("failed").as_number());
-    EXPECT_EQ(sample_value(families, "casurf_jobs", {{"state", "stopped"}}),
-              stats.at("stopped").as_number());
-    EXPECT_EQ(family_total(families, "casurf_job_submissions_total"), 104);
-    EXPECT_EQ(family_total(families, "casurf_job_preemptions_total"), 6);
-    EXPECT_EQ(sample_value(families, "casurf_job_restarts_total",
-                           {{"cause", "requeue"}}),
-              2);
-    // 104 first schedulings + 2 requeues.
-    EXPECT_EQ(sample_value(families, "casurf_job_queue_wait_ns_count"), 106);
-    EXPECT_EQ(sample_value(families, "casurf_job_duration_ns_count"), 106);
-    EXPECT_GT(family_total(families, "casurf_worker_trials_total"), 0);
-    EXPECT_GT(family_total(families, "casurf_http_requests_total"), 0);
-  }
+  const auto families = scrape(daemon);
+  EXPECT_EQ(sample_value(families, "casurf_jobs", {{"state", "queued"}}), 0);
+  EXPECT_EQ(sample_value(families, "casurf_jobs", {{"state", "running"}}), 0);
+  EXPECT_EQ(sample_value(families, "casurf_jobs", {{"state", "done"}}),
+            stats.at("done").as_number());
+  EXPECT_EQ(sample_value(families, "casurf_jobs", {{"state", "failed"}}),
+            stats.at("failed").as_number());
+  EXPECT_EQ(sample_value(families, "casurf_jobs", {{"state", "stopped"}}),
+            stats.at("stopped").as_number());
+  EXPECT_EQ(family_total(families, "casurf_job_submissions_total"), 104);
+  EXPECT_EQ(family_total(families, "casurf_job_preemptions_total"), 6);
+  EXPECT_EQ(sample_value(families, "casurf_job_restarts_total",
+                         {{"cause", "requeue"}}),
+            2);
+  // 104 first schedulings + 2 requeues.
+  EXPECT_EQ(sample_value(families, "casurf_job_queue_wait_ns_count"), 106);
+  EXPECT_EQ(sample_value(families, "casurf_job_duration_ns_count"), 106);
+  EXPECT_GT(family_total(families, "casurf_worker_trials_total"), 0);
+  EXPECT_GT(family_total(families, "casurf_http_requests_total"), 0);
 
   // Every job's journal must read as a complete lifecycle chain.
   for (const std::uint64_t id : quick_ids) {

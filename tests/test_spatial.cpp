@@ -23,8 +23,6 @@ std::vector<Vec2> nn_offsets() {
   return {{1, 0}, {-1, 0}, {0, 1}, {0, -1}};
 }
 
-#ifndef CASURF_NO_METRICS
-
 TEST(SpatialMap, CountsAttemptsFiresRejects) {
   SpatialMap map(16);
   map.record_attempt(3);
@@ -58,18 +56,6 @@ TEST(SpatialProbe, NullMapIsOffAndAttachedMapRecords) {
   probe.attempt(2);
   EXPECT_EQ(map.attempts(2), 1u);
 }
-
-#else
-
-TEST(SpatialMap, RecordingCompilesOutUnderNoMetrics) {
-  SpatialMap map(8);
-  map.record_attempt(1);
-  map.record_fire(1);
-  EXPECT_EQ(map.total_attempts(), 0u);
-  EXPECT_EQ(map.total_fires(), 0u);
-}
-
-#endif  // CASURF_NO_METRICS
 
 TEST(SeamMask, BlocksPartitionClassifiesBordersOnly) {
   // 8x8 in 4x4 blocks under the von Neumann star: a site is seam iff it
@@ -119,8 +105,6 @@ TEST(Summarize, EmptyMapIsBalancedAndRatioUndefined) {
   EXPECT_DOUBLE_EQ(sum.seam_interior_fire_ratio, 0.0);
 }
 
-#ifndef CASURF_NO_METRICS
-
 TEST(Summarize, HandComputedChunkAndSeamAccounting) {
   // 8x8 in 4x4 blocks. Fire twice at an interior site of block 0 and once
   // at a seam site of block 1; attempt everywhere we fire plus one rejected
@@ -155,8 +139,6 @@ TEST(Summarize, HandComputedChunkAndSeamAccounting) {
   EXPECT_DOUBLE_EQ(sum.seam_interior_fire_ratio, (1.0 / 48.0) / (2.0 / 16.0));
 }
 
-#endif  // CASURF_NO_METRICS
-
 TEST(HeatmapJson, NullMapAndSummaryEmitNulls) {
   const Configuration cfg(Lattice(3, 2), 2, 1);
   const Value doc =
@@ -190,10 +172,8 @@ TEST(HeatmapJson, GridsAndSummaryRoundTrip) {
   ASSERT_TRUE(doc.at("summary").is_object());
   EXPECT_EQ(doc.at("summary").at("chunks").as_u64(), 4u);
   EXPECT_EQ(doc.at("summary").at("per_chunk").items().size(), 4u);
-#ifndef CASURF_NO_METRICS
   EXPECT_EQ(doc.at("attempts").items()[5].as_u64(), 1u);
   EXPECT_EQ(doc.at("fires").items()[5].as_u64(), 1u);
-#endif
 }
 
 TEST(HeatmapJson, RejectsMismatchedMap) {
@@ -217,8 +197,6 @@ TEST(ActivityPpm, HeaderSizeAndColdStart) {
     EXPECT_EQ(body[i], '\0');
   }
 }
-
-#ifndef CASURF_NO_METRICS
 
 TEST(ActivityPpm, HottestSiteIsWhite) {
   const Lattice lat(2, 2);
@@ -251,15 +229,13 @@ TEST(SimulatorIntegration, FiresMatchExecutedCounter) {
     auto sim = make_simulator(
         zgb.model, Configuration(Lattice(24, 24), 3, zgb.vacant), opt);
     SpatialMap map(sim->configuration().size());
-    sim->set_spatial(&map);
+    sim->attach({nullptr, nullptr, &map});
     sim->advance_to(3.0);
     EXPECT_EQ(map.total_fires(), sim->counters().executed) << sim->name();
     EXPECT_GE(map.total_attempts(), map.total_fires()) << sim->name();
     EXPECT_GT(map.total_fires(), 0u) << sim->name();
   }
 }
-
-#endif  // CASURF_NO_METRICS
 
 }  // namespace
 }  // namespace casurf::obs

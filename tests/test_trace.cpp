@@ -18,8 +18,6 @@ TEST(TraceRing, NullRingScopedSpanIsANoOp) {
   const ScopedSpan span(nullptr, "phase", 1.0, 2);
 }
 
-#ifndef CASURF_NO_METRICS
-
 TEST(TraceRing, RecordsSpansAndInstants) {
   TraceRing ring(0, 8);
   ring.span("a", 100, 50, 0.5, 1);
@@ -133,22 +131,6 @@ TEST(Tracer, RingReferencesAreStable) {
   EXPECT_EQ(&r0, &tracer.ring(0));
   EXPECT_EQ(tracer.ring_capacity(), Tracer::kDefaultCapacity);
 }
-
-#else  // CASURF_NO_METRICS
-
-TEST(TraceRing, RecordingCompilesOutUnderNoMetrics) {
-  TraceRing ring(0, 8);
-  ring.span("a", 100, 50, 0.5, 1);
-  ring.instant("b", 0.75, 2);
-  {
-    const ScopedSpan span(&ring, "c", 1.0, 3);
-  }
-  EXPECT_EQ(ring.recorded(), 0u);
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_EQ(ring.dropped(), 0u);
-}
-
-#endif
 
 }  // namespace
 }  // namespace casurf::obs
