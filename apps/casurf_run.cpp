@@ -91,7 +91,6 @@ struct Options {
   double coverage0 = 0;  // initial particle coverage for diffusion/ising
   std::uint32_t l_trials = 1;
   unsigned threads = 2;
-  bool fast_path = false;  // batched bitplane trial path (PNDCA family)
   std::string fill;      // species name to fill the lattice with
   std::string csv, ppm, snapshot_out, snapshot_in;
   std::string checkpoint;       // periodic checkpoint target
@@ -146,9 +145,7 @@ struct Options {
                "  --coverage0 C       initial particle coverage (diffusion/ising)\n"
                "  --L N               L-PNDCA trials per batch (default 1)\n"
                "  --threads N         threads for the parallel engine (default 2)\n"
-               "  --fast-path         batched bitplane trial path (PNDCA family;\n"
-               "                      bit-identical trajectory, scalar fallback\n"
-               "                      when the partition fails the gate)\n"
+               "  --fast-path         accepted and ignored (one trial path)\n"
                "  --fill NAME         species to fill the lattice with\n"
                "  --load PATH         start from a snapshot (species matched by name)\n"
                "  --csv PATH          write the coverage time series\n"
@@ -283,7 +280,7 @@ Options parse_args(int argc, char** argv) {
     else if (flag == "--coverage0") opt.coverage0 = num(i, "--coverage0");
     else if (flag == "--L") opt.l_trials = static_cast<std::uint32_t>(integer(i, "--L"));
     else if (flag == "--threads") opt.threads = static_cast<unsigned>(integer(i, "--threads"));
-    else if (flag == "--fast-path") opt.fast_path = true;
+    else if (flag == "--fast-path") continue;  // ignored; bench/ledger still passes it
     else if (flag == "--fill") opt.fill = need_value(i);
     else if (flag == "--load") opt.snapshot_in = need_value(i);
     else if (flag == "--csv") opt.csv = need_value(i);
@@ -620,18 +617,10 @@ int run_once(const Options& opt, obs::RecoveryLog& recovery) {
     sim_opt.seed = opt.seed;
     sim_opt.l_trials = opt.l_trials;
     sim_opt.threads = opt.threads;
-    sim_opt.fast_path = opt.fast_path;
     const auto build_sim = [&] {
       return make_simulator(*model, build_config(), sim_opt);
     };
     std::unique_ptr<Simulator> sim = build_sim();
-    if (opt.fast_path && !sim->fast_path_active() && !opt.quiet) {
-      std::fprintf(stderr,
-                   "note: --fast-path not engaged for %s (no batched path, "
-                   "or partition failed the gate); running the scalar "
-                   "reference loop\n",
-                   sim->name().c_str());
-    }
 
     // --- Resume ------------------------------------------------------
     CoverageRecorder recorder;

@@ -62,16 +62,6 @@ void BM_PndcaMcStep(benchmark::State& state) {
 }
 BENCHMARK(BM_PndcaMcStep)->Unit(benchmark::kMicrosecond);
 
-void BM_PndcaMcStepFast(benchmark::State& state) {
-  const Lattice lat(kSide, kSide);
-  PndcaSimulator sim(zgb().model, initial(),
-                     {Partition::linear_form(lat, 1, 3, 5)}, 3);
-  sim.set_fast_path(true);
-  for (auto _ : state) sim.mc_step();
-  state.SetItemsProcessed(static_cast<std::int64_t>(sim.counters().trials));
-}
-BENCHMARK(BM_PndcaMcStepFast)->Unit(benchmark::kMicrosecond);
-
 void BM_LPndcaMcStep(benchmark::State& state) {
   const Lattice lat(kSide, kSide);
   LPndcaSimulator sim(zgb().model, initial(), Partition::linear_form(lat, 1, 3, 5),
@@ -81,16 +71,6 @@ void BM_LPndcaMcStep(benchmark::State& state) {
 }
 BENCHMARK(BM_LPndcaMcStep)->Unit(benchmark::kMicrosecond);
 
-void BM_LPndcaMcStepFast(benchmark::State& state) {
-  const Lattice lat(kSide, kSide);
-  LPndcaSimulator sim(zgb().model, initial(), Partition::linear_form(lat, 1, 3, 5),
-                      4, 64);
-  sim.set_fast_path(true);
-  for (auto _ : state) sim.mc_step();
-  state.SetItemsProcessed(static_cast<std::int64_t>(sim.counters().trials));
-}
-BENCHMARK(BM_LPndcaMcStepFast)->Unit(benchmark::kMicrosecond);
-
 void BM_TPndcaMcStep(benchmark::State& state) {
   const Lattice lat(kSide, kSide);
   TPndcaSimulator sim(zgb().model, initial(), make_type_partition(lat, zgb().model), 5);
@@ -98,15 +78,6 @@ void BM_TPndcaMcStep(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(sim.counters().trials));
 }
 BENCHMARK(BM_TPndcaMcStep)->Unit(benchmark::kMicrosecond);
-
-void BM_TPndcaMcStepFast(benchmark::State& state) {
-  const Lattice lat(kSide, kSide);
-  TPndcaSimulator sim(zgb().model, initial(), make_type_partition(lat, zgb().model), 5);
-  sim.set_fast_path(true);
-  for (auto _ : state) sim.mc_step();
-  state.SetItemsProcessed(static_cast<std::int64_t>(sim.counters().trials));
-}
-BENCHMARK(BM_TPndcaMcStepFast)->Unit(benchmark::kMicrosecond);
 
 // Rate-weighted chunk selection (paper's policy 4). "Cached" is the
 // incremental enabled-rate cache; "BruteRescan" reproduces the previous
@@ -129,12 +100,12 @@ constexpr int kRateWeightedMeasureSteps = 5;
 
 void rate_weighted_pair(benchmark::State& state, const ReactionModel& model,
                         const Configuration& start, const Partition& p,
-                        bool brute_rescan) {
+                        bool brute_rescan, TimeMode time_mode = TimeMode::kStochastic) {
   std::vector<double> weights(p.num_chunks());
   std::uint64_t trials = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    PndcaSimulator sim(model, start, {p}, 10, ChunkPolicy::kRateWeighted);
+    PndcaSimulator sim(model, start, {p}, 10, ChunkPolicy::kRateWeighted, time_mode);
     state.ResumeTiming();
     for (int i = 0; i < kRateWeightedMeasureSteps; ++i) {
       if (brute_rescan) {
@@ -228,57 +199,20 @@ void BM_ParallelPndcaMcStep(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelPndcaMcStep)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMicrosecond);
 
-void BM_ParallelPndcaMcStepFast(benchmark::State& state) {
-  const Lattice lat(kSide, kSide);
-  ParallelPndcaEngine sim(zgb().model, initial(),
-                          {Partition::linear_form(lat, 1, 3, 5)}, 6,
-                          static_cast<unsigned>(state.range(0)));
-  sim.set_fast_path(true);
-  for (auto _ : state) sim.mc_step();
-  state.SetItemsProcessed(static_cast<std::int64_t>(sim.counters().trials));
-}
-BENCHMARK(BM_ParallelPndcaMcStepFast)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMicrosecond);
-
-// The headline fast-path pair: scalar vs batched trial loop on the PR-1
-// rate-weighted Pt(100) configuration at 256x256 — the workload where the
-// per-trial pattern match dominates the step. Same partition, same seed,
-// same trajectory; only the trial-evaluation machinery differs.
-// Deterministic time mode keeps the per-trial exponential clock draws out
-// of the measurement — they cost the same on both sides and would dilute
-// the ratio this pair exists to expose.
-void pt100_trial_loop(benchmark::State& state, bool fast) {
+// The trial loop on the rate-weighted Pt(100) configuration at 256x256 —
+// the workload where the per-trial pattern match dominates the step
+// unless the trial test reads the rate cache's bitset. Deterministic time
+// mode keeps the per-trial exponential clock draws out of the measurement.
+void BM_Pt100TrialLoop(benchmark::State& state) {
   static const models::Pt100Model pt = models::make_pt100();
   const auto side = static_cast<std::int32_t>(state.range(0));
   const Lattice lat(side, side);
   const Partition p = Partition::linear_form(lat, 1, 3, 16);
   const Configuration start =
       equilibrated(pt.model, Configuration(lat, 5, pt.hex_vac), p, 10);
-  std::uint64_t trials = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    PndcaSimulator sim(pt.model, start, {p}, 10, ChunkPolicy::kRateWeighted,
-                       TimeMode::kDeterministic);
-    if (fast) sim.set_fast_path(true);
-    state.ResumeTiming();
-    for (int i = 0; i < kRateWeightedMeasureSteps; ++i) sim.mc_step();
-    trials += sim.counters().trials;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(trials));
+  rate_weighted_pair(state, pt.model, start, p, false, TimeMode::kDeterministic);
 }
-
-void BM_Pt100TrialLoopScalar(benchmark::State& state) {
-  pt100_trial_loop(state, false);
-}
-BENCHMARK(BM_Pt100TrialLoopScalar)->Arg(256)->Unit(benchmark::kMillisecond);
-
-void BM_Pt100TrialLoopFast(benchmark::State& state) {
-  pt100_trial_loop(state, true);
-}
-BENCHMARK(BM_Pt100TrialLoopFast)->Arg(256)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Pt100TrialLoop)->Arg(256)->Unit(benchmark::kMillisecond);
 
 void BM_VssmEvent(benchmark::State& state) {
   VssmSimulator sim(zgb().model, initial(), 7);
@@ -322,15 +256,12 @@ void BM_MakePartition(benchmark::State& state) {
 }
 BENCHMARK(BM_MakePartition)->Arg(50)->Arg(100)->Unit(benchmark::kMicrosecond);
 
-// One instrumented run of `sim` for `steps` MC steps, dumped as
-// bench_out/BENCH_<name>.json so casurf_report (and CI) always have a
-// fresh machine-readable artifact, whatever --benchmark_filter selected.
+// One run of `sim` for `steps` MC steps, dumped as bench_out/BENCH_<name>.json
+// so casurf_report (and CI) always have a fresh machine-readable artifact,
+// whatever --benchmark_filter selected. `instrument` attaches a metrics
+// registry for the run.
 void emit_report(const char* name, const char* model, Simulator& sim,
-                 std::uint64_t seed, int steps, bool instrument) {
-  // The scalar/fast A/B pair runs uninstrumented: probes and activity maps
-  // cost the batched path proportionally more than the scalar one, so an
-  // instrumented pair would understate the trial-loop delta the artifact
-  // exists to record.
+                 std::uint64_t seed, int steps, unsigned threads, bool instrument) {
   obs::MetricsRegistry registry;
   if (instrument) sim.attach({&registry});
   const auto t0 = std::chrono::steady_clock::now();
@@ -345,16 +276,16 @@ void emit_report(const char* name, const char* model, Simulator& sim,
   info.height = sim.configuration().lattice().height();
   info.seed = seed;
   info.t_end = sim.time();
-  info.threads = 1;
+  info.threads = threads;
   info.wall_seconds = wall;
   bench::write_bench_report(name, info, sim, registry);
+  sim.attach({});
 }
 
 void emit_reports() {
-  // The recorded scalar/fast pair is the headline workload: rate-weighted
-  // PNDCA on equilibrated Pt(100) at 256x256 (shrunk under the CI smoke's
-  // fast mode), deterministic time, identical seed and schedule — the
-  // casurf_report A/B of these two files is a pure trial-loop readout.
+  // The headline workload: rate-weighted PNDCA on equilibrated Pt(100) at
+  // 256x256 (shrunk under the CI smoke's fast mode), deterministic time,
+  // run uninstrumented so the artifact times the bare trial loop.
   static const models::Pt100Model& pt = models::make_pt100();
   const std::int32_t side = bench::fast_mode() ? 64 : 256;
   const int steps = bench::fast_mode() ? 3 : 10;
@@ -362,40 +293,15 @@ void emit_reports() {
   const Partition p = Partition::linear_form(lat, 1, 3, 16);
   const Configuration start =
       equilibrated(pt.model, Configuration(lat, 5, pt.hex_vac), p, 10);
-
   PndcaSimulator pndca(pt.model, start, {p}, 10, ChunkPolicy::kRateWeighted,
                        TimeMode::kDeterministic);
-  emit_report("micro_throughput", "pt100", pndca, 10, steps, false);
-
-  // The same run with the batched bitplane path engaged; the trajectory is
-  // bit-identical, so a casurf_report A/B against micro_throughput isolates
-  // the trial-loop speedup (the CI smoke asserts on exactly this pair).
-  PndcaSimulator pndca_fast(pt.model, start, {p}, 10,
-                            ChunkPolicy::kRateWeighted,
-                            TimeMode::kDeterministic);
-  pndca_fast.set_fast_path(true);
-  emit_report("micro_fastpath", "pt100", pndca_fast, 10, steps, false);
+  emit_report("micro_throughput", "pt100", pndca, 10, steps, 1, false);
 
   const std::int32_t zside = bench::fast_mode() ? 40 : kSide;
   const Lattice zlat(zside, zside);
   ParallelPndcaEngine engine(zgb().model, Configuration(zlat, 3, zgb().vacant),
                              {Partition::linear_form(zlat, 1, 3, 5)}, 21, 2);
-  obs::MetricsRegistry registry;
-  engine.attach({&registry});
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < steps; ++i) engine.mc_step();
-  const double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0).count();
-  obs::RunInfo info;
-  info.algorithm = engine.name();
-  info.model = "zgb";
-  info.width = zside;
-  info.height = zside;
-  info.seed = 21;
-  info.t_end = engine.time();
-  info.threads = 2;
-  info.wall_seconds = wall;
-  bench::write_bench_report("micro_parallel2", info, engine, registry);
+  emit_report("micro_parallel2", "zgb", engine, 21, steps, 2, true);
 }
 
 }  // namespace
@@ -406,7 +312,7 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   // Always emitted, even under a narrow --benchmark_filter: the CI smoke
-  // and casurf_report's A/B mode depend on these two files existing.
+  // and casurf_report's A/B mode depend on these files existing.
   emit_reports();
   return 0;
 }

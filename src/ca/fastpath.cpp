@@ -1,57 +1,14 @@
 #include "ca/fastpath.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cassert>
 
 #if defined(__GNUC__) && defined(__x86_64__)
 #include <immintrin.h>
 #endif
 
-#include "partition/conflict.hpp"
-#include "util/failpoint.hpp"
+#include "rng/counter_rng.hpp"
 
 namespace casurf {
-
-bool partition_gate(const Partition& p, const std::vector<Vec2>& conflict) {
-  static constexpr fail::Failpoint kGate{"fastpath/partition_gate"};
-  if (kGate.fire()) return false;
-  return verify_partition(p, conflict);
-}
-
-std::vector<BatchWindow> build_windows(const Lattice& lat,
-                                       const std::vector<SiteIndex>& sites) {
-  std::vector<BatchWindow> out;
-  const auto width = static_cast<SiteIndex>(lat.width());
-  [[maybe_unused]] SiteIndex prev = 0;
-  for (const SiteIndex s : sites) {
-    // The window walk replays the chunk low-bit-first per window, so the
-    // site list must be ascending — which Partition guarantees.
-    assert(out.empty() || s > prev);
-    prev = s;
-    const auto y = static_cast<std::int32_t>(s / width);
-    const auto x = static_cast<std::int32_t>(s % width);
-    const std::int32_t x0 = x & ~std::int32_t{63};
-    if (out.empty() || out.back().y != y || out.back().x0 != x0) {
-      out.push_back({y, x0, 0});
-    }
-    out.back().members |= std::uint64_t{1} << (static_cast<std::uint32_t>(x) & 63u);
-  }
-  return out;
-}
-
-const std::vector<BatchWindow>& WindowCache::get(std::size_t slot, ChunkId c,
-                                                 const Lattice& lat,
-                                                 const std::vector<SiteIndex>& sites) {
-  std::vector<Entry>& chunks = slots_.at(slot);
-  if (chunks.size() <= c) chunks.resize(static_cast<std::size_t>(c) + 1);
-  Entry& e = chunks[c];
-  if (!e.built) {
-    e.windows = build_windows(lat, sites);
-    e.built = true;
-  }
-  return e.windows;
-}
 
 ProbePlans::ProbePlans(const ReactionModel& model, std::int32_t width,
                        std::int32_t height)
@@ -145,26 +102,19 @@ void EnabledTypeSet::rebuild(const SpeciesBitplanes& planes,
 
 namespace {
 
-/// Reference lane loop: the portable implementation of batch_trials, also
-/// the tail of the vector path. `index0` offsets the recorded indices so a
-/// tail call after the 8-wide blocks stays aligned with the caller's list.
-std::size_t batch_trials_scalar(std::uint64_t sweep, std::uint64_t seed_hash,
-                                const SiteIndex* sites, std::size_t n,
-                                std::uint32_t index0, const AliasTable& alias,
-                                const EnabledTypeSet& enabled, TrialHit* out) {
-  std::size_t cnt = 0;
+/// Reference lane loop: the portable sample_types, also the tail of the
+/// vector path.
+void sample_types_scalar(std::uint64_t sweep, std::uint64_t seed_hash,
+                         const SiteIndex* sites, std::size_t n,
+                         const AliasTable& alias, ReactionIndex* out) {
   for (std::size_t i = 0; i < n; ++i) {
     // seed_hash ^ mix64(key) == CounterRng::stream_base(seed, key), the
     // seed half hoisted out of the loop. First draw = flip, second = slot.
     const std::uint64_t base = seed_hash ^ mix64(CounterRng::key(sweep, sites[i]));
     const double u_flip = CounterRng::to_unit(CounterRng::nth(base, 1));
     const double u_slot = CounterRng::to_unit(CounterRng::nth(base, 2));
-    const auto rt = static_cast<ReactionIndex>(alias.sample(u_slot, u_flip));
-    if (enabled.test(sites[i], rt)) {
-      out[cnt++] = {index0 + static_cast<std::uint32_t>(i), rt};
-    }
+    out[i] = static_cast<ReactionIndex>(alias.sample(u_slot, u_flip));
   }
-  return cnt;
 }
 
 #if defined(__GNUC__) && defined(__x86_64__)
@@ -192,15 +142,14 @@ CASURF_AVX512 inline __m512i mix64x8(__m512i z) {
   return _mm512_xor_si512(z, _mm512_srli_epi64(z, 31));
 }
 
-/// Eight trials per iteration: counter streams, unit-interval draws, alias
-/// slot/flip, enabled-bitset gather, then a compressed walk of the (rare)
-/// passing lanes. Every floating-point and integer step is the exact IEEE /
-/// mod-2^64 operation of the scalar path, so the hit lists agree bit for
-/// bit. Requires words_per_site() == 1 (up to 64 reaction types).
-CASURF_AVX512 std::size_t batch_trials_avx512(
-    std::uint64_t sweep, std::uint64_t seed_hash, const SiteIndex* sites,
-    std::size_t n, const AliasTable& alias, const EnabledTypeSet& enabled,
-    TrialHit* out) {
+/// Eight sites per iteration: counter streams, unit-interval draws, alias
+/// slot/flip. Every floating-point and integer step is the exact IEEE /
+/// mod-2^64 operation of the scalar path, so the types agree bit for bit.
+CASURF_AVX512 void sample_types_avx512(std::uint64_t sweep, std::uint64_t seed_hash,
+                                       const SiteIndex* sites, std::size_t n,
+                                       const AliasTable& alias, ReactionIndex* out) {
+  static_assert(sizeof(SiteIndex) == 4 && sizeof(ReactionIndex) == 4,
+                "the lanes load sites and store types as 32-bit words");
   constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
   const __m512i stepv =
       _mm512_set1_epi64(static_cast<long long>(CounterRng::step_word(sweep)));
@@ -213,9 +162,6 @@ CASURF_AVX512 std::size_t batch_trials_avx512(
   const __m512i size_m1 = _mm512_set1_epi64(static_cast<long long>(size - 1));
   const double* prob = alias.prob_data();
   const std::uint32_t* alias_tab = alias.alias_data();
-  const std::uint64_t* words = enabled.data();
-  const __m512i kIota = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
-  std::size_t cnt = 0;
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m256i s32 =
@@ -238,26 +184,7 @@ CASURF_AVX512 std::size_t batch_trials_avx512(
     // column — a masked gather, so the common all-keep block costs nothing.
     const __m256i rt = _mm512_mask_i64gather_epi32(
         slot32, static_cast<__mmask8>(~keep), slot, alias_tab, 4);
-    // Chunks of the shipped partitions list sites in consecutive runs, so
-    // the per-site word fetch is almost always a contiguous load; fall
-    // back to the gather only for genuinely scattered blocks.
-    const __m512i word =
-        _mm512_cmpeq_epi64_mask(site, _mm512_add_epi64(
-                                          _mm512_set1_epi64(static_cast<long long>(sites[i])),
-                                          kIota)) == 0xFF
-            ? _mm512_loadu_si512(words + sites[i])
-            : _mm512_i64gather_epi64(site, words, 8);
-    const __mmask8 hit = _mm512_test_epi64_mask(
-        _mm512_srlv_epi64(word, _mm512_cvtepu32_epi64(rt)),
-        _mm512_set1_epi64(1));
-    if (hit) {
-      alignas(32) std::uint32_t rts[8];
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(rts), rt);
-      for (std::uint32_t m = hit; m != 0; m &= m - 1) {
-        const auto lane = static_cast<std::uint32_t>(std::countr_zero(m));
-        out[cnt++] = {static_cast<std::uint32_t>(i) + lane, rts[lane]};
-      }
-    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), rt);
   }
   // GCC's automatic vzeroupper insertion does not fire for functions
   // vectorized via the target attribute alone (the TU itself is built
@@ -266,49 +193,45 @@ CASURF_AVX512 std::size_t batch_trials_avx512(
   // log() — pay the VEX transition penalty, slowing the *rest of the step*
   // by an order of magnitude. Clear the state explicitly.
   _mm256_zeroupper();
-  cnt += batch_trials_scalar(sweep, seed_hash, sites + i, n - i,
-                             static_cast<std::uint32_t>(i), alias, enabled,
-                             out + cnt);
-  return cnt;
+  sample_types_scalar(sweep, seed_hash, sites + i, n - i, alias, out + i);
 }
 
 #endif  // __GNUC__ && __x86_64__
 
 }  // namespace
 
-std::size_t batch_trials(std::uint64_t sweep, std::uint64_t seed_hash,
-                         const SiteIndex* sites, std::size_t n,
-                         const AliasTable& alias, const EnabledTypeSet& enabled,
-                         TrialHit* out) {
+void sample_types(std::uint64_t sweep, std::uint64_t seed_hash, const SiteIndex* sites,
+                  std::size_t n, const AliasTable& alias, ReactionIndex* out) {
 #if defined(__GNUC__) && defined(__x86_64__)
   static const bool have_avx512 = __builtin_cpu_supports("avx512f") &&
                                   __builtin_cpu_supports("avx512dq") &&
                                   __builtin_cpu_supports("avx512vl");
-  if (have_avx512 && enabled.words_per_site() == 1 && !alias.empty()) {
-    return batch_trials_avx512(sweep, seed_hash, sites, n, alias, enabled, out);
+  if (have_avx512 && !alias.empty()) {
+    sample_types_avx512(sweep, seed_hash, sites, n, alias, out);
+    return;
   }
 #endif
-  return batch_trials_scalar(sweep, seed_hash, sites, n, 0, alias, enabled, out);
+  sample_types_scalar(sweep, seed_hash, sites, n, alias, out);
 }
 
-bool EnabledTypeSet::matches(const SpeciesBitplanes& planes,
-                             const ProbePlans& probes) const {
-  const std::int32_t width = planes.width();
-  const std::int32_t height = planes.height();
-  const std::size_t num_types = probes.num_types();
-  if (bits_.size() != static_cast<std::size_t>(width) *
-                          static_cast<std::size_t>(height) * words_per_site_) {
-    return false;
-  }
-  SiteIndex s = 0;
-  for (std::int32_t y = 0; y < height; ++y) {
-    for (std::int32_t x = 0; x < width; ++x, ++s) {
-      for (ReactionIndex t = 0; t < num_types; ++t) {
-        if (test(s, t) != probes.enabled(planes, t, x, y)) return false;
+std::size_t batch_trials(std::uint64_t sweep, std::uint64_t seed_hash,
+                         const SiteIndex* sites, std::size_t n,
+                         const AliasTable& alias, const EnabledTypeSet& enabled,
+                         TrialHit* out) {
+  // Sampled in blocks so the type scratch lives on the stack.
+  constexpr std::size_t kBlock = 256;
+  ReactionIndex types[kBlock];
+  std::size_t cnt = 0;
+  for (std::size_t i0 = 0; i0 < n; i0 += kBlock) {
+    const std::size_t m = std::min(kBlock, n - i0);
+    sample_types(sweep, seed_hash, sites + i0, m, alias, types);
+    for (std::size_t i = 0; i < m; ++i) {
+      if (enabled.test(sites[i0 + i], types[i])) {
+        out[cnt++] = {static_cast<std::uint32_t>(i0 + i), types[i]};
       }
     }
   }
-  return true;
+  return cnt;
 }
 
 }  // namespace casurf

@@ -5,77 +5,18 @@
 
 #include "lattice/bitplanes.hpp"
 #include "model/reaction_model.hpp"
-#include "partition/partition.hpp"
-#include "rng/counter_rng.hpp"
 
 namespace casurf {
 
-/// One 64-column slice of a chunk: the sites of the chunk that fall in row
-/// `y`, columns [x0, x0 + 64) of the lattice (x0 is 64-aligned, so member
-/// bit f corresponds to column x0 + f < width). Enumerating a chunk's
-/// windows in order, low member bit first, visits the chunk's sites in
-/// exactly the ascending row-major order the Partition constructor built —
-/// the scalar sweep order.
-struct BatchWindow {
-  std::int32_t y;
-  std::int32_t x0;
-  std::uint64_t members;
-};
-
-/// Group a chunk's site list (ascending row-major, as Partition builds it)
-/// into BatchWindows.
-[[nodiscard]] std::vector<BatchWindow> build_windows(
-    const Lattice& lat, const std::vector<SiteIndex>& sites);
-
-/// verify_partition plus the "fastpath/partition_gate" failpoint: returns
-/// false — forcing the engine onto the scalar reference path — when the
-/// failpoint fires, otherwise the real non-overlap check. Engines gate
-/// set_fast_path() through this so fault injection can prove the scalar
-/// fallback produces identical trajectories (docs/ROBUSTNESS.md).
-[[nodiscard]] bool partition_gate(const Partition& p,
-                                  const std::vector<Vec2>& conflict);
-
-/// Lazily-built per-(partition slot, chunk) window lists. Windows are pure
-/// geometry — they depend on the partition only, never on the configuration
-/// — so they are built once and reused every sweep.
-class WindowCache {
- public:
-  explicit WindowCache(std::size_t num_slots) : slots_(num_slots) {}
-
-  const std::vector<BatchWindow>& get(std::size_t slot, ChunkId c,
-                                      const Lattice& lat,
-                                      const std::vector<SiteIndex>& sites);
-
- private:
-  struct Entry {
-    std::vector<BatchWindow> windows;
-    bool built = false;
-  };
-  std::vector<std::vector<Entry>> slots_;
-};
-
-/// 64-wide enabled mask of `rt` anchored along row y, columns [x0, x0+64):
-/// the AND over the type's transforms of the shifted source-mask windows.
-/// This is the dense-window primitive — it pays off when many anchors share
-/// one reaction type (T-PNDCA sweeps); for per-trial random types use
-/// ProbePlans below, which evaluates single anchors.
-[[nodiscard]] inline std::uint64_t enabled_window(const SpeciesBitplanes& planes,
-                                                  const ReactionType& rt,
-                                                  std::int32_t y, std::int32_t x0) {
-  std::uint64_t en = ~std::uint64_t{0};
-  for (const Transform& t : rt.transforms()) {
-    en &= planes.mask_window(t.src, y + t.offset.y, x0 + t.offset.x);
-    if (en == 0) break;
-  }
-  return en;
-}
+// The trial kernel of the PNDCA family, plus the incremental-enabledness
+// primitives the enabled-rate cache (ca/rate_cache.hpp) is built from.
 
 /// Division-free single-anchor enabledness, precompiled per reaction type.
 ///
 /// ReactionType::enabled() resolves every transform through
 /// Lattice::neighbor(), whose coord/wrap arithmetic costs four integer
-/// divisions per transform — the dominant cost of a scalar trial. A
-/// ProbePlans is the same predicate compiled against the bitplanes: per
+/// divisions per transform. A ProbePlans is the same predicate compiled
+/// against the bitplanes: per
 /// type, a flat list of probes whose offsets are pre-wrapped into
 /// [0, width) x [0, height) at build time, so evaluation is an add, one
 /// conditional subtract per axis, and a bitplane load per species of the
@@ -84,7 +25,6 @@ class WindowCache {
 /// with an empty source mask is marked never-enabled.
 class ProbePlans {
  public:
-  ProbePlans() = default;
   ProbePlans(const ReactionModel& model, std::int32_t width, std::int32_t height);
 
   /// Exactly model.reaction(t).enabled(cfg, site at (x, y)), evaluated
@@ -185,15 +125,13 @@ class ProbePlans {
   std::vector<Recheck> rechecks_;
 };
 
-/// Per-site "which reaction types are enabled here" bitset: word-packed so
-/// one trial costs a single load and bit test. Like the bitplanes this is
-/// derived state — rebuilt from the planes via the probe plans, kept in
-/// sync by rechecking around every write (ProbePlans::visit_rechecks), and
-/// audited against a fresh recompute.
+/// Per-site "which reaction types are enabled here" bitset, site-major and
+/// word-packed so one trial test costs a single load and bit test. Like
+/// the bitplanes this is derived state — rebuilt from the planes via the
+/// probe plans and kept in sync by rechecking around every write
+/// (ProbePlans::visit_rechecks).
 class EnabledTypeSet {
  public:
-  EnabledTypeSet() = default;
-
   /// Full recompute: every (site, type) pair probed against the planes.
   void rebuild(const SpeciesBitplanes& planes, const ProbePlans& probes);
 
@@ -214,55 +152,46 @@ class EnabledTypeSet {
     return true;
   }
 
-  /// Audit ground truth: true when every bit agrees with a fresh probe of
-  /// the planes.
-  [[nodiscard]] bool matches(const SpeciesBitplanes& planes,
-                             const ProbePlans& probes) const;
-
-  /// Raw layout access for the batched trial kernel (gathered loads).
-  [[nodiscard]] std::size_t words_per_site() const { return words_per_site_; }
-  [[nodiscard]] const std::uint64_t* data() const { return bits_.data(); }
-
  private:
   std::size_t words_per_site_ = 1;
   std::vector<std::uint64_t> bits_;
 };
 
-/// One passing trial of a batched sweep: `index` into the site list handed
-/// to batch_trials plus the reaction type its stream sampled.
+/// The random half of a chunk sweep: for sites[0..n) evaluate the two
+/// counter-RNG draws of each site's stream (keyed by (sweep, site), draw
+/// order flip-then-slot) and sample the reaction type through the alias
+/// table, writing out[i] for sites[i]. The draws depend only on the chunk
+/// schedule, never on the lattice, so a whole span is sampled before any
+/// of its trials is tested. `seed_hash` is CounterRng::seed_hash(seed).
+///
+/// The draw order is pinned: the stream's FIRST value feeds the alias flip
+/// and the SECOND the slot. (Historic accident — the original per-site
+/// loop drew both inside one call's argument list, which the compiler
+/// evaluated right to left — but every stored trajectory reproduces
+/// exactly this assignment.)
+///
+/// Runs 8 lanes wide under AVX-512 when the CPU has it (runtime-dispatched);
+/// the lane arithmetic — mix64, unit-interval mapping, alias slot/flip — is
+/// exact in both versions, so the types are identical either way.
+void sample_types(std::uint64_t sweep, std::uint64_t seed_hash, const SiteIndex* sites,
+                  std::size_t n, const AliasTable& alias, ReactionIndex* out);
+
+/// One passing trial of batch_trials: `index` into its site list plus the
+/// reaction type the site's stream sampled.
 struct TrialHit {
   std::uint32_t index;
   ReactionIndex type;
 };
 
-/// The front half of a chunk sweep, batched: for sites[0..n) evaluate the
-/// two counter-RNG draws (streams keyed by (sweep, site), draw order
-/// flip-then-slot — bit-identical to trial_at's CounterRng use), sample the
-/// reaction type through the alias table, and test the per-site enabled
-/// bitset. Appends one TrialHit per passing trial to `out` (capacity >= n)
-/// in site-list order and returns the count; the caller then executes the
-/// hits. At the ~1% acceptance typical of surface kinetics this splits a
-/// sweep into a long straight-line kernel and a short commit tail.
-///
-/// `seed_hash` is CounterRng::seed_hash(seed). Runs 8 lanes wide under
-/// AVX-512 when the CPU has it (runtime-dispatched); the lane arithmetic —
-/// mix64, unit-interval mapping, alias slot/flip, bitset load — is exact
-/// in both versions, so the hit list is identical either way.
+/// sample_types filtered through a pre-sweep enabled-type bitset: appends
+/// one TrialHit per site whose sampled type is enabled there to `out`
+/// (capacity >= n), in site-list order, and returns the count. Exact for a
+/// chunk whose partition satisfies the non-overlap rule, where no in-chunk
+/// execution changes another same-chunk trial's outcome.
 [[nodiscard]] std::size_t batch_trials(std::uint64_t sweep, std::uint64_t seed_hash,
                                        const SiteIndex* sites, std::size_t n,
                                        const AliasTable& alias,
                                        const EnabledTypeSet& enabled,
                                        TrialHit* out);
-
-/// Resync the planes for every site an execution of `rt` at `s` wrote.
-/// Idempotent per site (resync_site re-derives from the configuration), so
-/// the threaded engine can replay a whole sweep's executions at the barrier.
-inline void resync_written(SpeciesBitplanes& planes, const Configuration& cfg,
-                           const ReactionType& rt, SiteIndex s) {
-  const Lattice& lat = cfg.lattice();
-  for (const Transform& t : rt.transforms()) {
-    if (t.tg != kKeep) planes.resync_site(cfg, lat.neighbor(s, t.offset));
-  }
-}
 
 }  // namespace casurf

@@ -36,77 +36,22 @@ LPndcaSimulator::LPndcaSimulator(const ReactionModel& model, Configuration confi
   }
 }
 
-void LPndcaSimulator::refresh_rate_cache(const ReactionType& reaction, SiteIndex s) {
-  const Lattice& lat = config_.lattice();
-  for (const Transform& t : reaction.transforms()) {
-    if (t.tg != kKeep) {
-      const SiteIndex written = lat.neighbor(s, t.offset);
-      rate_cache_->refresh_after(config_, written);
-      if (rate_rechecks_ != nullptr) rate_rechecks_->add();
-      // Cross-seam cache invalidation: the measured boundary conflict.
-      if (boundary_rechecks_ != nullptr &&
-          partition_.chunk_of(written) != partition_.chunk_of(s)) {
-        boundary_rechecks_->add();
-      }
-    }
-  }
-}
-
 void LPndcaSimulator::trial_at(SiteIndex s) {
   const ReactionIndex rt = model_.sample_type(rng_);
   const ReactionType& reaction = model_.reaction(rt);
   spatial_.attempt(s);
   if (reaction.enabled(config_, s)) {
-    reaction.execute(config_, s);
+    if (rate_cache_) {
+      rate_cache_->execute(config_, reaction, s, 0);
+    } else {
+      reaction.execute(config_, s);
+    }
     record_execution(rt);
     spatial_.fire(s);
-    if (rate_cache_) refresh_rate_cache(reaction, s);
   }
   time_ += time_mode_ == TimeMode::kStochastic ? exponential(rng_, rate_nk_)
                                                : 1.0 / rate_nk_;
   ++counters_.trials;
-}
-
-bool LPndcaSimulator::set_fast_path(bool on) {
-  fast_.reset();
-  if (!on) return false;
-  fast_ = std::make_unique<FastState>(config_, model_);
-  return true;
-}
-
-void LPndcaSimulator::run_batch_fast(const std::vector<SiteIndex>& sites,
-                                     std::uint64_t batch) {
-  FastState& f = *fast_;
-  f.site.resize(batch);
-  f.type.resize(batch);
-  f.dt.resize(batch);
-  // Hoist the batch's draws in the exact interleaved order the scalar loop
-  // consumes them: site, type (two uniforms), dt — per trial. None of the
-  // draws depends on trial outcomes, so the stream is unchanged.
-  for (std::uint64_t i = 0; i < batch; ++i) {
-    f.site[i] = sites[uniform_below(rng_, sites.size())];
-    f.type[i] = model_.sample_type(rng_);
-    f.dt[i] = time_mode_ == TimeMode::kStochastic ? exponential(rng_, rate_nk_)
-                                                  : 1.0 / rate_nk_;
-  }
-  const auto width = static_cast<SiteIndex>(config_.lattice().width());
-  for (std::uint64_t i = 0; i < batch; ++i) {
-    const SiteIndex s = f.site[i];
-    const ReactionIndex rt = f.type[i];
-    spatial_.attempt(s);
-    const auto x = static_cast<std::int32_t>(s % width);
-    const auto y = static_cast<std::int32_t>(s / width);
-    if (f.probes.enabled(f.planes, rt, x, y)) {
-      const ReactionType& reaction = model_.reaction(rt);
-      reaction.execute(config_, s);
-      record_execution(rt);
-      spatial_.fire(s);
-      if (rate_cache_) refresh_rate_cache(reaction, s);
-      resync_written(f.planes, config_, reaction, s);
-    }
-    time_ += f.dt[i];
-    ++counters_.trials;
-  }
 }
 
 void LPndcaSimulator::save_state(StateWriter& w) const {
@@ -120,22 +65,11 @@ void LPndcaSimulator::restore_state(StateReader& r) {
   r.expect_section("lpndca");
   rng_.restore(r);
   if (rate_cache_) rate_cache_->rebuild(config_);
-  if (fast_) fast_->planes.rebuild(config_);
 }
 
 void LPndcaSimulator::audit_derived_state(AuditReport& report, bool repair) {
   Simulator::audit_derived_state(report, repair);
-  if (fast_ && !fast_->planes.matches(config_)) {
-    report.issues.push_back(
-        {"bitplanes", "species bitplanes disagree with the configuration"});
-    if (repair) fast_->planes.rebuild(config_);
-  }
-  if (!rate_cache_) return;
-  std::vector<std::string> details;
-  if (!rate_cache_->verify(config_, details)) {
-    for (std::string& d : details) report.issues.push_back({"rate-cache", std::move(d)});
-    if (repair) rate_cache_->rebuild(config_);
-  }
+  if (rate_cache_) rate_cache_->audit(config_, report, repair);
 }
 
 void LPndcaSimulator::attach(const obs::Sinks& sinks) {
@@ -143,8 +77,7 @@ void LPndcaSimulator::attach(const obs::Sinks& sinks) {
   obs::MetricsRegistry* const registry = sinks.metrics;
   step_timer_ = registry ? &registry->timer("lpndca/step") : nullptr;
   select_timer_ = registry ? &registry->timer("lpndca/select") : nullptr;
-  rate_rechecks_ = registry ? &registry->counter("lpndca/rate_rechecks") : nullptr;
-  boundary_rechecks_ = registry ? &registry->counter("lpndca/boundary_rechecks") : nullptr;
+  EnabledRateCache::attach_counters(rate_cache_.get(), registry, "lpndca");
 }
 
 ChunkId LPndcaSimulator::select_chunk() {
@@ -176,12 +109,8 @@ void LPndcaSimulator::mc_step() {
 
     // L random sites within the chunk, with replacement — matching RSM's
     // site statistics in the degenerate-partition limits.
-    if (fast_) {
-      run_batch_fast(sites, batch);
-    } else {
-      for (std::uint64_t i = 0; i < batch; ++i) {
-        trial_at(sites[uniform_below(rng_, sites.size())]);
-      }
+    for (std::uint64_t i = 0; i < batch; ++i) {
+      trial_at(sites[uniform_below(rng_, sites.size())]);
     }
   }
   ++counters_.steps;

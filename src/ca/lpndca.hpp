@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "ca/fastpath.hpp"
 #include "ca/rate_cache.hpp"
 #include "core/simulator.hpp"
 #include "obs/metrics.hpp"
@@ -72,31 +71,8 @@ class LPndcaSimulator final : public Simulator {
     return rate_cache_.get();
   }
 
-  /// Batched trial path: the L draws of a batch (site, type, dt — the
-  /// paper's independent per-trial selections) are hoisted into arrays in
-  /// the scalar draw order, then evaluated against the bitplane mirror.
-  /// Unlike PNDCA's window batches this path needs no non-overlap gate:
-  /// the planes are resynced at every commit, so each trial's evaluation
-  /// sees exactly the configuration the scalar loop would — duplicates
-  /// within a batch included.
-  bool set_fast_path(bool on) override;
-  [[nodiscard]] bool fast_path_active() const override { return fast_ != nullptr; }
-
  private:
-  struct FastState {
-    FastState(const Configuration& config, const ReactionModel& model)
-        : planes(config),
-          probes(model, config.lattice().width(), config.lattice().height()) {}
-    SpeciesBitplanes planes;
-    ProbePlans probes;
-    std::vector<SiteIndex> site;    // hoisted per-trial site draws
-    std::vector<ReactionIndex> type;
-    std::vector<double> dt;
-  };
-
   void trial_at(SiteIndex s);
-  void run_batch_fast(const std::vector<SiteIndex>& sites, std::uint64_t batch);
-  void refresh_rate_cache(const ReactionType& reaction, SiteIndex s);
   [[nodiscard]] ChunkId select_chunk();
 
   Partition partition_;
@@ -107,11 +83,8 @@ class LPndcaSimulator final : public Simulator {
   double rate_nk_;
   std::vector<double> chunk_cumulative_;  // cumulative chunk sizes for selection
   std::unique_ptr<EnabledRateCache> rate_cache_;  // kRateWeighted only
-  std::unique_ptr<FastState> fast_;
   obs::Timer* step_timer_ = nullptr;             // lpndca/step
   obs::Timer* select_timer_ = nullptr;           // lpndca/select
-  obs::Counter* rate_rechecks_ = nullptr;        // lpndca/rate_rechecks
-  obs::Counter* boundary_rechecks_ = nullptr;    // lpndca/boundary_rechecks
 };
 
 }  // namespace casurf

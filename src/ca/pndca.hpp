@@ -4,12 +4,10 @@
 #include <memory>
 #include <vector>
 
-#include "ca/fastpath.hpp"
 #include "ca/rate_cache.hpp"
 #include "core/simulator.hpp"
 #include "obs/metrics.hpp"
 #include "partition/partition.hpp"
-#include "rng/counter_rng.hpp"
 #include "rng/xoshiro.hpp"
 
 namespace casurf {
@@ -93,106 +91,55 @@ class PndcaSimulator : public Simulator {
     return rate_cache_.get();
   }
 
-  /// Batched bitplane trial path: whole 64-site windows of a chunk are
-  /// evaluated at once (vectorized CounterRng lanes, per-type enabled
-  /// masks). Gated on every partition satisfying the non-overlap rule —
-  /// the property that makes all in-chunk trials independent, hence the
-  /// pre-sweep window evaluation exactly equal to the sequential scalar
-  /// loop. Falls back to the scalar path (returns false) when the gate
-  /// fails or the build disabled the fast path.
-  bool set_fast_path(bool on) override;
-  [[nodiscard]] bool fast_path_active() const override { return fast_ != nullptr; }
-
-  /// Test hook: the bitplanes backing the fast path (nullptr when scalar).
-  /// Mutable so the audit suite can corrupt a bit and watch it get caught.
-  [[nodiscard]] SpeciesBitplanes* fast_planes_for_test() {
-    return fast_ ? &fast_->planes : nullptr;
-  }
-
  protected:
-  static constexpr std::int32_t kNoReaction = -1;
-
-  /// One NDCA trial at site s during global sweep `sweep`, using the site's
-  /// private random stream. When `deltas` is null, writes go through the
-  /// count-maintaining path and the execution is recorded in the counters;
-  /// when non-null (threaded engine), writes bypass the shared species
-  /// counts and per-species changes accumulate into `deltas` instead, and
-  /// the caller is responsible for counter bookkeeping. Returns the
-  /// executed reaction type, or kNoReaction.
-  std::int32_t trial_at(std::uint64_t sweep, SiteIndex s, std::int64_t* deltas = nullptr);
-
-  /// Run all trials of one chunk sweep. The base class loops sequentially
-  /// (or window-batched when the fast path is engaged); the threaded engine
-  /// overrides this with a fork-join over the sites. `chunk` identifies the
-  /// chunk within the current partition, keying the cached window lists.
-  virtual void execute_chunk(std::uint64_t sweep, ChunkId chunk,
-                             const std::vector<SiteIndex>& sites);
-
-  /// Whether the rate cache is live (kRateWeighted policy).
-  [[nodiscard]] bool rate_cache_active() const { return rate_cache_ != nullptr; }
-
-  /// Fold one executed reaction (type `reaction`, anchored at `s`) into the
-  /// rate cache: rechecks the anchors around every written site. The serial
-  /// path calls this right after each execution; the threaded engine
-  /// replays the sweep's executions through it after the join — the counts
-  /// agree either way because rechecks are idempotent against the final
-  /// configuration.
-  void refresh_rate_cache(const ReactionType& reaction, SiteIndex s);
-
-  /// Shared state of the batched path: the bitplane mirror of the
-  /// configuration, the compiled per-type probe plans, the per-site
-  /// enabled-type bitset the kernel tests, and scratch for the kernel's
-  /// outputs. The threaded engine shares planes/probes/bitset read-only
-  /// across workers during a sweep and keeps per-worker hit scratch.
-  struct FastState {
-    FastState(const Configuration& config, std::uint64_t seed,
-              const ReactionModel& model)
-        : planes(config),
-          probes(model, config.lattice().width(), config.lattice().height()),
-          seed_hash(CounterRng::seed_hash(seed)) {
-      enabled.rebuild(planes, probes);
-    }
-    SpeciesBitplanes planes;
-    ProbePlans probes;
-    std::uint64_t seed_hash;
-    EnabledTypeSet enabled;  // per-site type bitset: the trial-loop lookup
-    std::vector<TrialHit> hits;     // batch_trials output (serial sweeps)
-    std::vector<Species> old_pre;   // pre-fire species, for recheck pruning
+  /// An execution of a threaded sweep, replayed into the rate cache at the
+  /// sweep barrier.
+  struct FiredReaction {
+    SiteIndex site;
+    ReactionIndex type;
   };
 
-  /// Post-fire bookkeeping of the batched path, replacing the scalar
-  /// refresh_rate_cache: resyncs the planes for the written sites, then
-  /// rechecks the affected (type, anchor) pairs once via the probe plans,
-  /// folding each outcome into the enabled-type bitset and (under
-  /// kRateWeighted) the rate cache. Mirrors the scalar path's metrics
-  /// counters. The threaded engine replays fired lists through this at the
-  /// barrier — all resyncs first, then all rechecks, so every probe reads
-  /// fully synced planes (`resync` toggles the first phase).
-  ///
-  /// `old_species`, when given, holds each written site's species from
-  /// before the fire (indexed like the reaction's transform list); rechecks
-  /// that can depend on neither the old nor the new species are skipped.
-  /// Pass nullptr when the pre-fire state is gone (barrier replay) — every
-  /// candidate is visited, converging to the same state.
-  void fast_after_fire(const ReactionType& reaction, SiteIndex s, bool resync,
-                       const Species* old_species = nullptr);
+  /// A pool worker's accumulators, reused every sweep. Writes bypass the
+  /// shared species counts: per-species changes go to `deltas` and per-type
+  /// executions to `tally`, which the engine merges after the join; under
+  /// kRateWeighted the executions are also listed in `fired`.
+  struct WorkerSink {
+    std::vector<ReactionIndex> types;  ///< run_span scratch
+    std::vector<std::int64_t> deltas;
+    std::vector<std::uint64_t> tally;
+    std::vector<FiredReaction> fired;
+  };
 
-  std::unique_ptr<FastState> fast_;
+  /// The trials of sites[0..n) in chunk sweep `sweep`: one sample_types
+  /// call draws every site's reaction type, then the sites are tested and
+  /// executed in order against the live state. Each (sweep, site) pair owns a private random stream, so the
+  /// outcome does not depend on how a chunk is split into spans — which is
+  /// what lets the threaded engine replay this exact trajectory. With
+  /// `worker` null (the serial sweep) executions are recorded in the
+  /// counters and refresh the rate cache; otherwise they go to the
+  /// worker's accumulators.
+  void run_span(std::uint64_t sweep, const SiteIndex* sites, std::size_t n,
+                WorkerSink* worker);
+
+  /// Run all trials of one chunk sweep. The base class runs one span over
+  /// the whole chunk; the threaded engine overrides this with a fork-join
+  /// over slices.
+  virtual void execute_chunk(std::uint64_t sweep, const std::vector<SiteIndex>& sites);
+
   std::vector<Partition> partitions_;
   Xoshiro256 rng_;  // drives schedule decisions only, never site trials
   ChunkPolicy policy_;
   TimeMode time_mode_;
-  std::uint64_t seed_;
+  std::uint64_t seed_hash_;  // CounterRng::seed_hash(seed), keys the site streams
   double rate_nk_;
   std::uint64_t sweep_ = 0;  // counts chunk sweeps; keys the per-site streams
   std::size_t partition_cursor_ = 0;
   std::vector<ChunkId> schedule_;
+  std::vector<ReactionIndex> types_;  // run_span scratch of the serial sweep
   std::unique_ptr<EnabledRateCache> rate_cache_;  // kRateWeighted only
   obs::Timer* step_timer_ = nullptr;          // pndca/step
   obs::Timer* plan_timer_ = nullptr;          // pndca/plan
   obs::Timer* sweep_timer_ = nullptr;         // pndca/sweep
-  obs::Counter* rate_rechecks_ = nullptr;     // pndca/rate_rechecks
-  obs::Counter* boundary_rechecks_ = nullptr; // pndca/boundary_rechecks
   obs::Histogram* chunk_sites_ = nullptr;     // pndca/chunk_sites
 };
 

@@ -3,8 +3,7 @@
 #include <bit>
 #include <cassert>
 #include <stdexcept>
-
-#include "dmc/enabled_set.hpp"
+#include <string>
 
 namespace casurf {
 
@@ -65,8 +64,9 @@ EnabledRateCache::EnabledRateCache(const ReactionModel& model,
     : model_(model),
       num_types_(model.num_reactions()),
       num_sites_(config.size()),
-      enabled_(num_types_ * num_sites_, 0) {
-  rebuild(config);
+      planes_(config),
+      probes_(model, config.lattice().width(), config.lattice().height()) {
+  enabled_.rebuild(planes_, probes_);
 }
 
 std::size_t EnabledRateCache::add_partition(const Partition& partition) {
@@ -84,79 +84,123 @@ std::size_t EnabledRateCache::add_partition(const Partition& partition) {
 
 void EnabledRateCache::recount_slot(Slot& slot) const {
   slot.counts.assign(slot.num_chunks * num_types_, 0);
-  for (std::size_t t = 0; t < num_types_; ++t) {
-    const std::uint8_t* row = enabled_.data() + t * num_sites_;
-    for (SiteIndex s = 0; s < num_sites_; ++s) {
-      if (row[s]) {
-        ++slot.counts[static_cast<std::size_t>(slot.chunk_of[s]) * num_types_ + t];
-      }
+  for (SiteIndex s = 0; s < num_sites_; ++s) {
+    std::uint32_t* row = slot.counts.data() +
+                         static_cast<std::size_t>(slot.chunk_of[s]) * num_types_;
+    for (std::size_t t = 0; t < num_types_; ++t) {
+      row[t] += enabled_.test(s, static_cast<ReactionIndex>(t)) ? 1 : 0;
     }
   }
   slot.sampler_dirty = true;
 }
 
 void EnabledRateCache::rebuild(const Configuration& config) {
-  for (std::size_t t = 0; t < num_types_; ++t) {
-    const ReactionType& rt = model_.reaction(static_cast<ReactionIndex>(t));
-    std::uint8_t* row = enabled_.data() + t * num_sites_;
-    for (SiteIndex s = 0; s < num_sites_; ++s) {
-      row[s] = rt.enabled(config, s) ? 1 : 0;
-    }
-  }
+  planes_.rebuild(config);
+  enabled_.rebuild(planes_, probes_);
   for (Slot& slot : slots_) recount_slot(slot);
 }
 
-void EnabledRateCache::refresh_after(const Configuration& config, SiteIndex written) {
-  visit_recheck_anchors(model_, config, written,
-                        [&](ReactionIndex t, SiteIndex anchor, bool now) {
-                          apply_recheck(t, anchor, now);
-                        });
+void EnabledRateCache::execute(Configuration& config, const ReactionType& rt,
+                               SiteIndex s, std::size_t slot) {
+  const Lattice& lat = config.lattice();
+  const std::vector<Transform>& trs = rt.transforms();
+  old_scratch_.resize(trs.size());
+  for (std::size_t ti = 0; ti < trs.size(); ++ti) {
+    old_scratch_[ti] =
+        trs[ti].tg == kKeep ? Species{0} : config.get(lat.neighbor(s, trs[ti].offset));
+  }
+  rt.execute(config, s);
+  refresh_after_fire(config, rt, s, old_scratch_.data(), slot);
+}
+
+void EnabledRateCache::refresh_after_fire(const Configuration& config,
+                                          const ReactionType& rt, SiteIndex s,
+                                          const Species* old_species, std::size_t slot) {
+  const Lattice& lat = config.lattice();
+  const std::vector<Transform>& trs = rt.transforms();
+  // Every written site first, so each probe below reads planes that mirror
+  // the post-fire configuration.
+  for (const Transform& t : trs) {
+    if (t.tg != kKeep) planes_.resync_site(config, lat.neighbor(s, t.offset));
+  }
+  const std::vector<ChunkId>& chunk_of = slots_[slot].chunk_of;
+  const auto width = static_cast<SiteIndex>(lat.width());
+  for (std::size_t ti = 0; ti < trs.size(); ++ti) {
+    if (trs[ti].tg == kKeep) continue;
+    const SiteIndex written = lat.neighbor(s, trs[ti].offset);
+    if (rechecks_ != nullptr) rechecks_->add();
+    if (boundary_ != nullptr && chunk_of[written] != chunk_of[s]) boundary_->add();
+    const SpeciesMask old_mask = old_species == nullptr
+                                     ? ~SpeciesMask{0}
+                                     : SpeciesMask{1} << old_species[ti];
+    const SpeciesMask new_mask = SpeciesMask{1} << config.get(written);
+    probes_.visit_rechecks(planes_, static_cast<std::int32_t>(written % width),
+                           static_cast<std::int32_t>(written / width), old_mask,
+                           new_mask, [&](ReactionIndex t, SiteIndex anchor, bool now) {
+                             apply_recheck(t, anchor, now);
+                           });
+  }
 }
 
 bool EnabledRateCache::verify(const Configuration& config,
                               std::vector<std::string>& out,
                               std::size_t max_issues) const {
   bool ok = true;
-  // Recompute the enabledness table and compare bit by bit.
+  const auto issue = [&](std::string what) {
+    ok = false;
+    if (out.size() < max_issues) out.push_back(std::move(what));
+  };
+  if (!planes_.matches(config)) {
+    issue("species bitplanes disagree with the configuration");
+  }
+  // Recompute every enabledness bit, and every slot's counts from those,
+  // then compare.
+  std::vector<std::vector<std::uint32_t>> fresh;
+  for (const Slot& slot : slots_) fresh.emplace_back(slot.num_chunks * num_types_, 0);
   for (std::size_t t = 0; t < num_types_; ++t) {
     const ReactionType& rt = model_.reaction(static_cast<ReactionIndex>(t));
-    const std::uint8_t* row = enabled_.data() + t * num_sites_;
     for (SiteIndex s = 0; s < num_sites_; ++s) {
-      const bool truth = rt.enabled(config, s);
-      if (truth == (row[s] != 0)) continue;
-      ok = false;
-      if (out.size() < max_issues) {
-        out.push_back("enabledness bit (type " + std::to_string(t) + ", site " +
-                      std::to_string(s) + "): cached " + (row[s] ? "1" : "0") +
-                      ", recomputed " + (truth ? "1" : "0"));
+      const bool on = rt.enabled(config, s);
+      for (std::size_t i = 0; i < slots_.size(); ++i) {
+        fresh[i][static_cast<std::size_t>(slots_[i].chunk_of[s]) * num_types_ + t] += on;
       }
+      const bool cached = enabled_.test(s, static_cast<ReactionIndex>(t));
+      if (on == cached) continue;
+      issue("enabledness bit (type " + std::to_string(t) + ", site " + std::to_string(s) +
+            "): cached " + (cached ? "1" : "0") + ", recomputed " + (on ? "1" : "0"));
     }
   }
-  // Recount every slot from the recomputed ground truth and compare counts.
   for (std::size_t slot_index = 0; slot_index < slots_.size(); ++slot_index) {
-    const Slot& slot = slots_[slot_index];
-    std::vector<std::uint32_t> fresh(slot.num_chunks * num_types_, 0);
-    for (std::size_t t = 0; t < num_types_; ++t) {
-      const ReactionType& rt = model_.reaction(static_cast<ReactionIndex>(t));
-      for (SiteIndex s = 0; s < num_sites_; ++s) {
-        if (rt.enabled(config, s)) {
-          ++fresh[static_cast<std::size_t>(slot.chunk_of[s]) * num_types_ + t];
-        }
-      }
-    }
-    for (std::size_t i = 0; i < fresh.size(); ++i) {
-      if (fresh[i] == slot.counts[i]) continue;
-      ok = false;
-      if (out.size() < max_issues) {
-        out.push_back("slot " + std::to_string(slot_index) + " count (chunk " +
-                      std::to_string(i / num_types_) + ", type " +
-                      std::to_string(i % num_types_) + "): cached " +
-                      std::to_string(slot.counts[i]) + ", recomputed " +
-                      std::to_string(fresh[i]));
-      }
+    const std::vector<std::uint32_t>& counts = slots_[slot_index].counts;
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      if (fresh[slot_index][i] == counts[i]) continue;
+      issue("slot " + std::to_string(slot_index) + " count (chunk " +
+            std::to_string(i / num_types_) + ", type " + std::to_string(i % num_types_) +
+            "): cached " + std::to_string(counts[i]) + ", recomputed " +
+            std::to_string(fresh[slot_index][i]));
     }
   }
   return ok;
+}
+
+void EnabledRateCache::attach_counters(EnabledRateCache* cache,
+                                       obs::MetricsRegistry* registry,
+                                       const std::string& algo) {
+  obs::Counter* const rechecks =
+      registry ? &registry->counter(algo + "/rate_rechecks") : nullptr;
+  obs::Counter* const boundary =
+      registry ? &registry->counter(algo + "/boundary_rechecks") : nullptr;
+  if (cache == nullptr) return;
+  cache->rechecks_ = rechecks;
+  cache->boundary_ = boundary;
+}
+
+void EnabledRateCache::audit(const Configuration& config, AuditReport& report,
+                             bool repair) {
+  std::vector<std::string> details;
+  if (verify(config, details)) return;
+  for (std::string& d : details) report.issues.push_back({"rate-cache", std::move(d)});
+  if (repair) rebuild(config);
 }
 
 double EnabledRateCache::chunk_rate(std::size_t slot_index, ChunkId c) const {

@@ -1,10 +1,15 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "ca/fastpath.hpp"
+#include "core/audit.hpp"
+#include "lattice/bitplanes.hpp"
 #include "lattice/configuration.hpp"
 #include "model/reaction_model.hpp"
+#include "obs/metrics.hpp"
 #include "partition/partition.hpp"
 
 namespace casurf {
@@ -55,11 +60,13 @@ class ChunkSampler {
 /// update per executed reaction (the same direct-method bookkeeping VSSM
 /// uses for event selection).
 ///
-/// The cache tracks, per reaction type, at which sites the type is
-/// currently enabled (one byte per (type, site)); partition slots aggregate
-/// those bits into per-chunk counts. Enabledness is partition-independent,
-/// so several partitions (PNDCA's cycling list, TPNDCA's per-subset
-/// sub-partitions) share one enabledness table.
+/// The cache owns the library's incremental-enabledness machinery: a
+/// species-bitplane mirror of the configuration, the probe plans compiled
+/// against it, and the site-major enabled-type bitset they maintain.
+/// Partition slots aggregate the bitset into per-chunk counts.
+/// Enabledness is partition-independent, so several partitions (PNDCA's
+/// cycling list, TPNDCA's per-subset sub-partitions) share one bitset.
+/// While the cache is live its bitset is also the PNDCA trial test.
 ///
 /// Invariant (checked in test_rate_cache.cpp): after every refresh,
 /// count(slot, c, t) equals the brute-force recount of sites s in chunk c
@@ -67,7 +74,8 @@ class ChunkSampler {
 ///
 /// Update rule: after a reaction writes site z, every anchor a = z - o for
 /// offsets o in a type's neighborhood is rechecked against the current
-/// configuration; a flip of the stored bit adjusts every slot's count for
+/// configuration (less those the write's old and new species cannot
+/// flip); a flip of the stored bit adjusts every slot's count for
 /// (chunk_of(a), type) by +-1. Rechecks are idempotent and the final bit is
 /// a pure function of the final configuration, so counts are independent of
 /// the order in which a batch of writes is replayed — which is what lets
@@ -79,8 +87,8 @@ class ChunkSampler {
 /// identical counts always produce identical draws.
 class EnabledRateCache {
  public:
-  /// Builds the enabledness table with one full O(N |T|) scan — the only
-  /// full-lattice rescan the cache ever performs.
+  /// Builds the planes, probe plans and bitset with one full scan — the
+  /// only full-lattice scan the cache ever performs.
   EnabledRateCache(const ReactionModel& model, const Configuration& config);
 
   /// Register a partition and aggregate the current enabledness into its
@@ -99,6 +107,11 @@ class EnabledRateCache {
     return slots_[slot].counts[static_cast<std::size_t>(c) * num_types_ + t];
   }
 
+  /// Whether reaction type t is enabled at site s, as of the last refresh.
+  [[nodiscard]] bool enabled(SiteIndex s, ReactionIndex t) const {
+    return enabled_.test(s, t);
+  }
+
   /// Sum over types of k_t * count(slot, c, t): the chunk's enabled rate.
   [[nodiscard]] double chunk_rate(std::size_t slot, ChunkId c) const;
 
@@ -107,48 +120,65 @@ class EnabledRateCache {
   /// enabled anywhere; callers fall back to their structural draw.
   [[nodiscard]] const ChunkSampler& sampler(std::size_t slot) const;
 
-  /// Recheck every (type, anchor) whose enabledness can depend on the just
-  /// written site and fold flips into all slots. Call once per written site
-  /// after the write is in `config`.
-  void refresh_after(const Configuration& config, SiteIndex written);
+  /// Execute `rt` at `s` on `config`, then refresh_after_fire with the
+  /// exact old species of the written sites: the serial simulators' commit.
+  void execute(Configuration& config, const ReactionType& rt, SiteIndex s,
+               std::size_t slot);
 
-  /// One recheck outcome, applied directly: sets the cached enabledness of
-  /// `t` anchored at `anchor` to `now` and folds any flip into every
-  /// slot's counts. This is the body refresh_after runs per candidate,
-  /// exposed so the batched trial path can drive the same bookkeeping from
-  /// its bitplane-probe rechecks (which prune candidates that can never
-  /// flip — those applications were no-ops here anyway). Idempotent.
-  void apply_recheck(ReactionIndex t, SiteIndex anchor, bool now) {
-    std::uint8_t& bit = enabled_[static_cast<std::size_t>(t) * num_sites_ + anchor];
-    if (static_cast<bool>(bit) == now) return;
-    bit = now ? 1 : 0;
-    for (Slot& slot : slots_) {
-      std::uint32_t& cnt =
-          slot.counts[static_cast<std::size_t>(slot.chunk_of[anchor]) * num_types_ +
-                      t];
-      now ? ++cnt : --cnt;
-      slot.sampler_dirty = true;
-    }
-  }
+  /// Bring the cache up to date after an execution of `rt` anchored at `s`
+  /// has been written to `config`: resync the planes of the written sites,
+  /// then recheck every (type, anchor) the writes can have flipped and fold
+  /// each flip into the bitset and every slot's counts.
+  ///
+  /// `old_species`, indexed like rt.transforms() (entries of kKeep
+  /// transforms unused), prunes the rechecks that depend on neither the old
+  /// nor the new species of a written site. nullptr means
+  /// the old species are unknown — the threaded engine's barrier replay,
+  /// after the sweep has overwritten them — and every candidate is
+  /// rechecked, converging to the same state. `slot` names the partition
+  /// whose seams classify the written sites for the boundary counter.
+  void refresh_after_fire(const Configuration& config, const ReactionType& rt,
+                          SiteIndex s, const Species* old_species, std::size_t slot);
 
-  /// Full rescan, re-deriving every bit and count from `config` (recovery /
-  /// testing; never needed on the hot path).
+  /// Registers the `<algo>/rate_rechecks` and `<algo>/boundary_rechecks`
+  /// counters in `registry` — every run report lists them, cache or not —
+  /// and points a live cache's refreshes at them: one recheck per written
+  /// site, one boundary recheck per written site outside the anchor's chunk
+  /// (a measured seam conflict). A null registry turns them off.
+  static void attach_counters(EnabledRateCache* cache, obs::MetricsRegistry* registry,
+                              const std::string& algo);
+
+  /// Full rescan, re-deriving every plane, bit and count from `config`
+  /// (checkpoint restore, audit repair; never needed on the hot path).
   void rebuild(const Configuration& config);
 
-  /// Brute-force verification against `config`: recomputes every
-  /// enabledness bit and per-(chunk, type) count and appends one
-  /// description per mismatch to `out` (capped at `max_issues`). Returns
-  /// true when the cache is consistent. The audit ground truth.
+  /// Brute-force verification against `config`: checks the planes,
+  /// recomputes every enabledness bit and per-(chunk, type) count, and
+  /// appends one description per mismatch to `out` (capped at
+  /// `max_issues`). Returns true when the cache is consistent. The audit
+  /// ground truth.
   bool verify(const Configuration& config, std::vector<std::string>& out,
               std::size_t max_issues = 64) const;
 
-  /// Test-only corruption hook for the audit suite: adds `delta` to one
-  /// stored count without touching the enabledness bits.
+  /// The simulators' audit hook: one "rate-cache" issue per verify()
+  /// mismatch; with `repair`, a rebuild after any mismatch.
+  void audit(const Configuration& config, AuditReport& report, bool repair);
+
+  /// Test-only corruption hooks for the audit suite. The first adds
+  /// `delta` to one stored count; the second resyncs site s's plane bits
+  /// from `wrong` instead of the simulated configuration; the third flips
+  /// one enabledness bit. None touches the other structures.
   void corrupt_count_for_test(std::size_t slot, ChunkId c, ReactionIndex t,
                               std::int32_t delta) {
     slots_[slot].counts[static_cast<std::size_t>(c) * num_types_ + t] +=
         static_cast<std::uint32_t>(delta);
     slots_[slot].sampler_dirty = true;
+  }
+  void corrupt_plane_for_test(const Configuration& wrong, SiteIndex s) {
+    planes_.resync_site(wrong, s);
+  }
+  void corrupt_enabled_for_test(SiteIndex s, ReactionIndex t) {
+    enabled_.assign(s, t, !enabled_.test(s, t));
   }
 
  private:
@@ -162,11 +192,29 @@ class EnabledRateCache {
 
   void recount_slot(Slot& slot) const;
 
+  /// Sets the cached enabledness of `t` at `anchor` to `now` and folds a
+  /// flip into every slot's counts. Idempotent.
+  void apply_recheck(ReactionIndex t, SiteIndex anchor, bool now) {
+    if (!enabled_.assign(anchor, t, now)) return;
+    for (Slot& slot : slots_) {
+      std::uint32_t& cnt =
+          slot.counts[static_cast<std::size_t>(slot.chunk_of[anchor]) * num_types_ +
+                      t];
+      now ? ++cnt : --cnt;
+      slot.sampler_dirty = true;
+    }
+  }
+
   const ReactionModel& model_;
   std::size_t num_types_;
   SiteIndex num_sites_;
-  std::vector<std::uint8_t> enabled_;  // [type * num_sites + site]
+  SpeciesBitplanes planes_;
+  ProbePlans probes_;
+  EnabledTypeSet enabled_;
+  std::vector<Species> old_scratch_;
   std::vector<Slot> slots_;
+  obs::Counter* rechecks_ = nullptr;
+  obs::Counter* boundary_ = nullptr;
   mutable std::vector<double> weight_scratch_;
 };
 

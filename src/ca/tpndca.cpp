@@ -1,11 +1,9 @@
 #include "ca/tpndca.hpp"
 
-#include <bit>
 #include <cmath>
 #include <stdexcept>
 
 #include "obs/trace.hpp"
-#include "partition/conflict.hpp"
 #include "rng/distributions.hpp"
 
 namespace casurf {
@@ -48,25 +46,6 @@ TPndcaSimulator::TPndcaSimulator(const ReactionModel& model, Configuration confi
   }
 }
 
-bool TPndcaSimulator::set_fast_path(bool on) {
-  fast_.reset();
-  if (!on) return false;
-  auto state = std::make_unique<FastState>(config_, subsets_.size());
-  state->safe.assign(subsets_.size(),
-                     std::vector<char>(model_.num_reactions(), 0));
-  for (std::size_t j = 0; j < subsets_.size(); ++j) {
-    for (const ReactionIndex i : subsets_[j].types) {
-      // One type at a time means the window batch only has to survive the
-      // type's conflicts with itself — the weaker (two-chunk) condition
-      // this algorithm exists to exploit.
-      const std::vector<Vec2> offsets = self_conflict_offsets(model_.reaction(i));
-      state->safe[j][i] = partition_gate(subsets_[j].chunks, offsets) ? 1 : 0;
-    }
-  }
-  fast_ = std::move(state);
-  return true;
-}
-
 void TPndcaSimulator::save_state(StateWriter& w) const {
   Simulator::save_state(w);
   w.section("tpndca");
@@ -78,22 +57,11 @@ void TPndcaSimulator::restore_state(StateReader& r) {
   r.expect_section("tpndca");
   rng_.restore(r);
   if (rate_cache_) rate_cache_->rebuild(config_);
-  if (fast_) fast_->planes.rebuild(config_);
 }
 
 void TPndcaSimulator::audit_derived_state(AuditReport& report, bool repair) {
   Simulator::audit_derived_state(report, repair);
-  if (fast_ && !fast_->planes.matches(config_)) {
-    report.issues.push_back(
-        {"bitplanes", "species bitplanes disagree with the configuration"});
-    if (repair) fast_->planes.rebuild(config_);
-  }
-  if (!rate_cache_) return;
-  std::vector<std::string> details;
-  if (!rate_cache_->verify(config_, details)) {
-    for (std::string& d : details) report.issues.push_back({"rate-cache", std::move(d)});
-    if (repair) rate_cache_->rebuild(config_);
-  }
+  if (rate_cache_) rate_cache_->audit(config_, report, repair);
 }
 
 ChunkId TPndcaSimulator::select_chunk(std::size_t subset_index, ReactionIndex chosen) {
@@ -123,8 +91,7 @@ void TPndcaSimulator::attach(const obs::Sinks& sinks) {
   obs::MetricsRegistry* const registry = sinks.metrics;
   step_timer_ = registry ? &registry->timer("tpndca/step") : nullptr;
   sweep_timer_ = registry ? &registry->timer("tpndca/sweep") : nullptr;
-  rate_rechecks_ = registry ? &registry->counter("tpndca/rate_rechecks") : nullptr;
-  boundary_rechecks_ = registry ? &registry->counter("tpndca/boundary_rechecks") : nullptr;
+  EnabledRateCache::attach_counters(rate_cache_.get(), registry, "tpndca");
 }
 
 void TPndcaSimulator::mc_step() {
@@ -155,52 +122,18 @@ void TPndcaSimulator::mc_step() {
     // at every enabled site of the chunk. Same-chunk anchors of a single
     // type never overlap, so this whole sweep is a parallel batch.
     const ChunkId c = select_chunk(j, chosen);
-    const Lattice& lat = config_.lattice();
-    const auto fire_at = [&](SiteIndex s) {
-      rt.execute(config_, s);
+    for (const SiteIndex s : sub.chunks.chunk(c)) {
+      spatial_.attempt(s);
+      ++counters_.trials;
+      if (!rt.enabled(config_, s)) continue;
+      // Slot j: the subset's own sub-partition classifies seam rechecks.
+      if (rate_cache_) {
+        rate_cache_->execute(config_, rt, s, j);
+      } else {
+        rt.execute(config_, s);
+      }
       record_execution(chosen);
       spatial_.fire(s);
-      if (rate_cache_) {
-        for (const Transform& t : rt.transforms()) {
-          if (t.tg != kKeep) {
-            const SiteIndex written = lat.neighbor(s, t.offset);
-            rate_cache_->refresh_after(config_, written);
-            if (rate_rechecks_ != nullptr) rate_rechecks_->add();
-            // Cross-seam cache invalidation, classified against the
-            // subset's own sub-partition (each subset has its own seams).
-            if (boundary_rechecks_ != nullptr &&
-                sub.chunks.chunk_of(written) != sub.chunks.chunk_of(s)) {
-              boundary_rechecks_->add();
-            }
-          }
-        }
-      }
-      if (fast_) resync_written(fast_->planes, config_, rt, s);
-    };
-    if (fast_ && fast_->safe[j][chosen]) {
-      // One enabled mask per 64-site window replaces 64 scalar pattern
-      // matches; the self-conflict gate above guarantees member bits are
-      // what the scalar mid-sweep checks would have seen.
-      const std::int32_t width = lat.width();
-      for (const BatchWindow& w :
-           fast_->windows.get(j, c, lat, sub.chunks.chunk(c))) {
-        const std::uint64_t en = enabled_window(fast_->planes, rt, w.y, w.x0);
-        for (std::uint64_t m = w.members; m != 0; m &= m - 1) {
-          const auto f = static_cast<std::uint32_t>(std::countr_zero(m));
-          const auto s = static_cast<SiteIndex>(
-              static_cast<std::uint64_t>(w.y) * static_cast<std::uint64_t>(width) +
-              static_cast<std::uint64_t>(w.x0) + f);
-          spatial_.attempt(s);
-          if ((en >> f) & 1u) fire_at(s);
-          ++counters_.trials;
-        }
-      }
-    } else {
-      for (const SiteIndex s : sub.chunks.chunk(c)) {
-        spatial_.attempt(s);
-        if (rt.enabled(config_, s)) fire_at(s);
-        ++counters_.trials;
-      }
     }
 
     // One sweep stands for 1/sweeps_per_step of an MC step: advance by the

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "ca/fastpath.hpp"
 #include "ca/rate_cache.hpp"
 #include "core/simulator.hpp"
 #include "obs/metrics.hpp"
@@ -72,26 +71,7 @@ class TPndcaSimulator final : public Simulator {
     return rate_cache_.get();
   }
 
-  /// Batched trial path: a sweep executes ONE type over a chunk, so the
-  /// whole inner loop reduces to one 64-wide enabled mask per window. The
-  /// gate is per (subset, type): the chosen type's self-conflict offsets
-  /// must be separated by the subset's sub-partition (the property the
-  /// two-chunk construction is built to provide); types that fail it — or
-  /// hand-built partitions that never satisfy it — run the scalar loop for
-  /// that sweep while the planes stay in sync.
-  bool set_fast_path(bool on) override;
-  [[nodiscard]] bool fast_path_active() const override { return fast_ != nullptr; }
-
  private:
-  struct FastState {
-    FastState(const Configuration& config, std::size_t num_subsets)
-        : planes(config), windows(num_subsets) {}
-    SpeciesBitplanes planes;
-    WindowCache windows;
-    // safe[j][t]: type t may run window-batched within subset j's chunks.
-    std::vector<std::vector<char>> safe;
-  };
-
   [[nodiscard]] ChunkId select_chunk(std::size_t subset_index, ReactionIndex chosen);
 
   std::vector<TypeSubset> subsets_;
@@ -100,13 +80,10 @@ class TPndcaSimulator final : public Simulator {
   ChunkWeighting weighting_;
   std::vector<double> subset_cumulative_;  // cumulative K_Tj
   std::unique_ptr<EnabledRateCache> rate_cache_;  // kRateWeighted only
-  std::unique_ptr<FastState> fast_;
   std::vector<double> weight_scratch_;
   ChunkSampler sampler_scratch_;
   obs::Timer* step_timer_ = nullptr;           // tpndca/step
   obs::Timer* sweep_timer_ = nullptr;          // tpndca/sweep
-  obs::Counter* rate_rechecks_ = nullptr;      // tpndca/rate_rechecks
-  obs::Counter* boundary_rechecks_ = nullptr;  // tpndca/boundary_rechecks
 };
 
 }  // namespace casurf

@@ -26,11 +26,9 @@ Partition partition_for(const ReactionModel& model, const Configuration& cfg,
 
 }  // namespace
 
-namespace {
-
-std::unique_ptr<Simulator> build_simulator(const ReactionModel& model,
-                                           Configuration initial,
-                                           const SimulationOptions& options) {
+std::unique_ptr<Simulator> make_simulator(const ReactionModel& model,
+                                          Configuration initial,
+                                          const SimulationOptions& options) {
   switch (options.algorithm) {
     case Algorithm::kRsm:
       return std::make_unique<RsmSimulator>(model, std::move(initial), options.seed,
@@ -69,16 +67,6 @@ std::unique_ptr<Simulator> build_simulator(const ReactionModel& model,
     }
   }
   throw std::logic_error("make_simulator: unknown algorithm");
-}
-
-}  // namespace
-
-std::unique_ptr<Simulator> make_simulator(const ReactionModel& model,
-                                          Configuration initial,
-                                          const SimulationOptions& options) {
-  std::unique_ptr<Simulator> sim = build_simulator(model, std::move(initial), options);
-  if (options.fast_path) sim->set_fast_path(true);
-  return sim;
 }
 
 const char* algorithm_name(Algorithm a) {

@@ -39,13 +39,6 @@ struct SimulationOptions {
   std::uint32_t l_trials = 1;    ///< L of L-PNDCA
   unsigned threads = 2;          ///< worker count of the parallel engine
   std::uint32_t tpndca_sweeps = 0;  ///< 0 = auto
-
-  /// Request the batched bitplane trial path (PNDCA family). Best effort:
-  /// algorithms without one and partitions failing the runtime non-overlap
-  /// gate silently keep the scalar reference loop — query
-  /// Simulator::fast_path_active() to see what engaged. Trajectories are
-  /// bit-identical either way.
-  bool fast_path = false;
 };
 
 /// Build a ready-to-run simulator for `model` starting from `initial`.

@@ -88,22 +88,6 @@ class Simulator {
 
   [[nodiscard]] const obs::Sinks& sinks() const { return sinks_; }
 
-  /// Request the batched (bitplane) trial path. Returns whether it engaged;
-  /// false means the simulator keeps its scalar reference loop — either the
-  /// algorithm has no batched path, or a runtime gate failed (e.g. the
-  /// partition does not satisfy the non-overlap rule the batch evaluation
-  /// relies on). Engaged or not, the trajectory is identical: the fast
-  /// path is an implementation of the same per-trial semantics, bit for
-  /// bit, and the determinism suite (test_fastpath) holds every algorithm
-  /// to that.
-  virtual bool set_fast_path(bool on) {
-    (void)on;
-    return false;
-  }
-
-  /// Whether the batched trial path is currently driving this simulator.
-  [[nodiscard]] virtual bool fast_path_active() const { return false; }
-
   /// The partition that spatial accounting (per-chunk activity, seam
   /// classification) should aggregate on, or nullptr for unpartitioned
   /// algorithms (DMC, NDCA). Multi-partition simulators return their first

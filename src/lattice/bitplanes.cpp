@@ -1,6 +1,6 @@
 #include "lattice/bitplanes.hpp"
 
-#include <bit>
+#include <algorithm>
 #include <cassert>
 
 namespace casurf {
@@ -10,8 +10,6 @@ SpeciesBitplanes::SpeciesBitplanes(const Configuration& config)
       height_(config.lattice().height()),
       words_per_row_((static_cast<std::size_t>(config.lattice().width()) + 63) / 64),
       num_species_(config.num_species()),
-      full_mask_(num_species_ == 32 ? ~SpeciesMask{0}
-                                    : (SpeciesMask{1} << num_species_) - 1u),
       bits_(num_species_ * height_ * words_per_row_, 0) {
   rebuild(config);
 }
@@ -41,79 +39,9 @@ void SpeciesBitplanes::resync_site(const Configuration& config, SiteIndex s) {
   plane_row(config.get(s), y)[word] |= mask;
 }
 
-std::uint64_t SpeciesBitplanes::window(Species sp, std::int32_t y,
-                                       std::int32_t x0) const {
-  const std::uint64_t* row = plane_row(sp, wrap_y(y));
-  std::int32_t x = wrap_x(x0);
-  std::uint64_t out = 0;
-  // Gather 64 bits starting at column x, wrapping at the row's end. Each
-  // pass copies one run of `take` bits; the common interior case (wide
-  // lattice, no seam in sight) completes in a single pass of two shifts.
-  for (std::uint32_t filled = 0; filled < 64;) {
-    const auto take = static_cast<std::uint32_t>(
-        std::min<std::int64_t>(64 - filled, width_ - x));
-    const std::size_t word = static_cast<std::size_t>(x) >> 6;
-    const std::uint32_t shift = static_cast<std::uint32_t>(x) & 63u;
-    std::uint64_t piece = row[word] >> shift;
-    if (shift != 0 && word + 1 < words_per_row_) {
-      piece |= row[word + 1] << (64 - shift);
-    }
-    if (take < 64) piece &= (std::uint64_t{1} << take) - 1;
-    out |= piece << filled;
-    filled += take;
-    x = 0;
-  }
-  return out;
-}
-
-std::uint64_t SpeciesBitplanes::mask_window(SpeciesMask mask, std::int32_t y,
-                                            std::int32_t x0) const {
-  SpeciesMask m = mask & full_mask_;
-  // Every site holds exactly one species, so a full-domain mask matches
-  // everywhere — the common "any occupant / any state" wildcard is free.
-  if (m == full_mask_) return ~std::uint64_t{0};
-  std::uint64_t out = 0;
-  while (m != 0) {
-    const auto sp = static_cast<Species>(std::countr_zero(m));
-    out |= window(sp, y, x0);
-    m &= m - 1;
-  }
-  return out;
-}
-
-bool SpeciesBitplanes::mask_bit(SpeciesMask mask, std::int32_t x,
-                                std::int32_t y) const {
-  SpeciesMask m = mask & full_mask_;
-  if (m == full_mask_) return true;
-  const std::int32_t xw = wrap_x(x);
-  const std::int32_t yw = wrap_y(y);
-  const std::size_t word = static_cast<std::size_t>(xw) >> 6;
-  const std::uint64_t bit_mask = std::uint64_t{1}
-                                 << (static_cast<std::uint32_t>(xw) & 63u);
-  while (m != 0) {
-    const auto sp = static_cast<Species>(std::countr_zero(m));
-    if (plane_row(sp, yw)[word] & bit_mask) return true;
-    m &= m - 1;
-  }
-  return false;
-}
-
 bool SpeciesBitplanes::matches(const Configuration& config) const {
-  if (config.lattice().width() != width_ || config.lattice().height() != height_ ||
-      config.num_species() != num_species_) {
-    return false;
-  }
-  for (std::int32_t y = 0; y < height_; ++y) {
-    for (std::int32_t x = 0; x < width_; ++x) {
-      const Species truth =
-          config.get(static_cast<SiteIndex>(y) * static_cast<SiteIndex>(width_) +
-                     static_cast<SiteIndex>(x));
-      for (Species sp = 0; sp < num_species_; ++sp) {
-        if (bit(sp, x, y) != (sp == truth)) return false;
-      }
-    }
-  }
-  return true;
+  return config.lattice().width() == width_ && config.lattice().height() == height_ &&
+         config.num_species() == num_species_ && SpeciesBitplanes(config).bits_ == bits_;
 }
 
 }  // namespace casurf

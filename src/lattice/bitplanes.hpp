@@ -12,9 +12,9 @@ namespace casurf {
 /// Structure-of-arrays view of a Configuration: one bitplane per species,
 /// one bit per site, rows padded to whole 64-bit words. Where the AoS
 /// `Configuration` answers "what species is at site s?", the bitplanes
-/// answer "which of these 64 consecutive sites hold a species in mask m?"
-/// in a handful of word operations — the primitive behind the batched
-/// (SIMD-friendly) trial loop of the PNDCA family.
+/// answer "does (x, y) hold species sp?" with one load and no coordinate
+/// division — what the probe plans of the enabled-rate cache
+/// (ca/rate_cache.hpp) evaluate reaction patterns against.
 ///
 /// The planes are a *derived* structure: they are rebuilt from the
 /// configuration on construction/restore and kept in sync by resyncing
@@ -22,12 +22,10 @@ namespace casurf {
 /// ground truth.
 class SpeciesBitplanes {
  public:
-  SpeciesBitplanes() = default;
   explicit SpeciesBitplanes(const Configuration& config);
 
   [[nodiscard]] std::int32_t width() const { return width_; }
   [[nodiscard]] std::int32_t height() const { return height_; }
-  [[nodiscard]] std::size_t num_species() const { return num_species_; }
 
   /// Re-derive every bit from `config` (construction, checkpoint restore,
   /// audit repair). The lattice shape and species count must match.
@@ -45,24 +43,6 @@ class SpeciesBitplanes {
             (static_cast<std::uint32_t>(x) & 63u)) & 1u;
   }
 
-  /// 64 occupancy bits of species `sp` along row `y` (wrapped): bit f
-  /// corresponds to column (x0 + f) mod width — the torus wrap is folded
-  /// in, so callers can shift anchors by arbitrary transform offsets.
-  [[nodiscard]] std::uint64_t window(Species sp, std::int32_t y,
-                                     std::int32_t x0) const;
-
-  /// OR of window() over every species in `mask`: bit f set when column
-  /// (x0 + f) mod width of row y holds any species of the mask. A mask
-  /// covering the whole domain short-circuits to all-ones (every site
-  /// holds exactly one species).
-  [[nodiscard]] std::uint64_t mask_window(SpeciesMask mask, std::int32_t y,
-                                          std::int32_t x0) const;
-
-  /// True when the site at column (x + dx) mod width, row (y + dy) mod
-  /// height holds a species of `mask` — the single-anchor counterpart of
-  /// mask_window() for scattered sites.
-  [[nodiscard]] bool mask_bit(SpeciesMask mask, std::int32_t x, std::int32_t y) const;
-
   /// Audit ground truth: true when every bit agrees with `config`.
   [[nodiscard]] bool matches(const Configuration& config) const;
 
@@ -73,20 +53,11 @@ class SpeciesBitplanes {
   [[nodiscard]] std::uint64_t* plane_row(Species sp, std::int32_t y) {
     return bits_.data() + (static_cast<std::size_t>(sp) * height_ + y) * words_per_row_;
   }
-  [[nodiscard]] std::int32_t wrap_x(std::int32_t x) const {
-    const std::int32_t r = x % width_;
-    return r < 0 ? r + width_ : r;
-  }
-  [[nodiscard]] std::int32_t wrap_y(std::int32_t y) const {
-    const std::int32_t r = y % height_;
-    return r < 0 ? r + height_ : r;
-  }
 
   std::int32_t width_ = 0;
   std::int32_t height_ = 0;
   std::size_t words_per_row_ = 0;
   std::size_t num_species_ = 0;
-  SpeciesMask full_mask_ = 0;
   std::vector<std::uint64_t> bits_;  // [species][row][word], row-padded
 };
 

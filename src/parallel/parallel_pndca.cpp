@@ -1,7 +1,6 @@
 #include "parallel/parallel_pndca.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 
 #include "obs/trace.hpp"
@@ -27,9 +26,10 @@ ParallelPndcaEngine::ParallelPndcaEngine(const ReactionModel& model,
           "this model; parallel chunk execution would race");
     }
   }
-  deltas_.assign(pool_.size(), std::vector<std::int64_t>(model.species().size(), 0));
-  tallies_.assign(pool_.size(), std::vector<std::uint64_t>(model.num_reactions(), 0));
-  fired_.assign(pool_.size(), {});
+  workers_.assign(pool_.size(), {{},
+                                 std::vector<std::int64_t>(model.species().size(), 0),
+                                 std::vector<std::uint64_t>(model.num_reactions(), 0),
+                                 {}});
 }
 
 void ParallelPndcaEngine::attach(const obs::Sinks& sinks) {
@@ -55,71 +55,25 @@ void ParallelPndcaEngine::attach(const obs::Sinks& sinks) {
   recheck_timer_ = registry ? &registry->timer("threads/recheck") : nullptr;
 }
 
-bool ParallelPndcaEngine::set_fast_path(bool on) {
-  const bool engaged = PndcaSimulator::set_fast_path(on);
-  fast_hits_.clear();
-  if (engaged) fast_hits_.resize(pool_.size());
-  return engaged;
-}
-
-void ParallelPndcaEngine::execute_chunk(std::uint64_t sweep, ChunkId chunk,
+void ParallelPndcaEngine::execute_chunk(std::uint64_t sweep,
                                         const std::vector<SiteIndex>& sites) {
-  (void)chunk;
-  const bool fast = fast_path_active();
-  // Fired executions are replayed at the barrier by the rate cache AND by
-  // the bitplane resync, so either consumer turns the tracking on.
-  const bool track_fired = rate_cache_active() || fast;
   const bool timed = !busy_timers_.empty();
   const bool traced = !worker_rings_.empty();
   const bool clocked = timed || traced;
-  for (auto& d : deltas_) std::ranges::fill(d, 0);
-  for (auto& t : tallies_) std::ranges::fill(t, 0);
-  if (track_fired) {
-    for (auto& f : fired_) f.clear();
+  for (WorkerSink& w : workers_) {
+    std::ranges::fill(w.deltas, 0);
+    std::ranges::fill(w.tally, 0);
+    w.fired.clear();
   }
   if (timed) std::ranges::fill(busy_scratch_, 0);
   if (traced) std::ranges::fill(trace_busy_end_, 0);
   const std::uint64_t wall_start = clocked ? obs::now_ns() : 0;
 
-  // Both modes fork over the site list; in fast mode each worker runs the
-  // batched trial kernel on its slice. Work items are independent either
-  // way (the non-overlap rule keeps same-chunk writes disjoint).
+  // Each worker runs the serial span routine on its slice; work items are
+  // independent (the non-overlap rule keeps same-chunk writes disjoint).
   pool_.parallel_for(sites.size(), [&](unsigned tid, std::size_t begin, std::size_t end) {
     const std::uint64_t busy_start = clocked ? obs::now_ns() : 0;
-    std::int64_t* deltas = deltas_[tid].data();
-    std::uint64_t* tally = tallies_[tid].data();
-    if (fast) {
-      // Workers read the frozen pre-sweep bitset; the non-overlap rule
-      // keeps it exact for every anchor of this sweep, and the coordinator
-      // replays the fired lists into it at the barrier.
-      std::vector<TrialHit>& hits = fast_hits_[tid];
-      hits.resize(end - begin);
-      const std::size_t cnt =
-          batch_trials(sweep, fast_->seed_hash, sites.data() + begin,
-                       end - begin, model_.alias_table(), fast_->enabled,
-                       hits.data());
-      if (spatial_.map() != nullptr) {
-        for (std::size_t i = begin; i < end; ++i) spatial_.attempt(sites[i]);
-      }
-      for (std::size_t k = 0; k < cnt; ++k) {
-        const SiteIndex s = sites[begin + hits[k].index];
-        const ReactionIndex rt = hits[k].type;
-        spatial_.fire(s);
-        model_.reaction(rt).execute_raw(config_, s, deltas);
-        ++tally[rt];
-        fired_[tid].push_back({s, rt});
-      }
-    } else {
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::int32_t fired = trial_at(sweep, sites[i], deltas);
-        if (fired != kNoReaction) {
-          ++tally[fired];
-          if (track_fired) {
-            fired_[tid].push_back({sites[i], static_cast<ReactionIndex>(fired)});
-          }
-        }
-      }
-    }
+    run_span(sweep, sites.data() + begin, end - begin, &workers_[tid]);
     if (clocked) {
       const std::uint64_t busy_end = obs::now_ns();
       if (timed) busy_scratch_[tid] = busy_end - busy_start;
@@ -161,43 +115,27 @@ void ParallelPndcaEngine::execute_chunk(std::uint64_t sweep, ChunkId chunk,
   {
     const obs::ScopedTimer merge_span(merge_timer_);
     const obs::ScopedSpan merge_trace(trace_, "threads/merge", time_, sweep);
-    for (unsigned tid = 0; tid < pool_.size(); ++tid) {
-      config_.apply_count_delta(deltas_[tid].data());
+    for (const WorkerSink& w : workers_) {
+      config_.apply_count_delta(w.deltas.data());
       for (ReactionIndex rt = 0; rt < model_.num_reactions(); ++rt) {
-        const std::uint64_t n = tallies_[tid][rt];
-        counters_.executed += n;
-        counters_.executed_per_type[rt] += n;
+        counters_.executed += w.tally[rt];
+        counters_.executed_per_type[rt] += w.tally[rt];
       }
     }
   }
 
-  // The bitplanes and the enabled-type bitset are frozen during the sweep
-  // (workers only read them); replay the fired lists at the barrier. All
-  // plane resyncs land first so that every probe recheck afterwards reads a
-  // fully synced mirror of the post-sweep configuration; the rechecks are
-  // idempotent functions of that configuration, so the bitset, the rate
-  // cache, and the recheck counters land exactly where the sequential
-  // simulator's per-event updates put them.
-  if (fast) {
+  // The rate cache was frozen during the sweep (workers only read it);
+  // replay the fired lists at the barrier. The old species are gone, so
+  // every candidate is rechecked; rechecks are idempotent functions of the
+  // post-sweep configuration, so the cache and the recheck counters land
+  // exactly where the sequential simulator's per-event updates put them.
+  if (rate_cache_) {
     const obs::ScopedTimer recheck_span(recheck_timer_);
     const obs::ScopedSpan recheck_trace(trace_, "threads/recheck", time_, sweep);
-    for (unsigned tid = 0; tid < pool_.size(); ++tid) {
-      for (const FiredReaction& f : fired_[tid]) {
-        resync_written(fast_->planes, config_, model_.reaction(f.type), f.site);
-      }
-    }
-    for (unsigned tid = 0; tid < pool_.size(); ++tid) {
-      for (const FiredReaction& f : fired_[tid]) {
-        fast_after_fire(model_.reaction(f.type), f.site, /*resync=*/false);
-      }
-    }
-  } else if (rate_cache_active()) {
-    // Scalar threaded mode: only the enabled-rate cache needs the replay.
-    const obs::ScopedTimer recheck_span(recheck_timer_);
-    const obs::ScopedSpan recheck_trace(trace_, "threads/recheck", time_, sweep);
-    for (unsigned tid = 0; tid < pool_.size(); ++tid) {
-      for (const FiredReaction& f : fired_[tid]) {
-        refresh_rate_cache(model_.reaction(f.type), f.site);
+    for (const WorkerSink& w : workers_) {
+      for (const FiredReaction& f : w.fired) {
+        rate_cache_->refresh_after_fire(config_, model_.reaction(f.type), f.site, nullptr,
+                                        partition_cursor_);
       }
     }
   }

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <memory>
-
 #include "ca/pndca.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -18,8 +16,10 @@ namespace casurf {
 /// Shared-state discipline: threads write lattice sites directly (disjoint
 /// by the non-overlap rule) but never the shared species counts; each
 /// thread accumulates per-species deltas and per-type execution tallies,
-/// merged after the join. Determinism is verified by the test suite
-/// (parallel == sequential, any thread count).
+/// merged after the join. Under kRateWeighted the workers read the rate
+/// cache's bitset frozen at the sweep start and the coordinator replays the
+/// sweep's executions into the cache after the join. Determinism is
+/// verified by the test suite (parallel == sequential, any thread count).
 class ParallelPndcaEngine final : public PndcaSimulator {
  public:
   ParallelPndcaEngine(const ReactionModel& model, Configuration config,
@@ -41,33 +41,16 @@ class ParallelPndcaEngine final : public PndcaSimulator {
   /// threads/recheck on ring 0.
   void attach(const obs::Sinks& sinks) override;
 
-  /// The threaded batched path runs the trial kernel per worker slice.
-  /// Workers read the enabled bitset and bitplanes only (they reflect the
-  /// pre-sweep state — exactly what the non-overlap rule licenses) and
-  /// never write them: both pack many sites per word, so concurrent
-  /// per-site updates would race. The coordinator replays the fired lists
-  /// into them at the sweep barrier, the same pattern the rate cache uses.
-  bool set_fast_path(bool on) override;
-
  protected:
-  void execute_chunk(std::uint64_t sweep, ChunkId chunk,
-                     const std::vector<SiteIndex>& sites) override;
+  void execute_chunk(std::uint64_t sweep, const std::vector<SiteIndex>& sites) override;
 
  private:
   ThreadPool pool_;
-  std::vector<std::vector<TrialHit>> fast_hits_;  // kernel output, per worker
-  // Per-thread scratch, reused every sweep: [species deltas..., type tallies...]
-  std::vector<std::vector<std::int64_t>> deltas_;
-  std::vector<std::vector<std::uint64_t>> tallies_;
-  // Under kRateWeighted, each worker also records its executed (site, type)
-  // pairs; the enabled-rate cache deltas are folded in at the sweep barrier
-  // in worker order — like the species deltas, this keeps the trajectory
-  // bit-identical across thread counts.
-  struct FiredReaction {
-    SiteIndex site;
-    ReactionIndex type;
-  };
-  std::vector<std::vector<FiredReaction>> fired_;
+  // Per-worker scratch. Under kRateWeighted the fired lists are replayed
+  // into the enabled-rate cache at the sweep barrier in worker order — like
+  // the species deltas, this keeps the trajectory bit-identical across
+  // thread counts.
+  std::vector<WorkerSink> workers_;
   // Threading probes; empty/null when no registry is attached. Workers
   // write only busy_scratch_ (their own slot); the coordinator folds the
   // scratch into the timers after the join.

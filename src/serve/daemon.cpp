@@ -210,8 +210,13 @@ std::size_t Daemon::recover_jobs() {
     try {
       spec = JobSpec::from_json(Value::parse(
           io::read_file((entry.path() / kJobSpecFile).string())));
-    } catch (const std::exception&) {
-      continue;  // half-created directory; nothing recoverable
+    } catch (const std::exception& e) {
+      // A half-created directory, or a spec this version cannot parse:
+      // nothing recoverable, but the job must not vanish without a trace.
+      log::Event(log::Level::kWarn, kLogComponent, "job_unrecoverable")
+          .u64("job", id)
+          .str("error", e.what());
+      continue;
     }
     auto job = std::make_unique<Job>();
     job->id = id;

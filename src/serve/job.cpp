@@ -134,7 +134,10 @@ JobSpec JobSpec::from_json(const Value& v) {
       if (t == 0 || t > 256) reject("threads must be 1..256");
       spec.threads = static_cast<unsigned>(t);
     } else if (key == "fast_path") {
-      spec.fast_path = boolean(value, "fast_path");
+      // Retired knob (the PNDCA family has one trial path). Still parsed
+      // and type-checked so job.json files written before its removal stay
+      // recoverable; the value is ignored.
+      (void)boolean(value, "fast_path");
     } else if (key == "checkpoint_every") {
       spec.checkpoint_every = finite_number(value, "checkpoint_every");
       if (spec.checkpoint_every < 0) {
@@ -197,7 +200,6 @@ std::string JobSpec::to_json() const {
   w.key("coverage0"), w.number(coverage0);
   w.key("L"), w.u64(l_trials);
   w.key("threads"), w.u64(threads);
-  w.key("fast_path"), w.boolean(fast_path);
   w.key("checkpoint_every"), w.number(checkpoint_every);
   w.key("heatmap"), w.boolean(heatmap);
   w.key("heatmap_every"), w.u64(heatmap_every);
@@ -233,7 +235,6 @@ std::vector<std::string> JobSpec::to_argv(const std::string& runner,
   if (coverage0 > 0) flag("--coverage0", format_double(coverage0));
   flag("--L", std::to_string(l_trials));
   flag("--threads", std::to_string(threads));
-  if (fast_path) argv.emplace_back("--fast-path");
   flag("--checkpoint", dir + "/" + kJobCheckpoint);
   if (checkpoint_every > 0) {
     flag("--checkpoint-every", format_double(checkpoint_every));

@@ -38,7 +38,6 @@ struct JobSpec {
   double coverage0 = 0;
   std::uint32_t l_trials = 1;
   unsigned threads = 1;  ///< parallel-engine workers; clamped by the quota
-  bool fast_path = false;
   double checkpoint_every = 0;  ///< 0 = every sample
 
   // Streamed artifacts beyond the always-on report/CSV/checkpoint.

@@ -7,8 +7,8 @@
 
 namespace casurf::fail {
 
-/// Deterministic fault injection: named failpoints compiled into the I/O,
-/// threading, and fast-path layers, armed at runtime from a spec string
+/// Deterministic fault injection: named failpoints compiled into the I/O
+/// and threading layers, armed at runtime from a spec string
 /// (casurf_run --failpoints / env CASURF_FAILPOINTS). Each armed failpoint
 /// fires according to its trigger:
 ///

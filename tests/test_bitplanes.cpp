@@ -37,66 +37,6 @@ TEST(Bitplanes, RebuildMatchesConfiguration) {
   }
 }
 
-TEST(Bitplanes, WindowBitsMatchWrappedColumns) {
-  // bit f of window(sp, y, x0) must be the occupancy of column
-  // (x0 + f) mod width — across narrow (<64), word-aligned, and ragged
-  // (non-multiple-of-64) widths, for anchors beyond the row and negative.
-  for (const std::int32_t w : {10, 64, 70, 128}) {
-    const Configuration cfg = random_config(w, 6, 4, w * 131u);
-    const SpeciesBitplanes planes(cfg);
-    for (const std::int32_t y : {0, 3, 5, 7, -1}) {
-      for (const std::int32_t x0 : {0, 1, 5, w - 1, w, 2 * w + 3, -1, -63}) {
-        for (Species sp = 0; sp < 4; ++sp) {
-          const std::uint64_t win = planes.window(sp, y, x0);
-          for (std::uint32_t f = 0; f < 64; ++f) {
-            const std::int32_t xc = (((x0 + static_cast<std::int32_t>(f)) % w) + w) % w;
-            const std::int32_t yc = ((y % 6) + 6) % 6;
-            ASSERT_EQ((win >> f) & 1u, planes.bit(sp, xc, yc) ? 1u : 0u)
-                << "w=" << w << " y=" << y << " x0=" << x0 << " f=" << f;
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(Bitplanes, MaskWindowIsUnionOfSpeciesWindows) {
-  const Configuration cfg = random_config(70, 4, 5, 3);
-  const SpeciesBitplanes planes(cfg);
-  for (const SpeciesMask mask : {SpeciesMask{0b00101}, SpeciesMask{0b10010}}) {
-    for (const std::int32_t x0 : {0, 17, 69, -2}) {
-      std::uint64_t expect = 0;
-      for (Species sp = 0; sp < 5; ++sp) {
-        if (mask & (SpeciesMask{1} << sp)) expect |= planes.window(sp, 2, x0);
-      }
-      EXPECT_EQ(planes.mask_window(mask, 2, x0), expect) << "x0=" << x0;
-    }
-  }
-}
-
-TEST(Bitplanes, FullDomainMaskShortCircuitsToAllOnes) {
-  const Configuration cfg = random_config(40, 4, 3, 5);
-  const SpeciesBitplanes planes(cfg);
-  const SpeciesMask full = (SpeciesMask{1} << 3) - 1;
-  EXPECT_EQ(planes.mask_window(full, 1, 7), ~std::uint64_t{0});
-  // Bits above num_species never contribute: they address no plane.
-  EXPECT_EQ(planes.mask_window(full | 0xF0u, 1, 7), ~std::uint64_t{0});
-  EXPECT_TRUE(planes.mask_bit(full, -5, 100));
-}
-
-TEST(Bitplanes, MaskBitAgreesWithWindow) {
-  const Configuration cfg = random_config(10, 9, 4, 17);
-  const SpeciesBitplanes planes(cfg);
-  const SpeciesMask mask = 0b0110;
-  for (std::int32_t y = -2; y < 11; ++y) {
-    for (std::int32_t x = -12; x < 22; ++x) {
-      const bool via_window = (planes.mask_window(mask, y, x) >> 0) & 1u;
-      EXPECT_EQ(planes.mask_bit(mask, x, y), via_window)
-          << "(" << x << "," << y << ")";
-    }
-  }
-}
-
 TEST(Bitplanes, ResyncSiteTracksWritesAndIsIdempotent) {
   Configuration cfg = random_config(70, 5, 4, 23);
   SpeciesBitplanes planes(cfg);

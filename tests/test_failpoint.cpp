@@ -1,8 +1,7 @@
 // The fault-injection framework (docs/ROBUSTNESS.md): spec grammar, the
 // hit@N / prob@P triggers and their deterministic replay, the disarmed
 // null-probe contract, and the wired sites — atomic writes, checkpoint
-// content damage, thread-pool worker failures, and the fast-path partition
-// gate.
+// content damage and thread-pool worker failures.
 
 #include <gtest/gtest.h>
 
@@ -195,34 +194,6 @@ TEST_F(FailpointTest, ThreadPoolWorkerThrowSurfacesAndPoolStaysUsable) {
     visited += end - begin;
   });
   EXPECT_EQ(visited.load(), 64u);
-}
-
-TEST_F(FailpointTest, PartitionGateFailureForcesScalarFallback) {
-  auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
-  const Configuration init(Lattice(32, 32), 3, zgb.vacant);
-  SimulationOptions opt;
-  opt.algorithm = Algorithm::kPndca;
-  opt.seed = 5;
-  opt.fast_path = true;
-
-  std::unique_ptr<Simulator> fast = make_simulator(zgb.model, init, opt);
-  ASSERT_TRUE(fast->fast_path_active());
-
-  ASSERT_EQ(fail::configure("fastpath/partition_gate=hit@1"), "");
-  std::unique_ptr<Simulator> gated = make_simulator(zgb.model, init, opt);
-  EXPECT_FALSE(gated->fast_path_active())
-      << "a failed gate must fall back to the scalar reference path";
-  fail::reset();
-
-  // The fallback is the same trajectory, just slower: lockstep for a while.
-  for (int i = 0; i < 200; ++i) {
-    fast->mc_step();
-    gated->mc_step();
-    ASSERT_EQ(fast->time(), gated->time()) << "step " << i;
-  }
-  EXPECT_TRUE(std::equal(fast->configuration().raw().begin(),
-                          fast->configuration().raw().end(),
-                          gated->configuration().raw().begin()));
 }
 
 }  // namespace

@@ -1,22 +1,24 @@
-// The dual-path determinism contract (docs/ALGORITHMS.md): engaging the
-// batched bitplane trial path must not change a single bit of any
-// trajectory — same configuration, same clock, same counters, step for
-// step — across every algorithm, chunk policy, thread count, and model.
-// These tests run scalar and fast simulators in lockstep and compare after
-// every MC step, so a divergence pinpoints the first step that differs.
+// The PNDCA family against its reference: each simulator runs in lockstep
+// with a test-only sweep written the obvious way — per-site
+// CounterRng(seed, key(sweep, s)), flip then slot, ReactionType::enabled,
+// execute — and must agree after every MC step: same configuration, clock
+// and counters. A divergence pinpoints the first step that differs. The
+// kernel tests hold sample_types and batch_trials to the same per-site
+// draws.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
+#include <ostream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "ca/fastpath.hpp"
 #include "ca/lpndca.hpp"
 #include "ca/pndca.hpp"
 #include "ca/tpndca.hpp"
 #include "core/audit.hpp"
-#include "core/simulation.hpp"
-#include "io/checkpoint.hpp"
 #include "models/ising.hpp"
 #include "models/pt100.hpp"
 #include "models/zgb.hpp"
@@ -25,252 +27,415 @@
 #include "parallel/parallel_pndca.hpp"
 #include "partition/coloring.hpp"
 #include "partition/type_partition.hpp"
+#include "rng/counter_rng.hpp"
+#include "rng/distributions.hpp"
+#include "rng/xoshiro.hpp"
 
 namespace casurf {
 namespace {
 
-void expect_lockstep(Simulator& scalar, Simulator& fast, int steps) {
+/// The reference trial: the site's private stream, first draw = alias
+/// flip, second = slot.
+ReactionIndex reference_type(const ReactionModel& model, std::uint64_t seed,
+                             std::uint64_t sweep, SiteIndex s) {
+  CounterRng crng(seed, CounterRng::key(sweep, s));
+  const double u_flip = crng.next_double();
+  const double u_slot = crng.next_double();
+  return model.sample_type(u_slot, u_flip);
+}
+
+/// PNDCA with the reference sweep in place of the library's span routine.
+/// The schedule (policy draws, time advance) is PNDCA's own; under rate
+/// weighting the cache is rebuilt from the lattice after every sweep, so
+/// the chunk weights never depend on the incremental refresh under test.
+class ReferencePndca final : public PndcaSimulator {
+ public:
+  ReferencePndca(const ReactionModel& model, Configuration config,
+                 std::vector<Partition> partitions, std::uint64_t seed,
+                 ChunkPolicy policy)
+      : PndcaSimulator(model, std::move(config), std::move(partitions), seed, policy),
+        seed_(seed) {}
+
+ protected:
+  void execute_chunk(std::uint64_t sweep, const std::vector<SiteIndex>& sites) override {
+    for (const SiteIndex s : sites) {
+      const ReactionIndex rt = reference_type(model_, seed_, sweep, s);
+      const ReactionType& reaction = model_.reaction(rt);
+      if (!reaction.enabled(config_, s)) continue;
+      reaction.execute(config_, s);
+      record_execution(rt);
+    }
+    if (rate_cache_) rate_cache_->rebuild(config_);
+  }
+
+  std::uint64_t seed_;
+};
+
+struct Trajectory {
+  double time;
+  std::uint64_t trials;
+  std::uint64_t executed;
+  const Configuration& config;
+};
+
+Trajectory of(const Simulator& sim) {
+  return {sim.time(), sim.counters().trials, sim.counters().executed,
+          sim.configuration()};
+}
+
+void expect_same(const Trajectory& ref, const Trajectory& sim, int step) {
+  ASSERT_EQ(ref.time, sim.time) << "clock diverged at step " << step;
+  ASSERT_EQ(ref.trials, sim.trials) << "step " << step;
+  ASSERT_EQ(ref.executed, sim.executed) << "step " << step;
+  ASSERT_TRUE(std::ranges::equal(ref.config.raw(), sim.config.raw()))
+      << "configuration diverged at step " << step;
+}
+
+void expect_lockstep(Simulator& ref, Simulator& sim, int steps) {
   for (int i = 0; i < steps; ++i) {
-    scalar.mc_step();
-    fast.mc_step();
-    ASSERT_EQ(scalar.time(), fast.time()) << "clock diverged at step " << i;
-    ASSERT_EQ(scalar.counters().trials, fast.counters().trials) << "step " << i;
-    ASSERT_EQ(scalar.counters().executed, fast.counters().executed)
-        << "step " << i;
-    const auto a = scalar.configuration().raw();
-    const auto b = fast.configuration().raw();
-    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin()))
-        << "configuration diverged at step " << i;
+    ref.mc_step();
+    sim.mc_step();
+    ASSERT_NO_FATAL_FAILURE(expect_same(of(ref), of(sim), i));
+  }
+  EXPECT_EQ(ref.counters().executed_per_type, sim.counters().executed_per_type);
+}
+
+enum class Surface { kZgb, kPt100, kIsing };
+
+/// A model with its initial configuration on a side x side lattice.
+struct Workload {
+  ReactionModel model;
+  Configuration init;
+};
+
+Workload workload(Surface surface, std::int32_t side) {
+  const Lattice lat(side, side);
+  if (surface == Surface::kZgb) {
+    auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
+    return {std::move(zgb.model), Configuration(lat, 3, zgb.vacant)};
+  }
+  if (surface == Surface::kPt100) {
+    auto pt = models::make_pt100();
+    const std::size_t species = pt.model.species().size();
+    return {std::move(pt.model), Configuration(lat, species, pt.hex_vac)};
+  }
+  auto ising = models::make_ising(0.7);
+  Configuration init(lat, 2, 0);
+  for (SiteIndex s = 0; s < init.size(); s += 3) init.set(s, 1);
+  return {std::move(ising.model), std::move(init)};
+}
+
+TEST(FastPath, PndcaAllChunkPolicies) {
+  for (const Surface surface : {Surface::kZgb, Surface::kPt100}) {
+    const Workload w = workload(surface, 30);
+    const Partition p = make_partition(w.init.lattice(), w.model);
+    for (const ChunkPolicy policy :
+         {ChunkPolicy::kInOrder, ChunkPolicy::kRandomOrder,
+          ChunkPolicy::kRandomWithReplacement, ChunkPolicy::kRateWeighted}) {
+      SCOPED_TRACE(static_cast<int>(policy));
+      ReferencePndca ref(w.model, w.init, {p}, 31, policy);
+      PndcaSimulator sim(w.model, w.init, {p}, 31, policy);
+      expect_lockstep(ref, sim, 15);
+    }
   }
 }
 
-struct Sweep {
-  Algorithm algorithm;
+/// One threaded-engine row: the engine against the serial reference.
+struct ThreadedRow {
+  const char* name;
+  Surface surface;
   unsigned threads;
-  const char* tag;
+  ChunkPolicy policy;
 };
 
-class FastVsScalar : public ::testing::TestWithParam<Sweep> {};
+void PrintTo(const ThreadedRow& row, std::ostream* os) { *os << row.name; }
 
-TEST_P(FastVsScalar, ZgbLockstep) {
-  const Sweep p = GetParam();
-  auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
-  const Configuration init(Lattice(48, 48), 3, zgb.vacant);
-  SimulationOptions opt;
-  opt.algorithm = p.algorithm;
-  opt.seed = 97;
-  opt.threads = p.threads;
-  opt.l_trials = 8;
-  auto scalar = make_simulator(zgb.model, init, opt);
-  opt.fast_path = true;
-  auto fast = make_simulator(zgb.model, init, opt);
-  const bool has_fast = p.algorithm == Algorithm::kPndca ||
-                        p.algorithm == Algorithm::kLPndca ||
-                        p.algorithm == Algorithm::kTPndca ||
-                        p.algorithm == Algorithm::kParallelPndca;
-  EXPECT_EQ(fast->fast_path_active(), has_fast) << p.tag;
-  EXPECT_FALSE(scalar->fast_path_active());
-  expect_lockstep(*scalar, *fast, 30);
+void expect_threaded_lockstep(const ThreadedRow& row, int steps) {
+  const Workload w = workload(row.surface, 40);
+  const Partition p = make_partition(w.init.lattice(), w.model);
+  ReferencePndca ref(w.model, w.init, {p}, 1234, row.policy);
+  ParallelPndcaEngine engine(w.model, w.init, {p}, 1234, row.threads, row.policy);
+  expect_lockstep(ref, engine, steps);
 }
 
-TEST_P(FastVsScalar, Pt100Lockstep) {
-  const Sweep p = GetParam();
-  auto pt = models::make_pt100();
-  const Configuration init(Lattice(30, 30), pt.model.species().size(), pt.hex_vac);
-  SimulationOptions opt;
-  opt.algorithm = p.algorithm;
-  opt.seed = 5;
-  opt.threads = p.threads;
-  auto scalar = make_simulator(pt.model, init, opt);
-  opt.fast_path = true;
-  auto fast = make_simulator(pt.model, init, opt);
-  expect_lockstep(*scalar, *fast, 15);
+class ThreadedLockstep : public ::testing::TestWithParam<ThreadedRow> {};
+
+TEST_P(ThreadedLockstep, MatchesSerialReference) {
+  expect_threaded_lockstep(GetParam(), 15);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllAlgorithms, FastVsScalar,
-    ::testing::Values(Sweep{Algorithm::kRsm, 1, "rsm"},
-                      Sweep{Algorithm::kVssm, 1, "vssm"},
-                      Sweep{Algorithm::kFrm, 1, "frm"},
-                      Sweep{Algorithm::kNdca, 1, "ndca"},
-                      Sweep{Algorithm::kPndca, 1, "pndca"},
-                      Sweep{Algorithm::kLPndca, 1, "lpndca"},
-                      Sweep{Algorithm::kTPndca, 1, "tpndca"},
-                      Sweep{Algorithm::kParallelPndca, 2, "parallel2"},
-                      Sweep{Algorithm::kParallelPndca, 7, "parallel7"}),
-    [](const auto& info) { return info.param.tag; });
+    Rows, ThreadedLockstep,
+    ::testing::Values(
+        ThreadedRow{"zgb_t2", Surface::kZgb, 2, ChunkPolicy::kRandomOrder},
+        ThreadedRow{"zgb_t7", Surface::kZgb, 7, ChunkPolicy::kRandomOrder},
+        ThreadedRow{"pt100_t2", Surface::kPt100, 2, ChunkPolicy::kRandomOrder},
+        ThreadedRow{"pt100_t7", Surface::kPt100, 7, ChunkPolicy::kRandomOrder},
+        ThreadedRow{"ising_t2", Surface::kIsing, 2, ChunkPolicy::kRandomOrder},
+        // Rate weighting: workers read the frozen cache, and the barrier
+        // replays the sweep into it with the old species unknown.
+        ThreadedRow{"zgb_rate_t2", Surface::kZgb, 2, ChunkPolicy::kRateWeighted},
+        ThreadedRow{"pt100_rate_t7", Surface::kPt100, 7, ChunkPolicy::kRateWeighted}),
+    [](const auto& row) { return std::string(row.param.name); });
 
-TEST(FastPath, PndcaAllChunkPolicies) {
-  auto zgb = models::make_zgb(models::ZgbParams::from_y(0.5, 10.0));
-  const Configuration init(Lattice(40, 40), 3, zgb.vacant);
+TEST(FastPath, IsingSevenThreadsLockstep) {
+  expect_threaded_lockstep({"ising_t7", Surface::kIsing, 7, ChunkPolicy::kRandomOrder},
+                           20);
+}
+
+TEST(FastPath, SingleChunkPartitionStaysExact) {
+  // One chunk puts conflicting anchors in the same sweep. The threaded
+  // engine refuses such a partition, but serial PNDCA tests every trial
+  // against the live state, so it still matches the reference exactly —
+  // with the lattice pattern match and with the cache's bitset alike.
+  const Workload w = workload(Surface::kZgb, 24);
   for (const ChunkPolicy policy :
-       {ChunkPolicy::kInOrder, ChunkPolicy::kRandomOrder,
-        ChunkPolicy::kRandomWithReplacement, ChunkPolicy::kRateWeighted}) {
-    SimulationOptions opt;
-    opt.algorithm = Algorithm::kPndca;
-    opt.chunk_policy = policy;
-    opt.seed = 31;
-    auto scalar = make_simulator(zgb.model, init, opt);
-    opt.fast_path = true;
-    auto fast = make_simulator(zgb.model, init, opt);
-    ASSERT_TRUE(fast->fast_path_active());
-    expect_lockstep(*scalar, *fast, 25);
+       {ChunkPolicy::kRandomOrder, ChunkPolicy::kRateWeighted}) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    const Partition one = Partition::single_chunk(w.init.lattice());
+    ReferencePndca ref(w.model, w.init, {one}, 7, policy);
+    PndcaSimulator sim(w.model, w.init, {one}, 7, policy);
+    expect_lockstep(ref, sim, 10);
   }
 }
 
-TEST(FastPath, IsingSevenThreadsLockstep) {
-  auto ising = models::make_ising(0.7);
-  Configuration init(Lattice(40, 40), 2, 0);
-  for (SiteIndex s = 0; s < init.size(); s += 3) init.set(s, 1);
-  SimulationOptions opt;
-  opt.algorithm = Algorithm::kParallelPndca;
-  opt.threads = 7;
-  opt.seed = 1234;
-  auto scalar = make_simulator(ising.model, init, opt);
-  opt.fast_path = true;
-  auto fast = make_simulator(ising.model, init, opt);
-  expect_lockstep(*scalar, *fast, 20);
+/// A run of the reference loops below: lattice, generator, clock, counters.
+struct Reference {
+  Configuration cfg;
+  Xoshiro256 rng;
+  double time = 0;
+  std::uint64_t trials = 0;
+  std::uint64_t executed = 0;
+
+  void trial(const ReactionType& rt, SiteIndex s) {
+    ++trials;
+    if (!rt.enabled(cfg, s)) return;
+    rt.execute(cfg, s);
+    ++executed;
+  }
+};
+
+Trajectory of(const Reference& r) { return {r.time, r.trials, r.executed, r.cfg}; }
+
+/// One rate-weighted L-PNDCA step written out. The chunk weights come from
+/// a cache built fresh on the lattice before every batch.
+void reference_lpndca_step(Reference& r, const ReactionModel& model, const Partition& p,
+                           std::uint32_t l) {
+  std::vector<double> sizes;  // cumulative, for the draw when nothing is enabled
+  double acc = 0;
+  for (ChunkId c = 0; c < p.num_chunks(); ++c) {
+    sizes.push_back(acc += static_cast<double>(p.chunk(c).size()));
+  }
+  const std::uint64_t budget = r.cfg.size();
+  const double rate_nk = static_cast<double>(budget) * model.total_rate();
+  for (std::uint64_t done = 0; done < budget;) {
+    EnabledRateCache fresh(model, r.cfg);
+    fresh.add_partition(p);
+    const ChunkSampler& sampler = fresh.sampler(0);
+    const double u = uniform01(r.rng);
+    const ChunkId c = sampler.total() > 0 ? sampler.sample(u)
+                                          : static_cast<ChunkId>(sample_cumulative(sizes, u));
+    const std::vector<SiteIndex>& sites = p.chunk(c);
+    const std::uint64_t batch = std::min<std::uint64_t>(l, budget - done);
+    done += batch;
+    for (std::uint64_t i = 0; i < batch; ++i) {
+      const SiteIndex s = sites[uniform_below(r.rng, sites.size())];
+      r.trial(model.reaction(model.sample_type(r.rng)), s);
+      r.time += exponential(r.rng, rate_nk);
+    }
+  }
 }
 
 TEST(FastPath, LPndcaRateWeightedLockstep) {
-  // The fast batch feeds the same incremental rate cache the scalar loop
-  // does; rate-weighted chunk selection must see identical counts.
-  auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
-  Configuration init(Lattice(36, 36), 3, zgb.vacant);
-  const Partition p = make_partition(init.lattice(), zgb.model);
-  LPndcaSimulator scalar(zgb.model, init, p, 77, 16, TimeMode::kStochastic,
-                         ChunkWeighting::kRateWeighted);
-  LPndcaSimulator fast(zgb.model, init, p, 77, 16, TimeMode::kStochastic,
-                       ChunkWeighting::kRateWeighted);
-  EXPECT_TRUE(fast.set_fast_path(true));
-  expect_lockstep(scalar, fast, 25);
+  const Workload w = workload(Surface::kZgb, 24);
+  const Partition p = make_partition(w.init.lattice(), w.model);
+  Reference ref{w.init, Xoshiro256(77)};
+  LPndcaSimulator sim(w.model, w.init, p, 77, 16, TimeMode::kStochastic,
+                      ChunkWeighting::kRateWeighted);
+  for (int step = 0; step < 20; ++step) {
+    reference_lpndca_step(ref, w.model, p, 16);
+    sim.mc_step();
+    ASSERT_NO_FATAL_FAILURE(expect_same(of(ref), of(sim), step));
+  }
+}
+
+/// One rate-weighted T-PNDCA step written out, with the chosen type's
+/// chunk counts recounted from the lattice before every sweep.
+void reference_tpndca_step(Reference& r, const ReactionModel& model,
+                           const std::vector<TypeSubset>& subsets, std::uint32_t sweeps) {
+  std::vector<double> cumulative;
+  for (const TypeSubset& sub : subsets) {
+    cumulative.push_back((cumulative.empty() ? 0.0 : cumulative.back()) + sub.total_rate);
+  }
+  for (std::uint32_t k = 0; k < sweeps; ++k) {
+    const TypeSubset& sub = subsets[sample_cumulative(cumulative, uniform01(r.rng))];
+    double target = uniform01(r.rng) * sub.total_rate;
+    ReactionIndex chosen = sub.types.back();
+    for (const ReactionIndex i : sub.types) {
+      if (target < model.reaction(i).rate()) {
+        chosen = i;
+        break;
+      }
+      target -= model.reaction(i).rate();
+    }
+    const ReactionType& rt = model.reaction(chosen);
+    std::vector<double> weights(sub.chunks.num_chunks(), 0.0);
+    for (ChunkId c = 0; c < weights.size(); ++c) {
+      for (const SiteIndex s : sub.chunks.chunk(c)) weights[c] += rt.enabled(r.cfg, s);
+    }
+    ChunkSampler sampler;
+    sampler.assign(weights);
+    const ChunkId c = sampler.total() > 0
+                          ? sampler.sample(uniform01(r.rng))
+                          : static_cast<ChunkId>(uniform_below(r.rng, weights.size()));
+    for (const SiteIndex s : sub.chunks.chunk(c)) r.trial(rt, s);
+    r.time += 1.0 / (model.total_rate() * static_cast<double>(sweeps));
+  }
 }
 
 TEST(FastPath, TPndcaRateWeightedLockstep) {
-  auto zgb = models::make_zgb(models::ZgbParams::from_y(0.5, 10.0));
-  Configuration init(Lattice(32, 32), 3, zgb.vacant);
-  auto subsets = make_type_partition(init.lattice(), zgb.model);
-  TPndcaSimulator scalar(zgb.model, init, subsets, 19, 0,
-                         ChunkWeighting::kRateWeighted);
-  TPndcaSimulator fast(zgb.model, init, subsets, 19, 0,
-                       ChunkWeighting::kRateWeighted);
-  EXPECT_TRUE(fast.set_fast_path(true));
-  expect_lockstep(scalar, fast, 30);
-}
-
-TEST(FastPath, FallsBackWhenPartitionViolatesNonOverlap) {
-  // A single-chunk "partition" puts conflicting anchors in the same batch;
-  // the runtime gate must refuse and keep the scalar reference loop, with
-  // an unchanged trajectory.
-  auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
-  const Configuration init(Lattice(24, 24), 3, zgb.vacant);
-  PndcaSimulator scalar(zgb.model, init,
-                        {Partition::single_chunk(init.lattice())}, 7);
-  PndcaSimulator fast(zgb.model, init,
-                      {Partition::single_chunk(init.lattice())}, 7);
-  EXPECT_FALSE(fast.set_fast_path(true));
-  EXPECT_FALSE(fast.fast_path_active());
-  expect_lockstep(scalar, fast, 10);
-}
-
-TEST(FastPath, DisengagingRestoresScalarLoop) {
-  auto zgb = models::make_zgb();
-  const Configuration init(Lattice(24, 24), 3, zgb.vacant);
-  SimulationOptions opt;
-  opt.algorithm = Algorithm::kPndca;
-  opt.fast_path = true;
-  auto sim = make_simulator(zgb.model, init, opt);
-  EXPECT_TRUE(sim->fast_path_active());
-  EXPECT_FALSE(sim->set_fast_path(false));
-  EXPECT_FALSE(sim->fast_path_active());
-  opt.fast_path = false;
-  auto scalar = make_simulator(zgb.model, init, opt);
-  expect_lockstep(*scalar, *sim, 10);
+  const Workload w = workload(Surface::kZgb, 32);
+  const std::vector<TypeSubset> subsets = make_type_partition(w.init.lattice(), w.model);
+  TPndcaSimulator sim(w.model, w.init, subsets, 19, 0, ChunkWeighting::kRateWeighted);
+  Reference ref{w.init, Xoshiro256(19)};
+  for (int step = 0; step < 30; ++step) {
+    reference_tpndca_step(ref, w.model, subsets, sim.sweeps_per_step());
+    sim.mc_step();
+    ASSERT_NO_FATAL_FAILURE(expect_same(of(ref), of(sim), step));
+  }
 }
 
 TEST(FastPath, CheckpointRoundTripStaysInLockstep) {
-  // Planes are derived state: a restore rebuilds them from the restored
-  // configuration, after which the fast run must still track the scalar
+  // The rate cache is derived state: a restore rebuilds it from the
+  // restored configuration, after which the run must still track the
   // reference bit for bit.
-  auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
-  const Configuration init(Lattice(32, 32), 3, zgb.vacant);
-  SimulationOptions opt;
-  opt.algorithm = Algorithm::kPndca;
-  opt.seed = 44;
-  auto scalar = make_simulator(zgb.model, init, opt);
-  opt.fast_path = true;
-  auto fast = make_simulator(zgb.model, init, opt);
-  expect_lockstep(*scalar, *fast, 10);
+  const Workload w = workload(Surface::kZgb, 30);
+  const Partition p = make_partition(w.init.lattice(), w.model);
+  for (const ChunkPolicy policy :
+       {ChunkPolicy::kRandomOrder, ChunkPolicy::kRateWeighted}) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    ReferencePndca ref(w.model, w.init, {p}, 44, policy);
+    PndcaSimulator sim(w.model, w.init, {p}, 44, policy);
+    expect_lockstep(ref, sim, 10);
 
-  StateWriter w;
-  fast->save_state(w);
-  // Same construction parameters, as the checkpoint contract requires (the
-  // CLI rebuilds from identical options before restoring).
-  auto resumed = make_simulator(zgb.model, init, opt);
-  StateReader r(w.buffer());
-  resumed->restore_state(r);
-  expect_lockstep(*scalar, *resumed, 15);
+    StateWriter out;
+    sim.save_state(out);
+    // Same construction parameters, as the checkpoint contract requires.
+    PndcaSimulator resumed(w.model, w.init, {p}, 44, policy);
+    StateReader in(out.buffer());
+    resumed.restore_state(in);
+    expect_lockstep(ref, resumed, 15);
+  }
 }
 
 TEST(FastPath, AuditIsCleanWhileActive) {
-  auto pt = models::make_pt100();
-  const Configuration init(Lattice(24, 24), pt.model.species().size(),
-                           pt.hex_vac);
-  SimulationOptions opt;
-  opt.algorithm = Algorithm::kPndca;
-  opt.fast_path = true;
-  auto sim = make_simulator(pt.model, init, opt);
-  sim->advance_to(2.0);
+  // Rate-weighted PNDCA keeps planes, bitset and counts incrementally; a
+  // brute-force audit mid-run must find nothing to repair.
+  const Workload w = workload(Surface::kPt100, 24);
+  PndcaSimulator sim(w.model, w.init, {make_partition(w.init.lattice(), w.model)}, 2,
+                     ChunkPolicy::kRateWeighted);
+  sim.advance_to(2.0);
+  ASSERT_GT(sim.counters().executed, 0u);
   AuditReport report;
-  sim->audit_derived_state(report, /*repair=*/false);
+  sim.audit_derived_state(report, /*repair=*/false);
   EXPECT_TRUE(report.issues.empty()) << report.to_string();
 }
 
-TEST(FastPath, AuditDetectsAndRepairsStalePlanes) {
-  auto zgb = models::make_zgb();
-  const Configuration init(Lattice(20, 20), 3, zgb.vacant);
-  SimulationOptions opt;
-  opt.algorithm = Algorithm::kPndca;
-  opt.fast_path = true;
-  auto sim = make_simulator(zgb.model, init, opt);
-  auto* pndca = dynamic_cast<PndcaSimulator*>(sim.get());
-  ASSERT_NE(pndca, nullptr);
-  if (!pndca->fast_path_active()) GTEST_SKIP() << "built without the fast path";
-  sim->advance_to(1.0);
-  // Corrupt one plane bit behind the simulator's back, then audit.
-  Configuration other = sim->configuration();
-  const Species cur = other.get(0);
-  other.set(0, static_cast<Species>((cur + 1) % 3));
-  pndca->fast_planes_for_test()->resync_site(other, 0);
-  AuditReport report;
-  sim->audit_derived_state(report, /*repair=*/true);
-  EXPECT_FALSE(report.issues.empty());
-  AuditReport clean;
-  sim->audit_derived_state(clean, /*repair=*/false);
-  EXPECT_TRUE(clean.issues.empty()) << clean.to_string();
+TEST(FastPath, ProbesDoNotPerturbTheFastTrajectory) {
+  // Metrics registry + spatial map attached to the simulator only; the
+  // reference stays bare. Identical trajectories prove the probes read
+  // without perturbing.
+  const Workload w = workload(Surface::kZgb, 30);
+  const Partition p = make_partition(w.init.lattice(), w.model);
+  ReferencePndca ref(w.model, w.init, {p}, 13, ChunkPolicy::kRateWeighted);
+  PndcaSimulator sim(w.model, w.init, {p}, 13, ChunkPolicy::kRateWeighted);
+  obs::MetricsRegistry registry;
+  obs::SpatialMap map(w.init.size());
+  sim.attach({&registry, nullptr, &map});
+  expect_lockstep(ref, sim, 20);
+  EXPECT_EQ(map.total_attempts(), sim.counters().trials);
+  EXPECT_EQ(map.total_fires(), sim.counters().executed);
+  std::uint64_t written = 0;  // one rate recheck per written site of every execution
+  for (ReactionIndex t = 0; t < w.model.num_reactions(); ++t) {
+    for (const Transform& tr : w.model.reaction(t).transforms()) {
+      written += tr.tg != kKeep ? sim.counters().executed_per_type[t] : 0;
+    }
+  }
+  EXPECT_EQ(registry.counter("pndca/rate_rechecks").value(), written);
 }
 
-TEST(FastPath, ProbesDoNotPerturbTheFastTrajectory) {
-  // Metrics registry + spatial map attached to the FAST run only; the
-  // scalar run stays bare. Identical trajectories prove the probes read
-  // without perturbing (the same guarantee the scalar path already makes).
+// --- The trial kernel ------------------------------------------------------
+
+/// 70 adsorption types with distinct rates: more types than one bitset
+/// word holds, so the kernel must not assume <= 64.
+ReactionModel seventy_types() {
+  ReactionModel m(SpeciesSet({"*", "A"}));
+  for (int i = 0; i < 70; ++i) {
+    m.add(ReactionType("ads" + std::to_string(i), 1.0 + 0.37 * i, {exact({0, 0}, 0, 1)}));
+  }
+  return m;
+}
+
+/// Scattered site lists of every length the lane loop splits differently:
+/// empty, shorter than a lane block, exact blocks, one past, and long.
+std::vector<std::vector<SiteIndex>> site_lists(SiteIndex num_sites) {
+  std::vector<std::vector<SiteIndex>> lists;
+  for (const std::size_t n : {0, 1, 7, 8, 9, 64, 65, 1000}) {
+    std::vector<SiteIndex>& sites = lists.emplace_back(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      sites[i] = static_cast<SiteIndex>((i * 7919 + 13) % num_sites);
+    }
+  }
+  return lists;
+}
+
+TEST(SampleTypes, MatchesThePerSiteReference) {
   auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
-  const Configuration init(Lattice(32, 32), 3, zgb.vacant);
-  SimulationOptions opt;
-  opt.algorithm = Algorithm::kLPndca;
-  opt.l_trials = 32;
-  opt.seed = 13;
-  auto scalar = make_simulator(zgb.model, init, opt);
-  opt.fast_path = true;
-  auto fast = make_simulator(zgb.model, init, opt);
-  obs::MetricsRegistry registry;
-  obs::SpatialMap map(init.size());
-  fast->attach({&registry, nullptr, &map});
-  expect_lockstep(*scalar, *fast, 20);
-  if (fast->fast_path_active()) {
-    std::uint64_t attempts = 0;
-    for (SiteIndex s = 0; s < init.size(); ++s) attempts += map.attempts(s);
-    EXPECT_EQ(attempts, fast->counters().trials);
+  const ReactionModel wide = seventy_types();
+  for (const ReactionModel* model : {&std::as_const(zgb.model), &wide}) {
+    SCOPED_TRACE(model->num_reactions());
+    for (const std::uint64_t seed : {3u, 0x5eedu}) {
+      for (const std::uint64_t sweep : {1u, 2u, 977u}) {
+        for (const std::vector<SiteIndex>& sites : site_lists(4096)) {
+          std::vector<ReactionIndex> types(sites.size());
+          sample_types(sweep, CounterRng::seed_hash(seed), sites.data(), sites.size(),
+                       model->alias_table(), types.data());
+          for (std::size_t i = 0; i < sites.size(); ++i) {
+            ASSERT_EQ(types[i], reference_type(*model, seed, sweep, sites[i]))
+                << "seed " << seed << " sweep " << sweep << " n " << sites.size()
+                << " i " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SampleTypes, BatchTrialsIsTheFilteredKernel) {
+  auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
+  Configuration cfg(Lattice(64, 64), 3, zgb.vacant);
+  Xoshiro256 rng(17);
+  for (SiteIndex s = 0; s < cfg.size(); ++s) {
+    cfg.set(s, static_cast<Species>(uniform_below(rng, 3)));
+  }
+  const SpeciesBitplanes planes(cfg);
+  const ProbePlans probes(zgb.model, 64, 64);
+  EnabledTypeSet enabled;
+  enabled.rebuild(planes, probes);
+  const std::uint64_t seed_hash = CounterRng::seed_hash(9);
+  for (const std::vector<SiteIndex>& sites : site_lists(cfg.size())) {
+    std::vector<ReactionIndex> types(sites.size());
+    sample_types(5, seed_hash, sites.data(), sites.size(), zgb.model.alias_table(),
+                 types.data());
+    std::vector<TrialHit> hits(sites.size());
+    hits.resize(batch_trials(5, seed_hash, sites.data(), sites.size(),
+                             zgb.model.alias_table(), enabled, hits.data()));
+    std::vector<std::pair<std::uint32_t, ReactionIndex>> got, want;
+    for (const TrialHit& h : hits) got.emplace_back(h.index, h.type);
+    for (std::uint32_t i = 0; i < sites.size(); ++i) {
+      if (enabled.test(sites[i], types[i])) want.emplace_back(i, types[i]);
+    }
+    EXPECT_EQ(got, want) << "n " << sites.size();
   }
 }
 

@@ -194,7 +194,6 @@ TEST(ParallelPndca, FreshModelFastPathMatchesSerial) {
     ParallelPndcaEngine par(threaded_zgb.model,
                             Configuration(lat, 3, threaded_zgb.vacant),
                             {make_partition(lat, threaded_zgb.model)}, 3, 4);
-    ASSERT_TRUE(par.set_fast_path(true));
     for (int step = 0; step < 3; ++step) {
       seq.mc_step();
       par.mc_step();

@@ -2,13 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "ca/lpndca.hpp"
 #include "ca/pndca.hpp"
 #include "ca/tpndca.hpp"
+#include "core/audit.hpp"
+#include "models/pt100.hpp"
 #include "models/zgb.hpp"
 #include "parallel/parallel_pndca.hpp"
 #include "partition/type_partition.hpp"
@@ -188,18 +194,105 @@ TEST(RateCache, IncrementalRefreshTracksWrites) {
   const Partition p = Partition::linear_form(lat, 1, 3, 5);
   cache.add_partition(p);
 
-  // Random walk of single-site writes, refreshing after each; the counts
-  // must track the brute-force recount the whole way.
+  // Random walk of single-site writes, each run as a one-site reaction so
+  // the cache can refresh after it — with the old species known on even
+  // writes and unknown on odd ones. The counts must track the brute-force
+  // recount the whole way.
   Xoshiro256 rng(7);
   for (int i = 0; i < 400; ++i) {
     const auto s = static_cast<SiteIndex>(uniform_below(rng, cfg.size()));
-    cfg.set(s, static_cast<Species>(uniform_below(rng, 3)));
-    cache.refresh_after(cfg, s);
+    const Species old = cfg.get(s);
+    const auto next = static_cast<Species>(uniform_below(rng, 3));
+    const ReactionType write("write", 1.0, {exact({0, 0}, old, next)});
+    write.execute(cfg, s);
+    cache.refresh_after_fire(cfg, write, s, i % 2 == 0 ? &old : nullptr, 0);
     if (i % 25 == 0) {
       expect_counts_match_brute_force(cache, 0, p, zgb.model, cfg, "write walk");
     }
   }
   expect_counts_match_brute_force(cache, 0, p, zgb.model, cfg, "write walk end");
+}
+
+TEST(RateCache, PrunedRefreshMatchesAFreshBuild) {
+  auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
+  auto pt = models::make_pt100();
+  const Lattice lat(15, 15);
+  const std::pair<const ReactionModel*, Configuration> cases[] = {
+      {&zgb.model, Configuration(lat, 3, zgb.vacant)},
+      {&pt.model, Configuration(lat, pt.model.species().size(), pt.hex_vac)}};
+  for (auto [model, cfg] : cases) {
+    SCOPED_TRACE(model->num_reactions());
+    EnabledRateCache cache(*model, cfg);
+    cache.add_partition(Partition::linear_form(lat, 1, 3, 5));
+    Xoshiro256 rng(61);
+    // A random enabled (site, type) pair of the current configuration.
+    const auto pick = [&]() -> std::optional<std::pair<SiteIndex, ReactionIndex>> {
+      for (int attempt = 0; attempt < 10000; ++attempt) {
+        const auto s = static_cast<SiteIndex>(uniform_below(rng, cfg.size()));
+        const auto t =
+            static_cast<ReactionIndex>(uniform_below(rng, model->num_reactions()));
+        if (model->reaction(t).enabled(cfg, s)) return std::pair{s, t};
+      }
+      return std::nullopt;
+    };
+    // verify() recomputes every plane, enabledness bit and count from the
+    // lattice: a clean verify means the cache equals a fresh build.
+    std::vector<std::string> issues;
+    // One execution at a time, through the cache: exact old species.
+    for (int i = 0; i < 300; ++i) {
+      const auto fire = pick();
+      ASSERT_TRUE(fire.has_value());
+      cache.execute(cfg, model->reaction(fire->second), fire->first, 0);
+      ASSERT_TRUE(cache.verify(cfg, issues)) << "execution " << i << ": " << issues[0];
+    }
+    // The threaded replay's contract: a whole batch executes first, then
+    // is replayed in shuffled order with the old species unknown.
+    for (int batch = 0; batch < 20; ++batch) {
+      std::vector<std::pair<SiteIndex, ReactionIndex>> fired;
+      for (int i = 0; i < 12; ++i) {
+        const auto fire = pick();
+        ASSERT_TRUE(fire.has_value());
+        model->reaction(fire->second).execute(cfg, fire->first);
+        fired.push_back(*fire);
+      }
+      std::shuffle(fired.begin(), fired.end(), rng);
+      for (const auto& [s, t] : fired) {
+        cache.refresh_after_fire(cfg, model->reaction(t), s, nullptr, 0);
+      }
+      ASSERT_TRUE(cache.verify(cfg, issues)) << "batch " << batch << ": " << issues[0];
+    }
+  }
+}
+
+TEST(RateCache, AuditDetectsAndRepairsCorruptPlanesAndBitset) {
+  auto zgb = models::make_zgb();
+  const Lattice lat(20, 20);
+  PndcaSimulator sim(zgb.model, Configuration(lat, 3, zgb.vacant),
+                     {Partition::linear_form(lat, 1, 3, 5)}, 5,
+                     ChunkPolicy::kRateWeighted);
+  sim.advance_to(1.0);
+  EnabledRateCache& cache = *sim.mutable_rate_cache_for_test();
+  const auto audit = [&](bool repair) {
+    AuditReport report;
+    sim.audit_derived_state(report, repair);
+    return report;
+  };
+
+  // One plane bit: site 0 resynced from a configuration that disagrees.
+  Configuration wrong = sim.configuration();
+  wrong.set(0, static_cast<Species>((wrong.get(0) + 1) % 3));
+  cache.corrupt_plane_for_test(wrong, 0);
+  const AuditReport planes = audit(/*repair=*/true);
+  ASSERT_EQ(planes.issues.size(), 1u) << planes.to_string();
+  EXPECT_NE(planes.issues[0].detail.find("bitplanes"), std::string::npos);
+  EXPECT_TRUE(audit(false).issues.empty()) << "repair left the planes stale";
+
+  // One enabled-type bit, counts left alone.
+  cache.corrupt_enabled_for_test(7, 2);
+  const AuditReport bitset = audit(/*repair=*/true);
+  ASSERT_EQ(bitset.issues.size(), 1u) << bitset.to_string();
+  EXPECT_NE(bitset.issues[0].detail.find("site 7"), std::string::npos);
+  EXPECT_TRUE(audit(false).issues.empty()) << "repair left the bitset stale";
 }
 
 TEST(RateCache, InvariantHoldsOver1000ZgbSteps) {

@@ -17,6 +17,7 @@
 #include "io/atomic_file.hpp"
 #include "obs/json.hpp"
 #include "serve/job.hpp"
+#include "util/log.hpp"
 
 namespace casurf::serve {
 namespace {
@@ -97,7 +98,7 @@ TEST(JobSpec, ToArgvCompilesTheWorkerCommandLine) {
   EXPECT_EQ(value_after("--csv"), std::string("/jobs/1/") + kJobCsv);
   EXPECT_EQ(value_after("--metrics"), std::string("/jobs/1/") + kJobReport);
   EXPECT_EQ(value_after("--failpoints"), "run/kill=hit@3");
-  EXPECT_TRUE(has("--fast-path"));
+  EXPECT_FALSE(has("--fast-path"));  // accepted in the spec, never forwarded
   EXPECT_TRUE(has("--heatmap"));
   EXPECT_TRUE(has("--quiet"));
   EXPECT_FALSE(has("--resume"));
@@ -106,6 +107,14 @@ TEST(JobSpec, ToArgvCompilesTheWorkerCommandLine) {
       s.to_argv("/bin/runner", "/jobs/1", true);
   EXPECT_NE(std::find(resumed.begin(), resumed.end(), "--resume"),
             resumed.end());
+}
+
+TEST(JobSpec, RetiredFastPathIsAcceptedTypeCheckedAndDropped) {
+  // Specs written before the knob was retired carry it; they must parse,
+  // and the re-serialized spec no longer mentions it.
+  const JobSpec s = spec_of(R"({"model":"zgb","fast_path":true})");
+  EXPECT_EQ(s.to_json().find("fast_path"), std::string::npos);
+  EXPECT_THROW(spec_of(R"({"model":"zgb","fast_path":"yes"})"), std::runtime_error);
 }
 
 TEST(JobSpec, InlineModelTextUsesModelFileFlag) {
@@ -405,6 +414,36 @@ TEST_F(ServeDaemonTest, RestartOverDataDirRequeuesUnfinishedJobs) {
   EXPECT_EQ(wait_for(daemon, 7, "done"), "done");
   // Fresh ids continue past the recovered one.
   EXPECT_EQ(submitted_id(post(daemon, "/jobs", kQuickJob)), 8u);
+}
+
+TEST_F(ServeDaemonTest, RestartRecoversAJobSpecCarryingTheRetiredFastPath) {
+  // The job.json an older daemon wrote, "fast_path" member included.
+  const std::string dir = data_dir_ + "/job-3";
+  fs::create_directories(dir);
+  io::atomic_write_file(
+      dir + "/" + kJobSpecFile,
+      R"({"model":"zgb","algorithm":"pndca","width":16,"height":16,)"
+      R"("t_end":2,"dt":1,"fast_path":true})");
+
+  Daemon daemon(options());
+  EXPECT_EQ(wait_for(daemon, 3, "done"), "done");
+}
+
+TEST_F(ServeDaemonTest, RestartLogsAndSkipsAnUnparsableJobSpec) {
+  const std::string dir = data_dir_ + "/job-4";
+  fs::create_directories(dir);
+  io::atomic_write_file(dir + "/" + kJobSpecFile, R"({"model":"zgb","fast_path":"yes"})");
+  const std::string log_path = data_dir_ + "/recover.jsonl";
+  ASSERT_EQ(log::configure(log::Level::kWarn, log_path), "");
+  {
+    Daemon daemon(options());
+    EXPECT_EQ(get(daemon, "/jobs/4").status, 404);
+  }
+  ASSERT_EQ(log::configure(log::Level::kWarn, ""), "");  // restore the default sink
+  const std::string text = io::read_file(log_path);
+  EXPECT_NE(text.find(R"("event":"job_unrecoverable")"), std::string::npos) << text;
+  EXPECT_NE(text.find(R"("job":4)"), std::string::npos) << text;
+  EXPECT_NE(text.find("fast_path"), std::string::npos) << "the error names the member";
 }
 
 TEST_F(ServeDaemonTest, StatsCountTheFleet) {
