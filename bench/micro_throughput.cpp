@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks: per-trial / per-event throughput of
-// every simulator on the ZGB workload, plus the primitive operations on the
-// hot path. These are the numbers behind the calibrated t_site of the
-// Fig 7 speedup model.
+// every simulator on the ZGB workload (the per-event DMC benches on Pt(100)
+// too), plus the primitive operations on the hot path. These are the
+// numbers behind the calibrated t_site of the Fig 7 speedup model.
 
 #include <benchmark/benchmark.h>
 
@@ -214,19 +214,41 @@ void BM_Pt100TrialLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_Pt100TrialLoop)->Arg(256)->Unit(benchmark::kMillisecond);
 
-void BM_VssmEvent(benchmark::State& state) {
-  VssmSimulator sim(zgb().model, initial(), 7);
-  for (auto _ : state) sim.mc_step();
-  state.SetItemsProcessed(static_cast<std::int64_t>(sim.counters().executed));
-}
-BENCHMARK(BM_VssmEvent);
+enum class EventModel { kZgb, kPt100 };
 
-void BM_FrmEvent(benchmark::State& state) {
-  FrmSimulator sim(zgb().model, initial(), 8);
+struct EventWorkload {
+  const ReactionModel& model;
+  Configuration start;
+};
+
+// The per-event DMC workloads: ZGB from the vacant lattice, and Pt(100) —
+// 39 reaction types, where the rechecks after each event dominate its
+// cost — from a mixed-phase state ten PNDCA steps in.
+EventWorkload event_workload(EventModel m) {
+  if (m == EventModel::kZgb) return {zgb().model, initial()};
+  static const models::Pt100Model pt = models::make_pt100();
+  const Lattice lat(kSide, kSide);
+  return {pt.model, equilibrated(pt.model, Configuration(lat, 5, pt.hex_vac),
+                                 Partition::linear_form(lat, 1, 3, 16), 10)};
+}
+
+void BM_VssmEvent(benchmark::State& state, EventModel m) {
+  EventWorkload w = event_workload(m);
+  VssmSimulator sim(w.model, std::move(w.start), 7);
   for (auto _ : state) sim.mc_step();
   state.SetItemsProcessed(static_cast<std::int64_t>(sim.counters().executed));
 }
-BENCHMARK(BM_FrmEvent);
+BENCHMARK_CAPTURE(BM_VssmEvent, zgb, EventModel::kZgb);
+BENCHMARK_CAPTURE(BM_VssmEvent, pt100, EventModel::kPt100);
+
+void BM_FrmEvent(benchmark::State& state, EventModel m) {
+  EventWorkload w = event_workload(m);
+  FrmSimulator sim(w.model, std::move(w.start), 8);
+  for (auto _ : state) sim.mc_step();
+  state.SetItemsProcessed(static_cast<std::int64_t>(sim.counters().executed));
+}
+BENCHMARK_CAPTURE(BM_FrmEvent, zgb, EventModel::kZgb);
+BENCHMARK_CAPTURE(BM_FrmEvent, pt100, EventModel::kPt100);
 
 void BM_EnabledCheck(benchmark::State& state) {
   const Configuration cfg = initial();

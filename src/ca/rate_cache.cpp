@@ -64,9 +64,8 @@ EnabledRateCache::EnabledRateCache(const ReactionModel& model,
     : model_(model),
       num_types_(model.num_reactions()),
       num_sites_(config.size()),
-      planes_(config),
-      probes_(model, config.lattice().width(), config.lattice().height()) {
-  enabled_.rebuild(planes_, probes_);
+      rechecker_(model, config) {
+  enabled_.rebuild(rechecker_.planes(), rechecker_.probes());
 }
 
 std::size_t EnabledRateCache::add_partition(const Partition& partition) {
@@ -95,51 +94,32 @@ void EnabledRateCache::recount_slot(Slot& slot) const {
 }
 
 void EnabledRateCache::rebuild(const Configuration& config) {
-  planes_.rebuild(config);
-  enabled_.rebuild(planes_, probes_);
+  rechecker_.rebuild(config);
+  enabled_.rebuild(rechecker_.planes(), rechecker_.probes());
   for (Slot& slot : slots_) recount_slot(slot);
 }
 
 void EnabledRateCache::execute(Configuration& config, const ReactionType& rt,
                                SiteIndex s, std::size_t slot) {
-  const Lattice& lat = config.lattice();
-  const std::vector<Transform>& trs = rt.transforms();
-  old_scratch_.resize(trs.size());
-  for (std::size_t ti = 0; ti < trs.size(); ++ti) {
-    old_scratch_[ti] =
-        trs[ti].tg == kKeep ? Species{0} : config.get(lat.neighbor(s, trs[ti].offset));
-  }
-  rt.execute(config, s);
-  refresh_after_fire(config, rt, s, old_scratch_.data(), slot);
+  refresh_after_fire(config, rt, s, rechecker_.execute(config, rt, s), slot);
 }
 
 void EnabledRateCache::refresh_after_fire(const Configuration& config,
                                           const ReactionType& rt, SiteIndex s,
                                           const Species* old_species, std::size_t slot) {
-  const Lattice& lat = config.lattice();
-  const std::vector<Transform>& trs = rt.transforms();
-  // Every written site first, so each probe below reads planes that mirror
-  // the post-fire configuration.
-  for (const Transform& t : trs) {
-    if (t.tg != kKeep) planes_.resync_site(config, lat.neighbor(s, t.offset));
+  if (rechecks_ != nullptr) {
+    const Lattice& lat = config.lattice();
+    const std::vector<ChunkId>& chunk_of = slots_[slot].chunk_of;
+    for (const Transform& t : rt.transforms()) {
+      if (t.tg == kKeep) continue;
+      rechecks_->add();
+      if (chunk_of[lat.neighbor(s, t.offset)] != chunk_of[s]) boundary_->add();
+    }
   }
-  const std::vector<ChunkId>& chunk_of = slots_[slot].chunk_of;
-  const auto width = static_cast<SiteIndex>(lat.width());
-  for (std::size_t ti = 0; ti < trs.size(); ++ti) {
-    if (trs[ti].tg == kKeep) continue;
-    const SiteIndex written = lat.neighbor(s, trs[ti].offset);
-    if (rechecks_ != nullptr) rechecks_->add();
-    if (boundary_ != nullptr && chunk_of[written] != chunk_of[s]) boundary_->add();
-    const SpeciesMask old_mask = old_species == nullptr
-                                     ? ~SpeciesMask{0}
-                                     : SpeciesMask{1} << old_species[ti];
-    const SpeciesMask new_mask = SpeciesMask{1} << config.get(written);
-    probes_.visit_rechecks(planes_, static_cast<std::int32_t>(written % width),
-                           static_cast<std::int32_t>(written / width), old_mask,
-                           new_mask, [&](ReactionIndex t, SiteIndex anchor, bool now) {
-                             apply_recheck(t, anchor, now);
-                           });
-  }
+  rechecker_.after_fire(config, rt, s, old_species,
+                        [&](ReactionIndex t, SiteIndex anchor, bool now) {
+                          apply_recheck(t, anchor, now);
+                        });
 }
 
 bool EnabledRateCache::verify(const Configuration& config,
@@ -150,7 +130,7 @@ bool EnabledRateCache::verify(const Configuration& config,
     ok = false;
     if (out.size() < max_issues) out.push_back(std::move(what));
   };
-  if (!planes_.matches(config)) {
+  if (!rechecker_.planes().matches(config)) {
     issue("species bitplanes disagree with the configuration");
   }
   // Recompute every enabledness bit, and every slot's counts from those,

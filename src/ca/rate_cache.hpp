@@ -6,7 +6,6 @@
 
 #include "ca/fastpath.hpp"
 #include "core/audit.hpp"
-#include "lattice/bitplanes.hpp"
 #include "lattice/configuration.hpp"
 #include "model/reaction_model.hpp"
 #include "obs/metrics.hpp"
@@ -60,23 +59,22 @@ class ChunkSampler {
 /// update per executed reaction (the same direct-method bookkeeping VSSM
 /// uses for event selection).
 ///
-/// The cache owns the library's incremental-enabledness machinery: a
-/// species-bitplane mirror of the configuration, the probe plans compiled
-/// against it, and the site-major enabled-type bitset they maintain.
-/// Partition slots aggregate the bitset into per-chunk counts.
-/// Enabledness is partition-independent, so several partitions (PNDCA's
-/// cycling list, TPNDCA's per-subset sub-partitions) share one bitset.
-/// While the cache is live its bitset is also the PNDCA trial test.
+/// The cache keeps a site-major enabled-type bitset, maintained through
+/// its own Rechecker (model/probe_plans.hpp: the library's one recheck
+/// routine, which VSSM and FRM share). Partition slots aggregate the
+/// bitset into per-chunk counts. Enabledness is partition-independent, so
+/// several partitions (PNDCA's cycling list, TPNDCA's per-subset
+/// sub-partitions) share one bitset. While the cache is live its bitset is
+/// also the PNDCA trial test.
 ///
 /// Invariant (checked in test_rate_cache.cpp): after every refresh,
 /// count(slot, c, t) equals the brute-force recount of sites s in chunk c
 /// with reaction t enabled at s in the current configuration.
 ///
-/// Update rule: after a reaction writes site z, every anchor a = z - o for
-/// offsets o in a type's neighborhood is rechecked against the current
-/// configuration (less those the write's old and new species cannot
-/// flip); a flip of the stored bit adjusts every slot's count for
-/// (chunk_of(a), type) by +-1. Rechecks are idempotent and the final bit is
+/// Update rule: after a reaction writes site z, the Rechecker visits every
+/// anchor a = z - o for offsets o in a type's neighborhood (less those the
+/// write's old and new species cannot flip); a flip of the stored bit
+/// adjusts every slot's count for (chunk_of(a), type) by +-1. Rechecks are idempotent and the final bit is
 /// a pure function of the final configuration, so counts are independent of
 /// the order in which a batch of writes is replayed — which is what lets
 /// the threaded engine defer refreshes to the chunk-sweep barrier and still
@@ -126,17 +124,13 @@ class EnabledRateCache {
                std::size_t slot);
 
   /// Bring the cache up to date after an execution of `rt` anchored at `s`
-  /// has been written to `config`: resync the planes of the written sites,
-  /// then recheck every (type, anchor) the writes can have flipped and fold
-  /// each flip into the bitset and every slot's counts.
+  /// has been written to `config`: Rechecker::after_fire, folding each flip
+  /// into the bitset and every slot's counts.
   ///
-  /// `old_species`, indexed like rt.transforms() (entries of kKeep
-  /// transforms unused), prunes the rechecks that depend on neither the old
-  /// nor the new species of a written site. nullptr means
-  /// the old species are unknown — the threaded engine's barrier replay,
-  /// after the sweep has overwritten them — and every candidate is
-  /// rechecked, converging to the same state. `slot` names the partition
-  /// whose seams classify the written sites for the boundary counter.
+  /// `old_species` is as in Rechecker::after_fire: nullptr means the old
+  /// species are unknown — the threaded engine's barrier replay, after the
+  /// sweep has overwritten them. `slot` names the partition whose seams
+  /// classify the written sites for the boundary counter.
   void refresh_after_fire(const Configuration& config, const ReactionType& rt,
                           SiteIndex s, const Species* old_species, std::size_t slot);
 
@@ -175,7 +169,7 @@ class EnabledRateCache {
     slots_[slot].sampler_dirty = true;
   }
   void corrupt_plane_for_test(const Configuration& wrong, SiteIndex s) {
-    planes_.resync_site(wrong, s);
+    rechecker_.corrupt_plane_for_test(wrong, s);
   }
   void corrupt_enabled_for_test(SiteIndex s, ReactionIndex t) {
     enabled_.assign(s, t, !enabled_.test(s, t));
@@ -208,10 +202,8 @@ class EnabledRateCache {
   const ReactionModel& model_;
   std::size_t num_types_;
   SiteIndex num_sites_;
-  SpeciesBitplanes planes_;
-  ProbePlans probes_;
+  Rechecker rechecker_;
   EnabledTypeSet enabled_;
-  std::vector<Species> old_scratch_;
   std::vector<Slot> slots_;
   obs::Counter* rechecks_ = nullptr;
   obs::Counter* boundary_ = nullptr;

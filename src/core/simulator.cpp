@@ -65,6 +65,16 @@ void Simulator::restore_state(StateReader& r) {
   config_.assign(state);
 }
 
+void Simulator::reject_inconsistent_restore() {
+  AuditReport report;
+  audit_derived_state(report, false);
+  if (!report.clean()) {
+    throw StateFormatError("restored " + report.issues.front().component +
+                           " state contradicts the restored lattice: " +
+                           report.issues.front().detail);
+  }
+}
+
 void Simulator::audit_derived_state(AuditReport& report, bool repair) {
   if (!config_.counts_consistent()) {
     report.issues.push_back(

@@ -129,6 +129,13 @@ class Simulator {
     ++counters_.executed_per_type[rt];
   }
 
+  /// For restore_state overrides that read derived state which must agree
+  /// with the restored configuration: runs the audit without repair and
+  /// throws StateFormatError carrying the first issue (a checkpoint whose
+  /// bookkeeping contradicts its own lattice is corrupt, e.g. one written
+  /// under a model whose reaction types were reordered since).
+  void reject_inconsistent_restore();
+
   const ReactionModel& model_;
   Configuration config_;
   SimCounters counters_;

@@ -6,39 +6,17 @@
 #include <vector>
 
 #include "lattice/lattice.hpp"
-#include "model/reaction_model.hpp"
 
 namespace casurf {
-
-/// Visit every (reaction type, anchor) pair whose enabledness may have been
-/// affected by a change at site `changed`: a change at z can only flip type
-/// i anchored at z - o for offsets o in the type's neighborhood. The visitor
-/// receives (type index, anchor site, enabledness of the type at that anchor
-/// in the current configuration). Rechecks are idempotent, so duplicate
-/// candidates across several changed sites are harmless.
-///
-/// This is the anchor-recheck kernel shared by the event-driven DMC
-/// bookkeeping (`VssmSimulator::refresh_around`) and the per-chunk
-/// enabled-rate cache of the rate-weighted PNDCA policies
-/// (`EnabledRateCache::refresh_after`).
-template <class Visitor>
-void visit_recheck_anchors(const ReactionModel& model, const Configuration& cfg,
-                           SiteIndex changed, Visitor&& visit) {
-  const Lattice& lat = cfg.lattice();
-  const auto num = static_cast<ReactionIndex>(model.num_reactions());
-  for (ReactionIndex i = 0; i < num; ++i) {
-    const ReactionType& rt = model.reaction(i);
-    for (const Vec2 o : rt.neighborhood()) {
-      const SiteIndex anchor = lat.neighbor(changed, -o);
-      visit(i, anchor, rt.enabled(cfg, anchor));
-    }
-  }
-}
 
 /// Dense set of lattice sites with O(1) insert, erase, membership and
 /// uniform sampling: the classic vector + position-index trick. One
 /// instance per reaction type tracks where that type is currently enabled;
-/// this is the bookkeeping that makes VSSM event selection O(1).
+/// this is the bookkeeping that makes VSSM event selection O(1). VSSM keeps
+/// the sets current with the visits of its Rechecker
+/// (model/probe_plans.hpp), in that routine's fixed order: a set's layout
+/// depends on the order of its inserts and erases, and sampling by dense
+/// position makes the layout part of the trajectory.
 class EnabledSet {
  public:
   explicit EnabledSet(SiteIndex num_sites)

@@ -9,12 +9,14 @@ namespace casurf {
 
 FrmSimulator::FrmSimulator(const ReactionModel& model, Configuration config,
                            std::uint64_t seed)
-    : Simulator(model, std::move(config)), rng_(seed) {
+    : Simulator(model, std::move(config)), rng_(seed), rechecker_(model, config_) {
   const std::size_t pairs = static_cast<std::size_t>(model.num_reactions()) * config_.size();
   generation_.assign(pairs, 0);
   enabled_flag_.assign(pairs, 0);
   for (ReactionIndex i = 0; i < model_.num_reactions(); ++i) {
-    for (SiteIndex s = 0; s < config_.size(); ++s) sync_pair(i, s);
+    for (SiteIndex s = 0; s < config_.size(); ++s) {
+      sync_pair(i, s, model_.reaction(i).enabled(config_, s));
+    }
   }
 }
 
@@ -28,9 +30,8 @@ void FrmSimulator::pop_event() {
   queue_.pop_back();
 }
 
-void FrmSimulator::sync_pair(ReactionIndex rt, SiteIndex s) {
+void FrmSimulator::sync_pair(ReactionIndex rt, SiteIndex s, bool now) {
   const std::size_t p = pair_index(rt, s);
-  const bool now = model_.reaction(rt).enabled(config_, s);
   const bool was = enabled_flag_[p] != 0;
   if (now == was) return;
   enabled_flag_[p] = now ? 1 : 0;
@@ -43,15 +44,6 @@ void FrmSimulator::sync_pair(ReactionIndex rt, SiteIndex s) {
                      s, rt, generation_[p]});
   } else {
     --enabled_pairs_;
-  }
-}
-
-void FrmSimulator::refresh_around(SiteIndex changed) {
-  const Lattice& lat = config_.lattice();
-  for (ReactionIndex i = 0; i < model_.num_reactions(); ++i) {
-    for (const Vec2 o : model_.reaction(i).neighborhood()) {
-      sync_pair(i, lat.neighbor(changed, -o));
-    }
   }
 }
 
@@ -85,12 +77,7 @@ void FrmSimulator::execute_head() {
   const std::size_t p = pair_index(ev.type, ev.site);
 
   const ReactionType& rt = model_.reaction(ev.type);
-  write_buffer_.clear();
-  const Lattice& lat = config_.lattice();
-  for (const Transform& t : rt.transforms()) {
-    if (t.tg != kKeep) write_buffer_.push_back(lat.neighbor(ev.site, t.offset));
-  }
-  rt.execute(config_, ev.site);
+  const Species* old_species = rechecker_.execute(config_, rt, ev.site);
   record_execution(ev.type);
   // Event-driven selection never rejects: every attempt fires.
   spatial_.attempt(ev.site);
@@ -103,9 +90,12 @@ void FrmSimulator::execute_head() {
   enabled_flag_[p] = 0;
   --enabled_pairs_;
   ++generation_[p];
-  sync_pair(ev.type, ev.site);
+  sync_pair(ev.type, ev.site, rt.enabled(config_, ev.site));
 
-  for (const SiteIndex z : write_buffer_) refresh_around(z);
+  rechecker_.after_fire(config_, rt, ev.site, old_species,
+                        [&](ReactionIndex i, SiteIndex anchor, bool now) {
+                          sync_pair(i, anchor, now);
+                        });
 }
 
 void FrmSimulator::mc_step() {
@@ -154,6 +144,7 @@ void FrmSimulator::restore_state(StateReader& r) {
   Simulator::restore_state(r);
   r.expect_section("frm");
   rng_.restore(r);
+  rechecker_.rebuild(config_);
   const std::size_t pairs = generation_.size();
   generation_ = r.vec_u64<std::uint32_t>(pairs, "frm generations");
   const std::uint64_t nflags = r.u64();
@@ -195,10 +186,17 @@ void FrmSimulator::restore_state(StateReader& r) {
   if (!std::is_heap(queue_.begin(), queue_.end())) {
     throw StateFormatError("frm queue is not a valid heap");
   }
+  // Flags and queue cover must agree with the restored configuration.
+  reject_inconsistent_restore();
 }
 
 void FrmSimulator::audit_derived_state(AuditReport& report, bool repair) {
   Simulator::audit_derived_state(report, repair);
+  if (!rechecker_.planes().matches(config_)) {
+    report.issues.push_back(
+        {"frm-queue", "species bitplanes disagree with the configuration"});
+    if (repair) rechecker_.rebuild(config_);
+  }
   bool any = false;
 
   // Flags vs recomputed enabledness, and the flag-count invariant.
@@ -245,8 +243,9 @@ void FrmSimulator::audit_derived_state(AuditReport& report, bool repair) {
     if (enabled_flag_[p] != 0 && !covered[p]) {
       any = true;
       report.issues.push_back(
-          {"frm-queue", "enabled pair index " + std::to_string(p) +
-                            " has no live queued event"});
+          {"frm-queue", "pair (type " + std::to_string(p / config_.size()) + ", site " +
+                            std::to_string(p % config_.size()) +
+                            ") has no live queued event"});
     }
   }
 

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/simulator.hpp"
+#include "model/probe_plans.hpp"
 #include "obs/metrics.hpp"
 #include "rng/xoshiro.hpp"
 
@@ -43,13 +44,18 @@ class FrmSimulator final : public Simulator {
   void restore_state(StateReader& r) override;
 
   /// Recomputes per-pair enabledness and the queue's live-event cover from
-  /// the configuration; repair resynchronizes flags and redraws tentative
-  /// times for every enabled pair.
+  /// the configuration, and checks the rechecker's species bitplanes;
+  /// repair resynchronizes flags and redraws tentative times for every
+  /// enabled pair, and rebuilds the planes.
   void audit_derived_state(AuditReport& report, bool repair) override;
 
-  /// Test-only corruption hook for the audit suite: flips the enabled flag
-  /// of one (type, site) pair without touching the queue.
+  /// Test-only corruption hooks for the audit suite: the first flips the
+  /// enabled flag of one (type, site) pair without touching the queue; the
+  /// second resyncs site s's plane bits from `wrong`.
   void corrupt_pair_for_test(ReactionIndex rt, SiteIndex s);
+  void corrupt_plane_for_test(const Configuration& wrong, SiteIndex s) {
+    rechecker_.corrupt_plane_for_test(wrong, s);
+  }
 
  private:
   struct Event {
@@ -66,8 +72,7 @@ class FrmSimulator final : public Simulator {
   }
   void push_event(const Event& ev);
   void pop_event();
-  void sync_pair(ReactionIndex rt, SiteIndex s);
-  void refresh_around(SiteIndex changed);
+  void sync_pair(ReactionIndex rt, SiteIndex s, bool now);
   bool drop_stale_heads();
   void execute_head();
 
@@ -79,7 +84,7 @@ class FrmSimulator final : public Simulator {
   std::vector<std::uint32_t> generation_;  // per (type, site)
   std::vector<std::uint8_t> enabled_flag_;  // per (type, site)
   std::uint64_t enabled_pairs_ = 0;
-  std::vector<SiteIndex> write_buffer_;
+  Rechecker rechecker_;
   obs::Timer* step_timer_ = nullptr;         // frm/step
   obs::Counter* stale_dropped_ = nullptr;    // frm/stale_dropped
 };

@@ -7,7 +7,7 @@ namespace casurf {
 
 VssmSimulator::VssmSimulator(const ReactionModel& model, Configuration config,
                              std::uint64_t seed)
-    : Simulator(model, std::move(config)), rng_(seed) {
+    : Simulator(model, std::move(config)), rng_(seed), rechecker_(model, config_) {
   enabled_.reserve(model.num_reactions());
   for (std::size_t i = 0; i < model.num_reactions(); ++i) {
     enabled_.emplace_back(config_.size());
@@ -39,17 +39,6 @@ double VssmSimulator::total_enabled_rate() const {
     r += model_.reaction(i).rate() * static_cast<double>(enabled_[i].size());
   }
   return r;
-}
-
-void VssmSimulator::refresh_around(SiteIndex changed) {
-  visit_recheck_anchors(model_, config_, changed,
-                        [&](ReactionIndex i, SiteIndex anchor, bool now) {
-                          if (now) {
-                            enabled_[i].insert(anchor);
-                          } else {
-                            enabled_[i].erase(anchor);
-                          }
-                        });
 }
 
 void VssmSimulator::mc_step() {
@@ -92,12 +81,7 @@ void VssmSimulator::execute_event(double total) {
   const SiteIndex s = set.at(static_cast<std::size_t>(uniform_below(rng_, set.size())));
 
   const ReactionType& rt = model_.reaction(chosen);
-  write_buffer_.clear();
-  const Lattice& lat = config_.lattice();
-  for (const Transform& t : rt.transforms()) {
-    if (t.tg != kKeep) write_buffer_.push_back(lat.neighbor(s, t.offset));
-  }
-  rt.execute(config_, s);
+  const Species* old_species = rechecker_.execute(config_, rt, s);
   record_execution(chosen);
   // Event-driven selection never rejects: every attempt fires.
   spatial_.attempt(s);
@@ -106,7 +90,14 @@ void VssmSimulator::execute_event(double total) {
   ++counters_.trials;
   ++counters_.steps;
 
-  for (const SiteIndex z : write_buffer_) refresh_around(z);
+  rechecker_.after_fire(config_, rt, s, old_species,
+                        [&](ReactionIndex i, SiteIndex anchor, bool now) {
+                          if (now) {
+                            enabled_[i].insert(anchor);
+                          } else {
+                            enabled_[i].erase(anchor);
+                          }
+                        });
 }
 
 void VssmSimulator::save_state(StateWriter& w) const {
@@ -123,6 +114,7 @@ void VssmSimulator::restore_state(StateReader& r) {
   Simulator::restore_state(r);
   r.expect_section("vssm");
   rng_.restore(r);
+  rechecker_.rebuild(config_);
   for (ReactionIndex i = 0; i < model_.num_reactions(); ++i) {
     const auto items = r.vec_u64<SiteIndex>(SIZE_MAX, "enabled set");
     enabled_[i].clear();
@@ -133,8 +125,6 @@ void VssmSimulator::restore_state(StateReader& r) {
       }
       enabled_[i].insert(s);
     }
-    // Membership must agree with the restored configuration; a checkpoint
-    // whose sets disagree with its own lattice state is corrupt.
     if (enabled_[i].size() != items.size()) {
       throw StateFormatError("enabled set for reaction " + std::to_string(i) +
                              " contains duplicates");
@@ -143,10 +133,18 @@ void VssmSimulator::restore_state(StateReader& r) {
   last_event_.time = r.f64();
   last_event_.type = static_cast<ReactionIndex>(r.u64());
   last_event_.site = static_cast<SiteIndex>(r.u64());
+  // Membership must agree with the restored configuration; a checkpoint
+  // whose sets disagree with its own lattice state is corrupt.
+  reject_inconsistent_restore();
 }
 
 void VssmSimulator::audit_derived_state(AuditReport& report, bool repair) {
   Simulator::audit_derived_state(report, repair);
+  if (!rechecker_.planes().matches(config_)) {
+    report.issues.push_back(
+        {"vssm-enabled", "species bitplanes disagree with the configuration"});
+    if (repair) rechecker_.rebuild(config_);
+  }
   bool any = false;
   for (ReactionIndex i = 0; i < model_.num_reactions() && report.issues.size() < 64; ++i) {
     const ReactionType& rt = model_.reaction(i);

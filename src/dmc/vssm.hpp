@@ -5,6 +5,7 @@
 
 #include "core/simulator.hpp"
 #include "dmc/enabled_set.hpp"
+#include "model/probe_plans.hpp"
 #include "obs/metrics.hpp"
 #include "rng/xoshiro.hpp"
 
@@ -62,7 +63,8 @@ class VssmSimulator final : public Simulator {
   void restore_state(StateReader& r) override;
 
   /// Recomputes the enabled sets from the configuration and compares
-  /// membership; repair rebuilds them (in raster order — consistent, though
+  /// membership, and checks the rechecker's species bitplanes; repair
+  /// rebuilds what disagrees (the sets in raster order — consistent, though
   /// not the historical order a never-corrupted run would carry).
   void audit_derived_state(AuditReport& report, bool repair) override;
 
@@ -71,15 +73,17 @@ class VssmSimulator final : public Simulator {
   [[nodiscard]] EnabledSet& mutable_enabled_for_test(ReactionIndex i) {
     return enabled_[i];
   }
+  void corrupt_plane_for_test(const Configuration& wrong, SiteIndex s) {
+    rechecker_.corrupt_plane_for_test(wrong, s);
+  }
 
  private:
   void rebuild_enabled();
-  void refresh_around(SiteIndex changed);
   void execute_event(double total_rate);
 
   Xoshiro256 rng_;
-  std::vector<EnabledSet> enabled_;      // one per reaction type
-  std::vector<SiteIndex> write_buffer_;  // scratch: sites changed by an event
+  std::vector<EnabledSet> enabled_;  // one per reaction type
+  Rechecker rechecker_;
   Event last_event_;
   obs::Timer* step_timer_ = nullptr;       // vssm/step
   obs::Timer* rate_scan_timer_ = nullptr;  // vssm/rate_scan

@@ -13,8 +13,8 @@ namespace casurf {
 /// one bit per site, rows padded to whole 64-bit words. Where the AoS
 /// `Configuration` answers "what species is at site s?", the bitplanes
 /// answer "does (x, y) hold species sp?" with one load and no coordinate
-/// division — what the probe plans of the enabled-rate cache
-/// (ca/rate_cache.hpp) evaluate reaction patterns against.
+/// division — what the probe plans of the shared recheck routine
+/// (model/probe_plans.hpp) evaluate reaction patterns against.
 ///
 /// The planes are a *derived* structure: they are rebuilt from the
 /// configuration on construction/restore and kept in sync by resyncing

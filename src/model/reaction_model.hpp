@@ -55,14 +55,6 @@ class ReactionModel {
     return static_cast<ReactionIndex>(alias_.sample(rng));
   }
 
-  /// For each reaction type, the offsets whose change may flip the
-  /// enabledness of this type anchored *elsewhere*: if site z changed, the
-  /// anchors to recheck for type i are { z - o : o in influence(i) }.
-  /// Used by the event-driven DMC simulators (VSSM/FRM).
-  [[nodiscard]] const std::vector<Vec2>& influence(ReactionIndex i) const {
-    return reactions_.at(i).neighborhood();
-  }
-
   /// Throws std::invalid_argument if any transform references a species
   /// outside the domain; called by simulators on construction.
   void validate() const;

@@ -1,0 +1,110 @@
+#pragma once
+
+// The bookkeeping check shared by the VSSM and FRM suites, and the
+// mask-shape rows both run it on.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "core/simulator.hpp"
+#include "model/parser.hpp"
+#include "models/diffusion.hpp"
+#include "models/ising.hpp"
+#include "models/pt100.hpp"
+#include "rng/distributions.hpp"
+#include "rng/xoshiro.hpp"
+
+namespace casurf {
+
+/// Steps `sim` `events` times. After every event the simulator's own audit
+/// — its enabled sets or pair flags, and its rechecker's species bitplanes
+/// — must report nothing.
+inline void expect_audit_clean_after_every_event(Simulator& sim, int events) {
+  for (int i = 0; i < events; ++i) {
+    sim.mc_step();
+    AuditReport report;
+    sim.audit_derived_state(report, false);
+    ASSERT_TRUE(report.clean()) << "after event " << i + 1 << ":\n" << report.to_string();
+  }
+}
+
+/// `watch` reads its two flanking sites through overlapping multi-species
+/// masks. Where the flanks alias (width 2), the merged recheck entry covers
+/// A|B|C, yet a write A -> B still flips the type: the case the recheck
+/// table's `multi` flag exists for.
+inline constexpr const char* kAliasedOverlapModel = R"(species * A B C
+reaction fill rate=1
+  (0,0) * -> A
+end
+reaction ab rate=1
+  (0,0) A -> B
+end
+reaction bc rate=1
+  (0,0) B -> C
+end
+reaction empty rate=1
+  (0,0) C -> *
+end
+reaction watch rate=2 orientations=xy
+  (0,0) * -> A
+  (1,0) A|B -> keep
+  (-1,0) B|C -> keep
+end
+)";
+
+/// One bookkeeping row: a model whose source masks take a given shape —
+/// Pt(100)'s multi-species `require` masks, the hop pairs of diffusion and
+/// single-file, Ising's 32 neighbour patterns, the parsed A + B model, the
+/// overlapping flank masks above — on a lattice where, at 2x2 and 3x1,
+/// distinct offsets alias after wrapping.
+struct MaskRow {
+  std::string name;
+  ReactionModel (*make_model)();
+  std::int32_t width;
+  std::int32_t height;
+};
+
+inline void PrintTo(const MaskRow& row, std::ostream* os) { *os << row.name; }
+
+inline std::vector<MaskRow> mask_rows() {
+  const struct {
+    const char* name;
+    ReactionModel (*make)();
+  } models[] = {
+      {"pt100", [] { return models::make_pt100().model; }},
+      {"diffusion", [] { return models::make_diffusion().model; }},
+      {"ising", [] { return models::make_ising(0.5).model; }},
+      {"single_file", [] { return models::make_single_file().model; }},
+      {"ab_annihilation",
+       [] { return parse_model_file(CASURF_DATA_DIR "/ab_annihilation.model"); }},
+      {"aliased_overlap", [] { return parse_model(kAliasedOverlapModel); }}};
+  const struct {
+    const char* name;
+    std::int32_t w, h;
+  } lattices[] = {{"10x10", 10, 10}, {"2x2", 2, 2}, {"3x1", 3, 1}};
+  std::vector<MaskRow> rows;
+  for (const auto& m : models) {
+    for (const auto& l : lattices) {
+      rows.push_back({std::string(m.name) + "_" + l.name, m.make, l.w, l.h});
+    }
+  }
+  return rows;
+}
+
+/// A uniformly random species at every site, so every mask shape is in play
+/// from the first event.
+inline Configuration random_configuration(const ReactionModel& model, std::int32_t width,
+                                          std::int32_t height, std::uint64_t seed) {
+  Configuration cfg(Lattice(width, height), model.species().size(), 0);
+  Xoshiro256 rng(seed);
+  for (SiteIndex s = 0; s < cfg.size(); ++s) {
+    cfg.set(s, static_cast<Species>(uniform_below(rng, model.species().size())));
+  }
+  return cfg;
+}
+
+}  // namespace casurf

@@ -239,5 +239,77 @@ TEST_F(CheckpointFileTest, ParallelEngineResumesAtAnyThreadCount) {
   }
 }
 
+// Restored bookkeeping must agree with the restored lattice. A model whose
+// two reaction types were swapped passes every header guard (same species,
+// type count and total rate), yet the VSSM sets and FRM flags it restores
+// describe the other type at every site.
+ReactionModel ads_des_model(bool swapped) {
+  const ReactionType ads("ads", 1.0, {exact({0, 0}, 0, 1)});
+  const ReactionType des("des", 1.0, {exact({0, 0}, 1, 0)});
+  ReactionModel m(SpeciesSet({"*", "A"}));
+  m.add(swapped ? des : ads);
+  m.add(swapped ? ads : des);
+  return m;
+}
+
+class RestoreConsistencyTest : public ::testing::TestWithParam<Algorithm> {
+ protected:
+  std::unique_ptr<Simulator> make(const ReactionModel& model) const {
+    SimulationOptions opt;
+    opt.algorithm = GetParam();
+    opt.seed = 7;
+    return make_simulator(model, Configuration(Lattice(8, 8), 2, 0), opt);
+  }
+
+  /// A simulator of `model_` after `events` events.
+  std::unique_ptr<Simulator> run(int events) const {
+    auto sim = make(model_);
+    for (int i = 0; i < events; ++i) sim->mc_step();
+    return sim;
+  }
+
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  const ReactionModel model_ = ads_des_model(false);
+  const ReactionModel swapped_ = ads_des_model(true);
+  std::string path_ = ::testing::TempDir() + "casurf_restore_consistency_test." +
+                      std::to_string(::getpid()) + ".ck";
+};
+
+TEST_P(RestoreConsistencyTest, SwappedReactionTypesAreRejected) {
+  io::save_checkpoint(path_, *run(20));
+  auto reader = make(swapped_);
+  try {
+    (void)io::restore_checkpoint(path_, *reader);
+    FAIL() << "restore into a model with swapped reaction types was accepted";
+  } catch (const io::CheckpointError& e) {
+    // Type 0 is now "des": whichever species site 0 holds, the restored
+    // bookkeeping claims the opposite there.
+    const std::string what = e.what();
+    const char* first = GetParam() == Algorithm::kVssm ? "reaction 0 at site 0"
+                                                       : "pair (type 0, site 0)";
+    EXPECT_NE(what.find(first), std::string::npos) << what;
+    EXPECT_NE(what.find("contradicts the restored lattice"), std::string::npos) << what;
+  }
+}
+
+TEST_P(RestoreConsistencyTest, SameModelRestoreResumesByteIdentically) {
+  const auto uninterrupted = run(40);
+  io::save_checkpoint(path_, *run(20));
+  auto resumed = make(model_);
+  (void)io::restore_checkpoint(path_, *resumed);
+  for (int i = 0; i < 20; ++i) resumed->mc_step();
+  EXPECT_EQ(resumed->configuration(), uninterrupted->configuration());
+  EXPECT_EQ(bits(resumed->time()), bits(uninterrupted->time()));
+  EXPECT_EQ(resumed->counters().executed_per_type,
+            uninterrupted->counters().executed_per_type);
+}
+
+INSTANTIATE_TEST_SUITE_P(Dmc, RestoreConsistencyTest,
+                         ::testing::Values(Algorithm::kVssm, Algorithm::kFrm),
+                         [](const auto& row) {
+                           return row.param == Algorithm::kVssm ? "VSSM" : "FRM";
+                         });
+
 }  // namespace
 }  // namespace casurf

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dmc_bookkeeping.hpp"
 #include "models/zgb.hpp"
 
 namespace casurf {
@@ -70,10 +71,12 @@ TEST(Frm, ExecutionRatioFollowsRates) {
   EXPECT_NEAR(frac, 2.0 / 3.0, 0.01);
 }
 
+// The ZGB row of the bookkeeping check; MaskShapes/FrmBookkeeping below
+// runs it on every other mask shape.
 TEST(Frm, EnabledPairsConsistentAfterManyEvents) {
   auto zgb = models::make_zgb();
   FrmSimulator sim(zgb.model, Configuration(Lattice(8, 8), 3, zgb.vacant), 6);
-  for (int i = 0; i < 2000; ++i) sim.mc_step();
+  expect_audit_clean_after_every_event(sim, 2000);
   std::uint64_t brute = 0;
   for (ReactionIndex i = 0; i < zgb.model.num_reactions(); ++i) {
     for (SiteIndex s = 0; s < sim.configuration().size(); ++s) {
@@ -82,6 +85,19 @@ TEST(Frm, EnabledPairsConsistentAfterManyEvents) {
   }
   EXPECT_EQ(sim.enabled_pairs(), brute);
 }
+
+class FrmBookkeeping : public ::testing::TestWithParam<MaskRow> {};
+
+TEST_P(FrmBookkeeping, AuditIsCleanAfterEveryEvent) {
+  const MaskRow& row = GetParam();
+  const ReactionModel model = row.make_model();
+  FrmSimulator sim(model, random_configuration(model, row.width, row.height, 7), 3);
+  expect_audit_clean_after_every_event(sim, 400);
+  EXPECT_GT(sim.counters().executed, 0u) << "the row never left its initial state";
+}
+
+INSTANTIATE_TEST_SUITE_P(MaskShapes, FrmBookkeeping, ::testing::ValuesIn(mask_rows()),
+                         [](const auto& row) { return row.param.name; });
 
 TEST(Frm, QueueDoesNotLeakUnbounded) {
   // Lazy deletion keeps stale events around, but after steady simulation

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "dmc_bookkeeping.hpp"
 #include "models/zgb.hpp"
 
 namespace casurf {
@@ -33,20 +34,27 @@ TEST(Vssm, InitialEnabledSetsMatchBruteForce) {
   }
 }
 
+// The ZGB row of the bookkeeping check; MaskShapes/VssmBookkeeping below
+// runs it on every other mask shape.
 TEST(Vssm, EnabledSetsStayConsistentAfterManyEvents) {
   auto zgb = models::make_zgb();
   Configuration cfg(Lattice(10, 10), 3, zgb.vacant);
   VssmSimulator sim(zgb.model, std::move(cfg), 2);
-  for (int i = 0; i < 3000; ++i) sim.mc_step();
-  for (ReactionIndex i = 0; i < zgb.model.num_reactions(); ++i) {
-    std::size_t brute = 0;
-    for (SiteIndex s = 0; s < sim.configuration().size(); ++s) {
-      if (zgb.model.reaction(i).enabled(sim.configuration(), s)) ++brute;
-    }
-    ASSERT_EQ(sim.enabled_count(i), brute)
-        << "type " << zgb.model.reaction(i).name() << " after 3000 events";
-  }
+  expect_audit_clean_after_every_event(sim, 3000);
 }
+
+class VssmBookkeeping : public ::testing::TestWithParam<MaskRow> {};
+
+TEST_P(VssmBookkeeping, AuditIsCleanAfterEveryEvent) {
+  const MaskRow& row = GetParam();
+  const ReactionModel model = row.make_model();
+  VssmSimulator sim(model, random_configuration(model, row.width, row.height, 7), 3);
+  expect_audit_clean_after_every_event(sim, 400);
+  EXPECT_GT(sim.counters().executed, 0u) << "the row never left its initial state";
+}
+
+INSTANTIATE_TEST_SUITE_P(MaskShapes, VssmBookkeeping, ::testing::ValuesIn(mask_rows()),
+                         [](const auto& row) { return row.param.name; });
 
 TEST(Vssm, OneEventPerStep) {
   const ReactionModel m = ads_des_model(1.0, 1.0);
