@@ -36,6 +36,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -257,6 +258,17 @@ Options parse_args(int argc, char** argv) {
   const auto integer = [&](int& i, const char* flag) {
     return parse_u64(flag, need_value(i), argv[0]);
   };
+  // For integers bound for a narrower type: a value it cannot hold is a
+  // usage error naming the flag and its range, never a silent truncation.
+  const auto in_range = [&](const char* flag, std::uint64_t v, std::uint64_t max) {
+    if (v < 1 || v > max) {
+      usage(argv[0], (std::string(flag) + " must be in 1.." + std::to_string(max) +
+                      ", got " + std::to_string(v))
+                         .c_str());
+    }
+    return v;
+  };
+  constexpr std::uint64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string_view flag = argv[i];
     if (flag == "--help" || flag == "-h") usage(argv[0]);
@@ -264,11 +276,19 @@ Options parse_args(int argc, char** argv) {
     else if (flag == "--model-file") opt.model_file = need_value(i);
     else if (flag == "--algorithm") opt.algorithm = need_value(i);
     else if (flag == "--size") {
-      const char* v = need_value(i);
-      char trailing = '\0';
-      if (std::sscanf(v, "%dx%d%c", &opt.width, &opt.height, &trailing) != 2 ||
-          opt.width <= 0 || opt.height <= 0) {
-        usage(argv[0], "--size expects WxH with positive dimensions");
+      const std::string v = need_value(i);
+      const std::size_t x = v.find('x');
+      if (x == std::string::npos) usage(argv[0], "--size expects WxH with positive dimensions");
+      const auto side = [&](const std::string& digits) {
+        return static_cast<std::int32_t>(
+            in_range("--size sides", parse_u64("--size", digits.c_str(), argv[0]), kInt32Max));
+      };
+      opt.width = side(v.substr(0, x));
+      opt.height = side(v.substr(x + 1));
+      try {
+        (void)Lattice(opt.width, opt.height);
+      } catch (const std::invalid_argument& e) {
+        usage(argv[0], ("--size: " + std::string(e.what())).c_str());
       }
     }
     else if (flag == "--t-end") opt.t_end = num(i, "--t-end");
@@ -278,8 +298,14 @@ Options parse_args(int argc, char** argv) {
     else if (flag == "--beta") opt.beta = num(i, "--beta");
     else if (flag == "--hop") opt.hop = num(i, "--hop");
     else if (flag == "--coverage0") opt.coverage0 = num(i, "--coverage0");
-    else if (flag == "--L") opt.l_trials = static_cast<std::uint32_t>(integer(i, "--L"));
-    else if (flag == "--threads") opt.threads = static_cast<unsigned>(integer(i, "--threads"));
+    else if (flag == "--L") {
+      opt.l_trials = static_cast<std::uint32_t>(
+          in_range("--L", integer(i, "--L"), std::numeric_limits<std::uint32_t>::max()));
+    }
+    else if (flag == "--threads") {
+      opt.threads = static_cast<unsigned>(
+          in_range("--threads", integer(i, "--threads"), std::numeric_limits<unsigned>::max()));
+    }
     else if (flag == "--fast-path") continue;  // ignored; bench/ledger still passes it
     else if (flag == "--fill") opt.fill = need_value(i);
     else if (flag == "--load") opt.snapshot_in = need_value(i);
@@ -317,7 +343,8 @@ Options parse_args(int argc, char** argv) {
     else if (flag == "--drift-window") opt.drift_window = num(i, "--drift-window");
     else if (flag == "--drift-corr") opt.drift_corr = true;
     else if (flag == "--drift-corr-rmax") {
-      opt.drift_corr_rmax = integer(i, "--drift-corr-rmax");
+      opt.drift_corr_rmax =
+          in_range("--drift-corr-rmax", integer(i, "--drift-corr-rmax"), kInt32Max);
       opt.drift_corr_rmax_set = true;
     }
     else if (flag == "--heatmap") opt.heatmap = need_value(i);
@@ -340,8 +367,6 @@ Options parse_args(int argc, char** argv) {
   if (!(opt.t_end > 0)) usage(argv[0], "--t-end must be a positive number");
   if (!(opt.dt > 0)) usage(argv[0], "--dt must be a positive number");
   if (opt.checkpoint_every < 0) usage(argv[0], "--checkpoint-every must be positive");
-  if (opt.l_trials == 0) usage(argv[0], "--L must be at least 1");
-  if (opt.threads == 0) usage(argv[0], "--threads must be at least 1");
   if (opt.checkpoint_every > 0 && opt.checkpoint.empty()) {
     usage(argv[0], "--checkpoint-every requires --checkpoint PATH");
   }
@@ -378,9 +403,6 @@ Options parse_args(int argc, char** argv) {
   }
   if (opt.drift_corr_rmax_set && !opt.drift_corr) {
     usage(argv[0], "--drift-corr-rmax requires --drift-corr");
-  }
-  if (opt.drift_corr_rmax == 0) {
-    usage(argv[0], "--drift-corr-rmax must be at least 1");
   }
   if (opt.heatmap_every > 0 && opt.heatmap.empty()) {
     usage(argv[0], "--heatmap-every requires --heatmap PREFIX");

@@ -11,16 +11,12 @@ LPndcaSimulator::LPndcaSimulator(const ReactionModel& model, Configuration confi
                                  Partition partition, std::uint64_t seed,
                                  std::uint32_t trials_per_batch, TimeMode time_mode,
                                  ChunkWeighting weighting)
-    : Simulator(model, std::move(config)),
+    : PartitionedSimulator(model, std::move(config), seed, "lpndca",
+                           weighting == ChunkWeighting::kRateWeighted),
       partition_(std::move(partition)),
-      rng_(seed),
       trials_per_batch_(trials_per_batch),
-      time_mode_(time_mode),
-      weighting_(weighting),
-      rate_nk_(static_cast<double>(config_.size()) * model.total_rate()) {
-  if (!(partition_.lattice() == config_.lattice())) {
-    throw std::invalid_argument("L-PNDCA: partition lattice mismatch");
-  }
+      clock_(time_mode, config_.size(), model.total_rate()) {
+  add_slot(partition_);
   if (trials_per_batch_ == 0) {
     throw std::invalid_argument("L-PNDCA: L must be at least 1");
   }
@@ -30,54 +26,13 @@ LPndcaSimulator::LPndcaSimulator(const ReactionModel& model, Configuration confi
     acc += static_cast<double>(partition_.chunk(c).size());
     chunk_cumulative_[c] = acc;
   }
-  if (weighting_ == ChunkWeighting::kRateWeighted) {
-    rate_cache_ = std::make_unique<EnabledRateCache>(model_, config_);
-    rate_cache_->add_partition(partition_);
-  }
-}
-
-void LPndcaSimulator::trial_at(SiteIndex s) {
-  const ReactionIndex rt = model_.sample_type(rng_);
-  const ReactionType& reaction = model_.reaction(rt);
-  spatial_.attempt(s);
-  if (reaction.enabled(config_, s)) {
-    if (rate_cache_) {
-      rate_cache_->execute(config_, reaction, s, 0);
-    } else {
-      reaction.execute(config_, s);
-    }
-    record_execution(rt);
-    spatial_.fire(s);
-  }
-  time_ += time_mode_ == TimeMode::kStochastic ? exponential(rng_, rate_nk_)
-                                               : 1.0 / rate_nk_;
-  ++counters_.trials;
-}
-
-void LPndcaSimulator::save_state(StateWriter& w) const {
-  Simulator::save_state(w);
-  w.section("lpndca");
-  rng_.save(w);
-}
-
-void LPndcaSimulator::restore_state(StateReader& r) {
-  Simulator::restore_state(r);
-  r.expect_section("lpndca");
-  rng_.restore(r);
-  if (rate_cache_) rate_cache_->rebuild(config_);
-}
-
-void LPndcaSimulator::audit_derived_state(AuditReport& report, bool repair) {
-  Simulator::audit_derived_state(report, repair);
-  if (rate_cache_) rate_cache_->audit(config_, report, repair);
 }
 
 void LPndcaSimulator::attach(const obs::Sinks& sinks) {
-  Simulator::attach(sinks);
+  PartitionedSimulator::attach(sinks);
   obs::MetricsRegistry* const registry = sinks.metrics;
   step_timer_ = registry ? &registry->timer("lpndca/step") : nullptr;
   select_timer_ = registry ? &registry->timer("lpndca/select") : nullptr;
-  EnabledRateCache::attach_counters(rate_cache_.get(), registry, "lpndca");
 }
 
 ChunkId LPndcaSimulator::select_chunk() {
@@ -108,9 +63,14 @@ void LPndcaSimulator::mc_step() {
     trials += batch;
 
     // L random sites within the chunk, with replacement — matching RSM's
-    // site statistics in the degenerate-partition limits.
+    // site statistics in the degenerate-partition limits. Each trial draws
+    // its site, its type and its time increment, in that order.
     for (std::uint64_t i = 0; i < batch; ++i) {
-      trial_at(sites[uniform_below(rng_, sites.size())]);
+      const SiteIndex s = sites[uniform_below(rng_, sites.size())];
+      const ReactionIndex rt = model_.sample_type(rng_);
+      if (trial_passes(s, rt)) commit(s, rt, 0);
+      time_ += clock_.increment(rng_);
+      ++counters_.trials;
     }
   }
   ++counters_.steps;

@@ -1,13 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
-#include "ca/rate_cache.hpp"
-#include "core/simulator.hpp"
+#include "ca/partitioned.hpp"
 #include "obs/metrics.hpp"
-#include "partition/partition.hpp"
-#include "rng/xoshiro.hpp"
 
 namespace casurf {
 
@@ -32,7 +28,7 @@ namespace casurf {
 /// (paper's option 4 applied to the batched structure), served by the
 /// incremental `EnabledRateCache`; a zero-rate surface falls back to the
 /// size-proportional draw so the trial budget still drains.
-class LPndcaSimulator final : public Simulator {
+class LPndcaSimulator final : public PartitionedSimulator {
  public:
   /// `trials_per_batch` is the paper's L; it is clipped per batch to the
   /// remaining trial budget N - trials, as in the paper's listing.
@@ -52,37 +48,15 @@ class LPndcaSimulator final : public Simulator {
     return &partition_;
   }
   [[nodiscard]] std::uint32_t trials_per_batch() const { return trials_per_batch_; }
-  [[nodiscard]] ChunkWeighting weighting() const { return weighting_; }
-
-  /// The incremental enabled-rate cache (slot 0 == the partition), or
-  /// nullptr under size-proportional weighting. For the invariant tests.
-  [[nodiscard]] const EnabledRateCache* rate_cache() const { return rate_cache_.get(); }
-
-  /// Checkpointing; the rate cache is rebuilt from the restored
-  /// configuration rather than serialized.
-  void save_state(StateWriter& w) const override;
-  void restore_state(StateReader& r) override;
-
-  /// Brute-force verifies the enabled-rate cache; repair rebuilds it.
-  void audit_derived_state(AuditReport& report, bool repair) override;
-
-  /// Test-only mutable cache access for the audit suite.
-  [[nodiscard]] EnabledRateCache* mutable_rate_cache_for_test() {
-    return rate_cache_.get();
-  }
 
  private:
-  void trial_at(SiteIndex s);
   [[nodiscard]] ChunkId select_chunk();
 
+  // The base's cache, under kRateWeighted, has slot 0 == the partition.
   Partition partition_;
-  Xoshiro256 rng_;
   std::uint32_t trials_per_batch_;
-  TimeMode time_mode_;
-  ChunkWeighting weighting_;
-  double rate_nk_;
+  TrialClock clock_;
   std::vector<double> chunk_cumulative_;  // cumulative chunk sizes for selection
-  std::unique_ptr<EnabledRateCache> rate_cache_;  // kRateWeighted only
   obs::Timer* step_timer_ = nullptr;             // lpndca/step
   obs::Timer* select_timer_ = nullptr;           // lpndca/select
 };

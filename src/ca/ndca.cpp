@@ -11,9 +11,8 @@ NdcaSimulator::NdcaSimulator(const ReactionModel& model, Configuration config,
                              std::uint64_t seed, TimeMode time_mode, SweepOrder order)
     : Simulator(model, std::move(config)),
       rng_(seed),
-      time_mode_(time_mode),
+      clock_(time_mode, config_.size(), model.total_rate()),
       order_(order),
-      rate_nk_(static_cast<double>(config_.size()) * model.total_rate()),
       visit_order_(config_.size()) {
   std::iota(visit_order_.begin(), visit_order_.end(), SiteIndex{0});
 }
@@ -27,8 +26,7 @@ void NdcaSimulator::trial_at(SiteIndex s) {
     record_execution(rt);
     spatial_.fire(s);
   }
-  time_ += time_mode_ == TimeMode::kStochastic ? exponential(rng_, rate_nk_)
-                                               : 1.0 / rate_nk_;
+  time_ += clock_.increment(rng_);
   ++counters_.trials;
 }
 

@@ -41,9 +41,8 @@ class NdcaSimulator final : public Simulator {
   void trial_at(SiteIndex s);
 
   Xoshiro256 rng_;
-  TimeMode time_mode_;
+  TrialClock clock_;
   SweepOrder order_;
-  double rate_nk_;
   std::vector<SiteIndex> visit_order_;
   obs::Timer* step_timer_ = nullptr;     // ndca/step
   obs::Timer* shuffle_timer_ = nullptr;  // ndca/shuffle

@@ -12,27 +12,17 @@ namespace casurf {
 PndcaSimulator::PndcaSimulator(const ReactionModel& model, Configuration config,
                                std::vector<Partition> partitions, std::uint64_t seed,
                                ChunkPolicy policy, TimeMode time_mode)
-    : Simulator(model, std::move(config)),
+    : PartitionedSimulator(model, std::move(config), seed, "pndca",
+                           policy == ChunkPolicy::kRateWeighted),
       partitions_(std::move(partitions)),
-      rng_(seed),
       policy_(policy),
-      time_mode_(time_mode),
-      seed_hash_(CounterRng::seed_hash(seed)),
-      rate_nk_(static_cast<double>(config_.size()) * model.total_rate()) {
+      clock_(time_mode, config_.size(), model.total_rate()),
+      seed_hash_(CounterRng::seed_hash(seed)) {
   if (partitions_.empty()) {
     throw std::invalid_argument("PNDCA: at least one partition required");
   }
-  for (const Partition& p : partitions_) {
-    if (!(p.lattice() == config_.lattice())) {
-      throw std::invalid_argument("PNDCA: partition lattice mismatch");
-    }
-  }
-  if (policy_ == ChunkPolicy::kRateWeighted) {
-    // One full scan at construction; from here on the per-chunk enabled
-    // rates are maintained incrementally (slot i == partition i).
-    rate_cache_ = std::make_unique<EnabledRateCache>(model_, config_);
-    for (const Partition& p : partitions_) rate_cache_->add_partition(p);
-  }
+  // Cache slot i == partition i.
+  for (const Partition& p : partitions_) add_slot(p);
 }
 
 double PndcaSimulator::enabled_rate_in_chunk(const Partition& p, ChunkId c) const {
@@ -46,28 +36,23 @@ double PndcaSimulator::enabled_rate_in_chunk(const Partition& p, ChunkId c) cons
 }
 
 void PndcaSimulator::attach(const obs::Sinks& sinks) {
-  Simulator::attach(sinks);
+  PartitionedSimulator::attach(sinks);
   obs::MetricsRegistry* const registry = sinks.metrics;
   step_timer_ = registry ? &registry->timer("pndca/step") : nullptr;
   plan_timer_ = registry ? &registry->timer("pndca/plan") : nullptr;
   sweep_timer_ = registry ? &registry->timer("pndca/sweep") : nullptr;
-  EnabledRateCache::attach_counters(rate_cache_.get(), registry, "pndca");
   chunk_sites_ = registry ? &registry->histogram("pndca/chunk_sites") : nullptr;
 }
 
 void PndcaSimulator::save_state(StateWriter& w) const {
-  Simulator::save_state(w);
-  w.section("pndca");
-  rng_.save(w);
+  PartitionedSimulator::save_state(w);
   w.u64(sweep_);
   w.u64(partition_cursor_);
   w.vec_u64(schedule_);
 }
 
 void PndcaSimulator::restore_state(StateReader& r) {
-  Simulator::restore_state(r);
-  r.expect_section("pndca");
-  rng_.restore(r);
+  PartitionedSimulator::restore_state(r);
   sweep_ = r.u64();
   partition_cursor_ = static_cast<std::size_t>(r.u64());
   if (partition_cursor_ >= partitions_.size()) {
@@ -79,14 +64,6 @@ void PndcaSimulator::restore_state(StateReader& r) {
       throw StateFormatError("pndca schedule references chunk out of range");
     }
   }
-  // Derived, not serialized: recompute the enabled-rate cache from the
-  // restored configuration.
-  if (rate_cache_) rate_cache_->rebuild(config_);
-}
-
-void PndcaSimulator::audit_derived_state(AuditReport& report, bool repair) {
-  Simulator::audit_derived_state(report, repair);
-  if (rate_cache_) rate_cache_->audit(config_, report, repair);
 }
 
 std::vector<ChunkId> PndcaSimulator::plan_schedule() {
@@ -139,30 +116,26 @@ void PndcaSimulator::run_span(std::uint64_t sweep, const SiteIndex* sites,
   for (std::size_t i = 0; i < n; ++i) {
     const SiteIndex s = sites[i];
     const ReactionIndex rt = types[i];
+    // Serial sweeps keep the cache's bitset current after every execution;
+    // workers read it frozen at the sweep start, which the non-overlap rule
+    // the engine enforces makes exact for every anchor of the sweep. Per-site
+    // recording is race-free for the same reason, as is execute_raw.
+    if (!trial_passes(s, rt)) continue;
+    if (worker == nullptr) {
+      commit(s, rt, partition_cursor_);
+      continue;
+    }
+    // The engine's deferral of the commit. The old species are read before
+    // the write; no other trial of the sweep writes these sites.
     const ReactionType& reaction = model_.reaction(rt);
-    // Per-site recording is race-free under the threaded engine: same-chunk
-    // sites are disjoint by the non-overlap rule, same as execute_raw.
-    spatial_.attempt(s);
-    // The trial test. Serial sweeps keep the cache's bitset current after
-    // every execution; workers read it frozen at the sweep start, which the
-    // non-overlap rule the engine enforces makes exact for every anchor of
-    // the sweep. Without the cache the pattern is matched on the lattice.
-    if (!(rate_cache_ ? rate_cache_->enabled(s, rt) : reaction.enabled(config_, s))) {
-      continue;
-    }
-    spatial_.fire(s);
-    if (worker != nullptr) {
-      reaction.execute_raw(config_, s, worker->deltas.data());
-      ++worker->tally[rt];
-      if (rate_cache_) worker->fired.push_back({s, rt});
-      continue;
-    }
     if (rate_cache_) {
-      rate_cache_->execute(config_, reaction, s, partition_cursor_);
-    } else {
-      reaction.execute(config_, s);
+      worker->fired.push_back({s, rt});
+      const std::size_t at = worker->old_species.size();
+      worker->old_species.resize(at + reaction.transforms().size());
+      Rechecker::capture_old_species(config_, reaction, s, worker->old_species.data() + at);
     }
-    record_execution(rt);
+    reaction.execute_raw(config_, s, worker->deltas.data());
+    ++worker->tally[rt];
   }
 }
 
@@ -194,11 +167,7 @@ void PndcaSimulator::mc_step() {
     // Time advances once per trial, drawn from the schedule-level
     // generator in a fixed order — identical under any thread scheduling.
     const std::size_t n = p.chunk(c).size();
-    if (time_mode_ == TimeMode::kStochastic) {
-      for (std::size_t i = 0; i < n; ++i) time_ += exponential(rng_, rate_nk_);
-    } else {
-      time_ += static_cast<double>(n) / rate_nk_;
-    }
+    clock_.advance(time_, n, rng_);
     counters_.trials += n;
   }
   ++counters_.steps;

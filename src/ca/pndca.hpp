@@ -1,14 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "ca/rate_cache.hpp"
-#include "core/simulator.hpp"
+#include "ca/partitioned.hpp"
 #include "obs/metrics.hpp"
-#include "partition/partition.hpp"
-#include "rng/xoshiro.hpp"
 
 namespace casurf {
 
@@ -35,7 +31,7 @@ enum class ChunkPolicy {
 /// Several partitions may be supplied; one is chosen per step ("choose a
 /// partition P"), cycling — which also expresses the shifting blocks of a
 /// classic BCA.
-class PndcaSimulator : public Simulator {
+class PndcaSimulator : public PartitionedSimulator {
  public:
   PndcaSimulator(const ReactionModel& model, Configuration config,
                  std::vector<Partition> partitions, std::uint64_t seed,
@@ -64,32 +60,16 @@ class PndcaSimulator : public Simulator {
   /// (exposed for the simulated parallel machine).
   std::vector<ChunkId> plan_schedule();
 
-  /// The incremental enabled-rate cache serving the kRateWeighted policy
-  /// (slot i == partition i), or nullptr under the other policies. Exposed
-  /// for the cache-invariant tests.
-  [[nodiscard]] const EnabledRateCache* rate_cache() const { return rate_cache_.get(); }
-
   /// Brute-force O(|chunk| |T|) enabled rate of one chunk — the reference
   /// the cache is checked against, and the "before" cost model in the
   /// throughput benchmarks. Never called on the simulation hot path.
   [[nodiscard]] double enabled_rate_in_chunk(const Partition& p, ChunkId c) const;
 
-  /// Checkpointing. The enabled-rate cache is a pure function of the
-  /// configuration, so it is not serialized — restore rebuilds it from the
-  /// restored lattice state; the per-site counter-RNG streams are keyed by
+  /// Checkpointing: the base's section, then the sweep counter, partition
+  /// cursor and schedule. The per-site counter-RNG streams are keyed by
   /// (seed, sweep), so saving the sweep counter is what resumes them.
   void save_state(StateWriter& w) const override;
   void restore_state(StateReader& r) override;
-
-  /// Brute-force verifies the enabled-rate cache (kRateWeighted only);
-  /// repair rebuilds it from the configuration.
-  void audit_derived_state(AuditReport& report, bool repair) override;
-
-  /// Test-only mutable cache access for injecting corruption in the audit
-  /// suite; nullptr under the structural policies.
-  [[nodiscard]] EnabledRateCache* mutable_rate_cache_for_test() {
-    return rate_cache_.get();
-  }
 
  protected:
   /// An execution of a threaded sweep, replayed into the rate cache at the
@@ -101,13 +81,17 @@ class PndcaSimulator : public Simulator {
 
   /// A pool worker's accumulators, reused every sweep. Writes bypass the
   /// shared species counts: per-species changes go to `deltas` and per-type
-  /// executions to `tally`, which the engine merges after the join; under
-  /// kRateWeighted the executions are also listed in `fired`.
+  /// executions to `tally`, which the engine merges after the join. Under
+  /// kRateWeighted the executions are also listed in `fired`, and the
+  /// species each one overwrote in `old_species` (one entry per transform,
+  /// as Rechecker::capture_old_species lays them out), so the barrier
+  /// replay makes the serial commit's cache refreshes call for call.
   struct WorkerSink {
     std::vector<ReactionIndex> types;  ///< run_span scratch
     std::vector<std::int64_t> deltas;
     std::vector<std::uint64_t> tally;
     std::vector<FiredReaction> fired;
+    std::vector<Species> old_species;
   };
 
   /// The trials of sites[0..n) in chunk sweep `sweep`: one sample_types
@@ -126,17 +110,15 @@ class PndcaSimulator : public Simulator {
   /// over slices.
   virtual void execute_chunk(std::uint64_t sweep, const std::vector<SiteIndex>& sites);
 
+  // rng_ (the base's) drives schedule decisions and time, never site trials.
   std::vector<Partition> partitions_;
-  Xoshiro256 rng_;  // drives schedule decisions only, never site trials
   ChunkPolicy policy_;
-  TimeMode time_mode_;
+  TrialClock clock_;
   std::uint64_t seed_hash_;  // CounterRng::seed_hash(seed), keys the site streams
-  double rate_nk_;
   std::uint64_t sweep_ = 0;  // counts chunk sweeps; keys the per-site streams
   std::size_t partition_cursor_ = 0;
   std::vector<ChunkId> schedule_;
   std::vector<ReactionIndex> types_;  // run_span scratch of the serial sweep
-  std::unique_ptr<EnabledRateCache> rate_cache_;  // kRateWeighted only
   obs::Timer* step_timer_ = nullptr;          // pndca/step
   obs::Timer* plan_timer_ = nullptr;          // pndca/plan
   obs::Timer* sweep_timer_ = nullptr;         // pndca/sweep

@@ -65,7 +65,7 @@ class ChunkSampler {
 /// bitset into per-chunk counts. Enabledness is partition-independent, so
 /// several partitions (PNDCA's cycling list, TPNDCA's per-subset
 /// sub-partitions) share one bitset. While the cache is live its bitset is
-/// also the PNDCA trial test.
+/// also the trial test of every partitioned simulator (ca/partitioned.hpp).
 ///
 /// Invariant (checked in test_rate_cache.cpp): after every refresh,
 /// count(slot, c, t) equals the brute-force recount of sites s in chunk c
@@ -74,11 +74,14 @@ class ChunkSampler {
 /// Update rule: after a reaction writes site z, the Rechecker visits every
 /// anchor a = z - o for offsets o in a type's neighborhood (less those the
 /// write's old and new species cannot flip); a flip of the stored bit
-/// adjusts every slot's count for (chunk_of(a), type) by +-1. Rechecks are idempotent and the final bit is
-/// a pure function of the final configuration, so counts are independent of
-/// the order in which a batch of writes is replayed — which is what lets
-/// the threaded engine defer refreshes to the chunk-sweep barrier and still
-/// match the sequential trajectory bit for bit.
+/// adjusts every slot's count for (chunk_of(a), type) by +-1. The threaded
+/// engine defers these refreshes to the chunk-sweep barrier: its workers
+/// capture each execution's old species, and the replay passes them in
+/// serial execution order, so every refresh matches the sequential
+/// simulator's call for call and the trajectory stays bit-identical.
+/// Rechecks are idempotent and each written site's first record carries its
+/// pre-batch species, so the converged counts would not depend on the
+/// replay order either.
 ///
 /// All counts are integers; the floating-point chunk weights and the
 /// Fenwick sampler are (re)derived from them in a fixed summation order, so
@@ -125,12 +128,9 @@ class EnabledRateCache {
 
   /// Bring the cache up to date after an execution of `rt` anchored at `s`
   /// has been written to `config`: Rechecker::after_fire, folding each flip
-  /// into the bitset and every slot's counts.
-  ///
-  /// `old_species` is as in Rechecker::after_fire: nullptr means the old
-  /// species are unknown — the threaded engine's barrier replay, after the
-  /// sweep has overwritten them. `slot` names the partition whose seams
-  /// classify the written sites for the boundary counter.
+  /// into the bitset and every slot's counts. `old_species` is as in
+  /// Rechecker::after_fire; `slot` names the partition whose seams classify
+  /// the written sites for the boundary counter.
   void refresh_after_fire(const Configuration& config, const ReactionType& rt,
                           SiteIndex s, const Species* old_species, std::size_t slot);
 

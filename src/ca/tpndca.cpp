@@ -11,11 +11,10 @@ namespace casurf {
 TPndcaSimulator::TPndcaSimulator(const ReactionModel& model, Configuration config,
                                  std::vector<TypeSubset> subsets, std::uint64_t seed,
                                  std::uint32_t sweeps_per_step, ChunkWeighting weighting)
-    : Simulator(model, std::move(config)),
+    : PartitionedSimulator(model, std::move(config), seed, "tpndca",
+                           weighting == ChunkWeighting::kRateWeighted),
       subsets_(std::move(subsets)),
-      rng_(seed),
-      sweeps_per_step_(sweeps_per_step),
-      weighting_(weighting) {
+      sweeps_per_step_(sweeps_per_step) {
   if (subsets_.empty()) {
     throw std::invalid_argument("TPNDCA: at least one type subset required");
   }
@@ -25,9 +24,7 @@ TPndcaSimulator::TPndcaSimulator(const ReactionModel& model, Configuration confi
     if (sub.types.empty() || !(sub.total_rate > 0)) {
       throw std::invalid_argument("TPNDCA: empty or rate-less type subset");
     }
-    if (!(sub.chunks.lattice() == config_.lattice())) {
-      throw std::invalid_argument("TPNDCA: subset partition lattice mismatch");
-    }
+    add_slot(sub.chunks);
     acc += sub.total_rate;
     mean_chunks += static_cast<double>(sub.chunks.num_chunks());
     subset_cumulative_.push_back(acc);
@@ -40,28 +37,6 @@ TPndcaSimulator::TPndcaSimulator(const ReactionModel& model, Configuration confi
         std::lround(mean_chunks / static_cast<double>(subsets_.size())));
     if (sweeps_per_step_ == 0) sweeps_per_step_ = 1;
   }
-  if (weighting_ == ChunkWeighting::kRateWeighted) {
-    rate_cache_ = std::make_unique<EnabledRateCache>(model_, config_);
-    for (const TypeSubset& sub : subsets_) rate_cache_->add_partition(sub.chunks);
-  }
-}
-
-void TPndcaSimulator::save_state(StateWriter& w) const {
-  Simulator::save_state(w);
-  w.section("tpndca");
-  rng_.save(w);
-}
-
-void TPndcaSimulator::restore_state(StateReader& r) {
-  Simulator::restore_state(r);
-  r.expect_section("tpndca");
-  rng_.restore(r);
-  if (rate_cache_) rate_cache_->rebuild(config_);
-}
-
-void TPndcaSimulator::audit_derived_state(AuditReport& report, bool repair) {
-  Simulator::audit_derived_state(report, repair);
-  if (rate_cache_) rate_cache_->audit(config_, report, repair);
 }
 
 ChunkId TPndcaSimulator::select_chunk(std::size_t subset_index, ReactionIndex chosen) {
@@ -87,11 +62,10 @@ ChunkId TPndcaSimulator::select_chunk(std::size_t subset_index, ReactionIndex ch
 }
 
 void TPndcaSimulator::attach(const obs::Sinks& sinks) {
-  Simulator::attach(sinks);
+  PartitionedSimulator::attach(sinks);
   obs::MetricsRegistry* const registry = sinks.metrics;
   step_timer_ = registry ? &registry->timer("tpndca/step") : nullptr;
   sweep_timer_ = registry ? &registry->timer("tpndca/sweep") : nullptr;
-  EnabledRateCache::attach_counters(rate_cache_.get(), registry, "tpndca");
 }
 
 void TPndcaSimulator::mc_step() {
@@ -116,24 +90,15 @@ void TPndcaSimulator::mc_step() {
       }
       target -= k;
     }
-    const ReactionType& rt = model_.reaction(chosen);
 
     // select P_i from the subset's partition, then execute the chosen type
     // at every enabled site of the chunk. Same-chunk anchors of a single
-    // type never overlap, so this whole sweep is a parallel batch.
+    // type never overlap, so this whole sweep is a parallel batch. Slot j:
+    // the subset's own sub-partition classifies seam rechecks.
     const ChunkId c = select_chunk(j, chosen);
     for (const SiteIndex s : sub.chunks.chunk(c)) {
-      spatial_.attempt(s);
       ++counters_.trials;
-      if (!rt.enabled(config_, s)) continue;
-      // Slot j: the subset's own sub-partition classifies seam rechecks.
-      if (rate_cache_) {
-        rate_cache_->execute(config_, rt, s, j);
-      } else {
-        rt.execute(config_, s);
-      }
-      record_execution(chosen);
-      spatial_.fire(s);
+      if (trial_passes(s, chosen)) commit(s, chosen, j);
     }
 
     // One sweep stands for 1/sweeps_per_step of an MC step: advance by the

@@ -1,13 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
-#include "ca/rate_cache.hpp"
-#include "core/simulator.hpp"
+#include "ca/partitioned.hpp"
 #include "obs/metrics.hpp"
 #include "partition/type_partition.hpp"
-#include "rng/xoshiro.hpp"
 
 namespace casurf {
 
@@ -34,7 +31,7 @@ namespace casurf {
 /// the enabled counts alone give the right distribution), served by the
 /// incremental `EnabledRateCache` — one slot per subset. A type enabled
 /// nowhere falls back to the uniform draw.
-class TPndcaSimulator final : public Simulator {
+class TPndcaSimulator final : public PartitionedSimulator {
  public:
   TPndcaSimulator(const ReactionModel& model, Configuration config,
                   std::vector<TypeSubset> subsets, std::uint64_t seed,
@@ -51,35 +48,15 @@ class TPndcaSimulator final : public Simulator {
     return &subsets_.front().chunks;
   }
   [[nodiscard]] std::uint32_t sweeps_per_step() const { return sweeps_per_step_; }
-  [[nodiscard]] ChunkWeighting weighting() const { return weighting_; }
-
-  /// The incremental enabled-rate cache (slot j == subset j's
-  /// sub-partition), or nullptr under uniform chunk selection. For the
-  /// invariant tests.
-  [[nodiscard]] const EnabledRateCache* rate_cache() const { return rate_cache_.get(); }
-
-  /// Checkpointing; the rate cache is rebuilt from the restored
-  /// configuration rather than serialized.
-  void save_state(StateWriter& w) const override;
-  void restore_state(StateReader& r) override;
-
-  /// Brute-force verifies the enabled-rate cache; repair rebuilds it.
-  void audit_derived_state(AuditReport& report, bool repair) override;
-
-  /// Test-only mutable cache access for the audit suite.
-  [[nodiscard]] EnabledRateCache* mutable_rate_cache_for_test() {
-    return rate_cache_.get();
-  }
 
  private:
   [[nodiscard]] ChunkId select_chunk(std::size_t subset_index, ReactionIndex chosen);
 
+  // The base's cache, under kRateWeighted, has slot j == subset j's
+  // sub-partition.
   std::vector<TypeSubset> subsets_;
-  Xoshiro256 rng_;
   std::uint32_t sweeps_per_step_;
-  ChunkWeighting weighting_;
   std::vector<double> subset_cumulative_;  // cumulative K_Tj
-  std::unique_ptr<EnabledRateCache> rate_cache_;  // kRateWeighted only
   std::vector<double> weight_scratch_;
   ChunkSampler sampler_scratch_;
   obs::Timer* step_timer_ = nullptr;           // tpndca/step

@@ -10,6 +10,7 @@
 #include "model/reaction_model.hpp"
 #include "obs/sinks.hpp"
 #include "obs/spatial.hpp"
+#include "rng/distributions.hpp"
 
 namespace casurf {
 
@@ -27,6 +28,36 @@ enum class TimeMode {
   /// Fixed increment 1 / (N K): RSM read as a time discretization of the
   /// Master Equation. Cheaper and variance-free; same mean.
   kDeterministic,
+};
+
+/// The per-trial time rule of the trial-based simulators (RSM, NDCA, PNDCA,
+/// L-PNDCA): each trial advances simulated time by an Exp(N K) draw, or by
+/// its mean 1 / (N K) under TimeMode::kDeterministic, which draws nothing.
+class TrialClock {
+ public:
+  TrialClock(TimeMode mode, SiteIndex sites, double total_rate)
+      : mode_(mode), rate_nk_(static_cast<double>(sites) * total_rate) {}
+
+  /// One trial's time increment.
+  template <class Rng>
+  [[nodiscard]] double increment(Rng& rng) const {
+    return mode_ == TimeMode::kStochastic ? exponential(rng, rate_nk_) : 1.0 / rate_nk_;
+  }
+
+  /// Advance `time` over n trials: n draws added one by one, or n / (N K)
+  /// in one addition.
+  template <class Rng>
+  void advance(double& time, std::uint64_t n, Rng& rng) const {
+    if (mode_ == TimeMode::kStochastic) {
+      for (std::uint64_t i = 0; i < n; ++i) time += exponential(rng, rate_nk_);
+    } else {
+      time += static_cast<double>(n) / rate_nk_;
+    }
+  }
+
+ private:
+  TimeMode mode_;
+  double rate_nk_;  // N * K: the rate of the per-trial waiting time
 };
 
 /// Execution statistics common to all simulators.

@@ -9,8 +9,7 @@ RsmSimulator::RsmSimulator(const ReactionModel& model, Configuration config,
                            std::uint64_t seed, TimeMode time_mode)
     : Simulator(model, std::move(config)),
       rng_(seed),
-      time_mode_(time_mode),
-      rate_nk_(static_cast<double>(config_.size()) * model.total_rate()) {}
+      clock_(time_mode, config_.size(), model.total_rate()) {}
 
 void RsmSimulator::select_and_execute() {
   // 1. select a site s with probability 1/N
@@ -31,8 +30,7 @@ void RsmSimulator::select_and_execute() {
 void RsmSimulator::trial() {
   select_and_execute();
   // 5. advance the time by drawing from 1 - exp(-N K t)
-  time_ += time_mode_ == TimeMode::kStochastic ? exponential(rng_, rate_nk_)
-                                               : 1.0 / rate_nk_;
+  time_ += clock_.increment(rng_);
 }
 
 void RsmSimulator::mc_step() {
@@ -66,9 +64,7 @@ void RsmSimulator::advance_to(double t) {
   const obs::ScopedTimer span(advance_timer_);
   const obs::ScopedSpan trace(trace_, "rsm/advance", time_, counters_.steps);
   while (time_ < t) {
-    const double dt = time_mode_ == TimeMode::kStochastic
-                          ? exponential(rng_, rate_nk_)
-                          : 1.0 / rate_nk_;
+    const double dt = clock_.increment(rng_);
     if (time_ + dt > t) {
       time_ = t;
       return;

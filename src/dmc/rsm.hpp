@@ -40,8 +40,7 @@ class RsmSimulator final : public Simulator {
   void select_and_execute();
 
   Xoshiro256 rng_;
-  TimeMode time_mode_;
-  double rate_nk_;  // N * K: the rate of the per-trial waiting time
+  TrialClock clock_;
   obs::Timer* step_timer_ = nullptr;     // rsm/step
   obs::Timer* advance_timer_ = nullptr;  // rsm/advance
 };

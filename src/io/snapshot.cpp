@@ -62,7 +62,14 @@ Snapshot load_snapshot(const std::string& path) {
     throw std::runtime_error("load_snapshot: missing data section");
   }
 
-  Configuration config(Lattice(width, height), n_species, 0);
+  const Lattice lattice = [&] {
+    try {
+      return Lattice(width, height);
+    } catch (const std::invalid_argument& e) {
+      throw std::runtime_error(std::string("load_snapshot: ") + e.what());
+    }
+  }();
+  Configuration config(lattice, n_species, 0);
   for (std::int32_t y = 0; y < height; ++y) {
     for (std::int32_t x = 0; x < width; ++x) {
       int value = -1;

@@ -1,6 +1,20 @@
 #include "lattice/lattice.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace casurf {
+
+Lattice::Lattice(std::int32_t width, std::int32_t height)
+    : width_(width), height_(height) {
+  if (width <= 0 || height <= 0 ||
+      static_cast<std::uint64_t>(width) * static_cast<std::uint64_t>(height) > kMaxSites) {
+    throw std::invalid_argument("lattice " + std::to_string(width) + " x " +
+                                std::to_string(height) +
+                                ": both sides must be positive and the site count at most " +
+                                std::to_string(kMaxSites));
+  }
+}
 
 std::vector<SiteIndex> Lattice::neighbors(SiteIndex base,
                                           const std::vector<Vec2>& offs) const {

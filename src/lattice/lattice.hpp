@@ -2,14 +2,16 @@
 
 #include <cassert>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "lattice/vec2.hpp"
 
 namespace casurf {
 
-/// Index of a site in row-major order; 32 bits cover lattices up to
-/// 65536 x 65536, far beyond what the simulators here target.
+/// Index of a site in row-major order. 32 bits index up to 2^32 - 1 sites,
+/// far beyond what the simulators here target; the maximum value itself is
+/// never a site (EnabledSet reserves it as its absent marker).
 using SiteIndex = std::uint32_t;
 
 /// A two-dimensional rectangular lattice L0 x L1 with periodic boundary
@@ -20,10 +22,12 @@ using SiteIndex = std::uint32_t;
 /// `Configuration`. One-dimensional systems are modelled as L1 == 1.
 class Lattice {
  public:
-  Lattice(std::int32_t width, std::int32_t height)
-      : width_(width), height_(height) {
-    assert(width > 0 && height > 0);
-  }
+  /// The largest site count a lattice may have (see SiteIndex).
+  static constexpr std::uint64_t kMaxSites = std::numeric_limits<SiteIndex>::max();
+
+  /// Throws std::invalid_argument, naming both sides, unless both sides are
+  /// positive and width * height <= kMaxSites.
+  Lattice(std::int32_t width, std::int32_t height);
 
   [[nodiscard]] std::int32_t width() const { return width_; }
   [[nodiscard]] std::int32_t height() const { return height_; }

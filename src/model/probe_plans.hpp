@@ -62,17 +62,16 @@ class ProbePlans {
   /// order of their updates (VSSM's enabled sets, FRM's random draws)
   /// reproduce their trajectories only under this order.
   ///
-  /// `old_mask` / `new_mask` are the one-bit species masks of the write
-  /// (old_mask all-ones when the pre-write species is unknown). An entry
-  /// whose probes match neither species reads the same membership bit
+  /// `old_mask` / `new_mask` are the one-bit species masks of the write. An
+  /// entry whose probes match neither species reads the same membership bit
   /// before and after, so this write alone cannot have flipped it and the
   /// visit is skipped — a no-op pruned. A write elsewhere that can flip the
   /// same anchor schedules its own visit.
   ///
-  /// Two refinements apply when the old species is known and the entry
-  /// represents a single probe (the common case; offset-aliased merges opt
-  /// out via `multi`). The entry's probe examines exactly the written site,
-  /// so its hit bit moved (old in mask) -> (new in mask):
+  /// Two refinements apply when the entry represents a single probe (the
+  /// common case; offset-aliased merges opt out via `multi`). The entry's
+  /// probe examines exactly the written site, so its hit bit moved
+  /// (old in mask) -> (new in mask):
   ///  - both in the mask: the bit held at 1, the anchor's enabledness is
   ///    untouched by this write — skip like the disjoint case;
   ///  - new species not in the mask: the bit dropped to 0 and the type's
@@ -83,11 +82,10 @@ class ProbePlans {
                       std::int32_t wy, SpeciesMask old_mask,
                       SpeciesMask new_mask, Visitor&& visit) const {
     const SpeciesMask changed = old_mask | new_mask;
-    const bool exact = old_mask != ~SpeciesMask{0};
     for (const Recheck& r : rechecks_) {
       if ((r.mask & changed) == 0) continue;
       bool known_false = false;
-      if (exact && !r.multi) {
+      if (!r.multi) {
         const bool now_in = (r.mask & new_mask) != 0;
         if (((r.mask & old_mask) != 0) == now_in) continue;
         known_false = !now_in;
@@ -138,7 +136,11 @@ class ProbePlans {
 /// A commit is two calls: execute() records the old species of the
 /// written sites and executes, then after_fire() resyncs the planes and
 /// visits every (type, anchor) the writes can have flipped, by written
-/// site in transform order, then in ProbePlans::visit_rechecks order.
+/// site in transform order, then in ProbePlans::visit_rechecks order. The
+/// threaded PNDCA engine defers the second call: its workers capture the
+/// old species and execute, and the sweep barrier replays the after_fire()
+/// calls in serial execution order. Same-chunk writes are disjoint, so each
+/// replayed call sees the planes and species the serial call saw.
 ///
 /// The planes are derived state: rebuilt on construction, on checkpoint
 /// restore and on audit repair (rebuild()); SpeciesBitplanes::matches is
@@ -153,19 +155,25 @@ class Rechecker {
   /// Re-derive the planes from `config`.
   void rebuild(const Configuration& config) { planes_.rebuild(config); }
 
+  /// Write to out[0, rt.transforms().size()) the species that an execution
+  /// of `rt` at `s` would overwrite, indexed like rt.transforms() (entries of
+  /// kKeep transforms are 0 and unused). The one species capture: execute()
+  /// and the threaded engine's workers both record through it.
+  static void capture_old_species(const Configuration& config, const ReactionType& rt,
+                                  SiteIndex s, Species* out);
+
   /// Execute `rt` at `s` on `config` and return the old species of the
-  /// written sites, indexed like rt.transforms() (entries of kKeep
-  /// transforms unused); valid until the next execute().
+  /// written sites, as capture_old_species lays them out; valid until the
+  /// next execute().
   [[nodiscard]] const Species* execute(Configuration& config, const ReactionType& rt,
                                        SiteIndex s);
 
   /// After an execution of `rt` anchored at `s` has been written to
   /// `config`: resync the planes of the written sites, then call
   /// visit(type, anchor, enabled) for every recheck the writes call for.
-  /// `old_species` (as returned by execute()) prunes the rechecks that
-  /// depend on neither the old nor the new species of a written site;
-  /// nullptr means the old species are unknown — the threaded engine's
-  /// barrier replay — and the visits converge to the same state.
+  /// `old_species` (as returned by execute()) holds each written site's
+  /// species before the execution; it prunes the rechecks that depend on
+  /// neither the old nor the new species of a written site.
   template <class Visitor>
   void after_fire(const Configuration& config, const ReactionType& rt, SiteIndex s,
                   const Species* old_species, Visitor&& visit) {
@@ -180,10 +188,7 @@ class Rechecker {
     for (std::size_t ti = 0; ti < trs.size(); ++ti) {
       if (trs[ti].tg == kKeep) continue;
       const Vec2 w = lat.wrap(anchor + trs[ti].offset);
-      const SpeciesMask old_mask = old_species == nullptr
-                                       ? ~SpeciesMask{0}
-                                       : SpeciesMask{1} << old_species[ti];
-      probes_.visit_rechecks(planes_, w.x, w.y, old_mask,
+      probes_.visit_rechecks(planes_, w.x, w.y, SpeciesMask{1} << old_species[ti],
                              SpeciesMask{1} << config.get(lat.index(w)), visit);
     }
   }

@@ -29,6 +29,7 @@ ParallelPndcaEngine::ParallelPndcaEngine(const ReactionModel& model,
   workers_.assign(pool_.size(), {{},
                                  std::vector<std::int64_t>(model.species().size(), 0),
                                  std::vector<std::uint64_t>(model.num_reactions(), 0),
+                                 {},
                                  {}});
 }
 
@@ -64,6 +65,7 @@ void ParallelPndcaEngine::execute_chunk(std::uint64_t sweep,
     std::ranges::fill(w.deltas, 0);
     std::ranges::fill(w.tally, 0);
     w.fired.clear();
+    w.old_species.clear();
   }
   if (timed) std::ranges::fill(busy_scratch_, 0);
   if (traced) std::ranges::fill(trace_busy_end_, 0);
@@ -125,17 +127,22 @@ void ParallelPndcaEngine::execute_chunk(std::uint64_t sweep,
   }
 
   // The rate cache was frozen during the sweep (workers only read it);
-  // replay the fired lists at the barrier. The old species are gone, so
-  // every candidate is rechecked; rechecks are idempotent functions of the
-  // post-sweep configuration, so the cache and the recheck counters land
-  // exactly where the sequential simulator's per-event updates put them.
+  // replay the fired lists at the barrier with the species the workers
+  // captured. Worker order is chunk-site order, the serial execution order,
+  // and each written site was written once this sweep, so every refresh
+  // sees the planes and species the serial commit's refresh saw: the cache
+  // and the recheck counters land exactly where the sequential simulator's
+  // per-event updates put them.
   if (rate_cache_) {
     const obs::ScopedTimer recheck_span(recheck_timer_);
     const obs::ScopedSpan recheck_trace(trace_, "threads/recheck", time_, sweep);
     for (const WorkerSink& w : workers_) {
+      const Species* old_species = w.old_species.data();
       for (const FiredReaction& f : w.fired) {
-        rate_cache_->refresh_after_fire(config_, model_.reaction(f.type), f.site, nullptr,
+        const ReactionType& reaction = model_.reaction(f.type);
+        rate_cache_->refresh_after_fire(config_, reaction, f.site, old_species,
                                         partition_cursor_);
+        old_species += reaction.transforms().size();
       }
     }
   }

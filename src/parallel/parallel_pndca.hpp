@@ -17,8 +17,10 @@ namespace casurf {
 /// by the non-overlap rule) but never the shared species counts; each
 /// thread accumulates per-species deltas and per-type execution tallies,
 /// merged after the join. Under kRateWeighted the workers read the rate
-/// cache's bitset frozen at the sweep start and the coordinator replays the
-/// sweep's executions into the cache after the join. Determinism is
+/// cache's bitset frozen at the sweep start and record each execution with
+/// the species it overwrote; after the join the coordinator replays them
+/// into the cache in serial execution order, which makes the same cache
+/// refreshes as the sequential commit, call for call. Determinism is
 /// verified by the test suite (parallel == sequential, any thread count).
 class ParallelPndcaEngine final : public PndcaSimulator {
  public:
@@ -46,10 +48,10 @@ class ParallelPndcaEngine final : public PndcaSimulator {
 
  private:
   ThreadPool pool_;
-  // Per-worker scratch. Under kRateWeighted the fired lists are replayed
-  // into the enabled-rate cache at the sweep barrier in worker order — like
-  // the species deltas, this keeps the trajectory bit-identical across
-  // thread counts.
+  // Per-worker scratch. Under kRateWeighted the fired lists and their old
+  // species are replayed into the enabled-rate cache at the sweep barrier in
+  // worker order — like the species deltas, this keeps the trajectory
+  // bit-identical across thread counts.
   std::vector<WorkerSink> workers_;
   // Threading probes; empty/null when no registry is attached. Workers
   // write only busy_scratch_ (their own slot); the coordinator folds the

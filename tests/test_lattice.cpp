@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+
 namespace casurf {
 namespace {
 
@@ -10,6 +14,26 @@ TEST(Lattice, SizeAndDimensions) {
   EXPECT_EQ(lat.width(), 7);
   EXPECT_EQ(lat.height(), 5);
   EXPECT_EQ(lat.size(), 35u);
+}
+
+TEST(Lattice, RejectsSidesItCannotIndex) {
+  // Sides must be positive, and every site needs a 32-bit SiteIndex below
+  // its maximum value, so at most 2^32 - 1 sites.
+  const std::pair<std::int32_t, std::int32_t> bad[] = {
+      {0, 5}, {5, 0}, {-3, 4}, {65536, 65537}, {2147483647, 2147483647}};
+  for (const auto& [w, h] : bad) {
+    try {
+      (void)Lattice(w, h);
+      ADD_FAILURE() << w << " x " << h << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::to_string(w) + " x " + std::to_string(h)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The largest site count still fits: 65535 * 65537 == 2^32 - 1.
+  EXPECT_EQ(Lattice(65535, 65537).size(), 4294967295u);
+  EXPECT_EQ(Lattice(1, 2147483647).size(), 2147483647u);
 }
 
 TEST(Lattice, IndexCoordRoundTrip) {

@@ -34,22 +34,32 @@ TEST(Rechecker, VisitsByWrittenSiteThenTypeThenTransformOrder) {
   const Species* old_species = rechecker.execute(cfg, move, s);
   EXPECT_EQ(old_species[0], 1);
   EXPECT_EQ(old_species[1], 0);
-  // Old species unknown: nothing is pruned, so every table entry is visited.
   std::vector<std::pair<ReactionIndex, SiteIndex>> visits;
-  rechecker.after_fire(cfg, move, s, nullptr,
+  rechecker.after_fire(cfg, move, s, old_species,
                        [&](ReactionIndex t, SiteIndex anchor, bool now) {
                          EXPECT_EQ(now, model.reaction(t).enabled(cfg, anchor));
                          visits.emplace_back(t, anchor);
                        });
 
+  // Every table entry here is a single probe, so the known old species prune
+  // exactly the entries whose mask holds both or neither of a write's old
+  // and new species; the visits that remain keep the order.
+  struct Write {
+    Vec2 at;
+    Species old_species, new_species;
+  };
   std::vector<std::pair<ReactionIndex, SiteIndex>> want;
-  for (const Vec2 written : {Vec2{2, 2}, Vec2{3, 2}}) {
+  for (const Write& w : {Write{{2, 2}, 1, 0}, Write{{3, 2}, 0, 1}}) {
     for (ReactionIndex t = 0; t < model.num_reactions(); ++t) {
       for (const Transform& tr : model.reaction(t).transforms()) {
-        want.emplace_back(t, lat.index(lat.wrap(written - tr.offset)));
+        if (mask_contains(tr.src, w.old_species) == mask_contains(tr.src, w.new_species)) {
+          continue;
+        }
+        want.emplace_back(t, lat.index(lat.wrap(w.at - tr.offset)));
       }
     }
   }
+  ASSERT_EQ(want.size(), 6u);
   EXPECT_EQ(visits, want);
 }
 

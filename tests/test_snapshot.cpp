@@ -63,6 +63,20 @@ TEST_F(SnapshotTest, LoadRejectsTruncatedData) {
   EXPECT_THROW((void)load_snapshot(path_), std::runtime_error);
 }
 
+TEST_F(SnapshotTest, LoadRejectsALatticeTooLargeToIndex) {
+  // 65536 x 65537 sites overflow a 32-bit site index: the header alone is
+  // refused, before any site is allocated or read.
+  std::ofstream(path_) << "casurf-snapshot 1\nlattice 65536 65537\nspecies 2 * A\ndata\n0 1\n";
+  try {
+    (void)load_snapshot(path_);
+    FAIL() << "oversized lattice accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("load_snapshot: lattice 65536 x 65537"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST_F(SnapshotTest, MissingFileThrows) {
   EXPECT_THROW((void)load_snapshot("/nonexistent/zzz.snap"), std::runtime_error);
 }
