@@ -156,22 +156,25 @@ void print_single(const Report& r) {
   }
 
   if (!r.timers.empty()) {
-    // Sorted by total time, descending: where did the run go?
+    // Sorted by total time, descending: where did the run go? Each share
+    // is of the run's loop wall: timers nest (pndca/sweep inside
+    // pndca/step) and per-worker timers overlap, so they do not sum.
     std::vector<std::pair<std::string, TimerRow>> rows(r.timers.begin(),
                                                        r.timers.end());
     std::ranges::sort(rows, [](const auto& a, const auto& b) {
       return a.second.total_ns > b.second.total_ns;
     });
-    double grand = 0;
-    for (const auto& [name, row] : rows) grand += row.total_ns;
     std::printf("  phases:\n");
     std::printf("    %-28s %10s %12s %12s %12s %6s\n", "timer", "count",
-                "total_ms", "mean_us", "max_us", "%");
+                "total_ms", "mean_us", "max_us", "% wall");
     for (const auto& [name, row] : rows) {
-      std::printf("    %-28s %10llu %12.3f %12.3f %12.3f %5.1f%%\n", name.c_str(),
+      char share[16] = "     -";
+      if (r.wall_seconds > 0) {
+        std::snprintf(share, sizeof share, "%5.1f%%", 100 * row.total_ns / 1e9 / r.wall_seconds);
+      }
+      std::printf("    %-28s %10llu %12.3f %12.3f %12.3f %s\n", name.c_str(),
                   static_cast<unsigned long long>(row.count), row.total_ns / 1e6,
-                  row.mean_ns / 1e3, row.max_ns / 1e3,
-                  grand > 0 ? 100 * row.total_ns / grand : 0.0);
+                  row.mean_ns / 1e3, row.max_ns / 1e3, share);
     }
   }
   if (!r.counters.empty()) {

@@ -1,8 +1,9 @@
 # End-to-end spatial pipeline: run an instrumented PNDCA simulation with
 # --heatmap and --metrics, check every artifact (heatmap JSON + the three
 # PPM channels + the run report's spatial section), then drive casurf_report
-# in single and A/B mode over the spatial summaries. Also records a
-# --drift-corr reference and replays a monitored run against it.
+# in single and A/B mode over the spatial summaries, and check its phase
+# shares against the loop wall. Also records a --drift-corr reference and
+# replays a monitored run against it.
 #
 # Driven by ctest as:  cmake -DCASURF_RUN=... -DCASURF_REPORT=... -DWORK_DIR=... -P this
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -52,6 +53,35 @@ endif()
 if(NOT out MATCHES "spatial:.*chunks.*fire imbalance")
   message(FATAL_ERROR "casurf_report did not print the spatial section:\n${out}")
 endif()
+
+# The phase table's shares are of the run's loop wall: a --metrics-only
+# serial PNDCA run spends nearly all of it inside pndca/step, and no timer,
+# nested ones included, can exceed the wall.
+execute_process(COMMAND ${CASURF_RUN} ${common} --algorithm pndca --seed 9
+                        --metrics ${WORK_DIR}/wall.json
+                RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "metrics-only run failed (exit ${rc})")
+endif()
+execute_process(COMMAND ${CASURF_REPORT} ${WORK_DIR}/wall.json
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "casurf_report rejected the metrics-only report (exit ${rc})")
+endif()
+string(REGEX MATCH "phases:.*counters:" phases "${out}")
+if(NOT phases MATCHES "pndca/step +[0-9]+ +[0-9.]+ +[0-9.]+ +[0-9.]+ +([0-9.]+)%")
+  message(FATAL_ERROR "phase table has no pndca/step share:\n${out}")
+endif()
+if(CMAKE_MATCH_1 LESS 90)
+  message(FATAL_ERROR "pndca/step is ${CMAKE_MATCH_1}% of the loop wall, expected >= 90%:\n${out}")
+endif()
+string(REGEX MATCHALL "[0-9.]+%" shares "${phases}")
+foreach(share IN LISTS shares)
+  string(REPLACE "%" "" share "${share}")
+  if(share GREATER 100)
+    message(FATAL_ERROR "a timer shows ${share}% of the loop wall:\n${out}")
+  endif()
+endforeach()
 
 # Second run on a different algorithm for the A/B spatial delta rows.
 execute_process(COMMAND ${CASURF_RUN} ${common} --algorithm lpndca --L 4 --seed 10

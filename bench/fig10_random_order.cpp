@@ -53,7 +53,7 @@ int main() {
   std::printf(" stochastic phase alignment; the figure's claim lives in the\n");
   std::printf(" period/amplitude comparison above. The with-replacement policy's\n");
   std::printf(" degradation at maximal L is horizon- and run-dependent at t <= 100;\n");
-  std::printf(" the systematic L effect is quantified in fig9's L sweep.)\n");
+  std::printf(" single runs' periods spread by 9%% or more, see fig9's L sweep.)\n");
 
   bench::dump_series("fig10_rsm", {"co", "o"}, {rsm_run.co, rsm_run.o});
   bench::dump_series("fig10_random_order", {"co", "o"}, {ro_run.co, ro_run.o});

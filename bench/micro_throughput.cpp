@@ -202,7 +202,8 @@ BENCHMARK(BM_ParallelPndcaMcStep)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMicr
 // The trial loop on the rate-weighted Pt(100) configuration at 256x256 —
 // the workload where the per-trial pattern match dominates the step
 // unless the trial test reads the rate cache's bitset. Deterministic time
-// mode keeps the per-trial exponential clock draws out of the measurement.
+// mode keeps the clock out of the measurement; stochastic time would add
+// one Gamma draw per chunk sweep.
 void BM_Pt100TrialLoop(benchmark::State& state) {
   static const models::Pt100Model pt = models::make_pt100();
   const auto side = static_cast<std::int32_t>(state.range(0));
@@ -306,8 +307,9 @@ void emit_report(const char* name, const char* model, Simulator& sim,
 
 void emit_reports() {
   // The headline workload: rate-weighted PNDCA on equilibrated Pt(100) at
-  // 256x256 (shrunk under the CI smoke's fast mode), deterministic time,
-  // run uninstrumented so the artifact times the bare trial loop.
+  // 256x256 (shrunk under the CI smoke's fast mode), run uninstrumented and
+  // in deterministic time, which draws no clock at all, so the artifact
+  // times the bare trial loop.
   static const models::Pt100Model& pt = models::make_pt100();
   const std::int32_t side = bench::fast_mode() ? 64 : 256;
   const int steps = bench::fast_mode() ? 3 : 10;

@@ -64,14 +64,15 @@ void LPndcaSimulator::mc_step() {
 
     // L random sites within the chunk, with replacement — matching RSM's
     // site statistics in the degenerate-partition limits. Each trial draws
-    // its site, its type and its time increment, in that order.
+    // its site, then its type; no trial reads the clock, so the batch
+    // advances time once, after its last trial.
     for (std::uint64_t i = 0; i < batch; ++i) {
       const SiteIndex s = sites[uniform_below(rng_, sites.size())];
       const ReactionIndex rt = model_.sample_type(rng_);
       if (trial_passes(s, rt)) commit(s, rt, 0);
-      time_ += clock_.increment(rng_);
-      ++counters_.trials;
     }
+    clock_.advance(time_, batch, rng_);
+    counters_.trials += batch;
   }
   ++counters_.steps;
 }

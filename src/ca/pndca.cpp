@@ -164,8 +164,9 @@ void PndcaSimulator::mc_step() {
       execute_chunk(sweep_, p.chunk(c));
     }
 
-    // Time advances once per trial, drawn from the schedule-level
-    // generator in a fixed order — identical under any thread scheduling.
+    // Time advances once per sweep by its trials' summed time, drawn from
+    // the schedule-level generator in a fixed order — identical under any
+    // thread scheduling.
     const std::size_t n = p.chunk(c).size();
     clock_.advance(time_, n, rng_);
     counters_.trials += n;

@@ -30,9 +30,13 @@ enum class TimeMode {
   kDeterministic,
 };
 
-/// The per-trial time rule of the trial-based simulators (RSM, NDCA, PNDCA,
+/// The time rule of the trial-based simulators (RSM, NDCA, PNDCA,
 /// L-PNDCA): each trial advances simulated time by an Exp(N K) draw, or by
 /// its mean 1 / (N K) under TimeMode::kDeterministic, which draws nothing.
+/// RSM and NDCA take one increment per trial. PNDCA's chunk sweeps and
+/// L-PNDCA's batches read no clock between their trials, so they advance
+/// once per sweep or batch by the trials' summed time: one Gamma(n, N K)
+/// draw, the law of n iid Exp(N K) draws.
 class TrialClock {
  public:
   TrialClock(TimeMode mode, SiteIndex sites, double total_rate)
@@ -44,15 +48,14 @@ class TrialClock {
     return mode_ == TimeMode::kStochastic ? exponential(rng, rate_nk_) : 1.0 / rate_nk_;
   }
 
-  /// Advance `time` over n trials: n draws added one by one, or n / (N K)
-  /// in one addition.
+  /// Advance `time` over n trials: one Gamma(n, N K) draw, which for n = 1
+  /// is increment() bit for bit, or n / (N K) in one addition. n = 0 draws
+  /// nothing.
   template <class Rng>
   void advance(double& time, std::uint64_t n, Rng& rng) const {
-    if (mode_ == TimeMode::kStochastic) {
-      for (std::uint64_t i = 0; i < n; ++i) time += exponential(rng, rate_nk_);
-    } else {
-      time += static_cast<double>(n) / rate_nk_;
-    }
+    if (n == 0) return;
+    time += mode_ == TimeMode::kStochastic ? gamma(rng, static_cast<double>(n), rate_nk_)
+                                           : static_cast<double>(n) / rate_nk_;
   }
 
  private:

@@ -37,6 +37,48 @@ template <class Rng>
   return exponential_from_u(uniform01(rng), rate);
 }
 
+/// Standard normal by Marsaglia's polar method; the pair's second normal is
+/// dropped so the draw keeps no state. Uses only log and sqrt, so the
+/// stream is the same under every standard library.
+template <class Rng>
+[[nodiscard]] double standard_normal(Rng& rng) {
+  for (;;) {
+    const double x = 2.0 * uniform01(rng) - 1.0;
+    const double y = 2.0 * uniform01(rng) - 1.0;
+    const double s = x * x + y * y;
+    if (s < 1.0 && s > 0.0) return x * std::sqrt(-2.0 * std::log(s) / s);
+  }
+}
+
+/// Sample from Gamma(shape, rate), the law of the sum of `shape` iid
+/// Exp(rate) draws: the waiting time of `shape` Poisson events. Shape 1 is
+/// exponential(rng, rate) itself, bit for bit; larger shapes use
+/// Marsaglia-Tsang (2000), exact for shape >= 1, with a polar-method
+/// normal. Not std::gamma_distribution: its algorithm, and so the stream,
+/// differs between standard libraries.
+template <class Rng>
+[[nodiscard]] double gamma(Rng& rng, double shape, double rate) {
+  assert(shape >= 1 && rate > 0);
+  if (shape == 1.0) return exponential(rng, rate);
+  const double d = shape - 1.0 / 3.0;
+  const double c = 1.0 / std::sqrt(9.0 * d);
+  for (;;) {
+    double x = 0;
+    double v = 0;
+    do {
+      x = standard_normal(rng);
+      v = 1.0 + c * x;
+    } while (v <= 0.0);
+    v = v * v * v;
+    const double u = uniform01(rng);
+    const double x2 = x * x;
+    if (u < 1.0 - 0.0331 * x2 * x2 ||
+        std::log(u) < 0.5 * x2 + d * (1.0 - v + std::log(v))) {
+      return d * v / rate;
+    }
+  }
+}
+
 /// Walker/Vose alias table: O(1) sampling from a fixed discrete
 /// distribution. Used to pick a reaction type with probability k_i / K on
 /// every trial of RSM/NDCA/PNDCA — the single hottest distribution in the

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <stdexcept>
+#include <string>
 
 namespace casurf::stats {
 
@@ -65,12 +66,21 @@ double chi_square_p(double statistic, std::size_t dof) {
   const double a = static_cast<double>(dof) / 2.0;
   const double x = statistic / 2.0;
   const double gln = std::lgamma(a);
+  // Both expansions need O(sqrt(a)) terms where x is near a (the series'
+  // terms fall off like exp(-k^2 / 2a)); the cap leaves a wide margin over
+  // that and is an error, never a silent partial sum.
+  const double max_terms = 500.0 + 50.0 * std::sqrt(a);
+  const auto not_converged = [&] {
+    return std::runtime_error("chi_square_p: no convergence at dof " + std::to_string(dof) +
+                              ", statistic " + std::to_string(statistic));
+  };
   if (x < a + 1.0) {
     // Series for P(a, x), return 1 - P.
     double ap = a;
     double sum = 1.0 / a;
     double del = sum;
-    for (int i = 0; i < 500; ++i) {
+    for (double i = 0;; ++i) {
+      if (i >= max_terms) throw not_converged();
       ap += 1.0;
       del *= x / ap;
       sum += del;
@@ -84,8 +94,9 @@ double chi_square_p(double statistic, std::size_t dof) {
   double c = 1e300;
   double d = 1.0 / b;
   double h = d;
-  for (int i = 1; i <= 500; ++i) {
-    const double an = -static_cast<double>(i) * (static_cast<double>(i) - a);
+  for (double i = 1;; ++i) {
+    if (i > max_terms) throw not_converged();
+    const double an = -i * (i - a);
     b += 2.0;
     d = an * d + b;
     if (std::abs(d) < 1e-300) d = 1e-300;

@@ -25,7 +25,10 @@ struct KsResult {
 
 /// Pearson chi-square p-value upper bound via the regularized incomplete
 /// gamma (for category-count tests, e.g. Segers' second criterion: events
-/// of type i occur in proportion k_i / K).
+/// of type i occur in proportion k_i / K). Since Q(a, x) =
+/// chi_square_p(2x, 2a), it is also the upper tail of Gamma(a, 1); the
+/// series and continued fraction run to 1e-12 relative at any dof, and
+/// std::runtime_error reports a cap hit instead of a truncated sum.
 [[nodiscard]] double chi_square_p(double statistic, std::size_t dof);
 
 }  // namespace casurf::stats

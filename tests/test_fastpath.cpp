@@ -218,7 +218,9 @@ struct Reference {
 Trajectory of(const Reference& r) { return {r.time, r.trials, r.executed, r.cfg}; }
 
 /// One rate-weighted L-PNDCA step written out. The chunk weights come from
-/// a cache built fresh on the lattice before every batch.
+/// a cache built fresh on the lattice before every batch. Time advances by
+/// one Gamma(batch, N K) draw after each batch; at L = 1 the reference
+/// keeps a per-trial exponential, which must be the same draw bit for bit.
 void reference_lpndca_step(Reference& r, const ReactionModel& model, const Partition& p,
                            std::uint32_t l) {
   std::vector<double> sizes;  // cumulative, for the draw when nothing is enabled
@@ -241,21 +243,25 @@ void reference_lpndca_step(Reference& r, const ReactionModel& model, const Parti
     for (std::uint64_t i = 0; i < batch; ++i) {
       const SiteIndex s = sites[uniform_below(r.rng, sites.size())];
       r.trial(model.reaction(model.sample_type(r.rng)), s);
-      r.time += exponential(r.rng, rate_nk);
+      if (l == 1) r.time += exponential(r.rng, rate_nk);
     }
+    if (l > 1) r.time += gamma(r.rng, static_cast<double>(batch), rate_nk);
   }
 }
 
 TEST(FastPath, LPndcaRateWeightedLockstep) {
   const Workload w = workload(Surface::kZgb, 24);
   const Partition p = make_partition(w.init.lattice(), w.model);
-  Reference ref{w.init, Xoshiro256(77)};
-  LPndcaSimulator sim(w.model, w.init, p, 77, 16, TimeMode::kStochastic,
-                      ChunkWeighting::kRateWeighted);
-  for (int step = 0; step < 20; ++step) {
-    reference_lpndca_step(ref, w.model, p, 16);
-    sim.mc_step();
-    ASSERT_NO_FATAL_FAILURE(expect_same(of(ref), of(sim), step));
+  for (const std::uint32_t l : {16u, 1u}) {
+    SCOPED_TRACE("L = " + std::to_string(l));
+    Reference ref{w.init, Xoshiro256(77)};
+    LPndcaSimulator sim(w.model, w.init, p, 77, l, TimeMode::kStochastic,
+                        ChunkWeighting::kRateWeighted);
+    for (int step = 0; step < 20; ++step) {
+      reference_lpndca_step(ref, w.model, p, l);
+      sim.mc_step();
+      ASSERT_NO_FATAL_FAILURE(expect_same(of(ref), of(sim), step));
+    }
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
@@ -79,6 +81,46 @@ TEST(ChiSquareP, MonotoneDecreasingInStatistic) {
     last = p;
   }
 }
+
+TEST(ChiSquareP, NonConvergenceThrowsInsteadOfTruncating) {
+  // A NaN statistic never meets the tolerance, so it runs into the cap.
+  EXPECT_THROW((void)stats::chi_square_p(std::nan(""), 4), std::runtime_error);
+}
+
+// Large dof, where P(a, x) near x = a needs about 7 sqrt(a) series terms:
+// the Gamma time-law tests evaluate Q(n, NK t) = chi_square_p(2 NK t, 2n)
+// at chunk shapes up to 50,000 (dof 10^5).
+class ChiSquareLargeDof : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ChiSquareLargeDof, MatchesWilsonHilferty) {
+  // (X/k)^(1/3) ~ N(1 - 2/(9k), 2/(9k)); the approximation's own error is
+  // O(k^-3/2), far below the tolerance at these k.
+  const std::size_t k = GetParam();
+  const double v = 2.0 / (9.0 * static_cast<double>(k));
+  for (const double z : {-2.0, -1.0, 0.0, 1.0, 2.0}) {
+    const double x = static_cast<double>(k) * std::pow(1.0 - v + z * std::sqrt(v), 3);
+    const double cdf = 1.0 - stats::chi_square_p(x, k);
+    EXPECT_NEAR(cdf, 0.5 * std::erfc(-z / std::sqrt(2.0)), 1e-5) << "z = " << z;
+  }
+}
+
+TEST_P(ChiSquareLargeDof, ContinuousWhereSeriesHandsOverToFraction) {
+  // The series serves x < a + 1 and the continued fraction the rest; at
+  // the switch (statistic k + 2) the density is about 1/sqrt(2 pi k), so
+  // a 1e-6 step moves the tail by under 1e-8.
+  const std::size_t k = GetParam();
+  const double at = static_cast<double>(k) + 2.0;
+  const double below = stats::chi_square_p(at - 1e-6, k);
+  const double above = stats::chi_square_p(at + 1e-6, k);
+  EXPECT_GE(below, above);
+  EXPECT_LT(below - above, 1e-8);
+}
+
+std::string dof_name(const ::testing::TestParamInfo<std::size_t>& info) {
+  return "dof_" + std::to_string(info.param);
+}
+
+INSTANTIATE_TEST_SUITE_P(Dof, ChiSquareLargeDof, ::testing::Values(40000u, 100000u), dof_name);
 
 }  // namespace
 }  // namespace casurf

@@ -107,6 +107,84 @@ TEST(Exponential, ZeroUniformGuard) {
   EXPECT_GT(exponential_from_u(0.0, 1.0), 0.0);
 }
 
+TEST(Gamma, ShapeOneIsTheExponentialDrawBitForBit) {
+  Xoshiro256 a(19), b(19);
+  for (int i = 0; i < 1000; ++i) {
+    const double g = gamma(a, 1.0, 2.5);
+    const double e = exponential(b, 2.5);
+    ASSERT_EQ(g, e) << "draw " << i;
+  }
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(a(), b());  // same generator state
+}
+
+/// The shapes the time law is pinned at, from small up to the chunk size
+/// of a five-chunk 500x500 partition. Each shape gets its own seed: with a
+/// shared one, Marsaglia-Tsang turns the same normals into near-identical
+/// transforms at every large shape.
+constexpr double kGammaShapes[] = {2, 7, 100, 5000, 50000};
+
+/// Probability-integral transform of Gamma(n, rate) samples:
+/// P(n, rate x) = 1 - Q(n, rate x) = 1 - chi_square_p(2 rate x, 2n).
+std::vector<double> gamma_pit(const std::vector<double>& samples, double n, double rate) {
+  std::vector<double> u;
+  u.reserve(samples.size());
+  const auto dof = static_cast<std::size_t>(2 * n);
+  for (const double x : samples) u.push_back(1.0 - stats::chi_square_p(2 * rate * x, dof));
+  return u;
+}
+
+TEST(Gamma, MeanAndVarianceMatchTheLaw) {
+  const double rate = 3.0;
+  const int m = 20000;
+  std::uint64_t seed = 20;
+  for (const double n : kGammaShapes) {
+    Xoshiro256 rng(++seed);
+    double sum = 0, sum2 = 0;
+    for (int i = 0; i < m; ++i) {
+      const double x = gamma(rng, n, rate);
+      sum += x;
+      sum2 += x * x;
+    }
+    const double mean = sum / m;
+    const double var = (sum2 - sum * mean) / (m - 1);
+    // SE of the mean sqrt(n)/rate/sqrt(m); of the sample variance
+    // sigma^2 sqrt((2 + 6/n)/m), from the Gamma law's excess kurtosis 6/n.
+    const double sigma2 = n / (rate * rate);
+    EXPECT_NEAR(mean, n / rate, 5 * std::sqrt(sigma2 / m)) << "shape " << n;
+    EXPECT_NEAR(var, sigma2, 5 * sigma2 * std::sqrt((2 + 6 / n) / m)) << "shape " << n;
+  }
+}
+
+TEST(Gamma, PassesKsAgainstTheGammaCdf) {
+  const double rate = 3.0;
+  std::uint64_t seed = 30;
+  for (const double n : kGammaShapes) {
+    Xoshiro256 rng(++seed);
+    std::vector<double> samples(4000);
+    for (double& x : samples) x = gamma(rng, n, rate);
+    const auto r = stats::ks_uniform01(gamma_pit(samples, n, rate));
+    EXPECT_FALSE(r.reject(0.001)) << "shape " << n << " D=" << r.statistic
+                                  << " p=" << r.p_value;
+  }
+}
+
+TEST(Gamma, SumsOfExponentialsPassTheSameCdf) {
+  // The KS route above, run on the law's definition: if the transform
+  // were wrong, these sums would fail it too.
+  const double rate = 3.0;
+  std::uint64_t seed = 40;
+  for (const int n : {1, 2, 7, 100}) {
+    Xoshiro256 rng(++seed);
+    std::vector<double> samples(4000);
+    for (double& x : samples) {
+      x = 0;
+      for (int i = 0; i < n; ++i) x += exponential(rng, rate);
+    }
+    const auto r = stats::ks_uniform01(gamma_pit(samples, n, rate));
+    EXPECT_FALSE(r.reject(0.001)) << "n " << n << " D=" << r.statistic << " p=" << r.p_value;
+  }
+}
+
 TEST(CounterRng, StreamIsPureFunctionOfSeedAndKey) {
   CounterRng a(11, 22), b(11, 22);
   for (int i = 0; i < 50; ++i) EXPECT_EQ(a.next(), b.next());

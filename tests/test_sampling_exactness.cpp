@@ -2,10 +2,13 @@
 // exact DMC methods must land on requested times EXACTLY (never executing
 // an event that fires past the target), because the state observed at t
 // would otherwise include future events — a bias the Master Equation
-// comparison caught on small lattices.
+// comparison caught on small lattices. The CA family's clock is pinned to
+// its law here too: N trials per step, each worth an Exp(N K) wait.
 
 #include <gtest/gtest.h>
 
+#include "ca/lpndca.hpp"
+#include "ca/pndca.hpp"
 #include "core/observer.hpp"
 #include "dmc/frm.hpp"
 #include "dmc/rsm.hpp"
@@ -14,6 +17,7 @@
 #include "models/zgb.hpp"
 #include "stats/coverage.hpp"
 #include "stats/ensemble.hpp"
+#include "stats/ks.hpp"
 
 namespace casurf {
 namespace {
@@ -93,6 +97,37 @@ TEST(SamplingExactness, RunSampledGridIsExactForEventDrivenMethods) {
   ASSERT_EQ(ts.size(), 9u);  // 0, 0.5, ..., 4.0 with no overshoot drift
   for (std::size_t i = 0; i < ts.size(); ++i) {
     EXPECT_DOUBLE_EQ(ts.time(i), 0.5 * static_cast<double>(i));
+  }
+}
+
+/// KS test of a CA simulator's per-step time increments against
+/// Gamma(N, N K), the law of N iid Exp(N K) trial waits, through the
+/// transform P(N, N K dt) = 1 - chi_square_p(2 N K dt, 2N).
+stats::KsResult step_time_ks(Simulator& sim, int steps) {
+  const double n = static_cast<double>(sim.configuration().size());
+  const double rate_nk = n * sim.model().total_rate();
+  std::vector<double> u;
+  for (int i = 0; i < steps; ++i) {
+    const double before = sim.time();
+    sim.mc_step();
+    const double dt = sim.time() - before;
+    u.push_back(1.0 - stats::chi_square_p(2 * rate_nk * dt, 2 * sim.configuration().size()));
+  }
+  return stats::ks_uniform01(u);
+}
+
+TEST(CaTimeLaw, StepIncrementIsGammaNNK) {
+  // PNDCA: five chunk sweeps per step, each advancing by its own sites'
+  // waits. L-PNDCA with L = 7: 14 batches of 7 and a clipped one of 2.
+  const auto zgb = models::make_zgb();
+  const Lattice lat(10, 10);
+  const Configuration initial(lat, 3, zgb.vacant);
+  const Partition five = Partition::linear_form(lat, 1, 3, 5);
+  PndcaSimulator pndca(zgb.model, initial, {five}, 6);
+  LPndcaSimulator lpndca(zgb.model, initial, five, 7, 7);
+  for (Simulator* sim : {static_cast<Simulator*>(&pndca), static_cast<Simulator*>(&lpndca)}) {
+    const auto r = step_time_ks(*sim, 2000);
+    EXPECT_FALSE(r.reject(0.001)) << sim->name() << " D=" << r.statistic << " p=" << r.p_value;
   }
 }
 
