@@ -143,7 +143,8 @@ struct Options {
                "  --y Y               ZGB CO fraction (default 0.45)\n"
                "  --beta B            Ising J/kT (default 0.5)\n"
                "  --hop R             diffusion hop rate (default 1)\n"
-               "  --coverage0 C       initial particle coverage (diffusion/ising)\n"
+               "  --coverage0 C       initial particle coverage in [0, 1]\n"
+               "                      (diffusion/ising; default 0)\n"
                "  --L N               L-PNDCA trials per batch (default 1)\n"
                "  --threads N         threads for the parallel engine (default 2)\n"
                "  --fast-path         accepted and ignored (one trial path)\n"
@@ -211,14 +212,15 @@ struct Options {
 }
 
 /// strtod with the full error protocol: no partial parses ("5x" is an
-/// error, atof would read 5), no empty input, no overflow.
+/// error, atof would read 5), no empty input, no overflow, and no inf or
+/// nan, which strtod accepts but no flag can use.
 double parse_double(const char* flag, const char* value, const char* argv0) {
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(value, &end);
-  if (end == value || *end != '\0' || errno == ERANGE) {
+  if (end == value || *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
     usage(argv0,
-          (std::string(flag) + " expects a number, got '" + value + "'").c_str());
+          (std::string(flag) + " expects a finite number, got '" + value + "'").c_str());
   }
   return v;
 }
@@ -366,6 +368,9 @@ Options parse_args(int argc, char** argv) {
 
   if (!(opt.t_end > 0)) usage(argv[0], "--t-end must be a positive number");
   if (!(opt.dt > 0)) usage(argv[0], "--dt must be a positive number");
+  if (!(opt.coverage0 >= 0 && opt.coverage0 <= 1)) {
+    usage(argv[0], "--coverage0 must lie in [0, 1]");
+  }
   if (opt.checkpoint_every < 0) usage(argv[0], "--checkpoint-every must be positive");
   if (opt.checkpoint_every > 0 && opt.checkpoint.empty()) {
     usage(argv[0], "--checkpoint-every requires --checkpoint PATH");

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "ca/fastpath.hpp"
 #include "ca/lpndca.hpp"
 #include "ca/ndca.hpp"
 #include "ca/pndca.hpp"
@@ -20,6 +21,7 @@
 #include "models/zgb.hpp"
 #include "parallel/parallel_pndca.hpp"
 #include "partition/coloring.hpp"
+#include "rng/counter_rng.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
 
@@ -261,6 +263,49 @@ void BM_EnabledCheck(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EnabledCheck);
+
+// The span trial kernel of the PNDCA sweep (enabled_trials) over every
+// chunk of a mid-run 500x500 ZGB state (t = 2.5, half the ledger's
+// zgb-500 horizon), with each chunk's reaction types drawn beforehand.
+// Reports ns per trial; BM_EnabledCheck above is one scalar
+// ReactionType::enabled call.
+void BM_SpanKernel(benchmark::State& state) {
+  struct Fixture {
+    Partition partition;
+    Configuration config;
+    std::vector<std::vector<ReactionIndex>> types;  // per chunk
+  };
+  static const Fixture f = [] {
+    const Lattice lat(500, 500);
+    Partition p = make_partition(lat, zgb().model);
+    PndcaSimulator sim(zgb().model, Configuration(lat, 3, zgb().vacant), {p}, 3);
+    sim.advance_to(2.5);
+    std::vector<std::vector<ReactionIndex>> types;
+    for (ChunkId c = 0; c < p.num_chunks(); ++c) {
+      const std::vector<SiteIndex>& sites = p.chunk(c);
+      std::vector<ReactionIndex>& t = types.emplace_back(sites.size());
+      sample_types(1, CounterRng::seed_hash(3), sites.data(), sites.size(),
+                   zgb().model.alias_table(), t.data());
+    }
+    return Fixture{std::move(p), sim.configuration(), std::move(types)};
+  }();
+  const ProbePlans probes(zgb().model, 500, 500);
+  std::vector<std::uint32_t> hits(f.partition.max_chunk_size());
+  std::uint64_t trials = 0;
+  for (auto _ : state) {
+    for (ChunkId c = 0; c < f.partition.num_chunks(); ++c) {
+      const std::vector<SiteIndex>& sites = f.partition.chunk(c);
+      benchmark::DoNotOptimize(enabled_trials(probes, f.config, sites.data(),
+                                              f.types[c].data(), sites.size(),
+                                              hits.data()));
+      trials += sites.size();
+    }
+  }
+  state.counters["ns_per_trial"] = benchmark::Counter(
+      static_cast<double>(trials) * 1e-9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SpanKernel)->Unit(benchmark::kMicrosecond);
 
 void BM_AliasTypeSample(benchmark::State& state) {
   Xoshiro256 rng(9);

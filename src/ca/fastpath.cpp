@@ -1,6 +1,8 @@
 #include "ca/fastpath.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <span>
 
 #if defined(__GNUC__) && defined(__x86_64__)
 #include <immintrin.h>
@@ -46,7 +48,30 @@ void sample_types_scalar(std::uint64_t sweep, std::uint64_t seed_hash,
   }
 }
 
+/// The scalar lanes of enabled_trials over trials [from, n), appending the
+/// indices that pass to hits[count...]; returns the new count.
+std::size_t enabled_trials_from(const ProbePlans& probes, const Configuration& config,
+                                const SiteIndex* sites, const ReactionIndex* types,
+                                std::size_t from, std::size_t n, std::uint32_t* hits,
+                                std::size_t count) {
+  const Lattice& lat = config.lattice();
+  for (std::size_t i = from; i < n; ++i) {
+    const Vec2 c = lat.coord(sites[i]);
+    if (probes.enabled(config, types[i], c.x, c.y)) {
+      hits[count++] = static_cast<std::uint32_t>(i);
+    }
+  }
+  return count;
+}
+
 #if defined(__GNUC__) && defined(__x86_64__)
+
+bool have_avx512() {
+  static const bool have = __builtin_cpu_supports("avx512f") &&
+                           __builtin_cpu_supports("avx512dq") &&
+                           __builtin_cpu_supports("avx512vl");
+  return have;
+}
 
 // Pin the vector constants to the scalar definitions they must mirror: the
 // golden-ratio stride of CounterRng::nth and the step multiplier inside
@@ -125,6 +150,147 @@ CASURF_AVX512 void sample_types_avx512(std::uint64_t sweep, std::uint64_t seed_h
   sample_types_scalar(sweep, seed_hash, sites + i, n - i, alias, out + i);
 }
 
+// The lanes gather the probe table and the type spans by byte offset; pin
+// the layouts they assume.
+static_assert(sizeof(ProbePlans::Probe) == 12 && offsetof(ProbePlans::Probe, dy) == 4 &&
+                  offsetof(ProbePlans::Probe, mask) == 8,
+              "probe layout changed; update the span lanes");
+static_assert(sizeof(ProbePlans::TypeSpan) == 8 &&
+                  offsetof(ProbePlans::TypeSpan, count) == 4,
+              "type span layout changed; update the span lanes");
+static_assert(sizeof(Species) == 1, "the lanes extract one byte per site");
+
+/// Row `row` of a table of at most 16 words held in two registers.
+CASURF_AVX512 inline __m256i lookup16(const __m256i (&words)[2], __m256i row) {
+  return _mm256_permutex2var_epi32(words[0], row, words[1]);
+}
+
+/// Eight trials per iteration. Lane by lane, a block evaluates probe k of
+/// its trial's type in round k and fails the trial at its first miss, as
+/// the scalar conjunction does. Lanes that pass are compressed into hits.
+/// Every step is exact 32-bit integer arithmetic, so the lanes agree with
+/// the scalar lanes bit for bit. With kSmall (at most 16 types and 16
+/// probes) the type spans and the probe table sit in registers, each lookup
+/// is one permute, and every block runs the rounds of the longest type, so
+/// no branch depends on the lattice; otherwise lookups are gathers and a
+/// block stops when no lane is left.
+/// Requires width >= 2 and 4 <= size <= 2^31 (signed 32-bit gather
+/// indices; the last-word clamp needs 4 bytes).
+template <bool kSmall>
+CASURF_AVX512 std::size_t enabled_trials_avx512(const ProbePlans& probes,
+                                                const Configuration& config,
+                                                const SiteIndex* sites,
+                                                const ReactionIndex* types, std::size_t n,
+                                                std::uint32_t* hits) {
+  const Lattice& lat = config.lattice();
+  const std::uint64_t recip = lat.row_reciprocal();
+  const __m512i recip_lo = _mm512_set1_epi64(static_cast<long long>(recip & 0xffffffffu));
+  const __m512i recip_hi = _mm512_set1_epi64(static_cast<long long>(recip >> 32));
+  const __m256i width = _mm256_set1_epi32(lat.width());
+  const __m256i height = _mm256_set1_epi32(lat.height());
+  const __m256i last_word = _mm256_set1_epi32(static_cast<int>(lat.size() - 4));
+  const __m256i word_bits = _mm256_set1_epi32(~3);
+  const __m256i byte_bits = _mm256_set1_epi32(0xff);
+  const __m256i one = _mm256_set1_epi32(1);
+  const __m256i mask_at = _mm256_set1_epi32(static_cast<int>(offsetof(ProbePlans::Probe, mask)));
+  const __m256i zero = _mm256_setzero_si256();
+  const std::span<const ProbePlans::TypeSpan> spans = probes.types();
+  const std::span<const ProbePlans::Probe> table = probes.probes();
+  const Species* cells = config.raw().data();
+  std::uint32_t rounds = 0;
+  for (const ProbePlans::TypeSpan& ts : spans) rounds = std::max(rounds, ts.count);
+  // Columns first, count, dx, dy, mask, when they fit in registers.
+  __m256i column[5][2] = {};
+  if constexpr (kSmall) {
+    alignas(32) std::uint32_t words[5][16] = {};
+    for (std::size_t t = 0; t < spans.size(); ++t) {
+      words[0][t] = spans[t].first;
+      words[1][t] = spans[t].count;
+    }
+    for (std::size_t p = 0; p < table.size(); ++p) {
+      words[2][p] = static_cast<std::uint32_t>(table[p].dx);
+      words[3][p] = static_cast<std::uint32_t>(table[p].dy);
+      words[4][p] = table[p].mask;
+    }
+    for (int c = 0; c < 5; ++c) {
+      column[c][0] = _mm256_load_si256(reinterpret_cast<const __m256i*>(words[c]));
+      column[c][1] = _mm256_load_si256(reinterpret_cast<const __m256i*>(words[c] + 8));
+    }
+  }
+  __m256i index = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i eight = _mm256_set1_epi32(8);
+  std::size_t count = 0;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8, index = _mm256_add_epi32(index, eight)) {
+    const __m256i site = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(sites + i));
+    const __m256i type = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(types + i));
+    // Lattice::row lane-wise: the high word of recip * site, as
+    // recip_hi * site + (recip_lo * site >> 32), which cannot overflow.
+    const __m512i site64 = _mm512_cvtepu32_epi64(site);
+    const __m512i low = _mm512_srli_epi64(_mm512_mul_epu32(site64, recip_lo), 32);
+    const __m256i y = _mm512_cvtepi64_epi32(
+        _mm512_srli_epi64(_mm512_add_epi64(_mm512_mul_epu32(site64, recip_hi), low), 32));
+    const __m256i x = _mm256_sub_epi32(site, _mm256_mullo_epi32(y, width));
+    __m256i probe = zero;
+    __m256i left = zero;
+    if constexpr (kSmall) {
+      probe = lookup16(column[0], type);
+      left = lookup16(column[1], type);
+    } else {
+      const __m512i span = _mm512_i32gather_epi64(type, spans.data(), 8);
+      probe = _mm512_cvtepi64_epi32(span);
+      left = _mm512_cvtepi64_epi32(_mm512_srli_epi64(span, 32));
+    }
+    __mmask8 pass = 0xff;
+    __mmask8 live = _mm256_test_epi32_mask(left, left);
+    // Gathered rounds cost more than a mispredicted exit; permuted ones less.
+    for (std::uint32_t k = 0; k < rounds && (kSmall || live != 0); ++k) {
+      __m256i dx = zero;
+      __m256i dy = zero;
+      __m256i mask = zero;
+      if constexpr (kSmall) {
+        dx = lookup16(column[2], probe);
+        dy = lookup16(column[3], probe);
+        mask = lookup16(column[4], probe);
+      } else {
+        const __m256i at = _mm256_add_epi32(_mm256_slli_epi32(probe, 3),
+                                            _mm256_slli_epi32(probe, 2));  // probe * 12
+        const __m512i dxy =
+            _mm512_mask_i32gather_epi64(_mm512_setzero_si512(), live, at, table.data(), 1);
+        dx = _mm512_cvtepi64_epi32(dxy);
+        dy = _mm512_cvtepi64_epi32(_mm512_srli_epi64(dxy, 32));
+        mask = _mm256_mmask_i32gather_epi32(zero, live, _mm256_add_epi32(at, mask_at),
+                                            table.data(), 1);
+      }
+      // Offsets are pre-wrapped, so each axis needs one conditional
+      // subtract; compared unsigned, since x + dx may pass INT32_MAX.
+      __m256i px = _mm256_add_epi32(x, dx);
+      px = _mm256_mask_sub_epi32(px, _mm256_cmpge_epu32_mask(px, width), px, width);
+      __m256i py = _mm256_add_epi32(y, dy);
+      py = _mm256_mask_sub_epi32(py, _mm256_cmpge_epu32_mask(py, height), py, height);
+      const __m256i cell = _mm256_add_epi32(_mm256_mullo_epi32(py, width), px);
+      // The aligned word holding the byte, or the last 4 bytes of the
+      // configuration when that word would run past its end.
+      const __m256i word_at = _mm256_min_epu32(_mm256_and_si256(cell, word_bits), last_word);
+      const __m256i word = _mm256_mmask_i32gather_epi32(zero, live, word_at, cells, 1);
+      const __m256i species = _mm256_and_si256(
+          _mm256_srlv_epi32(word, _mm256_slli_epi32(_mm256_sub_epi32(cell, word_at), 3)),
+          byte_bits);
+      const __mmask8 hit = _mm256_test_epi32_mask(_mm256_srlv_epi32(mask, species), one);
+      pass &= static_cast<__mmask8>(~live | hit);
+      probe = _mm256_add_epi32(probe, one);
+      left = _mm256_sub_epi32(left, one);
+      live = _mm256_mask_test_epi32_mask(static_cast<__mmask8>(live & hit), left, left);
+    }
+    // count <= i, so the full 8-wide store stays inside hits[0, n).
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(hits + count),
+                        _mm256_maskz_compress_epi32(pass, index));
+    count += static_cast<std::size_t>(__builtin_popcount(pass));
+  }
+  _mm256_zeroupper();  // see sample_types_avx512
+  return enabled_trials_from(probes, config, sites, types, i, n, hits, count);
+}
+
 #endif  // __GNUC__ && __x86_64__
 
 }  // namespace
@@ -132,15 +298,33 @@ CASURF_AVX512 void sample_types_avx512(std::uint64_t sweep, std::uint64_t seed_h
 void sample_types(std::uint64_t sweep, std::uint64_t seed_hash, const SiteIndex* sites,
                   std::size_t n, const AliasTable& alias, ReactionIndex* out) {
 #if defined(__GNUC__) && defined(__x86_64__)
-  static const bool have_avx512 = __builtin_cpu_supports("avx512f") &&
-                                  __builtin_cpu_supports("avx512dq") &&
-                                  __builtin_cpu_supports("avx512vl");
-  if (have_avx512 && !alias.empty()) {
+  if (have_avx512() && !alias.empty()) {
     sample_types_avx512(sweep, seed_hash, sites, n, alias, out);
     return;
   }
 #endif
   sample_types_scalar(sweep, seed_hash, sites, n, alias, out);
+}
+
+std::size_t enabled_trials(const ProbePlans& probes, const Configuration& config,
+                           const SiteIndex* sites, const ReactionIndex* types,
+                           std::size_t n, std::uint32_t* hits) {
+#if defined(__GNUC__) && defined(__x86_64__)
+  const Lattice& lat = config.lattice();
+  if (have_avx512() && lat.width() > 1 && lat.size() >= 4 &&
+      lat.size() <= (SiteIndex{1} << 31)) {
+    return probes.types().size() <= 16 && probes.probes().size() <= 16
+               ? enabled_trials_avx512<true>(probes, config, sites, types, n, hits)
+               : enabled_trials_avx512<false>(probes, config, sites, types, n, hits);
+  }
+#endif
+  return enabled_trials_from(probes, config, sites, types, 0, n, hits, 0);
+}
+
+std::size_t enabled_trials_scalar(const ProbePlans& probes, const Configuration& config,
+                                  const SiteIndex* sites, const ReactionIndex* types,
+                                  std::size_t n, std::uint32_t* hits) {
+  return enabled_trials_from(probes, config, sites, types, 0, n, hits, 0);
 }
 
 std::size_t batch_trials(std::uint64_t sweep, std::uint64_t seed_hash,

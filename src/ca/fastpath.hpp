@@ -7,9 +7,12 @@
 
 namespace casurf {
 
-// The trial kernel of the PNDCA family, plus the per-site enabled-type
-// bitset the enabled-rate cache (ca/rate_cache.hpp) keeps through the
-// shared recheck routine (model/probe_plans.hpp).
+// The two kernels of a PNDCA chunk sweep, run over a span of the chunk's
+// sites: sample_types draws every trial's reaction type, then
+// enabled_trials tests every trial against the configuration's bytes
+// through the probe plans (model/probe_plans.hpp). Plus the per-site
+// enabled-type bitset the enabled-rate cache (ca/rate_cache.hpp) keeps
+// through the shared recheck routine.
 
 /// Per-site "which reaction types are enabled here" bitset, site-major and
 /// word-packed so one trial test costs a single load and bit test. Like
@@ -60,6 +63,38 @@ class EnabledTypeSet {
 /// exact in both versions, so the types are identical either way.
 void sample_types(std::uint64_t sweep, std::uint64_t seed_hash, const SiteIndex* sites,
                   std::size_t n, const AliasTable& alias, ReactionIndex* out);
+
+/// The deterministic half of a chunk sweep: writes to hits[] the indices
+/// i, ascending, whose reaction type types[i] is enabled at sites[i] on the
+/// bytes of `config`, and returns how many it wrote. `hits` must hold n
+/// entries. `probes` must be compiled for config's lattice.
+///
+/// Exactly ReactionType::enabled per trial, against the configuration as
+/// it stands: the caller commits the hits afterwards, which is the serial
+/// sweep's answer whenever no trial of the span writes a site another one
+/// reads (PndcaSimulator's block rule).
+///
+/// Runs 8 lanes wide under AVX-512 when the CPU has it, dispatched at
+/// runtime like sample_types. Each lane takes its anchor's row from the
+/// lattice's reciprocal, exactly, and reads each probed byte from the
+/// aligned 4-byte word that holds it; the last word of a lattice whose size
+/// is not a multiple of 4 is read from 4 bytes before the end instead, so
+/// no lane reads outside the configuration. Lattices of width 1, of fewer
+/// than 4 sites or of more than 2^31 sites take the scalar lanes.
+[[nodiscard]] std::size_t enabled_trials(const ProbePlans& probes,
+                                         const Configuration& config,
+                                         const SiteIndex* sites,
+                                         const ReactionIndex* types, std::size_t n,
+                                         std::uint32_t* hits);
+
+/// The scalar lanes of enabled_trials: its reference and its tail. They read
+/// one byte per probe, so a thread may run them while other threads write
+/// bytes that no probe of the span examines.
+[[nodiscard]] std::size_t enabled_trials_scalar(const ProbePlans& probes,
+                                                const Configuration& config,
+                                                const SiteIndex* sites,
+                                                const ReactionIndex* types,
+                                                std::size_t n, std::uint32_t* hits);
 
 /// One passing trial of batch_trials: `index` into its site list plus the
 /// reaction type the site's stream sampled.

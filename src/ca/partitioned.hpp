@@ -13,11 +13,13 @@ namespace casurf {
 /// The shared base of the partitioned CA family (paper section 5): PNDCA and
 /// its threaded engine, L-PNDCA's "general structure" and the
 /// type-partitioned T-PNDCA. Each member picks chunks, sites and types its
-/// own way, then runs the same NDCA trial through this base: the trial
-/// test, then the serial commit. The base also owns what the family shares
-/// besides the trial: the sequential generator with its checkpoint section,
-/// and the optional incremental enabled-rate cache that serves the
-/// rate-weighted chunk draws.
+/// own way, then commits every trial that passes through this base's
+/// serial commit. L-PNDCA and T-PNDCA test each trial through the base's
+/// trial test; PNDCA tests whole spans of a chunk at once (see
+/// PndcaSimulator). The base also owns what the family shares besides the
+/// trial: the sequential generator with its checkpoint section, and the
+/// optional incremental enabled-rate cache that serves the rate-weighted
+/// chunk draws.
 ///
 /// The cache is derived state: built at construction, rebuilt on restore,
 /// audited on request, never serialized. Its slots are the partitions the
@@ -64,11 +66,11 @@ class PartitionedSimulator : public Simulator {
   /// live, registers it as the cache's next slot.
   void add_slot(const Partition& p);
 
-  /// The trial test: whether reaction `t` is enabled at `s`. It reads the
-  /// cache's bitset when the cache is live — the serial commit refreshes it
-  /// after every execution, so both answers agree — and matches the pattern
-  /// on the lattice otherwise. Records the attempt, and the fire when the
-  /// test passes, in the spatial probe.
+  /// The per-trial test of L-PNDCA and T-PNDCA: whether reaction `t` is
+  /// enabled at `s`. It reads the cache's bitset when the cache is live —
+  /// the serial commit refreshes it after every execution, so both answers
+  /// agree — and matches the pattern on the lattice otherwise. Records the
+  /// attempt, and the fire when the test passes, in the spatial probe.
   [[nodiscard]] bool trial_passes(SiteIndex s, ReactionIndex t) {
     spatial_.attempt(s);
     const bool on = rate_cache_ ? rate_cache_->enabled(s, t)

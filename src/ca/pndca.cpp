@@ -1,9 +1,11 @@
 #include "ca/pndca.hpp"
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 
 #include "obs/trace.hpp"
+#include "partition/conflict.hpp"
 #include "rng/counter_rng.hpp"
 #include "rng/distributions.hpp"
 
@@ -12,17 +14,40 @@ namespace casurf {
 PndcaSimulator::PndcaSimulator(const ReactionModel& model, Configuration config,
                                std::vector<Partition> partitions, std::uint64_t seed,
                                ChunkPolicy policy, TimeMode time_mode)
+    : PndcaSimulator(model, std::move(config), std::move(partitions), seed, policy,
+                     time_mode, /*threaded=*/false) {}
+
+PndcaSimulator::PndcaSimulator(const ReactionModel& model, Configuration config,
+                               std::vector<Partition> partitions, std::uint64_t seed,
+                               ChunkPolicy policy, TimeMode time_mode, bool threaded)
     : PartitionedSimulator(model, std::move(config), seed, "pndca",
                            policy == ChunkPolicy::kRateWeighted),
       partitions_(std::move(partitions)),
       policy_(policy),
       clock_(time_mode, config_.size(), model.total_rate()),
-      seed_hash_(CounterRng::seed_hash(seed)) {
+      seed_hash_(CounterRng::seed_hash(seed)),
+      probes_(model, config_.lattice().width(), config_.lattice().height()) {
   if (partitions_.empty()) {
     throw std::invalid_argument("PNDCA: at least one partition required");
   }
   // Cache slot i == partition i.
   for (const Partition& p : partitions_) add_slot(p);
+  // One check per partition. The full-neighborhood rule implies the block
+  // rule, so a threaded engine, which must have the former, never checks
+  // the latter.
+  const std::vector<Vec2> offsets = conflict_offsets(
+      model, threaded ? ConflictPolicy::kFullNeighborhood : ConflictPolicy::kReadWrite);
+  for (const Partition& p : partitions_) {
+    const bool ok = verify_partition(p, offsets);
+    if (threaded && !ok) {
+      // Thread safety rests entirely on the non-overlap rule; refuse
+      // partitions that violate it rather than silently racing.
+      throw std::invalid_argument(
+          "ParallelPndcaEngine: partition violates the non-overlap rule for "
+          "this model; parallel chunk execution would race");
+    }
+    blocks_.push_back(ok ? 1 : 0);
+  }
 }
 
 double PndcaSimulator::enabled_rate_in_chunk(const Partition& p, ChunkId c) const {
@@ -110,32 +135,51 @@ std::vector<ChunkId> PndcaSimulator::plan_schedule() {
 
 void PndcaSimulator::run_span(std::uint64_t sweep, const SiteIndex* sites,
                               std::size_t n, WorkerSink* worker) {
-  std::vector<ReactionIndex>& types = worker != nullptr ? worker->types : types_;
-  types.resize(n);
-  sample_types(sweep, seed_hash_, sites, n, model_.alias_table(), types.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    const SiteIndex s = sites[i];
-    const ReactionIndex rt = types[i];
-    // Serial sweeps keep the cache's bitset current after every execution;
-    // workers read it frozen at the sweep start, which the non-overlap rule
-    // the engine enforces makes exact for every anchor of the sweep. Per-site
-    // recording is race-free for the same reason, as is execute_raw.
-    if (!trial_passes(s, rt)) continue;
-    if (worker == nullptr) {
-      commit(s, rt, partition_cursor_);
-      continue;
+  // Spans are sampled and tested in stack-sized pieces; any split of a
+  // chunk into spans gives the same trajectory.
+  constexpr std::size_t kSpan = 256;
+  ReactionIndex types[kSpan] = {};
+  std::uint32_t hits[kSpan] = {};
+  const std::size_t span = blocks_[partition_cursor_] != 0 ? kSpan : 1;
+  for (std::size_t i0 = 0; i0 < n; i0 += span) {
+    const std::size_t m = std::min(span, n - i0);
+    const SiteIndex* at = sites + i0;
+    sample_types(sweep, seed_hash_, at, m, model_.alias_table(), types);
+    // Workers take the scalar lanes, which read single bytes: the 8 lanes
+    // read whole 4-byte words, and near a slice boundary such a word can
+    // hold a byte another worker writes during this sweep. The byte a lane
+    // uses is never written in the sweep, but the word read would still be
+    // a data race. An engine that puts a barrier between every worker's
+    // pre-test and the commits can move its workers to the 8 lanes.
+    const std::size_t passed =
+        worker == nullptr ? enabled_trials(probes_, config_, at, types, m, hits)
+                          : enabled_trials_scalar(probes_, config_, at, types, m, hits);
+    if (spatial_.map() != nullptr) {
+      for (std::size_t i = 0; i < m; ++i) spatial_.attempt(at[i]);
+      for (std::size_t h = 0; h < passed; ++h) spatial_.fire(at[hits[h]]);
     }
-    // The engine's deferral of the commit. The old species are read before
-    // the write; no other trial of the sweep writes these sites.
-    const ReactionType& reaction = model_.reaction(rt);
-    if (rate_cache_) {
-      worker->fired.push_back({s, rt});
-      const std::size_t at = worker->old_species.size();
-      worker->old_species.resize(at + reaction.transforms().size());
-      Rechecker::capture_old_species(config_, reaction, s, worker->old_species.data() + at);
+    for (std::size_t h = 0; h < passed; ++h) {
+      const SiteIndex s = at[hits[h]];
+      const ReactionIndex rt = types[hits[h]];
+      if (worker == nullptr) {
+        commit(s, rt, partition_cursor_);
+        continue;
+      }
+      // The engine's deferral of the commit. The old species are read before
+      // the write; no other trial of the sweep writes these sites, and the
+      // per-site recording is race-free for the same reason, as is
+      // execute_raw.
+      const ReactionType& reaction = model_.reaction(rt);
+      if (rate_cache_) {
+        worker->fired.push_back({s, rt});
+        const std::size_t where = worker->old_species.size();
+        worker->old_species.resize(where + reaction.transforms().size());
+        Rechecker::capture_old_species(config_, reaction, s,
+                                       worker->old_species.data() + where);
+      }
+      reaction.execute_raw(config_, s, worker->deltas.data());
+      ++worker->tally[rt];
     }
-    reaction.execute_raw(config_, s, worker->deltas.data());
-    ++worker->tally[rt];
   }
 }
 

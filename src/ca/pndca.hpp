@@ -23,6 +23,17 @@ enum class ChunkPolicy {
 /// satisfies the non-overlap rule), all trials within a chunk are
 /// independent — the source of parallelism.
 ///
+/// The block rule: a chunk sweep samples and tests a span of trials at a
+/// time, against the configuration as the span starts, then commits the
+/// trials that passed in site order. That is the serial sweep's answer
+/// when no trial of a chunk writes a site that another trial of the chunk
+/// reads, which is the read/write conflict rule
+/// (conflict_offsets(model, ConflictPolicy::kReadWrite)); the paper's
+/// full-neighborhood rule implies it. Each partition is checked once, at
+/// construction. A partition that fails the rule, such as
+/// Partition::single_chunk, still runs exactly: its spans hold one trial,
+/// tested and then committed before the next.
+///
 /// Per-site randomness comes from a counter RNG keyed by (sweep, site), so
 /// the trajectory is a pure function of (seed, chunk schedule) and the
 /// threaded engine (`ParallelPndcaEngine`) reproduces this sequential
@@ -65,6 +76,9 @@ class PndcaSimulator : public PartitionedSimulator {
   /// throughput benchmarks. Never called on the simulation hot path.
   [[nodiscard]] double enabled_rate_in_chunk(const Partition& p, ChunkId c) const;
 
+  /// Whether partition i's chunks pass the block rule.
+  [[nodiscard]] bool blocks(std::size_t i) const { return blocks_[i] != 0; }
+
   /// Checkpointing: the base's section, then the sweep counter, partition
   /// cursor and schedule. The per-site counter-RNG streams are keyed by
   /// (seed, sweep), so saving the sweep counter is what resumes them.
@@ -72,6 +86,14 @@ class PndcaSimulator : public PartitionedSimulator {
   void restore_state(StateReader& r) override;
 
  protected:
+  /// With `threaded`, every partition must pass the paper's
+  /// full-neighborhood rule, or the constructor throws: the threaded
+  /// engine's workers share the lattice. Otherwise partitions that fail the
+  /// block rule run one-trial spans.
+  PndcaSimulator(const ReactionModel& model, Configuration config,
+                 std::vector<Partition> partitions, std::uint64_t seed,
+                 ChunkPolicy policy, TimeMode time_mode, bool threaded);
+
   /// An execution of a threaded sweep, replayed into the rate cache at the
   /// sweep barrier.
   struct FiredReaction {
@@ -87,21 +109,24 @@ class PndcaSimulator : public PartitionedSimulator {
   /// as Rechecker::capture_old_species lays them out), so the barrier
   /// replay makes the serial commit's cache refreshes call for call.
   struct WorkerSink {
-    std::vector<ReactionIndex> types;  ///< run_span scratch
     std::vector<std::int64_t> deltas;
     std::vector<std::uint64_t> tally;
     std::vector<FiredReaction> fired;
     std::vector<Species> old_species;
   };
 
-  /// The trials of sites[0..n) in chunk sweep `sweep`: one sample_types
-  /// call draws every site's reaction type, then the sites are tested and
-  /// executed in order against the live state. Each (sweep, site) pair owns a private random stream, so the
-  /// outcome does not depend on how a chunk is split into spans — which is
-  /// what lets the threaded engine replay this exact trajectory. With
-  /// `worker` null (the serial sweep) executions are recorded in the
-  /// counters and refresh the rate cache; otherwise they go to the
-  /// worker's accumulators.
+  /// The trials of sites[0..n) in chunk sweep `sweep`, a span at a time:
+  /// sample_types draws the span's reaction types, enabled_trials tests them
+  /// all against the configuration's bytes, and the trials that passed
+  /// execute in site order. Spans hold one trial when the current partition
+  /// fails the block rule. Each (sweep, site) pair owns a private random
+  /// stream, and under the block rule no commit of a chunk changes another
+  /// trial's test, so the outcome does not depend on how a chunk is split
+  /// into spans — which is what lets the threaded engine replay this exact
+  /// trajectory. With `worker` null (the serial sweep) executions are
+  /// recorded in the counters and refresh the rate cache; otherwise they go
+  /// to the worker's accumulators. A spatial map records an attempt for
+  /// every trial and a fire for every hit.
   void run_span(std::uint64_t sweep, const SiteIndex* sites, std::size_t n,
                 WorkerSink* worker);
 
@@ -118,7 +143,8 @@ class PndcaSimulator : public PartitionedSimulator {
   std::uint64_t sweep_ = 0;  // counts chunk sweeps; keys the per-site streams
   std::size_t partition_cursor_ = 0;
   std::vector<ChunkId> schedule_;
-  std::vector<ReactionIndex> types_;  // run_span scratch of the serial sweep
+  ProbePlans probes_;  // the trial test's compiled patterns
+  std::vector<char> blocks_;  // blocks_[i]: partition i passes the block rule
   obs::Timer* step_timer_ = nullptr;          // pndca/step
   obs::Timer* plan_timer_ = nullptr;          // pndca/plan
   obs::Timer* sweep_timer_ = nullptr;         // pndca/sweep

@@ -14,6 +14,9 @@ Lattice::Lattice(std::int32_t width, std::int32_t height)
                                 ": both sides must be positive and the site count at most " +
                                 std::to_string(kMaxSites));
   }
+  // floor((2^64 - 1) / w) + 1 is ceil(2^64 / w) for every w > 1; at w == 1
+  // it would wrap to 0, so row() special-cases that width instead.
+  if (width > 1) recip_ = ~std::uint64_t{0} / static_cast<std::uint64_t>(width) + 1;
 }
 
 std::vector<SiteIndex> Lattice::neighbors(SiteIndex base,

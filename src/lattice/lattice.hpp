@@ -42,23 +42,32 @@ class Lattice {
            static_cast<SiteIndex>(p.x);
   }
 
+  /// (i mod width, i / width), without a division: see row().
   [[nodiscard]] Vec2 coord(SiteIndex i) const {
     assert(i < size());
-    return {static_cast<std::int32_t>(i % static_cast<SiteIndex>(width_)),
-            static_cast<std::int32_t>(i / static_cast<SiteIndex>(width_))};
+    const SiteIndex y = row(i);
+    return {static_cast<std::int32_t>(i - y * static_cast<SiteIndex>(width_)),
+            static_cast<std::int32_t>(y)};
   }
 
-  /// Wrap an arbitrary coordinate onto the torus.
+  /// ceil(2^64 / width), or 0 at width 1: the reciprocal behind row(), for
+  /// vector kernels that take rows lane-wise.
+  [[nodiscard]] std::uint64_t row_reciprocal() const { return recip_; }
+
+  /// Wrap an arbitrary coordinate onto the torus. An axis value within one
+  /// period of [0, extent) wraps by one conditional add or subtract; only
+  /// farther values, which need an offset at least as long as the lattice
+  /// side, pay the modulo.
   [[nodiscard]] Vec2 wrap(Vec2 p) const {
-    return {mod(p.x, width_), mod(p.y, height_)};
+    return {wrap_axis(p.x, width_), wrap_axis(p.y, height_)};
   }
 
   /// Index of site `base + offset`, periodic. This is the hot path of every
-  /// enabled-check; offsets are small so the mod is cheap and branch-free
-  /// on the common in-range case is not worth the complexity.
+  /// enabled-check and every commit. It divides nowhere: the row comes from
+  /// the reciprocal, and an offset shorter than the lattice side wraps each
+  /// axis by one conditional add or subtract.
   [[nodiscard]] SiteIndex neighbor(SiteIndex base, Vec2 offset) const {
-    const Vec2 c = coord(base);
-    return index(wrap(c + offset));
+    return index(wrap(coord(base) + offset));
   }
 
   /// All site indices at offsets `offs` from `base`, periodic.
@@ -73,13 +82,32 @@ class Lattice {
   }
 
  private:
-  static std::int32_t mod(std::int32_t v, std::int32_t m) {
+  static std::int32_t wrap_axis(std::int32_t v, std::int32_t m) {
+    if (v < 0) {
+      if (v >= -m) return v + m;
+    } else if (v < m) {
+      return v;
+    } else if (v - m < m) {
+      return v - m;
+    }
     const std::int32_t r = v % m;
     return r < 0 ? r + m : r;
   }
 
+  /// i / width for every 32-bit i: the high word of recip_ * i, with recip_
+  /// = ceil(2^64 / width) (Lemire, Kaser & Kurz, "Faster remainder by direct
+  /// computation", 2019: exact for 32-bit numerators because 64 >= 32 +
+  /// log2(width)). ceil(2^64 / 1) does not fit in 64 bits, so width 1 keeps
+  /// recip_ = 0 and takes its own branch.
+  [[nodiscard]] SiteIndex row(SiteIndex i) const {
+    if (width_ == 1) return i;
+    __extension__ using u128 = unsigned __int128;
+    return static_cast<SiteIndex>((static_cast<u128>(recip_) * i) >> 64);
+  }
+
   std::int32_t width_;
   std::int32_t height_;
+  std::uint64_t recip_ = 0;  // ceil(2^64 / width_); 0 when width_ == 1
 };
 
 }  // namespace casurf

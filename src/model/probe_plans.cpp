@@ -1,6 +1,7 @@
 #include "model/probe_plans.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace casurf {
 
@@ -15,29 +16,27 @@ ProbePlans::ProbePlans(const ReactionModel& model, std::int32_t width,
   for (ReactionIndex t = 0; t < model.num_reactions(); ++t) {
     TypeSpan& ts = types_[t];
     ts.first = static_cast<std::uint32_t>(probes_.size());
+    bool never = false;
     for (const Transform& tr : model.reaction(t).transforms()) {
       const SpeciesMask m = tr.src & full;
       if (m == full) continue;  // matches every species: always true
       if (m == 0) {             // matches nothing: the type can never fire
-        ts.never = true;
+        never = true;
         break;
       }
-      Probe p;
       // Wrap the offsets once so evaluation needs only a conditional
       // subtract per axis: anchor + wrapped offset lands in [0, 2*extent).
-      p.dx = ((tr.offset.x % width) + width) % width;
-      p.dy = ((tr.offset.y % height) + height) % height;
-      p.first_sp = static_cast<std::uint32_t>(species_.size());
-      for (Species sp = 0; sp < num_species; ++sp) {
-        if (mask_contains(m, sp)) species_.push_back(sp);
-      }
-      p.num_sp = static_cast<std::uint32_t>(species_.size()) - p.first_sp;
-      probes_.push_back(p);
+      probes_.push_back({((tr.offset.x % width) + width) % width,
+                         ((tr.offset.y % height) + height) % height, m});
     }
-    ts.count = ts.never ? 0
-                        : static_cast<std::uint32_t>(probes_.size()) - ts.first;
-    if (ts.never) probes_.resize(ts.first);
-    if (ts.never) continue;
+    if (never) {
+      // The one probe that matches no species; no recheck can flip it.
+      probes_.resize(ts.first);
+      probes_.push_back({0, 0, 0});
+      ts.count = 1;
+      continue;
+    }
+    ts.count = static_cast<std::uint32_t>(probes_.size()) - ts.first;
     // Recheck table, built while the probes are still in transform order
     // (the visit order visit_rechecks promises): a write at z can flip
     // type t anchored at z - o only for the offsets o of the probes kept
@@ -47,10 +46,7 @@ ProbePlans::ProbePlans(const ReactionModel& model, std::int32_t width,
     for (std::uint32_t pi = ts.first; pi < ts.first + ts.count; ++pi) {
       const std::int32_t rdx = probes_[pi].dx == 0 ? 0 : width - probes_[pi].dx;
       const std::int32_t rdy = probes_[pi].dy == 0 ? 0 : height - probes_[pi].dy;
-      SpeciesMask pmask = 0;
-      for (std::uint32_t k = 0; k < probes_[pi].num_sp; ++k) {
-        pmask |= SpeciesMask{1} << species_[probes_[pi].first_sp + k];
-      }
+      const SpeciesMask pmask = probes_[pi].mask;
       bool seen = false;
       for (std::size_t k = rechecks_.size();
            k > 0 && rechecks_[k - 1].type == t; --k) {
@@ -66,13 +62,12 @@ ProbePlans::ProbePlans(const ReactionModel& model, std::int32_t width,
       }
       if (!seen) rechecks_.push_back({rdx, rdy, t, pmask, false});
     }
-    // enabled() is a short-circuiting conjunction over the probes and each
-    // Probe carries its own species span, so their order is free to choose:
-    // test the most selective (fewest matching species) probes first to
-    // exit on a miss as early as possible.
+    // The evaluators are short-circuiting conjunctions over the probes, so
+    // their order is free to choose: test the most selective (fewest
+    // matching species) probes first to exit on a miss as early as possible.
     std::stable_sort(probes_.begin() + ts.first, probes_.end(),
                      [](const Probe& a, const Probe& b) {
-                       return a.num_sp < b.num_sp;
+                       return std::popcount(a.mask) < std::popcount(b.mask);
                      });
   }
 }

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "lattice/bitplanes.hpp"
@@ -8,42 +10,64 @@
 
 namespace casurf {
 
-/// Division-free single-anchor enabledness, precompiled per reaction type.
+/// Single-anchor enabledness, precompiled per reaction type: the one
+/// compiled form of the model's patterns.
 ///
 /// ReactionType::enabled() resolves every transform through
-/// Lattice::neighbor(), whose coord/wrap arithmetic costs four integer
-/// divisions per transform. A ProbePlans is the same predicate compiled
-/// against the bitplanes: per
-/// type, a flat list of probes whose offsets are pre-wrapped into
-/// [0, width) x [0, height) at build time, so evaluation is an add, one
-/// conditional subtract per axis, and a bitplane load per species of the
-/// source mask. Transforms whose mask covers the whole species domain are
-/// dropped at build (every site holds exactly one species), and a type
-/// with an empty source mask is marked never-enabled.
+/// Lattice::neighbor(), which takes the anchor's row from a reciprocal and
+/// wraps both axes of every offset. A ProbePlans is the same predicate as a
+/// flat list of probes per type, whose offsets are pre-wrapped into
+/// [0, width) x [0, height) at build time, so evaluating one costs an add
+/// and one conditional subtract per axis, and one load: a bitplane word per
+/// species of the probe's mask, or the site's byte of the configuration.
+/// The span kernel of the PNDCA sweep (ca/fastpath.hpp) reads the same
+/// table lane-wise. Transforms whose mask covers the whole species domain
+/// are dropped at build (every site holds exactly one species). A type
+/// with an empty source mask is never enabled: it keeps one probe whose
+/// mask matches no species, so every evaluator reports it disabled without
+/// a special case, while a type left with no probes is enabled everywhere.
 class ProbePlans {
  public:
+  /// The site at anchor + (dx, dy) must hold a species in `mask`.
+  struct Probe {
+    std::int32_t dx, dy;  // wrapped into [0, width) / [0, height)
+    SpeciesMask mask;     // the transform's source mask within the domain
+  };
+  /// A type's probes: probes()[first, first + count), most selective first.
+  struct TypeSpan {
+    std::uint32_t first = 0;
+    std::uint32_t count = 0;
+  };
+
   ProbePlans(const ReactionModel& model, std::int32_t width, std::int32_t height);
 
   /// Exactly model.reaction(t).enabled(cfg, site at (x, y)), evaluated
   /// against the planes. Requires x in [0, width), y in [0, height).
   [[nodiscard]] bool enabled(const SpeciesBitplanes& planes, ReactionIndex t,
                              std::int32_t x, std::int32_t y) const {
-    const TypeSpan& ts = types_[t];
-    if (ts.never) return false;
-    const Probe* p = probes_.data() + ts.first;
-    for (std::uint32_t n = ts.count; n != 0; --n, ++p) {
-      std::int32_t px = x + p->dx;
-      if (px >= width_) px -= width_;
-      std::int32_t py = y + p->dy;
-      if (py >= height_) py -= height_;
+    return matches(t, x, y, [&](std::int32_t px, std::int32_t py, SpeciesMask m) {
       bool hit = false;
-      for (std::uint32_t k = 0; k < p->num_sp; ++k) {
-        hit |= planes.bit(species_[p->first_sp + k], px, py);
+      for (; m != 0; m &= m - 1) {
+        hit |= planes.bit(static_cast<Species>(std::countr_zero(m)), px, py);
       }
-      if (!hit) return false;
-    }
-    return true;
+      return hit;
+    });
   }
+
+  /// The same predicate on the configuration's bytes, which must lie on a
+  /// width x height lattice. The scalar lanes of the span kernel.
+  [[nodiscard]] bool enabled(const Configuration& config, ReactionIndex t,
+                             std::int32_t x, std::int32_t y) const {
+    return matches(t, x, y, [&](std::int32_t px, std::int32_t py, SpeciesMask m) {
+      return mask_contains(m, config.get(static_cast<SiteIndex>(py) *
+                                             static_cast<SiteIndex>(width_) +
+                                         static_cast<SiteIndex>(px)));
+    });
+  }
+
+  /// The compiled table, for kernels that evaluate it lane-wise.
+  [[nodiscard]] std::span<const TypeSpan> types() const { return types_; }
+  [[nodiscard]] std::span<const Probe> probes() const { return probes_; }
 
   [[nodiscard]] std::size_t num_types() const { return types_.size(); }
 
@@ -103,15 +127,25 @@ class ProbePlans {
   }
 
  private:
-  struct TypeSpan {
-    std::uint32_t first = 0;
-    std::uint32_t count = 0;
-    bool never = false;
-  };
-  struct Probe {
-    std::int32_t dx, dy;  // wrapped into [0, width) / [0, height)
-    std::uint32_t first_sp, num_sp;
-  };
+  /// The conjunction over type t's probes; hit(px, py, mask) tests one.
+  template <class Hit>
+  [[nodiscard]] bool matches(ReactionIndex t, std::int32_t x, std::int32_t y,
+                             Hit&& hit) const {
+    const TypeSpan& ts = types_[t];
+    const Probe* p = probes_.data() + ts.first;
+    for (std::uint32_t n = ts.count; n != 0; --n, ++p) {
+      // Unsigned: x + dx stays below 2 * width, which may exceed INT32_MAX.
+      std::uint32_t px = static_cast<std::uint32_t>(x) + static_cast<std::uint32_t>(p->dx);
+      if (px >= static_cast<std::uint32_t>(width_)) px -= static_cast<std::uint32_t>(width_);
+      std::uint32_t py = static_cast<std::uint32_t>(y) + static_cast<std::uint32_t>(p->dy);
+      if (py >= static_cast<std::uint32_t>(height_)) py -= static_cast<std::uint32_t>(height_);
+      if (!hit(static_cast<std::int32_t>(px), static_cast<std::int32_t>(py), p->mask)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
   struct Recheck {
     std::int32_t dx, dy;  // anchor = written + (dx, dy), wrapped as above
     ReactionIndex type;
@@ -122,7 +156,6 @@ class ProbePlans {
   std::int32_t height_ = 0;
   std::vector<TypeSpan> types_;
   std::vector<Probe> probes_;
-  std::vector<Species> species_;  // flattened per-probe mask members
   std::vector<Recheck> rechecks_;
 };
 

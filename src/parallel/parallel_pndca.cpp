@@ -1,10 +1,8 @@
 #include "parallel/parallel_pndca.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "obs/trace.hpp"
-#include "partition/conflict.hpp"
 
 namespace casurf {
 
@@ -14,20 +12,9 @@ ParallelPndcaEngine::ParallelPndcaEngine(const ReactionModel& model,
                                          std::uint64_t seed, unsigned num_threads,
                                          ChunkPolicy policy, TimeMode time_mode)
     : PndcaSimulator(model, std::move(config), std::move(partitions), seed, policy,
-                     time_mode),
+                     time_mode, /*threaded=*/true),
       pool_(num_threads) {
-  // Thread safety rests entirely on the non-overlap rule; refuse partitions
-  // that violate it rather than silently racing.
-  const std::vector<Vec2> offsets = conflict_offsets(model);
-  for (const Partition& p : this->partitions()) {
-    if (!verify_partition(p, offsets)) {
-      throw std::invalid_argument(
-          "ParallelPndcaEngine: partition violates the non-overlap rule for "
-          "this model; parallel chunk execution would race");
-    }
-  }
-  workers_.assign(pool_.size(), {{},
-                                 std::vector<std::int64_t>(model.species().size(), 0),
+  workers_.assign(pool_.size(), {std::vector<std::int64_t>(model.species().size(), 0),
                                  std::vector<std::uint64_t>(model.num_reactions(), 0),
                                  {},
                                  {}});
@@ -126,9 +113,8 @@ void ParallelPndcaEngine::execute_chunk(std::uint64_t sweep,
     }
   }
 
-  // The rate cache was frozen during the sweep (workers only read it);
-  // replay the fired lists at the barrier with the species the workers
-  // captured. Worker order is chunk-site order, the serial execution order,
+  // The rate cache was untouched during the sweep; replay the fired lists
+  // at the barrier with the species the workers captured. Worker order is chunk-site order, the serial execution order,
   // and each written site was written once this sweep, so every refresh
   // sees the planes and species the serial commit's refresh saw: the cache
   // and the recheck counters land exactly where the sequential simulator's

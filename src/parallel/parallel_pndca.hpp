@@ -13,15 +13,18 @@ namespace casurf {
 /// (sweep, site) trial draws from its own counter-RNG stream, so outcomes
 /// do not depend on scheduling.
 ///
-/// Shared-state discipline: threads write lattice sites directly (disjoint
-/// by the non-overlap rule) but never the shared species counts; each
-/// thread accumulates per-species deltas and per-type execution tallies,
-/// merged after the join. Under kRateWeighted the workers read the rate
-/// cache's bitset frozen at the sweep start and record each execution with
-/// the species it overwrote; after the join the coordinator replays them
-/// into the cache in serial execution order, which makes the same cache
-/// refreshes as the sequential commit, call for call. Determinism is
-/// verified by the test suite (parallel == sequential, any thread count).
+/// Shared-state discipline: each worker runs the serial span routine on its
+/// slice of the chunk, testing its trials on the scalar lanes, which read
+/// only bytes that no trial of the sweep writes (the non-overlap rule,
+/// checked for every partition at construction). Threads write lattice
+/// sites directly (disjoint by the same rule) but never the shared species
+/// counts; each thread accumulates per-species deltas and per-type
+/// execution tallies, merged after the join. Under kRateWeighted the
+/// workers record each execution with the species it overwrote; after the
+/// join the coordinator replays them into the rate cache in serial
+/// execution order, which makes the same cache refreshes as the sequential
+/// commit, call for call. Determinism is verified by the test suite
+/// (parallel == sequential, any thread count).
 class ParallelPndcaEngine final : public PndcaSimulator {
  public:
   ParallelPndcaEngine(const ReactionModel& model, Configuration config,

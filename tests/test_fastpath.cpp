@@ -4,12 +4,14 @@
 // execute — and must agree after every MC step: same configuration, clock
 // and counters. A divergence pinpoints the first step that differs. The
 // kernel tests hold sample_types and batch_trials to the same per-site
-// draws.
+// draws, and the span kernel enabled_trials, 8-lane and scalar, to
+// ReactionType::enabled trial for trial.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "ca/pndca.hpp"
 #include "ca/tpndca.hpp"
 #include "core/audit.hpp"
+#include "models/diffusion.hpp"
 #include "models/ising.hpp"
 #include "models/pt100.hpp"
 #include "models/zgb.hpp"
@@ -26,6 +29,7 @@
 #include "obs/spatial.hpp"
 #include "parallel/parallel_pndca.hpp"
 #include "partition/coloring.hpp"
+#include "partition/conflict.hpp"
 #include "partition/type_partition.hpp"
 #include "rng/counter_rng.hpp"
 #include "rng/distributions.hpp"
@@ -172,8 +176,8 @@ INSTANTIATE_TEST_SUITE_P(
         ThreadedRow{"pt100_t2", Surface::kPt100, 2, ChunkPolicy::kRandomOrder},
         ThreadedRow{"pt100_t7", Surface::kPt100, 7, ChunkPolicy::kRandomOrder},
         ThreadedRow{"ising_t2", Surface::kIsing, 2, ChunkPolicy::kRandomOrder},
-        // Rate weighting: workers read the frozen cache, and the barrier
-        // replays the sweep into it with the old species unknown.
+        // Rate weighting: the barrier replays the sweep's executions into
+        // the cache with the species the workers captured.
         ThreadedRow{"zgb_rate_t2", Surface::kZgb, 2, ChunkPolicy::kRateWeighted},
         ThreadedRow{"pt100_rate_t7", Surface::kPt100, 7, ChunkPolicy::kRateWeighted}),
     [](const auto& row) { return std::string(row.param.name); });
@@ -181,6 +185,38 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(FastPath, IsingSevenThreadsLockstep) {
   expect_threaded_lockstep({"ising_t7", Surface::kIsing, 7, ChunkPolicy::kRandomOrder},
                            20);
+}
+
+TEST(FastPath, ReadWriteCheckerboardRunsTheBlockPath) {
+  // Under the read/write rule Ising's flips only need the two-chunk
+  // checkerboard: a flip reads its four neighbors but writes only its own
+  // site. Serial PNDCA pre-tests whole spans of it; the threaded engine,
+  // which needs the full-neighborhood rule, refuses it.
+  const Workload w = workload(Surface::kIsing, 30);
+  const Partition p =
+      make_partition(w.init.lattice(), w.model, ConflictPolicy::kReadWrite);
+  ASSERT_EQ(p.num_chunks(), 2u);
+  EXPECT_FALSE(verify_partition(p, conflict_offsets(w.model)));
+  ReferencePndca ref(w.model, w.init, {p}, 5, ChunkPolicy::kRandomOrder);
+  PndcaSimulator sim(w.model, w.init, {p}, 5, ChunkPolicy::kRandomOrder);
+  ASSERT_TRUE(sim.blocks(0));
+  expect_lockstep(ref, sim, 20);
+  EXPECT_THROW(ParallelPndcaEngine(w.model, w.init, {p}, 5, 2), std::invalid_argument);
+}
+
+TEST(FastPath, BlockRuleIsCheckedPerPartition) {
+  // A partition that fails the read/write rule runs one-trial spans; the
+  // verdict is per partition, so one such partition does not demote the
+  // others of the cycle.
+  const Workload w = workload(Surface::kZgb, 20);
+  const Lattice& lat = w.init.lattice();
+  const PndcaSimulator sim(w.model, w.init,
+                           {make_partition(lat, w.model), Partition::single_chunk(lat),
+                            Partition::singletons(lat)},
+                           3);
+  EXPECT_TRUE(sim.blocks(0));
+  EXPECT_FALSE(sim.blocks(1));
+  EXPECT_TRUE(sim.blocks(2));
 }
 
 TEST(FastPath, SingleChunkPartitionStaysExact) {
@@ -444,6 +480,152 @@ TEST(SampleTypes, BatchTrialsIsTheFilteredKernel) {
     EXPECT_EQ(got, want) << "n " << sites.size();
   }
 }
+
+// --- The span kernel -------------------------------------------------------
+
+/// The models the span kernel is held to ReactionType::enabled on: the
+/// surfaces above, diffusion, the 70-type model, and a model with a
+/// never-enabled type and a type enabled everywhere.
+enum class KernelModel { kZgb, kPt100, kDiffusion, kIsing, kSeventy, kEdgeCases };
+
+/// Two species; "ghost" requires a species outside the domain at (1, 0),
+/// so it can never fire, and "idle" requires any species and writes none,
+/// so ProbePlans keeps no probe for it and it is enabled everywhere.
+ReactionModel edge_case_types() {
+  ReactionModel m(SpeciesSet({"*", "A"}));
+  m.add(ReactionType("ads", 1.0, {exact({0, 0}, 0, 1)}));
+  m.add(ReactionType("ghost", 2.0, {exact({0, 0}, 0, 1), require({1, 0}, SpeciesMask{1} << 5)}));
+  m.add(ReactionType("idle", 0.5, {require({0, 0}, 0b11)}));
+  m.add(ReactionType("hop", 1.5, {exact({0, 0}, 1, 0), exact({0, 1}, 0, 1)}));
+  return m;
+}
+
+ReactionModel kernel_model(KernelModel which) {
+  switch (which) {
+    case KernelModel::kZgb:
+      return models::make_zgb(models::ZgbParams::from_y(0.45, 10.0)).model;
+    case KernelModel::kPt100:
+      return models::make_pt100().model;
+    case KernelModel::kDiffusion:
+      return models::make_diffusion().model;
+    case KernelModel::kIsing:
+      return models::make_ising(0.7).model;
+    case KernelModel::kSeventy:
+      return seventy_types();
+    case KernelModel::kEdgeCases:
+      break;
+  }
+  return edge_case_types();
+}
+
+/// A mid-run state: uniformly random species, then `steps` PNDCA steps.
+Configuration mid_run(const ReactionModel& model, const Lattice& lat, std::uint64_t seed,
+                      int steps) {
+  Configuration cfg(lat, model.species().size(), 0);
+  Xoshiro256 rng(seed);
+  for (SiteIndex s = 0; s < cfg.size(); ++s) {
+    cfg.set(s, static_cast<Species>(uniform_below(rng, model.species().size())));
+  }
+  if (steps == 0) return cfg;
+  PndcaSimulator sim(model, std::move(cfg), {make_partition(lat, model)}, seed);
+  for (int i = 0; i < steps; ++i) sim.mc_step();
+  return sim.configuration();
+}
+
+/// Where enabled_trials or its scalar lanes leave ReactionType::enabled on
+/// the span, or "" when both match it trial for trial.
+std::string span_mismatch(const ReactionModel& model, const ProbePlans& probes,
+                          const Configuration& cfg, const SiteIndex* sites,
+                          const ReactionIndex* types, std::size_t n) {
+  std::vector<std::uint32_t> want;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (model.reaction(types[i]).enabled(cfg, sites[i])) want.push_back(i);
+  }
+  std::vector<std::uint32_t> lanes(n), scalar(n);
+  lanes.resize(enabled_trials(probes, cfg, sites, types, n, lanes.data()));
+  scalar.resize(enabled_trials_scalar(probes, cfg, sites, types, n, scalar.data()));
+  for (const auto& [name, got] : {std::pair{"lanes", &lanes}, std::pair{"scalar", &scalar}}) {
+    if (*got == want) continue;
+    std::size_t k = 0;
+    while (k < got->size() && k < want.size() && (*got)[k] == want[k]) ++k;
+    const std::uint32_t i = k < want.size() ? want[k] : (*got)[k];
+    return std::string(name) + " differ at trial " + std::to_string(i) + " (site " +
+           std::to_string(sites[i]) + ", type " + model.reaction(types[i]).name() +
+           ") of a span of " + std::to_string(n);
+  }
+  return "";
+}
+
+struct KernelCase {
+  const char* name;
+  KernelModel model;
+};
+
+void PrintTo(const KernelCase& c, std::ostream* os) { *os << c.name; }
+
+class SpanKernel : public ::testing::TestWithParam<KernelCase> {};
+
+TEST_P(SpanKernel, MatchesEnabledTrialForTrial) {
+  const ReactionModel model = kernel_model(GetParam().model);
+  // 30x30 fills whole 4-byte words; 5x5, 7x7 and 3x1 end in a partial one;
+  // 2x2 and 3x1 alias offsets; 1x9 has width 1; 9x1 and 2x2 have fewer
+  // sites than a lane block.
+  const std::pair<std::int32_t, std::int32_t> shapes[] = {
+      {30, 30}, {5, 5}, {7, 7}, {3, 1}, {2, 2}, {1, 9}, {9, 1}};
+  for (const auto& [w, h] : shapes) {
+    SCOPED_TRACE(std::to_string(w) + " x " + std::to_string(h));
+    const Lattice lat(w, h);
+    // Simulators refuse the edge-case model (its ghost mask names a species
+    // outside the domain), so its state stays random.
+    const Configuration cfg =
+        mid_run(model, lat, 11, GetParam().model == KernelModel::kEdgeCases ? 0 : 3);
+    const ProbePlans probes(model, w, h);
+    std::vector<SiteIndex> all(lat.size());
+    for (SiteIndex s = 0; s < lat.size(); ++s) all[s] = s;
+
+    // Every (site, type) pair.
+    for (ReactionIndex t = 0; t < model.num_reactions(); ++t) {
+      const std::vector<ReactionIndex> types(all.size(), t);
+      ASSERT_EQ(span_mismatch(model, probes, cfg, all.data(), types.data(), all.size()), "");
+    }
+
+    // Sampled types: spans of every length 0-17 at every start, and the
+    // whole chunks of the configuration's partition.
+    const std::uint64_t seed_hash = CounterRng::seed_hash(29);
+    std::vector<ReactionIndex> types(all.size());
+    for (const std::uint64_t sweep : {1u, 2u, 3u}) {
+      sample_types(sweep, seed_hash, all.data(), all.size(), model.alias_table(),
+                   types.data());
+      for (std::size_t len = 0; len <= 17; ++len) {
+        for (std::size_t at = 0; at + len <= all.size(); ++at) {
+          ASSERT_EQ(span_mismatch(model, probes, cfg, all.data() + at, types.data() + at,
+                                  len),
+                    "");
+        }
+      }
+      const Partition p = make_partition(lat, model);
+      for (ChunkId c = 0; c < p.num_chunks(); ++c) {
+        const std::vector<SiteIndex>& sites = p.chunk(c);
+        std::vector<ReactionIndex> chunk_types(sites.size());
+        sample_types(sweep, seed_hash, sites.data(), sites.size(), model.alias_table(),
+                     chunk_types.data());
+        ASSERT_EQ(span_mismatch(model, probes, cfg, sites.data(), chunk_types.data(),
+                                sites.size()),
+                  "");
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Models, SpanKernel,
+    ::testing::Values(KernelCase{"zgb", KernelModel::kZgb},
+                      KernelCase{"pt100", KernelModel::kPt100},
+                      KernelCase{"diffusion", KernelModel::kDiffusion},
+                      KernelCase{"ising", KernelModel::kIsing},
+                      KernelCase{"seventy_types", KernelModel::kSeventy},
+                      KernelCase{"edge_cases", KernelModel::kEdgeCases}),
+    [](const auto& c) { return std::string(c.param.name); });
 
 }  // namespace
 }  // namespace casurf

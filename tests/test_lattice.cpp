@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace casurf {
 namespace {
@@ -109,6 +112,100 @@ TEST(Lattice, OneDimensional) {
 TEST(Lattice, Equality) {
   EXPECT_EQ(Lattice(4, 5), Lattice(4, 5));
   EXPECT_FALSE(Lattice(4, 5) == Lattice(5, 4));
+}
+
+// --- Division-free addressing ---------------------------------------------
+//
+// coord() takes the row from a reciprocal of the width and wrap() adds or
+// subtracts one period per axis; both are held to the modulo formulas.
+
+/// (c + d) mod m, in [0, m).
+std::int64_t ref_mod(std::int64_t c, std::int64_t d, std::int64_t m) {
+  return (((c + d) % m) + m) % m;
+}
+
+/// First site where coord() or neighbor() leaves the modulo formulas, for
+/// every site of `sites` and every offset of dxs x dys; "" when none does.
+std::string first_mismatch(const Lattice& lat, const std::vector<SiteIndex>& sites,
+                           const std::vector<std::int32_t>& dxs,
+                           const std::vector<std::int32_t>& dys) {
+  const std::int64_t w = lat.width();
+  const std::int64_t h = lat.height();
+  std::vector<std::int64_t> column(dxs.size());  // the wrapped x of each dx
+  for (const SiteIndex s : sites) {
+    const std::int64_t x = s % w;
+    const std::int64_t y = s / w;
+    const Vec2 c = lat.coord(s);
+    if (c.x != x || c.y != y) {
+      return "coord(" + std::to_string(s) + ") = (" + std::to_string(c.x) + ", " +
+             std::to_string(c.y) + ")";
+    }
+    for (std::size_t j = 0; j < dxs.size(); ++j) column[j] = ref_mod(x, dxs[j], w);
+    for (const std::int32_t dy : dys) {
+      const std::int64_t row = ref_mod(y, dy, h) * w;
+      for (std::size_t j = 0; j < dxs.size(); ++j) {
+        const auto want = static_cast<SiteIndex>(row + column[j]);
+        if (lat.neighbor(s, {dxs[j], dy}) != want) {
+          return "neighbor(" + std::to_string(s) + ", {" + std::to_string(dxs[j]) + ", " +
+                 std::to_string(dy) + "}) != " + std::to_string(want);
+        }
+      }
+    }
+  }
+  return "";
+}
+
+/// Every offset with |d| <= 2 * extent + 1.
+std::vector<std::int32_t> every_offset(std::int32_t extent) {
+  std::vector<std::int32_t> out;
+  for (std::int32_t d = -2 * extent - 1; d <= 2 * extent + 1; ++d) out.push_back(d);
+  return out;
+}
+
+/// Offsets around each multiple of the extent up to 2 * extent + 1, kept
+/// only where coordinate + offset still fits an int32_t.
+std::vector<std::int32_t> boundary_offsets(std::int32_t extent) {
+  std::vector<std::int32_t> out;
+  const std::int64_t m = extent;
+  for (const std::int64_t d : {std::int64_t{0}, std::int64_t{1}, std::int64_t{2}, m - 1, m,
+                               m + 1, 2 * m, 2 * m + 1}) {
+    for (const std::int64_t signed_d : {d, -d}) {
+      if (std::abs(signed_d) + m - 1 <= std::numeric_limits<std::int32_t>::max()) {
+        out.push_back(static_cast<std::int32_t>(signed_d));
+      }
+    }
+  }
+  return out;
+}
+
+TEST(LatticeAddressing, EverySiteAndOffsetMatchesTheModuloFormula) {
+  const std::pair<std::int32_t, std::int32_t> shapes[] = {
+      {1, 1}, {1, 9}, {9, 1}, {2, 2}, {3, 5}, {5, 3}, {7, 7}, {64, 64}};
+  for (const auto& [w, h] : shapes) {
+    const Lattice lat(w, h);
+    std::vector<SiteIndex> sites(lat.size());
+    for (SiteIndex s = 0; s < lat.size(); ++s) sites[s] = s;
+    EXPECT_EQ(first_mismatch(lat, sites, every_offset(w), every_offset(h)), "")
+        << w << " x " << h;
+  }
+}
+
+TEST(LatticeAddressing, TopSiteIndicesOfTheLargestLattices) {
+  // The row is exact for every 32-bit index: the 1000 highest sites and a
+  // stride sample of lattices at or near 2^32 - 1 sites, including a width
+  // far from a power of two and widths at both extremes.
+  const std::pair<std::int32_t, std::int32_t> shapes[] = {
+      {65536, 65535}, {65535, 65537}, {3, 1431655765}, {2147483647, 2}, {1, 2147483647}};
+  for (const auto& [w, h] : shapes) {
+    const Lattice lat(w, h);
+    std::vector<SiteIndex> sites;
+    for (SiteIndex k = 1; k <= 1000; ++k) sites.push_back(lat.size() - k);
+    for (std::uint64_t k = 0; k < 997; ++k) {
+      sites.push_back(static_cast<SiteIndex>(k * (lat.size() - 1000) / 997));
+    }
+    EXPECT_EQ(first_mismatch(lat, sites, boundary_offsets(w), boundary_offsets(h)), "")
+        << w << " x " << h;
+  }
 }
 
 class LatticeSizes : public ::testing::TestWithParam<std::pair<int, int>> {};
