@@ -1,8 +1,11 @@
 // Reproduces Fig 9 of the paper: L-PNDCA on the Pt(100) oscillation model
 // with the optimal five-chunk partition and chunk selection proportional to
 // chunk size. (a) L = 1 tracks RSM closely; (b) L = 100 introduces
-// correlations that shift/damp the coverage oscillations.
+// correlations that shift/damp the coverage oscillations. The L sweep runs
+// five seeds per L and reports the spread of its ratios to RSM.
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -66,18 +69,40 @@ int main() {
   bench::dump_series("fig9_L1", {"co", "o"}, {l1_run.co, l1_run.o});
   bench::dump_series("fig9_L100", {"co", "o"}, {l100_run.co, l100_run.o});
 
-  // Extended L sweep: the full accuracy-vs-parallel-batch trade-off.
-  std::printf("\nL sweep (same partition; amplitude/period relative to RSM):\n");
-  std::printf("%-8s %-8s %-10s %-10s\n", "L", "peaks", "period/RSM", "amp/RSM");
+  // Extended L sweep: the full accuracy-vs-parallel-batch trade-off. Single
+  // runs of one setting spread by 9-15%, so each L runs kSeeds seeds and
+  // the ratios to RSM are reported as median [lower quartile, upper
+  // quartile] over them.
+  constexpr std::uint64_t kSeeds = 5;
+  const auto quartiles = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const auto at = [&](double q) {  // linear interpolation between order statistics
+      const double pos = q * static_cast<double>(v.size() - 1);
+      const auto lo = static_cast<std::size_t>(pos);
+      const std::size_t hi = std::min(lo + 1, v.size() - 1);
+      return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+    };
+    return std::array<double, 3>{at(0.5), at(0.25), at(0.75)};
+  };
+  std::printf("\nL sweep (same partition; ratios to RSM over %llu seeds, median [q1, q3]):\n",
+              static_cast<unsigned long long>(kSeeds));
+  std::printf("%-6s %-12s %-22s %-22s\n", "L", "peaks", "period/RSM", "amp/RSM");
   for (const std::uint32_t l_param : {1u, 10u, 100u, 1000u}) {
-    LPndcaSimulator sweep_sim(pt.model, initial, five, 17 + l_param, l_param);
-    const auto run = bench::record_pt100(sweep_sim, pt, t_end, 0.5);
-    const auto osc = stats::detect_oscillations(run.co, skip);
-    std::printf("%-8u %-8zu %-10.2f %-10.2f\n", l_param, osc.num_peaks,
-                rsm_osc.mean_period > 0 ? osc.mean_period / rsm_osc.mean_period : 0.0,
-                rsm_osc.mean_amplitude > 0
-                    ? osc.mean_amplitude / rsm_osc.mean_amplitude
-                    : 0.0);
+    std::vector<double> peaks, period, amp;
+    for (std::uint64_t k = 0; k < kSeeds; ++k) {
+      LPndcaSimulator sweep_sim(pt.model, initial, five, 17 + l_param + 1000 * k, l_param);
+      const auto run = bench::record_pt100(sweep_sim, pt, t_end, 0.5);
+      const auto osc = stats::detect_oscillations(run.co, skip);
+      peaks.push_back(static_cast<double>(osc.num_peaks));
+      period.push_back(rsm_osc.mean_period > 0 ? osc.mean_period / rsm_osc.mean_period : 0.0);
+      amp.push_back(rsm_osc.mean_amplitude > 0 ? osc.mean_amplitude / rsm_osc.mean_amplitude
+                                               : 0.0);
+    }
+    const auto [pk, pk_lo, pk_hi] = quartiles(peaks);
+    const auto [pe, pe_lo, pe_hi] = quartiles(period);
+    const auto [am, am_lo, am_hi] = quartiles(amp);
+    std::printf("%-6u %4.0f [%2.0f,%2.0f]  %.2f [%.2f, %.2f]      %.2f [%.2f, %.2f]\n", l_param,
+                pk, pk_lo, pk_hi, pe, pe_lo, pe_hi, am, am_lo, am_hi);
   }
 
   // Rate-weighted chunk selection (paper section 5, option 4). First the

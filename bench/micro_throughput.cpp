@@ -64,14 +64,16 @@ void BM_PndcaMcStep(benchmark::State& state) {
 }
 BENCHMARK(BM_PndcaMcStep)->Unit(benchmark::kMicrosecond);
 
+// The argument is L: 1 runs one-trial spans, 64 and 1000 run spans of
+// distinct sites through the 8-lane test.
 void BM_LPndcaMcStep(benchmark::State& state) {
   const Lattice lat(kSide, kSide);
   LPndcaSimulator sim(zgb().model, initial(), Partition::linear_form(lat, 1, 3, 5),
-                      4, 64);
+                      4, static_cast<std::uint32_t>(state.range(0)));
   for (auto _ : state) sim.mc_step();
   state.SetItemsProcessed(static_cast<std::int64_t>(sim.counters().trials));
 }
-BENCHMARK(BM_LPndcaMcStep)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_LPndcaMcStep)->Arg(1)->Arg(64)->Arg(1000)->Unit(benchmark::kMicrosecond);
 
 void BM_TPndcaMcStep(benchmark::State& state) {
   const Lattice lat(kSide, kSide);

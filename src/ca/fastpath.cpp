@@ -33,19 +33,30 @@ void EnabledTypeSet::rebuild(const SpeciesBitplanes& planes,
 
 namespace {
 
-/// Reference lane loop: the portable sample_types, also the tail of the
-/// vector path.
-void sample_types_scalar(std::uint64_t sweep, std::uint64_t seed_hash,
-                         const SiteIndex* sites, std::size_t n,
-                         const AliasTable& alias, ReactionIndex* out) {
+/// The reference lanes of both sampling entries, also their vector path's
+/// tail. Stream i is keyed by (step, word), where the key word is sites[i]
+/// (sample_types) or first + i (sample_trials, kTrials, which also keeps
+/// each stream's third draw in draws[i]).
+template <bool kTrials>
+void sample_scalar(std::uint64_t step, std::uint64_t seed_hash, const SiteIndex* sites,
+                   std::uint64_t first, std::size_t n, const AliasTable& alias,
+                   ReactionIndex* out, std::uint64_t* draws) {
   for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t word = kTrials ? first + i : sites[i];
     // seed_hash ^ mix64(key) == CounterRng::stream_base(seed, key), the
     // seed half hoisted out of the loop. First draw = flip, second = slot.
-    const std::uint64_t base = seed_hash ^ mix64(CounterRng::key(sweep, sites[i]));
+    const std::uint64_t base = seed_hash ^ mix64(CounterRng::key(step, word));
     const double u_flip = CounterRng::to_unit(CounterRng::nth(base, 1));
     const double u_slot = CounterRng::to_unit(CounterRng::nth(base, 2));
     out[i] = static_cast<ReactionIndex>(alias.sample(u_slot, u_flip));
+    if constexpr (kTrials) draws[i] = CounterRng::nth(base, 3);
   }
+}
+
+/// The position map's reference lanes over [from, n), and its tail.
+void chunk_positions_from(const std::uint64_t* draws, std::size_t from, std::size_t n,
+                          std::uint32_t size, std::uint32_t* out) {
+  for (std::size_t i = from; i < n; ++i) out[i] = chunk_position(draws[i], size);
 }
 
 /// The scalar lanes of enabled_trials over trials [from, n), appending the
@@ -96,35 +107,50 @@ CASURF_AVX512 inline __m512i mix64x8(__m512i z) {
   return _mm512_xor_si512(z, _mm512_srli_epi64(z, 31));
 }
 
-/// Eight sites per iteration: counter streams, unit-interval draws, alias
-/// slot/flip. Every floating-point and integer step is the exact IEEE /
-/// mod-2^64 operation of the scalar path, so the types agree bit for bit.
-CASURF_AVX512 void sample_types_avx512(std::uint64_t sweep, std::uint64_t seed_hash,
-                                       const SiteIndex* sites, std::size_t n,
-                                       const AliasTable& alias, ReactionIndex* out) {
+/// Eight streams per iteration: counter streams, unit-interval draws, alias
+/// slot/flip, and under kTrials the third draw. Every floating-point and
+/// integer step is the exact IEEE / mod-2^64 operation of sample_scalar, so
+/// the types and draws agree bit for bit.
+template <bool kTrials>
+CASURF_AVX512 void sample_avx512(std::uint64_t step, std::uint64_t seed_hash,
+                                 const SiteIndex* sites, std::uint64_t first,
+                                 std::size_t n, const AliasTable& alias,
+                                 ReactionIndex* out, std::uint64_t* draws) {
   static_assert(sizeof(SiteIndex) == 4 && sizeof(ReactionIndex) == 4,
                 "the lanes load sites and store types as 32-bit words");
   constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
   const __m512i stepv =
-      _mm512_set1_epi64(static_cast<long long>(CounterRng::step_word(sweep)));
+      _mm512_set1_epi64(static_cast<long long>(CounterRng::step_word(step)));
   const __m512i seedv = _mm512_set1_epi64(static_cast<long long>(seed_hash));
   const __m512i golden1 = _mm512_set1_epi64(static_cast<long long>(kGolden));
   const __m512i golden2 = _mm512_set1_epi64(static_cast<long long>(2 * kGolden));
+  const __m512i golden3 = _mm512_set1_epi64(static_cast<long long>(3 * kGolden));
   const __m512d unit = _mm512_set1_pd(0x1.0p-53);
   const std::uint64_t size = alias.size();
   const __m512d sized = _mm512_set1_pd(static_cast<double>(size));
   const __m512i size_m1 = _mm512_set1_epi64(static_cast<long long>(size - 1));
   const double* prob = alias.prob_data();
   const std::uint32_t* alias_tab = alias.alias_data();
+  // The key words of the next eight streams: trial indices count up by 8.
+  __m512i trial = _mm512_add_epi64(_mm512_set1_epi64(static_cast<long long>(first)),
+                                   _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7));
+  const __m512i eight = _mm512_set1_epi64(8);
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m256i s32 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(sites + i));
-    const __m512i site = _mm512_cvtepu32_epi64(s32);
-    const __m512i key = mix64x8(_mm512_add_epi64(stepv, site));
+    __m512i word = trial;
+    if constexpr (kTrials) {
+      trial = _mm512_add_epi64(trial, eight);
+    } else {
+      word = _mm512_cvtepu32_epi64(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(sites + i)));
+    }
+    const __m512i key = mix64x8(_mm512_add_epi64(stepv, word));
     const __m512i base = _mm512_xor_si512(seedv, mix64x8(key));
     const __m512i r1 = mix64x8(_mm512_add_epi64(base, golden1));
     const __m512i r2 = mix64x8(_mm512_add_epi64(base, golden2));
+    if constexpr (kTrials) {
+      _mm512_storeu_si512(draws + i, mix64x8(_mm512_add_epi64(base, golden3)));
+    }
     const __m512d u_flip =
         _mm512_mul_pd(_mm512_cvtepu64_pd(_mm512_srli_epi64(r1, 11)), unit);
     const __m512d u_slot =
@@ -147,7 +173,27 @@ CASURF_AVX512 void sample_types_avx512(std::uint64_t sweep, std::uint64_t seed_h
   // log() — pay the VEX transition penalty, slowing the *rest of the step*
   // by an order of magnitude. Clear the state explicitly.
   _mm256_zeroupper();
-  sample_types_scalar(sweep, seed_hash, sites + i, n - i, alias, out + i);
+  sample_scalar<kTrials>(step, seed_hash, sites + (kTrials ? 0 : i), first + i, n - i,
+                         alias, out + i, draws + (kTrials ? i : 0));
+}
+
+/// Eight positions per iteration. The 64 x 32-bit product's high word is
+/// hi * size + (lo * size >> 32), shifted right by 32, with hi and lo the
+/// halves of the draw: the row reciprocal's trick in enabled_trials_avx512.
+/// The sum cannot overflow, so every lane equals the scalar multiply-shift.
+CASURF_AVX512 void chunk_positions_avx512(const std::uint64_t* draws, std::size_t n,
+                                          std::uint32_t size, std::uint32_t* out) {
+  const __m512i sizev = _mm512_set1_epi64(static_cast<long long>(size));
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m512i r = _mm512_loadu_si512(draws + i);
+    const __m512i low = _mm512_srli_epi64(_mm512_mul_epu32(r, sizev), 32);
+    const __m512i high = _mm512_mul_epu32(_mm512_srli_epi64(r, 32), sizev);
+    const __m512i pos = _mm512_srli_epi64(_mm512_add_epi64(high, low), 32);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), _mm512_cvtepi64_epi32(pos));
+  }
+  _mm256_zeroupper();  // see sample_avx512
+  chunk_positions_from(draws, i, n, size, out);
 }
 
 // The lanes gather the probe table and the type spans by byte offset; pin
@@ -287,7 +333,7 @@ CASURF_AVX512 std::size_t enabled_trials_avx512(const ProbePlans& probes,
                         _mm256_maskz_compress_epi32(pass, index));
     count += static_cast<std::size_t>(__builtin_popcount(pass));
   }
-  _mm256_zeroupper();  // see sample_types_avx512
+  _mm256_zeroupper();  // see sample_avx512
   return enabled_trials_from(probes, config, sites, types, i, n, hits, count);
 }
 
@@ -299,11 +345,40 @@ void sample_types(std::uint64_t sweep, std::uint64_t seed_hash, const SiteIndex*
                   std::size_t n, const AliasTable& alias, ReactionIndex* out) {
 #if defined(__GNUC__) && defined(__x86_64__)
   if (have_avx512() && !alias.empty()) {
-    sample_types_avx512(sweep, seed_hash, sites, n, alias, out);
+    sample_avx512<false>(sweep, seed_hash, sites, 0, n, alias, out, nullptr);
     return;
   }
 #endif
-  sample_types_scalar(sweep, seed_hash, sites, n, alias, out);
+  sample_scalar<false>(sweep, seed_hash, sites, 0, n, alias, out, nullptr);
+}
+
+void sample_trials(std::uint64_t step, std::uint64_t seed_hash, std::uint64_t first,
+                   std::size_t n, const AliasTable& alias, ReactionIndex* types,
+                   std::uint64_t* draws) {
+#if defined(__GNUC__) && defined(__x86_64__)
+  if (have_avx512() && !alias.empty()) {
+    sample_avx512<true>(step, seed_hash, nullptr, first, n, alias, types, draws);
+    return;
+  }
+#endif
+  sample_scalar<true>(step, seed_hash, nullptr, first, n, alias, types, draws);
+}
+
+void sample_trials_scalar(std::uint64_t step, std::uint64_t seed_hash, std::uint64_t first,
+                          std::size_t n, const AliasTable& alias, ReactionIndex* types,
+                          std::uint64_t* draws) {
+  sample_scalar<true>(step, seed_hash, nullptr, first, n, alias, types, draws);
+}
+
+void chunk_positions(const std::uint64_t* draws, std::size_t n, std::uint32_t size,
+                     std::uint32_t* out) {
+#if defined(__GNUC__) && defined(__x86_64__)
+  if (n >= 8 && have_avx512()) {
+    chunk_positions_avx512(draws, n, size, out);
+    return;
+  }
+#endif
+  chunk_positions_from(draws, 0, n, size, out);
 }
 
 std::size_t enabled_trials(const ProbePlans& probes, const Configuration& config,

@@ -7,12 +7,15 @@
 
 namespace casurf {
 
-// The two kernels of a PNDCA chunk sweep, run over a span of the chunk's
-// sites: sample_types draws every trial's reaction type, then
+// The kernels of the partitioned CA's trial spans. PNDCA runs a span of a
+// chunk's sites: sample_types draws every trial's reaction type, then
 // enabled_trials tests every trial against the configuration's bytes
-// through the probe plans (model/probe_plans.hpp). Plus the per-site
-// enabled-type bitset the enabled-rate cache (ca/rate_cache.hpp) keeps
-// through the shared recheck routine.
+// through the probe plans (model/probe_plans.hpp). L-PNDCA draws a block of
+// an MC step's trials at once with sample_trials, maps each batch's third
+// draws onto the chunk it selected with chunk_positions, and tests its
+// spans with the same enabled_trials. Plus the per-site enabled-type bitset
+// the enabled-rate cache (ca/rate_cache.hpp) keeps through the shared
+// recheck routine.
 
 /// Per-site "which reaction types are enabled here" bitset, site-major and
 /// word-packed so one trial test costs a single load and bit test. Like
@@ -64,6 +67,37 @@ class EnabledTypeSet {
 void sample_types(std::uint64_t sweep, std::uint64_t seed_hash, const SiteIndex* sites,
                   std::size_t n, const AliasTable& alias, ReactionIndex* out);
 
+/// The random half of an L-PNDCA block: the same lanes as sample_types, with
+/// trial index first + i in place of a site as the key word. Trial t of MC
+/// step `step` owns the stream keyed by (step, t); its first two draws
+/// sample types[i] as sample_types does (flip, then slot), and its third
+/// goes to draws[i] raw, for chunk_positions to map onto whichever chunk
+/// the trial's batch selects. The draws depend on neither the lattice, L
+/// nor the chunk, so a block of trials is drawn before its batches are
+/// formed. `seed_hash` is CounterRng::seed_hash(seed). Runtime-dispatched
+/// like sample_types, and exact in both versions.
+void sample_trials(std::uint64_t step, std::uint64_t seed_hash, std::uint64_t first,
+                   std::size_t n, const AliasTable& alias, ReactionIndex* types,
+                   std::uint64_t* draws);
+
+/// The scalar lanes of sample_trials: its reference and its tail.
+void sample_trials_scalar(std::uint64_t step, std::uint64_t seed_hash, std::uint64_t first,
+                          std::size_t n, const AliasTable& alias, ReactionIndex* types,
+                          std::uint64_t* draws);
+
+/// The position of a raw draw in a chunk of `size` sites: (draw * size) >>
+/// 64, the 64-bit multiply-shift of uniform_below.
+[[nodiscard]] inline std::uint32_t chunk_position(std::uint64_t draw, std::uint32_t size) {
+  __extension__ using u128 = unsigned __int128;
+  return static_cast<std::uint32_t>((static_cast<u128>(draw) * size) >> 64);
+}
+
+/// chunk_position over a span: out[i] = chunk_position(draws[i], size),
+/// exact for every size up to 2^32 - 1. Runs 8 lanes wide under AVX-512
+/// for n >= 8.
+void chunk_positions(const std::uint64_t* draws, std::size_t n, std::uint32_t size,
+                     std::uint32_t* out);
+
 /// The deterministic half of a chunk sweep: writes to hits[] the indices
 /// i, ascending, whose reaction type types[i] is enabled at sites[i] on the
 /// bytes of `config`, and returns how many it wrote. `hits` must hold n
@@ -71,8 +105,9 @@ void sample_types(std::uint64_t sweep, std::uint64_t seed_hash, const SiteIndex*
 ///
 /// Exactly ReactionType::enabled per trial, against the configuration as
 /// it stands: the caller commits the hits afterwards, which is the serial
-/// sweep's answer whenever no trial of the span writes a site another one
-/// reads (PndcaSimulator's block rule).
+/// loop's answer whenever the span's sites are distinct and no trial of the
+/// span writes a site another one reads (the block rule; see
+/// PartitionedSimulator::run_trials).
 ///
 /// Runs 8 lanes wide under AVX-512 when the CPU has it, dispatched at
 /// runtime like sample_types. Each lane takes its anchor's row from the

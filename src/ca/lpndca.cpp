@@ -1,7 +1,10 @@
 #include "ca/lpndca.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
+#include "ca/fastpath.hpp"
 #include "obs/trace.hpp"
 #include "rng/distributions.hpp"
 
@@ -16,7 +19,7 @@ LPndcaSimulator::LPndcaSimulator(const ReactionModel& model, Configuration confi
       partition_(std::move(partition)),
       trials_per_batch_(trials_per_batch),
       clock_(time_mode, config_.size(), model.total_rate()) {
-  add_slot(partition_);
+  add_slot(partition_, BlockCheck::kReadWrite);
   if (trials_per_batch_ == 0) {
     throw std::invalid_argument("L-PNDCA: L must be at least 1");
   }
@@ -26,6 +29,9 @@ LPndcaSimulator::LPndcaSimulator(const ReactionModel& model, Configuration confi
     acc += static_cast<double>(partition_.chunk(c).size());
     chunk_cumulative_[c] = acc;
   }
+  // Only batches that can fill a lane block run in spans, which track
+  // repeated sites.
+  if (trials_per_batch_ >= kLanes && blocks(0)) seen_.assign((config_.size() + 63) / 64, 0);
 }
 
 void LPndcaSimulator::attach(const obs::Sinks& sinks) {
@@ -33,6 +39,21 @@ void LPndcaSimulator::attach(const obs::Sinks& sinks) {
   obs::MetricsRegistry* const registry = sinks.metrics;
   step_timer_ = registry ? &registry->timer("lpndca/step") : nullptr;
   select_timer_ = registry ? &registry->timer("lpndca/select") : nullptr;
+}
+
+void LPndcaSimulator::save_state(StateWriter& w) const {
+  PartitionedSimulator::save_state(w);
+  w.u64(trials_per_batch_);
+}
+
+void LPndcaSimulator::restore_state(StateReader& r) {
+  PartitionedSimulator::restore_state(r);
+  const std::uint64_t l = r.u64();
+  if (l != trials_per_batch_) {
+    throw StateFormatError("lpndca: the checkpoint was written with L = " +
+                           std::to_string(l) + ", this simulator has L = " +
+                           std::to_string(trials_per_batch_));
+  }
 }
 
 ChunkId LPndcaSimulator::select_chunk() {
@@ -49,27 +70,63 @@ ChunkId LPndcaSimulator::select_chunk() {
   return static_cast<ChunkId>(sample_cumulative(chunk_cumulative_, uniform01(rng_)));
 }
 
+void LPndcaSimulator::run_spans(std::size_t from, std::size_t to,
+                                const std::vector<SiteIndex>& chunk) {
+  const std::size_t m = to - from;
+  SiteIndex* sites = sites_.data() + from;
+  const ReactionIndex* types = types_.data() + from;
+  chunk_positions(draws_.data() + from, m, static_cast<std::uint32_t>(chunk.size()), sites);
+  for (std::size_t i = 0; i < m; ++i) sites[i] = chunk[sites[i]];
+  // Each span ends just before the first trial whose site already occurs
+  // in it.
+  for (std::size_t i = 0; i < m;) {
+    std::size_t j = i;
+    for (; j < m; ++j) {
+      std::uint64_t& word = seen_[sites[j] >> 6];
+      const std::uint64_t bit = std::uint64_t{1} << (sites[j] & 63u);
+      if ((word & bit) != 0) break;
+      word |= bit;
+    }
+    run_trials(sites + i, types + i, j - i, 0);
+    for (; i < j; ++i) seen_[sites[i] >> 6] &= ~(std::uint64_t{1} << (sites[i] & 63u));
+  }
+}
+
 void LPndcaSimulator::mc_step() {
   const obs::ScopedTimer span(step_timer_);
   const obs::ScopedSpan trace(trace_, "lpndca/step", time_, counters_.steps);
   const std::uint64_t budget = config_.size();  // N trials per step
-  std::uint64_t trials = 0;
-  while (trials < budget) {
-    const std::vector<SiteIndex>& sites = partition_.chunk(select_chunk());
+  std::uint64_t block = budget;  // first trial of the drawn block; none yet
+  for (std::uint64_t t = 0; t < budget;) {
+    const std::vector<SiteIndex>& chunk = partition_.chunk(select_chunk());
 
     // select L, clipped to the remaining budget (1 <= L <= N - trials)
-    const std::uint64_t batch =
-        std::min<std::uint64_t>(trials_per_batch_, budget - trials);
-    trials += batch;
+    const std::uint64_t batch = std::min<std::uint64_t>(trials_per_batch_, budget - t);
+    const std::uint64_t end = t + batch;
 
     // L random sites within the chunk, with replacement — matching RSM's
-    // site statistics in the degenerate-partition limits. Each trial draws
-    // its site, then its type; no trial reads the clock, so the batch
-    // advances time once, after its last trial.
-    for (std::uint64_t i = 0; i < batch; ++i) {
-      const SiteIndex s = sites[uniform_below(rng_, sites.size())];
-      const ReactionIndex rt = model_.sample_type(rng_);
-      if (trial_passes(s, rt)) commit(s, rt, 0);
+    // site statistics in the degenerate-partition limits. No trial reads
+    // the clock, so the batch advances time once, after its last trial.
+    while (t < end) {
+      const std::uint64_t first = t - t % kSpan;
+      if (first != block) {
+        block = first;
+        sample_trials(counters_.steps, seed_hash_, first,
+                      static_cast<std::size_t>(std::min<std::uint64_t>(kSpan, budget - first)),
+                      model_.alias_table(), types_.data(), draws_.data());
+      }
+      const std::uint64_t stop = std::min(end, first + kSpan);
+      if (!seen_.empty()) {
+        run_spans(static_cast<std::size_t>(t - first), static_cast<std::size_t>(stop - first),
+                  chunk);
+        t = stop;
+        continue;
+      }
+      for (; t < stop; ++t) {  // one-trial spans
+        const std::size_t i = static_cast<std::size_t>(t - first);
+        sites_[i] = chunk[chunk_position(draws_[i], static_cast<std::uint32_t>(chunk.size()))];
+        run_trials(&sites_[i], &types_[i], 1, 0);
+      }
     }
     clock_.advance(time_, batch, rng_);
     counters_.trials += batch;

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <vector>
 
 #include "ca/partitioned.hpp"
 #include "obs/metrics.hpp"
@@ -22,6 +24,25 @@ namespace casurf {
 ///
 /// The paper's chunk-selection probability "|Pi| / |P|" is read as
 /// |Pi| / N, the only normalizable reading (see DESIGN.md).
+///
+/// The draw law: trial t in [0, N) of MC step k owns the counter stream
+/// keyed by (k, t). Its first two draws sample its reaction type, flip then
+/// slot as in PNDCA's (sweep, site) streams, and its third its position in
+/// the chunk its batch selected, (draw * |chunk|) >> 64. The draws of a
+/// step are thus a pure function of (seed, k), generated in blocks of
+/// kSpan trial indices aligned to the step start, whatever L is. Chunk
+/// selection (one uniform per batch) and time (one Gamma(batch, N K) draw
+/// per batch) come from the base's sequential generator.
+///
+/// A batch is tested and committed in spans through the base's run_trials:
+/// trials of one batch lie in one chunk, so under the block rule a commit
+/// changes no other trial's test unless the two share a site. Draws are
+/// with replacement, so a span ends just before the first trial whose site
+/// already occurs in it, and at batch and block boundaries. Commits stay
+/// serial, in draw order, so the trajectory is the one-trial-at-a-time
+/// loop's under the same draws. With L below a lane block (kLanes), or a
+/// partition that fails the block rule (Partition::single_chunk, Fig 8's
+/// |P| = 1, L = N limit), every span holds one trial.
 ///
 /// With `ChunkWeighting::kRateWeighted`, chunk draws are weighted by the
 /// rate of currently-enabled reactions per chunk instead of by size
@@ -49,14 +70,32 @@ class LPndcaSimulator final : public PartitionedSimulator {
   }
   [[nodiscard]] std::uint32_t trials_per_batch() const { return trials_per_batch_; }
 
+  /// Checkpointing: the base's section, then L. The trial streams are keyed
+  /// by (seed, step), so the step counter the base saves resumes them;
+  /// restore refuses a checkpoint written with another L.
+  void save_state(StateWriter& w) const override;
+  void restore_state(StateReader& r) override;
+
  private:
   [[nodiscard]] ChunkId select_chunk();
+
+  /// Trials [from, to) of the current block, all in the batch that selected
+  /// `chunk`: maps their draws onto the chunk and runs them in spans of
+  /// distinct sites. Only for partitions that pass the block rule, at
+  /// L >= kLanes.
+  void run_spans(std::size_t from, std::size_t to, const std::vector<SiteIndex>& chunk);
 
   // The base's cache, under kRateWeighted, has slot 0 == the partition.
   Partition partition_;
   std::uint32_t trials_per_batch_;
   TrialClock clock_;
   std::vector<double> chunk_cumulative_;  // cumulative chunk sizes for selection
+  // The current block of the step's trials: types, third draws, and the
+  // sites they map to in their batch's chunk.
+  std::array<ReactionIndex, kSpan> types_{};
+  std::array<std::uint64_t, kSpan> draws_{};
+  std::array<SiteIndex, kSpan> sites_{};
+  std::vector<std::uint64_t> seen_;  // one bit per site: in the current span
   obs::Timer* step_timer_ = nullptr;             // lpndca/step
   obs::Timer* select_timer_ = nullptr;           // lpndca/select
 };

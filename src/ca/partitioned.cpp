@@ -2,20 +2,53 @@
 
 #include <stdexcept>
 
+#include "ca/fastpath.hpp"
+#include "partition/conflict.hpp"
+#include "rng/counter_rng.hpp"
+
 namespace casurf {
 
 PartitionedSimulator::PartitionedSimulator(const ReactionModel& model, Configuration config,
                                            std::uint64_t seed, const char* key,
                                            bool rate_weighted)
-    : Simulator(model, std::move(config)), rng_(seed), key_(key) {
+    : Simulator(model, std::move(config)),
+      rng_(seed),
+      seed_hash_(CounterRng::seed_hash(seed)),
+      probes_(model, config_.lattice().width(), config_.lattice().height()),
+      key_(key) {
   if (rate_weighted) rate_cache_ = std::make_unique<EnabledRateCache>(model_, config_);
 }
 
-void PartitionedSimulator::add_slot(const Partition& p) {
+void PartitionedSimulator::add_slot(const Partition& p, BlockCheck check) {
   if (!(p.lattice() == config_.lattice())) {
     throw std::invalid_argument(name() + ": partition lattice mismatch");
   }
   if (rate_cache_) rate_cache_->add_partition(p);
+  bool ok = false;
+  if (check == BlockCheck::kThreaded) {
+    // Thread safety rests entirely on the non-overlap rule; refuse
+    // partitions that violate it rather than silently racing.
+    if (!verify_partition(p, conflict_offsets(model_, ConflictPolicy::kFullNeighborhood))) {
+      throw std::invalid_argument(
+          "ParallelPndcaEngine: partition violates the non-overlap rule for "
+          "this model; parallel chunk execution would race");
+    }
+    ok = true;
+  } else if (check == BlockCheck::kReadWrite) {
+    ok = verify_partition(p, conflict_offsets(model_, ConflictPolicy::kReadWrite));
+  }
+  blocks_.push_back(ok ? 1 : 0);
+}
+
+void PartitionedSimulator::run_lanes(const SiteIndex* sites, const ReactionIndex* types,
+                                     std::size_t n, std::size_t slot) {
+  std::uint32_t hits[kSpan];
+  const std::size_t passed = enabled_trials(probes_, config_, sites, types, n, hits);
+  if (spatial_.map() != nullptr) {
+    for (std::size_t i = 0; i < n; ++i) spatial_.attempt(sites[i]);
+    for (std::size_t h = 0; h < passed; ++h) spatial_.fire(sites[hits[h]]);
+  }
+  for (std::size_t h = 0; h < passed; ++h) commit(sites[hits[h]], types[hits[h]], slot);
 }
 
 void PartitionedSimulator::commit(SiteIndex s, ReactionIndex t, std::size_t slot) {
@@ -37,12 +70,17 @@ void PartitionedSimulator::save_state(StateWriter& w) const {
   Simulator::save_state(w);
   w.section(key_);
   rng_.save(w);
+  w.u64(seed_hash_);
 }
 
 void PartitionedSimulator::restore_state(StateReader& r) {
   Simulator::restore_state(r);
   r.expect_section(key_);
   rng_.restore(r);
+  if (r.u64() != seed_hash_) {
+    throw StateFormatError(std::string(key_) +
+                           ": the checkpoint was written under a different seed");
+  }
   if (rate_cache_) rate_cache_->rebuild(config_);
 }
 

@@ -2,9 +2,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "ca/rate_cache.hpp"
 #include "core/simulator.hpp"
+#include "model/probe_plans.hpp"
 #include "partition/partition.hpp"
 #include "rng/xoshiro.hpp"
 
@@ -14,17 +16,19 @@ namespace casurf {
 /// its threaded engine, L-PNDCA's "general structure" and the
 /// type-partitioned T-PNDCA. Each member picks chunks, sites and types its
 /// own way, then commits every trial that passes through this base's
-/// serial commit. L-PNDCA and T-PNDCA test each trial through the base's
-/// trial test; PNDCA tests whole spans of a chunk at once (see
-/// PndcaSimulator). The base also owns what the family shares besides the
-/// trial: the sequential generator with its checkpoint section, and the
-/// optional incremental enabled-rate cache that serves the rate-weighted
-/// chunk draws.
+/// serial commit. PNDCA and L-PNDCA test a span of trials at a time through
+/// the base's span routine, run_trials, with the base's probe plans and the
+/// block-rule verdict it keeps per partition; T-PNDCA tests one trial at a
+/// time. The base also owns what the family shares besides the trial: the
+/// sequential generator and the seed hash that keys the counter streams,
+/// with their checkpoint section, and the optional incremental
+/// enabled-rate cache that serves the rate-weighted chunk draws.
 ///
 /// The cache is derived state: built at construction, rebuilt on restore,
 /// audited on request, never serialized. Its slots are the partitions the
 /// derived constructor registers through add_slot(), in order; the base
-/// keeps no copy of them beyond the cache's site -> chunk maps.
+/// keeps no copy of them beyond the cache's site -> chunk maps and the
+/// block-rule verdicts.
 class PartitionedSimulator : public Simulator {
  public:
   /// Registers the `<key>/rate_rechecks` and `<key>/boundary_rechecks`
@@ -46,10 +50,15 @@ class PartitionedSimulator : public Simulator {
     return rate_cache_.get();
   }
 
+  /// Whether slot i's partition passes the block rule (see add_slot).
+  [[nodiscard]] bool blocks(std::size_t i) const { return blocks_[i] != 0; }
+
   /// Checkpointing: after Simulator's sections, a section named by the key
-  /// holding the generator. Overrides append their own fields after it. The
-  /// rate cache is a pure function of the configuration, so restore rebuilds
-  /// it instead of reading it.
+  /// holding the generator and the seed hash. Overrides append their own
+  /// fields after it. The rate cache is a pure function of the
+  /// configuration, so restore rebuilds it instead of reading it. Restore
+  /// refuses a checkpoint written under another seed: the counter streams
+  /// are keyed by the constructor's seed, so the run would fork silently.
   void save_state(StateWriter& w) const override;
   void restore_state(StateReader& r) override;
 
@@ -62,21 +71,54 @@ class PartitionedSimulator : public Simulator {
   PartitionedSimulator(const ReactionModel& model, Configuration config,
                        std::uint64_t seed, const char* key, bool rate_weighted);
 
-  /// Checks that `p` lies on this simulator's lattice and, when the cache is
-  /// live, registers it as the cache's next slot.
-  void add_slot(const Partition& p);
+  /// How add_slot judges a partition's block rule.
+  enum class BlockCheck {
+    kNone,       ///< no verdict: the slot's trials are tested one at a time
+    kReadWrite,  ///< the block rule itself
+    kThreaded,   ///< the full-neighborhood rule, which implies the block
+                 ///< rule; a partition that fails it throws, since threads
+                 ///< would race on it
+  };
 
-  /// The per-trial test of L-PNDCA and T-PNDCA: whether reaction `t` is
-  /// enabled at `s`. It reads the cache's bitset when the cache is live —
-  /// the serial commit refreshes it after every execution, so both answers
-  /// agree — and matches the pattern on the lattice otherwise. Records the
-  /// attempt, and the fire when the test passes, in the spatial probe.
-  [[nodiscard]] bool trial_passes(SiteIndex s, ReactionIndex t) {
-    spatial_.attempt(s);
-    const bool on = rate_cache_ ? rate_cache_->enabled(s, t)
-                                : model_.reaction(t).enabled(config_, s);
-    if (on) spatial_.fire(s);
-    return on;
+  /// Checks that `p` lies on this simulator's lattice, registers it as the
+  /// cache's next slot when the cache is live, and records its block-rule
+  /// verdict: whether no commit at a site of one of its chunks writes a site
+  /// that a trial at another site of the same chunk reads, which is
+  /// verify_partition against conflict_offsets(model, kReadWrite).
+  void add_slot(const Partition& p, BlockCheck check);
+
+  /// The most trials run_trials takes at once.
+  static constexpr std::size_t kSpan = 256;
+
+  /// The width of enabled_trials' lanes: run_trials tests shorter spans one
+  /// trial at a time.
+  static constexpr std::size_t kLanes = 8;
+
+  /// The serial span routine: tests the trials (sites[i], types[i]), i < n,
+  /// all against the configuration as it stands, then commits those that
+  /// passed in order through commit() with cache slot `slot`. That is the
+  /// one-trial-at-a-time loop's answer when the sites are distinct and lie
+  /// in one chunk of a slot that passes the block rule: no commit then
+  /// writes a site another trial of the span reads. Callers keep spans of
+  /// one trial otherwise. n <= kSpan. A span of at least kLanes trials is
+  /// tested in 8 lanes by enabled_trials; a shorter one takes the scalar
+  /// test on the bytes a trial at a time, without the lanes' dispatch, and
+  /// commits each pass before testing the next, which is the same answer.
+  /// A spatial map records an attempt for every trial and a fire for every
+  /// hit.
+  void run_trials(const SiteIndex* sites, const ReactionIndex* types, std::size_t n,
+                  std::size_t slot) {
+    if (n >= kLanes) {
+      run_lanes(sites, types, n, slot);
+      return;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const Vec2 c = config_.lattice().coord(sites[i]);
+      spatial_.attempt(sites[i]);
+      if (!probes_.enabled(config_, types[i], c.x, c.y)) continue;
+      spatial_.fire(sites[i]);
+      commit(sites[i], types[i], slot);
+    }
   }
 
   /// The serial commit of a passed trial: execute `t` at `s`, refresh the
@@ -84,11 +126,18 @@ class PartitionedSimulator : public Simulator {
   /// counter) and count the execution.
   void commit(SiteIndex s, ReactionIndex t, std::size_t slot);
 
-  Xoshiro256 rng_;  // the sequential draws: schedules, sites, types, time
+  Xoshiro256 rng_;  // the sequential draws: chunk schedules, T-PNDCA's types, time
+  std::uint64_t seed_hash_;  // CounterRng::seed_hash(seed), keys the counter streams
+  ProbePlans probes_;  // the span test's compiled patterns
   std::unique_ptr<EnabledRateCache> rate_cache_;  // rate-weighted draws only
 
  private:
+  /// run_trials over n >= kLanes trials: the 8-lane test, then the commits.
+  void run_lanes(const SiteIndex* sites, const ReactionIndex* types, std::size_t n,
+                 std::size_t slot);
+
   const char* key_;
+  std::vector<char> blocks_;  // blocks_[i]: slot i passes the block rule
 };
 
 }  // namespace casurf

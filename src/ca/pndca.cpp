@@ -4,9 +4,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "ca/fastpath.hpp"
 #include "obs/trace.hpp"
-#include "partition/conflict.hpp"
-#include "rng/counter_rng.hpp"
 #include "rng/distributions.hpp"
 
 namespace casurf {
@@ -24,29 +23,15 @@ PndcaSimulator::PndcaSimulator(const ReactionModel& model, Configuration config,
                            policy == ChunkPolicy::kRateWeighted),
       partitions_(std::move(partitions)),
       policy_(policy),
-      clock_(time_mode, config_.size(), model.total_rate()),
-      seed_hash_(CounterRng::seed_hash(seed)),
-      probes_(model, config_.lattice().width(), config_.lattice().height()) {
+      clock_(time_mode, config_.size(), model.total_rate()) {
   if (partitions_.empty()) {
     throw std::invalid_argument("PNDCA: at least one partition required");
   }
-  // Cache slot i == partition i.
-  for (const Partition& p : partitions_) add_slot(p);
-  // One check per partition. The full-neighborhood rule implies the block
-  // rule, so a threaded engine, which must have the former, never checks
-  // the latter.
-  const std::vector<Vec2> offsets = conflict_offsets(
-      model, threaded ? ConflictPolicy::kFullNeighborhood : ConflictPolicy::kReadWrite);
+  // Cache slot i == partition i, each with its block-rule verdict. The
+  // full-neighborhood rule implies the block rule, so a threaded engine,
+  // which must have the former, never checks the latter.
   for (const Partition& p : partitions_) {
-    const bool ok = verify_partition(p, offsets);
-    if (threaded && !ok) {
-      // Thread safety rests entirely on the non-overlap rule; refuse
-      // partitions that violate it rather than silently racing.
-      throw std::invalid_argument(
-          "ParallelPndcaEngine: partition violates the non-overlap rule for "
-          "this model; parallel chunk execution would race");
-    }
-    blocks_.push_back(ok ? 1 : 0);
+    add_slot(p, threaded ? BlockCheck::kThreaded : BlockCheck::kReadWrite);
   }
 }
 
@@ -137,38 +122,35 @@ void PndcaSimulator::run_span(std::uint64_t sweep, const SiteIndex* sites,
                               std::size_t n, WorkerSink* worker) {
   // Spans are sampled and tested in stack-sized pieces; any split of a
   // chunk into spans gives the same trajectory.
-  constexpr std::size_t kSpan = 256;
   ReactionIndex types[kSpan] = {};
   std::uint32_t hits[kSpan] = {};
-  const std::size_t span = blocks_[partition_cursor_] != 0 ? kSpan : 1;
+  const std::size_t span = blocks(partition_cursor_) ? kSpan : 1;
   for (std::size_t i0 = 0; i0 < n; i0 += span) {
     const std::size_t m = std::min(span, n - i0);
     const SiteIndex* at = sites + i0;
     sample_types(sweep, seed_hash_, at, m, model_.alias_table(), types);
+    if (worker == nullptr) {
+      run_trials(at, types, m, partition_cursor_);
+      continue;
+    }
     // Workers take the scalar lanes, which read single bytes: the 8 lanes
     // read whole 4-byte words, and near a slice boundary such a word can
     // hold a byte another worker writes during this sweep. The byte a lane
     // uses is never written in the sweep, but the word read would still be
     // a data race. An engine that puts a barrier between every worker's
     // pre-test and the commits can move its workers to the 8 lanes.
-    const std::size_t passed =
-        worker == nullptr ? enabled_trials(probes_, config_, at, types, m, hits)
-                          : enabled_trials_scalar(probes_, config_, at, types, m, hits);
+    const std::size_t passed = enabled_trials_scalar(probes_, config_, at, types, m, hits);
     if (spatial_.map() != nullptr) {
       for (std::size_t i = 0; i < m; ++i) spatial_.attempt(at[i]);
       for (std::size_t h = 0; h < passed; ++h) spatial_.fire(at[hits[h]]);
     }
     for (std::size_t h = 0; h < passed; ++h) {
-      const SiteIndex s = at[hits[h]];
-      const ReactionIndex rt = types[hits[h]];
-      if (worker == nullptr) {
-        commit(s, rt, partition_cursor_);
-        continue;
-      }
       // The engine's deferral of the commit. The old species are read before
       // the write; no other trial of the sweep writes these sites, and the
       // per-site recording is race-free for the same reason, as is
       // execute_raw.
+      const SiteIndex s = at[hits[h]];
+      const ReactionIndex rt = types[hits[h]];
       const ReactionType& reaction = model_.reaction(rt);
       if (rate_cache_) {
         worker->fired.push_back({s, rt});

@@ -23,11 +23,12 @@ enum class ChunkPolicy {
 /// satisfies the non-overlap rule), all trials within a chunk are
 /// independent — the source of parallelism.
 ///
-/// The block rule: a chunk sweep samples and tests a span of trials at a
-/// time, against the configuration as the span starts, then commits the
-/// trials that passed in site order. That is the serial sweep's answer
-/// when no trial of a chunk writes a site that another trial of the chunk
-/// reads, which is the read/write conflict rule
+/// The block rule: a chunk sweep samples a span of trials at a time, then
+/// tests and commits it through the base's span routine
+/// (PartitionedSimulator::run_trials): every trial against the
+/// configuration as the span starts, then the passes in site order. That is
+/// the serial sweep's answer when no trial of a chunk writes a site that
+/// another trial of the chunk reads, which is the read/write conflict rule
 /// (conflict_offsets(model, ConflictPolicy::kReadWrite)); the paper's
 /// full-neighborhood rule implies it. Each partition is checked once, at
 /// construction. A partition that fails the rule, such as
@@ -76,12 +77,11 @@ class PndcaSimulator : public PartitionedSimulator {
   /// throughput benchmarks. Never called on the simulation hot path.
   [[nodiscard]] double enabled_rate_in_chunk(const Partition& p, ChunkId c) const;
 
-  /// Whether partition i's chunks pass the block rule.
-  [[nodiscard]] bool blocks(std::size_t i) const { return blocks_[i] != 0; }
-
   /// Checkpointing: the base's section, then the sweep counter, partition
   /// cursor and schedule. The per-site counter-RNG streams are keyed by
   /// (seed, sweep), so saving the sweep counter is what resumes them.
+  /// Partition i is cache slot i, so the base's blocks(i) is partition i's
+  /// block-rule verdict.
   void save_state(StateWriter& w) const override;
   void restore_state(StateReader& r) override;
 
@@ -116,17 +116,16 @@ class PndcaSimulator : public PartitionedSimulator {
   };
 
   /// The trials of sites[0..n) in chunk sweep `sweep`, a span at a time:
-  /// sample_types draws the span's reaction types, enabled_trials tests them
-  /// all against the configuration's bytes, and the trials that passed
-  /// execute in site order. Spans hold one trial when the current partition
-  /// fails the block rule. Each (sweep, site) pair owns a private random
-  /// stream, and under the block rule no commit of a chunk changes another
-  /// trial's test, so the outcome does not depend on how a chunk is split
-  /// into spans — which is what lets the threaded engine replay this exact
-  /// trajectory. With `worker` null (the serial sweep) executions are
-  /// recorded in the counters and refresh the rate cache; otherwise they go
-  /// to the worker's accumulators. A spatial map records an attempt for
-  /// every trial and a fire for every hit.
+  /// sample_types draws the span's reaction types, then with `worker` null
+  /// (the serial sweep) the base's run_trials tests and commits them, and
+  /// otherwise the scalar lanes of enabled_trials test them and the passes
+  /// go to the worker's accumulators. Spans hold one trial when the current
+  /// partition fails the block rule. Each (sweep, site) pair owns a private
+  /// random stream, and under the block rule no commit of a chunk changes
+  /// another trial's test, so the outcome does not depend on how a chunk is
+  /// split into spans — which is what lets the threaded engine replay this
+  /// exact trajectory. A spatial map records an attempt for every trial and
+  /// a fire for every hit.
   void run_span(std::uint64_t sweep, const SiteIndex* sites, std::size_t n,
                 WorkerSink* worker);
 
@@ -139,12 +138,9 @@ class PndcaSimulator : public PartitionedSimulator {
   std::vector<Partition> partitions_;
   ChunkPolicy policy_;
   TrialClock clock_;
-  std::uint64_t seed_hash_;  // CounterRng::seed_hash(seed), keys the site streams
   std::uint64_t sweep_ = 0;  // counts chunk sweeps; keys the per-site streams
   std::size_t partition_cursor_ = 0;
   std::vector<ChunkId> schedule_;
-  ProbePlans probes_;  // the trial test's compiled patterns
-  std::vector<char> blocks_;  // blocks_[i]: partition i passes the block rule
   obs::Timer* step_timer_ = nullptr;          // pndca/step
   obs::Timer* plan_timer_ = nullptr;          // pndca/plan
   obs::Timer* sweep_timer_ = nullptr;         // pndca/sweep

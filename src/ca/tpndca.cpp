@@ -24,7 +24,7 @@ TPndcaSimulator::TPndcaSimulator(const ReactionModel& model, Configuration confi
     if (sub.types.empty() || !(sub.total_rate > 0)) {
       throw std::invalid_argument("TPNDCA: empty or rate-less type subset");
     }
-    add_slot(sub.chunks);
+    add_slot(sub.chunks, BlockCheck::kNone);
     acc += sub.total_rate;
     mean_chunks += static_cast<double>(sub.chunks.num_chunks());
     subset_cumulative_.push_back(acc);

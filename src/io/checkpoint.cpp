@@ -3,6 +3,8 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <sstream>
+#include <vector>
 
 #include "core/state_io.hpp"
 #include "io/atomic_file.hpp"
@@ -39,7 +41,7 @@ void write_meta(StateWriter& w, const Simulator& sim) {
   w.u64(names.size());
   for (const std::string& n : names) w.str(n);
   w.u64(sim.model().num_reactions());
-  w.f64(sim.model().total_rate());
+  for (const ReactionType& rt : sim.model().reactions()) w.f64(rt.rate());
   w.f64(sim.time());
   w.u64(sim.counters().steps);
 }
@@ -87,6 +89,15 @@ void read_meta_header(StateReader& r, CheckpointInfo& info) {
   if (n_species > 256) throw StateFormatError("implausible species count");
   info.species.reserve(static_cast<std::size_t>(n_species));
   for (std::uint64_t i = 0; i < n_species; ++i) info.species.push_back(r.str());
+}
+
+/// The reaction count and the per-type rates that follow the meta header.
+std::vector<double> read_rates(StateReader& r) {
+  const std::uint64_t n = r.u64();
+  if (n > r.remaining() / 8) throw StateFormatError("reaction count exceeds remaining stream");
+  std::vector<double> rates(static_cast<std::size_t>(n));
+  for (double& rate : rates) rate = r.f64();
+  return rates;
 }
 
 }  // namespace
@@ -148,9 +159,7 @@ CheckpointInfo peek_checkpoint(const std::string& path) {
   try {
     StateReader r(payload);
     read_meta_header(r, info);
-    const std::uint64_t num_reactions = r.u64();
-    (void)num_reactions;
-    (void)r.f64();  // total rate
+    (void)read_rates(r);
     info.time = r.f64();
     info.steps = r.u64();
   } catch (const StateFormatError& e) {
@@ -173,8 +182,7 @@ std::string restore_checkpoint(const std::string& path, Simulator& sim) {
     StateReader r(payload);
     CheckpointInfo info;
     read_meta_header(r, info);
-    const std::uint64_t num_reactions = r.u64();
-    const double total_rate = r.f64();
+    const std::vector<double> rates = read_rates(r);
     (void)r.f64();  // time (restored via sim state)
     (void)r.u64();  // steps (restored via sim state)
 
@@ -192,16 +200,22 @@ std::string restore_checkpoint(const std::string& path, Simulator& sim) {
     if (info.species != sim.model().species().names()) {
       throw CheckpointError(path + ": species domain differs from the simulator's model");
     }
-    if (num_reactions != sim.model().num_reactions()) {
-      throw CheckpointError(path + ": model has " + std::to_string(num_reactions) +
+    if (rates.size() != sim.model().num_reactions()) {
+      throw CheckpointError(path + ": model has " + std::to_string(rates.size()) +
                             " reaction types, simulator has " +
                             std::to_string(sim.model().num_reactions()));
     }
-    if (std::bit_cast<std::uint64_t>(total_rate) !=
-        std::bit_cast<std::uint64_t>(sim.model().total_rate())) {
-      throw CheckpointError(path +
-                            ": total rate differs from the simulator's model "
-                            "(rate constants changed since the checkpoint)");
+    // Bit-compared type by type: a total can stay fixed while the rates
+    // move (ZgbParams::from_y keeps K for every y).
+    for (ReactionIndex t = 0; t < rates.size(); ++t) {
+      const ReactionType& rt = sim.model().reaction(t);
+      if (std::bit_cast<std::uint64_t>(rates[t]) != std::bit_cast<std::uint64_t>(rt.rate())) {
+        std::ostringstream msg;
+        msg.precision(17);
+        msg << path << ": rate of reaction type '" << rt.name() << "' is " << rates[t]
+            << " in the checkpoint, " << rt.rate() << " in the simulator's model";
+        throw CheckpointError(msg.str());
+      }
     }
 
     r.expect_section("state");

@@ -53,14 +53,24 @@ std::size_t sample_cumulative(const std::vector<double>& cumulative, double u) {
     throw std::invalid_argument("sample_cumulative: empty table");
   }
   const double target = u * cumulative.back();
-  // Binary search for the first entry > target.
-  std::size_t lo = 0, hi = cumulative.size() - 1;
-  while (lo < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (cumulative[mid] > target) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
+  // The first entry > target, or the last one. The entries <= target are a
+  // prefix of the non-decreasing table, so a short table counts them without
+  // a branch: a binary search's branches mispredict on random draws, which
+  // cost an L-PNDCA batch of one trial more than the trial's own draws, and
+  // the CA family's chunk and subset tables hold a handful of entries.
+  const std::size_t last = cumulative.size() - 1;
+  std::size_t lo = 0;
+  if (cumulative.size() < kShortCumulative) {
+    for (std::size_t i = 0; i < last; ++i) lo += cumulative[i] <= target ? 1 : 0;
+  } else {
+    std::size_t hi = last;
+    while (lo < hi) {
+      const std::size_t mid = (lo + hi) / 2;
+      if (cumulative[mid] > target) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
     }
   }
   // When target reaches cumulative.back() (u == 1.0 from a caller, or

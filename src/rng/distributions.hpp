@@ -116,9 +116,14 @@ class AliasTable {
   std::vector<std::uint32_t> alias_;
 };
 
-/// Linear-scan sampling from cumulative weights; O(n) but allocation-free
-/// and exact. Used where n is tiny or weights change every draw (e.g.
-/// rate-weighted chunk selection).
+/// Tables shorter than this many entries are searched by a branch-free
+/// count, longer ones by bisection; both give the same index.
+inline constexpr std::size_t kShortCumulative = 16;
+
+/// Sampling from a non-decreasing table of cumulative weights: the index of
+/// the first entry greater than u * total, never a zero-weight band.
+/// Allocation-free and exact; O(n) below kShortCumulative entries, O(log n)
+/// above. Used for L-PNDCA's chunk draw and T-PNDCA's subset draw.
 [[nodiscard]] std::size_t sample_cumulative(const std::vector<double>& cumulative,
                                             double u);
 

@@ -253,12 +253,18 @@ struct Reference {
 
 Trajectory of(const Reference& r) { return {r.time, r.trials, r.executed, r.cfg}; }
 
-/// One rate-weighted L-PNDCA step written out. The chunk weights come from
-/// a cache built fresh on the lattice before every batch. Time advances by
-/// one Gamma(batch, N K) draw after each batch; at L = 1 the reference
-/// keeps a per-trial exponential, which must be the same draw bit for bit.
+/// One L-PNDCA step written out under its draw law, a trial at a time:
+/// trial t of step k draws from its own CounterRng(seed, key(k, t)), the
+/// alias flip, then the slot, then its position in the batch's chunk, and is
+/// tested on the live lattice and executed at once. Chunk selection and time
+/// come from the sequential generator: a rate-weighted draw uses a cache
+/// built fresh on the lattice before every batch, and time advances by one
+/// Gamma(batch, N K) draw after each batch, or batch / (N K). At L = 1 the
+/// reference keeps a per-trial exponential, which must be the same draw bit
+/// for bit.
 void reference_lpndca_step(Reference& r, const ReactionModel& model, const Partition& p,
-                           std::uint32_t l) {
+                           std::uint32_t l, std::uint64_t seed, std::uint64_t step,
+                           ChunkWeighting weighting, TimeMode mode) {
   std::vector<double> sizes;  // cumulative, for the draw when nothing is enabled
   double acc = 0;
   for (ChunkId c = 0; c < p.num_chunks(); ++c) {
@@ -266,38 +272,92 @@ void reference_lpndca_step(Reference& r, const ReactionModel& model, const Parti
   }
   const std::uint64_t budget = r.cfg.size();
   const double rate_nk = static_cast<double>(budget) * model.total_rate();
-  for (std::uint64_t done = 0; done < budget;) {
-    EnabledRateCache fresh(model, r.cfg);
-    fresh.add_partition(p);
-    const ChunkSampler& sampler = fresh.sampler(0);
+  for (std::uint64_t t = 0; t < budget;) {
     const double u = uniform01(r.rng);
-    const ChunkId c = sampler.total() > 0 ? sampler.sample(u)
-                                          : static_cast<ChunkId>(sample_cumulative(sizes, u));
-    const std::vector<SiteIndex>& sites = p.chunk(c);
-    const std::uint64_t batch = std::min<std::uint64_t>(l, budget - done);
-    done += batch;
-    for (std::uint64_t i = 0; i < batch; ++i) {
-      const SiteIndex s = sites[uniform_below(r.rng, sites.size())];
-      r.trial(model.reaction(model.sample_type(r.rng)), s);
-      if (l == 1) r.time += exponential(r.rng, rate_nk);
+    ChunkId c = static_cast<ChunkId>(sample_cumulative(sizes, u));
+    if (weighting == ChunkWeighting::kRateWeighted) {
+      EnabledRateCache fresh(model, r.cfg);
+      fresh.add_partition(p);
+      const ChunkSampler& sampler = fresh.sampler(0);
+      if (sampler.total() > 0) c = sampler.sample(u);
     }
-    if (l > 1) r.time += gamma(r.rng, static_cast<double>(batch), rate_nk);
+    const std::vector<SiteIndex>& sites = p.chunk(c);
+    const std::uint64_t batch = std::min<std::uint64_t>(l, budget - t);
+    for (const std::uint64_t end = t + batch; t < end; ++t) {
+      CounterRng trial(seed, CounterRng::key(step, t));
+      const double u_flip = trial.next_double();
+      const double u_slot = trial.next_double();
+      const SiteIndex s = sites[trial.next_below(sites.size())];
+      r.trial(model.reaction(model.sample_type(u_slot, u_flip)), s);
+      if (l == 1 && mode == TimeMode::kStochastic) r.time += exponential(r.rng, rate_nk);
+    }
+    if (mode == TimeMode::kDeterministic) {
+      r.time += static_cast<double>(batch) / rate_nk;
+    } else if (l > 1) {
+      r.time += gamma(r.rng, static_cast<double>(batch), rate_nk);
+    }
+  }
+}
+
+/// L-PNDCA against reference_lpndca_step for `steps` MC steps.
+void expect_lpndca_lockstep(const Workload& w, const Partition& p, std::uint32_t l,
+                            ChunkWeighting weighting, TimeMode mode, int steps) {
+  constexpr std::uint64_t kSeed = 77;
+  Reference ref{w.init, Xoshiro256(kSeed)};
+  LPndcaSimulator sim(w.model, w.init, p, kSeed, l, mode, weighting);
+  for (int step = 0; step < steps; ++step) {
+    reference_lpndca_step(ref, w.model, p, l, kSeed, static_cast<std::uint64_t>(step),
+                          weighting, mode);
+    sim.mc_step();
+    ASSERT_NO_FATAL_FAILURE(expect_same(of(ref), of(sim), step));
+  }
+}
+
+/// Every L of the lockstep matrix on a side x side lattice, under the
+/// default partition (which passes the block rule, so batches run in spans)
+/// and Partition::single_chunk (which fails it, so every span holds one
+/// trial: Fig 8's |P| = 1, L = N limit).
+void expect_lpndca_matrix(Surface surface, std::int32_t side, ChunkWeighting weighting) {
+  const Workload w = workload(surface, side);
+  const Lattice& lat = w.init.lattice();
+  const Partition parts[] = {make_partition(lat, w.model), Partition::single_chunk(lat)};
+  for (const Partition& p : parts) {
+    for (const TimeMode mode : {TimeMode::kStochastic, TimeMode::kDeterministic}) {
+      for (const std::uint32_t l : {1u, 2u, 16u, 100u, static_cast<std::uint32_t>(lat.size())}) {
+        SCOPED_TRACE("chunks " + std::to_string(p.num_chunks()) + ", L = " +
+                     std::to_string(l) + ", time mode " + std::to_string(static_cast<int>(mode)));
+        expect_lpndca_lockstep(w, p, l, weighting, mode, 6);
+      }
+    }
   }
 }
 
 TEST(FastPath, LPndcaRateWeightedLockstep) {
-  const Workload w = workload(Surface::kZgb, 24);
+  for (const Surface surface : {Surface::kZgb, Surface::kPt100}) {
+    SCOPED_TRACE(static_cast<int>(surface));
+    expect_lpndca_matrix(surface, 16, ChunkWeighting::kRateWeighted);
+  }
+}
+
+TEST(FastPath, LPndcaStructuralLockstep) {
+  for (const Surface surface : {Surface::kZgb, Surface::kPt100}) {
+    SCOPED_TRACE(static_cast<int>(surface));
+    expect_lpndca_matrix(surface, 20, ChunkWeighting::kStructural);
+  }
+}
+
+TEST(FastPath, LPndcaRepeatedSitesEndSpans) {
+  // 6x6 under the default partition holds chunks of a handful of sites, and
+  // L = 64 clips each step to one batch of 36 trials in one chunk: drawn
+  // with replacement, most spans end at a repeated site.
+  const Workload w = workload(Surface::kZgb, 6);
   const Partition p = make_partition(w.init.lattice(), w.model);
-  for (const std::uint32_t l : {16u, 1u}) {
-    SCOPED_TRACE("L = " + std::to_string(l));
-    Reference ref{w.init, Xoshiro256(77)};
-    LPndcaSimulator sim(w.model, w.init, p, 77, l, TimeMode::kStochastic,
-                        ChunkWeighting::kRateWeighted);
-    for (int step = 0; step < 20; ++step) {
-      reference_lpndca_step(ref, w.model, p, l);
-      sim.mc_step();
-      ASSERT_NO_FATAL_FAILURE(expect_same(of(ref), of(sim), step));
-    }
+  LPndcaSimulator probe(w.model, w.init, p, 1, 64);
+  ASSERT_TRUE(probe.blocks(0));
+  for (const ChunkWeighting weighting :
+       {ChunkWeighting::kStructural, ChunkWeighting::kRateWeighted}) {
+    SCOPED_TRACE(static_cast<int>(weighting));
+    expect_lpndca_lockstep(w, p, 64, weighting, TimeMode::kStochastic, 40);
   }
 }
 
@@ -478,6 +538,76 @@ TEST(SampleTypes, BatchTrialsIsTheFilteredKernel) {
       if (enabled.test(sites[i], types[i])) want.emplace_back(i, types[i]);
     }
     EXPECT_EQ(got, want) << "n " << sites.size();
+  }
+}
+
+TEST(SampleTrials, LanesMatchTheScalarLanesAndTheStreams) {
+  // The 8 lanes against the scalar lanes, both called directly, and both
+  // against each trial's own stream: first draw flip, second slot, third
+  // raw. Spans of every length 0-17 from first indices off the lane grid,
+  // plus a whole block and indices past 2^32.
+  auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
+  const ReactionModel wide = seventy_types();
+  for (const ReactionModel* model : {&std::as_const(zgb.model), &wide}) {
+    SCOPED_TRACE(model->num_reactions());
+    for (const std::uint64_t seed : {3u, 0x5eedu}) {
+      const std::uint64_t seed_hash = CounterRng::seed_hash(seed);
+      for (const std::uint64_t step : {0u, 1u, 977u}) {
+        for (const std::uint64_t first : {0ull, 1ull, 5ull, 13ull, 250ull, 4294967290ull}) {
+          for (std::size_t n = 0; n <= 256; n = n < 17 ? n + 1 : 256 + (n == 256)) {
+            std::vector<ReactionIndex> types(n), scalar_types(n);
+            std::vector<std::uint64_t> draws(n), scalar_draws(n);
+            sample_trials(step, seed_hash, first, n, model->alias_table(), types.data(),
+                          draws.data());
+            sample_trials_scalar(step, seed_hash, first, n, model->alias_table(),
+                                 scalar_types.data(), scalar_draws.data());
+            ASSERT_EQ(types, scalar_types) << "step " << step << " first " << first << " n " << n;
+            ASSERT_EQ(draws, scalar_draws) << "step " << step << " first " << first << " n " << n;
+            for (std::size_t i = 0; i < n; ++i) {
+              CounterRng trial(seed, CounterRng::key(step, first + i));
+              const double u_flip = trial.next_double();
+              const double u_slot = trial.next_double();
+              ASSERT_EQ(types[i], model->sample_type(u_slot, u_flip)) << "trial " << first + i;
+              ASSERT_EQ(draws[i], trial.next()) << "trial " << first + i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ChunkPositions, MatchTheMultiplyShift) {
+  // Raw draws only: no chunk is allocated, so the sizes can reach 2^32 - 1.
+  std::vector<std::uint64_t> draws = {0,
+                                      1,
+                                      0xffffffffull,
+                                      0x100000000ull,
+                                      0x8000000000000000ull,
+                                      0xfffffffffffffffeull,
+                                      0xffffffffffffffffull,
+                                      0xffffffff00000000ull,
+                                      0x00000000ffffffffull};
+  Xoshiro256 rng(41);
+  while (draws.size() < 1000) draws.push_back(rng());
+  __extension__ using u128 = unsigned __int128;
+  for (const std::uint32_t size :
+       {1u, 2u, 3u, 7u, 50000u, 0x80000000u, 0xffffffffu}) {
+    std::vector<std::uint32_t> want(draws.size());
+    for (std::size_t i = 0; i < draws.size(); ++i) {
+      want[i] = static_cast<std::uint32_t>((static_cast<u128>(draws[i]) * size) >> 64);
+      ASSERT_LT(want[i], size);
+      ASSERT_EQ(chunk_position(draws[i], size), want[i]) << "draw " << draws[i];
+    }
+    for (std::size_t at = 0; at < 9; ++at) {
+      for (std::size_t n = 0; at + n <= draws.size(); n = n < 17 ? n + 1 : draws.size() - at) {
+        std::vector<std::uint32_t> got(n);
+        chunk_positions(draws.data() + at, n, size, got.data());
+        ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin() + static_cast<std::ptrdiff_t>(at)))
+            << "size " << size << " at " << at << " n " << n;
+        if (n == draws.size() - at) break;
+      }
+    }
   }
 }
 

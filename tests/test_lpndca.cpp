@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "ca/fastpath.hpp"
 #include "dmc/rsm.hpp"
+#include "models/pt100.hpp"
 #include "models/zgb.hpp"
+#include "rng/counter_rng.hpp"
+#include "stats/ks.hpp"
 
 namespace casurf {
 namespace {
@@ -114,6 +120,97 @@ TEST(LPndca, ZgbCoverageBoundedAndReactive) {
   // Reactive regime: the surface is not poisoned by either species.
   EXPECT_LT(co, 0.95);
   EXPECT_LT(o, 0.98);
+}
+
+// --- The draw law -------------------------------------------------------------
+// Trial t of step k draws from its own (k, t) stream: type from the first
+// two draws, position in the batch's chunk from the third. At a fixed seed,
+// over 2^20 trials of one step, the positions must be uniform, the types must
+// follow k_i / K, and a trial's type and position must be independent.
+
+constexpr std::size_t kLawTrials = std::size_t{1} << 20;
+
+/// Types and raw third draws of trials [0, kLawTrials) of step 3.
+struct LawDraws {
+  std::vector<ReactionIndex> types = std::vector<ReactionIndex>(kLawTrials);
+  std::vector<std::uint64_t> draws = std::vector<std::uint64_t>(kLawTrials);
+};
+
+LawDraws law_draws(const ReactionModel& model) {
+  LawDraws d;
+  sample_trials(3, CounterRng::seed_hash(2024), 0, kLawTrials, model.alias_table(),
+                d.types.data(), d.draws.data());
+  return d;
+}
+
+/// Pearson's statistic of `observed` counts against expected counts.
+double pearson(const std::vector<double>& observed, const std::vector<double>& expected) {
+  double chi2 = 0;
+  for (std::size_t i = 0; i < observed.size(); ++i) {
+    const double d = observed[i] - expected[i];
+    chi2 += d * d / expected[i];
+  }
+  return chi2;
+}
+
+TEST(LPndcaDrawLaw, PositionsAreUniformInTheChunk) {
+  auto zgb = models::make_zgb();
+  const LawDraws d = law_draws(zgb.model);
+  for (const std::uint32_t size : {1u, 3u, 7u, 1000u}) {
+    std::vector<std::uint32_t> pos(kLawTrials);
+    chunk_positions(d.draws.data(), kLawTrials, size, pos.data());
+    std::vector<double> count(size, 0.0);
+    for (const std::uint32_t p : pos) {
+      ASSERT_LT(p, size);
+      ++count[p];
+    }
+    if (size == 1) continue;  // every position is 0
+    const std::vector<double> expected(size, static_cast<double>(kLawTrials) / size);
+    const double chi2 = pearson(count, expected);
+    EXPECT_GT(stats::chi_square_p(chi2, size - 1), 0.001) << "size " << size << " chi2 " << chi2;
+  }
+}
+
+TEST(LPndcaDrawLaw, TypesFollowTheRates) {
+  auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
+  auto pt = models::make_pt100();
+  for (const ReactionModel* model : {&zgb.model, &pt.model}) {
+    SCOPED_TRACE(model->num_reactions());
+    const LawDraws d = law_draws(*model);
+    std::vector<double> count(model->num_reactions(), 0.0);
+    for (const ReactionIndex t : d.types) ++count[t];
+    std::vector<double> expected;
+    for (const ReactionType& rt : model->reactions()) {
+      expected.push_back(static_cast<double>(kLawTrials) * rt.rate() / model->total_rate());
+    }
+    const double chi2 = pearson(count, expected);
+    EXPECT_GT(stats::chi_square_p(chi2, count.size() - 1), 0.001) << "chi2 " << chi2;
+  }
+}
+
+TEST(LPndcaDrawLaw, TypeAndPositionAreIndependent) {
+  // Contingency table of (type, position in a 7-site chunk), tested against
+  // the product of its margins.
+  auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
+  const LawDraws d = law_draws(zgb.model);
+  constexpr std::uint32_t kSize = 7;
+  std::vector<std::uint32_t> pos(kLawTrials);
+  chunk_positions(d.draws.data(), kLawTrials, kSize, pos.data());
+  const std::size_t types = zgb.model.num_reactions();
+  std::vector<double> cell(types * kSize, 0.0), row(types, 0.0), col(kSize, 0.0);
+  for (std::size_t i = 0; i < kLawTrials; ++i) {
+    ++cell[d.types[i] * kSize + pos[i]];
+    ++row[d.types[i]];
+    ++col[pos[i]];
+  }
+  std::vector<double> expected;
+  for (std::size_t t = 0; t < types; ++t) {
+    for (std::uint32_t p = 0; p < kSize; ++p) {
+      expected.push_back(row[t] * col[p] / static_cast<double>(kLawTrials));
+    }
+  }
+  const double chi2 = pearson(cell, expected);
+  EXPECT_GT(stats::chi_square_p(chi2, (types - 1) * (kSize - 1)), 0.001) << "chi2 " << chi2;
 }
 
 }  // namespace

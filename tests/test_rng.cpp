@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <cmath>
 #include <set>
 #include <stdexcept>
@@ -328,6 +330,32 @@ TEST(SampleCumulative, PicksCorrectBand) {
   EXPECT_EQ(sample_cumulative(cum, 0.49), 1u);
   EXPECT_EQ(sample_cumulative(cum, 0.51), 2u);
   EXPECT_EQ(sample_cumulative(cum, 0.999), 2u);
+}
+
+TEST(SampleCumulative, CountAndBisectionAgreeWithTheFirstGreaterEntry) {
+  // Tables on both sides of kShortCumulative, with zero-weight bands, held
+  // to a written-out reference: the first entry > u * total among all but
+  // the last (else the last), walked back over equal neighbours.
+  Xoshiro256 rng(23);
+  for (std::size_t n = 1; n <= 2 * kShortCumulative + 3; ++n) {
+    std::vector<double> cum;
+    double acc = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      acc += uniform01(rng) < 0.3 ? 0.0 : 0.5 + uniform01(rng);  // 30% zero-weight
+      cum.push_back(acc);
+    }
+    if (cum.back() == 0) cum.back() = 1.0;
+    std::vector<double> us = {0.0, 1.0, std::nextafter(1.0, 0.0)};
+    for (const double c : cum) us.push_back(c / cum.back());
+    for (int k = 0; k < 200; ++k) us.push_back(uniform01(rng));
+    for (const double u : us) {
+      const double target = u * cum.back();
+      std::size_t want = static_cast<std::size_t>(
+          std::upper_bound(cum.begin(), cum.end() - 1, target) - cum.begin());
+      while (want > 0 && cum[want] == cum[want - 1]) --want;
+      ASSERT_EQ(sample_cumulative(cum, u), want) << "n " << n << " u " << u;
+    }
+  }
 }
 
 TEST(SampleCumulative, ZeroWidthBandsNeverSelected) {
