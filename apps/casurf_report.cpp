@@ -3,7 +3,6 @@
 //   casurf_report report.json              phase breakdown of one run report
 //   casurf_report a.json b.json            A/B delta table (percent change)
 //   casurf_report --trace trace.json       summarize a Chrome-trace file
-//   casurf_report --comm report.json       per-rank wait/compute breakdown
 //   casurf_report --merge-traces OUT IN..  stitch per-process traces into one
 //
 // Accepts both `casurf_run --metrics` reports and the BENCH_*.json files the
@@ -31,16 +30,13 @@ namespace {
 [[noreturn]] void usage(const char* argv0, const char* error = nullptr) {
   if (error) std::fprintf(stderr, "error: %s\n\n", error);
   std::fprintf(stderr,
-               "usage: %s [--trace|--events|--comm] FILE [FILE2]\n"
+               "usage: %s [--trace|--events] FILE [FILE2]\n"
                "       %s --merge-traces OUT IN [IN...]\n"
                "       %s --serve PORT\n"
                "  FILE           a casurf-run-report/1 JSON (casurf_run --metrics,\n"
                "                 or a BENCH_*.json from bench_out/)\n"
                "  FILE FILE2     print an A/B comparison with percent deltas\n"
                "  --trace FILE   summarize a casurf-trace/1 Chrome-trace JSON\n"
-               "  --comm FILE    communication breakdown of one run report:\n"
-               "                 per-rank wait fractions, per-edge traffic, and\n"
-               "                 measured-vs-cost-model message/byte counts\n"
                "  --merge-traces OUT IN [IN...]\n"
                "                 merge casurf-trace/1 files from one machine\n"
                "                 (daemon + workers) into OUT, one pid per input,\n"
@@ -370,100 +366,6 @@ int print_trace(const std::string& path) {
   for (const auto& [name, slot] : by_name) {
     std::printf("    %-28s %10llu %12.3f ms\n", name.c_str(),
                 static_cast<unsigned long long>(slot.first), slot.second / 1e3);
-  }
-  return 0;
-}
-
-/// Communication breakdown of one run report: the "comm" section emitted
-/// when a multi-process engine ran with metrics armed. Exits 1 when the
-/// report has no comm section or the per-edge totals fail to reconcile
-/// with the communicator's own counts.
-int print_comm(const std::string& path) {
-  const Report r = load_report(path);
-  const Value* comm = r.doc.find("comm");
-  if (comm == nullptr || !comm->is_object()) {
-    std::fprintf(stderr,
-                 "error: %s: no comm section (single-process run, or comm "
-                 "probes never armed)\n",
-                 path.c_str());
-    return 1;
-  }
-
-  std::printf("comm: %s\n", path.c_str());
-  std::printf("  run: %s\n", run_summary(r).c_str());
-  const double total_messages = comm->number_or("messages", 0);
-  const double total_bytes = comm->number_or("bytes", 0);
-  std::printf("  totals: %.0f messages, %.0f bytes, %.0f barriers, wall %.3fs\n",
-              total_messages, total_bytes, comm->number_or("barriers", 0),
-              r.wall_seconds);
-
-  if (const Value* model = comm->find("model");
-      model != nullptr && model->is_object()) {
-    const double mm = model->number_or("messages", 0);
-    const double mb = model->number_or("bytes", 0);
-    std::printf("  vs cost model:\n");
-    std::printf("    %-10s %14s %14s %9s\n", "", "measured", "model", "ratio");
-    std::printf("    %-10s %14.0f %14.0f %9.3f\n", "messages", total_messages,
-                mm, mm > 0 ? total_messages / mm : 0.0);
-    std::printf("    %-10s %14.0f %14.0f %9.3f\n", "bytes", total_bytes, mb,
-                mb > 0 ? total_bytes / mb : 0.0);
-  }
-
-  if (const Value* ranks = comm->find("ranks");
-      ranks != nullptr && ranks->is_array() && !ranks->items().empty()) {
-    const double wall_ns = r.wall_seconds * 1e9;
-    std::printf("  per-rank waits:\n");
-    std::printf("    %4s %12s %12s %12s %12s %7s %8s\n", "rank", "recv_ms",
-                "barrier_ms", "allred_ms", "wait_ms", "wait%", "queue_hw");
-    for (const Value& rank : ranks->items()) {
-      const double wait_ns = rank.number_or("wait_ns", 0);
-      std::printf("    %4d %12.3f %12.3f %12.3f %12.3f %6.1f%% %8.0f\n",
-                  static_cast<int>(rank.number_or("rank", 0)),
-                  rank.number_or("wait_recv_ns", 0) / 1e6,
-                  rank.number_or("wait_barrier_ns", 0) / 1e6,
-                  rank.number_or("wait_allreduce_ns", 0) / 1e6, wait_ns / 1e6,
-                  wall_ns > 0 ? 100 * wait_ns / wall_ns : 0.0,
-                  rank.number_or("queue_high_water", 0));
-    }
-  }
-
-  double edge_messages = 0, edge_bytes = 0;
-  if (const Value* edges = comm->find("edges");
-      edges != nullptr && edges->is_array() && !edges->items().empty()) {
-    std::printf("  per-edge traffic:\n");
-    std::printf("    %-10s %14s %14s\n", "edge", "messages", "bytes");
-    for (const Value& e : edges->items()) {
-      const double em = e.number_or("messages", 0);
-      const double eb = e.number_or("bytes", 0);
-      edge_messages += em;
-      edge_bytes += eb;
-      char label[32];
-      std::snprintf(label, sizeof label, "%d->%d",
-                    static_cast<int>(e.number_or("src", 0)),
-                    static_cast<int>(e.number_or("dst", 0)));
-      std::printf("    %-10s %14.0f %14.0f\n", label, em, eb);
-    }
-    const bool ok = edge_messages == total_messages && edge_bytes == total_bytes;
-    std::printf("  reconcile: edges sum to %.0f messages / %.0f bytes vs "
-                "communicator totals %.0f / %.0f — %s\n",
-                edge_messages, edge_bytes, total_messages, total_bytes,
-                ok ? "OK" : "MISMATCH");
-    if (!ok) return 1;
-  }
-
-  if (const Value* skew = comm->find("barrier_skew");
-      skew != nullptr && skew->is_object()) {
-    std::printf("  barrier skew (first->last arrival): %.0f epochs, mean "
-                "%.3f us, max bucket <= %.3f us\n",
-                skew->number_or("count", 0), skew->number_or("mean_ns", 0) / 1e3,
-                skew->number_or("max_ns_bucket", 0) / 1e3);
-  }
-
-  if (const Value* run = r.doc.find("run");
-      run != nullptr && run->number_or("trace_drops", 0) > 0) {
-    std::printf("  WARNING: trace ring dropped %.0f events — the trace is "
-                "incomplete; raise the ring capacity\n",
-                run->number_or("trace_drops", 0));
   }
   return 0;
 }
@@ -863,7 +765,6 @@ int print_serve(std::uint16_t port) {
 int main(int argc, char** argv) {
   bool trace_mode = false;
   bool events_mode = false;
-  bool comm_mode = false;
   bool merge_mode = false;
   long serve_port = -1;
   std::vector<std::string> files;
@@ -872,7 +773,6 @@ int main(int argc, char** argv) {
     if (arg == "--help" || arg == "-h") usage(argv[0]);
     else if (arg == "--trace") trace_mode = true;
     else if (arg == "--events") events_mode = true;
-    else if (arg == "--comm") comm_mode = true;
     else if (arg == "--merge-traces") merge_mode = true;
     else if (arg == "--serve") {
       if (i + 1 >= argc) usage(argv[0], "--serve expects a port");
@@ -890,14 +790,12 @@ int main(int argc, char** argv) {
     }
   }
   if (static_cast<int>(trace_mode) + static_cast<int>(events_mode) +
-          static_cast<int>(comm_mode) + static_cast<int>(merge_mode) >
+          static_cast<int>(merge_mode) >
       1) {
-    usage(argv[0],
-          "--trace, --events, --comm, and --merge-traces are mutually "
-          "exclusive");
+    usage(argv[0], "--trace, --events, and --merge-traces are mutually exclusive");
   }
   if (serve_port > 0) {
-    if (trace_mode || events_mode || comm_mode || merge_mode || !files.empty()) {
+    if (trace_mode || events_mode || merge_mode || !files.empty()) {
       usage(argv[0], "--serve takes no input files");
     }
     return print_serve(static_cast<std::uint16_t>(serve_port));
@@ -916,13 +814,9 @@ int main(int argc, char** argv) {
   if (events_mode && files.size() != 1) {
     usage(argv[0], "--events takes exactly one file");
   }
-  if (comm_mode && files.size() != 1) {
-    usage(argv[0], "--comm takes exactly one file");
-  }
 
   if (trace_mode) return print_trace(files[0]);
   if (events_mode) return print_events(files[0]);
-  if (comm_mode) return print_comm(files[0]);
   if (files.size() == 1) {
     print_single(load_report(files[0]));
   } else {

@@ -54,6 +54,7 @@
 #include "obs/run_report.hpp"
 #include "obs/spatial.hpp"
 #include "obs/trace.hpp"
+#include "parallel/thread_pool.hpp"
 #include "partition/conflict.hpp"
 #include "model/parser.hpp"
 #include "serve/spawn.hpp"
@@ -306,7 +307,7 @@ Options parse_args(int argc, char** argv) {
     }
     else if (flag == "--threads") {
       opt.threads = static_cast<unsigned>(
-          in_range("--threads", integer(i, "--threads"), std::numeric_limits<unsigned>::max()));
+          in_range("--threads", integer(i, "--threads"), ThreadPool::kMaxThreads));
     }
     else if (flag == "--fast-path") continue;  // ignored; bench/ledger still passes it
     else if (flag == "--fill") opt.fill = need_value(i);
@@ -778,8 +779,7 @@ int run_once(const Options& opt, obs::RecoveryLog& recovery) {
       if (opt.metrics.empty()) return;
       const std::optional<obs::SpatialSummary> ssum = spatial_summary();
       obs::write_run_report(opt.metrics, report_info(), sim.get(), &registry,
-                            nullptr, drift_for_report, ssum ? &*ssum : nullptr,
-                            &recovery);
+                            drift_for_report, ssum ? &*ssum : nullptr, &recovery);
     };
     const auto flush_trace = [&] {
       if (!opt.trace.empty()) tracer.write(opt.trace);

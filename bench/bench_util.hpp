@@ -49,28 +49,14 @@ inline void print_series(const char* label, const TimeSeries& ts, std::size_t ro
 /// path. Attach the registry (sim.attach) before the timed section
 /// so the per-phase timers cover it. Pass a SpatialSummary to fill the
 /// report's "spatial" section (null leaves it null, as casurf_run does
-/// without --heatmap). Multi-process benches pass the communicator stats
-/// and the paper cost-model prediction so the report's "comm" section
-/// carries measured-vs-model counts for `casurf_report --comm`; `sim` may
-/// be null for runs without a Simulator object (e.g. the halo-exchange
-/// baseline).
-inline void write_bench_report(const std::string& name, const obs::RunInfo& info,
-                               const Simulator* sim,
-                               const obs::MetricsRegistry& registry,
-                               const obs::SpatialSummary* spatial = nullptr,
-                               const Communicator::Stats* comm = nullptr,
-                               const obs::CommModel* comm_model = nullptr) {
-  const std::string path = out_dir() + "/BENCH_" + name + ".json";
-  obs::write_run_report(path, info, sim, &registry, comm, nullptr, spatial,
-                        nullptr, comm_model);
-  std::printf("  [json] %s\n", path.c_str());
-}
-
+/// without --heatmap).
 inline void write_bench_report(const std::string& name, const obs::RunInfo& info,
                                const Simulator& sim,
                                const obs::MetricsRegistry& registry,
                                const obs::SpatialSummary* spatial = nullptr) {
-  write_bench_report(name, info, &sim, registry, spatial);
+  const std::string path = out_dir() + "/BENCH_" + name + ".json";
+  obs::write_run_report(path, info, &sim, &registry, nullptr, spatial);
+  std::printf("  [json] %s\n", path.c_str());
 }
 
 /// Scale factor for quick smoke runs: CASURF_BENCH_FAST=1 shrinks the

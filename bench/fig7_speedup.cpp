@@ -17,8 +17,6 @@
 
 #include "bench_util.hpp"
 #include "models/zgb.hpp"
-#include "obs/trace.hpp"
-#include "parallel/domain_decomp.hpp"
 #include "parallel/parallel_pndca.hpp"
 #include "parallel/simulated_machine.hpp"
 #include "partition/coloring.hpp"
@@ -99,65 +97,6 @@ int main() {
     info.wall_seconds = dt;
     bench::write_bench_report("fig7_threads" + std::to_string(threads), info, engine,
                               registry);
-  }
-
-  // Comm-instrumented 8-rank halo-exchange baseline: the measured per-edge
-  // message/byte counts land in BENCH_fig7.json next to the paper
-  // cost-model prediction (2 messages per rank per round, 2r*H species
-  // each), and every rank records onto its own lane in
-  // bench_out/fig7_trace.json — open it in Perfetto to see dd/interior,
-  // dd/seam, and the comm waits interleaved across all 8 ranks.
-  {
-    const std::int32_t dd_side = fast ? 64 : 80;
-    const double dd_t_end = fast ? 0.5 : 2.0;
-    const int dd_ranks = 8;
-    std::printf("\n8-rank halo-exchange baseline, comm-instrumented "
-                "(%d x %d, t_end = %.1f):\n",
-                dd_side, dd_side, dd_t_end);
-
-    obs::MetricsRegistry registry;
-    obs::Tracer tracer;
-    tracer.set_trace_id("bench-fig7");
-    DomainDecompParams dd;
-    dd.ranks = dd_ranks;
-    dd.seed = 7;
-    dd.t_end = dd_t_end;
-    dd.sample_dt = 1.0;
-    dd.sinks = {&registry, &tracer};
-    const Configuration dd_initial(Lattice(dd_side, dd_side), 3, zgb.vacant);
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto res = run_domain_decomp(zgb.model, dd_initial, dd);
-    const double wall = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0).count();
-
-    const std::int32_t r = zgb.model.max_radius_l1();
-    obs::CommModel model;
-    model.messages = 2.0 * dd_ranks * static_cast<double>(res.rounds);
-    model.bytes =
-        model.messages * (2.0 * r * dd_side * static_cast<double>(sizeof(Species)));
-    std::printf("  %llu rounds, wall %.3fs\n",
-                static_cast<unsigned long long>(res.rounds), wall);
-    std::printf("  messages: measured %llu, model %.0f\n",
-                static_cast<unsigned long long>(res.comm.messages), model.messages);
-    std::printf("  bytes:    measured %llu, model %.0f\n",
-                static_cast<unsigned long long>(res.comm.bytes), model.bytes);
-
-    obs::RunInfo info;
-    info.algorithm = "domain-decomp-rsm";
-    info.model = "zgb";
-    info.width = dd_side;
-    info.height = dd_side;
-    info.seed = 7;
-    info.t_end = dd_t_end;
-    info.threads = dd_ranks;
-    info.wall_seconds = wall;
-    info.trace_id = tracer.trace_id();
-    info.trace_drops = tracer.total_dropped();
-    bench::write_bench_report("fig7", info, nullptr, registry, nullptr,
-                              &res.comm, &model);
-    const std::string trace_path = bench::out_dir() + "/fig7_trace.json";
-    tracer.write(trace_path);
-    std::printf("  [trace] %s\n", trace_path.c_str());
   }
   return 0;
 }

@@ -1,9 +1,6 @@
 #include "obs/run_report.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
-#include <map>
 #include <utility>
 
 #include "core/simulator.hpp"
@@ -286,168 +283,13 @@ void emit_recovery(Json& j, const RecoveryLog* recovery) {
   j.end_object();
 }
 
-void emit_comm(Json& j, const Communicator::Stats* comm) {
-  j.key("communicator");
-  const Communicator::Stats zero{};
-  const Communicator::Stats& s = comm != nullptr ? *comm : zero;
-  j.begin_object();
-  j.key("messages");
-  j.u64(s.messages);
-  j.key("bytes");
-  j.u64(s.bytes);
-  j.key("barriers");
-  j.u64(s.barriers);
-  j.end_object();
-}
-
-/// Detailed communication section, assembled from the registry's
-/// "comm/..." probes (CommProbes, msgpass.hpp) plus the run's Stats
-/// totals. Null when the run had no communicator. Per-edge totals
-/// reconcile exactly with the Stats totals as long as the registry served
-/// a single Communicator::run (the standard one-run-per-report usage).
-void emit_comm_detail(Json& j, const MetricsRegistry* reg,
-                      const Communicator::Stats* comm, const CommModel* model) {
-  j.key("comm");
-  if (comm == nullptr) {
-    j.raw("null");
-    return;
-  }
-  struct Edge {
-    std::uint64_t messages = 0;
-    std::uint64_t bytes = 0;
-  };
-  struct RankRow {
-    std::uint64_t recv_ns = 0;
-    std::uint64_t recv_count = 0;
-    std::uint64_t barrier_ns = 0;
-    std::uint64_t allreduce_ns = 0;
-    double queue_high_water = 0;
-  };
-  std::map<std::pair<int, int>, Edge> edges;
-  std::map<int, RankRow> ranks;
-  const MetricsRegistry::HistogramSample* skew = nullptr;
-  std::vector<MetricsRegistry::HistogramSample> hists;
-  if (reg != nullptr) {
-    for (const auto& c : reg->counters()) {
-      int s = 0, d = 0;
-      char kind[16] = {};
-      if (std::sscanf(c.name.c_str(), "comm/edge/%d->%d/%15s", &s, &d, kind) == 3) {
-        if (std::strcmp(kind, "messages") == 0) {
-          edges[{s, d}].messages = c.value;
-        } else if (std::strcmp(kind, "bytes") == 0) {
-          edges[{s, d}].bytes = c.value;
-        }
-      }
-    }
-    for (const auto& t : reg->timers()) {
-      int r = 0;
-      if (std::sscanf(t.name.c_str(), "comm/wait/recv/rank%d", &r) == 1) {
-        ranks[r].recv_ns = t.total_ns;
-        ranks[r].recv_count = t.count;
-      } else if (std::sscanf(t.name.c_str(), "comm/wait/barrier/rank%d", &r) == 1) {
-        ranks[r].barrier_ns = t.total_ns;
-      } else if (std::sscanf(t.name.c_str(), "comm/wait/allreduce/rank%d", &r) ==
-                 1) {
-        ranks[r].allreduce_ns = t.total_ns;
-      }
-    }
-    for (const auto& g : reg->gauges()) {
-      int r = 0;
-      if (std::sscanf(g.name.c_str(), "comm/queue_high_water/rank%d", &r) == 1) {
-        ranks[r].queue_high_water = g.value;
-      }
-    }
-    hists = reg->histograms();
-    for (const auto& h : hists) {
-      if (h.name == "comm/barrier_skew_ns") skew = &h;
-    }
-  }
-  j.begin_object();
-  j.key("messages");
-  j.u64(comm->messages);
-  j.key("bytes");
-  j.u64(comm->bytes);
-  j.key("barriers");
-  j.u64(comm->barriers);
-  j.key("edges");
-  j.begin_array();
-  for (const auto& [key, e] : edges) {
-    if (e.messages == 0 && e.bytes == 0) continue;  // quiet edges stay out
-    j.begin_object();
-    j.key("src");
-    j.i64(key.first);
-    j.key("dst");
-    j.i64(key.second);
-    j.key("messages");
-    j.u64(e.messages);
-    j.key("bytes");
-    j.u64(e.bytes);
-    j.end_object();
-  }
-  j.end_array();
-  j.key("ranks");
-  j.begin_array();
-  for (const auto& [r, row] : ranks) {
-    j.begin_object();
-    j.key("rank");
-    j.i64(r);
-    j.key("wait_recv_ns");
-    j.u64(row.recv_ns);
-    j.key("wait_recv_count");
-    j.u64(row.recv_count);
-    j.key("wait_barrier_ns");
-    j.u64(row.barrier_ns);
-    j.key("wait_allreduce_ns");
-    j.u64(row.allreduce_ns);
-    j.key("wait_ns");
-    j.u64(row.recv_ns + row.barrier_ns + row.allreduce_ns);
-    j.key("queue_high_water");
-    j.number(row.queue_high_water);
-    j.end_object();
-  }
-  j.end_array();
-  j.key("barrier_skew");
-  if (skew == nullptr) {
-    j.raw("null");
-  } else {
-    j.begin_object();
-    j.key("count");
-    j.u64(skew->count);
-    j.key("mean_ns");
-    j.number(skew->count == 0 ? 0.0
-                              : static_cast<double>(skew->sum) /
-                                    static_cast<double>(skew->count));
-    std::uint64_t max_bucket_ns = 0;
-    for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
-      if (skew->buckets[b] != 0) max_bucket_ns = Histogram::bucket_limit(b);
-    }
-    j.key("max_ns_bucket");
-    j.u64(max_bucket_ns);
-    j.end_object();
-  }
-  j.key("model");
-  if (model == nullptr) {
-    j.raw("null");
-  } else {
-    j.begin_object();
-    j.key("messages");
-    j.number(model->messages);
-    j.key("bytes");
-    j.number(model->bytes);
-    j.end_object();
-  }
-  j.end_object();
-}
-
 }  // namespace
 
 std::string run_report_json(const RunInfo& info, const Simulator* sim,
                             const MetricsRegistry* registry,
-                            const Communicator::Stats* comm,
                             const DriftMonitor* drift,
                             const SpatialSummary* spatial,
-                            const RecoveryLog* recovery,
-                            const CommModel* comm_model) {
+                            const RecoveryLog* recovery) {
   Json j;
   j.begin_object();
   j.key("schema");
@@ -459,8 +301,6 @@ std::string run_report_json(const RunInfo& info, const Simulator* sim,
   emit_drift(j, drift);
   emit_spatial(j, spatial);
   emit_recovery(j, recovery);
-  emit_comm(j, comm);
-  emit_comm_detail(j, registry, comm, comm_model);
   j.end_object();
   std::string out = std::move(j).str();
   out += '\n';
@@ -469,11 +309,10 @@ std::string run_report_json(const RunInfo& info, const Simulator* sim,
 
 void write_run_report(const std::string& path, const RunInfo& info,
                       const Simulator* sim, const MetricsRegistry* registry,
-                      const Communicator::Stats* comm, const DriftMonitor* drift,
-                      const SpatialSummary* spatial, const RecoveryLog* recovery,
-                      const CommModel* comm_model) {
-  io::atomic_write_file(path, run_report_json(info, sim, registry, comm, drift,
-                                              spatial, recovery, comm_model));
+                      const DriftMonitor* drift, const SpatialSummary* spatial,
+                      const RecoveryLog* recovery) {
+  io::atomic_write_file(path,
+                        run_report_json(info, sim, registry, drift, spatial, recovery));
 }
 
 }  // namespace casurf::obs

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "parallel/msgpass.hpp"
 
 namespace casurf {
 class Simulator;
@@ -27,15 +26,6 @@ struct RunInfo {
   double wall_seconds = 0;
   std::string trace_id;           ///< cross-process correlation id ("" = none)
   std::uint64_t trace_drops = 0;  ///< trace events lost to ring wrap-around
-};
-
-/// Paper cost-model prediction for the same run (the per-message/per-byte
-/// communication model `bench/fig7_speedup.cpp` reproduces): what the model
-/// says the run should have cost. Stored in the report's "comm" section so
-/// `casurf_report --comm` can print measured-vs-model columns.
-struct CommModel {
-  double messages = 0;
-  double bytes = 0;
 };
 
 class DriftMonitor;
@@ -81,34 +71,22 @@ struct RecoveryLog {
 /// breakdown, every registry probe, a thread-balance section derived from
 /// the `threads/busy/worker<k>` timers, the drift-monitor verdict, the
 /// spatial activity summary (per-chunk imbalance and seam-vs-interior
-/// accounting), the communicator stats, and the supervised-recovery
-/// history. `sim`, `registry`, `comm`, `drift`, `spatial`, and `recovery`
-/// may each be null; the corresponding sections are emitted empty
-/// (drift/spatial/recovery: null). A non-null but empty() recovery log is
-/// also emitted as null.
-///
-/// When `comm` is non-null a detailed "comm" section is emitted alongside
-/// the legacy "communicator" totals: per-edge message/byte counts, per-rank
-/// wait breakdowns, queue high-waters, and the barrier-skew histogram — all
-/// scanned from the registry's "comm/..." probes (CommProbes, msgpass.hpp)
-/// — plus the optional `comm_model` prediction. With `comm` null the
-/// section is null.
+/// accounting), and the supervised-recovery history. `sim`, `registry`,
+/// `drift`, `spatial`, and `recovery` may each be null; the corresponding
+/// sections are emitted empty (drift/spatial/recovery: null). A non-null
+/// but empty() recovery log is also emitted as null.
 [[nodiscard]] std::string run_report_json(const RunInfo& info, const Simulator* sim,
                                           const MetricsRegistry* registry,
-                                          const Communicator::Stats* comm = nullptr,
                                           const DriftMonitor* drift = nullptr,
                                           const SpatialSummary* spatial = nullptr,
-                                          const RecoveryLog* recovery = nullptr,
-                                          const CommModel* comm_model = nullptr);
+                                          const RecoveryLog* recovery = nullptr);
 
 /// Write the report through the crash-safe atomic-write path, so a report
 /// refreshed periodically (--metrics-every) is never observed truncated.
 void write_run_report(const std::string& path, const RunInfo& info,
                       const Simulator* sim, const MetricsRegistry* registry,
-                      const Communicator::Stats* comm = nullptr,
                       const DriftMonitor* drift = nullptr,
                       const SpatialSummary* spatial = nullptr,
-                      const RecoveryLog* recovery = nullptr,
-                      const CommModel* comm_model = nullptr);
+                      const RecoveryLog* recovery = nullptr);
 
 }  // namespace casurf::obs

@@ -6,10 +6,10 @@ class MetricsRegistry;
 class Tracer;
 class SpatialMap;
 
-/// Where a simulator or a Communicator world records its observations. A
-/// null member turns that sink off; a default-constructed value attaches
-/// nothing. Every sink is borrowed and must outlive whatever it is
-/// attached to (or be detached first).
+/// Where a simulator records its observations. A null member turns that
+/// sink off; a default-constructed value attaches nothing. Every sink is
+/// borrowed and must outlive whatever it is attached to (or be detached
+/// first).
 struct Sinks {
   MetricsRegistry* metrics = nullptr;  ///< phase timers, counters, histograms
   Tracer* tracer = nullptr;            ///< per-thread span rings

@@ -121,21 +121,10 @@ std::string Tracer::chrome_trace_json() const {
       }
       j.key("args");
       j.begin_object();
-      if (e.src >= 0) {
-        j.key("src");
-        j.i64(e.src);
-        j.key("dst");
-        j.i64(e.dst);
-        j.key("tag");
-        j.i64(e.tag);
-        j.key("bytes");
-        j.u64(e.bytes);
-      } else {
-        j.key("sim_time");
-        j.number(e.sim_time);
-        j.key("step");
-        j.u64(e.step);
-      }
+      j.key("sim_time");
+      j.number(e.sim_time);
+      j.key("step");
+      j.u64(e.step);
       j.end_object();
       j.end_object();
     }

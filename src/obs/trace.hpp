@@ -33,18 +33,7 @@ struct TraceEvent {
   double sim_time = 0;         ///< simulated time when the event began.
   std::uint64_t step = 0;      ///< step/sweep index when the event began.
   Kind kind = Kind::kSpan;
-  // Communication args, set only by comm_span()/comm_instant(). src < 0
-  // marks a non-comm event and keeps these keys out of the export.
-  std::int32_t src = -1;       ///< sending rank
-  std::int32_t dst = -1;       ///< receiving rank
-  std::int32_t tag = 0;        ///< message tag
-  std::uint64_t bytes = 0;     ///< payload bytes
 };
-
-/// Chrome-trace lane (tid) of communicator rank k is kRankLaneBase + k, so
-/// rank lanes never collide with the simulator lanes (tid 0 = main thread,
-/// tid k+1 = threaded-engine worker k).
-inline constexpr unsigned kRankLaneBase = 1000;
 
 /// Fixed-capacity overwrite-oldest ring of TraceEvents. Single-writer:
 /// only the owning thread may call span()/instant(); readers (export) run
@@ -63,29 +52,6 @@ class TraceRing {
 
   void instant(const char* name, double sim_time, std::uint64_t step) {
     push({name, now_ns(), 0, sim_time, step, TraceEvent::Kind::kInstant});
-  }
-
-  /// Comm-layer span: like span(), but the exported event's args carry
-  /// (src,dst,tag,bytes) so the edge and payload are identifiable.
-  void comm_span(const char* name, std::uint64_t start_ns, std::uint64_t dur_ns,
-                 int src, int dst, int tag, std::uint64_t bytes) {
-    TraceEvent e{name, start_ns, dur_ns, 0.0, 0, TraceEvent::Kind::kSpan};
-    e.src = src;
-    e.dst = dst;
-    e.tag = tag;
-    e.bytes = bytes;
-    push(e);
-  }
-
-  /// Comm-layer instant (e.g. a non-blocking send) with edge args.
-  void comm_instant(const char* name, int src, int dst, int tag,
-                    std::uint64_t bytes) {
-    TraceEvent e{name, now_ns(), 0, 0.0, 0, TraceEvent::Kind::kInstant};
-    e.src = src;
-    e.dst = dst;
-    e.tag = tag;
-    e.bytes = bytes;
-    push(e);
   }
 
   [[nodiscard]] unsigned tid() const { return tid_; }
@@ -158,7 +124,7 @@ class Tracer {
   /// The ring for logical thread `tid`, created on first use. The
   /// reference stays valid for the tracer's lifetime.
   TraceRing& ring(unsigned tid);
-  /// Label a ring in the exported trace ("main", "worker3", "rank2", ...).
+  /// Label a ring in the exported trace ("main", "worker3", ...).
   void set_thread_name(unsigned tid, std::string name);
   /// Cross-process correlation id stamped into the exported footer; the
   /// serve daemon hands each worker one ("job-<id>") so `casurf_report

@@ -1,10 +1,11 @@
 #include "parallel/domain_decomp.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <cmath>
-#include <mutex>
 #include <stdexcept>
+#include <thread>
 
+#include "parallel/thread_pool.hpp"
 #include "rng/distributions.hpp"
 #include "rng/splitmix64.hpp"
 #include "rng/xoshiro.hpp"
@@ -13,33 +14,13 @@ namespace casurf {
 
 namespace {
 
-constexpr int kTagHaloRight = 1;  // right neighbor's boundary columns -> seam owner
-constexpr int kTagSeamBack = 2;   // seam owner's updates -> right neighbor
-
-/// Copy `count` wrapped columns starting at `x_begin` into a flat buffer
-/// (column-major: count * height species).
-void pack_columns(const Configuration& cfg, std::int32_t x_begin, std::int32_t count,
-                  std::vector<Species>& buf) {
-  const Lattice& lat = cfg.lattice();
-  buf.resize(static_cast<std::size_t>(count) * lat.height());
-  std::size_t k = 0;
-  for (std::int32_t c = 0; c < count; ++c) {
-    for (std::int32_t y = 0; y < lat.height(); ++y) {
-      buf[k++] = cfg.get(Vec2{x_begin + c, y});
-    }
-  }
-}
-
-void unpack_columns(Configuration& cfg, std::int32_t x_begin, std::int32_t count,
-                    const std::vector<Species>& buf) {
-  const Lattice& lat = cfg.lattice();
-  std::size_t k = 0;
-  for (std::int32_t c = 0; c < count; ++c) {
-    for (std::int32_t y = 0; y < lat.height(); ++y) {
-      cfg.set(Vec2{x_begin + c, y}, buf[k++]);
-    }
-  }
-}
+/// One strip's private state: its generator, and the per-species count
+/// change of its raw writes since the last merge.
+struct Strip {
+  Xoshiro256 rng;
+  std::vector<std::int64_t> delta;
+  std::uint64_t trials = 0;
+};
 
 }  // namespace
 
@@ -59,112 +40,96 @@ DomainDecompResult run_domain_decomp(const ReactionModel& model,
     throw std::invalid_argument(
         "run_domain_decomp: strips too narrow for the model radius (need width > 4r)");
   }
+  if (!std::isfinite(params.t_end) || params.t_end < 0) {
+    throw std::invalid_argument("run_domain_decomp: t_end must be finite and >= 0");
+  }
+  if (!std::isfinite(params.sample_dt) || params.sample_dt <= 0) {
+    throw std::invalid_argument("run_domain_decomp: sample_dt must be finite and > 0");
+  }
 
   const double total_k = model.total_rate();
-  const auto rounds = static_cast<std::uint64_t>(std::ceil(params.t_end * total_k));
-  const auto sample_every = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(std::llround(params.sample_dt * total_k)));
+  const double round_count = std::ceil(params.t_end * total_k);
+  if (!(round_count < 0x1p63)) {
+    throw std::invalid_argument("run_domain_decomp: t_end needs 2^63 or more rounds");
+  }
+  const auto rounds = static_cast<std::uint64_t>(round_count);
+  const auto sample_every = static_cast<std::uint64_t>(
+      std::clamp(std::round(params.sample_dt * total_k), 1.0, round_count + 1));
 
   DomainDecompResult result;
   result.rounds = rounds;
   result.coverage.assign(model.species().size(), {});
-  std::mutex result_mutex;
-  std::atomic<std::uint64_t> total_trials{0};
 
-  result.comm = Communicator::run(p, [&](Communicator::Rank& rank) {
-    const int me = rank.rank();
-    obs::TraceRing* lane = rank.trace();
-    const std::int32_t x0 = me * w;
-    const std::int32_t x1 = x0 + w;
-    const int right = (me + 1) % p;
-    const int left = (me + p - 1) % p;
+  Configuration cfg = initial;
+  std::vector<Strip> strips;
+  strips.reserve(static_cast<std::size_t>(p));
+  for (int k = 0; k < p; ++k) {
+    strips.push_back({Xoshiro256(params.seed ^ mix64(static_cast<std::uint64_t>(k) + 1)),
+                      std::vector<std::int64_t>(cfg.num_species(), 0)});
+  }
 
-    Configuration cfg = initial;  // full-lattice copy; authoritative for [x0, x1)
-    Xoshiro256 rng(params.seed ^ mix64(static_cast<std::uint64_t>(me) + 1));
-    std::vector<Species> halo_buf, seam_buf;
-    std::uint64_t my_trials = 0;
-
-    const auto trial_in = [&](std::int32_t col_begin, std::int32_t col_count) {
+  // One trial per anchor slot: a uniform column in [x_begin, x_begin + cols)
+  // (wrapped), a uniform row, and a reaction type drawn by rate.
+  const auto trials = [&](Strip& strip, std::int32_t x_begin, std::int32_t cols) {
+    const std::uint64_t n = static_cast<std::uint64_t>(cols) * lat.height();
+    for (std::uint64_t i = 0; i < n; ++i) {
       const auto x = static_cast<std::int32_t>(
-          col_begin + static_cast<std::int32_t>(uniform_below(rng, col_count)));
-      const auto y = static_cast<std::int32_t>(uniform_below(rng, lat.height()));
+          x_begin + static_cast<std::int32_t>(uniform_below(strip.rng, cols)));
+      const auto y = static_cast<std::int32_t>(uniform_below(strip.rng, lat.height()));
       const SiteIndex s = lat.index(lat.wrap({x, y}));
-      const ReactionIndex rt = model.sample_type(rng);
-      const ReactionType& reaction = model.reaction(rt);
-      if (reaction.enabled(cfg, s)) reaction.execute(cfg, s);
-      ++my_trials;
-    };
-
-    for (std::uint64_t round = 0; round < rounds; ++round) {
-      if (p == 1) {
-        // Degenerate case: plain RSM, one trial per site.
-        for (SiteIndex i = 0; i < lat.size(); ++i) trial_in(0, lat.width());
-      } else {
-        // Phase 1: strip interior, anchors in [x0 + r, x1 - r); their
-        // neighborhoods stay inside the strip, so all ranks run freely.
-        {
-          obs::ScopedSpan span(lane, "dd/interior",
-                               static_cast<double>(round) / total_k, round);
-          const std::int32_t interior = w - 2 * r;
-          for (std::int32_t i = 0; i < interior * lat.height(); ++i) {
-            trial_in(x0 + r, interior);
-          }
-        }
-        rank.barrier();
-
-        // Phase 2: seams. Each rank owns the seam at its right boundary.
-        // Push my left-boundary columns [x0, x0 + 2r) to the left neighbor,
-        // then simulate my seam with the fresh halo from the right.
-        pack_columns(cfg, x0, 2 * r, halo_buf);
-        rank.send_span(left, kTagHaloRight, halo_buf.data(), halo_buf.size());
-        halo_buf.assign(static_cast<std::size_t>(2 * r) * lat.height(), 0);
-        rank.recv_span(right, kTagHaloRight, halo_buf.data(), halo_buf.size());
-        unpack_columns(cfg, x1, 2 * r, halo_buf);
-
-        // Seam anchors: columns [x1 - r, x1 + r); touch [x1 - 2r, x1 + 2r).
-        {
-          obs::ScopedSpan span(lane, "dd/seam",
-                               static_cast<double>(round) / total_k, round);
-          for (std::int32_t i = 0; i < 2 * r * lat.height(); ++i) {
-            trial_in(x1 - r, 2 * r);
-          }
-        }
-
-        // Return the neighbor's updated columns [x1, x1 + 2r).
-        pack_columns(cfg, x1, 2 * r, seam_buf);
-        rank.send_span(right, kTagSeamBack, seam_buf.data(), seam_buf.size());
-        seam_buf.assign(static_cast<std::size_t>(2 * r) * lat.height(), 0);
-        rank.recv_span(left, kTagSeamBack, seam_buf.data(), seam_buf.size());
-        unpack_columns(cfg, x0, 2 * r, seam_buf);
-        rank.barrier();
-      }
-
-      // Sampling: global coverage from the authoritative columns only.
-      if (round % sample_every == 0 || round + 1 == rounds) {
-        std::vector<std::uint64_t> local(model.species().size(), 0);
-        for (std::int32_t x = x0; x < x1; ++x) {
-          for (std::int32_t y = 0; y < lat.height(); ++y) {
-            ++local[cfg.get(Vec2{x, y})];
-          }
-        }
-        std::vector<double> fractions(local.size());
-        for (std::size_t sp = 0; sp < local.size(); ++sp) {
-          fractions[sp] = static_cast<double>(rank.allreduce_sum(local[sp])) /
-                          static_cast<double>(lat.size());
-        }
-        if (me == 0) {
-          std::lock_guard lock(result_mutex);
-          result.times.push_back(static_cast<double>(round + 1) / total_k);
-          for (std::size_t sp = 0; sp < fractions.size(); ++sp) {
-            result.coverage[sp].push_back(fractions[sp]);
-          }
-        }
-      }
+      const ReactionType& reaction = model.reaction(model.sample_type(strip.rng));
+      if (reaction.enabled(cfg, s)) reaction.execute_raw(cfg, s, strip.delta.data());
     }
-    total_trials.fetch_add(my_trials, std::memory_order_relaxed);
-  }, params.sinks);
+    strip.trials += n;
+  };
 
-  result.total_trials = total_trials.load();
+  // One phase of a round: every strip runs `cols` columns of anchors from
+  // `offset` within it, concurrently. The join is the barrier; after it the
+  // strips' species deltas merge into the shared counts.
+  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
+  ThreadPool pool(std::min({static_cast<unsigned>(p), hardware, ThreadPool::kMaxThreads}));
+  const auto phase = [&](std::int32_t offset, std::int32_t cols) {
+    pool.parallel_for(strips.size(), [&](unsigned, std::size_t begin, std::size_t end) {
+      for (std::size_t k = begin; k < end; ++k) {
+        trials(strips[k], static_cast<std::int32_t>(k) * w + offset, cols);
+      }
+    });
+    for (Strip& strip : strips) {
+      cfg.apply_count_delta(strip.delta.data());
+      std::fill(strip.delta.begin(), strip.delta.end(), 0);
+    }
+  };
+
+  const auto sample = [&](double t) {
+    result.times.push_back(t);
+    for (std::size_t sp = 0; sp < result.coverage.size(); ++sp) {
+      result.coverage[sp].push_back(cfg.coverage(static_cast<Species>(sp)));
+    }
+  };
+  sample(0.0);
+
+  const std::uint64_t halo_bytes_per_message =
+      static_cast<std::uint64_t>(2 * r) * lat.height() * sizeof(Species);
+  for (std::uint64_t round = 0; round < rounds; ++round) {
+    if (p == 1) {
+      phase(0, lat.width());  // plain RSM: one trial per site
+    } else {
+      // Interiors: anchors in [x0 + r, x1 - r), whose neighbourhoods stay
+      // inside the strip.
+      phase(r, w - 2 * r);
+      // Seams: the strip on the left owns anchors in [x1 - r, x1 + r) and
+      // touches [x1 - 2r, x1 + 2r), reading its right neighbour's first 2r
+      // columns in place. A distributed run would send those columns to
+      // the owner and the updated ones back: two messages per strip.
+      phase(w - r, 2 * r);
+      result.halo_messages += 2 * static_cast<std::uint64_t>(p);
+      result.halo_bytes += 2 * static_cast<std::uint64_t>(p) * halo_bytes_per_message;
+    }
+    if ((round + 1) % sample_every == 0 || round + 1 == rounds) {
+      sample(static_cast<double>(round + 1) / total_k);
+    }
+  }
+  for (const Strip& strip : strips) result.total_trials += strip.trials;
   return result;
 }
 

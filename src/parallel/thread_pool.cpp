@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "util/failpoint.hpp"
@@ -19,16 +20,30 @@ constexpr fail::Failpoint kWorkerStall{"thread_pool/worker_stall"};
 }  // namespace
 
 ThreadPool::ThreadPool(unsigned threads) {
+  if (threads > kMaxThreads) {
+    throw std::invalid_argument("thread_pool: " + std::to_string(threads) +
+                                " threads requested, at most " +
+                                std::to_string(kMaxThreads) + " allowed");
+  }
   if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
+    threads = std::clamp(std::thread::hardware_concurrency(), 1u, kMaxThreads);
   }
   workers_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_main(i); });
+  try {
+    for (unsigned i = 0; i < threads; ++i) {
+      workers_.emplace_back([this, i] { worker_main(i); });
+    }
+  } catch (...) {
+    // A spawn failed (std::system_error): destroying the joinable workers
+    // already started would end the process, so stop them first.
+    stop_and_join();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() {
   {
     std::lock_guard lock(mutex_);
     stopping_ = true;

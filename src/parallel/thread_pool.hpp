@@ -25,7 +25,14 @@ namespace casurf {
 /// cost), no work stealing, no task queue.
 class ThreadPool {
  public:
-  /// `threads` workers; 0 picks the hardware concurrency (at least 1).
+  /// The most workers a pool starts; the CLI's --threads and the serve
+  /// JobSpec's "threads" are checked against it too.
+  static constexpr unsigned kMaxThreads = 256;
+
+  /// `threads` workers; 0 picks the hardware concurrency (at least 1, at
+  /// most kMaxThreads). Throws std::invalid_argument above kMaxThreads,
+  /// before any thread starts; if a spawn fails, joins the workers already
+  /// started and rethrows its std::system_error.
   explicit ThreadPool(unsigned threads = 0);
   ~ThreadPool();
 
@@ -55,6 +62,7 @@ class ThreadPool {
 
  private:
   void worker_main(unsigned id);
+  void stop_and_join();
 
   std::vector<std::thread> workers_;
   /// Serializes whole parallel_for invocations. Without it, two concurrent

@@ -516,7 +516,7 @@ void Daemon::harvest_report(Job& job) {
   // and a requeued job re-finishes with a newer report — so only the delta
   // beyond what this job already contributed is added.
   std::uint64_t trials = 0, executed = 0, alarms = 0, restarts = 0;
-  std::uint64_t comm_messages = 0, comm_bytes = 0, trace_drops = 0;
+  std::uint64_t trace_drops = 0;
   double wall = 0;
   try {
     const Value report = Value::parse(io::read_file(job.dir + "/" + kJobReport));
@@ -527,10 +527,6 @@ void Daemon::harvest_report(Job& job) {
     if (const Value* run = report.find("run")) {
       wall = run->number_or("wall_seconds", 0);
       trace_drops = static_cast<std::uint64_t>(run->number_or("trace_drops", 0));
-    }
-    if (const Value* comm = report.find("comm"); comm && comm->is_object()) {
-      comm_messages = static_cast<std::uint64_t>(comm->number_or("messages", 0));
-      comm_bytes = static_cast<std::uint64_t>(comm->number_or("bytes", 0));
     }
     if (const Value* drift = report.find("drift"); drift && drift->is_object()) {
       if (const Value* list = drift->find("alarms")) {
@@ -548,16 +544,13 @@ void Daemon::harvest_report(Job& job) {
     harvested = std::max(harvested, now);
     return d;
   };
-  std::uint64_t d_trials, d_executed, d_alarms, d_restarts;
-  std::uint64_t d_comm_messages, d_comm_bytes, d_trace_drops;
+  std::uint64_t d_trials, d_executed, d_alarms, d_restarts, d_trace_drops;
   {
     std::lock_guard lock(mutex_);
     d_trials = delta(trials, job.harvested_trials);
     d_executed = delta(executed, job.harvested_executed);
     d_alarms = delta(alarms, job.harvested_alarms);
     d_restarts = delta(restarts, job.harvested_restarts);
-    d_comm_messages = delta(comm_messages, job.harvested_comm_messages);
-    d_comm_bytes = delta(comm_bytes, job.harvested_comm_bytes);
     d_trace_drops = delta(trace_drops, job.harvested_trace_drops);
   }
   if (d_trials != 0) registry_.counter("casurf_worker_trials_total").add(d_trials);
@@ -572,12 +565,6 @@ void Daemon::harvest_report(Job& job) {
         .counter(obs::prom::series("casurf_worker_recoveries_total",
                                    {{"scope", "worker"}}))
         .add(d_restarts);
-  }
-  if (d_comm_messages != 0) {
-    registry_.counter("casurf_worker_comm_messages_total").add(d_comm_messages);
-  }
-  if (d_comm_bytes != 0) {
-    registry_.counter("casurf_worker_comm_bytes_total").add(d_comm_bytes);
   }
   if (d_trace_drops != 0) {
     registry_.counter("casurf_worker_trace_drops_total").add(d_trace_drops);

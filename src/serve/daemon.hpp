@@ -105,9 +105,7 @@ class Daemon {
     std::uint64_t harvested_executed = 0;   ///< rolled into the registry
     std::uint64_t harvested_alarms = 0;     ///< (deltas only: a requeued
     std::uint64_t harvested_restarts = 0;   ///< job's report is cumulative)
-    std::uint64_t harvested_comm_messages = 0;  ///< worker "comm" section
-    std::uint64_t harvested_comm_bytes = 0;     ///< totals, same delta rule
-    std::uint64_t harvested_trace_drops = 0;    ///< run.trace_drops likewise
+    std::uint64_t harvested_trace_drops = 0;  ///< run.trace_drops likewise
   };
 
   /// Per-request telemetry handle() threads through route(): the

@@ -5,7 +5,10 @@
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <string>
 #include <string_view>
+
+#include "parallel/thread_pool.hpp"
 
 namespace casurf::serve {
 namespace {
@@ -131,7 +134,9 @@ JobSpec JobSpec::from_json(const Value& v) {
       spec.l_trials = static_cast<std::uint32_t>(l);
     } else if (key == "threads") {
       const std::uint64_t t = non_negative_integer(value, "threads");
-      if (t == 0 || t > 256) reject("threads must be 1..256");
+      if (t == 0 || t > ThreadPool::kMaxThreads) {
+        reject("threads must be 1.." + std::to_string(ThreadPool::kMaxThreads));
+      }
       spec.threads = static_cast<unsigned>(t);
     } else if (key == "fast_path") {
       // Retired knob (the PNDCA family has one trial path). Still parsed

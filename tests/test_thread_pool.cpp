@@ -17,6 +17,11 @@ TEST(ThreadPool, SizeReflectsRequestedThreads) {
   EXPECT_GE(ThreadPool(0).size(), 1u);  // auto-detect, at least one
 }
 
+TEST(ThreadPool, RejectsMoreThanMaxThreads) {
+  // The bound is checked before any worker starts, so this starts none.
+  EXPECT_THROW(ThreadPool(ThreadPool::kMaxThreads + 1), std::invalid_argument);
+}
+
 TEST(ThreadPool, CoversRangeExactlyOnce) {
   ThreadPool pool(4);
   const std::size_t n = 1037;

@@ -122,6 +122,21 @@ TEST(Tracer, FooterDropCounterSurvivesRingWrap) {
   EXPECT_EQ(doc.at("otherData").at("rings").items()[0].at("dropped").as_u64(), 5u);
 }
 
+TEST(Tracer, FooterCarriesIdAndOrigin) {
+  // The correlation id and the steady-clock origin are what
+  // casurf_report --merge-traces labels and aligns lanes by; they must be
+  // the tracer's own, not merely present.
+  Tracer tracer;
+  tracer.set_trace_id("job-42");
+  tracer.ring(0).span("main/step", now_ns(), 10, 0.0, 0);
+  const json::Value doc = json::Value::parse(tracer.chrome_trace_json());
+  const json::Value& footer = doc.at("otherData");
+  EXPECT_EQ(footer.at("schema").as_string(), "casurf-trace/1");
+  EXPECT_EQ(footer.at("trace_id").as_string(), "job-42");
+  // The parser holds numbers as doubles, so compare at that precision.
+  EXPECT_EQ(footer.at("t0_ns").as_number(), static_cast<double>(tracer.t0_ns()));
+}
+
 TEST(Tracer, RingReferencesAreStable) {
   Tracer tracer;
   TraceRing& r0 = tracer.ring(0);
