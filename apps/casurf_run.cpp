@@ -5,8 +5,8 @@
 // built-in supervisor that restarts a crashed or hung worker from the
 // latest good checkpoint (docs/ROBUSTNESS.md).
 //
-//   casurf_run --model zgb --y 0.45 --algorithm pndca --size 128x128 \
-//              --t-end 50 --dt 1 --csv coverage.csv --ppm final.ppm
+//   casurf_run --model zgb --y 0.45 --algorithm pndca --size 128x128 --t-end 50
+//   casurf_run --model zgb --t-end 50 --dt 1 --csv coverage.csv --ppm final.ppm
 //
 //   casurf_run --model-file my.model --fill "*" --algorithm rsm --t-end 10
 //

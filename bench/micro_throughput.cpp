@@ -14,6 +14,7 @@
 #include "ca/ndca.hpp"
 #include "ca/pndca.hpp"
 #include "ca/tpndca.hpp"
+#include "core/simulation.hpp"
 #include "dmc/frm.hpp"
 #include "dmc/rsm.hpp"
 #include "dmc/vssm.hpp"
@@ -324,7 +325,34 @@ void BM_MakePartition(benchmark::State& state) {
     benchmark::DoNotOptimize(make_partition(lat, zgb().model));
   }
 }
-BENCHMARK(BM_MakePartition)->Arg(50)->Arg(100)->Unit(benchmark::kMicrosecond);
+// Sides 500 (the ledger's lattice, where the five-chunk form meets the
+// clique bound and the greedy search is skipped) and 512 (where no form
+// below m = 8 fits the seam, so greedy still runs and is compared).
+BENCHMARK(BM_MakePartition)
+    ->Arg(50)
+    ->Arg(100)
+    ->Arg(500)
+    ->Arg(512)
+    ->Unit(benchmark::kMicrosecond);
+
+// The set-up of a launch: make_simulator on the hex-vacant 500x500 Pt(100)
+// start casurf_run builds, for VSSM (0: enabled sets), FRM (1: pair flags
+// and event queue) and PNDCA (2: make_partition, probe plans and the
+// block-rule verdict).
+void BM_SimulatorBuild(benchmark::State& state) {
+  static const models::Pt100Model pt = models::make_pt100();
+  constexpr Algorithm kAlgorithms[] = {Algorithm::kVssm, Algorithm::kFrm,
+                                       Algorithm::kPndca};
+  SimulationOptions options;
+  options.algorithm = kAlgorithms[state.range(0)];
+  options.seed = 3;
+  const Configuration start(Lattice(500, 500), pt.model.species().size(), pt.hex_vac);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(make_simulator(pt.model, start, options));
+  }
+  state.SetLabel(algorithm_name(options.algorithm));
+}
+BENCHMARK(BM_SimulatorBuild)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
 
 // One run of `sim` for `steps` MC steps, dumped as bench_out/BENCH_<name>.json
 // so casurf_report (and CI) always have a fresh machine-readable artifact,

@@ -21,13 +21,8 @@ void EnabledTypeSet::rebuild(const SpeciesBitplanes& planes,
   bits_.assign(static_cast<std::size_t>(width) * static_cast<std::size_t>(height) *
                    words_per_site_,
                0);
-  SiteIndex s = 0;
-  for (std::int32_t y = 0; y < height; ++y) {
-    for (std::int32_t x = 0; x < width; ++x, ++s) {
-      for (ReactionIndex t = 0; t < num_types; ++t) {
-        if (probes.enabled(planes, t, x, y)) assign(s, t, true);
-      }
-    }
+  for (ReactionIndex t = 0; t < num_types; ++t) {
+    probes.for_each_enabled(planes, t, [&](SiteIndex s) { assign(s, t, true); });
   }
 }
 

@@ -23,7 +23,8 @@ namespace casurf {
 /// probe plans and kept in sync by the visits of Rechecker::after_fire.
 class EnabledTypeSet {
  public:
-  /// Full recompute: every (site, type) pair probed against the planes.
+  /// Full recompute from the planes, a lattice row per type at a time
+  /// (ProbePlans::for_each_enabled).
   void rebuild(const SpeciesBitplanes& planes, const ProbePlans& probes);
 
   [[nodiscard]] bool test(SiteIndex s, ReactionIndex t) const {

@@ -74,8 +74,7 @@ std::size_t EnabledRateCache::add_partition(const Partition& partition) {
   }
   Slot slot;
   slot.num_chunks = partition.num_chunks();
-  slot.chunk_of.resize(num_sites_);
-  for (SiteIndex s = 0; s < num_sites_; ++s) slot.chunk_of[s] = partition.chunk_of(s);
+  slot.chunk_of = partition.chunk_of_sites();
   recount_slot(slot);
   slots_.push_back(std::move(slot));
   return slots_.size() - 1;

@@ -13,10 +13,11 @@ FrmSimulator::FrmSimulator(const ReactionModel& model, Configuration config,
   const std::size_t pairs = static_cast<std::size_t>(model.num_reactions()) * config_.size();
   generation_.assign(pairs, 0);
   enabled_flag_.assign(pairs, 0);
+  // Type by type, each in raster order: the order of the time draws and
+  // of the queue's pushes.
   for (ReactionIndex i = 0; i < model_.num_reactions(); ++i) {
-    for (SiteIndex s = 0; s < config_.size(); ++s) {
-      sync_pair(i, s, model_.reaction(i).enabled(config_, s));
-    }
+    rechecker_.probes().for_each_enabled(rechecker_.planes(), i,
+                                         [&](SiteIndex s) { sync_pair(i, s, true); });
   }
 }
 

@@ -33,9 +33,24 @@ class FrmSimulator final : public Simulator {
   [[nodiscard]] std::uint64_t enabled_pairs() const { return enabled_pairs_; }
   [[nodiscard]] bool stalled() const { return enabled_pairs_ == 0; }
 
+  /// A tentative event: the pair (type, site) fires at `when` unless its
+  /// generation has moved on since the draw.
+  struct Event {
+    double when;
+    SiteIndex site;
+    ReactionIndex type;
+    std::uint32_t generation;
+    // Min-heap on time.
+    friend bool operator<(const Event& a, const Event& b) { return a.when > b.when; }
+  };
+
   /// Pending (possibly stale) events in the queue; exposed for tests of the
   /// lazy-invalidation bound.
   [[nodiscard]] std::size_t queue_size() const { return queue_.size(); }
+
+  /// The queue's heap array in storage order, as checkpoints carry it;
+  /// exposed for the test of the initial build's push order.
+  [[nodiscard]] const std::vector<Event>& queue() const { return queue_; }
 
   /// Checkpointing: the heap array is serialized verbatim (not as a sorted
   /// event list), so the restored queue pops ties and lays out future
@@ -58,15 +73,6 @@ class FrmSimulator final : public Simulator {
   }
 
  private:
-  struct Event {
-    double when;
-    SiteIndex site;
-    ReactionIndex type;
-    std::uint32_t generation;
-    // Min-heap on time.
-    friend bool operator<(const Event& a, const Event& b) { return a.when > b.when; }
-  };
-
   [[nodiscard]] std::size_t pair_index(ReactionIndex rt, SiteIndex s) const {
     return static_cast<std::size_t>(rt) * config_.size() + s;
   }

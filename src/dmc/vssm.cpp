@@ -16,12 +16,10 @@ VssmSimulator::VssmSimulator(const ReactionModel& model, Configuration config,
 }
 
 void VssmSimulator::rebuild_enabled() {
-  const SiteIndex n = config_.size();
+  // Each type's set in raster order, the layout the checkpoints carry.
   for (ReactionIndex i = 0; i < model_.num_reactions(); ++i) {
-    const ReactionType& rt = model_.reaction(i);
-    for (SiteIndex s = 0; s < n; ++s) {
-      if (rt.enabled(config_, s)) enabled_[i].insert(s);
-    }
+    rechecker_.probes().for_each_enabled(rechecker_.planes(), i,
+                                         [&](SiteIndex s) { enabled_[i].insert(s); });
   }
 }
 

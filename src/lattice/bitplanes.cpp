@@ -24,19 +24,18 @@ void SpeciesBitplanes::rebuild(const Configuration& config) {
     const std::size_t row_base = static_cast<std::size_t>(y) * width_;
     for (std::int32_t x = 0; x < width_; ++x) {
       const Species sp = state[row_base + x];
-      plane_row(sp, y)[static_cast<std::size_t>(x) >> 6] |=
+      mutable_row(sp, y)[static_cast<std::size_t>(x) >> 6] |=
           std::uint64_t{1} << (static_cast<std::uint32_t>(x) & 63u);
     }
   }
 }
 
 void SpeciesBitplanes::resync_site(const Configuration& config, SiteIndex s) {
-  const std::int32_t x = static_cast<std::int32_t>(s % static_cast<SiteIndex>(width_));
-  const std::int32_t y = static_cast<std::int32_t>(s / static_cast<SiteIndex>(width_));
+  const auto [x, y] = config.lattice().coord(s);
   const std::size_t word = static_cast<std::size_t>(x) >> 6;
   const std::uint64_t mask = std::uint64_t{1} << (static_cast<std::uint32_t>(x) & 63u);
-  for (Species sp = 0; sp < num_species_; ++sp) plane_row(sp, y)[word] &= ~mask;
-  plane_row(config.get(s), y)[word] |= mask;
+  for (Species sp = 0; sp < num_species_; ++sp) mutable_row(sp, y)[word] &= ~mask;
+  mutable_row(config.get(s), y)[word] |= mask;
 }
 
 bool SpeciesBitplanes::matches(const Configuration& config) const {

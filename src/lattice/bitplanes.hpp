@@ -37,6 +37,16 @@ class SpeciesBitplanes {
   /// same property the rate cache's rechecks rely on).
   void resync_site(const Configuration& config, SiteIndex s);
 
+  /// 64-bit words per plane row: ceil(width / 64). The bits past the width
+  /// are always zero.
+  [[nodiscard]] std::size_t words_per_row() const { return words_per_row_; }
+
+  /// Species sp's bits along row y: bit x & 63 of word x >> 6 is site
+  /// (x, y). words_per_row() words.
+  [[nodiscard]] const std::uint64_t* plane_row(Species sp, std::int32_t y) const {
+    return bits_.data() + (static_cast<std::size_t>(sp) * height_ + y) * words_per_row_;
+  }
+
   [[nodiscard]] bool bit(Species sp, std::int32_t x, std::int32_t y) const {
     const std::uint64_t* row = plane_row(sp, y);
     return (row[static_cast<std::size_t>(x) >> 6] >>
@@ -47,10 +57,7 @@ class SpeciesBitplanes {
   [[nodiscard]] bool matches(const Configuration& config) const;
 
  private:
-  [[nodiscard]] const std::uint64_t* plane_row(Species sp, std::int32_t y) const {
-    return bits_.data() + (static_cast<std::size_t>(sp) * height_ + y) * words_per_row_;
-  }
-  [[nodiscard]] std::uint64_t* plane_row(Species sp, std::int32_t y) {
+  [[nodiscard]] std::uint64_t* mutable_row(Species sp, std::int32_t y) {
     return bits_.data() + (static_cast<std::size_t>(sp) * height_ + y) * words_per_row_;
   }
 

@@ -72,6 +72,51 @@ ProbePlans::ProbePlans(const ReactionModel& model, std::int32_t width,
   }
 }
 
+namespace {
+
+/// Bits [start, start + 64) of a row of `words` words, reading every bit
+/// outside [0, 64 * words) as zero; `start` may be negative.
+std::uint64_t bits_from(const std::uint64_t* row, std::int64_t words,
+                        std::int64_t start) {
+  const std::int64_t q = start >> 6;  // floor(start / 64), also below zero
+  const auto r = static_cast<unsigned>(start & 63);
+  const auto word = [&](std::int64_t i) { return i >= 0 && i < words ? row[i] : 0; };
+  return r == 0 ? word(q) : (word(q) >> r) | (word(q + 1) << (64 - r));
+}
+
+}  // namespace
+
+void ProbePlans::row_enabled(const SpeciesBitplanes& planes, ReactionIndex t,
+                             std::int32_t y, std::uint64_t* out) const {
+  const auto words = static_cast<std::int64_t>(planes.words_per_row());
+  const auto height = static_cast<std::uint32_t>(height_);
+  std::fill(out, out + words, ~std::uint64_t{0});
+  const TypeSpan& ts = types_[t];
+  for (const Probe& p : probes().subspan(ts.first, ts.count)) {
+    // Unsigned, as in matches(): y + dy stays below 2 * height.
+    std::uint32_t py = static_cast<std::uint32_t>(y) + static_cast<std::uint32_t>(p.dy);
+    if (py >= height) py -= height;
+    for (std::int64_t k = 0; k < words; ++k) {
+      // Bit x of the probe is plane bit x + dx, wrapped: the row read from
+      // dx, plus the row read from dx - width for the anchors whose probe
+      // wraps past the seam. Both reads see zeros past the width, and the
+      // second leaves stray bits only beyond the width, cleared below.
+      const std::int64_t from = 64 * k + p.dx;
+      std::uint64_t hit = 0;
+      for (SpeciesMask m = p.mask; m != 0; m &= m - 1) {
+        const std::uint64_t* row =
+            planes.plane_row(static_cast<Species>(std::countr_zero(m)),
+                             static_cast<std::int32_t>(py));
+        hit |= bits_from(row, words, from) | bits_from(row, words, from - width_);
+      }
+      out[k] &= hit;
+    }
+  }
+  if (const auto tail = static_cast<unsigned>(width_ & 63); tail != 0) {
+    out[words - 1] &= (std::uint64_t{1} << tail) - 1;
+  }
+}
+
 Rechecker::Rechecker(const ReactionModel& model, const Configuration& config)
     : planes_(config),
       probes_(model, config.lattice().width(), config.lattice().height()) {}

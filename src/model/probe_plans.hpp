@@ -65,6 +65,32 @@ class ProbePlans {
     });
   }
 
+  /// Type t's enabledness along the whole row y, 64 anchors per word: bit
+  /// x & 63 of out[x >> 6] is enabled(planes, t, x, y) for x < width, and
+  /// the bits past the width are zero. `out` holds planes.words_per_row()
+  /// words. Each probe is the OR of its mask's plane rows rotated by the
+  /// probe's wrapped dx, and the type is the AND of its probes.
+  void row_enabled(const SpeciesBitplanes& planes, ReactionIndex t, std::int32_t y,
+                   std::uint64_t* out) const;
+
+  /// Calls visit(anchor) for every site where type t is enabled, in raster
+  /// order, a row at a time through row_enabled: the initial builds of the
+  /// enabled sets, which would otherwise probe every (site, type) pair.
+  template <class Visitor>
+  void for_each_enabled(const SpeciesBitplanes& planes, ReactionIndex t,
+                        Visitor&& visit) const {
+    std::vector<std::uint64_t> row(planes.words_per_row());
+    SiteIndex base = 0;
+    for (std::int32_t y = 0; y < height_; ++y, base += static_cast<SiteIndex>(width_)) {
+      row_enabled(planes, t, y, row.data());
+      for (std::size_t k = 0; k < row.size(); ++k) {
+        for (std::uint64_t bits = row[k]; bits != 0; bits &= bits - 1) {
+          visit(base + static_cast<SiteIndex>(64 * k + std::countr_zero(bits)));
+        }
+      }
+    }
+  }
+
   /// The compiled table, for kernels that evaluate it lane-wise.
   [[nodiscard]] std::span<const TypeSpan> types() const { return types_; }
   [[nodiscard]] std::span<const Probe> probes() const { return probes_; }

@@ -31,8 +31,11 @@ struct LinearForm {
 [[nodiscard]] Partition greedy_coloring(const Lattice& lattice,
                                         const std::vector<Vec2>& offsets);
 
-/// Best-effort minimal partition for a model: try the linear-form search,
-/// fall back to greedy. The result always satisfies verify_partition.
+/// Best-effort minimal partition for a model. A verified linear form whose
+/// m equals chunk_lower_bound (with no conflict offset wrapping to (0, 0))
+/// is optimal and returned at once; otherwise greedy_coloring runs and the
+/// form is kept only when it has no more chunks. The result always
+/// satisfies verify_partition.
 [[nodiscard]] Partition make_partition(const Lattice& lattice, const ReactionModel& model,
                                        ConflictPolicy policy = ConflictPolicy::kFullNeighborhood);
 

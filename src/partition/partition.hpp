@@ -23,6 +23,10 @@ class Partition {
   [[nodiscard]] const Lattice& lattice() const { return lattice_; }
   [[nodiscard]] std::size_t num_chunks() const { return chunks_.size(); }
   [[nodiscard]] ChunkId chunk_of(SiteIndex s) const { return chunk_of_site_[s]; }
+  /// chunk_of(s) of every site, in row-major order.
+  [[nodiscard]] const std::vector<ChunkId>& chunk_of_sites() const {
+    return chunk_of_site_;
+  }
   [[nodiscard]] const std::vector<SiteIndex>& chunk(ChunkId c) const {
     return chunks_.at(c);
   }

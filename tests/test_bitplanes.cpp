@@ -21,7 +21,7 @@ Configuration random_config(std::int32_t w, std::int32_t h, std::size_t species,
 }
 
 TEST(Bitplanes, RebuildMatchesConfiguration) {
-  for (const auto [w, h] : {std::pair{10, 7}, {64, 3}, {70, 5}, {128, 4}}) {
+  for (const auto& [w, h] : {std::pair{10, 7}, {64, 3}, {70, 5}, {128, 4}}) {
     const Configuration cfg = random_config(w, h, 3, 11);
     const SpeciesBitplanes planes(cfg);
     EXPECT_TRUE(planes.matches(cfg)) << w << "x" << h;
@@ -47,6 +47,21 @@ TEST(Bitplanes, ResyncSiteTracksWritesAndIsIdempotent) {
     planes.resync_site(cfg, s);
     planes.resync_site(cfg, s);  // replaying must be harmless
     ASSERT_TRUE(planes.matches(cfg)) << "after resync " << i;
+  }
+}
+
+TEST(Bitplanes, ResyncSiteAddressesEverySiteOnAnyWidth) {
+  // resync_site takes (x, y) from Lattice::coord's reciprocal: every site of
+  // widths that are not powers of two, width 1 (its own branch) included,
+  // must land on its own bit.
+  for (const auto& [w, h] : {std::pair{1, 9}, {3, 7}, {37, 4}, {100, 3}, {129, 2}}) {
+    Configuration cfg = random_config(w, h, 3, 43);
+    SpeciesBitplanes planes(cfg);
+    for (SiteIndex s = 0; s < cfg.size(); ++s) {
+      cfg.set(s, static_cast<Species>((cfg.get(s) + 1) % 3));
+      planes.resync_site(cfg, s);
+    }
+    EXPECT_TRUE(planes.matches(cfg)) << w << "x" << h;
   }
 }
 

@@ -135,8 +135,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Algorithm::kRsm, Algorithm::kVssm, Algorithm::kFrm,
                       Algorithm::kNdca, Algorithm::kPndca, Algorithm::kLPndca,
                       Algorithm::kTPndca, Algorithm::kParallelPndca),
-    [](const auto& info) {
-      switch (info.param) {
+    [](const auto& param_info) {
+      switch (param_info.param) {
         case Algorithm::kRsm: return "RSM";
         case Algorithm::kVssm: return "VSSM";
         case Algorithm::kFrm: return "FRM";

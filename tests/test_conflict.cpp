@@ -8,6 +8,9 @@
 #include "models/diffusion.hpp"
 #include "models/zgb.hpp"
 #include "partition/partition.hpp"
+#include "partition_reference.hpp"
+#include "rng/distributions.hpp"
+#include "rng/xoshiro.hpp"
 
 namespace casurf {
 namespace {
@@ -125,6 +128,54 @@ TEST(VerifyPartition, WrapAroundConflictsDetected) {
   const Partition p(lat, std::move(assign));
   auto zgb = models::make_zgb();
   EXPECT_FALSE(verify_partition(p, conflict_offsets(zgb.model)));
+}
+
+// verify_partition compares whole rows shifted by each wrapped offset; it
+// must give the per-site answer on every small torus, for offsets shorter
+// and longer than the lattice and for offsets that wrap to (0, 0).
+TEST(VerifyPartition, MatchesThePerSiteReferenceOnRandomPartitions) {
+  Xoshiro256 rng(17);
+  const auto draw = [&](std::int32_t lo, std::int32_t hi) {
+    const auto span = static_cast<std::uint64_t>(hi - lo + 1);
+    return lo + static_cast<std::int32_t>(uniform_below(rng, span));
+  };
+  int valid = 0;
+  int invalid = 0;
+  for (std::int32_t w = 1; w <= 9; ++w) {
+    for (std::int32_t h = 1; h <= 9; ++h) {
+      const Lattice lat(w, h);
+      for (int trial = 0; trial < 12; ++trial) {
+        std::vector<Vec2> offsets;
+        const int n = draw(0, 6);
+        for (int k = 0; k < n; ++k) {
+          switch (draw(0, 2)) {
+            case 0: offsets.push_back({draw(-2, 2), draw(-2, 2)}); break;
+            case 1: offsets.push_back({draw(-25, 25), draw(-25, 25)}); break;
+            default: offsets.push_back({w * draw(-3, 3), h * draw(-3, 3)}); break;
+          }
+        }
+        // Dense chunk ids: the first k sites name chunks 0..k-1, the rest
+        // draw among them. Half the rows use the greedy coloring of the
+        // symmetrized offsets instead, so valid partitions occur too.
+        std::vector<ChunkId> assign(lat.size());
+        const auto n_sites = static_cast<std::int32_t>(lat.size());
+        const auto k = static_cast<SiteIndex>(draw(1, n_sites));
+        for (SiteIndex s = 0; s < lat.size(); ++s) {
+          assign[s] = s < k ? s : static_cast<ChunkId>(uniform_below(rng, k));
+        }
+        std::vector<Vec2> symmetric = offsets;
+        for (const Vec2 d : offsets) symmetric.push_back(-d);
+        const Partition p = trial % 2 == 0 ? Partition(lat, std::move(assign))
+                                           : reference::greedy(lat, symmetric);
+        const bool want = reference::verify(p, offsets);
+        ASSERT_EQ(verify_partition(p, offsets), want)
+            << w << "x" << h << ", trial " << trial;
+        ++(want ? valid : invalid);
+      }
+    }
+  }
+  EXPECT_GT(valid, 100);
+  EXPECT_GT(invalid, 100);
 }
 
 }  // namespace

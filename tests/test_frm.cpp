@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dmc_bookkeeping.hpp"
 #include "models/zgb.hpp"
 
@@ -94,6 +96,33 @@ TEST_P(FrmBookkeeping, AuditIsCleanAfterEveryEvent) {
   FrmSimulator sim(model, random_configuration(model, row.width, row.height, 7), 3);
   expect_audit_clean_after_every_event(sim, 400);
   EXPECT_GT(sim.counters().executed, 0u) << "the row never left its initial state";
+}
+
+// The initial queue is built a lattice row at a time; its heap array must
+// be the per-site raster build's: one time draw per enabled pair, type by
+// type and site by site, each pushed as drawn.
+TEST_P(FrmBookkeeping, InitialQueueIsThePerSiteRasterBuild) {
+  const MaskRow& row = GetParam();
+  const ReactionModel model = row.make_model();
+  const Configuration cfg = random_configuration(model, row.width, row.height, 7);
+  FrmSimulator sim(model, cfg, 3);
+  Xoshiro256 rng(3);
+  std::vector<FrmSimulator::Event> want;
+  for (ReactionIndex i = 0; i < model.num_reactions(); ++i) {
+    for (SiteIndex s = 0; s < cfg.size(); ++s) {
+      if (!model.reaction(i).enabled(cfg, s)) continue;
+      want.push_back({exponential(rng, model.reaction(i).rate()), s, i, 1});
+      std::push_heap(want.begin(), want.end());
+    }
+  }
+  const std::vector<FrmSimulator::Event>& got = sim.queue();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(got[k].when, want[k].when) << "heap slot " << k;
+    EXPECT_EQ(got[k].site, want[k].site) << "heap slot " << k;
+    EXPECT_EQ(got[k].type, want[k].type) << "heap slot " << k;
+    EXPECT_EQ(got[k].generation, want[k].generation) << "heap slot " << k;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(MaskShapes, FrmBookkeeping, ::testing::ValuesIn(mask_rows()),

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include "models/pt100.hpp"
+#include "models/zgb.hpp"
+#include "rng/distributions.hpp"
+#include "rng/xoshiro.hpp"
 
 namespace casurf {
 namespace {
@@ -61,6 +68,86 @@ TEST(Rechecker, VisitsByWrittenSiteThenTypeThenTransformOrder) {
   }
   ASSERT_EQ(want.size(), 6u);
   EXPECT_EQ(visits, want);
+}
+
+// Species *, A, B: a type whose one transform matches every species, so
+// it keeps no probe and is enabled everywhere; a type whose probes reach
+// farther than the lattices below are wide or high; a hop pair; and two-
+// and three-bit masks, one at dx = 64, which aliases the anchor at width 64.
+ReactionModel row_model() {
+  const SpeciesMask a = species_bit(1);
+  const SpeciesMask b = species_bit(2);
+  const SpeciesMask all = species_bit(0) | a | b;
+  ReactionModel m(SpeciesSet({"*", "A", "B"}));
+  m.add(ReactionType("any", 1.0, {Transform{{0, 0}, all, 1}}));
+  m.add(ReactionType("far", 1.0,
+                     {exact({0, 0}, 0, 1), require({70, -5}, a | b),
+                      require({-130, 1}, a)}));
+  m.add(ReactionType("hop", 1.0, {exact({0, 0}, 1, 0), exact({1, 0}, 0, 1)}));
+  m.add(ReactionType("mix", 1.0,
+                     {Transform{{0, 0}, a | b, 0}, require({-1, 1}, species_bit(0) | b),
+                      require({64, 0}, b)}));
+  return m;
+}
+
+Configuration random_config(const ReactionModel& model, std::int32_t w, std::int32_t h,
+                            std::uint64_t seed) {
+  Configuration cfg(Lattice(w, h), model.species().size(), 0);
+  Xoshiro256 rng(seed);
+  for (SiteIndex s = 0; s < cfg.size(); ++s) {
+    cfg.set(s, static_cast<Species>(uniform_below(rng, model.species().size())));
+  }
+  return cfg;
+}
+
+// The row evaluator behind the initial builds of VSSM's sets, FRM's queue
+// and the rate cache's bitset: every bit must be the per-site answer of
+// both ProbePlans::enabled and ReactionType::enabled, the bits past the
+// width must be zero, and for_each_enabled must visit the enabled sites in
+// raster order.
+TEST(ProbePlans, RowEvaluatorMatchesPerSiteEnabledness) {
+  const std::vector<std::pair<const char*, ReactionModel>> cases = {
+      {"zgb", models::make_zgb().model},
+      {"pt100", models::make_pt100().model},
+      {"row_model", row_model()}};
+  for (const auto& [name, model] : cases) {
+    for (const std::int32_t w : {1, 2, 63, 64, 65, 129, 500}) {
+      const std::int32_t h = w == 500 ? 2 : 3;
+      const Configuration cfg = random_config(model, w, h, static_cast<std::uint64_t>(w));
+      const SpeciesBitplanes planes(cfg);
+      const ProbePlans probes(model, w, h);
+      const Lattice& lat = cfg.lattice();
+      std::vector<std::uint64_t> row(planes.words_per_row());
+      for (ReactionIndex t = 0; t < model.num_reactions(); ++t) {
+        std::vector<SiteIndex> raster;
+        for (std::int32_t y = 0; y < h; ++y) {
+          std::ranges::fill(row, ~std::uint64_t{0});  // the evaluator must overwrite
+          probes.row_enabled(planes, t, y, row.data());
+          for (std::size_t x = 0; x < 64 * row.size(); ++x) {
+            const bool bit = (row[x >> 6] >> (x & 63)) & 1u;
+            const auto xi = static_cast<std::int32_t>(x);
+            if (xi >= w) {
+              ASSERT_FALSE(bit) << name << " " << w << "x" << h << " type " << t
+                                << ": padding bit " << x << " of row " << y;
+              continue;
+            }
+            const SiteIndex s = lat.index({xi, y});
+            const auto where = [&] {
+              return std::string(name) + " " + std::to_string(w) + "x" +
+                     std::to_string(h) + " type " + std::to_string(t) + " at (" +
+                     std::to_string(x) + ", " + std::to_string(y) + ")";
+            };
+            ASSERT_EQ(bit, probes.enabled(planes, t, xi, y)) << where();
+            ASSERT_EQ(bit, model.reaction(t).enabled(cfg, s)) << where();
+            if (bit) raster.push_back(s);
+          }
+        }
+        std::vector<SiteIndex> visited;
+        probes.for_each_enabled(planes, t, [&](SiteIndex s) { visited.push_back(s); });
+        EXPECT_EQ(visited, raster) << name << " " << w << "x" << h << " type " << t;
+      }
+    }
+  }
 }
 
 }  // namespace

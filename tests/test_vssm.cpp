@@ -53,6 +53,24 @@ TEST_P(VssmBookkeeping, AuditIsCleanAfterEveryEvent) {
   EXPECT_GT(sim.counters().executed, 0u) << "the row never left its initial state";
 }
 
+// The initial sets are built a lattice row at a time; each must hold its
+// type's enabled sites in raster order, the layout a per-site build gives
+// and the one checkpoints carry.
+TEST_P(VssmBookkeeping, InitialSetsAreInRasterOrder) {
+  const MaskRow& row = GetParam();
+  const ReactionModel model = row.make_model();
+  const Configuration cfg = random_configuration(model, row.width, row.height, 7);
+  VssmSimulator sim(model, cfg, 3);
+  for (ReactionIndex i = 0; i < model.num_reactions(); ++i) {
+    std::vector<SiteIndex> raster;
+    for (SiteIndex s = 0; s < cfg.size(); ++s) {
+      if (model.reaction(i).enabled(cfg, s)) raster.push_back(s);
+    }
+    EXPECT_EQ(sim.mutable_enabled_for_test(i).items(), raster)
+        << model.reaction(i).name();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(MaskShapes, VssmBookkeeping, ::testing::ValuesIn(mask_rows()),
                          [](const auto& row) { return row.param.name; });
 
