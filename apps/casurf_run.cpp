@@ -369,6 +369,13 @@ Options parse_args(int argc, char** argv) {
 
   if (!(opt.t_end > 0)) usage(argv[0], "--t-end must be a positive number");
   if (!(opt.dt > 0)) usage(argv[0], "--dt must be a positive number");
+  if (!sample_grid_fits(opt.t_end, opt.dt)) {
+    char msg[160];
+    std::snprintf(msg, sizeof msg,
+                  "--t-end %g with --dt %g samples more than %.0f rows (t_end / dt + 1)",
+                  opt.t_end, opt.dt, kMaxSampleRows);
+    usage(argv[0], msg);
+  }
   if (!(opt.coverage0 >= 0 && opt.coverage0 <= 1)) {
     usage(argv[0], "--coverage0 must lie in [0, 1]");
   }

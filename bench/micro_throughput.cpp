@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <vector>
 
@@ -267,6 +268,19 @@ void BM_EnabledCheck(benchmark::State& state) {
 }
 BENCHMARK(BM_EnabledCheck);
 
+/// The 500x500 ZGB partition the draw benchmarks sweep.
+const Partition& zgb500_partition() {
+  static const Partition p = make_partition(Lattice(500, 500), zgb().model);
+  return p;
+}
+
+/// ns per trial, for a benchmark that ran `trials` trials.
+void report_ns_per_trial(benchmark::State& state, std::uint64_t trials) {
+  state.counters["ns_per_trial"] = benchmark::Counter(
+      static_cast<double>(trials) * 1e-9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
 // The span trial kernel of the PNDCA sweep (enabled_trials) over every
 // chunk of a mid-run 500x500 ZGB state (t = 2.5, half the ledger's
 // zgb-500 horizon), with each chunk's reaction types drawn beforehand.
@@ -304,11 +318,67 @@ void BM_SpanKernel(benchmark::State& state) {
       trials += sites.size();
     }
   }
-  state.counters["ns_per_trial"] = benchmark::Counter(
-      static_cast<double>(trials) * 1e-9,
-      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  report_ns_per_trial(state, trials);
 }
 BENCHMARK(BM_SpanKernel)->Unit(benchmark::kMicrosecond);
+
+constexpr std::size_t kDrawSpan = 256;  // the span length of PNDCA's sweep
+
+// PNDCA's draw (sample_types) over every chunk of the 500x500 ZGB
+// partition in 256-trial spans, one sweep per chunk. The draw reads no
+// lattice state, so the partition is the whole fixture.
+void BM_SampleTypes(benchmark::State& state) {
+  const Partition& p = zgb500_partition();
+  const std::uint64_t seed_hash = CounterRng::seed_hash(3);
+  ReactionIndex types[kDrawSpan];
+  std::uint64_t sweep = 0;
+  std::uint64_t trials = 0;
+  for (auto _ : state) {
+    for (ChunkId c = 0; c < p.num_chunks(); ++c) {
+      const std::vector<SiteIndex>& sites = p.chunk(c);
+      ++sweep;
+      for (std::size_t i0 = 0; i0 < sites.size(); i0 += kDrawSpan) {
+        const std::size_t m = std::min(kDrawSpan, sites.size() - i0);
+        sample_types(sweep, seed_hash, sites.data() + i0, m, zgb().model.alias_table(),
+                     types);
+        benchmark::DoNotOptimize(types);
+        benchmark::ClobberMemory();
+      }
+      trials += sites.size();
+    }
+  }
+  report_ns_per_trial(state, trials);
+}
+BENCHMARK(BM_SampleTypes)->Unit(benchmark::kMicrosecond);
+
+// L-PNDCA's draw (sample_trials): one MC step's trials of the same lattice,
+// chunk by chunk in 256-trial spans of trial indices.
+void BM_SampleTrials(benchmark::State& state) {
+  const Partition& p = zgb500_partition();
+  const std::uint64_t seed_hash = CounterRng::seed_hash(3);
+  ReactionIndex types[kDrawSpan];
+  std::uint64_t draws[kDrawSpan];
+  std::uint64_t step = 0;
+  std::uint64_t trials = 0;
+  for (auto _ : state) {
+    std::uint64_t first = 0;
+    for (ChunkId c = 0; c < p.num_chunks(); ++c) {
+      const std::size_t size = p.chunk(c).size();
+      for (std::size_t i0 = 0; i0 < size; i0 += kDrawSpan) {
+        const std::size_t m = std::min(kDrawSpan, size - i0);
+        sample_trials(step, seed_hash, first, m, zgb().model.alias_table(), types, draws);
+        benchmark::DoNotOptimize(types);
+        benchmark::DoNotOptimize(draws);
+        benchmark::ClobberMemory();
+        first += m;
+      }
+    }
+    trials += first;
+    ++step;
+  }
+  report_ns_per_trial(state, trials);
+}
+BENCHMARK(BM_SampleTrials)->Unit(benchmark::kMicrosecond);
 
 void BM_AliasTypeSample(benchmark::State& state) {
   Xoshiro256 rng(9);

@@ -1,8 +1,12 @@
 #include "ca/fastpath.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <cstdio>
 #include <span>
+#include <stdexcept>
+#include <string>
 
 #if defined(__GNUC__) && defined(__x86_64__)
 #include <immintrin.h>
@@ -30,21 +34,20 @@ namespace {
 
 /// The reference lanes of both sampling entries, also their vector path's
 /// tail. Stream i is keyed by (step, word), where the key word is sites[i]
-/// (sample_types) or first + i (sample_trials, kTrials, which also keeps
-/// each stream's third draw in draws[i]).
+/// (sample_types) or first + i (sample_trials, kTrials). Its stream word is
+/// seed_hash ^ mix64(step_word(step) + word); the stream's first output
+/// draws the type through the alias table's slot and flip, and under
+/// kTrials its second goes to draws[i].
 template <bool kTrials>
 void sample_scalar(std::uint64_t step, std::uint64_t seed_hash, const SiteIndex* sites,
                    std::uint64_t first, std::size_t n, const AliasTable& alias,
                    ReactionIndex* out, std::uint64_t* draws) {
+  const std::uint64_t step_word = CounterRng::step_word(step);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t word = kTrials ? first + i : sites[i];
-    // seed_hash ^ mix64(key) == CounterRng::stream_base(seed, key), the
-    // seed half hoisted out of the loop. First draw = flip, second = slot.
-    const std::uint64_t base = seed_hash ^ mix64(CounterRng::key(step, word));
-    const double u_flip = CounterRng::to_unit(CounterRng::nth(base, 1));
-    const double u_slot = CounterRng::to_unit(CounterRng::nth(base, 2));
-    out[i] = static_cast<ReactionIndex>(alias.sample(u_slot, u_flip));
-    if constexpr (kTrials) draws[i] = CounterRng::nth(base, 3);
+    const std::uint64_t key = kTrials ? first + i : sites[i];
+    const std::uint64_t word = seed_hash ^ mix64(step_word + key);
+    out[i] = static_cast<ReactionIndex>(alias.sample_bits(CounterRng::nth(word, 1)));
+    if constexpr (kTrials) draws[i] = CounterRng::nth(word, 2);
   }
 }
 
@@ -102,11 +105,20 @@ CASURF_AVX512 inline __m512i mix64x8(__m512i z) {
   return _mm512_xor_si512(z, _mm512_srli_epi64(z, 31));
 }
 
-/// Eight streams per iteration: counter streams, unit-interval draws, alias
-/// slot/flip, and under kTrials the third draw. Every floating-point and
-/// integer step is the exact IEEE / mod-2^64 operation of sample_scalar, so
-/// the types and draws agree bit for bit.
-template <bool kTrials>
+/// Alias tables of at most this many columns sit in one register each, so
+/// ZGB's and diffusion's draws run without a gather (measured against the
+/// gather for every table in docs/ALGORITHMS.md, "Two mixes per trial").
+constexpr std::size_t kRegisterColumns = 16;
+
+/// Eight streams per iteration: stream words, first outputs, alias slot and
+/// flip, and under kTrials the second outputs. The slot is the high word of
+/// hi32(r) * size, in one 32 x 32-bit multiply per lane, so every lane
+/// equals sample_scalar bit for bit. With kSmall (at most kRegisterColumns
+/// columns) the thresholds and the alias column sit in a register each and
+/// a lookup is one permute, as in enabled_trials_avx512; otherwise the
+/// thresholds are gathered, and the alias column only for lanes that fail
+/// the flip.
+template <bool kTrials, bool kSmall>
 CASURF_AVX512 void sample_avx512(std::uint64_t step, std::uint64_t seed_hash,
                                  const SiteIndex* sites, std::uint64_t first,
                                  std::size_t n, const AliasTable& alias,
@@ -119,46 +131,53 @@ CASURF_AVX512 void sample_avx512(std::uint64_t step, std::uint64_t seed_hash,
   const __m512i seedv = _mm512_set1_epi64(static_cast<long long>(seed_hash));
   const __m512i golden1 = _mm512_set1_epi64(static_cast<long long>(kGolden));
   const __m512i golden2 = _mm512_set1_epi64(static_cast<long long>(2 * kGolden));
-  const __m512i golden3 = _mm512_set1_epi64(static_cast<long long>(3 * kGolden));
-  const __m512d unit = _mm512_set1_pd(0x1.0p-53);
-  const std::uint64_t size = alias.size();
-  const __m512d sized = _mm512_set1_pd(static_cast<double>(size));
-  const __m512i size_m1 = _mm512_set1_epi64(static_cast<long long>(size - 1));
-  const double* prob = alias.prob_data();
+  const __m512i sizev = _mm512_set1_epi64(static_cast<long long>(alias.size()));
+  const std::uint32_t* thr_tab = alias.threshold_data();
   const std::uint32_t* alias_tab = alias.alias_data();
+  __m512i thr_reg = _mm512_setzero_si512();
+  __m512i alias_reg = _mm512_setzero_si512();
+  if constexpr (kSmall) {
+    const auto live = static_cast<__mmask16>((1u << alias.size()) - 1);
+    thr_reg = _mm512_maskz_loadu_epi32(live, thr_tab);
+    alias_reg = _mm512_maskz_loadu_epi32(live, alias_tab);
+  }
   // The key words of the next eight streams: trial indices count up by 8.
   __m512i trial = _mm512_add_epi64(_mm512_set1_epi64(static_cast<long long>(first)),
                                    _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7));
   const __m512i eight = _mm512_set1_epi64(8);
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    __m512i word = trial;
+    __m512i key = trial;
     if constexpr (kTrials) {
       trial = _mm512_add_epi64(trial, eight);
     } else {
-      word = _mm512_cvtepu32_epi64(
+      key = _mm512_cvtepu32_epi64(
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(sites + i)));
     }
-    const __m512i key = mix64x8(_mm512_add_epi64(stepv, word));
-    const __m512i base = _mm512_xor_si512(seedv, mix64x8(key));
-    const __m512i r1 = mix64x8(_mm512_add_epi64(base, golden1));
-    const __m512i r2 = mix64x8(_mm512_add_epi64(base, golden2));
+    const __m512i word = _mm512_xor_si512(seedv, mix64x8(_mm512_add_epi64(stepv, key)));
+    const __m512i r = mix64x8(_mm512_add_epi64(word, golden1));
     if constexpr (kTrials) {
-      _mm512_storeu_si512(draws + i, mix64x8(_mm512_add_epi64(base, golden3)));
+      _mm512_storeu_si512(draws + i, mix64x8(_mm512_add_epi64(word, golden2)));
     }
-    const __m512d u_flip =
-        _mm512_mul_pd(_mm512_cvtepu64_pd(_mm512_srli_epi64(r1, 11)), unit);
-    const __m512d u_slot =
-        _mm512_mul_pd(_mm512_cvtepu64_pd(_mm512_srli_epi64(r2, 11)), unit);
-    const __m512i slot = _mm512_min_epu64(
-        _mm512_cvttpd_epu64(_mm512_mul_pd(u_slot, sized)), size_m1);
-    const __m512d p = _mm512_i64gather_pd(slot, prob, 8);
-    const __mmask8 keep = _mm512_cmp_pd_mask(u_flip, p, _CMP_LT_OQ);
-    const __m256i slot32 = _mm512_cvtepi64_epi32(slot);
-    // Lanes passing the flip keep their slot; only the rest read the alias
-    // column — a masked gather, so the common all-keep block costs nothing.
-    const __m256i rt = _mm512_mask_i64gather_epi32(
-        slot32, static_cast<__mmask8>(~keep), slot, alias_tab, 4);
+    // Each 64-bit lane holds its slot in the low half and zero in the high
+    // half; r's low half is the flip.
+    const __m512i slot =
+        _mm512_srli_epi64(_mm512_mul_epu32(_mm512_srli_epi64(r, 32), sizev), 32);
+    __m256i rt;
+    if constexpr (kSmall) {
+      // 32-bit element 2j is lane j's own; the odd elements are ignored.
+      const __mmask16 keep =
+          _mm512_cmplt_epu32_mask(r, _mm512_permutexvar_epi32(slot, thr_reg));
+      rt = _mm512_cvtepi64_epi32(
+          _mm512_mask_blend_epi32(keep, _mm512_permutexvar_epi32(slot, alias_reg), slot));
+    } else {
+      const __m256i thr = _mm512_i64gather_epi32(slot, thr_tab, 4);
+      const __mmask8 keep = _mm256_cmplt_epu32_mask(_mm512_cvtepi64_epi32(r), thr);
+      // Lanes passing the flip keep their slot; only the rest read the
+      // alias column.
+      rt = _mm512_mask_i64gather_epi32(_mm512_cvtepi64_epi32(slot),
+                                       static_cast<__mmask8>(~keep), slot, alias_tab, 4);
+    }
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), rt);
   }
   // GCC's automatic vzeroupper insertion does not fire for functions
@@ -170,6 +189,18 @@ CASURF_AVX512 void sample_avx512(std::uint64_t step, std::uint64_t seed_hash,
   _mm256_zeroupper();
   sample_scalar<kTrials>(step, seed_hash, sites + (kTrials ? 0 : i), first + i, n - i,
                          alias, out + i, draws + (kTrials ? i : 0));
+}
+
+/// sample_avx512 with its table path chosen by the alias table's size.
+template <bool kTrials>
+void sample_lanes(std::uint64_t step, std::uint64_t seed_hash, const SiteIndex* sites,
+                  std::uint64_t first, std::size_t n, const AliasTable& alias,
+                  ReactionIndex* out, std::uint64_t* draws) {
+  if (alias.size() <= kRegisterColumns) {
+    sample_avx512<kTrials, true>(step, seed_hash, sites, first, n, alias, out, draws);
+  } else {
+    sample_avx512<kTrials, false>(step, seed_hash, sites, first, n, alias, out, draws);
+  }
 }
 
 /// Eight positions per iteration. The 64 x 32-bit product's high word is
@@ -340,7 +371,7 @@ void sample_types(std::uint64_t sweep, std::uint64_t seed_hash, const SiteIndex*
                   std::size_t n, const AliasTable& alias, ReactionIndex* out) {
 #if defined(__GNUC__) && defined(__x86_64__)
   if (have_avx512() && !alias.empty()) {
-    sample_avx512<false>(sweep, seed_hash, sites, 0, n, alias, out, nullptr);
+    sample_lanes<false>(sweep, seed_hash, sites, 0, n, alias, out, nullptr);
     return;
   }
 #endif
@@ -352,7 +383,7 @@ void sample_trials(std::uint64_t step, std::uint64_t seed_hash, std::uint64_t fi
                    std::uint64_t* draws) {
 #if defined(__GNUC__) && defined(__x86_64__)
   if (have_avx512() && !alias.empty()) {
-    sample_avx512<true>(step, seed_hash, nullptr, first, n, alias, types, draws);
+    sample_lanes<true>(step, seed_hash, nullptr, first, n, alias, types, draws);
     return;
   }
 #endif
@@ -363,6 +394,23 @@ void sample_trials_scalar(std::uint64_t step, std::uint64_t seed_hash, std::uint
                           std::size_t n, const AliasTable& alias, ReactionIndex* types,
                           std::uint64_t* draws) {
   sample_scalar<true>(step, seed_hash, nullptr, first, n, alias, types, draws);
+}
+
+void require_draw_resolution(const ReactionModel& model, const char* who) {
+  const std::vector<double> drawn = model.alias_table().bits_probabilities();
+  for (std::size_t i = 0; i < model.num_reactions(); ++i) {
+    const ReactionType& rt = model.reactions()[i];
+    const double share = rt.rate() / model.total_rate();
+    if (share > 0 && !(std::abs(drawn[i] / share - 1.0) <= kMaxDrawError)) {
+      char numbers[160];
+      std::snprintf(numbers, sizeof numbers,
+                    "has a share of %.3g of the total rate, which the 32-bit flip "
+                    "draws with probability %.3g, off by more than %g of the share",
+                    share, drawn[i], kMaxDrawError);
+      throw std::invalid_argument(std::string(who) + ": reaction '" + rt.name() + "' " +
+                                  numbers + "; rsm, vssm and ndca draw it exactly");
+    }
+  }
 }
 
 void chunk_positions(const std::uint64_t* draws, std::size_t n, std::uint32_t size,

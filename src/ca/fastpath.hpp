@@ -11,8 +11,8 @@ namespace casurf {
 // chunk's sites: sample_types draws every trial's reaction type, then
 // enabled_trials tests every trial against the configuration's bytes
 // through the probe plans (model/probe_plans.hpp). L-PNDCA draws a block of
-// an MC step's trials at once with sample_trials, maps each batch's third
-// draws onto the chunk it selected with chunk_positions, and tests its
+// an MC step's trials at once with sample_trials, maps each batch's second
+// outputs onto the chunk it selected with chunk_positions, and tests its
 // spans with the same enabled_trials. Plus the per-site enabled-type bitset
 // the enabled-rate cache (ca/rate_cache.hpp) keeps through the shared
 // recheck routine.
@@ -49,37 +49,52 @@ class EnabledTypeSet {
   std::vector<std::uint64_t> bits_;
 };
 
-/// The random half of a chunk sweep: for sites[0..n) evaluate the two
-/// counter-RNG draws of each site's stream (keyed by (sweep, site), draw
-/// order flip-then-slot) and sample the reaction type through the alias
-/// table, writing out[i] for sites[i]. The draws depend only on the chunk
-/// schedule, never on the lattice, so a whole span is sampled before any
-/// of its trials is tested. `seed_hash` is CounterRng::seed_hash(seed).
+/// The random half of a chunk sweep: for sites[0..n) draw each site's
+/// reaction type from its counter stream, keyed by (sweep, site), writing
+/// out[i] for sites[i]. The draws depend only on the chunk schedule, never
+/// on the lattice, so a whole span is sampled before any of its trials is
+/// tested. `seed_hash` is CounterRng::seed_hash(seed).
 ///
-/// The draw order is pinned: the stream's FIRST value feeds the alias flip
-/// and the SECOND the slot. (Historic accident — the original per-site
-/// loop drew both inside one call's argument list, which the compiler
-/// evaluated right to left — but every stored trajectory reproduces
-/// exactly this assignment.)
+/// The draw law: the site's stream word is
+/// seed_hash ^ mix64(CounterRng::step_word(sweep) + site), and its first
+/// output r = CounterRng::nth(word, 1) = mix64(word + golden) draws the type
+/// through AliasTable::sample_bits: the slot is (hi32(r) * size) >> 32, kept
+/// iff lo32(r) is below the slot's 32-bit threshold. Two mix64 per trial.
 ///
-/// Runs 8 lanes wide under AVX-512 when the CPU has it (runtime-dispatched);
-/// the lane arithmetic — mix64, unit-interval mapping, alias slot/flip — is
-/// exact in both versions, so the types are identical either way.
+/// Runs 8 lanes wide under AVX-512 when the CPU has it (runtime-dispatched),
+/// with the alias table in registers when it has at most 16 columns; the
+/// lane arithmetic is exact integer arithmetic, so the types are identical
+/// either way.
 void sample_types(std::uint64_t sweep, std::uint64_t seed_hash, const SiteIndex* sites,
                   std::size_t n, const AliasTable& alias, ReactionIndex* out);
 
 /// The random half of an L-PNDCA block: the same lanes as sample_types, with
 /// trial index first + i in place of a site as the key word. Trial t of MC
-/// step `step` owns the stream keyed by (step, t); its first two draws
-/// sample types[i] as sample_types does (flip, then slot), and its third
-/// goes to draws[i] raw, for chunk_positions to map onto whichever chunk
-/// the trial's batch selects. The draws depend on neither the lattice, L
-/// nor the chunk, so a block of trials is drawn before its batches are
-/// formed. `seed_hash` is CounterRng::seed_hash(seed). Runtime-dispatched
-/// like sample_types, and exact in both versions.
+/// step `step` owns the stream word of (step, t); its first output samples
+/// types[i] as sample_types does, and its second,
+/// CounterRng::nth(word, 2), goes to draws[i] raw, for chunk_positions to
+/// map onto whichever chunk the trial's batch selects. Three mix64 per
+/// trial. The draws depend on neither the lattice, L nor the chunk, so a
+/// block of trials is drawn before its batches are formed. `seed_hash` is
+/// CounterRng::seed_hash(seed). Runtime-dispatched like sample_types, and
+/// exact in both versions.
 void sample_trials(std::uint64_t step, std::uint64_t seed_hash, std::uint64_t first,
                    std::size_t n, const AliasTable& alias, ReactionIndex* types,
                    std::uint64_t* draws);
+
+/// The largest relative error in a reaction type's draw probability that
+/// PNDCA and L-PNDCA accept from the 32-bit flip of sample_types and
+/// sample_trials.
+inline constexpr double kMaxDrawError = 1e-3;
+
+/// Throws std::invalid_argument, its message prefixed by `who`, naming the
+/// first reaction type of positive rate whose probability under
+/// AliasTable::sample_bits is off its share k_i / K by more than
+/// kMaxDrawError of the share. Every share above about
+/// 2^-32 / (kMaxDrawError * |T|) passes; a share below 2^-32 / |T| is never
+/// drawn and always fails. RSM, VSSM and NDCA draw from 53-bit doubles and
+/// take such models.
+void require_draw_resolution(const ReactionModel& model, const char* who);
 
 /// The scalar lanes of sample_trials: its reference and its tail.
 void sample_trials_scalar(std::uint64_t step, std::uint64_t seed_hash, std::uint64_t first,

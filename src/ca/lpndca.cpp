@@ -23,6 +23,7 @@ LPndcaSimulator::LPndcaSimulator(const ReactionModel& model, Configuration confi
   if (trials_per_batch_ == 0) {
     throw std::invalid_argument("L-PNDCA: L must be at least 1");
   }
+  require_draw_resolution(model_, "L-PNDCA");
   chunk_cumulative_.resize(partition_.num_chunks());
   double acc = 0;
   for (ChunkId c = 0; c < partition_.num_chunks(); ++c) {

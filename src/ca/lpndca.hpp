@@ -26,9 +26,10 @@ namespace casurf {
 /// |Pi| / N, the only normalizable reading (see DESIGN.md).
 ///
 /// The draw law: trial t in [0, N) of MC step k owns the counter stream
-/// keyed by (k, t). Its first two draws sample its reaction type, flip then
-/// slot as in PNDCA's (sweep, site) streams, and its third its position in
-/// the chunk its batch selected, (draw * |chunk|) >> 64. The draws of a
+/// word of (k, t). Its first output samples its reaction type, slot and
+/// flip as in PNDCA's (sweep, site) streams (sample_types), and its second
+/// its position in the chunk its batch selected, (draw * |chunk|) >> 64.
+/// The draws of a
 /// step are thus a pure function of (seed, k), generated in blocks of
 /// kSpan trial indices aligned to the step start, whatever L is. Chunk
 /// selection (one uniform per batch) and time (one Gamma(batch, N K) draw
@@ -90,7 +91,7 @@ class LPndcaSimulator final : public PartitionedSimulator {
   std::uint32_t trials_per_batch_;
   TrialClock clock_;
   std::vector<double> chunk_cumulative_;  // cumulative chunk sizes for selection
-  // The current block of the step's trials: types, third draws, and the
+  // The current block of the step's trials: types, position draws, and the
   // sites they map to in their batch's chunk.
   std::array<ReactionIndex, kSpan> types_{};
   std::array<std::uint64_t, kSpan> draws_{};

@@ -27,6 +27,7 @@ PndcaSimulator::PndcaSimulator(const ReactionModel& model, Configuration config,
   if (partitions_.empty()) {
     throw std::invalid_argument("PNDCA: at least one partition required");
   }
+  require_draw_resolution(model_, "PNDCA");
   // Cache slot i == partition i, each with its block-rule verdict. The
   // full-neighborhood rule implies the block rule, so a threaded engine,
   // which must have the former, never checks the latter.

@@ -50,14 +50,17 @@ class CounterRng {
   }
 
   /// The pre-finalizer counter word of key(step, site): key(step, site) ==
-  /// mix64(step_word(step) + site). Exposed so the batched trial kernel can
-  /// hoist the per-sweep half out of its lane loop.
+  /// mix64(step_word(step) + site). Exposed for the CA family's draw kernels
+  /// (ca/fastpath.hpp), whose stream word is seed_hash(seed) ^
+  /// mix64(step_word(step) + site): one mix of the key, the per-sweep half
+  /// hoisted out of the lane loop.
   static constexpr std::uint64_t step_word(std::uint64_t step) {
     return step * 0xd1342543de82ef95ULL;
   }
 
   /// The seed half of every stream base: stream_base(seed, key) ==
-  /// seed_hash(seed) ^ mix64(key). Hoistable the same way.
+  /// seed_hash(seed) ^ mix64(key). The draw kernels xor it into their
+  /// stream words the same way, hoisted out of the loop.
   static constexpr std::uint64_t seed_hash(std::uint64_t seed) {
     return mix64(seed ^ 0x6a09e667f3bcc909ULL);
   }

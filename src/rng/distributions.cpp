@@ -43,9 +43,38 @@ AliasTable::AliasTable(const std::vector<double>& weights) {
       small.push_back(l);
     }
   }
-  // Leftovers are 1.0 up to rounding.
-  for (const std::uint32_t l : large) prob_[l] = 1.0;
-  for (const std::uint32_t s : small) prob_[s] = 1.0;
+  // Leftovers are 1.0 up to rounding. They alias to themselves: the double
+  // flip never reads their alias, but the 32-bit threshold of a full column
+  // is 2^32 - 1, which sends one flip word in 2^32 to the alias.
+  for (const std::uint32_t l : large) {
+    prob_[l] = 1.0;
+    alias_[l] = l;
+  }
+  for (const std::uint32_t s : small) {
+    prob_[s] = 1.0;
+    alias_[s] = s;
+  }
+  thr_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    thr_[i] = prob_[i] < 1.0 ? static_cast<std::uint32_t>(prob_[i] * 0x1.0p32)
+                             : 0xffffffffu;
+  }
+}
+
+std::vector<double> AliasTable::bits_probabilities() const {
+  __extension__ using u128 = unsigned __int128;
+  const std::uint64_t n = thr_.size();
+  // The least high half of slot j is ceil(j * 2^32 / n).
+  const auto first_high = [n](std::uint64_t j) { return ((j << 32) + n - 1) / n; };
+  std::vector<u128> words(n, 0);  // of the 2^64 words, those drawing index i
+  for (std::uint64_t j = 0; j < n; ++j) {
+    const u128 highs = first_high(j + 1) - first_high(j);
+    words[j] += highs * thr_[j];
+    words[alias_[j]] += highs * ((std::uint64_t{1} << 32) - thr_[j]);
+  }
+  std::vector<double> p(n);
+  for (std::uint64_t i = 0; i < n; ++i) p[i] = static_cast<double>(words[i]) * 0x1.0p-64;
+  return p;
 }
 
 std::size_t sample_cumulative(const std::vector<double>& cumulative, double u) {

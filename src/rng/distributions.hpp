@@ -105,14 +105,32 @@ class AliasTable {
     return sample(a, b);
   }
 
+  /// Sample an index from one uniform 64-bit word: the slot is the
+  /// multiply-shift (hi32(r) * size) >> 32 of its high half, kept iff its
+  /// low half is below the slot's threshold, else replaced by its alias.
+  /// The flip resolves probabilities to 2^-32.
+  [[nodiscard]] std::size_t sample_bits(std::uint64_t r) const {
+    const auto slot = static_cast<std::size_t>(((r >> 32) * thr_.size()) >> 32);
+    return static_cast<std::uint32_t>(r) < thr_[slot] ? slot : alias_[slot];
+  }
+
+  /// sample_bits()'s probability of each index, exactly: slot j takes the
+  /// high halves h with (h * size) >> 32 == j and keeps j for the low
+  /// halves below its threshold. A threshold is less than 2^-32 below its
+  /// column's probability, so an index that only its own column holds (any
+  /// share p < 1 / size()) is drawn with a relative error below about
+  /// 2^-32 / (size() * p), and not at all when p < 2^-32 / size().
+  [[nodiscard]] std::vector<double> bits_probabilities() const;
+
   /// Raw table access for samplers that evaluate many draws at once (the
-  /// batched trial kernel gathers straight from both arrays; its lane
-  /// arithmetic reproduces sample() exactly).
-  [[nodiscard]] const double* prob_data() const { return prob_.data(); }
+  /// trial kernels permute or gather the thresholds and the alias column;
+  /// their lane arithmetic reproduces sample_bits() exactly).
+  [[nodiscard]] const std::uint32_t* threshold_data() const { return thr_.data(); }
   [[nodiscard]] const std::uint32_t* alias_data() const { return alias_.data(); }
 
  private:
   std::vector<double> prob_;
+  std::vector<std::uint32_t> thr_;  // floor(prob_ * 2^32), 2^32 - 1 at prob_ 1
   std::vector<std::uint32_t> alias_;
 };
 

@@ -9,6 +9,7 @@
 #include <string_view>
 
 #include "parallel/thread_pool.hpp"
+#include "stats/coverage.hpp"
 
 namespace casurf::serve {
 namespace {
@@ -181,6 +182,13 @@ JobSpec JobSpec::from_json(const Value& v) {
   }
   if (spec.heatmap_every > 0 && !spec.heatmap) {
     reject("heatmap_every requires heatmap: true");
+  }
+  if (!sample_grid_fits(spec.t_end, spec.dt)) {
+    char msg[160];
+    std::snprintf(msg, sizeof msg,
+                  "t_end %g with dt %g samples more than %.0f rows (t_end / dt + 1)",
+                  spec.t_end, spec.dt, kMaxSampleRows);
+    reject(msg);
   }
   return spec;
 }

@@ -8,6 +8,17 @@
 
 namespace casurf {
 
+/// The most rows a sampling grid may have: a run from 0 to t_end sampled
+/// every dt records t_end / dt + 1 rows, and at 2^24 rows the recorder of a
+/// four-species model already holds 1 GiB. casurf_run and the serve JobSpec
+/// refuse longer grids.
+inline constexpr double kMaxSampleRows = 16777216.0;  // 2^24
+
+/// Whether the grid of t_end / dt + 1 rows fits kMaxSampleRows.
+[[nodiscard]] inline bool sample_grid_fits(double t_end, double dt) {
+  return t_end / dt + 1 <= kMaxSampleRows;
+}
+
 /// Observer that records the coverage of selected species (or of all
 /// species) on the sampling grid — the paper's primary observable
 /// ("coverage with CO and O particles", Figs 8-10).

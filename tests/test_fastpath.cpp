@@ -1,16 +1,18 @@
 // The PNDCA family against its reference: each simulator runs in lockstep
-// with a test-only sweep written the obvious way — per-site
-// CounterRng(seed, key(sweep, s)), flip then slot, ReactionType::enabled,
-// execute — and must agree after every MC step: same configuration, clock
-// and counters. A divergence pinpoints the first step that differs. The
-// kernel tests hold sample_types and batch_trials to the same per-site
-// draws, and the span kernel enabled_trials, 8-lane and scalar, to
-// ReactionType::enabled trial for trial.
+// with a test-only sweep written the obvious way — per-site stream word
+// seed_hash(seed) ^ key(sweep, s), its first output drawing the type
+// through AliasTable::sample_bits, ReactionType::enabled, execute — and
+// must agree after every MC step: same configuration, clock and counters.
+// A divergence pinpoints the first step that differs. The kernel tests hold
+// sample_types and batch_trials to the same per-site draws, and the span
+// kernel enabled_trials, 8-lane and scalar, to ReactionType::enabled trial
+// for trial.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <ostream>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -18,9 +20,11 @@
 
 #include "ca/fastpath.hpp"
 #include "ca/lpndca.hpp"
+#include "ca/ndca.hpp"
 #include "ca/pndca.hpp"
 #include "ca/tpndca.hpp"
 #include "core/audit.hpp"
+#include "dmc/rsm.hpp"
 #include "models/diffusion.hpp"
 #include "models/ising.hpp"
 #include "models/pt100.hpp"
@@ -38,14 +42,22 @@
 namespace casurf {
 namespace {
 
-/// The reference trial: the site's private stream, first draw = alias
-/// flip, second = slot.
+/// The stream word of the trial keyed by (step, word): one mix of the key,
+/// xored with the seed's hash.
+std::uint64_t stream_word(std::uint64_t seed, std::uint64_t step, std::uint64_t word) {
+  return CounterRng::seed_hash(seed) ^ CounterRng::key(step, word);
+}
+
+/// The type a stream word draws: its first output, through the alias
+/// table's slot and 32-bit flip.
+ReactionIndex type_of(const AliasTable& alias, std::uint64_t word) {
+  return static_cast<ReactionIndex>(alias.sample_bits(CounterRng::nth(word, 1)));
+}
+
+/// The reference trial: the type the site's stream word draws.
 ReactionIndex reference_type(const ReactionModel& model, std::uint64_t seed,
                              std::uint64_t sweep, SiteIndex s) {
-  CounterRng crng(seed, CounterRng::key(sweep, s));
-  const double u_flip = crng.next_double();
-  const double u_slot = crng.next_double();
-  return model.sample_type(u_slot, u_flip);
+  return type_of(model.alias_table(), stream_word(seed, sweep, s));
 }
 
 /// PNDCA with the reference sweep in place of the library's span routine.
@@ -254,9 +266,9 @@ struct Reference {
 Trajectory of(const Reference& r) { return {r.time, r.trials, r.executed, r.cfg}; }
 
 /// One L-PNDCA step written out under its draw law, a trial at a time:
-/// trial t of step k draws from its own CounterRng(seed, key(k, t)), the
-/// alias flip, then the slot, then its position in the batch's chunk, and is
-/// tested on the live lattice and executed at once. Chunk selection and time
+/// trial t of step k owns the stream word of (k, t), whose first output
+/// draws its type and whose second its position in the batch's chunk, and
+/// is tested on the live lattice and executed at once. Chunk selection and time
 /// come from the sequential generator: a rate-weighted draw uses a cache
 /// built fresh on the lattice before every batch, and time advances by one
 /// Gamma(batch, N K) draw after each batch, or batch / (N K). At L = 1 the
@@ -284,11 +296,11 @@ void reference_lpndca_step(Reference& r, const ReactionModel& model, const Parti
     const std::vector<SiteIndex>& sites = p.chunk(c);
     const std::uint64_t batch = std::min<std::uint64_t>(l, budget - t);
     for (const std::uint64_t end = t + batch; t < end; ++t) {
-      CounterRng trial(seed, CounterRng::key(step, t));
-      const double u_flip = trial.next_double();
-      const double u_slot = trial.next_double();
-      const SiteIndex s = sites[trial.next_below(sites.size())];
-      r.trial(model.reaction(model.sample_type(u_slot, u_flip)), s);
+      const std::uint64_t word = stream_word(seed, step, t);
+      __extension__ using u128 = unsigned __int128;
+      const auto at = static_cast<std::size_t>(
+          (static_cast<u128>(CounterRng::nth(word, 2)) * sites.size()) >> 64);
+      r.trial(model.reaction(type_of(model.alias_table(), word)), sites[at]);
       if (l == 1 && mode == TimeMode::kStochastic) r.time += exponential(r.rng, rate_nk);
     }
     if (mode == TimeMode::kDeterministic) {
@@ -468,21 +480,23 @@ TEST(FastPath, ProbesDoNotPerturbTheFastTrajectory) {
 
 // --- The trial kernel ------------------------------------------------------
 
-/// 70 adsorption types with distinct rates: more types than one bitset
-/// word holds, so the kernel must not assume <= 64.
-ReactionModel seventy_types() {
+/// `count` adsorption types with distinct rates. 16 and 17 types sit on
+/// either side of the draw lanes' register tables; 70 is more types than
+/// one bitset word holds, so the kernel must not assume <= 64.
+ReactionModel adsorption_types(int count) {
   ReactionModel m(SpeciesSet({"*", "A"}));
-  for (int i = 0; i < 70; ++i) {
+  for (int i = 0; i < count; ++i) {
     m.add(ReactionType("ads" + std::to_string(i), 1.0 + 0.37 * i, {exact({0, 0}, 0, 1)}));
   }
   return m;
 }
 
 /// Scattered site lists of every length the lane loop splits differently:
-/// empty, shorter than a lane block, exact blocks, one past, and long.
+/// empty, every length up to two lane blocks and one past, and long.
 std::vector<std::vector<SiteIndex>> site_lists(SiteIndex num_sites) {
   std::vector<std::vector<SiteIndex>> lists;
-  for (const std::size_t n : {0, 1, 7, 8, 9, 64, 65, 1000}) {
+  for (const std::size_t n :
+       {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 64, 65, 1000}) {
     std::vector<SiteIndex>& sites = lists.emplace_back(n);
     for (std::size_t i = 0; i < n; ++i) {
       sites[i] = static_cast<SiteIndex>((i * 7919 + 13) % num_sites);
@@ -492,25 +506,148 @@ std::vector<std::vector<SiteIndex>> site_lists(SiteIndex num_sites) {
 }
 
 TEST(SampleTypes, MatchesThePerSiteReference) {
+  // ZGB and 16 types take the register tables, 17 and 70 types the gathers.
   auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
-  const ReactionModel wide = seventy_types();
-  for (const ReactionModel* model : {&std::as_const(zgb.model), &wide}) {
+  const ReactionModel sixteen = adsorption_types(16);
+  const ReactionModel seventeen = adsorption_types(17);
+  const ReactionModel wide = adsorption_types(70);
+  for (const ReactionModel* model :
+       {&std::as_const(zgb.model), &sixteen, &seventeen, &wide}) {
     SCOPED_TRACE(model->num_reactions());
     for (const std::uint64_t seed : {3u, 0x5eedu}) {
       for (const std::uint64_t sweep : {1u, 2u, 977u}) {
-        for (const std::vector<SiteIndex>& sites : site_lists(4096)) {
-          std::vector<ReactionIndex> types(sites.size());
-          sample_types(sweep, CounterRng::seed_hash(seed), sites.data(), sites.size(),
-                       model->alias_table(), types.data());
-          for (std::size_t i = 0; i < sites.size(); ++i) {
-            ASSERT_EQ(types[i], reference_type(*model, seed, sweep, sites[i]))
-                << "seed " << seed << " sweep " << sweep << " n " << sites.size()
-                << " i " << i;
+        for (const std::vector<SiteIndex>& list : site_lists(4096)) {
+          // From the list's start and from one past it, off the lane grid.
+          for (std::size_t at = 0; at <= std::min<std::size_t>(1, list.size()); ++at) {
+            const std::span<const SiteIndex> sites = std::span(list).subspan(at);
+            std::vector<ReactionIndex> types(sites.size());
+            sample_types(sweep, CounterRng::seed_hash(seed), sites.data(), sites.size(),
+                         model->alias_table(), types.data());
+            for (std::size_t i = 0; i < sites.size(); ++i) {
+              ASSERT_EQ(types[i], reference_type(*model, seed, sweep, sites[i]))
+                  << "seed " << seed << " sweep " << sweep << " n " << sites.size()
+                  << " i " << i;
+            }
           }
         }
       }
     }
   }
+}
+
+/// The inverse of mix64: each xorshift undone by its own shifts, each
+/// multiply by the constant's inverse mod 2^64 (Newton's iteration).
+std::uint64_t unmix64(std::uint64_t z) {
+  const auto inverse = [](std::uint64_t a) {
+    std::uint64_t x = a;  // right to 3 bits; each step doubles them
+    for (int k = 0; k < 5; ++k) x *= 2 - a * x;
+    return x;
+  };
+  z ^= (z >> 31) ^ (z >> 62);
+  z *= inverse(0x94d049bb133111ebULL);
+  z ^= (z >> 27) ^ (z >> 54);
+  z *= inverse(0xbf58476d1ce4e5b9ULL);
+  return z ^ (z >> 30) ^ (z >> 60);
+}
+
+TEST(SampleTypes, ZeroWeightTypesStayUnreachable) {
+  // Every slot of tables with zero-weight entries, driven with the flip
+  // words 0 and 2^32 - 1: through sample_bits, and through lane j of
+  // sample_types and sample_trials, whose seed hash is solved for so that
+  // the lane's first output is exactly the word. A column that ends at
+  // probability 1 has the threshold 2^32 - 1, so the top flip word reads
+  // its alias: it must be the column itself, never type 0.
+  const std::vector<double> small = {0.0, 1.0, 2.0, 0.0, 3.0};
+  std::vector<double> wide(20, 0.0);
+  for (std::size_t i = 1; i < wide.size(); i += 3) wide[i] = 0.5 + static_cast<double>(i);
+  const std::vector<SiteIndex> sites = {3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3};
+  ASSERT_EQ(unmix64(mix64(0x0123456789abcdefULL)), 0x0123456789abcdefULL);
+  for (const std::vector<double>* weights : {&small, &std::as_const(wide)}) {
+    const AliasTable alias(*weights);
+    const std::uint64_t size = alias.size();
+    SCOPED_TRACE(size);
+    for (std::uint64_t slot = 0; slot < size; ++slot) {
+      const std::uint64_t hi = ((slot << 32) + size - 1) / size;  // least hi of the slot
+      for (const std::uint64_t flip : {0ULL, 0xffffffffULL}) {
+        const std::uint64_t r = (hi << 32) | flip;
+        const std::size_t want =
+            flip < alias.threshold_data()[slot] ? slot : alias.alias_data()[slot];
+        ASSERT_EQ(alias.sample_bits(r), want) << "slot " << slot << " flip " << flip;
+        ASSERT_GT((*weights)[want], 0.0) << "slot " << slot << " flip " << flip;
+        // The stream word whose first output is r, less the lane's key.
+        const std::uint64_t word = unmix64(r) - 0x9e3779b97f4a7c15ULL;
+        for (const std::size_t lane : {0u, 5u, 7u, 8u, 15u}) {
+          std::vector<ReactionIndex> types(sites.size());
+          sample_types(11, word ^ mix64(CounterRng::step_word(11) + sites[lane]),
+                       sites.data(), sites.size(), alias, types.data());
+          ASSERT_EQ(types[lane], want) << "sample_types, slot " << slot << ", flip " << flip;
+          std::vector<std::uint64_t> draws(sites.size());
+          sample_trials(11, word ^ mix64(CounterRng::step_word(11) + 40 + lane), 40,
+                        sites.size(), alias, types.data(), draws.data());
+          ASSERT_EQ(types[lane], want) << "sample_trials, slot " << slot << ", flip " << flip;
+        }
+      }
+    }
+  }
+}
+
+TEST(SampleTypes, BitsProbabilitiesAreExact) {
+  // {1, 3}: two slots of 2^31 high halves; column 0 keeps the low halves
+  // below 2^31, column 1 is full. {1, 1, 1}: the multiply-shift gives slot
+  // 0 the high halves [0, ceil(2^32 / 3)), one more than each other slot.
+  EXPECT_EQ(AliasTable({1.0, 3.0}).bits_probabilities(), (std::vector<double>{0.25, 0.75}));
+  EXPECT_EQ(AliasTable({1.0, 1.0, 1.0}).bits_probabilities(),
+            (std::vector<double>{1431655766 * 0x1.0p-32, 1431655765 * 0x1.0p-32,
+                                 1431655765 * 0x1.0p-32}));
+  // The bundled models' shares, to well inside the bound PNDCA checks.
+  for (const ReactionModel& model :
+       {models::make_zgb(models::ZgbParams::from_y(0.45, 20.0)).model,
+        models::make_pt100().model, models::make_diffusion(1.0).model,
+        models::make_ising(1.0).model}) {
+    const std::vector<double> drawn = model.alias_table().bits_probabilities();
+    for (std::size_t i = 0; i < model.num_reactions(); ++i) {
+      const double share = model.reactions()[i].rate() / model.total_rate();
+      EXPECT_NEAR(drawn[i] / share, 1.0, 1e-6) << model.reactions()[i].name();
+    }
+  }
+}
+
+TEST(SampleTypes, StiffModelsAreRefusedByThePndcaFamily) {
+  // A share under 2^-32 / |T| gets threshold 0, so the 32-bit flip never
+  // draws it; a share of 1e-8 of two types gets threshold 85 for
+  // 2 * 1e-8 * 2^32 = 85.9, about 1% short. The 53-bit double flip of RSM
+  // and NDCA draws both; the trial kernels' users refuse them by name.
+  const auto stiff = [](double slow) {
+    ReactionModel m(SpeciesSet({"*", "A"}));
+    m.add(ReactionType("fast", 1.0, {exact({0, 0}, 0, 1)}));
+    m.add(ReactionType("slow", slow, {exact({0, 0}, 0, 1)}));
+    return m;
+  };
+  const Configuration init(Lattice(10, 10), 2, 0);
+  const Partition part = make_partition(init.lattice(), stiff(1.0));
+  for (const double slow : {1e-12, 1e-8}) {
+    SCOPED_TRACE(slow);
+    const ReactionModel model = stiff(slow);
+    EXPECT_EQ(model.alias_table().bits_probabilities()[1] == 0.0, slow < 0x1.0p-33);
+    const auto refused = [&](const auto& build) {
+      try {
+        build();
+      } catch (const std::invalid_argument& e) {
+        return std::string(e.what()).find("reaction 'slow'") != std::string::npos;
+      }
+      return false;
+    };
+    EXPECT_TRUE(refused([&] { PndcaSimulator(model, init, {part}, 3); }));
+    EXPECT_TRUE(refused([&] { ParallelPndcaEngine(model, init, {part}, 3, 2); }));
+    EXPECT_TRUE(refused([&] { LPndcaSimulator(model, init, part, 3, 1); }));
+    EXPECT_NO_THROW(RsmSimulator(model, init, 3));
+    EXPECT_NO_THROW(NdcaSimulator(model, init, 3));
+  }
+  // A share of 1e-5 is drawn within 2^-32 / (2 * 1e-5), about 1.2e-5, of
+  // itself, and accepted.
+  const ReactionModel resolved = stiff(1e-5);
+  EXPECT_NO_THROW(PndcaSimulator(resolved, init, {part}, 3));
+  EXPECT_NO_THROW(LPndcaSimulator(resolved, init, part, 3, 1));
 }
 
 TEST(SampleTypes, BatchTrialsIsTheFilteredKernel) {
@@ -543,12 +680,16 @@ TEST(SampleTypes, BatchTrialsIsTheFilteredKernel) {
 
 TEST(SampleTrials, LanesMatchTheScalarLanesAndTheStreams) {
   // The 8 lanes against the scalar lanes, both called directly, and both
-  // against each trial's own stream: first draw flip, second slot, third
+  // against each trial's own stream word: first output the type, second
   // raw. Spans of every length 0-17 from first indices off the lane grid,
-  // plus a whole block and indices past 2^32.
+  // plus a whole block and indices past 2^32, for register (ZGB, 16 types)
+  // and gathered (17, 70 types) alias tables.
   auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
-  const ReactionModel wide = seventy_types();
-  for (const ReactionModel* model : {&std::as_const(zgb.model), &wide}) {
+  const ReactionModel sixteen = adsorption_types(16);
+  const ReactionModel seventeen = adsorption_types(17);
+  const ReactionModel wide = adsorption_types(70);
+  for (const ReactionModel* model :
+       {&std::as_const(zgb.model), &sixteen, &seventeen, &wide}) {
     SCOPED_TRACE(model->num_reactions());
     for (const std::uint64_t seed : {3u, 0x5eedu}) {
       const std::uint64_t seed_hash = CounterRng::seed_hash(seed);
@@ -564,11 +705,10 @@ TEST(SampleTrials, LanesMatchTheScalarLanesAndTheStreams) {
             ASSERT_EQ(types, scalar_types) << "step " << step << " first " << first << " n " << n;
             ASSERT_EQ(draws, scalar_draws) << "step " << step << " first " << first << " n " << n;
             for (std::size_t i = 0; i < n; ++i) {
-              CounterRng trial(seed, CounterRng::key(step, first + i));
-              const double u_flip = trial.next_double();
-              const double u_slot = trial.next_double();
-              ASSERT_EQ(types[i], model->sample_type(u_slot, u_flip)) << "trial " << first + i;
-              ASSERT_EQ(draws[i], trial.next()) << "trial " << first + i;
+              const std::uint64_t word = stream_word(seed, step, first + i);
+              ASSERT_EQ(types[i], type_of(model->alias_table(), word))
+                  << "trial " << first + i;
+              ASSERT_EQ(draws[i], CounterRng::nth(word, 2)) << "trial " << first + i;
             }
           }
         }
@@ -641,7 +781,7 @@ ReactionModel kernel_model(KernelModel which) {
     case KernelModel::kIsing:
       return models::make_ising(0.7).model;
     case KernelModel::kSeventy:
-      return seventy_types();
+      return adsorption_types(70);
     case KernelModel::kEdgeCases:
       break;
   }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "ca/fastpath.hpp"
+#include "draw_law.hpp"
 #include "dmc/rsm.hpp"
 #include "models/pt100.hpp"
 #include "models/zgb.hpp"
@@ -123,14 +124,16 @@ TEST(LPndca, ZgbCoverageBoundedAndReactive) {
 }
 
 // --- The draw law -------------------------------------------------------------
-// Trial t of step k draws from its own (k, t) stream: type from the first
-// two draws, position in the batch's chunk from the third. At a fixed seed,
-// over 2^20 trials of one step, the positions must be uniform, the types must
-// follow k_i / K, and a trial's type and position must be independent.
+// Trial t of step k draws from its own (k, t) stream word: type from the
+// first output, position in the batch's chunk from the second. At a fixed
+// seed, over 2^20 trials of one step, the positions must be uniform, the
+// types must follow k_i / K, a trial's type and position must be
+// independent, and so must the draws of trials t and t + 1, whose keys
+// differ by one.
 
 constexpr std::size_t kLawTrials = std::size_t{1} << 20;
 
-/// Types and raw third draws of trials [0, kLawTrials) of step 3.
+/// Types and raw position draws of trials [0, kLawTrials) of step 3.
 struct LawDraws {
   std::vector<ReactionIndex> types = std::vector<ReactionIndex>(kLawTrials);
   std::vector<std::uint64_t> draws = std::vector<std::uint64_t>(kLawTrials);
@@ -141,16 +144,6 @@ LawDraws law_draws(const ReactionModel& model) {
   sample_trials(3, CounterRng::seed_hash(2024), 0, kLawTrials, model.alias_table(),
                 d.types.data(), d.draws.data());
   return d;
-}
-
-/// Pearson's statistic of `observed` counts against expected counts.
-double pearson(const std::vector<double>& observed, const std::vector<double>& expected) {
-  double chi2 = 0;
-  for (std::size_t i = 0; i < observed.size(); ++i) {
-    const double d = observed[i] - expected[i];
-    chi2 += d * d / expected[i];
-  }
-  return chi2;
 }
 
 TEST(LPndcaDrawLaw, PositionsAreUniformInTheChunk) {
@@ -166,7 +159,7 @@ TEST(LPndcaDrawLaw, PositionsAreUniformInTheChunk) {
     }
     if (size == 1) continue;  // every position is 0
     const std::vector<double> expected(size, static_cast<double>(kLawTrials) / size);
-    const double chi2 = pearson(count, expected);
+    const double chi2 = law::pearson(count, expected);
     EXPECT_GT(stats::chi_square_p(chi2, size - 1), 0.001) << "size " << size << " chi2 " << chi2;
   }
 }
@@ -183,7 +176,7 @@ TEST(LPndcaDrawLaw, TypesFollowTheRates) {
     for (const ReactionType& rt : model->reactions()) {
       expected.push_back(static_cast<double>(kLawTrials) * rt.rate() / model->total_rate());
     }
-    const double chi2 = pearson(count, expected);
+    const double chi2 = law::pearson(count, expected);
     EXPECT_GT(stats::chi_square_p(chi2, count.size() - 1), 0.001) << "chi2 " << chi2;
   }
 }
@@ -197,20 +190,28 @@ TEST(LPndcaDrawLaw, TypeAndPositionAreIndependent) {
   std::vector<std::uint32_t> pos(kLawTrials);
   chunk_positions(d.draws.data(), kLawTrials, kSize, pos.data());
   const std::size_t types = zgb.model.num_reactions();
-  std::vector<double> cell(types * kSize, 0.0), row(types, 0.0), col(kSize, 0.0);
-  for (std::size_t i = 0; i < kLawTrials; ++i) {
-    ++cell[d.types[i] * kSize + pos[i]];
-    ++row[d.types[i]];
-    ++col[pos[i]];
+  std::vector<double> cell(types * kSize, 0.0);
+  for (std::size_t i = 0; i < kLawTrials; ++i) ++cell[d.types[i] * kSize + pos[i]];
+  EXPECT_GT(law::independence_p(cell, types, kSize), 0.001);
+}
+
+TEST(LPndcaDrawLaw, SuccessiveTrialsAreIndependent) {
+  // Pair tables of (trial t, trial t + 1): their types, and their positions
+  // in a 7-site chunk. Adjacent keys are where fewer mixes would leave
+  // correlation.
+  auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
+  const LawDraws d = law_draws(zgb.model);
+  constexpr std::uint32_t kSize = 7;
+  std::vector<std::uint32_t> pos(kLawTrials);
+  chunk_positions(d.draws.data(), kLawTrials, kSize, pos.data());
+  const std::size_t types = zgb.model.num_reactions();
+  std::vector<double> type_pairs(types * types, 0.0), pos_pairs(kSize * kSize, 0.0);
+  for (std::size_t i = 0; i + 1 < kLawTrials; ++i) {
+    ++type_pairs[d.types[i] * types + d.types[i + 1]];
+    ++pos_pairs[pos[i] * kSize + pos[i + 1]];
   }
-  std::vector<double> expected;
-  for (std::size_t t = 0; t < types; ++t) {
-    for (std::uint32_t p = 0; p < kSize; ++p) {
-      expected.push_back(row[t] * col[p] / static_cast<double>(kLawTrials));
-    }
-  }
-  const double chi2 = pearson(cell, expected);
-  EXPECT_GT(stats::chi_square_p(chi2, (types - 1) * (kSize - 1)), 0.001) << "chi2 " << chi2;
+  EXPECT_GT(law::independence_p(type_pairs, types, types), 0.001);
+  EXPECT_GT(law::independence_p(pos_pairs, kSize, kSize), 0.001);
 }
 
 }  // namespace

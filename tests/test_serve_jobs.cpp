@@ -72,6 +72,22 @@ TEST(JobSpec, ValidationRejectsOutOfRangeKnobs) {
   EXPECT_THROW(spec_of("[1,2,3]"), std::runtime_error);
 }
 
+TEST(JobSpec, SampleGridIsBounded) {
+  // t_end / dt + 1 rows at most kMaxSampleRows (2^24): a grid of 10^300
+  // rows would grow the worker's recorder until the OOM killer stops it.
+  try {
+    (void)spec_of(R"({"model":"zgb","t_end":1,"dt":1e-300})");
+    FAIL() << "a 10^300-row grid was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("t_end 1 with dt 1e-300"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(spec_of(R"({"model":"zgb","t_end":16777216,"dt":1})"), std::runtime_error);
+  EXPECT_NO_THROW(spec_of(R"({"model":"zgb","t_end":16777215,"dt":1})"));
+  // The longest bundled job: the serve suites' checkpointing soak.
+  EXPECT_NO_THROW(spec_of(R"({"model":"zgb","t_end":1000000,"dt":1})"));
+}
+
 TEST(JobSpec, ToArgvCompilesTheWorkerCommandLine) {
   JobSpec s = spec_of(
       R"({"model":"pt100","algorithm":"ndca","width":32,"height":48,)"
