@@ -92,7 +92,7 @@ struct Options {
   double hop = 1.0;      // diffusion rate
   double coverage0 = 0;  // initial particle coverage for diffusion/ising
   std::uint32_t l_trials = 1;
-  unsigned threads = 2;
+  unsigned threads = 1;
   std::string fill;      // species name to fill the lattice with
   std::string csv, ppm, snapshot_out, snapshot_in;
   std::string checkpoint;       // periodic checkpoint target
@@ -136,7 +136,7 @@ struct Options {
                "  --model NAME        zgb | pt100 | diffusion | single-file | ising\n"
                "  --model-file PATH   parse a .model description instead\n"
                "  --algorithm NAME    rsm | vssm | frm | ndca | pndca | lpndca |\n"
-               "                      tpndca | parallel\n"
+               "                      tpndca | parallel (the same as pndca)\n"
                "  --size WxH          lattice size (default 100x100)\n"
                "  --t-end T           simulated end time (default 20)\n"
                "  --dt T              sampling interval (default 1)\n"
@@ -147,7 +147,7 @@ struct Options {
                "  --coverage0 C       initial particle coverage in [0, 1]\n"
                "                      (diffusion/ising; default 0)\n"
                "  --L N               L-PNDCA trials per batch (default 1)\n"
-               "  --threads N         threads for the parallel engine (default 2)\n"
+               "  --threads N         threads of a pndca sweep (default 1)\n"
                "  --fast-path         accepted and ignored (one trial path)\n"
                "  --fill NAME         species to fill the lattice with\n"
                "  --load PATH         start from a snapshot (species matched by name)\n"
@@ -378,6 +378,11 @@ Options parse_args(int argc, char** argv) {
   }
   if (!(opt.coverage0 >= 0 && opt.coverage0 <= 1)) {
     usage(argv[0], "--coverage0 must lie in [0, 1]");
+  }
+  if (opt.threads > 1 && opt.algorithm != "pndca" && opt.algorithm != "parallel") {
+    usage(argv[0], ("--threads " + std::to_string(opt.threads) + ": algorithm " +
+                    opt.algorithm + " has no threaded path (pndca has)")
+                       .c_str());
   }
   if (opt.checkpoint_every < 0) usage(argv[0], "--checkpoint-every must be positive");
   if (opt.checkpoint_every > 0 && opt.checkpoint.empty()) {
@@ -774,7 +779,7 @@ int run_once(const Options& opt, obs::RecoveryLog& recovery) {
       info.seed = opt.seed;
       info.t_end = opt.t_end;
       info.dt = opt.dt;
-      info.threads = opt.algorithm == "parallel" ? opt.threads : 1;
+      info.threads = opt.threads;  // 1 unless the simulator is threaded PNDCA
       info.wall_seconds = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - wall_start)
                               .count();

@@ -21,7 +21,6 @@
 #include "dmc/vssm.hpp"
 #include "models/pt100.hpp"
 #include "models/zgb.hpp"
-#include "parallel/parallel_pndca.hpp"
 #include "partition/coloring.hpp"
 #include "rng/counter_rng.hpp"
 #include "rng/distributions.hpp"
@@ -197,9 +196,9 @@ BENCHMARK(BM_TPndcaRateWeightedMcStep)->Unit(benchmark::kMicrosecond);
 
 void BM_ParallelPndcaMcStep(benchmark::State& state) {
   const Lattice lat(kSide, kSide);
-  ParallelPndcaEngine sim(zgb().model, initial(),
-                          {Partition::linear_form(lat, 1, 3, 5)}, 6,
-                          static_cast<unsigned>(state.range(0)));
+  PndcaSimulator sim(zgb().model, initial(), {Partition::linear_form(lat, 1, 3, 5)}, 6,
+                     ChunkPolicy::kRandomOrder, TimeMode::kStochastic,
+                     static_cast<unsigned>(state.range(0)));
   for (auto _ : state) sim.mc_step();
   state.SetItemsProcessed(static_cast<std::int64_t>(sim.counters().trials));
 }
@@ -468,8 +467,9 @@ void emit_reports() {
 
   const std::int32_t zside = bench::fast_mode() ? 40 : kSide;
   const Lattice zlat(zside, zside);
-  ParallelPndcaEngine engine(zgb().model, Configuration(zlat, 3, zgb().vacant),
-                             {Partition::linear_form(zlat, 1, 3, 5)}, 21, 2);
+  PndcaSimulator engine(zgb().model, Configuration(zlat, 3, zgb().vacant),
+                        {Partition::linear_form(zlat, 1, 3, 5)}, 21,
+                        ChunkPolicy::kRandomOrder, TimeMode::kStochastic, 2);
   emit_report("micro_parallel2", "zgb", engine, 21, steps, 2, true);
 }
 

@@ -32,8 +32,9 @@ int main(int argc, char** argv) {
   Configuration surface(Lattice(128, 128), zgb.model.species().size(), zgb.vacant);
 
   // 3. Pick an algorithm through the facade. Algorithm::kRsm is the exact
-  //    Master Equation sampler; swap in kPndca/kParallelPndca for the
-  //    paper's partitioned CA methods — same interface.
+  //    Master Equation sampler; swap in kPndca for the paper's partitioned
+  //    CA, and set options.threads = 4 to test its chunks on four threads
+  //    — same interface, same trajectory.
   SimulationOptions options;
   options.algorithm = Algorithm::kRsm;
   options.seed = 2026;

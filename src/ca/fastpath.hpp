@@ -138,9 +138,7 @@ void chunk_positions(const std::uint64_t* draws, std::size_t n, std::uint32_t si
                                          const ReactionIndex* types, std::size_t n,
                                          std::uint32_t* hits);
 
-/// The scalar lanes of enabled_trials: its reference and its tail. They read
-/// one byte per probe, so a thread may run them while other threads write
-/// bytes that no probe of the span examines.
+/// The scalar lanes of enabled_trials: its reference and its tail.
 [[nodiscard]] std::size_t enabled_trials_scalar(const ProbePlans& probes,
                                                 const Configuration& config,
                                                 const SiteIndex* sites,

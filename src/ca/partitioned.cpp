@@ -24,19 +24,9 @@ void PartitionedSimulator::add_slot(const Partition& p, BlockCheck check) {
     throw std::invalid_argument(name() + ": partition lattice mismatch");
   }
   if (rate_cache_) rate_cache_->add_partition(p);
-  bool ok = false;
-  if (check == BlockCheck::kThreaded) {
-    // Thread safety rests entirely on the non-overlap rule; refuse
-    // partitions that violate it rather than silently racing.
-    if (!verify_partition(p, conflict_offsets(model_, ConflictPolicy::kFullNeighborhood))) {
-      throw std::invalid_argument(
-          "ParallelPndcaEngine: partition violates the non-overlap rule for "
-          "this model; parallel chunk execution would race");
-    }
-    ok = true;
-  } else if (check == BlockCheck::kReadWrite) {
-    ok = verify_partition(p, conflict_offsets(model_, ConflictPolicy::kReadWrite));
-  }
+  const bool ok =
+      check == BlockCheck::kReadWrite &&
+      verify_partition(p, conflict_offsets(model_, ConflictPolicy::kReadWrite));
   blocks_.push_back(ok ? 1 : 0);
 }
 

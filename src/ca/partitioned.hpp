@@ -12,15 +12,16 @@
 
 namespace casurf {
 
-/// The shared base of the partitioned CA family (paper section 5): PNDCA and
-/// its threaded engine, L-PNDCA's "general structure" and the
+/// The shared base of the partitioned CA family (paper section 5): PNDCA at
+/// any thread count, L-PNDCA's "general structure" and the
 /// type-partitioned T-PNDCA. Each member picks chunks, sites and types its
 /// own way, then commits every trial that passes through this base's
-/// serial commit. PNDCA and L-PNDCA test a span of trials at a time through
-/// the base's span routine, run_trials, with the base's probe plans and the
-/// block-rule verdict it keeps per partition; T-PNDCA tests one trial at a
-/// time. The base also owns what the family shares besides the trial: the
-/// sequential generator and the seed hash that keys the counter streams,
+/// serial commit. PNDCA tests a whole chunk sweep before committing it, and
+/// L-PNDCA a span of trials at a time through the base's span routine,
+/// run_trials, both with the base's probe plans and the block-rule verdict
+/// it keeps per partition; T-PNDCA tests one trial at a time. The base
+/// also owns what the family shares besides the trial: the sequential
+/// generator and the seed hash that keys the counter streams,
 /// with their checkpoint section, and the optional incremental
 /// enabled-rate cache that serves the rate-weighted chunk draws.
 ///
@@ -75,9 +76,6 @@ class PartitionedSimulator : public Simulator {
   enum class BlockCheck {
     kNone,       ///< no verdict: the slot's trials are tested one at a time
     kReadWrite,  ///< the block rule itself
-    kThreaded,   ///< the full-neighborhood rule, which implies the block
-                 ///< rule; a partition that fails it throws, since threads
-                 ///< would race on it
   };
 
   /// Checks that `p` lies on this simulator's lattice, registers it as the

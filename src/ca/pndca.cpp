@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "ca/fastpath.hpp"
 #include "obs/trace.hpp"
@@ -12,13 +13,7 @@ namespace casurf {
 
 PndcaSimulator::PndcaSimulator(const ReactionModel& model, Configuration config,
                                std::vector<Partition> partitions, std::uint64_t seed,
-                               ChunkPolicy policy, TimeMode time_mode)
-    : PndcaSimulator(model, std::move(config), std::move(partitions), seed, policy,
-                     time_mode, /*threaded=*/false) {}
-
-PndcaSimulator::PndcaSimulator(const ReactionModel& model, Configuration config,
-                               std::vector<Partition> partitions, std::uint64_t seed,
-                               ChunkPolicy policy, TimeMode time_mode, bool threaded)
+                               ChunkPolicy policy, TimeMode time_mode, unsigned threads)
     : PartitionedSimulator(model, std::move(config), seed, "pndca",
                            policy == ChunkPolicy::kRateWeighted),
       partitions_(std::move(partitions)),
@@ -27,13 +22,12 @@ PndcaSimulator::PndcaSimulator(const ReactionModel& model, Configuration config,
   if (partitions_.empty()) {
     throw std::invalid_argument("PNDCA: at least one partition required");
   }
+  if (threads == 0) throw std::invalid_argument("PNDCA: at least one thread required");
   require_draw_resolution(model_, "PNDCA");
-  // Cache slot i == partition i, each with its block-rule verdict. The
-  // full-neighborhood rule implies the block rule, so a threaded engine,
-  // which must have the former, never checks the latter.
-  for (const Partition& p : partitions_) {
-    add_slot(p, threaded ? BlockCheck::kThreaded : BlockCheck::kReadWrite);
-  }
+  // Cache slot i == partition i, each with its block-rule verdict.
+  for (const Partition& p : partitions_) add_slot(p, BlockCheck::kReadWrite);
+  slices_.resize(threads);
+  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
 }
 
 double PndcaSimulator::enabled_rate_in_chunk(const Partition& p, ChunkId c) const {
@@ -47,12 +41,25 @@ double PndcaSimulator::enabled_rate_in_chunk(const Partition& p, ChunkId c) cons
 }
 
 void PndcaSimulator::attach(const obs::Sinks& sinks) {
-  PartitionedSimulator::attach(sinks);
+  PartitionedSimulator::attach(sinks);  // resolves ring 0 for the caller
   obs::MetricsRegistry* const registry = sinks.metrics;
   step_timer_ = registry ? &registry->timer("pndca/step") : nullptr;
   plan_timer_ = registry ? &registry->timer("pndca/plan") : nullptr;
   sweep_timer_ = registry ? &registry->timer("pndca/sweep") : nullptr;
   chunk_sites_ = registry ? &registry->histogram("pndca/chunk_sites") : nullptr;
+  merge_timer_ = registry ? &registry->timer("threads/merge") : nullptr;
+  recheck_timer_ = registry ? &registry->timer("threads/recheck") : nullptr;
+  for (unsigned k = 0; k < slices_.size(); ++k) {
+    Slice& slice = slices_[k];
+    const std::string worker = "worker" + std::to_string(k);
+    slice.busy = registry ? &registry->timer("threads/busy/" + worker) : nullptr;
+    slice.wait = registry ? &registry->timer("threads/wait/" + worker) : nullptr;
+    slice.ring = nullptr;
+    if (sinks.tracer != nullptr) {
+      slice.ring = &sinks.tracer->ring(k + 1);
+      sinks.tracer->set_thread_name(k + 1, worker);
+    }
+  }
 }
 
 void PndcaSimulator::save_state(StateWriter& w) const {
@@ -119,56 +126,101 @@ std::vector<ChunkId> PndcaSimulator::plan_schedule() {
   return schedule;
 }
 
-void PndcaSimulator::run_span(std::uint64_t sweep, const SiteIndex* sites,
-                              std::size_t n, WorkerSink* worker) {
-  // Spans are sampled and tested in stack-sized pieces; any split of a
-  // chunk into spans gives the same trajectory.
-  ReactionIndex types[kSpan] = {};
-  std::uint32_t hits[kSpan] = {};
-  const std::size_t span = blocks(partition_cursor_) ? kSpan : 1;
-  for (std::size_t i0 = 0; i0 < n; i0 += span) {
-    const std::size_t m = std::min(span, n - i0);
+void PndcaSimulator::test_slice(std::uint64_t sweep, const SiteIndex* sites,
+                                std::size_t begin, std::size_t end, Slice& slice) const {
+  ReactionIndex types[kSpan];
+  std::uint32_t hits[kSpan];
+  Hit found[kSpan];
+  for (std::size_t i0 = begin; i0 < end; i0 += kSpan) {
+    const std::size_t m = std::min(kSpan, end - i0);
     const SiteIndex* at = sites + i0;
     sample_types(sweep, seed_hash_, at, m, model_.alias_table(), types);
-    if (worker == nullptr) {
-      run_trials(at, types, m, partition_cursor_);
-      continue;
-    }
-    // Workers take the scalar lanes, which read single bytes: the 8 lanes
-    // read whole 4-byte words, and near a slice boundary such a word can
-    // hold a byte another worker writes during this sweep. The byte a lane
-    // uses is never written in the sweep, but the word read would still be
-    // a data race. An engine that puts a barrier between every worker's
-    // pre-test and the commits can move its workers to the 8 lanes.
-    const std::size_t passed = enabled_trials_scalar(probes_, config_, at, types, m, hits);
+    const std::size_t passed = enabled_trials(probes_, config_, at, types, m, hits);
     if (spatial_.map() != nullptr) {
+      // Per-site tallies of this slice's sites only: race-free.
       for (std::size_t i = 0; i < m; ++i) spatial_.attempt(at[i]);
       for (std::size_t h = 0; h < passed; ++h) spatial_.fire(at[hits[h]]);
     }
-    for (std::size_t h = 0; h < passed; ++h) {
-      // The engine's deferral of the commit. The old species are read before
-      // the write; no other trial of the sweep writes these sites, and the
-      // per-site recording is race-free for the same reason, as is
-      // execute_raw.
-      const SiteIndex s = at[hits[h]];
-      const ReactionIndex rt = types[hits[h]];
-      const ReactionType& reaction = model_.reaction(rt);
-      if (rate_cache_) {
-        worker->fired.push_back({s, rt});
-        const std::size_t where = worker->old_species.size();
-        worker->old_species.resize(where + reaction.transforms().size());
-        Rechecker::capture_old_species(config_, reaction, s,
-                                       worker->old_species.data() + where);
-      }
-      reaction.execute_raw(config_, s, worker->deltas.data());
-      ++worker->tally[rt];
-    }
+    // Appended a span at a time: cheaper than a push_back per hit.
+    for (std::size_t h = 0; h < passed; ++h) found[h] = {at[hits[h]], types[hits[h]]};
+    slice.hits.insert(slice.hits.end(), found, found + passed);
   }
 }
 
-void PndcaSimulator::execute_chunk(std::uint64_t sweep,
-                                   const std::vector<SiteIndex>& sites) {
-  run_span(sweep, sites.data(), sites.size(), nullptr);
+void PndcaSimulator::sweep_blocks(std::uint64_t sweep,
+                                  const std::vector<SiteIndex>& sites) {
+  const bool timed = merge_timer_ != nullptr;
+  const bool traced = slices_.front().ring != nullptr;
+  const bool clocked = timed || traced;
+  for (Slice& slice : slices_) {
+    // A slice left out of a small chunk's split keeps no hits and no time.
+    slice.hits.clear();
+    slice.busy_ns = 0;
+    slice.busy_end = 0;
+  }
+  const std::uint64_t wall_start = clocked ? obs::now_ns() : 0;
+
+  // Phase 1: every slice is tested against the configuration as the sweep
+  // starts, and nothing writes it meanwhile, so the 8 lanes may read whole
+  // words on any thread.
+  const auto test = [&](unsigned k, std::size_t begin, std::size_t end) {
+    Slice& slice = slices_[k];
+    const std::uint64_t busy_start = clocked ? obs::now_ns() : 0;
+    test_slice(sweep, sites.data(), begin, end, slice);
+    if (!clocked) return;
+    slice.busy_end = obs::now_ns();
+    slice.busy_ns = slice.busy_end - busy_start;
+    if (traced) {
+      slice.ring->span("threads/busy", busy_start, slice.busy_ns, time_, sweep);
+    }
+  };
+  if (pool_) {
+    pool_->parallel_for(sites.size(), test);
+  } else {
+    test(0, 0, sites.size());
+  }
+
+  if (clocked) {
+    // Wait is the rest of the test phase's wall: the slice's idle time at
+    // the phase's end (a slice left out of the split counts as all-wait).
+    // The load-imbalance figure is max/mean over the busy set. The test
+    // phase has ended, so the caller may append to the slices' rings.
+    const std::uint64_t wall_end = obs::now_ns();
+    const std::uint64_t wall = wall_end - wall_start;
+    for (const Slice& slice : slices_) {
+      if (timed) {
+        slice.busy->add_ns(slice.busy_ns);
+        slice.wait->add_ns(wall - std::min(wall, slice.busy_ns));
+      }
+      if (traced) {
+        const std::uint64_t from = slice.busy_end != 0 ? slice.busy_end : wall_start;
+        slice.ring->span("threads/wait", from, wall_end - std::min(wall_end, from), time_,
+                         sweep);
+      }
+    }
+  }
+
+  // Phase 2: the caller commits the hits in chunk order, the serial
+  // sweep's order; under rate weighting each commit refreshes the cache.
+  const obs::ScopedTimer merge_span(merge_timer_);
+  const obs::ScopedTimer recheck_span(rate_cache_ ? recheck_timer_ : nullptr);
+  const obs::ScopedSpan merge_trace(trace_, "threads/merge", time_, sweep);
+  for (const Slice& slice : slices_) {
+    for (const Hit& h : slice.hits) commit(h.site, h.type, partition_cursor_);
+  }
+}
+
+void PndcaSimulator::sweep_trials(std::uint64_t sweep,
+                                  const std::vector<SiteIndex>& sites) {
+  ReactionIndex types[kSpan];
+  for (std::size_t i0 = 0; i0 < sites.size(); i0 += kSpan) {
+    const std::size_t m = std::min(kSpan, sites.size() - i0);
+    const SiteIndex* at = sites.data() + i0;
+    sample_types(sweep, seed_hash_, at, m, model_.alias_table(), types);
+    for (std::size_t i = 0; i < m; ++i) {
+      run_trials(at + i, types + i, 1, partition_cursor_);
+    }
+  }
 }
 
 void PndcaSimulator::mc_step() {
@@ -188,7 +240,11 @@ void PndcaSimulator::mc_step() {
     {
       const obs::ScopedTimer sweep_span(sweep_timer_);
       const obs::ScopedSpan sweep_trace(trace_, "pndca/sweep", time_, sweep_);
-      execute_chunk(sweep_, p.chunk(c));
+      if (blocks(partition_cursor_)) {
+        sweep_blocks(sweep_, p.chunk(c));
+      } else {
+        sweep_trials(sweep_, p.chunk(c));
+      }
     }
 
     // Time advances once per sweep by its trials' summed time, drawn from

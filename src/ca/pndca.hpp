@@ -1,10 +1,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "ca/partitioned.hpp"
 #include "obs/metrics.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace casurf {
 
@@ -23,36 +25,60 @@ enum class ChunkPolicy {
 /// satisfies the non-overlap rule), all trials within a chunk are
 /// independent — the source of parallelism.
 ///
-/// The block rule: a chunk sweep samples a span of trials at a time, then
-/// tests and commits it through the base's span routine
-/// (PartitionedSimulator::run_trials): every trial against the
-/// configuration as the span starts, then the passes in site order. That is
-/// the serial sweep's answer when no trial of a chunk writes a site that
-/// another trial of the chunk reads, which is the read/write conflict rule
-/// (conflict_offsets(model, ConflictPolicy::kReadWrite)); the paper's
-/// full-neighborhood rule implies it. Each partition is checked once, at
-/// construction. A partition that fails the rule, such as
-/// Partition::single_chunk, still runs exactly: its spans hold one trial,
-/// tested and then committed before the next.
+/// The block rule: a chunk sweep's trials may all be tested against the
+/// configuration as the sweep starts and then committed in site order when
+/// no trial of a chunk writes a site that another trial of the chunk reads,
+/// which is the read/write conflict rule (conflict_offsets(model,
+/// ConflictPolicy::kReadWrite)); the paper's full-neighborhood rule implies
+/// it. Each partition is checked once, at construction. A sweep under the
+/// rule runs in two phases:
+///   1. test: the chunk's sites are split into num_threads() contiguous
+///      slices, and each slice is sampled (sample_types) and tested on the
+///      8 lanes (enabled_trials), writing no byte of the configuration. With one
+///      thread the caller tests its one slice itself and no pool exists;
+///      otherwise a ThreadPool worker tests each slice.
+///   2. commit: the caller commits the slices' hits in chunk order through
+///      the base's serial commit.
+/// That is the serial sweep's answer at every thread count: no commit
+/// changes another trial's test, and two trials that write one site commit
+/// in site order. A partition that fails the rule, such as
+/// Partition::single_chunk, still runs exactly, on the caller at any thread
+/// count: its spans hold one trial, tested and then committed before the
+/// next.
 ///
 /// Per-site randomness comes from a counter RNG keyed by (sweep, site), so
-/// the trajectory is a pure function of (seed, chunk schedule) and the
-/// threaded engine (`ParallelPndcaEngine`) reproduces this sequential
-/// implementation bit for bit.
+/// the trajectory is a pure function of (seed, chunk schedule), and the
+/// thread count is a pure performance parameter: one checkpoint name,
+/// "PNDCA", covers every count, and runs resume each other across counts.
 ///
 /// Several partitions may be supplied; one is chosen per step ("choose a
 /// partition P"), cycling — which also expresses the shifting blocks of a
 /// classic BCA.
 class PndcaSimulator : public PartitionedSimulator {
  public:
+  /// `threads` test slices per sweep, at least 1; above 1 a ThreadPool of
+  /// that many workers (at most ThreadPool::kMaxThreads) runs them.
   PndcaSimulator(const ReactionModel& model, Configuration config,
                  std::vector<Partition> partitions, std::uint64_t seed,
                  ChunkPolicy policy = ChunkPolicy::kRandomOrder,
-                 TimeMode time_mode = TimeMode::kStochastic);
+                 TimeMode time_mode = TimeMode::kStochastic, unsigned threads = 1);
 
   void mc_step() override;
   [[nodiscard]] std::string name() const override { return "PNDCA"; }
+  [[nodiscard]] unsigned num_threads() const {
+    return static_cast<unsigned>(slices_.size());
+  }
 
+  /// Adds PNDCA's probes to the base's. Metrics: pndca/{step,plan,sweep},
+  /// the chunk-size histogram, and for every thread count the sweep phases:
+  /// per-slice test time and the rest of the test phase's wall
+  /// (threads/busy/worker<k>, threads/wait/worker<k> — the run report
+  /// derives load imbalance from the busy set), the caller's commit phase
+  /// (threads/merge), and the commit phase again under rate weighting, whose
+  /// commits refresh the rate cache (threads/recheck). Tracer: slice k's
+  /// threads/busy spans go to ring k+1 (one writer per ring); the caller
+  /// appends the matching threads/wait span after the test phase and
+  /// records threads/merge on ring 0.
   void attach(const obs::Sinks& sinks) override;
 
   [[nodiscard]] const Partition& current_partition() const {
@@ -64,12 +90,11 @@ class PndcaSimulator : public PartitionedSimulator {
   [[nodiscard]] const std::vector<Partition>& partitions() const { return partitions_; }
   [[nodiscard]] ChunkPolicy policy() const { return policy_; }
 
-  /// The chunk schedule executed by the most recent step (for tests and for
-  /// replay by the parallel engine / simulated machine).
+  /// The chunk schedule executed by the most recent step (for tests).
   [[nodiscard]] const std::vector<ChunkId>& last_schedule() const { return schedule_; }
 
   /// Build the chunk schedule for the next step without executing it
-  /// (exposed for the simulated parallel machine).
+  /// (exposed for reference sweeps in tests).
   std::vector<ChunkId> plan_schedule();
 
   /// Brute-force O(|chunk| |T|) enabled rate of one chunk — the reference
@@ -86,54 +111,6 @@ class PndcaSimulator : public PartitionedSimulator {
   void restore_state(StateReader& r) override;
 
  protected:
-  /// With `threaded`, every partition must pass the paper's
-  /// full-neighborhood rule, or the constructor throws: the threaded
-  /// engine's workers share the lattice. Otherwise partitions that fail the
-  /// block rule run one-trial spans.
-  PndcaSimulator(const ReactionModel& model, Configuration config,
-                 std::vector<Partition> partitions, std::uint64_t seed,
-                 ChunkPolicy policy, TimeMode time_mode, bool threaded);
-
-  /// An execution of a threaded sweep, replayed into the rate cache at the
-  /// sweep barrier.
-  struct FiredReaction {
-    SiteIndex site;
-    ReactionIndex type;
-  };
-
-  /// A pool worker's accumulators, reused every sweep. Writes bypass the
-  /// shared species counts: per-species changes go to `deltas` and per-type
-  /// executions to `tally`, which the engine merges after the join. Under
-  /// kRateWeighted the executions are also listed in `fired`, and the
-  /// species each one overwrote in `old_species` (one entry per transform,
-  /// as Rechecker::capture_old_species lays them out), so the barrier
-  /// replay makes the serial commit's cache refreshes call for call.
-  struct WorkerSink {
-    std::vector<std::int64_t> deltas;
-    std::vector<std::uint64_t> tally;
-    std::vector<FiredReaction> fired;
-    std::vector<Species> old_species;
-  };
-
-  /// The trials of sites[0..n) in chunk sweep `sweep`, a span at a time:
-  /// sample_types draws the span's reaction types, then with `worker` null
-  /// (the serial sweep) the base's run_trials tests and commits them, and
-  /// otherwise the scalar lanes of enabled_trials test them and the passes
-  /// go to the worker's accumulators. Spans hold one trial when the current
-  /// partition fails the block rule. Each (sweep, site) pair owns a private
-  /// random stream, and under the block rule no commit of a chunk changes
-  /// another trial's test, so the outcome does not depend on how a chunk is
-  /// split into spans — which is what lets the threaded engine replay this
-  /// exact trajectory. A spatial map records an attempt for every trial and
-  /// a fire for every hit.
-  void run_span(std::uint64_t sweep, const SiteIndex* sites, std::size_t n,
-                WorkerSink* worker);
-
-  /// Run all trials of one chunk sweep. The base class runs one span over
-  /// the whole chunk; the threaded engine overrides this with a fork-join
-  /// over slices.
-  virtual void execute_chunk(std::uint64_t sweep, const std::vector<SiteIndex>& sites);
-
   // rng_ (the base's) drives schedule decisions and time, never site trials.
   std::vector<Partition> partitions_;
   ChunkPolicy policy_;
@@ -145,6 +122,45 @@ class PndcaSimulator : public PartitionedSimulator {
   obs::Timer* plan_timer_ = nullptr;          // pndca/plan
   obs::Timer* sweep_timer_ = nullptr;         // pndca/sweep
   obs::Histogram* chunk_sites_ = nullptr;     // pndca/chunk_sites
+
+ private:
+  /// A trial that passed its test: committed in the commit phase.
+  struct Hit {
+    SiteIndex site;
+    ReactionIndex type;
+  };
+
+  /// One test slice's output and probes, reused every sweep. Aligned to a
+  /// cache line: each slice is written by its own thread during the test
+  /// phase. The hit list grows with the hits, not with the slice.
+  struct alignas(64) Slice {
+    std::vector<Hit> hits;       // in chunk order
+    std::uint64_t busy_ns = 0;   // the slice's test time this sweep
+    std::uint64_t busy_end = 0;  // when its test ended (tracing only)
+    obs::Timer* busy = nullptr;  // threads/busy/worker<k>
+    obs::Timer* wait = nullptr;  // threads/wait/worker<k>
+    obs::TraceRing* ring = nullptr;  // ring k+1
+  };
+
+  /// A chunk sweep under the block rule: the test phase over num_threads()
+  /// slices, then the caller's commits in chunk order.
+  void sweep_blocks(std::uint64_t sweep, const std::vector<SiteIndex>& sites);
+
+  /// The test phase of sites[begin..end): samples and tests them a span at
+  /// a time and appends their hits, in site-list order, to `slice`. Writes
+  /// nothing but the slice and, when a spatial map is attached, the slice's
+  /// sites' attempt and fire tallies.
+  void test_slice(std::uint64_t sweep, const SiteIndex* sites, std::size_t begin,
+                  std::size_t end, Slice& slice) const;
+
+  /// A chunk sweep that fails the block rule: one trial at a time, each
+  /// tested and committed before the next.
+  void sweep_trials(std::uint64_t sweep, const std::vector<SiteIndex>& sites);
+
+  std::vector<Slice> slices_;          // one per thread
+  std::unique_ptr<ThreadPool> pool_;   // runs the slices; null at one thread
+  obs::Timer* merge_timer_ = nullptr;    // threads/merge
+  obs::Timer* recheck_timer_ = nullptr;  // threads/recheck
 };
 
 }  // namespace casurf

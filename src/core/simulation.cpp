@@ -5,7 +5,6 @@
 #include "dmc/frm.hpp"
 #include "dmc/rsm.hpp"
 #include "dmc/vssm.hpp"
-#include "parallel/parallel_pndca.hpp"
 #include "partition/coloring.hpp"
 #include "partition/type_partition.hpp"
 
@@ -40,12 +39,13 @@ std::unique_ptr<Simulator> make_simulator(const ReactionModel& model,
     case Algorithm::kNdca:
       return std::make_unique<NdcaSimulator>(model, std::move(initial), options.seed,
                                              options.time_mode);
-    case Algorithm::kPndca: {
+    case Algorithm::kPndca:
+    case Algorithm::kParallelPndca: {
       Partition p = partition_for(model, initial, options);
       return std::make_unique<PndcaSimulator>(model, std::move(initial),
                                               std::vector<Partition>{std::move(p)},
                                               options.seed, options.chunk_policy,
-                                              options.time_mode);
+                                              options.time_mode, options.threads);
     }
     case Algorithm::kLPndca: {
       Partition p = partition_for(model, initial, options);
@@ -58,12 +58,6 @@ std::unique_ptr<Simulator> make_simulator(const ReactionModel& model,
       return std::make_unique<TPndcaSimulator>(model, std::move(initial),
                                                std::move(subsets), options.seed,
                                                options.tpndca_sweeps);
-    }
-    case Algorithm::kParallelPndca: {
-      Partition p = partition_for(model, initial, options);
-      return std::make_unique<ParallelPndcaEngine>(
-          model, std::move(initial), std::vector<Partition>{std::move(p)}, options.seed,
-          options.threads, options.chunk_policy, options.time_mode);
     }
   }
   throw std::logic_error("make_simulator: unknown algorithm");

@@ -20,7 +20,7 @@ enum class Algorithm {
   kPndca,          ///< Partitioned NDCA (paper section 5)
   kLPndca,         ///< L-PNDCA general structure (paper section 5)
   kTPndca,         ///< Type-partitioned PNDCA (paper section 5)
-  kParallelPndca,  ///< PNDCA executed on the thread pool
+  kParallelPndca,  ///< PNDCA under its older spelling: the same simulator
 };
 
 /// One options bag for the whole family; algorithm-specific fields are
@@ -37,7 +37,7 @@ struct SimulationOptions {
   std::shared_ptr<const Partition> partition;  ///< optional override
 
   std::uint32_t l_trials = 1;    ///< L of L-PNDCA
-  unsigned threads = 2;          ///< worker count of the parallel engine
+  unsigned threads = 1;          ///< PNDCA's test slices (1 = no pool)
   std::uint32_t tpndca_sweeps = 0;  ///< 0 = auto
 };
 

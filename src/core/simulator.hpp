@@ -114,7 +114,7 @@ class Simulator {
   /// Implementations resolve their probes by name once, here, and keep raw
   /// pointers; the hot path then pays one branch per probe for a sink that
   /// is off. The base resolves tracer ring 0 (the simulation thread) and
-  /// the spatial probe; the threaded engine adds one ring per worker.
+  /// the spatial probe; threaded PNDCA adds one ring per worker.
   /// Probes never read or write simulation state or RNG streams, so
   /// trajectories are bit-identical whatever is attached. The sinks are
   /// borrowed and must outlive the simulator (or be detached first).

@@ -195,11 +195,9 @@ class ProbePlans {
 /// A commit is two calls: execute() records the old species of the
 /// written sites and executes, then after_fire() resyncs the planes and
 /// visits every (type, anchor) the writes can have flipped, by written
-/// site in transform order, then in ProbePlans::visit_rechecks order. The
-/// threaded PNDCA engine defers the second call: its workers capture the
-/// old species and execute, and the sweep barrier replays the after_fire()
-/// calls in serial execution order. Same-chunk writes are disjoint, so each
-/// replayed call sees the planes and species the serial call saw.
+/// site in transform order, then in ProbePlans::visit_rechecks order.
+/// Every member of the partitioned CA family, threaded PNDCA included,
+/// commits on one thread, so the two calls always run back to back.
 ///
 /// The planes are derived state: rebuilt on construction, on checkpoint
 /// restore and on audit repair (rebuild()); SpeciesBitplanes::matches is
@@ -217,7 +215,7 @@ class Rechecker {
   /// Write to out[0, rt.transforms().size()) the species that an execution
   /// of `rt` at `s` would overwrite, indexed like rt.transforms() (entries of
   /// kKeep transforms are 0 and unused). The one species capture: execute()
-  /// and the threaded engine's workers both record through it.
+  /// records through it.
   static void capture_old_species(const Configuration& config, const ReactionType& rt,
                                   SiteIndex s, Species* out);
 

@@ -50,7 +50,8 @@ class ReactionType {
 
   /// Apply the target pattern via raw (count-less) writes, accumulating the
   /// per-species population change into `deltas` (array of one entry per
-  /// species). Used by the threaded chunk engine; see Configuration::set_raw.
+  /// species). Used by the strip-decomposed RSM's threads; see
+  /// Configuration::set_raw.
   void execute_raw(Configuration& cfg, SiteIndex s, std::int64_t* deltas) const {
     const Lattice& lat = cfg.lattice();
     for (const Transform& t : transforms_) {

@@ -27,9 +27,9 @@ inline std::uint64_t now_ns() {
           .count());
 }
 
-/// Monotonic event counter. Relaxed atomics: workers of the threaded
-/// engine may bump the same counter concurrently; totals are exact, only
-/// inter-counter ordering is unspecified.
+/// Monotonic event counter. Relaxed atomics: worker threads may bump the
+/// same counter concurrently; totals are exact, only inter-counter ordering
+/// is unspecified.
 class Counter {
  public:
   void add(std::uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }

@@ -147,8 +147,8 @@ void emit_registry(Json& j, const MetricsRegistry* reg) {
   j.end_object();
 }
 
-/// Thread balance, derived from the per-worker busy timers the threaded
-/// engine registers as "threads/busy/worker<k>". Imbalance is max/mean of
+/// Thread balance, derived from the per-worker busy timers PNDCA
+/// registers as "threads/busy/worker<k>". Imbalance is max/mean of
 /// the busy totals (1.0 = perfectly balanced); null when fewer than one
 /// worker reported.
 void emit_threads(Json& j, const MetricsRegistry* reg) {

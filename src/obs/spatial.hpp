@@ -32,11 +32,10 @@ class Writer;
 /// on the site (or one DMC event selection); "fire" is an executed
 /// reaction anchored there; rejects = attempts - fires.
 ///
-/// Counters are plain (non-atomic) words: within one parallel chunk
-/// execution every worker touches a disjoint site set (the paper's
-/// non-overlap rule — same reason `Configuration::set_raw` is race-free),
-/// and the thread-pool join orders successive chunks, so recording needs no
-/// synchronization.
+/// Counters are plain (non-atomic) words: in threaded PNDCA's test phase
+/// every worker records the sites of its own slice of the chunk, a
+/// disjoint site set, and the thread-pool join orders successive phases,
+/// so recording needs no synchronization.
 class SpatialMap {
  public:
   explicit SpatialMap(SiteIndex num_sites)

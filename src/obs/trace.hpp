@@ -108,8 +108,8 @@ class ScopedSpan {
   std::uint64_t start_;
 };
 
-/// Owns one ring per logical thread (tid 0 = the simulation/coordinator
-/// thread, tid k+1 = threaded-engine worker k). Ring creation is
+/// Owns one ring per logical thread (tid 0 = the simulation thread, tid
+/// k+1 = threaded PNDCA's worker k). Ring creation is
 /// mutex-guarded with stable references, mirroring MetricsRegistry;
 /// recording into a ring is uncontended single-writer.
 class Tracer {

@@ -8,7 +8,8 @@
 namespace casurf {
 
 /// Cost parameters of the simulated parallel machine used to reproduce the
-/// paper's Fig 7 on a single-core host (see DESIGN.md, substitutions).
+/// paper's Fig 7, whose p axis (2..10) runs past this 4-core host's cores;
+/// the model is needed only for p > 4 (see DESIGN.md, substitutions).
 /// Values are representative of the early-2000s clusters the paper targets;
 /// `t_site_seconds` should be calibrated to the real measured per-trial
 /// cost so absolute times are honest for this host.
@@ -28,9 +29,9 @@ struct SpeedupPoint {
   [[nodiscard]] double speedup() const { return t1_seconds / tp_seconds; }
 };
 
-/// Analytic PRAM-with-barriers model of the PNDCA chunk engine: each chunk
+/// Analytic PRAM-with-barriers model of the threaded PNDCA sweep: each chunk
 /// sweep distributes its sites over p processors (perfect static balance up
-/// to the ceiling term, which is what the real engine does), pays one
+/// to the ceiling term, which is what the real test phase does), pays one
 /// barrier per sweep, and a serial fraction per trial for the parts the
 /// algorithm keeps on one processor (chunk scheduling, time advance).
 ///

@@ -180,6 +180,10 @@ JobSpec JobSpec::from_json(const Value& v) {
            "\" (expected rsm, vssm, frm, ndca, pndca, lpndca, tpndca, "
            "or parallel)");
   }
+  if (spec.threads > 1 && spec.algorithm != "pndca" && spec.algorithm != "parallel") {
+    reject("threads " + std::to_string(spec.threads) + ": algorithm " + spec.algorithm +
+           " has no threaded path (pndca has)");
+  }
   if (spec.heatmap_every > 0 && !spec.heatmap) {
     reject("heatmap_every requires heatmap: true");
   }

@@ -37,7 +37,7 @@ struct JobSpec {
   double hop = 1.0;
   double coverage0 = 0;
   std::uint32_t l_trials = 1;
-  unsigned threads = 1;  ///< parallel-engine workers; clamped by the quota
+  unsigned threads = 1;  ///< PNDCA sweep threads; clamped by the quota
   double checkpoint_every = 0;  ///< 0 = every sample
 
   // Streamed artifacts beyond the always-on report/CSV/checkpoint.

@@ -221,22 +221,32 @@ TEST_F(CheckpointFileTest, SaveLeavesNoTemporaryBehind) {
 }
 
 TEST_F(CheckpointFileTest, ParallelEngineResumesAtAnyThreadCount) {
+  // The thread count is not part of the checkpoint: PNDCA writes one name
+  // at every count, and a run resumes at any count, under either spelling.
   auto uninterrupted = make(Algorithm::kParallelPndca, 2);
   uninterrupted->advance_to(4.0);
 
-  auto writer = make(Algorithm::kParallelPndca, 2);
-  writer->advance_to(2.0);
-  io::save_checkpoint(path_, *writer);
-
-  for (const unsigned threads : {1u, 3u, 5u}) {
-    auto resumed = make(Algorithm::kParallelPndca, threads);
+  const auto resumes = [&](Algorithm writer_alg, unsigned writer_threads,
+                           Algorithm reader_alg, unsigned reader_threads) {
+    SCOPED_TRACE(std::to_string(writer_threads) + " -> " +
+                 std::to_string(reader_threads) + " threads");
+    auto writer = make(writer_alg, writer_threads);
+    writer->advance_to(2.0);
+    io::save_checkpoint(path_, *writer);
+    auto resumed = make(reader_alg, reader_threads);
     (void)io::restore_checkpoint(path_, *resumed);
     resumed->advance_to(4.0);
-    EXPECT_EQ(resumed->configuration(), uninterrupted->configuration())
-        << threads << " threads";
-    EXPECT_EQ(resumed->counters().executed, uninterrupted->counters().executed)
-        << threads << " threads";
+    EXPECT_EQ(resumed->configuration(), uninterrupted->configuration());
+    EXPECT_EQ(resumed->counters().executed, uninterrupted->counters().executed);
+  };
+  for (const unsigned threads : {1u, 3u, 5u}) {
+    resumes(Algorithm::kParallelPndca, 2, Algorithm::kParallelPndca, threads);
   }
+  // A serial checkpoint resumes threaded, and a threaded one serially.
+  for (const unsigned threads : {3u, 7u}) {
+    resumes(Algorithm::kPndca, 1, Algorithm::kParallelPndca, threads);
+  }
+  resumes(Algorithm::kParallelPndca, 3, Algorithm::kPndca, 1);
 }
 
 // Restored bookkeeping must agree with the restored lattice. A model whose

@@ -31,7 +31,6 @@
 #include "models/zgb.hpp"
 #include "obs/metrics.hpp"
 #include "obs/spatial.hpp"
-#include "parallel/parallel_pndca.hpp"
 #include "partition/coloring.hpp"
 #include "partition/conflict.hpp"
 #include "partition/type_partition.hpp"
@@ -60,8 +59,8 @@ ReactionIndex reference_type(const ReactionModel& model, std::uint64_t seed,
   return type_of(model.alias_table(), stream_word(seed, sweep, s));
 }
 
-/// PNDCA with the reference sweep in place of the library's span routine.
-/// The schedule (policy draws, time advance) is PNDCA's own; under rate
+/// PNDCA with the reference sweep in place of the library's sweeps. The
+/// schedule (policy draws, time advance) is PNDCA's own; under rate
 /// weighting the cache is rebuilt from the lattice after every sweep, so
 /// the chunk weights never depend on the incremental refresh under test.
 class ReferencePndca final : public PndcaSimulator {
@@ -72,18 +71,27 @@ class ReferencePndca final : public PndcaSimulator {
       : PndcaSimulator(model, std::move(config), std::move(partitions), seed, policy),
         seed_(seed) {}
 
- protected:
-  void execute_chunk(std::uint64_t sweep, const std::vector<SiteIndex>& sites) override {
-    for (const SiteIndex s : sites) {
-      const ReactionIndex rt = reference_type(model_, seed_, sweep, s);
-      const ReactionType& reaction = model_.reaction(rt);
-      if (!reaction.enabled(config_, s)) continue;
-      reaction.execute(config_, s);
-      record_execution(rt);
+  void mc_step() override {
+    partition_cursor_ = static_cast<std::size_t>(counters_.steps % partitions_.size());
+    schedule_ = plan_schedule();
+    for (const ChunkId c : schedule_) {
+      const std::vector<SiteIndex>& sites = partitions_[partition_cursor_].chunk(c);
+      ++sweep_;
+      for (const SiteIndex s : sites) {
+        const ReactionIndex rt = reference_type(model_, seed_, sweep_, s);
+        const ReactionType& reaction = model_.reaction(rt);
+        if (!reaction.enabled(config_, s)) continue;
+        reaction.execute(config_, s);
+        record_execution(rt);
+      }
+      if (rate_cache_) rate_cache_->rebuild(config_);
+      clock_.advance(time_, sites.size(), rng_);
+      counters_.trials += sites.size();
     }
-    if (rate_cache_) rate_cache_->rebuild(config_);
+    ++counters_.steps;
   }
 
+ private:
   std::uint64_t seed_;
 };
 
@@ -156,7 +164,7 @@ TEST(FastPath, PndcaAllChunkPolicies) {
   }
 }
 
-/// One threaded-engine row: the engine against the serial reference.
+/// One threaded row: PNDCA on `threads` threads against the reference.
 struct ThreadedRow {
   const char* name;
   Surface surface;
@@ -170,8 +178,9 @@ void expect_threaded_lockstep(const ThreadedRow& row, int steps) {
   const Workload w = workload(row.surface, 40);
   const Partition p = make_partition(w.init.lattice(), w.model);
   ReferencePndca ref(w.model, w.init, {p}, 1234, row.policy);
-  ParallelPndcaEngine engine(w.model, w.init, {p}, 1234, row.threads, row.policy);
-  expect_lockstep(ref, engine, steps);
+  PndcaSimulator sim(w.model, w.init, {p}, 1234, row.policy, TimeMode::kStochastic,
+                     row.threads);
+  expect_lockstep(ref, sim, steps);
 }
 
 class ThreadedLockstep : public ::testing::TestWithParam<ThreadedRow> {};
@@ -188,8 +197,7 @@ INSTANTIATE_TEST_SUITE_P(
         ThreadedRow{"pt100_t2", Surface::kPt100, 2, ChunkPolicy::kRandomOrder},
         ThreadedRow{"pt100_t7", Surface::kPt100, 7, ChunkPolicy::kRandomOrder},
         ThreadedRow{"ising_t2", Surface::kIsing, 2, ChunkPolicy::kRandomOrder},
-        // Rate weighting: the barrier replays the sweep's executions into
-        // the cache with the species the workers captured.
+        // Rate weighting: the caller's commits refresh the cache.
         ThreadedRow{"zgb_rate_t2", Surface::kZgb, 2, ChunkPolicy::kRateWeighted},
         ThreadedRow{"pt100_rate_t7", Surface::kPt100, 7, ChunkPolicy::kRateWeighted}),
     [](const auto& row) { return std::string(row.param.name); });
@@ -202,18 +210,22 @@ TEST(FastPath, IsingSevenThreadsLockstep) {
 TEST(FastPath, ReadWriteCheckerboardRunsTheBlockPath) {
   // Under the read/write rule Ising's flips only need the two-chunk
   // checkerboard: a flip reads its four neighbors but writes only its own
-  // site. Serial PNDCA pre-tests whole spans of it; the threaded engine,
-  // which needs the full-neighborhood rule, refuses it.
+  // site. PNDCA tests whole chunk sweeps of it before committing, on one
+  // thread or several; the full-neighborhood rule, which it fails, is not
+  // needed for either.
   const Workload w = workload(Surface::kIsing, 30);
   const Partition p =
       make_partition(w.init.lattice(), w.model, ConflictPolicy::kReadWrite);
   ASSERT_EQ(p.num_chunks(), 2u);
   EXPECT_FALSE(verify_partition(p, conflict_offsets(w.model)));
-  ReferencePndca ref(w.model, w.init, {p}, 5, ChunkPolicy::kRandomOrder);
-  PndcaSimulator sim(w.model, w.init, {p}, 5, ChunkPolicy::kRandomOrder);
-  ASSERT_TRUE(sim.blocks(0));
-  expect_lockstep(ref, sim, 20);
-  EXPECT_THROW(ParallelPndcaEngine(w.model, w.init, {p}, 5, 2), std::invalid_argument);
+  for (const unsigned threads : {1u, 2u, 7u}) {
+    SCOPED_TRACE(threads);
+    ReferencePndca ref(w.model, w.init, {p}, 5, ChunkPolicy::kRandomOrder);
+    PndcaSimulator sim(w.model, w.init, {p}, 5, ChunkPolicy::kRandomOrder,
+                       TimeMode::kStochastic, threads);
+    ASSERT_TRUE(sim.blocks(0));
+    expect_lockstep(ref, sim, 20);
+  }
 }
 
 TEST(FastPath, BlockRuleIsCheckedPerPartition) {
@@ -232,10 +244,11 @@ TEST(FastPath, BlockRuleIsCheckedPerPartition) {
 }
 
 TEST(FastPath, SingleChunkPartitionStaysExact) {
-  // One chunk puts conflicting anchors in the same sweep. The threaded
-  // engine refuses such a partition, but serial PNDCA tests every trial
-  // against the live state, so it still matches the reference exactly —
-  // with the lattice pattern match and with the cache's bitset alike.
+  // One chunk puts conflicting anchors in the same sweep. PNDCA runs such
+  // a partition one trial at a time, at any thread count, testing every
+  // trial against the live state, so it still matches the reference
+  // exactly — with the lattice pattern match and with the cache's bitset
+  // alike.
   const Workload w = workload(Surface::kZgb, 24);
   for (const ChunkPolicy policy :
        {ChunkPolicy::kRandomOrder, ChunkPolicy::kRateWeighted}) {
@@ -638,7 +651,10 @@ TEST(SampleTypes, StiffModelsAreRefusedByThePndcaFamily) {
       return false;
     };
     EXPECT_TRUE(refused([&] { PndcaSimulator(model, init, {part}, 3); }));
-    EXPECT_TRUE(refused([&] { ParallelPndcaEngine(model, init, {part}, 3, 2); }));
+    EXPECT_TRUE(refused([&] {
+      PndcaSimulator(model, init, {part}, 3, ChunkPolicy::kRandomOrder,
+                     TimeMode::kStochastic, 2);
+    }));
     EXPECT_TRUE(refused([&] { LPndcaSimulator(model, init, part, 3, 1); }));
     EXPECT_NO_THROW(RsmSimulator(model, init, 3));
     EXPECT_NO_THROW(NdcaSimulator(model, init, 3));

@@ -1,4 +1,4 @@
-#include "parallel/parallel_pndca.hpp"
+#include "ca/pndca.hpp"
 
 #include <gtest/gtest.h>
 
@@ -18,29 +18,49 @@ std::vector<Partition> five_chunks(const Lattice& lat) {
   return {Partition::linear_form(lat, 1, 3, 5)};
 }
 
-TEST(ParallelPndca, RejectsConflictingPartition) {
+/// PNDCA whose chunk sweeps are tested on `threads` threads.
+PndcaSimulator threaded(const ReactionModel& model, Configuration config,
+                        std::vector<Partition> partitions, std::uint64_t seed,
+                        unsigned threads,
+                        ChunkPolicy policy = ChunkPolicy::kRandomOrder) {
+  return PndcaSimulator(model, std::move(config), std::move(partitions), seed, policy,
+                        TimeMode::kStochastic, threads);
+}
+
+TEST(ParallelPndca, ConflictingPartitionsMatchSerial) {
+  // Partitions that fail the block rule run one trial at a time on the
+  // caller at any thread count, so threads change nothing.
   auto zgb = models::make_zgb();
   const Lattice lat(10, 10);
-  EXPECT_THROW(ParallelPndcaEngine(zgb.model, Configuration(lat, 3, zgb.vacant),
-                                   {Partition::single_chunk(lat)}, 1, 2),
-               std::invalid_argument);
-  EXPECT_THROW(ParallelPndcaEngine(zgb.model, Configuration(lat, 3, zgb.vacant),
-                                   {Partition::linear_form(lat, 1, 1, 2)}, 1, 2),
-               std::invalid_argument);
+  for (const Partition& p :
+       {Partition::single_chunk(lat), Partition::linear_form(lat, 1, 1, 2)}) {
+    PndcaSimulator seq(zgb.model, Configuration(lat, 3, zgb.vacant), {p}, 1);
+    ASSERT_FALSE(seq.blocks(0)) << p.num_chunks() << " chunks";
+    for (int step = 0; step < 20; ++step) seq.mc_step();
+    for (const unsigned threads : {2u, 7u}) {
+      PndcaSimulator par = threaded(zgb.model, Configuration(lat, 3, zgb.vacant), {p}, 1,
+                                    threads);
+      for (int step = 0; step < 20; ++step) par.mc_step();
+      EXPECT_TRUE(seq.configuration() == par.configuration())
+          << p.num_chunks() << " chunks, " << threads << " threads";
+      EXPECT_EQ(seq.time(), par.time());
+      EXPECT_EQ(seq.counters().executed_per_type, par.counters().executed_per_type);
+    }
+  }
 }
 
 class ThreadCountSweep : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ThreadCountSweep, TrajectoryIdenticalToSequentialPndca) {
-  // The library's core determinism guarantee: the threaded engine replays
-  // the sequential PNDCA trajectory exactly, for any worker count.
+  // The library's core determinism guarantee: the threaded sweep replays
+  // the one-thread PNDCA trajectory exactly, for any thread count.
   const unsigned threads = GetParam();
   auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
   const Lattice lat(20, 20);
 
   PndcaSimulator seq(zgb.model, Configuration(lat, 3, zgb.vacant), five_chunks(lat), 99);
-  ParallelPndcaEngine par(zgb.model, Configuration(lat, 3, zgb.vacant), five_chunks(lat),
-                          99, threads);
+  PndcaSimulator par = threaded(zgb.model, Configuration(lat, 3, zgb.vacant),
+                                five_chunks(lat), 99, threads);
 
   for (int step = 0; step < 40; ++step) {
     seq.mc_step();
@@ -51,7 +71,7 @@ TEST_P(ThreadCountSweep, TrajectoryIdenticalToSequentialPndca) {
   EXPECT_EQ(seq.counters().executed, par.counters().executed);
   EXPECT_EQ(seq.counters().executed_per_type, par.counters().executed_per_type);
   EXPECT_EQ(seq.counters().trials, par.counters().trials);
-  // Species counts merged from per-thread deltas must agree too.
+  // Species counts kept by the caller's commits must agree too.
   for (Species s = 0; s < 3; ++s) {
     EXPECT_EQ(seq.configuration().count(s), par.configuration().count(s));
   }
@@ -63,16 +83,17 @@ class RateWeightedThreadSweep : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(RateWeightedThreadSweep, TrajectoryIdenticalToSequentialPndca) {
   // Under kRateWeighted the schedule depends on the enabled-rate cache, so
-  // this additionally pins down the barrier-merged cache maintenance: any
-  // divergence in the counts shows up as a diverging chunk schedule.
+  // this additionally pins down the cache maintenance of the commit phase:
+  // any divergence in the counts shows up as a diverging chunk schedule.
   const unsigned threads = GetParam();
   auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
   const Lattice lat(20, 20);
 
   PndcaSimulator seq(zgb.model, Configuration(lat, 3, zgb.vacant), five_chunks(lat), 57,
                      ChunkPolicy::kRateWeighted);
-  ParallelPndcaEngine par(zgb.model, Configuration(lat, 3, zgb.vacant), five_chunks(lat),
-                          57, threads, ChunkPolicy::kRateWeighted);
+  PndcaSimulator par = threaded(zgb.model, Configuration(lat, 3, zgb.vacant),
+                                five_chunks(lat), 57, threads,
+                                ChunkPolicy::kRateWeighted);
 
   for (int step = 0; step < 40; ++step) {
     seq.mc_step();
@@ -88,16 +109,17 @@ TEST_P(RateWeightedThreadSweep, TrajectoryIdenticalToSequentialPndca) {
 
 TEST_P(RateWeightedThreadSweep, MoreThreadsThanChunkSites) {
   // 5x5 with the five-chunk linear form: every chunk holds 5 sites, fewer
-  // than the 7-thread pool — the fork-join leaves workers idle and the
-  // barrier replay must still reproduce the serial cache exactly.
+  // than the 7-thread pool — the test phase leaves workers idle and the
+  // commits must still reproduce the serial cache exactly.
   const unsigned threads = GetParam();
   auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
   const Lattice lat(5, 5);
 
   PndcaSimulator seq(zgb.model, Configuration(lat, 3, zgb.vacant), five_chunks(lat), 61,
                      ChunkPolicy::kRateWeighted);
-  ParallelPndcaEngine par(zgb.model, Configuration(lat, 3, zgb.vacant), five_chunks(lat),
-                          61, threads, ChunkPolicy::kRateWeighted);
+  PndcaSimulator par = threaded(zgb.model, Configuration(lat, 3, zgb.vacant),
+                                five_chunks(lat), 61, threads,
+                                ChunkPolicy::kRateWeighted);
 
   for (int step = 0; step < 30; ++step) {
     seq.mc_step();
@@ -120,8 +142,8 @@ TEST(ParallelPndca, DeterministicAcrossPolicies) {
         ChunkPolicy::kRandomWithReplacement, ChunkPolicy::kRateWeighted}) {
     PndcaSimulator seq(zgb.model, Configuration(lat, 3, zgb.vacant), five_chunks(lat),
                        7, policy);
-    ParallelPndcaEngine par(zgb.model, Configuration(lat, 3, zgb.vacant),
-                            five_chunks(lat), 7, 3, policy);
+    PndcaSimulator par = threaded(zgb.model, Configuration(lat, 3, zgb.vacant),
+                                  five_chunks(lat), 7, 3, policy);
     for (int i = 0; i < 15; ++i) {
       seq.mc_step();
       par.mc_step();
@@ -135,7 +157,7 @@ TEST(ParallelPndca, WorksOnPt100Model) {
   auto pt = models::make_pt100();
   const Lattice lat(16, 16);
   const Partition p = make_partition(lat, pt.model);
-  ParallelPndcaEngine par(pt.model, Configuration(lat, 5, pt.hex_vac), {p}, 5, 2);
+  PndcaSimulator par = threaded(pt.model, Configuration(lat, 5, pt.hex_vac), {p}, 5, 2);
   PndcaSimulator seq(pt.model, Configuration(lat, 5, pt.hex_vac), {p}, 5);
   for (int i = 0; i < 10; ++i) {
     seq.mc_step();
@@ -147,8 +169,8 @@ TEST(ParallelPndca, WorksOnPt100Model) {
 TEST(ParallelPndca, CountsConsistentAfterLongRun) {
   auto zgb = models::make_zgb();
   const Lattice lat(20, 20);
-  ParallelPndcaEngine par(zgb.model, Configuration(lat, 3, zgb.vacant), five_chunks(lat),
-                          3, 4);
+  PndcaSimulator par = threaded(zgb.model, Configuration(lat, 3, zgb.vacant),
+                                five_chunks(lat), 3, 4);
   for (int i = 0; i < 100; ++i) par.mc_step();
   // Maintained counts equal a raw recount.
   std::vector<std::uint64_t> recount(3, 0);
@@ -161,7 +183,7 @@ TEST(ParallelPndca, CountsConsistentAfterLongRun) {
 }
 
 TEST(ParallelPndca, FreshModelIsSafeToSampleFromManyThreads) {
-  // The pool workers share the engine's model without locks. Four threads
+  // The pool workers share the simulator's model without locks. Four threads
   // released together sample a model nothing has sampled from before; any
   // state the model still builds lazily on first use is a data race, which
   // the ThreadSanitizer build reports whatever the timing.
@@ -182,7 +204,7 @@ TEST(ParallelPndca, FreshModelIsSafeToSampleFromManyThreads) {
 
 TEST(ParallelPndca, FreshModelFastPathMatchesSerial) {
   // Every repetition builds fresh models, so the pool workers' first sweep
-  // is the first time anything samples from the engine's model. Workers
+  // is the first time anything samples from the simulator's model. Workers
   // share the model without locks, so it must be immutable by then; the
   // result must replay serial PNDCA on another fresh model byte for byte.
   const Lattice lat(64, 64);
@@ -191,9 +213,9 @@ TEST(ParallelPndca, FreshModelFastPathMatchesSerial) {
     const auto threaded_zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
     PndcaSimulator seq(serial_zgb.model, Configuration(lat, 3, serial_zgb.vacant),
                        {make_partition(lat, serial_zgb.model)}, 3);
-    ParallelPndcaEngine par(threaded_zgb.model,
-                            Configuration(lat, 3, threaded_zgb.vacant),
-                            {make_partition(lat, threaded_zgb.model)}, 3, 4);
+    PndcaSimulator par = threaded(threaded_zgb.model,
+                                  Configuration(lat, 3, threaded_zgb.vacant),
+                                  {make_partition(lat, threaded_zgb.model)}, 3, 4);
     for (int step = 0; step < 3; ++step) {
       seq.mc_step();
       par.mc_step();
@@ -211,10 +233,11 @@ TEST(ParallelPndca, FreshModelFastPathMatchesSerial) {
 TEST(ParallelPndca, ReportsThreadsAndName) {
   auto zgb = models::make_zgb();
   const Lattice lat(10, 10);
-  ParallelPndcaEngine par(zgb.model, Configuration(lat, 3, zgb.vacant), five_chunks(lat),
-                          1, 3);
+  PndcaSimulator par = threaded(zgb.model, Configuration(lat, 3, zgb.vacant),
+                                five_chunks(lat), 1, 3);
   EXPECT_EQ(par.num_threads(), 3u);
-  EXPECT_EQ(par.name(), "PNDCA(threads)");
+  // One name at every thread count, so checkpoints resume across counts.
+  EXPECT_EQ(par.name(), "PNDCA");
 }
 
 }  // namespace

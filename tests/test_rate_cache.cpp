@@ -18,7 +18,6 @@
 #include "models/diffusion.hpp"
 #include "models/pt100.hpp"
 #include "models/zgb.hpp"
-#include "parallel/parallel_pndca.hpp"
 #include "partition/coloring.hpp"
 #include "partition/type_partition.hpp"
 #include "rng/xoshiro.hpp"
@@ -348,9 +347,9 @@ TEST(RateCache, InvariantHoldsAcrossCyclingPartitions) {
 }
 
 TEST(RateCache, InvariantHoldsUnderThreadedEngine) {
-  // The barrier replay passes the species the workers captured; verify()
-  // checks the planes, the bitset and the counts against a fresh recount
-  // after every step. Pt(100)'s multi-species masks are where the
+  // The caller's commits refresh the cache after the workers' test phase;
+  // verify() checks the planes, the bitset and the counts against a fresh
+  // recount after every step. Pt(100)'s multi-species masks are where the
   // single-probe visit shortcuts fire; diffusion writes two sites per hop.
   auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
   auto pt = models::make_pt100();
@@ -364,8 +363,8 @@ TEST(RateCache, InvariantHoldsUnderThreadedEngine) {
       {&diffusion.model, half}};
   for (const auto& [model, init] : cases) {
     SCOPED_TRACE(model->num_reactions());
-    ParallelPndcaEngine sim(*model, init, {make_partition(lat, *model)}, 29, 4,
-                            ChunkPolicy::kRateWeighted);
+    PndcaSimulator sim(*model, init, {make_partition(lat, *model)}, 29,
+                       ChunkPolicy::kRateWeighted, TimeMode::kStochastic, 4);
     std::vector<std::string> issues;
     for (int step = 0; step < 300; ++step) {
       sim.mc_step();

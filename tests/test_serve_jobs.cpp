@@ -72,6 +72,30 @@ TEST(JobSpec, ValidationRejectsOutOfRangeKnobs) {
   EXPECT_THROW(spec_of("[1,2,3]"), std::runtime_error);
 }
 
+TEST(JobSpec, ThreadsNeedAThreadedAlgorithm) {
+  // Only PNDCA has a threaded sweep. Any other algorithm would ignore a
+  // thread count, so the spec refuses one above 1 and names the algorithm.
+  for (const char* algorithm : {"rsm", "vssm", "frm", "ndca", "lpndca", "tpndca"}) {
+    SCOPED_TRACE(algorithm);
+    const std::string head = std::string(R"({"model":"zgb","algorithm":")") + algorithm;
+    try {
+      (void)spec_of(head + R"(","threads":2})");
+      FAIL() << "threads 2 was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("algorithm ") + algorithm +
+                                           " has no threaded path"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(spec_of(head + R"(","threads":1})").threads, 1u);
+  }
+  for (const char* algorithm : {"pndca", "parallel"}) {
+    const std::string json =
+        std::string(R"({"model":"zgb","threads":4,"algorithm":")") + algorithm + R"("})";
+    EXPECT_EQ(spec_of(json).threads, 4u) << algorithm;
+  }
+}
+
 TEST(JobSpec, SampleGridIsBounded) {
   // t_end / dt + 1 rows at most kMaxSampleRows (2^24): a grid of 10^300
   // rows would grow the worker's recorder until the OOM killer stops it.
@@ -271,6 +295,9 @@ TEST_F(ServeDaemonTest, InvalidSpecsGet400) {
   Daemon daemon(options());
   EXPECT_EQ(post(daemon, "/jobs", "not json").status, 400);
   EXPECT_EQ(post(daemon, "/jobs", R"({"model":"bogus"})").status, 400);
+  EXPECT_EQ(post(daemon, "/jobs", R"({"model":"zgb","algorithm":"vssm","threads":2})")
+                .status,
+            400);
 }
 
 TEST_F(ServeDaemonTest, UnknownRoutesAndMethodsAreMapped) {

@@ -22,7 +22,10 @@ TEST_P(AlgorithmSweep, BuildsAndAdvances) {
   sim->advance_to(1.0);
   EXPECT_GE(sim->time(), 1.0);
   EXPECT_GT(sim->counters().trials, 0u);
-  EXPECT_EQ(sim->name(), algorithm_name(GetParam()));
+  // kParallelPndca is another spelling of kPndca: the same simulator.
+  EXPECT_EQ(sim->name(), GetParam() == Algorithm::kParallelPndca
+                             ? algorithm_name(Algorithm::kPndca)
+                             : algorithm_name(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(All, AlgorithmSweep,

@@ -4,7 +4,7 @@
 // (algorithm x sink set): the algorithm runs twice from the same seed, once
 // bare and once with the row's sinks attached, and the raw configuration
 // bytes, simulated time and every counter must agree exactly at the end.
-// The threaded engine's per-worker probes and rings are TSan surface (the
+// Threaded PNDCA's per-worker probes and rings are TSan surface (the
 // "parallel" label).
 
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "obs/metrics.hpp"
 #include "obs/spatial.hpp"
 #include "obs/trace.hpp"
-#include "parallel/parallel_pndca.hpp"
 #include "partition/coloring.hpp"
 
 namespace casurf {
@@ -184,14 +183,15 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, TraceIdentity, kAllAlgorithms,
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, SinkIdentity, kAllAlgorithms,
                          algorithm_test_name);
 
-/// Four sweeps of a 7-worker engine, bare or observed: final raw
+/// Four steps of PNDCA on 7 threads, bare or observed: final raw
 /// configuration and executed count.
 std::pair<std::vector<unsigned char>, std::uint64_t> run_seven_workers(
     const obs::Sinks& sinks) {
   const auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 20.0));
   const Lattice lat(28, 28);
-  ParallelPndcaEngine engine(zgb.model, Configuration(lat, 3, zgb.vacant),
-                             {make_partition(lat, zgb.model)}, 5, 7);
+  PndcaSimulator engine(zgb.model, Configuration(lat, 3, zgb.vacant),
+                        {make_partition(lat, zgb.model)}, 5, ChunkPolicy::kRandomOrder,
+                        TimeMode::kStochastic, 7);
   engine.attach(sinks);
   for (int i = 0; i < 4; ++i) engine.mc_step();
   const auto raw = engine.configuration().raw();
@@ -199,8 +199,9 @@ std::pair<std::vector<unsigned char>, std::uint64_t> run_seven_workers(
           engine.counters().executed};
 }
 
-// The per-worker rings must carry both halves of the fork-join accounting
-// (busy from the worker, wait appended by the coordinator after the join).
+// The per-worker rings must carry both halves of the test phase's
+// accounting (busy from the worker, wait appended by the caller after the
+// phase).
 TEST(TraceIdentityThreaded, SevenWorkersBitIdenticalAndRingsPopulated) {
   obs::Tracer tracer;
   const auto bare = run_seven_workers({});
@@ -215,7 +216,7 @@ TEST(TraceIdentityThreaded, SevenWorkersBitIdenticalAndRingsPopulated) {
     }
     EXPECT_GT(busy, 0u) << "worker " << tid - 1 << " recorded no busy span";
     EXPECT_GT(wait, 0u) << "worker " << tid - 1 << " recorded no wait span";
-    // The coordinator appends one wait span per fork-join for every worker;
+    // The caller appends one wait span per test phase for every worker;
     // busy spans only for workers that received a range.
     EXPECT_GE(wait, busy);
   }
