@@ -252,11 +252,15 @@ TEST(FastPath, SingleChunkPartitionStaysExact) {
   const Workload w = workload(Surface::kZgb, 24);
   for (const ChunkPolicy policy :
        {ChunkPolicy::kRandomOrder, ChunkPolicy::kRateWeighted}) {
-    SCOPED_TRACE(static_cast<int>(policy));
-    const Partition one = Partition::single_chunk(w.init.lattice());
-    ReferencePndca ref(w.model, w.init, {one}, 7, policy);
-    PndcaSimulator sim(w.model, w.init, {one}, 7, policy);
-    expect_lockstep(ref, sim, 10);
+    for (const unsigned threads : {1u, 2u}) {
+      SCOPED_TRACE(std::to_string(static_cast<int>(policy)) + ", " +
+                   std::to_string(threads) + " threads");
+      const Partition one = Partition::single_chunk(w.init.lattice());
+      ReferencePndca ref(w.model, w.init, {one}, 7, policy);
+      PndcaSimulator sim(w.model, w.init, {one}, 7, policy, TimeMode::kStochastic,
+                         threads);
+      expect_lockstep(ref, sim, 10);
+    }
   }
 }
 
