@@ -37,7 +37,6 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -379,7 +378,9 @@ Options parse_args(int argc, char** argv) {
   if (!(opt.coverage0 >= 0 && opt.coverage0 <= 1)) {
     usage(argv[0], "--coverage0 must lie in [0, 1]");
   }
-  if (opt.threads > 1 && opt.algorithm != "pndca" && opt.algorithm != "parallel") {
+  const std::optional<Algorithm> algorithm = algorithm_from_key(opt.algorithm);
+  if (!algorithm) usage(argv[0], ("unknown algorithm: " + opt.algorithm).c_str());
+  if (opt.threads > 1 && !has_threaded_path(*algorithm)) {
     usage(argv[0], ("--threads " + std::to_string(opt.threads) + ": algorithm " +
                     opt.algorithm + " has no threaded path (pndca has)")
                        .c_str());
@@ -453,17 +454,6 @@ Options parse_args(int argc, char** argv) {
               .c_str());
   }
   return opt;
-}
-
-Algorithm algorithm_from_name(const std::string& name, const char* argv0) {
-  static const std::map<std::string, Algorithm> kMap = {
-      {"rsm", Algorithm::kRsm},       {"vssm", Algorithm::kVssm},
-      {"frm", Algorithm::kFrm},       {"ndca", Algorithm::kNdca},
-      {"pndca", Algorithm::kPndca},   {"lpndca", Algorithm::kLPndca},
-      {"tpndca", Algorithm::kTPndca}, {"parallel", Algorithm::kParallelPndca}};
-  const auto it = kMap.find(name);
-  if (it == kMap.end()) usage(argv0, ("unknown algorithm: " + name).c_str());
-  return it->second;
 }
 
 /// Scatter species `what` onto a fraction `coverage` of vacant sites,
@@ -653,7 +643,7 @@ int run_once(const Options& opt, obs::RecoveryLog& recovery) {
 
     // --- Simulator -----------------------------------------------------
     SimulationOptions sim_opt;
-    sim_opt.algorithm = algorithm_from_name(opt.algorithm, opt.argv0.c_str());
+    sim_opt.algorithm = *algorithm_from_key(opt.algorithm);  // parse_args checked it
     sim_opt.seed = opt.seed;
     sim_opt.l_trials = opt.l_trials;
     sim_opt.threads = opt.threads;

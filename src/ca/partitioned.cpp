@@ -30,14 +30,21 @@ void PartitionedSimulator::add_slot(const Partition& p, BlockCheck check) {
   blocks_.push_back(ok ? 1 : 0);
 }
 
-void PartitionedSimulator::run_lanes(const SiteIndex* sites, const ReactionIndex* types,
-                                     std::size_t n, std::size_t slot) {
-  std::uint32_t hits[kSpan];
+std::size_t PartitionedSimulator::test_span(const SiteIndex* sites,
+                                            const ReactionIndex* types, std::size_t n,
+                                            std::uint32_t* hits) const {
   const std::size_t passed = enabled_trials(probes_, config_, sites, types, n, hits);
   if (spatial_.map() != nullptr) {
     for (std::size_t i = 0; i < n; ++i) spatial_.attempt(sites[i]);
     for (std::size_t h = 0; h < passed; ++h) spatial_.fire(sites[hits[h]]);
   }
+  return passed;
+}
+
+void PartitionedSimulator::run_lanes(const SiteIndex* sites, const ReactionIndex* types,
+                                     std::size_t n, std::size_t slot) {
+  std::uint32_t hits[kSpan];
+  const std::size_t passed = test_span(sites, types, n, hits);
   for (std::size_t h = 0; h < passed; ++h) commit(sites[hits[h]], types[hits[h]], slot);
 }
 

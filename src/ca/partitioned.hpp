@@ -16,12 +16,13 @@ namespace casurf {
 /// any thread count, L-PNDCA's "general structure" and the
 /// type-partitioned T-PNDCA. Each member picks chunks, sites and types its
 /// own way, then commits every trial that passes through this base's
-/// serial commit. PNDCA tests a whole chunk sweep before committing it, and
-/// L-PNDCA a span of trials at a time through the base's span routine,
-/// run_trials, both with the base's probe plans and the block-rule verdict
-/// it keeps per partition; T-PNDCA tests one trial at a time. The base
-/// also owns what the family shares besides the trial: the sequential
-/// generator and the seed hash that keys the counter streams,
+/// serial commit. PNDCA tests a whole chunk sweep, span by span through
+/// the base's span test (test_span), before committing it, and L-PNDCA a
+/// span of trials at a time through the base's span routine, run_trials,
+/// which is that test followed by the commits; both use the block-rule
+/// verdict the base keeps per partition. T-PNDCA tests one trial at a
+/// time. The base also owns what the family shares besides the trial: the
+/// sequential generator and the seed hash that keys the counter streams,
 /// with their checkpoint section, and the optional incremental
 /// enabled-rate cache that serves the rate-weighted chunk draws.
 ///
@@ -119,6 +120,15 @@ class PartitionedSimulator : public Simulator {
     }
   }
 
+  /// The span test: tests the trials (sites[i], types[i]), i < n <= kSpan,
+  /// in 8 lanes (enabled_trials) against the configuration as it stands,
+  /// writes the indices of those that pass to `hits` in order and returns
+  /// their count. It writes nothing else but, when a spatial map is
+  /// attached, an attempt tally for every trial's site and a fire tally for
+  /// every hit's, so concurrent calls on disjoint sites do not race.
+  std::size_t test_span(const SiteIndex* sites, const ReactionIndex* types, std::size_t n,
+                        std::uint32_t* hits) const;
+
   /// The serial commit of a passed trial: execute `t` at `s`, refresh the
   /// cache (whose slot `slot` classifies the written sites for the boundary
   /// counter) and count the execution.
@@ -130,7 +140,7 @@ class PartitionedSimulator : public Simulator {
   std::unique_ptr<EnabledRateCache> rate_cache_;  // rate-weighted draws only
 
  private:
-  /// run_trials over n >= kLanes trials: the 8-lane test, then the commits.
+  /// run_trials over n >= kLanes trials: test_span, then the commits.
   void run_lanes(const SiteIndex* sites, const ReactionIndex* types, std::size_t n,
                  std::size_t slot);
 

@@ -48,7 +48,9 @@ void PndcaSimulator::attach(const obs::Sinks& sinks) {
   sweep_timer_ = registry ? &registry->timer("pndca/sweep") : nullptr;
   chunk_sites_ = registry ? &registry->histogram("pndca/chunk_sites") : nullptr;
   merge_timer_ = registry ? &registry->timer("threads/merge") : nullptr;
-  recheck_timer_ = registry ? &registry->timer("threads/recheck") : nullptr;
+  // Registered for the run report's readers; no phase of this sweep is a
+  // recheck, so it reads zero.
+  if (registry) (void)registry->timer("threads/recheck");
   for (unsigned k = 0; k < slices_.size(); ++k) {
     Slice& slice = slices_[k];
     const std::string worker = "worker" + std::to_string(k);
@@ -135,12 +137,7 @@ void PndcaSimulator::test_slice(std::uint64_t sweep, const SiteIndex* sites,
     const std::size_t m = std::min(kSpan, end - i0);
     const SiteIndex* at = sites + i0;
     sample_types(sweep, seed_hash_, at, m, model_.alias_table(), types);
-    const std::size_t passed = enabled_trials(probes_, config_, at, types, m, hits);
-    if (spatial_.map() != nullptr) {
-      // Per-site tallies of this slice's sites only: race-free.
-      for (std::size_t i = 0; i < m; ++i) spatial_.attempt(at[i]);
-      for (std::size_t h = 0; h < passed; ++h) spatial_.fire(at[hits[h]]);
-    }
+    const std::size_t passed = test_span(at, types, m, hits);
     // Appended a span at a time: cheaper than a push_back per hit.
     for (std::size_t h = 0; h < passed; ++h) found[h] = {at[hits[h]], types[hits[h]]};
     slice.hits.insert(slice.hits.end(), found, found + passed);
@@ -203,7 +200,6 @@ void PndcaSimulator::sweep_blocks(std::uint64_t sweep,
   // Phase 2: the caller commits the hits in chunk order, the serial
   // sweep's order; under rate weighting each commit refreshes the cache.
   const obs::ScopedTimer merge_span(merge_timer_);
-  const obs::ScopedTimer recheck_span(rate_cache_ ? recheck_timer_ : nullptr);
   const obs::ScopedSpan merge_trace(trace_, "threads/merge", time_, sweep);
   for (const Slice& slice : slices_) {
     for (const Hit& h : slice.hits) commit(h.site, h.type, partition_cursor_);

@@ -73,12 +73,11 @@ class PndcaSimulator : public PartitionedSimulator {
   /// the chunk-size histogram, and for every thread count the sweep phases:
   /// per-slice test time and the rest of the test phase's wall
   /// (threads/busy/worker<k>, threads/wait/worker<k> — the run report
-  /// derives load imbalance from the busy set), the caller's commit phase
-  /// (threads/merge), and the commit phase again under rate weighting, whose
-  /// commits refresh the rate cache (threads/recheck). Tracer: slice k's
-  /// threads/busy spans go to ring k+1 (one writer per ring); the caller
-  /// appends the matching threads/wait span after the test phase and
-  /// records threads/merge on ring 0.
+  /// derives load imbalance from the busy set) and the caller's commit phase
+  /// (threads/merge); threads/recheck is registered and reads zero.
+  /// Tracer: slice k's threads/busy spans go to ring k+1 (one writer per
+  /// ring); the caller appends the matching threads/wait span after the
+  /// test phase and records threads/merge on ring 0.
   void attach(const obs::Sinks& sinks) override;
 
   [[nodiscard]] const Partition& current_partition() const {
@@ -159,8 +158,7 @@ class PndcaSimulator : public PartitionedSimulator {
 
   std::vector<Slice> slices_;          // one per thread
   std::unique_ptr<ThreadPool> pool_;   // runs the slices; null at one thread
-  obs::Timer* merge_timer_ = nullptr;    // threads/merge
-  obs::Timer* recheck_timer_ = nullptr;  // threads/recheck
+  obs::Timer* merge_timer_ = nullptr;  // threads/merge
 };
 
 }  // namespace casurf

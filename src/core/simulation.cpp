@@ -1,6 +1,7 @@
 #include "core/simulation.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "dmc/frm.hpp"
 #include "dmc/rsm.hpp"
@@ -75,6 +76,22 @@ const char* algorithm_name(Algorithm a) {
     case Algorithm::kParallelPndca: return "PNDCA(threads)";
   }
   return "?";
+}
+
+std::optional<Algorithm> algorithm_from_key(std::string_view key) {
+  static constexpr std::pair<std::string_view, Algorithm> kKeys[] = {
+      {"rsm", Algorithm::kRsm},       {"vssm", Algorithm::kVssm},
+      {"frm", Algorithm::kFrm},       {"ndca", Algorithm::kNdca},
+      {"pndca", Algorithm::kPndca},   {"lpndca", Algorithm::kLPndca},
+      {"tpndca", Algorithm::kTPndca}, {"parallel", Algorithm::kParallelPndca}};
+  for (const auto& [name, algorithm] : kKeys) {
+    if (name == key) return algorithm;
+  }
+  return std::nullopt;
+}
+
+bool has_threaded_path(Algorithm a) {
+  return a == Algorithm::kPndca || a == Algorithm::kParallelPndca;
 }
 
 }  // namespace casurf

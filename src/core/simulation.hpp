@@ -1,6 +1,8 @@
 #pragma once
 
 #include <memory>
+#include <optional>
+#include <string_view>
 
 #include "ca/lpndca.hpp"
 #include "ca/ndca.hpp"
@@ -51,5 +53,15 @@ struct SimulationOptions {
 
 /// Human-readable name of an algorithm enumerator.
 [[nodiscard]] const char* algorithm_name(Algorithm a);
+
+/// The algorithm a command-line key names ("rsm", "vssm", "frm", "ndca",
+/// "pndca", "lpndca", "tpndca" or "parallel"), or nullopt. casurf_run's
+/// --algorithm and the serve JobSpec's algorithm member take these keys.
+[[nodiscard]] std::optional<Algorithm> algorithm_from_key(std::string_view key);
+
+/// Whether make_simulator honours SimulationOptions::threads for `a`; it
+/// builds every other algorithm on the caller alone, and the input
+/// boundaries refuse threads > 1 for them.
+[[nodiscard]] bool has_threaded_path(Algorithm a);
 
 }  // namespace casurf

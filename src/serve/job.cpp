@@ -4,10 +4,12 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 
+#include "core/simulation.hpp"
 #include "parallel/thread_pool.hpp"
 #include "stats/coverage.hpp"
 
@@ -22,8 +24,6 @@ using obs::json::Value;
 
 constexpr std::array<std::string_view, 5> kModels = {
     "zgb", "pt100", "diffusion", "single-file", "ising"};
-constexpr std::array<std::string_view, 8> kAlgorithms = {
-    "rsm", "vssm", "frm", "ndca", "pndca", "lpndca", "tpndca", "parallel"};
 
 template <std::size_t N>
 bool one_of(const std::array<std::string_view, N>& set, std::string_view s) {
@@ -175,12 +175,13 @@ JobSpec JobSpec::from_json(const Value& v) {
     reject("unknown model \"" + spec.model +
            "\" (expected zgb, pt100, diffusion, single-file, or ising)");
   }
-  if (!one_of(kAlgorithms, spec.algorithm)) {
+  const std::optional<Algorithm> algorithm = algorithm_from_key(spec.algorithm);
+  if (!algorithm) {
     reject("unknown algorithm \"" + spec.algorithm +
            "\" (expected rsm, vssm, frm, ndca, pndca, lpndca, tpndca, "
            "or parallel)");
   }
-  if (spec.threads > 1 && spec.algorithm != "pndca" && spec.algorithm != "parallel") {
+  if (spec.threads > 1 && !has_threaded_path(*algorithm)) {
     reject("threads " + std::to_string(spec.threads) + ": algorithm " + spec.algorithm +
            " has no threaded path (pndca has)");
   }

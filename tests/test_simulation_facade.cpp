@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <string>
 
 #include "models/zgb.hpp"
 
@@ -77,6 +79,27 @@ TEST(SimulationFacade, AlgorithmNamesAreUnique) {
   std::set<std::string> names;
   for (const Algorithm a : all) names.insert(algorithm_name(a));
   EXPECT_EQ(names.size(), std::size(all));
+}
+
+TEST(SimulationFacade, AlgorithmKeysAndThreadedPaths) {
+  EXPECT_FALSE(algorithm_from_key("PNDCA").has_value());
+  EXPECT_FALSE(algorithm_from_key("").has_value());
+  auto zgb = models::make_zgb();
+  for (const std::string key :
+       {"rsm", "vssm", "frm", "ndca", "pndca", "lpndca", "tpndca", "parallel"}) {
+    SCOPED_TRACE(key);
+    const std::optional<Algorithm> a = algorithm_from_key(key);
+    ASSERT_TRUE(a.has_value());
+    // Only PNDCA, under either key, has a threaded path, and make_simulator
+    // honours the thread count exactly there.
+    EXPECT_EQ(has_threaded_path(*a), key == "pndca" || key == "parallel");
+    SimulationOptions opt;
+    opt.algorithm = *a;
+    opt.threads = 3;
+    auto sim = make_simulator(zgb.model, Configuration(Lattice(10, 10), 3, zgb.vacant), opt);
+    const auto* pndca = dynamic_cast<const PndcaSimulator*>(sim.get());
+    EXPECT_EQ(pndca != nullptr && pndca->num_threads() == 3, has_threaded_path(*a));
+  }
 }
 
 TEST(SimulationFacade, TimeModePropagates) {

@@ -56,6 +56,8 @@ void expect_bit_identical(Algorithm algorithm, SinkSet set) {
   SimulationOptions opt;
   opt.algorithm = algorithm;
   opt.seed = 1234;
+  // kPndca keeps the serial sweep; kParallelPndca's rows run it threaded.
+  opt.threads = algorithm == Algorithm::kParallelPndca ? 2 : 1;
   // Exercise the rate-cache recheck path where the algorithm supports it.
   opt.chunk_policy = ChunkPolicy::kRateWeighted;
 
@@ -109,6 +111,7 @@ void expect_detach_records_nothing(Algorithm algorithm, SinkSet set) {
   SimulationOptions opt;
   opt.algorithm = algorithm;
   opt.seed = 99;
+  opt.threads = algorithm == Algorithm::kParallelPndca ? 2 : 1;
   auto sim = make_simulator(zgb.model, Configuration(lat, 3, zgb.vacant), opt);
 
   OwnedSinks sinks(lat.size());
