@@ -4,6 +4,8 @@
 // binary prints the rows/series the paper reports and additionally dumps
 // the raw series to bench_out/*.csv for plotting.
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -65,6 +67,19 @@ inline void write_bench_report(const std::string& name, const obs::RunInfo& info
 inline bool fast_mode() {
   const char* v = std::getenv("CASURF_BENCH_FAST");
   return v != nullptr && v[0] == '1';
+}
+
+/// {median, lower quartile, upper quartile} of `v` (not empty), each by
+/// linear interpolation between order statistics.
+inline std::array<double, 3> quartiles(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const auto at = [&](double q) {
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+  };
+  return {at(0.5), at(0.25), at(0.75)};
 }
 
 inline void header(const char* title) {

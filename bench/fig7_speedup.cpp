@@ -1,103 +1,187 @@
 // Reproduces Fig 7 of the paper: the PNDCA speedup T(1,N)/T(p,N) as a
-// function of the lattice side N (200..1000) and the processor count p
-// (2..10).
+// function of the lattice side N and the processor count p, measured with
+// the threaded sweep (PndcaSimulator with `threads` = p) on this host's
+// cores. The paper's p axis runs to 10; this one stops at the host's 4.
 //
-// Substitution (see DESIGN.md): the figure's p axis runs to 10 and this
-// host has 4 cores, so the table is a calibrated cost model — per-trial
-// cost t_site is measured on the real sequential PNDCA sweep on this
-// machine, while load balance comes from the actual chunk sizes of the
-// partition and the synchronization constants are representative of the
-// clusters the paper targets. The model is only needed for p > 4; the
-// real threaded sweep (PndcaSimulator with threads, whose trajectory
-// equality with one thread the test suite enforces) is timed below for
-// p = 1, 2 and 4, the points this host can measure.
+// Every run of one side N does the same work: it starts from one ZGB
+// (y = 0.45) configuration equilibrated to t = 2 and runs the MC steps
+// that make about 4e7 trials (N^2 trials a step) under one seed. Its wall
+// is the in-process wall of those mc_step calls. Each (N, p) is repeated
+// eight times, the p order rotated by one between repetitions so that no p
+// always runs first. T(p,N) is the median [quartiles] of its walls, and the
+// speedup the median [quartiles] of the per-repetition ratios
+// T(1,N)/T(p,N). The sweep's phase timers split each wall: the test phase
+// is slice 0's threads/busy plus its threads/wait (the phase's wall, sweep
+// by sweep), the commit phase threads/merge, and the rest ("other") is the
+// steps' plans and time draws; each is reported as its median.
+//
+// The thread count must not change the trajectory: every run of a side
+// has to end in the configuration, clock and counters of its first p = 1
+// run, or the bench exits 1 naming the point. CASURF_BENCH_FAST=1 runs
+// small sides with a small budget and three repetitions.
 
+#include <algorithm>
+#include <array>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "bench_util.hpp"
+#include "ca/pndca.hpp"
 #include "models/zgb.hpp"
-#include "parallel/simulated_machine.hpp"
 #include "partition/coloring.hpp"
 
 using namespace casurf;
 
+namespace {
+
+constexpr unsigned kMaxThreads = 4;
+constexpr std::uint64_t kSeed = 7;
+
+/// What every thread count must reproduce.
+struct Outcome {
+  Configuration config;
+  double time;
+  SimCounters counters;
+
+  [[nodiscard]] bool matches(const Simulator& sim) const {
+    const SimCounters& c = sim.counters();
+    return sim.configuration() == config && sim.time() == time &&
+           c.trials == counters.trials && c.executed == counters.executed &&
+           c.steps == counters.steps && c.executed_per_type == counters.executed_per_type;
+  }
+};
+
+/// One point's runs, in seconds. `other` is the wall outside both phases.
+struct Point {
+  std::vector<double> wall, test, commit, other;
+};
+
+double seconds(obs::MetricsRegistry& registry, const std::string& timer) {
+  return static_cast<double>(registry.timer(timer).total_ns()) * 1e-9;
+}
+
+}  // namespace
+
 int main() {
-  bench::header("Fig 7 — speedup T(1,N)/T(p,N) of PNDCA vs lattice side N and p");
+  bench::header("Fig 7 — speedup T(1,N)/T(p,N) of threaded PNDCA vs lattice side N and p");
 
   const bool fast = bench::fast_mode();
+  const int reps = fast ? 3 : 8;
+  const double budget = fast ? 2e5 : 4e7;  // trials per run
+  const std::vector<std::int32_t> sides =
+      fast ? std::vector<std::int32_t>{50, 100}
+           : std::vector<std::int32_t>{200, 500, 1000, 2000};
   const auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 20.0));
 
-  // Calibrate the per-trial cost on this host with a real sequential run.
-  const Lattice cal_lat(fast ? 64 : 128, fast ? 64 : 128);
-  PndcaSimulator cal(zgb.model, Configuration(cal_lat, 3, zgb.vacant),
-                     {make_partition(cal_lat, zgb.model)}, 1);
-  const MachineParams params = SimulatedMachine::calibrate(cal, fast ? 2 : 8);
-  std::printf("calibrated t_site = %.1f ns/trial on this host; barrier model "
-              "alpha=%.0f us + %.0f us * log2(p); serial fraction %.0f%%\n\n",
-              params.t_site_seconds * 1e9, params.barrier_alpha * 1e6,
-              params.barrier_beta * 1e6, params.serial_fraction * 100);
+  std::printf("ZGB y = 0.45 from an equilibrated t = 2 start, %.0e trials per run, "
+              "%d repetitions, p order rotated; seconds, median [q1, q3]\n\n",
+              budget, reps);
+  std::printf("%6s %2s %6s  %-26s %8s %8s %8s  %s\n", "N", "p", "steps", "T(p,N)", "test",
+              "commit", "other", "T(1,N)/T(p,N)");
 
-  const SimulatedMachine machine(params);
+  const std::vector<std::string> headers = {
+      "N",        "p",       "steps",   "wall_s",  "wall_q1_s",  "wall_q3_s",
+      "test_s",   "commit_s", "other_s", "speedup", "speedup_q1", "speedup_q3"};
+  std::vector<std::vector<double>> cols(headers.size());
+  std::vector<std::array<double, kMaxThreads>> surface;
 
-  std::printf("%-6s", "N\\p");
-  for (int p = 2; p <= 10; ++p) std::printf("%8d", p);
-  std::printf("\n");
-
-  std::vector<std::vector<double>> csv_cols;
-  std::vector<std::string> csv_headers = {"N"};
-  for (int p = 2; p <= 10; ++p) csv_headers.push_back("p" + std::to_string(p));
-  csv_cols.resize(csv_headers.size());
-
-  for (const std::int32_t side : {200, 300, 400, 500, 600, 700, 800, 900, 1000}) {
+  for (const std::int32_t side : sides) {
     const Lattice lat(side, side);
-    const Partition part = Partition::linear_form(lat, 1, 3, 5);
-    std::printf("%-6d", side);
-    csv_cols[0].push_back(side);
-    for (int p = 2; p <= 10; ++p) {
-      const auto point = machine.predict(part, p, 1);
-      std::printf("%8.2f", point.speedup());
-      csv_cols[p - 1].push_back(point.speedup());
+    const Partition part = make_partition(lat, zgb.model);
+    const Configuration start = [&] {
+      PndcaSimulator warm(zgb.model, Configuration(lat, 3, zgb.vacant), {part}, 3,
+                          ChunkPolicy::kRandomOrder, TimeMode::kStochastic, kMaxThreads);
+      warm.advance_to(2.0);
+      return warm.configuration();
+    }();
+    const auto steps = static_cast<std::uint64_t>(
+        std::max(1.0, std::round(budget / static_cast<double>(lat.size()))));
+
+    std::array<Point, kMaxThreads> points;
+    std::optional<Outcome> reference;  // the first run's, which is p = 1's
+    for (int r = 0; r < reps; ++r) {
+      for (unsigned i = 0; i < kMaxThreads; ++i) {
+        const unsigned p = 1 + (static_cast<unsigned>(r) + i) % kMaxThreads;
+        obs::MetricsRegistry registry;
+        PndcaSimulator sim(zgb.model, start, {part}, kSeed, ChunkPolicy::kRandomOrder,
+                           TimeMode::kStochastic, p);
+        sim.attach({&registry});
+        const auto t0 = std::chrono::steady_clock::now();
+        for (std::uint64_t k = 0; k < steps; ++k) sim.mc_step();
+        const double wall =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+
+        if (!reference) {
+          reference = Outcome{sim.configuration(), sim.time(), sim.counters()};
+        } else if (!reference->matches(sim)) {
+          std::printf("MISMATCH: N = %d, p = %u, repetition %d ends in another "
+                      "configuration, clock or counters than p = 1\n",
+                      side, p, r);
+          return 1;
+        }
+        const double test = seconds(registry, "threads/busy/worker0") +
+                            seconds(registry, "threads/wait/worker0");
+        const double commit = seconds(registry, "threads/merge");
+        Point& point = points[p - 1];
+        point.wall.push_back(wall);
+        point.test.push_back(test);
+        point.commit.push_back(commit);
+        point.other.push_back(wall - test - commit);
+
+        if (side == sides.back() && r == reps - 1) {
+          obs::RunInfo info;
+          info.algorithm = sim.name();
+          info.model = "zgb";
+          info.width = side;
+          info.height = side;
+          info.seed = kSeed;
+          info.t_end = sim.time();
+          info.threads = p;
+          info.wall_seconds = wall;
+          bench::write_bench_report("fig7_threads" + std::to_string(p), info, sim,
+                                    registry);
+        }
+      }
     }
+
+    std::array<double, kMaxThreads>& row = surface.emplace_back();
+    for (unsigned p = 1; p <= kMaxThreads; ++p) {
+      const Point& point = points[p - 1];
+      std::vector<double> ratios;
+      for (int r = 0; r < reps; ++r) ratios.push_back(points[0].wall[r] / point.wall[r]);
+      const auto [wall, wall_q1, wall_q3] = bench::quartiles(point.wall);
+      const double test = bench::quartiles(point.test)[0];
+      const double commit = bench::quartiles(point.commit)[0];
+      const double other = bench::quartiles(point.other)[0];
+      const auto [speedup, speedup_q1, speedup_q3] = bench::quartiles(ratios);
+      row[p - 1] = speedup;
+      std::printf("%6d %2u %6llu  %7.3f [%7.3f, %7.3f]   %8.3f %8.3f %8.3f"
+                  "  %5.2f [%4.2f, %4.2f]\n",
+                  side, p, static_cast<unsigned long long>(steps), wall, wall_q1, wall_q3,
+                  test, commit, other, speedup, speedup_q1, speedup_q3);
+      const double values[] = {static_cast<double>(side), static_cast<double>(p),
+                               static_cast<double>(steps), wall, wall_q1, wall_q3, test,
+                               commit, other, speedup, speedup_q1, speedup_q3};
+      for (std::size_t c = 0; c < cols.size(); ++c) cols[c].push_back(values[c]);
+    }
+  }
+
+  std::printf("\nSpeedup surface (medians):\n%-6s", "N\\p");
+  for (unsigned p = 1; p <= kMaxThreads; ++p) std::printf("%8u", p);
+  std::printf("\n");
+  for (std::size_t i = 0; i < sides.size(); ++i) {
+    std::printf("%-6d", sides[i]);
+    for (const double s : surface[i]) std::printf("%8.2f", s);
     std::printf("\n");
   }
-  stats::write_csv(bench::out_dir() + "/fig7_speedup.csv", csv_headers, csv_cols);
+  stats::write_csv(bench::out_dir() + "/fig7_speedup.csv", headers, cols);
   std::printf("  [csv] %s/fig7_speedup.csv\n", bench::out_dir().c_str());
-
-  std::printf("\nPaper shape check: speedup grows with N, saturates with p;\n");
-  std::printf("max ~8 at p = 10 for the largest lattice.\n");
-
-  // Sanity: drive the real threaded sweep on this host's cores. At 100x100
-  // a sweep is too short for threads to pay, so this line shows overhead
-  // and correctness, not the figure's speedup.
-  const Lattice small(fast ? 50 : 100, fast ? 50 : 100);
-  const int steps = fast ? 2 : 5;
-  std::printf("\nReal threaded PNDCA on this host (%d x %d, %d steps):\n",
-              small.width(), small.height(), steps);
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    PndcaSimulator engine(zgb.model, Configuration(small, 3, zgb.vacant),
-                          {make_partition(small, zgb.model)}, 7,
-                          ChunkPolicy::kRandomOrder, TimeMode::kStochastic, threads);
-    obs::MetricsRegistry registry;
-    engine.attach({&registry});
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < steps; ++i) engine.mc_step();
-    const double dt = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0).count();
-    std::printf("  threads=%u  wall=%.3fs  executed=%llu\n", threads, dt,
-                static_cast<unsigned long long>(engine.counters().executed));
-
-    obs::RunInfo info;
-    info.algorithm = engine.name();
-    info.model = "zgb";
-    info.width = small.width();
-    info.height = small.height();
-    info.seed = 7;
-    info.t_end = engine.time();
-    info.threads = threads;
-    info.wall_seconds = dt;
-    bench::write_bench_report("fig7_threads" + std::to_string(threads), info, engine,
-                              registry);
-  }
+  std::printf("\nEvery run of a side ended in the p = 1 configuration, clock and "
+              "counters.\nPaper shape: speedup grows with N and saturates with p "
+              "(max ~8 at p = 10).\n");
   return 0;
 }

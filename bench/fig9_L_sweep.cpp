@@ -4,8 +4,6 @@
 // correlations that shift/damp the coverage oscillations. The L sweep runs
 // five seeds per L and reports the spread of its ratios to RSM.
 
-#include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -74,16 +72,6 @@ int main() {
   // the ratios to RSM are reported as median [lower quartile, upper
   // quartile] over them.
   constexpr std::uint64_t kSeeds = 5;
-  const auto quartiles = [](std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    const auto at = [&](double q) {  // linear interpolation between order statistics
-      const double pos = q * static_cast<double>(v.size() - 1);
-      const auto lo = static_cast<std::size_t>(pos);
-      const std::size_t hi = std::min(lo + 1, v.size() - 1);
-      return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
-    };
-    return std::array<double, 3>{at(0.5), at(0.25), at(0.75)};
-  };
   std::printf("\nL sweep (same partition; ratios to RSM over %llu seeds, median [q1, q3]):\n",
               static_cast<unsigned long long>(kSeeds));
   std::printf("%-6s %-12s %-22s %-22s\n", "L", "peaks", "period/RSM", "amp/RSM");
@@ -98,9 +86,9 @@ int main() {
       amp.push_back(rsm_osc.mean_amplitude > 0 ? osc.mean_amplitude / rsm_osc.mean_amplitude
                                                : 0.0);
     }
-    const auto [pk, pk_lo, pk_hi] = quartiles(peaks);
-    const auto [pe, pe_lo, pe_hi] = quartiles(period);
-    const auto [am, am_lo, am_hi] = quartiles(amp);
+    const auto [pk, pk_lo, pk_hi] = bench::quartiles(peaks);
+    const auto [pe, pe_lo, pe_hi] = bench::quartiles(period);
+    const auto [am, am_lo, am_hi] = bench::quartiles(amp);
     std::printf("%-6u %4.0f [%2.0f,%2.0f]  %.2f [%.2f, %.2f]      %.2f [%.2f, %.2f]\n", l_param,
                 pk, pk_lo, pk_hi, pe, pe_lo, pe_hi, am, am_lo, am_hi);
   }

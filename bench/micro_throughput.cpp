@@ -1,7 +1,6 @@
 // Google-benchmark microbenchmarks: per-trial / per-event throughput of
 // every simulator on the ZGB workload (the per-event DMC benches on Pt(100)
-// too), plus the primitive operations on the hot path. These are the
-// numbers behind the calibrated t_site of the Fig 7 speedup model.
+// too), plus the primitive operations on the hot path.
 
 #include <benchmark/benchmark.h>
 

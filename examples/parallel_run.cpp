@@ -1,14 +1,12 @@
 // Parallel execution walkthrough: the same PNDCA trajectory on 1..4
-// threads (bit-identical by construction), the partition that makes it
-// race-free, and the projected speedup on a real multiprocessor from the
-// calibrated machine model.
+// threads (bit-identical by construction) and the partition that makes it
+// race-free. bench/fig7_speedup measures what the threads buy.
 
 #include <chrono>
 #include <cstdio>
 
 #include "ca/pndca.hpp"
 #include "models/zgb.hpp"
-#include "parallel/simulated_machine.hpp"
 #include "partition/coloring.hpp"
 
 using namespace casurf;
@@ -42,23 +40,5 @@ int main() {
                 static_cast<unsigned long long>(h),
                 h == reference_hash ? "(identical trajectory)" : "(MISMATCH!)");
   }
-
-  // --- Projection: what this buys on a real multiprocessor.
-  PndcaSimulator cal(zgb.model, Configuration(lat, 3, zgb.vacant), {partition}, 1);
-  const MachineParams params = SimulatedMachine::calibrate(cal, 5);
-  const SimulatedMachine machine(params);
-  std::printf("\nProjected speedup (calibrated t_site = %.0f ns, 2003-era cluster "
-              "sync costs):\n  p:        ", params.t_site_seconds * 1e9);
-  for (int p = 2; p <= 10; p += 2) std::printf("%6d", p);
-  std::printf("\n  N=100:    ");
-  for (int p = 2; p <= 10; p += 2) {
-    std::printf("%6.2f", machine.predict(partition, p, 1).speedup());
-  }
-  const Partition big = Partition::linear_form(Lattice(1000, 1000), 1, 3, 5);
-  std::printf("\n  N=1000:   ");
-  for (int p = 2; p <= 10; p += 2) {
-    std::printf("%6.2f", machine.predict(big, p, 1).speedup());
-  }
-  std::printf("\n\nBigger lattices amortize the per-sweep barrier: the paper's Fig 7.\n");
   return 0;
 }

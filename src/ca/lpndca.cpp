@@ -19,7 +19,7 @@ LPndcaSimulator::LPndcaSimulator(const ReactionModel& model, Configuration confi
       partition_(std::move(partition)),
       trials_per_batch_(trials_per_batch),
       clock_(time_mode, config_.size(), model.total_rate()) {
-  add_slot(partition_, BlockCheck::kReadWrite);
+  add_slot(partition_);
   if (trials_per_batch_ == 0) {
     throw std::invalid_argument("L-PNDCA: L must be at least 1");
   }

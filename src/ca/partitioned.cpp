@@ -19,13 +19,12 @@ PartitionedSimulator::PartitionedSimulator(const ReactionModel& model, Configura
   if (rate_weighted) rate_cache_ = std::make_unique<EnabledRateCache>(model_, config_);
 }
 
-void PartitionedSimulator::add_slot(const Partition& p, BlockCheck check) {
+void PartitionedSimulator::add_slot(const Partition& p) {
   if (!(p.lattice() == config_.lattice())) {
     throw std::invalid_argument(name() + ": partition lattice mismatch");
   }
   if (rate_cache_) rate_cache_->add_partition(p);
   const bool ok =
-      check == BlockCheck::kReadWrite &&
       verify_partition(p, conflict_offsets(model_, ConflictPolicy::kReadWrite));
   blocks_.push_back(ok ? 1 : 0);
 }

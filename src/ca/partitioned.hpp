@@ -20,10 +20,10 @@ namespace casurf {
 /// the base's span test (test_span), before committing it, and L-PNDCA a
 /// span of trials at a time through the base's span routine, run_trials,
 /// which is that test followed by the commits; both use the block-rule
-/// verdict the base keeps per partition. T-PNDCA tests one trial at a
-/// time. The base also owns what the family shares besides the trial: the
-/// sequential generator and the seed hash that keys the counter streams,
-/// with their checkpoint section, and the optional incremental
+/// verdict the base keeps per partition. T-PNDCA runs one-trial spans of
+/// run_trials. The base also owns what the family shares besides the
+/// trial: the sequential generator and the seed hash that keys the counter
+/// streams, with their checkpoint section, and the optional incremental
 /// enabled-rate cache that serves the rate-weighted chunk draws.
 ///
 /// The cache is derived state: built at construction, rebuilt on restore,
@@ -73,18 +73,12 @@ class PartitionedSimulator : public Simulator {
   PartitionedSimulator(const ReactionModel& model, Configuration config,
                        std::uint64_t seed, const char* key, bool rate_weighted);
 
-  /// How add_slot judges a partition's block rule.
-  enum class BlockCheck {
-    kNone,       ///< no verdict: the slot's trials are tested one at a time
-    kReadWrite,  ///< the block rule itself
-  };
-
   /// Checks that `p` lies on this simulator's lattice, registers it as the
   /// cache's next slot when the cache is live, and records its block-rule
   /// verdict: whether no commit at a site of one of its chunks writes a site
   /// that a trial at another site of the same chunk reads, which is
   /// verify_partition against conflict_offsets(model, kReadWrite).
-  void add_slot(const Partition& p, BlockCheck check);
+  void add_slot(const Partition& p);
 
   /// The most trials run_trials takes at once.
   static constexpr std::size_t kSpan = 256;

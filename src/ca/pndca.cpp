@@ -25,7 +25,7 @@ PndcaSimulator::PndcaSimulator(const ReactionModel& model, Configuration config,
   if (threads == 0) throw std::invalid_argument("PNDCA: at least one thread required");
   require_draw_resolution(model_, "PNDCA");
   // Cache slot i == partition i, each with its block-rule verdict.
-  for (const Partition& p : partitions_) add_slot(p, BlockCheck::kReadWrite);
+  for (const Partition& p : partitions_) add_slot(p);
   slices_.resize(threads);
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
 }

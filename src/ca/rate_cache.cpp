@@ -100,12 +100,7 @@ void EnabledRateCache::rebuild(const Configuration& config) {
 
 void EnabledRateCache::execute(Configuration& config, const ReactionType& rt,
                                SiteIndex s, std::size_t slot) {
-  refresh_after_fire(config, rt, s, rechecker_.execute(config, rt, s), slot);
-}
-
-void EnabledRateCache::refresh_after_fire(const Configuration& config,
-                                          const ReactionType& rt, SiteIndex s,
-                                          const Species* old_species, std::size_t slot) {
+  const Species* old_species = rechecker_.execute(config, rt, s);
   if (rechecks_ != nullptr) {
     const Lattice& lat = config.lattice();
     const std::vector<ChunkId>& chunk_of = slots_[slot].chunk_of;

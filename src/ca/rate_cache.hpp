@@ -61,11 +61,11 @@ class ChunkSampler {
 ///
 /// The cache keeps a site-major enabled-type bitset, maintained through
 /// its own Rechecker (model/probe_plans.hpp: the library's one recheck
-/// routine, which VSSM and FRM share). Partition slots aggregate the
-/// bitset into per-chunk counts. Enabledness is partition-independent, so
-/// several partitions (PNDCA's cycling list, TPNDCA's per-subset
-/// sub-partitions) share one bitset. While the cache is live its bitset is
-/// also the trial test of every partitioned simulator (ca/partitioned.hpp).
+/// routine, which VSSM and FRM share); a recheck moves a count only when it
+/// flips a stored bit. Partition slots aggregate the bitset into per-chunk
+/// counts. Enabledness is partition-independent, so several partitions
+/// (PNDCA's cycling list, TPNDCA's per-subset sub-partitions) share one
+/// bitset. The simulators' trial test reads the lattice, never the bitset.
 ///
 /// Invariant (checked in test_rate_cache.cpp): after every refresh,
 /// count(slot, c, t) equals the brute-force recount of sites s in chunk c
@@ -74,14 +74,10 @@ class ChunkSampler {
 /// Update rule: after a reaction writes site z, the Rechecker visits every
 /// anchor a = z - o for offsets o in a type's neighborhood (less those the
 /// write's old and new species cannot flip); a flip of the stored bit
-/// adjusts every slot's count for (chunk_of(a), type) by +-1. The threaded
-/// engine defers these refreshes to the chunk-sweep barrier: its workers
-/// capture each execution's old species, and the replay passes them in
-/// serial execution order, so every refresh matches the sequential
-/// simulator's call for call and the trajectory stays bit-identical.
-/// Rechecks are idempotent and each written site's first record carries its
-/// pre-batch species, so the converged counts would not depend on the
-/// replay order either.
+/// adjusts every slot's count for (chunk_of(a), type) by +-1. Every
+/// execution goes through execute(), one at a time on the committing
+/// thread (threaded PNDCA's workers only test), so after each commit the
+/// counts are those of the configuration as it then stands.
 ///
 /// All counts are integers; the floating-point chunk weights and the
 /// Fenwick sampler are (re)derived from them in a fixed summation order, so
@@ -108,11 +104,6 @@ class EnabledRateCache {
     return slots_[slot].counts[static_cast<std::size_t>(c) * num_types_ + t];
   }
 
-  /// Whether reaction type t is enabled at site s, as of the last refresh.
-  [[nodiscard]] bool enabled(SiteIndex s, ReactionIndex t) const {
-    return enabled_.test(s, t);
-  }
-
   /// Sum over types of k_t * count(slot, c, t): the chunk's enabled rate.
   [[nodiscard]] double chunk_rate(std::size_t slot, ChunkId c) const;
 
@@ -121,18 +112,13 @@ class EnabledRateCache {
   /// enabled anywhere; callers fall back to their structural draw.
   [[nodiscard]] const ChunkSampler& sampler(std::size_t slot) const;
 
-  /// Execute `rt` at `s` on `config`, then refresh_after_fire with the
-  /// exact old species of the written sites: the serial simulators' commit.
+  /// Execute `rt` at `s` on `config` and bring the cache up to date: the
+  /// Rechecker's execute and after_fire, folding each flip into the bitset
+  /// and every slot's counts. `slot` names the partition whose seams
+  /// classify the written sites for the boundary counter. The partitioned
+  /// simulators' commit.
   void execute(Configuration& config, const ReactionType& rt, SiteIndex s,
                std::size_t slot);
-
-  /// Bring the cache up to date after an execution of `rt` anchored at `s`
-  /// has been written to `config`: Rechecker::after_fire, folding each flip
-  /// into the bitset and every slot's counts. `old_species` is as in
-  /// Rechecker::after_fire; `slot` names the partition whose seams classify
-  /// the written sites for the boundary counter.
-  void refresh_after_fire(const Configuration& config, const ReactionType& rt,
-                          SiteIndex s, const Species* old_species, std::size_t slot);
 
   /// Registers the `<algo>/rate_rechecks` and `<algo>/boundary_rechecks`
   /// counters in `registry` — every run report lists them, cache or not —

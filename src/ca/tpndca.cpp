@@ -24,7 +24,7 @@ TPndcaSimulator::TPndcaSimulator(const ReactionModel& model, Configuration confi
     if (sub.types.empty() || !(sub.total_rate > 0)) {
       throw std::invalid_argument("TPNDCA: empty or rate-less type subset");
     }
-    add_slot(sub.chunks, BlockCheck::kNone);
+    add_slot(sub.chunks);
     acc += sub.total_rate;
     mean_chunks += static_cast<double>(sub.chunks.num_chunks());
     subset_cumulative_.push_back(acc);
@@ -93,12 +93,14 @@ void TPndcaSimulator::mc_step() {
 
     // select P_i from the subset's partition, then execute the chosen type
     // at every enabled site of the chunk. Same-chunk anchors of a single
-    // type never overlap, so this whole sweep is a parallel batch. Slot j:
-    // the subset's own sub-partition classifies seam rechecks.
+    // type never overlap, so this whole sweep is a parallel batch; it runs
+    // as one-trial spans of the base's span routine, each tested on the
+    // lattice and committed before the next. Slot j: the subset's own
+    // sub-partition classifies seam rechecks.
     const ChunkId c = select_chunk(j, chosen);
     for (const SiteIndex s : sub.chunks.chunk(c)) {
       ++counters_.trials;
-      if (trial_passes(s, chosen)) commit(s, chosen, j);
+      run_trials(&s, &chosen, 1, j);
     }
 
     // One sweep stands for 1/sweeps_per_step of an MC step: advance by the

@@ -52,19 +52,6 @@ class TPndcaSimulator final : public PartitionedSimulator {
  private:
   [[nodiscard]] ChunkId select_chunk(std::size_t subset_index, ReactionIndex chosen);
 
-  /// The per-trial test: whether reaction `t` is enabled at `s`. It reads
-  /// the cache's bitset when the cache is live — the serial commit refreshes
-  /// it after every execution, so both answers agree — and matches the
-  /// pattern on the lattice otherwise. Records the attempt, and the fire
-  /// when the test passes, in the spatial probe.
-  [[nodiscard]] bool trial_passes(SiteIndex s, ReactionIndex t) {
-    spatial_.attempt(s);
-    const bool on = rate_cache_ ? rate_cache_->enabled(s, t)
-                                : model_.reaction(t).enabled(config_, s);
-    if (on) spatial_.fire(s);
-    return on;
-  }
-
   // The base's cache, under kRateWeighted, has slot j == subset j's
   // sub-partition.
   std::vector<TypeSubset> subsets_;

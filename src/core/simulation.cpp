@@ -21,7 +21,7 @@ Partition partition_for(const ReactionModel& model, const Configuration& cfg,
     }
     return *options.partition;
   }
-  return make_partition(cfg.lattice(), model, options.conflict_policy);
+  return make_partition(cfg.lattice(), model);
 }
 
 }  // namespace
@@ -57,8 +57,7 @@ std::unique_ptr<Simulator> make_simulator(const ReactionModel& model,
     case Algorithm::kTPndca: {
       auto subsets = make_type_partition(initial.lattice(), model);
       return std::make_unique<TPndcaSimulator>(model, std::move(initial),
-                                               std::move(subsets), options.seed,
-                                               options.tpndca_sweeps);
+                                               std::move(subsets), options.seed);
     }
   }
   throw std::logic_error("make_simulator: unknown algorithm");

@@ -9,7 +9,6 @@
 #include "ca/pndca.hpp"
 #include "ca/tpndca.hpp"
 #include "core/simulator.hpp"
-#include "partition/conflict.hpp"
 
 namespace casurf {
 
@@ -35,12 +34,10 @@ struct SimulationOptions {
   // PNDCA family. When no explicit partition is given, a minimal valid one
   // is derived from the model with make_partition().
   ChunkPolicy chunk_policy = ChunkPolicy::kRandomOrder;
-  ConflictPolicy conflict_policy = ConflictPolicy::kFullNeighborhood;
   std::shared_ptr<const Partition> partition;  ///< optional override
 
-  std::uint32_t l_trials = 1;    ///< L of L-PNDCA
-  unsigned threads = 1;          ///< PNDCA's test slices (1 = no pool)
-  std::uint32_t tpndca_sweeps = 0;  ///< 0 = auto
+  std::uint32_t l_trials = 1;  ///< L of L-PNDCA
+  unsigned threads = 1;        ///< PNDCA's test slices (1 = no pool)
 };
 
 /// Build a ready-to-run simulator for `model` starting from `initial`.

@@ -33,8 +33,7 @@ class SpeciesBitplanes {
 
   /// Resync the bits of one site from the configuration: clears the site's
   /// bit in every plane, then sets it in the plane of the current species.
-  /// Idempotent, so a batch of writes can be replayed in any order (the
-  /// same property the rate cache's rechecks rely on).
+  /// Idempotent: it reads only the site's current species.
   void resync_site(const Configuration& config, SiteIndex s);
 
   /// 64-bit words per plane row: ceil(width / 64). The bits past the width

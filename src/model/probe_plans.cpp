@@ -121,19 +121,15 @@ Rechecker::Rechecker(const ReactionModel& model, const Configuration& config)
     : planes_(config),
       probes_(model, config.lattice().width(), config.lattice().height()) {}
 
-void Rechecker::capture_old_species(const Configuration& config, const ReactionType& rt,
-                                    SiteIndex s, Species* out) {
-  const Lattice& lat = config.lattice();
-  const std::vector<Transform>& trs = rt.transforms();
-  for (std::size_t ti = 0; ti < trs.size(); ++ti) {
-    out[ti] = trs[ti].tg == kKeep ? Species{0} : config.get(lat.neighbor(s, trs[ti].offset));
-  }
-}
-
 const Species* Rechecker::execute(Configuration& config, const ReactionType& rt,
                                   SiteIndex s) {
-  old_species_.resize(rt.transforms().size());
-  capture_old_species(config, rt, s, old_species_.data());
+  const Lattice& lat = config.lattice();
+  const std::vector<Transform>& trs = rt.transforms();
+  old_species_.resize(trs.size());
+  for (std::size_t ti = 0; ti < trs.size(); ++ti) {
+    old_species_[ti] =
+        trs[ti].tg == kKeep ? Species{0} : config.get(lat.neighbor(s, trs[ti].offset));
+  }
   rt.execute(config, s);
   return old_species_.data();
 }

@@ -212,16 +212,9 @@ class Rechecker {
   /// Re-derive the planes from `config`.
   void rebuild(const Configuration& config) { planes_.rebuild(config); }
 
-  /// Write to out[0, rt.transforms().size()) the species that an execution
-  /// of `rt` at `s` would overwrite, indexed like rt.transforms() (entries of
-  /// kKeep transforms are 0 and unused). The one species capture: execute()
-  /// records through it.
-  static void capture_old_species(const Configuration& config, const ReactionType& rt,
-                                  SiteIndex s, Species* out);
-
-  /// Execute `rt` at `s` on `config` and return the old species of the
-  /// written sites, as capture_old_species lays them out; valid until the
-  /// next execute().
+  /// Execute `rt` at `s` on `config` and return the species it overwrote,
+  /// indexed like rt.transforms() (entries of kKeep transforms are 0 and
+  /// unused); valid until the next execute().
   [[nodiscard]] const Species* execute(Configuration& config, const ReactionType& rt,
                                        SiteIndex s);
 

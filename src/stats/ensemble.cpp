@@ -52,13 +52,8 @@ EnsembleResult run_ensemble(
     }
     const double sd = runs > 1 ? std::sqrt(var / static_cast<double>(runs - 1)) : 0.0;
     const double t = static_cast<double>(g) * dt;
-    if (g == 0) {
-      result.mean.append(t, mean);
-      result.stddev.append(t, sd);
-    } else {
-      result.mean.append(t, mean);
-      result.stddev.append(t, sd);
-    }
+    result.mean.append(t, mean);
+    result.stddev.append(t, sd);
   }
   return result;
 }

@@ -247,8 +247,7 @@ TEST(FastPath, SingleChunkPartitionStaysExact) {
   // One chunk puts conflicting anchors in the same sweep. PNDCA runs such
   // a partition one trial at a time, at any thread count, testing every
   // trial against the live state, so it still matches the reference
-  // exactly — with the lattice pattern match and with the cache's bitset
-  // alike.
+  // exactly, with chunk draws uniform and rate-weighted alike.
   const Workload w = workload(Surface::kZgb, 24);
   for (const ChunkPolicy policy :
        {ChunkPolicy::kRandomOrder, ChunkPolicy::kRateWeighted}) {
@@ -390,10 +389,12 @@ TEST(FastPath, LPndcaRepeatedSitesEndSpans) {
   }
 }
 
-/// One rate-weighted T-PNDCA step written out, with the chosen type's
-/// chunk counts recounted from the lattice before every sweep.
+/// One T-PNDCA step written out. A rate-weighted chunk draw recounts the
+/// chosen type's chunk counts from the lattice before every sweep; a
+/// structural one is uniform.
 void reference_tpndca_step(Reference& r, const ReactionModel& model,
-                           const std::vector<TypeSubset>& subsets, std::uint32_t sweeps) {
+                           const std::vector<TypeSubset>& subsets, std::uint32_t sweeps,
+                           ChunkWeighting weighting) {
   std::vector<double> cumulative;
   for (const TypeSubset& sub : subsets) {
     cumulative.push_back((cumulative.empty() ? 0.0 : cumulative.back()) + sub.total_rate);
@@ -411,8 +412,10 @@ void reference_tpndca_step(Reference& r, const ReactionModel& model,
     }
     const ReactionType& rt = model.reaction(chosen);
     std::vector<double> weights(sub.chunks.num_chunks(), 0.0);
-    for (ChunkId c = 0; c < weights.size(); ++c) {
-      for (const SiteIndex s : sub.chunks.chunk(c)) weights[c] += rt.enabled(r.cfg, s);
+    if (weighting == ChunkWeighting::kRateWeighted) {
+      for (ChunkId c = 0; c < weights.size(); ++c) {
+        for (const SiteIndex s : sub.chunks.chunk(c)) weights[c] += rt.enabled(r.cfg, s);
+      }
     }
     ChunkSampler sampler;
     sampler.assign(weights);
@@ -427,12 +430,16 @@ void reference_tpndca_step(Reference& r, const ReactionModel& model,
 TEST(FastPath, TPndcaRateWeightedLockstep) {
   const Workload w = workload(Surface::kZgb, 32);
   const std::vector<TypeSubset> subsets = make_type_partition(w.init.lattice(), w.model);
-  TPndcaSimulator sim(w.model, w.init, subsets, 19, 0, ChunkWeighting::kRateWeighted);
-  Reference ref{w.init, Xoshiro256(19)};
-  for (int step = 0; step < 30; ++step) {
-    reference_tpndca_step(ref, w.model, subsets, sim.sweeps_per_step());
-    sim.mc_step();
-    ASSERT_NO_FATAL_FAILURE(expect_same(of(ref), of(sim), step));
+  for (const ChunkWeighting weighting :
+       {ChunkWeighting::kRateWeighted, ChunkWeighting::kStructural}) {
+    SCOPED_TRACE(static_cast<int>(weighting));
+    TPndcaSimulator sim(w.model, w.init, subsets, 19, 0, weighting);
+    Reference ref{w.init, Xoshiro256(19)};
+    for (int step = 0; step < 30; ++step) {
+      reference_tpndca_step(ref, w.model, subsets, sim.sweeps_per_step(), weighting);
+      sim.mc_step();
+      ASSERT_NO_FATAL_FAILURE(expect_same(of(ref), of(sim), step));
+    }
   }
 }
 

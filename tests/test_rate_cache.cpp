@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -14,7 +13,6 @@
 #include "ca/pndca.hpp"
 #include "ca/tpndca.hpp"
 #include "core/audit.hpp"
-#include "model/probe_plans.hpp"
 #include "models/diffusion.hpp"
 #include "models/pt100.hpp"
 #include "models/zgb.hpp"
@@ -196,17 +194,15 @@ TEST(RateCache, IncrementalRefreshTracksWrites) {
   const Partition p = Partition::linear_form(lat, 1, 3, 5);
   cache.add_partition(p);
 
-  // Random walk of single-site writes, each run as a one-site reaction so
-  // the cache can refresh after it with the write's old species. The counts
-  // must track the brute-force recount the whole way.
+  // Random walk of single-site writes, each run through the cache as a
+  // one-site reaction. The counts must track the brute-force recount the
+  // whole way.
   Xoshiro256 rng(7);
   for (int i = 0; i < 400; ++i) {
     const auto s = static_cast<SiteIndex>(uniform_below(rng, cfg.size()));
-    const Species old = cfg.get(s);
     const auto next = static_cast<Species>(uniform_below(rng, 3));
-    const ReactionType write("write", 1.0, {exact({0, 0}, old, next)});
-    write.execute(cfg, s);
-    cache.refresh_after_fire(cfg, write, s, &old, 0);
+    const ReactionType write("write", 1.0, {exact({0, 0}, cfg.get(s), next)});
+    cache.execute(cfg, write, s, 0);
     if (i % 25 == 0) {
       expect_counts_match_brute_force(cache, 0, p, zgb.model, cfg, "write walk");
     }
@@ -237,42 +233,14 @@ TEST(RateCache, PrunedRefreshMatchesAFreshBuild) {
       return std::nullopt;
     };
     // verify() recomputes every plane, enabledness bit and count from the
-    // lattice: a clean verify means the cache equals a fresh build.
+    // lattice: a clean verify means the cache equals a fresh build after
+    // every execution through it.
     std::vector<std::string> issues;
-    // One execution at a time, through the cache: exact old species.
     for (int i = 0; i < 300; ++i) {
       const auto fire = pick();
       ASSERT_TRUE(fire.has_value());
       cache.execute(cfg, model->reaction(fire->second), fire->first, 0);
       ASSERT_TRUE(cache.verify(cfg, issues)) << "execution " << i << ": " << issues[0];
-    }
-    // A deferred batch, like the threaded replay's: the whole batch
-    // executes first, each execution recording the species it overwrote,
-    // then it is replayed in shuffled order with those species. A site
-    // written twice in a batch still has one record holding its pre-batch
-    // species, so the cache converges whatever the replay order.
-    struct Fired {
-      SiteIndex site;
-      ReactionIndex type;
-      std::vector<Species> old_species;
-    };
-    for (int batch = 0; batch < 20; ++batch) {
-      std::vector<Fired> fired;
-      for (int i = 0; i < 12; ++i) {
-        const auto fire = pick();
-        ASSERT_TRUE(fire.has_value());
-        const ReactionType& rt = model->reaction(fire->second);
-        std::vector<Species> old_species(rt.transforms().size());
-        Rechecker::capture_old_species(cfg, rt, fire->first, old_species.data());
-        rt.execute(cfg, fire->first);
-        fired.push_back({fire->first, fire->second, std::move(old_species)});
-      }
-      std::shuffle(fired.begin(), fired.end(), rng);
-      for (const Fired& f : fired) {
-        cache.refresh_after_fire(cfg, model->reaction(f.type), f.site,
-                                 f.old_species.data(), 0);
-      }
-      ASSERT_TRUE(cache.verify(cfg, issues)) << "batch " << batch << ": " << issues[0];
     }
   }
 }
