@@ -19,12 +19,21 @@
 // has to end in the configuration, clock and counters of its first p = 1
 // run, or the bench exits 1 naming the point. CASURF_BENCH_FAST=1 runs
 // small sides with a small budget and three repetitions.
+//
+// Threaded walls move with the CPU time the hypervisor of a virtual
+// machine steals, so each side's runs are bracketed by two reads of the
+// aggregate `cpu` line of /proc/stat, and the stolen share of that time is
+// printed under the side's rows and written as the steal_pct column (nan
+// where /proc/stat cannot be read).
 
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -64,6 +73,34 @@ double seconds(obs::MetricsRegistry& registry, const std::string& timer) {
   return static_cast<double>(registry.timer(timer).total_ns()) * 1e-9;
 }
 
+/// The first eight fields of /proc/stat's aggregate `cpu` line, in clock
+/// ticks: user, nice, system, idle, iowait, irq, softirq and steal.
+using CpuTicks = std::array<std::uint64_t, 8>;
+
+std::optional<CpuTicks> read_cpu_ticks() {
+  std::ifstream in("/proc/stat");
+  std::string label;
+  CpuTicks ticks{};
+  if (!(in >> label) || label != "cpu") return std::nullopt;
+  for (std::uint64_t& t : ticks) {
+    if (!(in >> t)) return std::nullopt;
+  }
+  return ticks;
+}
+
+/// Percent of the CPU time between two reads that was stolen: the steal
+/// delta over the delta of all eight fields; nan if either read failed or
+/// no tick passed between them.
+double steal_pct(const std::optional<CpuTicks>& before,
+                 const std::optional<CpuTicks>& after) {
+  if (!before || !after) return std::numeric_limits<double>::quiet_NaN();
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < before->size(); ++i) total += (*after)[i] - (*before)[i];
+  if (total == 0) return std::numeric_limits<double>::quiet_NaN();
+  return 100.0 * static_cast<double>((*after)[7] - (*before)[7]) /
+         static_cast<double>(total);
+}
+
 }  // namespace
 
 int main() {
@@ -85,7 +122,8 @@ int main() {
 
   const std::vector<std::string> headers = {
       "N",        "p",       "steps",   "wall_s",  "wall_q1_s",  "wall_q3_s",
-      "test_s",   "commit_s", "other_s", "speedup", "speedup_q1", "speedup_q3"};
+      "test_s",   "commit_s", "other_s", "speedup", "speedup_q1", "speedup_q3",
+      "steal_pct"};
   std::vector<std::vector<double>> cols(headers.size());
   std::vector<std::array<double, kMaxThreads>> surface;
 
@@ -103,6 +141,7 @@ int main() {
 
     std::array<Point, kMaxThreads> points;
     std::optional<Outcome> reference;  // the first run's, which is p = 1's
+    const std::optional<CpuTicks> ticks_before = read_cpu_ticks();
     for (int r = 0; r < reps; ++r) {
       for (unsigned i = 0; i < kMaxThreads; ++i) {
         const unsigned p = 1 + (static_cast<unsigned>(r) + i) % kMaxThreads;
@@ -148,6 +187,8 @@ int main() {
       }
     }
 
+    const double steal = steal_pct(ticks_before, read_cpu_ticks());
+
     std::array<double, kMaxThreads>& row = surface.emplace_back();
     for (unsigned p = 1; p <= kMaxThreads; ++p) {
       const Point& point = points[p - 1];
@@ -165,8 +206,13 @@ int main() {
                   test, commit, other, speedup, speedup_q1, speedup_q3);
       const double values[] = {static_cast<double>(side), static_cast<double>(p),
                                static_cast<double>(steps), wall, wall_q1, wall_q3, test,
-                               commit, other, speedup, speedup_q1, speedup_q3};
+                               commit, other, speedup, speedup_q1, speedup_q3, steal};
       for (std::size_t c = 0; c < cols.size(); ++c) cols[c].push_back(values[c]);
+    }
+    if (std::isnan(steal)) {
+      std::printf("%6s hypervisor steal: not measured (/proc/stat)\n", "");
+    } else {
+      std::printf("%6s hypervisor steal: %.1f%% of CPU time during these runs\n", "", steal);
     }
   }
 

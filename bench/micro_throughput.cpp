@@ -187,7 +187,7 @@ BENCHMARK(BM_LPndcaRateWeightedMcStep)->Unit(benchmark::kMicrosecond);
 void BM_TPndcaRateWeightedMcStep(benchmark::State& state) {
   const Lattice lat(kSide, kSide);
   TPndcaSimulator sim(zgb().model, initial(), make_type_partition(lat, zgb().model),
-                      12, 0, ChunkWeighting::kRateWeighted);
+                      12, ChunkWeighting::kRateWeighted);
   for (auto _ : state) sim.mc_step();
   state.SetItemsProcessed(static_cast<std::int64_t>(sim.counters().trials));
 }

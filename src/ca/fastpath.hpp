@@ -18,9 +18,9 @@ namespace casurf {
 // recheck routine.
 
 /// Per-site "which reaction types are enabled here" bitset, site-major and
-/// word-packed so one trial test costs a single load and bit test. Like
-/// the bitplanes this is derived state — rebuilt from the planes via the
-/// probe plans and kept in sync by the visits of Rechecker::after_fire.
+/// word-packed so one trial test costs a single load and bit test. Derived
+/// state — built from species bitplanes of the configuration via the probe
+/// plans and kept in sync by the visits of Rechecker::after_fire.
 class EnabledTypeSet {
  public:
   /// Full recompute from the planes, a lattice row per type at a time

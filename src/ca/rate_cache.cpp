@@ -64,8 +64,8 @@ EnabledRateCache::EnabledRateCache(const ReactionModel& model,
     : model_(model),
       num_types_(model.num_reactions()),
       num_sites_(config.size()),
-      rechecker_(model, config) {
-  enabled_.rebuild(rechecker_.planes(), rechecker_.probes());
+      rechecker_(model, config.lattice()) {
+  enabled_.rebuild(SpeciesBitplanes(config), rechecker_.probes());
 }
 
 std::size_t EnabledRateCache::add_partition(const Partition& partition) {
@@ -93,8 +93,7 @@ void EnabledRateCache::recount_slot(Slot& slot) const {
 }
 
 void EnabledRateCache::rebuild(const Configuration& config) {
-  rechecker_.rebuild(config);
-  enabled_.rebuild(rechecker_.planes(), rechecker_.probes());
+  enabled_.rebuild(SpeciesBitplanes(config), rechecker_.probes());
   for (Slot& slot : slots_) recount_slot(slot);
 }
 
@@ -124,9 +123,6 @@ bool EnabledRateCache::verify(const Configuration& config,
     ok = false;
     if (out.size() < max_issues) out.push_back(std::move(what));
   };
-  if (!rechecker_.planes().matches(config)) {
-    issue("species bitplanes disagree with the configuration");
-  }
   // Recompute every enabledness bit, and every slot's counts from those,
   // then compare.
   std::vector<std::vector<std::uint32_t>> fresh;

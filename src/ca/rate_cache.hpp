@@ -61,11 +61,12 @@ class ChunkSampler {
 ///
 /// The cache keeps a site-major enabled-type bitset, maintained through
 /// its own Rechecker (model/probe_plans.hpp: the library's one recheck
-/// routine, which VSSM and FRM share); a recheck moves a count only when it
-/// flips a stored bit. Partition slots aggregate the bitset into per-chunk
-/// counts. Enabledness is partition-independent, so several partitions
-/// (PNDCA's cycling list, TPNDCA's per-subset sub-partitions) share one
-/// bitset. The simulators' trial test reads the lattice, never the bitset.
+/// routine, which VSSM and FRM share, and which reads the configuration
+/// itself); a recheck moves a count only when it flips a stored bit.
+/// Partition slots aggregate the bitset into per-chunk counts. Enabledness
+/// is partition-independent, so several partitions (PNDCA's cycling list,
+/// TPNDCA's per-subset sub-partitions) share one bitset. The simulators'
+/// trial test reads the lattice, never the bitset.
 ///
 /// Invariant (checked in test_rate_cache.cpp): after every refresh,
 /// count(slot, c, t) equals the brute-force recount of sites s in chunk c
@@ -84,8 +85,9 @@ class ChunkSampler {
 /// identical counts always produce identical draws.
 class EnabledRateCache {
  public:
-  /// Builds the planes, probe plans and bitset with one full scan — the
-  /// only full-lattice scan the cache ever performs.
+  /// Builds the probe plans, and the bitset with one full scan of species
+  /// bitplanes built from `config` for the purpose — the only full-lattice
+  /// scan the cache performs outside rebuild() and verify().
   EnabledRateCache(const ReactionModel& model, const Configuration& config);
 
   /// Register a partition and aggregate the current enabledness into its
@@ -128,13 +130,13 @@ class EnabledRateCache {
   static void attach_counters(EnabledRateCache* cache, obs::MetricsRegistry* registry,
                               const std::string& algo);
 
-  /// Full rescan, re-deriving every plane, bit and count from `config`
+  /// Full rescan, re-deriving every bit and count from `config`
   /// (checkpoint restore, audit repair; never needed on the hot path).
   void rebuild(const Configuration& config);
 
-  /// Brute-force verification against `config`: checks the planes,
-  /// recomputes every enabledness bit and per-(chunk, type) count, and
-  /// appends one description per mismatch to `out` (capped at
+  /// Brute-force verification against `config`: recomputes every
+  /// enabledness bit and per-(chunk, type) count, and appends one
+  /// description per mismatch to `out` (capped at
   /// `max_issues`). Returns true when the cache is consistent. The audit
   /// ground truth.
   bool verify(const Configuration& config, std::vector<std::string>& out,
@@ -145,17 +147,13 @@ class EnabledRateCache {
   void audit(const Configuration& config, AuditReport& report, bool repair);
 
   /// Test-only corruption hooks for the audit suite. The first adds
-  /// `delta` to one stored count; the second resyncs site s's plane bits
-  /// from `wrong` instead of the simulated configuration; the third flips
-  /// one enabledness bit. None touches the other structures.
+  /// `delta` to one stored count; the second flips one enabledness bit.
+  /// Neither touches the other structure.
   void corrupt_count_for_test(std::size_t slot, ChunkId c, ReactionIndex t,
                               std::int32_t delta) {
     slots_[slot].counts[static_cast<std::size_t>(c) * num_types_ + t] +=
         static_cast<std::uint32_t>(delta);
     slots_[slot].sampler_dirty = true;
-  }
-  void corrupt_plane_for_test(const Configuration& wrong, SiteIndex s) {
-    rechecker_.corrupt_plane_for_test(wrong, s);
   }
   void corrupt_enabled_for_test(SiteIndex s, ReactionIndex t) {
     enabled_.assign(s, t, !enabled_.test(s, t));

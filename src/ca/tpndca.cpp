@@ -10,11 +10,10 @@ namespace casurf {
 
 TPndcaSimulator::TPndcaSimulator(const ReactionModel& model, Configuration config,
                                  std::vector<TypeSubset> subsets, std::uint64_t seed,
-                                 std::uint32_t sweeps_per_step, ChunkWeighting weighting)
+                                 ChunkWeighting weighting)
     : PartitionedSimulator(model, std::move(config), seed, "tpndca",
                            weighting == ChunkWeighting::kRateWeighted),
-      subsets_(std::move(subsets)),
-      sweeps_per_step_(sweeps_per_step) {
+      subsets_(std::move(subsets)) {
   if (subsets_.empty()) {
     throw std::invalid_argument("TPNDCA: at least one type subset required");
   }
@@ -29,14 +28,12 @@ TPndcaSimulator::TPndcaSimulator(const ReactionModel& model, Configuration confi
     mean_chunks += static_cast<double>(sub.chunks.num_chunks());
     subset_cumulative_.push_back(acc);
   }
-  if (sweeps_per_step_ == 0) {
-    // Auto: average chunk count; makes E[executions of type i per step]
-    // equal to RSM's (k_i / K) * n_enabled(i) when subsets share a chunk
-    // count (they do for the canonical 2-subset / 2-chunk construction).
-    sweeps_per_step_ = static_cast<std::uint32_t>(
-        std::lround(mean_chunks / static_cast<double>(subsets_.size())));
-    if (sweeps_per_step_ == 0) sweeps_per_step_ = 1;
-  }
+  // The average chunk count makes E[executions of type i per step] equal
+  // to RSM's (k_i / K) * n_enabled(i) when subsets share a chunk count
+  // (they do for the canonical 2-subset / 2-chunk construction).
+  sweeps_per_step_ = static_cast<std::uint32_t>(
+      std::lround(mean_chunks / static_cast<double>(subsets_.size())));
+  if (sweeps_per_step_ == 0) sweeps_per_step_ = 1;
 }
 
 ChunkId TPndcaSimulator::select_chunk(std::size_t subset_index, ReactionIndex chosen) {

@@ -17,11 +17,11 @@ namespace casurf {
 /// relative to the five-chunk full partition, at the price of less work per
 /// sweep.
 ///
-/// Per step, `sweeps_per_step` inner sweeps run; each selects a subset T_j
+/// Per step, sweeps_per_step() inner sweeps run; each selects a subset T_j
 /// with probability K_Tj / K, a type within it with probability k_i / K_Tj,
 /// a chunk of the subset's partition, and executes the type at every
-/// enabled site of the chunk. The default sweeps count (the average chunk
-/// count over subsets) makes the expected number of executions per step
+/// enabled site of the chunk. The sweep count is the average chunk count
+/// over subsets, which makes the expected number of executions per step
 /// match RSM's MC step for every type.
 ///
 /// Chunk selection within a subset is uniform by default. With
@@ -35,7 +35,6 @@ class TPndcaSimulator final : public PartitionedSimulator {
  public:
   TPndcaSimulator(const ReactionModel& model, Configuration config,
                   std::vector<TypeSubset> subsets, std::uint64_t seed,
-                  std::uint32_t sweeps_per_step = 0 /* 0 = auto */,
                   ChunkWeighting weighting = ChunkWeighting::kStructural);
 
   void mc_step() override;
@@ -55,7 +54,7 @@ class TPndcaSimulator final : public PartitionedSimulator {
   // The base's cache, under kRateWeighted, has slot j == subset j's
   // sub-partition.
   std::vector<TypeSubset> subsets_;
-  std::uint32_t sweeps_per_step_;
+  std::uint32_t sweeps_per_step_ = 0;
   std::vector<double> subset_cumulative_;  // cumulative K_Tj
   std::vector<double> weight_scratch_;
   ChunkSampler sampler_scratch_;

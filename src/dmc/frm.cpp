@@ -9,14 +9,17 @@ namespace casurf {
 
 FrmSimulator::FrmSimulator(const ReactionModel& model, Configuration config,
                            std::uint64_t seed)
-    : Simulator(model, std::move(config)), rng_(seed), rechecker_(model, config_) {
+    : Simulator(model, std::move(config)),
+      rng_(seed),
+      rechecker_(model, config_.lattice()) {
   const std::size_t pairs = static_cast<std::size_t>(model.num_reactions()) * config_.size();
   generation_.assign(pairs, 0);
   enabled_flag_.assign(pairs, 0);
   // Type by type, each in raster order: the order of the time draws and
   // of the queue's pushes.
+  const SpeciesBitplanes planes(config_);
   for (ReactionIndex i = 0; i < model_.num_reactions(); ++i) {
-    rechecker_.probes().for_each_enabled(rechecker_.planes(), i,
+    rechecker_.probes().for_each_enabled(planes, i,
                                          [&](SiteIndex s) { sync_pair(i, s, true); });
   }
 }
@@ -145,7 +148,6 @@ void FrmSimulator::restore_state(StateReader& r) {
   Simulator::restore_state(r);
   r.expect_section("frm");
   rng_.restore(r);
-  rechecker_.rebuild(config_);
   const std::size_t pairs = generation_.size();
   generation_ = r.vec_u64<std::uint32_t>(pairs, "frm generations");
   const std::uint64_t nflags = r.u64();
@@ -193,11 +195,6 @@ void FrmSimulator::restore_state(StateReader& r) {
 
 void FrmSimulator::audit_derived_state(AuditReport& report, bool repair) {
   Simulator::audit_derived_state(report, repair);
-  if (!rechecker_.planes().matches(config_)) {
-    report.issues.push_back(
-        {"frm-queue", "species bitplanes disagree with the configuration"});
-    if (repair) rechecker_.rebuild(config_);
-  }
   bool any = false;
 
   // Flags vs recomputed enabledness, and the flag-count invariant.

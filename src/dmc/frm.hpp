@@ -59,18 +59,14 @@ class FrmSimulator final : public Simulator {
   void restore_state(StateReader& r) override;
 
   /// Recomputes per-pair enabledness and the queue's live-event cover from
-  /// the configuration, and checks the rechecker's species bitplanes;
-  /// repair resynchronizes flags and redraws tentative times for every
-  /// enabled pair, and rebuilds the planes.
+  /// the configuration; repair resynchronizes flags and redraws tentative
+  /// times for every enabled pair. Flags and queue are the only derived
+  /// state: rechecks read the configuration.
   void audit_derived_state(AuditReport& report, bool repair) override;
 
-  /// Test-only corruption hooks for the audit suite: the first flips the
-  /// enabled flag of one (type, site) pair without touching the queue; the
-  /// second resyncs site s's plane bits from `wrong`.
+  /// Test-only corruption hook for the audit suite: flips the enabled flag
+  /// of one (type, site) pair without touching the queue.
   void corrupt_pair_for_test(ReactionIndex rt, SiteIndex s);
-  void corrupt_plane_for_test(const Configuration& wrong, SiteIndex s) {
-    rechecker_.corrupt_plane_for_test(wrong, s);
-  }
 
  private:
   [[nodiscard]] std::size_t pair_index(ReactionIndex rt, SiteIndex s) const {

@@ -7,7 +7,9 @@ namespace casurf {
 
 VssmSimulator::VssmSimulator(const ReactionModel& model, Configuration config,
                              std::uint64_t seed)
-    : Simulator(model, std::move(config)), rng_(seed), rechecker_(model, config_) {
+    : Simulator(model, std::move(config)),
+      rng_(seed),
+      rechecker_(model, config_.lattice()) {
   enabled_.reserve(model.num_reactions());
   for (std::size_t i = 0; i < model.num_reactions(); ++i) {
     enabled_.emplace_back(config_.size());
@@ -17,8 +19,9 @@ VssmSimulator::VssmSimulator(const ReactionModel& model, Configuration config,
 
 void VssmSimulator::rebuild_enabled() {
   // Each type's set in raster order, the layout the checkpoints carry.
+  const SpeciesBitplanes planes(config_);
   for (ReactionIndex i = 0; i < model_.num_reactions(); ++i) {
-    rechecker_.probes().for_each_enabled(rechecker_.planes(), i,
+    rechecker_.probes().for_each_enabled(planes, i,
                                          [&](SiteIndex s) { enabled_[i].insert(s); });
   }
 }
@@ -112,7 +115,6 @@ void VssmSimulator::restore_state(StateReader& r) {
   Simulator::restore_state(r);
   r.expect_section("vssm");
   rng_.restore(r);
-  rechecker_.rebuild(config_);
   for (ReactionIndex i = 0; i < model_.num_reactions(); ++i) {
     const auto items = r.vec_u64<SiteIndex>(SIZE_MAX, "enabled set");
     enabled_[i].clear();
@@ -138,11 +140,6 @@ void VssmSimulator::restore_state(StateReader& r) {
 
 void VssmSimulator::audit_derived_state(AuditReport& report, bool repair) {
   Simulator::audit_derived_state(report, repair);
-  if (!rechecker_.planes().matches(config_)) {
-    report.issues.push_back(
-        {"vssm-enabled", "species bitplanes disagree with the configuration"});
-    if (repair) rechecker_.rebuild(config_);
-  }
   bool any = false;
   for (ReactionIndex i = 0; i < model_.num_reactions() && report.issues.size() < 64; ++i) {
     const ReactionType& rt = model_.reaction(i);

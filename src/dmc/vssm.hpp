@@ -63,18 +63,15 @@ class VssmSimulator final : public Simulator {
   void restore_state(StateReader& r) override;
 
   /// Recomputes the enabled sets from the configuration and compares
-  /// membership, and checks the rechecker's species bitplanes; repair
-  /// rebuilds what disagrees (the sets in raster order — consistent, though
-  /// not the historical order a never-corrupted run would carry).
+  /// membership; repair rebuilds every set (in raster order — consistent,
+  /// though not the historical order a never-corrupted run would carry).
+  /// The sets are the only derived state: rechecks read the configuration.
   void audit_derived_state(AuditReport& report, bool repair) override;
 
   /// Test-only mutable access for injecting cache corruption in the audit
   /// suite. Never used by the library itself.
   [[nodiscard]] EnabledSet& mutable_enabled_for_test(ReactionIndex i) {
     return enabled_[i];
-  }
-  void corrupt_plane_for_test(const Configuration& wrong, SiteIndex s) {
-    rechecker_.corrupt_plane_for_test(wrong, s);
   }
 
  private:

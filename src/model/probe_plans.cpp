@@ -117,9 +117,8 @@ void ProbePlans::row_enabled(const SpeciesBitplanes& planes, ReactionIndex t,
   }
 }
 
-Rechecker::Rechecker(const ReactionModel& model, const Configuration& config)
-    : planes_(config),
-      probes_(model, config.lattice().width(), config.lattice().height()) {}
+Rechecker::Rechecker(const ReactionModel& model, const Lattice& lattice)
+    : probes_(model, lattice.width(), lattice.height()) {}
 
 const Species* Rechecker::execute(Configuration& config, const ReactionType& rt,
                                   SiteIndex s) {

@@ -18,14 +18,17 @@ namespace casurf {
 /// wraps both axes of every offset. A ProbePlans is the same predicate as a
 /// flat list of probes per type, whose offsets are pre-wrapped into
 /// [0, width) x [0, height) at build time, so evaluating one costs an add
-/// and one conditional subtract per axis, and one load: a bitplane word per
-/// species of the probe's mask, or the site's byte of the configuration.
-/// The span kernel of the PNDCA sweep (ca/fastpath.hpp) reads the same
-/// table lane-wise. Transforms whose mask covers the whole species domain
-/// are dropped at build (every site holds exactly one species). A type
-/// with an empty source mask is never enabled: it keeps one probe whose
-/// mask matches no species, so every evaluator reports it disabled without
-/// a special case, while a type left with no probes is enabled everywhere.
+/// and one conditional subtract per axis, and one load of the site's byte
+/// of the configuration. The rechecks and the scalar lanes of the span
+/// kernel (ca/fastpath.hpp) evaluate it per site, the span kernel's 8
+/// lanes read the same table lane-wise, and the initial builds of the
+/// incremental stores evaluate it a row at a time against species
+/// bitplanes built for the purpose (row_enabled). Transforms whose mask
+/// covers the whole species domain are dropped at build (every site holds
+/// exactly one species). A type with an empty source mask is never
+/// enabled: it keeps one probe whose mask matches no species, so every
+/// evaluator reports it disabled without a special case, while a type left
+/// with no probes is enabled everywhere.
 class ProbePlans {
  public:
   /// The site at anchor + (dx, dy) must hold a species in `mask`.
@@ -41,35 +44,34 @@ class ProbePlans {
 
   ProbePlans(const ReactionModel& model, std::int32_t width, std::int32_t height);
 
-  /// Exactly model.reaction(t).enabled(cfg, site at (x, y)), evaluated
-  /// against the planes. Requires x in [0, width), y in [0, height).
-  [[nodiscard]] bool enabled(const SpeciesBitplanes& planes, ReactionIndex t,
-                             std::int32_t x, std::int32_t y) const {
-    return matches(t, x, y, [&](std::int32_t px, std::int32_t py, SpeciesMask m) {
-      bool hit = false;
-      for (; m != 0; m &= m - 1) {
-        hit |= planes.bit(static_cast<Species>(std::countr_zero(m)), px, py);
-      }
-      return hit;
-    });
-  }
-
-  /// The same predicate on the configuration's bytes, which must lie on a
-  /// width x height lattice. The scalar lanes of the span kernel.
+  /// Exactly model.reaction(t).enabled(config, site at (x, y)), evaluated
+  /// on the configuration's bytes, which must lie on a width x height
+  /// lattice. Requires x in [0, width), y in [0, height).
   [[nodiscard]] bool enabled(const Configuration& config, ReactionIndex t,
                              std::int32_t x, std::int32_t y) const {
-    return matches(t, x, y, [&](std::int32_t px, std::int32_t py, SpeciesMask m) {
-      return mask_contains(m, config.get(static_cast<SiteIndex>(py) *
-                                             static_cast<SiteIndex>(width_) +
-                                         static_cast<SiteIndex>(px)));
-    });
+    const TypeSpan& ts = types_[t];
+    const Probe* p = probes_.data() + ts.first;
+    for (std::uint32_t n = ts.count; n != 0; --n, ++p) {
+      // Unsigned: x + dx stays below 2 * width, which may exceed INT32_MAX.
+      std::uint32_t px = static_cast<std::uint32_t>(x) + static_cast<std::uint32_t>(p->dx);
+      if (px >= static_cast<std::uint32_t>(width_)) px -= static_cast<std::uint32_t>(width_);
+      std::uint32_t py = static_cast<std::uint32_t>(y) + static_cast<std::uint32_t>(p->dy);
+      if (py >= static_cast<std::uint32_t>(height_)) py -= static_cast<std::uint32_t>(height_);
+      if (!mask_contains(p->mask, config.get(static_cast<SiteIndex>(py) *
+                                                 static_cast<SiteIndex>(width_) +
+                                             static_cast<SiteIndex>(px)))) {
+        return false;
+      }
+    }
+    return true;
   }
 
   /// Type t's enabledness along the whole row y, 64 anchors per word: bit
-  /// x & 63 of out[x >> 6] is enabled(planes, t, x, y) for x < width, and
-  /// the bits past the width are zero. `out` holds planes.words_per_row()
-  /// words. Each probe is the OR of its mask's plane rows rotated by the
-  /// probe's wrapped dx, and the type is the AND of its probes.
+  /// x & 63 of out[x >> 6] is enabled(config, t, x, y) for the configuration
+  /// `planes` were built from, for x < width, and the bits past the width
+  /// are zero. `out` holds planes.words_per_row() words. Each probe is the
+  /// OR of its mask's plane rows rotated by the probe's wrapped dx, and the
+  /// type is the AND of its probes.
   void row_enabled(const SpeciesBitplanes& planes, ReactionIndex t, std::int32_t y,
                    std::uint64_t* out) const;
 
@@ -100,12 +102,11 @@ class ProbePlans {
   /// Visit every (type, anchor) pair whose enabledness may have changed
   /// after a write at (wx, wy): a write at z can flip type t only at the
   /// anchors z - o, for the offsets o of t's transforms. The visitor
-  /// receives (type, anchor index, enabledness against the planes), so the
-  /// planes must already be synced with the configuration (resync the
-  /// written sites first). Offsets whose source mask covers the whole
-  /// domain never flip a result and are pruned from the table at build, as
-  /// are never-enabled types: the pruned visits were no-ops, so the visited
-  /// state converges identically.
+  /// receives (type, anchor index, enabledness in `config`), so every site
+  /// the execution wrote must already hold its new species. Offsets whose
+  /// source mask covers the whole domain never flip a result and are
+  /// pruned from the table at build, as are never-enabled types: the
+  /// pruned visits were no-ops, so the visited state converges identically.
   ///
   /// Visit order is part of the contract: by type index, then by each
   /// type's offsets in transform order. Stores whose layout depends on the
@@ -128,7 +129,7 @@ class ProbePlans {
   ///    probe conjunction fails outright — report disabled without walking
   ///    the remaining probes.
   template <class Visitor>
-  void visit_rechecks(const SpeciesBitplanes& planes, std::int32_t wx,
+  void visit_rechecks(const Configuration& config, std::int32_t wx,
                       std::int32_t wy, SpeciesMask old_mask,
                       SpeciesMask new_mask, Visitor&& visit) const {
     const SpeciesMask changed = old_mask | new_mask;
@@ -148,30 +149,11 @@ class ProbePlans {
                                    static_cast<SiteIndex>(width_) +
                                static_cast<SiteIndex>(ax);
       visit(r.type, anchor,
-            !known_false && enabled(planes, r.type, ax, ay));
+            !known_false && enabled(config, r.type, ax, ay));
     }
   }
 
  private:
-  /// The conjunction over type t's probes; hit(px, py, mask) tests one.
-  template <class Hit>
-  [[nodiscard]] bool matches(ReactionIndex t, std::int32_t x, std::int32_t y,
-                             Hit&& hit) const {
-    const TypeSpan& ts = types_[t];
-    const Probe* p = probes_.data() + ts.first;
-    for (std::uint32_t n = ts.count; n != 0; --n, ++p) {
-      // Unsigned: x + dx stays below 2 * width, which may exceed INT32_MAX.
-      std::uint32_t px = static_cast<std::uint32_t>(x) + static_cast<std::uint32_t>(p->dx);
-      if (px >= static_cast<std::uint32_t>(width_)) px -= static_cast<std::uint32_t>(width_);
-      std::uint32_t py = static_cast<std::uint32_t>(y) + static_cast<std::uint32_t>(p->dy);
-      if (py >= static_cast<std::uint32_t>(height_)) py -= static_cast<std::uint32_t>(height_);
-      if (!hit(static_cast<std::int32_t>(px), static_cast<std::int32_t>(py), p->mask)) {
-        return false;
-      }
-    }
-    return true;
-  }
-
   struct Recheck {
     std::int32_t dx, dy;  // anchor = written + (dx, dy), wrapped as above
     ReactionIndex type;
@@ -188,29 +170,22 @@ class ProbePlans {
 /// The library's one recheck routine, shared by every store of incremental
 /// enabledness: VSSM's per-type enabled sets, FRM's pair flags and event
 /// queue, and the enabled-rate cache of the rate-weighted PNDCA policies.
-/// It owns the species-bitplane mirror of the configuration, the probe
-/// plans compiled against it, and the old-species scratch of the last
-/// execution; each owner applies the visits to its own store.
+/// It owns the probe plans and the old-species scratch of the last
+/// execution, and tests every recheck against the configuration's bytes,
+/// so it holds no copy of the lattice state that could fall behind it;
+/// each owner applies the visits to its own store.
 ///
 /// A commit is two calls: execute() records the old species of the
-/// written sites and executes, then after_fire() resyncs the planes and
-/// visits every (type, anchor) the writes can have flipped, by written
-/// site in transform order, then in ProbePlans::visit_rechecks order.
-/// Every member of the partitioned CA family, threaded PNDCA included,
-/// commits on one thread, so the two calls always run back to back.
-///
-/// The planes are derived state: rebuilt on construction, on checkpoint
-/// restore and on audit repair (rebuild()); SpeciesBitplanes::matches is
-/// their audit ground truth.
+/// written sites and executes, then after_fire() visits every
+/// (type, anchor) the writes can have flipped, by written site in
+/// transform order, then in ProbePlans::visit_rechecks order. Every member
+/// of the partitioned CA family, threaded PNDCA included, commits on one
+/// thread, so the two calls always run back to back.
 class Rechecker {
  public:
-  Rechecker(const ReactionModel& model, const Configuration& config);
+  Rechecker(const ReactionModel& model, const Lattice& lattice);
 
-  [[nodiscard]] const SpeciesBitplanes& planes() const { return planes_; }
   [[nodiscard]] const ProbePlans& probes() const { return probes_; }
-
-  /// Re-derive the planes from `config`.
-  void rebuild(const Configuration& config) { planes_.rebuild(config); }
 
   /// Execute `rt` at `s` on `config` and return the species it overwrote,
   /// indexed like rt.transforms() (entries of kKeep transforms are 0 and
@@ -219,38 +194,26 @@ class Rechecker {
                                        SiteIndex s);
 
   /// After an execution of `rt` anchored at `s` has been written to
-  /// `config`: resync the planes of the written sites, then call
-  /// visit(type, anchor, enabled) for every recheck the writes call for.
+  /// `config`: call visit(type, anchor, enabled) for every recheck the
+  /// writes call for, with `enabled` read from `config` as it stands.
   /// `old_species` (as returned by execute()) holds each written site's
   /// species before the execution; it prunes the rechecks that depend on
   /// neither the old nor the new species of a written site.
   template <class Visitor>
   void after_fire(const Configuration& config, const ReactionType& rt, SiteIndex s,
-                  const Species* old_species, Visitor&& visit) {
+                  const Species* old_species, Visitor&& visit) const {
     const Lattice& lat = config.lattice();
     const std::vector<Transform>& trs = rt.transforms();
-    // Every written site first, so each probe reads planes that mirror the
-    // post-fire configuration.
-    for (const Transform& t : trs) {
-      if (t.tg != kKeep) planes_.resync_site(config, lat.neighbor(s, t.offset));
-    }
     const Vec2 anchor = lat.coord(s);
     for (std::size_t ti = 0; ti < trs.size(); ++ti) {
       if (trs[ti].tg == kKeep) continue;
       const Vec2 w = lat.wrap(anchor + trs[ti].offset);
-      probes_.visit_rechecks(planes_, w.x, w.y, SpeciesMask{1} << old_species[ti],
+      probes_.visit_rechecks(config, w.x, w.y, SpeciesMask{1} << old_species[ti],
                              SpeciesMask{1} << config.get(lat.index(w)), visit);
     }
   }
 
-  /// Test-only corruption hook for the audit suites: resyncs site s's
-  /// plane bits from `wrong` instead of the simulated configuration.
-  void corrupt_plane_for_test(const Configuration& wrong, SiteIndex s) {
-    planes_.resync_site(wrong, s);
-  }
-
  private:
-  SpeciesBitplanes planes_;
   ProbePlans probes_;
   std::vector<Species> old_species_;
 };

@@ -21,8 +21,8 @@
 namespace casurf {
 
 /// Steps `sim` `events` times. After every event the simulator's own audit
-/// — its enabled sets or pair flags, and its rechecker's species bitplanes
-/// — must report nothing.
+/// — its enabled sets, or its pair flags and queue, against the
+/// configuration — must report nothing.
 inline void expect_audit_clean_after_every_event(Simulator& sim, int events) {
   for (int i = 0; i < events; ++i) {
     sim.mc_step();

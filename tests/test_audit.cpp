@@ -106,41 +106,6 @@ TEST_F(AuditTest, DetectsAndRepairsFrmBookkeepingDrift) {
   sim.advance_to(2.0);
 }
 
-// One plane bit of the shared recheck routine's bitplanes disagrees with the
-// lattice: the next rechecks around that site would read the wrong species.
-template <class Sim>
-void expect_plane_corruption_detected_and_repaired(Sim& sim, const char* component,
-                                                   Species a, Species b) {
-  sim.advance_to(1.0);
-  Configuration wrong = sim.configuration();
-  wrong.set(SiteIndex{0}, wrong.get(0) == a ? b : a);
-  sim.corrupt_plane_for_test(wrong, 0);
-
-  try {
-    StateAuditor(AuditPolicy::kAbort).run(sim);
-    FAIL() << "corrupted bitplanes passed the audit";
-  } catch (const AuditError& e) {
-    EXPECT_EQ(e.report().issues.front().component, component);
-    EXPECT_NE(e.report().to_string().find("bitplanes"), std::string::npos)
-        << e.report().to_string();
-  }
-
-  EXPECT_TRUE(StateAuditor(AuditPolicy::kRepair).run(sim).repaired);
-  EXPECT_TRUE(StateAuditor(AuditPolicy::kAbort).run(sim).clean());
-  sim.advance_to(2.0);
-  EXPECT_TRUE(StateAuditor(AuditPolicy::kAbort).run(sim).clean());
-}
-
-TEST_F(AuditTest, DetectsAndRepairsVssmPlaneCorruption) {
-  VssmSimulator sim(zgb_.model, config(), 3);
-  expect_plane_corruption_detected_and_repaired(sim, "vssm-enabled", zgb_.co, zgb_.o);
-}
-
-TEST_F(AuditTest, DetectsAndRepairsFrmPlaneCorruption) {
-  FrmSimulator sim(zgb_.model, config(), 3);
-  expect_plane_corruption_detected_and_repaired(sim, "frm-queue", zgb_.co, zgb_.o);
-}
-
 TEST_F(AuditTest, DetectsAndRepairsRateCacheCorruption) {
   const Configuration cfg = config();
   PndcaSimulator sim(zgb_.model, config(),

@@ -20,16 +20,27 @@ Configuration random_config(std::int32_t w, std::int32_t h, std::size_t species,
   return cfg;
 }
 
+bool bit(const SpeciesBitplanes& planes, Species sp, std::int32_t x, std::int32_t y) {
+  return (planes.plane_row(sp, y)[static_cast<std::size_t>(x) >> 6] >>
+          (static_cast<std::uint32_t>(x) & 63u)) & 1u;
+}
+
 TEST(Bitplanes, RebuildMatchesConfiguration) {
-  for (const auto& [w, h] : {std::pair{10, 7}, {64, 3}, {70, 5}, {128, 4}}) {
+  // Widths off the word grid, width 1 and a whole word included: every
+  // site lands on its own bit of its species' plane, and the padding past
+  // the width stays zero.
+  for (const auto& [w, h] : {std::pair{1, 9}, {3, 7}, {10, 7}, {37, 4}, {64, 3}, {70, 5},
+                              {128, 4}, {129, 2}}) {
     const Configuration cfg = random_config(w, h, 3, 11);
     const SpeciesBitplanes planes(cfg);
-    EXPECT_TRUE(planes.matches(cfg)) << w << "x" << h;
+    ASSERT_EQ(planes.words_per_row(), static_cast<std::size_t>((w + 63) / 64));
     for (std::int32_t y = 0; y < h; ++y) {
-      for (std::int32_t x = 0; x < w; ++x) {
-        const Species truth = cfg.get(cfg.lattice().index({x, y}));
+      for (std::int32_t x = 0; x < 64 * static_cast<std::int32_t>(planes.words_per_row());
+           ++x) {
+        const bool inside = x < w;
+        const Species truth = inside ? cfg.get(cfg.lattice().index({x, y})) : 0;
         for (Species sp = 0; sp < 3; ++sp) {
-          ASSERT_EQ(planes.bit(sp, x, y), sp == truth)
+          ASSERT_EQ(bit(planes, sp, x, y), inside && sp == truth)
               << w << "x" << h << " (" << x << "," << y << ") sp " << int(sp);
         }
       }
@@ -37,55 +48,14 @@ TEST(Bitplanes, RebuildMatchesConfiguration) {
   }
 }
 
-TEST(Bitplanes, ResyncSiteTracksWritesAndIsIdempotent) {
-  Configuration cfg = random_config(70, 5, 4, 23);
-  SpeciesBitplanes planes(cfg);
-  Xoshiro256 rng(29);
-  for (int i = 0; i < 200; ++i) {
-    const SiteIndex s = static_cast<SiteIndex>(uniform_below(rng, cfg.size()));
-    cfg.set(s, static_cast<Species>(uniform_below(rng, 4)));
-    planes.resync_site(cfg, s);
-    planes.resync_site(cfg, s);  // replaying must be harmless
-    ASSERT_TRUE(planes.matches(cfg)) << "after resync " << i;
-  }
-}
-
-TEST(Bitplanes, ResyncSiteAddressesEverySiteOnAnyWidth) {
-  // resync_site takes (x, y) from Lattice::coord's reciprocal: every site of
-  // widths that are not powers of two, width 1 (its own branch) included,
-  // must land on its own bit.
-  for (const auto& [w, h] : {std::pair{1, 9}, {3, 7}, {37, 4}, {100, 3}, {129, 2}}) {
-    Configuration cfg = random_config(w, h, 3, 43);
-    SpeciesBitplanes planes(cfg);
-    for (SiteIndex s = 0; s < cfg.size(); ++s) {
-      cfg.set(s, static_cast<Species>((cfg.get(s) + 1) % 3));
-      planes.resync_site(cfg, s);
-    }
-    EXPECT_TRUE(planes.matches(cfg)) << w << "x" << h;
-  }
-}
-
-TEST(Bitplanes, MatchesDetectsStaleBit) {
-  Configuration cfg = random_config(12, 12, 3, 31);
-  SpeciesBitplanes planes(cfg);
-  ASSERT_TRUE(planes.matches(cfg));
-  const SiteIndex s = 77;
-  const Species old = cfg.get(s);
-  cfg.set(s, static_cast<Species>((old + 1) % 3));
-  EXPECT_FALSE(planes.matches(cfg));
-  planes.rebuild(cfg);
-  EXPECT_TRUE(planes.matches(cfg));
-}
-
 TEST(Bitplanes, ManySpeciesPlanes) {
   // More species than the old 8-color assumptions elsewhere: 12 planes,
   // each site in exactly one.
   const Configuration cfg = random_config(33, 5, 12, 41);
   const SpeciesBitplanes planes(cfg);
-  EXPECT_TRUE(planes.matches(cfg));
   for (std::int32_t x = 0; x < 33; ++x) {
     int set = 0;
-    for (Species sp = 0; sp < 12; ++sp) set += planes.bit(sp, x, 2) ? 1 : 0;
+    for (Species sp = 0; sp < 12; ++sp) set += bit(planes, sp, x, 2) ? 1 : 0;
     ASSERT_EQ(set, 1) << x;
   }
 }

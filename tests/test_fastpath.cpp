@@ -433,7 +433,7 @@ TEST(FastPath, TPndcaRateWeightedLockstep) {
   for (const ChunkWeighting weighting :
        {ChunkWeighting::kRateWeighted, ChunkWeighting::kStructural}) {
     SCOPED_TRACE(static_cast<int>(weighting));
-    TPndcaSimulator sim(w.model, w.init, subsets, 19, 0, weighting);
+    TPndcaSimulator sim(w.model, w.init, subsets, 19, weighting);
     Reference ref{w.init, Xoshiro256(19)};
     for (int step = 0; step < 30; ++step) {
       reference_tpndca_step(ref, w.model, subsets, sim.sweeps_per_step(), weighting);
@@ -467,7 +467,7 @@ TEST(FastPath, CheckpointRoundTripStaysInLockstep) {
 }
 
 TEST(FastPath, AuditIsCleanWhileActive) {
-  // Rate-weighted PNDCA keeps planes, bitset and counts incrementally; a
+  // Rate-weighted PNDCA keeps its bitset and counts incrementally; a
   // brute-force audit mid-run must find nothing to repair.
   const Workload w = workload(Surface::kPt100, 24);
   PndcaSimulator sim(w.model, w.init, {make_partition(w.init.lattice(), w.model)}, 2,

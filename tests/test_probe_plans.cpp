@@ -37,7 +37,7 @@ TEST(Rechecker, VisitsByWrittenSiteThenTypeThenTransformOrder) {
   const ReactionType& move = model.reaction(0);
   ASSERT_TRUE(move.enabled(cfg, s));
 
-  Rechecker rechecker(model, cfg);
+  Rechecker rechecker(model, lat);
   const Species* old_species = rechecker.execute(cfg, move, s);
   EXPECT_EQ(old_species[0], 1);
   EXPECT_EQ(old_species[1], 0);
@@ -68,6 +68,34 @@ TEST(Rechecker, VisitsByWrittenSiteThenTypeThenTransformOrder) {
   }
   ASSERT_EQ(want.size(), 6u);
   EXPECT_EQ(visits, want);
+}
+
+// The rechecks hold no copy of the lattice: a write that bypasses the
+// Rechecker is seen by the next fire's visits. Here "move" at (3, 2) needs
+// (4, 2) vacant, which the outside write has just filled.
+TEST(Rechecker, VisitsReadTheConfigurationAsItStands) {
+  const ReactionModel model = order_model();
+  const Lattice lat(5, 5);
+  Configuration cfg(lat, 3, 0);
+  const SiteIndex s = lat.index({2, 2});
+  cfg.set(s, 1);
+  Rechecker rechecker(model, lat);
+  cfg.set(lat.index({4, 2}), 2);  // the outside write
+  const ReactionType& move = model.reaction(0);
+  ASSERT_TRUE(move.enabled(cfg, s));
+
+  const Species* old_species = rechecker.execute(cfg, move, s);
+  bool saw_the_write = false;
+  rechecker.after_fire(cfg, move, s, old_species,
+                       [&](ReactionIndex t, SiteIndex anchor, bool now) {
+                         EXPECT_EQ(now, model.reaction(t).enabled(cfg, anchor))
+                             << "type " << t << " at site " << anchor;
+                         if (t == 0 && anchor == lat.index({3, 2})) {
+                           saw_the_write = true;
+                           EXPECT_FALSE(now);
+                         }
+                       });
+  EXPECT_TRUE(saw_the_write);
 }
 
 // Species *, A, B: a type whose one transform matches every species, so
@@ -102,9 +130,9 @@ Configuration random_config(const ReactionModel& model, std::int32_t w, std::int
 
 // The row evaluator behind the initial builds of VSSM's sets, FRM's queue
 // and the rate cache's bitset: every bit must be the per-site answer of
-// both ProbePlans::enabled and ReactionType::enabled, the bits past the
-// width must be zero, and for_each_enabled must visit the enabled sites in
-// raster order.
+// both the byte evaluator ProbePlans::enabled, which the rechecks use, and
+// ReactionType::enabled, the bits past the width must be zero, and
+// for_each_enabled must visit the enabled sites in raster order.
 TEST(ProbePlans, RowEvaluatorMatchesPerSiteEnabledness) {
   const std::vector<std::pair<const char*, ReactionModel>> cases = {
       {"zgb", models::make_zgb().model},
@@ -137,7 +165,7 @@ TEST(ProbePlans, RowEvaluatorMatchesPerSiteEnabledness) {
                      std::to_string(h) + " type " + std::to_string(t) + " at (" +
                      std::to_string(x) + ", " + std::to_string(y) + ")";
             };
-            ASSERT_EQ(bit, probes.enabled(planes, t, xi, y)) << where();
+            ASSERT_EQ(bit, probes.enabled(cfg, t, xi, y)) << where();
             ASSERT_EQ(bit, model.reaction(t).enabled(cfg, s)) << where();
             if (bit) raster.push_back(s);
           }

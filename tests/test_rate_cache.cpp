@@ -245,7 +245,7 @@ TEST(RateCache, PrunedRefreshMatchesAFreshBuild) {
   }
 }
 
-TEST(RateCache, AuditDetectsAndRepairsCorruptPlanesAndBitset) {
+TEST(RateCache, AuditDetectsAndRepairsCorruptBitset) {
   auto zgb = models::make_zgb();
   const Lattice lat(20, 20);
   PndcaSimulator sim(zgb.model, Configuration(lat, 3, zgb.vacant),
@@ -258,15 +258,6 @@ TEST(RateCache, AuditDetectsAndRepairsCorruptPlanesAndBitset) {
     sim.audit_derived_state(report, repair);
     return report;
   };
-
-  // One plane bit: site 0 resynced from a configuration that disagrees.
-  Configuration wrong = sim.configuration();
-  wrong.set(0, static_cast<Species>((wrong.get(0) + 1) % 3));
-  cache.corrupt_plane_for_test(wrong, 0);
-  const AuditReport planes = audit(/*repair=*/true);
-  ASSERT_EQ(planes.issues.size(), 1u) << planes.to_string();
-  EXPECT_NE(planes.issues[0].detail.find("bitplanes"), std::string::npos);
-  EXPECT_TRUE(audit(false).issues.empty()) << "repair left the planes stale";
 
   // One enabled-type bit, counts left alone.
   cache.corrupt_enabled_for_test(7, 2);
@@ -316,7 +307,7 @@ TEST(RateCache, InvariantHoldsAcrossCyclingPartitions) {
 
 TEST(RateCache, InvariantHoldsUnderThreadedEngine) {
   // The caller's commits refresh the cache after the workers' test phase;
-  // verify() checks the planes, the bitset and the counts against a fresh
+  // verify() checks the bitset and the counts against a fresh
   // recount after every step. Pt(100)'s multi-species masks are where the
   // single-probe visit shortcuts fire; diffusion writes two sites per hop.
   auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
@@ -393,7 +384,7 @@ TEST(TPndcaRateWeighted, InvariantAcrossSubsetSlots) {
   auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
   const Lattice lat(12, 12);
   const std::vector<TypeSubset> subsets = make_type_partition(lat, zgb.model);
-  TPndcaSimulator sim(zgb.model, Configuration(lat, 3, zgb.vacant), subsets, 43, 0,
+  TPndcaSimulator sim(zgb.model, Configuration(lat, 3, zgb.vacant), subsets, 43,
                       ChunkWeighting::kRateWeighted);
   ASSERT_NE(sim.rate_cache(), nullptr);
   ASSERT_EQ(sim.rate_cache()->num_slots(), subsets.size());

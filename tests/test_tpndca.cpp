@@ -15,7 +15,7 @@ TEST(TPndca, BuildsFromZgbTypePartition) {
   TPndcaSimulator sim(zgb.model, Configuration(lat, 3, zgb.vacant),
                       std::move(subsets), 1);
   EXPECT_EQ(sim.subsets().size(), 2u);
-  EXPECT_EQ(sim.sweeps_per_step(), 2u);  // auto: both subsets have 2 chunks
+  EXPECT_EQ(sim.sweeps_per_step(), 2u);  // both subsets have 2 chunks
   EXPECT_EQ(sim.name(), "TPNDCA");
 }
 
@@ -92,17 +92,6 @@ TEST(TPndca, ExecutionCountsRoughlyMatchChannelRates) {
   // CO on surface = adsorbed - reacted.
   EXPECT_EQ(sim.configuration().count(zgb.co),
             co_ads - co2);
-}
-
-TEST(TPndca, ExplicitSweepCountHonored) {
-  auto zgb = models::make_zgb();
-  const Lattice lat(10, 10);
-  TPndcaSimulator sim(zgb.model, Configuration(lat, 3, zgb.vacant),
-                      make_type_partition(lat, zgb.model), 6, 7);
-  EXPECT_EQ(sim.sweeps_per_step(), 7u);
-  sim.mc_step();
-  // 7 sweeps of one 50-site chunk each.
-  EXPECT_EQ(sim.counters().trials, 350u);
 }
 
 }  // namespace
