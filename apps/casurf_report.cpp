@@ -63,6 +63,7 @@ struct Report {
   std::map<std::string, TimerRow> timers;
   std::map<std::string, double> counters;
   double wall_seconds = 0;
+  double peak_rss_mb = 0;  // 0 = not reported
   double trials = 0;
   bool has_spatial = false;
   double spatial_imbalance = 0;
@@ -107,6 +108,7 @@ Report load_report(const std::string& path) {
     }
     if (const Value* run = r.doc.find("run")) {
       r.wall_seconds = run->number_or("wall_seconds", 0);
+      r.peak_rss_mb = run->number_or("peak_rss_bytes", 0) / (1024.0 * 1024.0);
     }
     if (const Value* c = r.doc.find("counters")) {
       r.trials = c->number_or("trials", 0);
@@ -149,6 +151,10 @@ void print_single(const Report& r) {
     if (r.wall_seconds > 0 && r.trials > 0) {
       std::printf("  throughput: %.3g trials/s\n", r.trials / r.wall_seconds);
     }
+  }
+  if (r.peak_rss_mb > 0) {
+    std::printf("  peak RSS: %.2f MB (whole process, when the report was written)\n",
+                r.peak_rss_mb);
   }
 
   if (!r.timers.empty()) {
@@ -275,6 +281,8 @@ void print_delta(const Report& a, const Report& b) {
   std::printf("  %-28s %14s %14s %9s\n", "", "A", "B", "delta");
   std::printf("  %-28s %14.3f %14.3f %9s\n", "wall_seconds", a.wall_seconds,
               b.wall_seconds, pct(a.wall_seconds, b.wall_seconds).c_str());
+  std::printf("  %-28s %14.2f %14.2f %9s\n", "peak_rss_mb", a.peak_rss_mb,
+              b.peak_rss_mb, pct(a.peak_rss_mb, b.peak_rss_mb).c_str());
   const double ta = a.wall_seconds > 0 ? a.trials / a.wall_seconds : 0;
   const double tb = b.wall_seconds > 0 ? b.trials / b.wall_seconds : 0;
   std::printf("  %-28s %14.3g %14.3g %9s\n", "trials_per_second", ta, tb,

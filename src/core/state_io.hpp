@@ -2,10 +2,12 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace casurf {
@@ -56,10 +58,12 @@ class StateWriter {
     str(name);
   }
 
-  template <class T>
-  void vec_u64(const std::vector<T>& v) {
+  /// Length, then every element widened to u64; any sized range of
+  /// unsigned integers (a std::vector, FRM's demand-zero tables).
+  template <class Range>
+  void vec_u64(const Range& v) {
     u64(v.size());
-    for (const T& x : v) u64(static_cast<std::uint64_t>(x));
+    for (const auto x : v) u64(static_cast<std::uint64_t>(x));
   }
 
   void vec_f64(const std::vector<double>& v) {
@@ -130,17 +134,39 @@ class StateReader {
     }
   }
 
-  /// Length-checked vector read: `expected` of SIZE_MAX means any length.
+  /// A u64 field narrowed to the unsigned type T it is kept in. Throws
+  /// StateFormatError, naming the field and the value, unless the value
+  /// fits: a stored site 2^32 + 5 is rejected, never read as site 5.
   template <class T>
-  std::vector<T> vec_u64(std::size_t expected = SIZE_MAX, const char* what = "vector") {
+  T u64_as(const char* what) {
+    static_assert(std::is_unsigned_v<T>, "u64_as narrows to unsigned types");
+    const std::uint64_t v = u64();
+    if (v > std::numeric_limits<T>::max()) {
+      throw StateFormatError(std::string(what) + ": value " + std::to_string(v) +
+                             " does not fit in " +
+                             std::to_string(std::numeric_limits<T>::digits) + " bits");
+    }
+    return static_cast<T>(v);
+  }
+
+  /// The element count that heads a vec_u64 field, checked against `expected`
+  /// (SIZE_MAX means any) and against what the stream can still hold.
+  std::size_t vec_u64_size(std::size_t expected = SIZE_MAX, const char* what = "vector") {
     const std::uint64_t n = u64();
     if (expected != SIZE_MAX && n != expected) {
       throw StateFormatError(std::string(what) + ": expected " + std::to_string(expected) +
                              " elements, found " + std::to_string(n));
     }
     need_at_least(static_cast<std::size_t>(n), 8, what);
-    std::vector<T> v(static_cast<std::size_t>(n));
-    for (auto& x : v) x = static_cast<T>(u64());
+    return static_cast<std::size_t>(n);
+  }
+
+  /// Length-checked vector read, each element through u64_as<T>:
+  /// `expected` of SIZE_MAX means any length.
+  template <class T>
+  std::vector<T> vec_u64(std::size_t expected = SIZE_MAX, const char* what = "vector") {
+    std::vector<T> v(vec_u64_size(expected, what));
+    for (auto& x : v) x = u64_as<T>(what);
     return v;
   }
 

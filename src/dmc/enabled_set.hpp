@@ -2,9 +2,9 @@
 
 #include <cassert>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
+#include "dmc/demand_zero_array.hpp"
 #include "lattice/lattice.hpp"
 
 namespace casurf {
@@ -17,38 +17,44 @@ namespace casurf {
 /// (model/probe_plans.hpp), in that routine's fixed order: a set's layout
 /// depends on the order of its inserts and erases, and sampling by dense
 /// position makes the layout part of the trajectory.
+///
+/// The position index holds each member's dense position + 1, so 0 means
+/// absent and a new index is all zero. It lives on demand-zero pages
+/// (dmc/demand_zero_array.hpp): a type costs index memory only on the
+/// 4 KB pages (1,024 sites) where it is ever enabled, not 4 bytes per
+/// lattice site. On Pt(100), 32 of the 39 types are enabled at a few dozen
+/// sites at most, so most of their index pages are never written.
 class EnabledSet {
  public:
-  explicit EnabledSet(SiteIndex num_sites)
-      : pos_(num_sites, kAbsent) {}
+  explicit EnabledSet(SiteIndex num_sites) : pos_(num_sites) {}
 
   [[nodiscard]] std::size_t size() const { return items_.size(); }
   [[nodiscard]] bool empty() const { return items_.empty(); }
-  [[nodiscard]] bool contains(SiteIndex s) const { return pos_[s] != kAbsent; }
+  [[nodiscard]] bool contains(SiteIndex s) const { return pos_[s] != 0; }
 
   /// Idempotent insert.
   void insert(SiteIndex s) {
     if (contains(s)) return;
-    pos_[s] = static_cast<std::uint32_t>(items_.size());
     items_.push_back(s);
+    pos_[s] = static_cast<std::uint32_t>(items_.size());
   }
 
   /// Remove every element (audit repair / state restore keep the set's
   /// capacity and rebuild membership in a chosen order).
   void clear() {
-    for (const SiteIndex s : items_) pos_[s] = kAbsent;
+    for (const SiteIndex s : items_) pos_[s] = 0;
     items_.clear();
   }
 
   /// Idempotent erase (swap-with-last).
   void erase(SiteIndex s) {
     const std::uint32_t p = pos_[s];
-    if (p == kAbsent) return;
+    if (p == 0) return;
     const SiteIndex last = items_.back();
-    items_[p] = last;
+    items_[p - 1] = last;
     pos_[last] = p;
     items_.pop_back();
-    pos_[s] = kAbsent;
+    pos_[s] = 0;
   }
 
   /// Element at dense position i (0 <= i < size()); the basis of uniform
@@ -61,10 +67,8 @@ class EnabledSet {
   [[nodiscard]] const std::vector<SiteIndex>& items() const { return items_; }
 
  private:
-  static constexpr std::uint32_t kAbsent = std::numeric_limits<std::uint32_t>::max();
-
   std::vector<SiteIndex> items_;
-  std::vector<std::uint32_t> pos_;
+  DemandZeroArray<std::uint32_t> pos_;  // dense position + 1; 0 = absent
 };
 
 }  // namespace casurf

@@ -11,10 +11,9 @@ FrmSimulator::FrmSimulator(const ReactionModel& model, Configuration config,
                            std::uint64_t seed)
     : Simulator(model, std::move(config)),
       rng_(seed),
+      generation_(static_cast<std::size_t>(model.num_reactions()) * config_.size()),
+      enabled_flag_(generation_.size()),
       rechecker_(model, config_.lattice()) {
-  const std::size_t pairs = static_cast<std::size_t>(model.num_reactions()) * config_.size();
-  generation_.assign(pairs, 0);
-  enabled_flag_.assign(pairs, 0);
   // Type by type, each in raster order: the order of the time draws and
   // of the queue's pushes.
   const SpeciesBitplanes planes(config_);
@@ -54,6 +53,7 @@ void FrmSimulator::sync_pair(ReactionIndex rt, SiteIndex s, bool now) {
 bool FrmSimulator::drop_stale_heads() {
   // Pop until the head is a live event: generation matches and the pair is
   // still flagged enabled. Returns false when no live event remains.
+  const obs::ScopedTimer span(drop_stale_timer_);
   while (!queue_.empty()) {
     const Event& ev = queue_.front();
     const std::size_t p = pair_index(ev.type, ev.site);
@@ -71,6 +71,7 @@ void FrmSimulator::attach(const obs::Sinks& sinks) {
   Simulator::attach(sinks);
   obs::MetricsRegistry* const registry = sinks.metrics;
   step_timer_ = registry ? &registry->timer("frm/step") : nullptr;
+  drop_stale_timer_ = registry ? &registry->timer("frm/drop_stale") : nullptr;
   stale_dropped_ = registry ? &registry->counter("frm/stale_dropped") : nullptr;
 }
 
@@ -103,10 +104,11 @@ void FrmSimulator::execute_head() {
 }
 
 void FrmSimulator::mc_step() {
+  // Empty queue: absorbing state; advance_to() handles time.
+  if (!drop_stale_heads()) return;
   const obs::ScopedTimer span(step_timer_);
   const obs::ScopedSpan trace(trace_, "frm/step", time_, counters_.steps);
-  if (drop_stale_heads()) execute_head();
-  // Empty queue: absorbing state; advance_to() handles time.
+  execute_head();
 }
 
 void FrmSimulator::advance_to(double t) {
@@ -148,18 +150,29 @@ void FrmSimulator::restore_state(StateReader& r) {
   Simulator::restore_state(r);
   r.expect_section("frm");
   rng_.restore(r);
+  // Read straight into fresh zeroed tables, writing only the nonzero
+  // entries: a resumed run touches the pages the saved run touched, no
+  // more, and no temporary copy of a table is built.
   const std::size_t pairs = generation_.size();
-  generation_ = r.vec_u64<std::uint32_t>(pairs, "frm generations");
+  r.vec_u64_size(pairs, "frm generations");
+  generation_ = DemandZeroArray<std::uint32_t>(pairs);
+  for (std::uint32_t& g : generation_) {
+    const auto v = r.u64_as<std::uint32_t>("frm generations");
+    if (v != 0) g = v;
+  }
   const std::uint64_t nflags = r.u64();
   if (nflags != pairs) {
     throw StateFormatError("frm enabled-flag table has " + std::to_string(nflags) +
                            " entries, expected " + std::to_string(pairs));
   }
-  enabled_flag_.assign(pairs, 0);
-  r.bytes(enabled_flag_.data(), pairs);
-  enabled_pairs_ = r.u64();
+  enabled_flag_ = DemandZeroArray<std::uint8_t>(pairs);
   std::uint64_t live = 0;
-  for (const std::uint8_t f : enabled_flag_) live += f;
+  for (std::uint8_t& f : enabled_flag_) {
+    const std::uint8_t v = r.u8();
+    if (v != 0) f = v;
+    live += v;
+  }
+  enabled_pairs_ = r.u64();
   if (live != enabled_pairs_) {
     throw StateFormatError("frm enabled-pair count " + std::to_string(enabled_pairs_) +
                            " disagrees with flag table (" + std::to_string(live) + ")");
@@ -174,9 +187,9 @@ void FrmSimulator::restore_state(StateReader& r) {
   for (std::uint64_t i = 0; i < nq; ++i) {
     Event ev;
     ev.when = r.f64();
-    ev.site = static_cast<SiteIndex>(r.u64());
-    ev.type = static_cast<ReactionIndex>(r.u64());
-    ev.generation = static_cast<std::uint32_t>(r.u64());
+    ev.site = r.u64_as<SiteIndex>("frm queued event site");
+    ev.type = r.u64_as<ReactionIndex>("frm queued event type");
+    ev.generation = r.u64_as<std::uint32_t>("frm queued event generation");
     if (ev.site >= config_.size() || ev.type >= model_.num_reactions()) {
       throw StateFormatError("frm queued event references (type " +
                              std::to_string(ev.type) + ", site " +
@@ -225,7 +238,7 @@ void FrmSimulator::audit_derived_state(AuditReport& report, bool repair) {
   }
 
   // Every enabled pair must be covered by exactly one live queued event.
-  std::vector<std::uint8_t> covered(generation_.size(), 0);
+  DemandZeroArray<std::uint8_t> covered(generation_.size());
   for (const Event& ev : queue_) {
     const std::size_t p = pair_index(ev.type, ev.site);
     if (ev.generation != generation_[p] || enabled_flag_[p] == 0) continue;  // stale

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/simulator.hpp"
+#include "dmc/demand_zero_array.hpp"
 #include "model/probe_plans.hpp"
 #include "obs/metrics.hpp"
 #include "rng/xoshiro.hpp"
@@ -83,11 +84,16 @@ class FrmSimulator final : public Simulator {
   // std::priority_queue is specified to use, but with the underlying array
   // accessible for verbatim checkpointing.
   std::vector<Event> queue_;
-  std::vector<std::uint32_t> generation_;  // per (type, site)
-  std::vector<std::uint8_t> enabled_flag_;  // per (type, site)
+  // Per (type, site) pair, type-major (pair_index), on demand-zero pages
+  // (dmc/demand_zero_array.hpp): a pair's entries are written only once it
+  // is first enabled, so a type costs table memory only on the pages of
+  // sites where it is ever enabled, not 5 bytes per lattice site.
+  DemandZeroArray<std::uint32_t> generation_;  // bumped at every flag change
+  DemandZeroArray<std::uint8_t> enabled_flag_;
   std::uint64_t enabled_pairs_ = 0;
   Rechecker rechecker_;
   obs::Timer* step_timer_ = nullptr;         // frm/step
+  obs::Timer* drop_stale_timer_ = nullptr;   // frm/drop_stale
   obs::Counter* stale_dropped_ = nullptr;    // frm/stale_dropped
 };
 

@@ -131,8 +131,8 @@ void VssmSimulator::restore_state(StateReader& r) {
     }
   }
   last_event_.time = r.f64();
-  last_event_.type = static_cast<ReactionIndex>(r.u64());
-  last_event_.site = static_cast<SiteIndex>(r.u64());
+  last_event_.type = r.u64_as<ReactionIndex>("vssm last event type");
+  last_event_.site = r.u64_as<SiteIndex>("vssm last event site");
   // Membership must agree with the restored configuration; a checkpoint
   // whose sets disagree with its own lattice state is corrupt.
   reject_inconsistent_restore();

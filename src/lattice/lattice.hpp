@@ -9,9 +9,9 @@
 
 namespace casurf {
 
-/// Index of a site in row-major order. 32 bits index up to 2^32 - 1 sites,
-/// far beyond what the simulators here target; the maximum value itself is
-/// never a site (EnabledSet reserves it as its absent marker).
+/// Index of a site in row-major order. A lattice holds at most 2^32 - 1
+/// sites, far beyond what the simulators here target: Lattice::size()
+/// returns a SiteIndex, so the site count itself must fit in one.
 using SiteIndex = std::uint32_t;
 
 /// A two-dimensional rectangular lattice L0 x L1 with periodic boundary

@@ -1,5 +1,7 @@
 #include "obs/run_report.hpp"
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <utility>
 
@@ -17,6 +19,14 @@ namespace {
 // user-supplied and may contain anything) is shared with the trace writer
 // and the drift profile: obs/json.hpp.
 using Json = json::Writer;
+
+/// The process's peak resident set so far (getrusage's ru_maxrss, which
+/// Linux gives in KiB), in bytes; 0 if it cannot be read.
+std::uint64_t peak_rss_bytes() {
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
+  return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;
+}
 
 void emit_run(Json& j, const RunInfo& info) {
   j.key("run");
@@ -39,6 +49,8 @@ void emit_run(Json& j, const RunInfo& info) {
   j.u64(info.threads);
   j.key("wall_seconds");
   j.number(info.wall_seconds);
+  j.key("peak_rss_bytes");
+  j.u64(peak_rss_bytes());
   j.key("trace_id");
   j.string(info.trace_id);
   j.key("trace_drops");

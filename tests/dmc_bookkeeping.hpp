@@ -1,11 +1,14 @@
 #pragma once
 
-// The bookkeeping check shared by the VSSM and FRM suites, and the
-// mask-shape rows both run it on.
+// The bookkeeping check shared by the VSSM and FRM suites, the mask-shape
+// rows both run it on, and the resident-memory probe of their memory tests.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <fstream>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -105,6 +108,38 @@ inline Configuration random_configuration(const ReactionModel& model, std::int32
     cfg.set(s, static_cast<Species>(uniform_below(rng, model.species().size())));
   }
   return cfg;
+}
+
+/// The process's resident set in bytes, read from /proc/self/statm;
+/// nullopt where that file cannot be read.
+inline std::optional<std::int64_t> resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::int64_t size_pages = 0;
+  std::int64_t resident_pages = 0;
+  if (!(statm >> size_pages >> resident_pages)) return std::nullopt;
+  return resident_pages * static_cast<std::int64_t>(sysconf(_SC_PAGESIZE));
+}
+
+/// Why a resident-set measurement means nothing in this build or on this
+/// host, or "" if it can be taken: under ASan and TSan the resident set
+/// also holds shadow memory, which a test cannot tell from its own.
+inline std::string resident_memory_unmeasurable() {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  return "ASan and TSan shadow memory swamps the resident set";
+#else
+  return resident_bytes() ? "" : "/proc/self/statm cannot be read";
+#endif
+}
+
+/// Growth of the resident set, in MB, from before `build` runs until its
+/// result (kept alive meanwhile) exists. Call only when
+/// resident_memory_unmeasurable() is "".
+template <class Build>
+double resident_growth_mb(Build build) {
+  const std::int64_t before = *resident_bytes();
+  const auto built = build();
+  const std::int64_t after = *resident_bytes();
+  return static_cast<double>(after - before) / (1024.0 * 1024.0);
 }
 
 }  // namespace casurf

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/simulation.hpp"
 #include "io/atomic_file.hpp"
@@ -313,6 +314,34 @@ TEST_P(RestoreConsistencyTest, SameModelRestoreResumesByteIdentically) {
   EXPECT_EQ(bits(resumed->time()), bits(uninterrupted->time()));
   EXPECT_EQ(resumed->counters().executed_per_type,
             uninterrupted->counters().executed_per_type);
+}
+
+// A stored site that does not fit a SiteIndex is rejected by name, never
+// truncated to a site in range: 2^32 + 5 must not restore as site 5.
+// VSSM's state ends with its last event's site; FRM's ends with the last
+// queued event's site, type and generation.
+TEST_P(RestoreConsistencyTest, SiteBeyondThirtyTwoBitsIsRejected) {
+  StateWriter w;
+  run(20)->save_state(w);
+  std::vector<std::uint8_t> bytes = w.buffer();
+  const bool vssm = GetParam() == Algorithm::kVssm;
+  const std::size_t at = bytes.size() - (vssm ? 8 : 24);
+  const std::uint64_t site = (std::uint64_t{1} << 32) + 5;
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(site >> (8 * i));
+  }
+  auto reader = make(model_);
+  StateReader r(bytes);
+  try {
+    reader->restore_state(r);
+    FAIL() << "a stored site of 2^32 + 5 was accepted";
+  } catch (const StateFormatError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(vssm ? "vssm last event site" : "frm queued event site"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("4294967301"), std::string::npos) << what;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Dmc, RestoreConsistencyTest,

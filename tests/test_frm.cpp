@@ -149,6 +149,22 @@ TEST(Frm, SameSeedSameTrajectory) {
   EXPECT_DOUBLE_EQ(a.time(), b.time());
 }
 
+// On the hex-vacant 500x500 Pt(100) start that casurf_run builds, one of
+// the 39 types (CO_ads_hex) is enabled at every site and the rest at none.
+// Generation and flag tables filled over every (type, site) pair cost
+// about 53 MB of growth; on demand-zero pages only the one type's pages
+// count, next to its 250,000 queued events.
+TEST(Frm, TypesNeverEnabledCostNoResidentMemory) {
+  if (const std::string why = resident_memory_unmeasurable(); !why.empty()) {
+    GTEST_SKIP() << why;
+  }
+  const models::Pt100Model pt = models::make_pt100();
+  const Configuration start(Lattice(500, 500), pt.model.species().size(), pt.hex_vac);
+  const double grown_mb =
+      resident_growth_mb([&] { return FrmSimulator(pt.model, start, 3); });
+  EXPECT_LT(grown_mb, 20.0) << "resident set grew by " << grown_mb << " MB";
+}
+
 TEST(Frm, NameIsFrm) {
   const ReactionModel m = ads_des_model(1.0, 1.0);
   FrmSimulator sim(m, Configuration(Lattice(2, 2), 2, 0), 1);

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <vector>
 
 namespace casurf {
 namespace {
@@ -108,6 +110,36 @@ TEST(StateIo, CorruptVectorLengthRejectedBeforeAllocation) {
   StateReader v(w.buffer());
   EXPECT_THROW((void)v.vec_u64<std::uint64_t>(SIZE_MAX, "v"), StateFormatError);
   (void)r;
+}
+
+// A stored value that does not fit the field it is restored into is
+// rejected by name and value, never truncated: 2^32 + 5 read as a 32-bit
+// site must not come back as site 5.
+TEST(StateIo, NarrowingReadRejectsValuesThatDoNotFit) {
+  const std::uint64_t too_big = (std::uint64_t{1} << 32) + 5;
+  StateWriter w;
+  w.vec_u64(std::vector<std::uint64_t>{7, too_big});
+  w.u64(too_big);
+  w.u64(std::numeric_limits<std::uint32_t>::max());
+  w.u64(256);
+
+  StateReader vec(w.buffer());
+  try {
+    (void)vec.vec_u64<std::uint32_t>(SIZE_MAX, "enabled set");
+    FAIL() << "vec_u64<uint32_t> accepted 2^32 + 5";
+  } catch (const StateFormatError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("enabled set"), std::string::npos) << what;
+    EXPECT_NE(what.find("4294967301"), std::string::npos) << what;
+  }
+
+  StateReader r(w.buffer());
+  EXPECT_EQ(r.vec_u64<std::uint64_t>(2, "wide"),
+            (std::vector<std::uint64_t>{7, too_big}));
+  EXPECT_THROW((void)r.u64_as<std::uint32_t>("site"), StateFormatError);
+  EXPECT_EQ(r.u64_as<std::uint32_t>("site"), std::numeric_limits<std::uint32_t>::max());
+  EXPECT_THROW((void)r.u64_as<std::uint8_t>("species"), StateFormatError);
+  EXPECT_TRUE(r.at_end());
 }
 
 TEST(StateIo, ImplausibleStringLengthRejected) {

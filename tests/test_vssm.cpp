@@ -190,6 +190,21 @@ TEST(Vssm, EventsNotWastedOnEmptyFinalBand) {
   EXPECT_DOUBLE_EQ(sim.configuration().coverage(1), 1.0);
 }
 
+// On the hex-vacant 500x500 Pt(100) start that casurf_run builds, one of
+// the 39 types (CO_ads_hex) is enabled at every site and the rest at none.
+// A position index filled over every site costs each type 1 MB, about
+// 39 MB of growth in all; on demand-zero pages only the one type's counts.
+TEST(Vssm, TypesNeverEnabledCostNoResidentMemory) {
+  if (const std::string why = resident_memory_unmeasurable(); !why.empty()) {
+    GTEST_SKIP() << why;
+  }
+  const models::Pt100Model pt = models::make_pt100();
+  const Configuration start(Lattice(500, 500), pt.model.species().size(), pt.hex_vac);
+  const double grown_mb =
+      resident_growth_mb([&] { return VssmSimulator(pt.model, start, 3); });
+  EXPECT_LT(grown_mb, 8.0) << "resident set grew by " << grown_mb << " MB";
+}
+
 TEST(Vssm, NameIsVssm) {
   const ReactionModel m = ads_des_model(1.0, 1.0);
   VssmSimulator sim(m, Configuration(Lattice(2, 2), 2, 0), 1);
