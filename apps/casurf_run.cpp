@@ -183,8 +183,9 @@ struct Options {
                "                      samples (default: only at the end)\n"
                "  --trace PATH        record per-thread phase spans and write a\n"
                "                      Chrome-trace JSON (load in Perfetto)\n"
-               "  --trace-buffer N    trace ring capacity in events per thread\n"
-               "                      (default %zu; oldest events drop on wrap)\n"
+               "  --trace-buffer N    trace ring capacity in events per thread, up\n"
+               "                      to %zu (default %zu; oldest events drop on\n"
+               "                      wrap)\n"
                "  --trace-id STR      correlation id stamped into the trace\n"
                "                      footer and the run report, so traces of\n"
                "                      many processes can be merged and labeled\n"
@@ -207,7 +208,7 @@ struct Options {
                "                      PREFIX.{attempts,fires,occupancy}.ppm images\n"
                "  --heatmap-every N   also refresh the artifacts every N samples\n"
                "  --quiet             suppress the progress table\n",
-               argv0, obs::Tracer::kDefaultCapacity);
+               argv0, obs::Tracer::kMaxCapacity, obs::Tracer::kDefaultCapacity);
   std::exit(error ? kExitUsage : 0);
 }
 
@@ -338,7 +339,10 @@ Options parse_args(int argc, char** argv) {
     else if (flag == "--metrics") opt.metrics = need_value(i);
     else if (flag == "--metrics-every") opt.metrics_every = integer(i, "--metrics-every");
     else if (flag == "--trace") opt.trace = need_value(i);
-    else if (flag == "--trace-buffer") opt.trace_buffer = integer(i, "--trace-buffer");
+    else if (flag == "--trace-buffer") {
+      opt.trace_buffer =
+          in_range("--trace-buffer", integer(i, "--trace-buffer"), obs::Tracer::kMaxCapacity);
+    }
     else if (flag == "--trace-id") opt.trace_id = need_value(i);
     else if (flag == "--drift-record") opt.drift_record = need_value(i);
     else if (flag == "--drift-ref") opt.drift_ref = need_value(i);
@@ -405,7 +409,6 @@ Options parse_args(int argc, char** argv) {
   if (opt.metrics_every > 0 && opt.metrics.empty()) {
     usage(argv[0], "--metrics-every requires --metrics PATH");
   }
-  if (opt.trace_buffer == 0) usage(argv[0], "--trace-buffer must be at least 1");
   if (!opt.drift_record.empty() && !opt.drift_ref.empty()) {
     usage(argv[0], "--drift-record and --drift-ref are mutually exclusive");
   }

@@ -6,11 +6,16 @@
 # the retry budget, and the exact usage-error exit codes.
 #
 # Driven by ctest as:
-#   cmake -DCASURF_RUN=... -DCASURF_REPORT=... -DWORK_DIR=... -P this
+#   cmake -DCASURF_RUN=... -DCASURF_REPORT=... -DWORK_DIR=... -DALGORITHM=... -P this
+# where ALGORITHM is the casurf_run --algorithm whose checkpoints the kills,
+# corruptions and resumes go through.
+if(NOT DEFINED ALGORITHM)
+  message(FATAL_ERROR "usage: cmake ... -DALGORITHM=<casurf_run algorithm> -P supervisor_test.cmake")
+endif()
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
-set(common --model zgb --algorithm vssm --size 32x32 --t-end 6 --dt 1
+set(common --model zgb --algorithm ${ALGORITHM} --size 32x32 --t-end 6 --dt 1
     --seed 11 --quiet)
 
 function(run_expecting code)

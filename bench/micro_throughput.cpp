@@ -404,7 +404,7 @@ BENCHMARK(BM_MakePartition)
     ->Unit(benchmark::kMicrosecond);
 
 // The set-up of a launch: make_simulator on the hex-vacant 500x500 Pt(100)
-// start casurf_run builds, for VSSM (0: enabled sets), FRM (1: pair flags
+// start casurf_run builds, for VSSM (0: enabled sets), FRM (1: pair index
 // and event queue) and PNDCA (2: make_partition, probe plans and the
 // block-rule verdict).
 void BM_SimulatorBuild(benchmark::State& state) {

@@ -8,6 +8,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace casurf {
@@ -58,12 +59,11 @@ class StateWriter {
     str(name);
   }
 
-  /// Length, then every element widened to u64; any sized range of
-  /// unsigned integers (a std::vector, FRM's demand-zero tables).
-  template <class Range>
-  void vec_u64(const Range& v) {
+  /// Length, then every element widened to u64.
+  template <class T>
+  void vec_u64(const std::vector<T>& v) {
     u64(v.size());
-    for (const auto x : v) u64(static_cast<std::uint64_t>(x));
+    for (const T x : v) u64(static_cast<std::uint64_t>(x));
   }
 
   void vec_f64(const std::vector<double>& v) {
@@ -73,6 +73,8 @@ class StateWriter {
 
   [[nodiscard]] const std::vector<std::uint8_t>& buffer() const { return buf_; }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
+  /// Moves the bytes out, leaving the writer empty.
+  [[nodiscard]] std::vector<std::uint8_t> take() { return std::exchange(buf_, {}); }
 
  private:
   static constexpr std::uint8_t kSectionTag = 0xA5;
@@ -149,23 +151,17 @@ class StateReader {
     return static_cast<T>(v);
   }
 
-  /// The element count that heads a vec_u64 field, checked against `expected`
-  /// (SIZE_MAX means any) and against what the stream can still hold.
-  std::size_t vec_u64_size(std::size_t expected = SIZE_MAX, const char* what = "vector") {
+  /// Length-checked vector read, each element through u64_as<T>:
+  /// `expected` of SIZE_MAX means any length.
+  template <class T>
+  std::vector<T> vec_u64(std::size_t expected = SIZE_MAX, const char* what = "vector") {
     const std::uint64_t n = u64();
     if (expected != SIZE_MAX && n != expected) {
       throw StateFormatError(std::string(what) + ": expected " + std::to_string(expected) +
                              " elements, found " + std::to_string(n));
     }
     need_at_least(static_cast<std::size_t>(n), 8, what);
-    return static_cast<std::size_t>(n);
-  }
-
-  /// Length-checked vector read, each element through u64_as<T>:
-  /// `expected` of SIZE_MAX means any length.
-  template <class T>
-  std::vector<T> vec_u64(std::size_t expected = SIZE_MAX, const char* what = "vector") {
-    std::vector<T> v(vec_u64_size(expected, what));
+    std::vector<T> v(static_cast<std::size_t>(n));
     for (auto& x : v) x = u64_as<T>(what);
     return v;
   }

@@ -1,19 +1,33 @@
 #include "dmc/frm.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 
 #include "obs/trace.hpp"
 #include "rng/distributions.hpp"
 
 namespace casurf {
 
+namespace {
+// Heap slots are kept + 1 in a 32-bit index entry.
+constexpr std::size_t kMaxQueued = std::numeric_limits<std::uint32_t>::max();
+
+std::string pair_name(ReactionIndex type, SiteIndex site) {
+  return "pair (type " + std::to_string(type) + ", site " + std::to_string(site) + ")";
+}
+}  // namespace
+
 FrmSimulator::FrmSimulator(const ReactionModel& model, Configuration config,
                            std::uint64_t seed)
     : Simulator(model, std::move(config)),
       rng_(seed),
-      generation_(static_cast<std::size_t>(model.num_reactions()) * config_.size()),
-      enabled_flag_(generation_.size()),
+      slot_(static_cast<std::size_t>(model.num_reactions()) * config_.size()),
       rechecker_(model, config_.lattice()) {
+  build_queue();
+}
+
+void FrmSimulator::build_queue() {
   // Type by type, each in raster order: the order of the time draws and
   // of the queue's pushes.
   const SpeciesBitplanes planes(config_);
@@ -23,63 +37,71 @@ FrmSimulator::FrmSimulator(const ReactionModel& model, Configuration config,
   }
 }
 
-void FrmSimulator::push_event(const Event& ev) {
-  queue_.push_back(ev);
-  std::push_heap(queue_.begin(), queue_.end());
-}
-
-void FrmSimulator::pop_event() {
-  std::pop_heap(queue_.begin(), queue_.end());
-  queue_.pop_back();
-}
-
 void FrmSimulator::sync_pair(ReactionIndex rt, SiteIndex s, bool now) {
-  const std::size_t p = pair_index(rt, s);
-  const bool was = enabled_flag_[p] != 0;
-  if (now == was) return;
-  enabled_flag_[p] = now ? 1 : 0;
-  ++generation_[p];  // invalidates any queued event for this pair
+  const std::uint32_t slot = slot_[pair_index(rt, s)];
+  if (now == (slot != 0)) return;
   if (now) {
-    ++enabled_pairs_;
     // Memorylessness of the exponential lets us draw the tentative firing
     // time fresh from "now" at every disabled->enabled transition.
-    push_event(Event{time_ + exponential(rng_, model_.reaction(rt).rate()),
-                     s, rt, generation_[p]});
+    push_event(Event{time_ + exponential(rng_, model_.reaction(rt).rate()), s, rt});
   } else {
-    --enabled_pairs_;
+    remove_event(slot - 1);
   }
 }
 
-bool FrmSimulator::drop_stale_heads() {
-  // Pop until the head is a live event: generation matches and the pair is
-  // still flagged enabled. Returns false when no live event remains.
-  const obs::ScopedTimer span(drop_stale_timer_);
-  while (!queue_.empty()) {
-    const Event& ev = queue_.front();
-    const std::size_t p = pair_index(ev.type, ev.site);
-    if (ev.generation != generation_[p] || enabled_flag_[p] == 0) {
-      pop_event();
-      if (stale_dropped_ != nullptr) stale_dropped_->add();
-      continue;
-    }
-    return true;
+void FrmSimulator::push_event(const Event& ev) {
+  if (queue_.size() == kMaxQueued) {
+    throw std::length_error("FRM: more than 2^32 - 1 enabled (type, site) pairs");
   }
-  return false;
+  queue_.push_back(ev);
+  sift_up(queue_.size() - 1, ev);
+}
+
+void FrmSimulator::remove_event(std::size_t k) {
+  const Event& gone = queue_[k];
+  slot_[pair_index(gone.type, gone.site)] = 0;
+  const Event last = queue_.back();
+  queue_.pop_back();
+  if (k == queue_.size()) return;
+  if (k > 0 && queue_[(k - 1) / 2] < last) {
+    sift_up(k, last);
+  } else {
+    sift_down(k, last);
+  }
+}
+
+// std::push_heap's rule: the entry rises while its parent fires strictly
+// later, so pushes lay out the heap array as std::push_heap would.
+void FrmSimulator::sift_up(std::size_t k, const Event& ev) {
+  while (k > 0 && queue_[(k - 1) / 2] < ev) {
+    place(k, queue_[(k - 1) / 2]);
+    k = (k - 1) / 2;
+  }
+  place(k, ev);
+}
+
+void FrmSimulator::sift_down(std::size_t k, const Event& ev) {
+  const std::size_t n = queue_.size();
+  for (std::size_t child = 2 * k + 1; child < n; child = 2 * k + 1) {
+    if (child + 1 < n && queue_[child] < queue_[child + 1]) ++child;
+    if (!(ev < queue_[child])) break;
+    place(k, queue_[child]);
+    k = child;
+  }
+  place(k, ev);
 }
 
 void FrmSimulator::attach(const obs::Sinks& sinks) {
   Simulator::attach(sinks);
-  obs::MetricsRegistry* const registry = sinks.metrics;
-  step_timer_ = registry ? &registry->timer("frm/step") : nullptr;
-  drop_stale_timer_ = registry ? &registry->timer("frm/drop_stale") : nullptr;
-  stale_dropped_ = registry ? &registry->counter("frm/stale_dropped") : nullptr;
+  step_timer_ = sinks.metrics ? &sinks.metrics->timer("frm/step") : nullptr;
 }
 
 void FrmSimulator::execute_head() {
+  const obs::ScopedTimer span(step_timer_);
+  const obs::ScopedSpan trace(trace_, "frm/step", time_, counters_.steps);
   const Event ev = queue_.front();
-  pop_event();
+  remove_event(0);
   time_ = ev.when;
-  const std::size_t p = pair_index(ev.type, ev.site);
 
   const ReactionType& rt = model_.reaction(ev.type);
   const Species* old_species = rechecker_.execute(config_, rt, ev.site);
@@ -90,11 +112,8 @@ void FrmSimulator::execute_head() {
   ++counters_.trials;
   ++counters_.steps;
 
-  // The fired pair itself: if still enabled in the new state it needs a
-  // fresh draw; force the transition by marking it disabled first.
-  enabled_flag_[p] = 0;
-  --enabled_pairs_;
-  ++generation_[p];
+  // The fired pair left the queue: if still enabled in the new state it
+  // needs a fresh draw.
   sync_pair(ev.type, ev.site, rt.enabled(config_, ev.site));
 
   rechecker_.after_fire(config_, rt, ev.site, old_species,
@@ -105,44 +124,25 @@ void FrmSimulator::execute_head() {
 
 void FrmSimulator::mc_step() {
   // Empty queue: absorbing state; advance_to() handles time.
-  if (!drop_stale_heads()) return;
-  const obs::ScopedTimer span(step_timer_);
-  const obs::ScopedSpan trace(trace_, "frm/step", time_, counters_.steps);
-  execute_head();
+  if (!queue_.empty()) execute_head();
 }
 
 void FrmSimulator::advance_to(double t) {
   // Events have absolute firing times, so the head beyond t simply stays
   // scheduled; the state AT t is exact.
-  while (time_ < t) {
-    if (!drop_stale_heads()) {
-      time_ = t;
-      return;
-    }
-    if (queue_.front().when > t) {
-      time_ = t;
-      return;
-    }
-    const obs::ScopedTimer span(step_timer_);
-    const obs::ScopedSpan trace(trace_, "frm/step", time_, counters_.steps);
-    execute_head();
-  }
+  while (time_ < t && !queue_.empty() && queue_.front().when <= t) execute_head();
+  time_ = std::max(time_, t);
 }
 
 void FrmSimulator::save_state(StateWriter& w) const {
   Simulator::save_state(w);
   w.section("frm");
   rng_.save(w);
-  w.vec_u64(generation_);
-  w.u64(enabled_flag_.size());
-  w.bytes(enabled_flag_.data(), enabled_flag_.size());
-  w.u64(enabled_pairs_);
   w.u64(queue_.size());
   for (const Event& ev : queue_) {
     w.f64(ev.when);
     w.u64(ev.site);
     w.u64(ev.type);
-    w.u64(ev.generation);
   }
 }
 
@@ -150,141 +150,94 @@ void FrmSimulator::restore_state(StateReader& r) {
   Simulator::restore_state(r);
   r.expect_section("frm");
   rng_.restore(r);
-  // Read straight into fresh zeroed tables, writing only the nonzero
-  // entries: a resumed run touches the pages the saved run touched, no
-  // more, and no temporary copy of a table is built.
-  const std::size_t pairs = generation_.size();
-  r.vec_u64_size(pairs, "frm generations");
-  generation_ = DemandZeroArray<std::uint32_t>(pairs);
-  for (std::uint32_t& g : generation_) {
-    const auto v = r.u64_as<std::uint32_t>("frm generations");
-    if (v != 0) g = v;
-  }
-  const std::uint64_t nflags = r.u64();
-  if (nflags != pairs) {
-    throw StateFormatError("frm enabled-flag table has " + std::to_string(nflags) +
-                           " entries, expected " + std::to_string(pairs));
-  }
-  enabled_flag_ = DemandZeroArray<std::uint8_t>(pairs);
-  std::uint64_t live = 0;
-  for (std::uint8_t& f : enabled_flag_) {
-    const std::uint8_t v = r.u8();
-    if (v != 0) f = v;
-    live += v;
-  }
-  enabled_pairs_ = r.u64();
-  if (live != enabled_pairs_) {
-    throw StateFormatError("frm enabled-pair count " + std::to_string(enabled_pairs_) +
-                           " disagrees with flag table (" + std::to_string(live) + ")");
-  }
   const std::uint64_t nq = r.u64();
-  if (nq > static_cast<std::uint64_t>(r.remaining()) / 32) {
+  if (nq > static_cast<std::uint64_t>(r.remaining()) / 24) {
     throw StateFormatError("frm queue length " + std::to_string(nq) +
                            " exceeds remaining stream");
   }
+  // A fresh index, written only at the queued pairs: a resumed run touches
+  // the pages the saved run's queue touches, no more.
   queue_.clear();
   queue_.reserve(static_cast<std::size_t>(nq));
-  for (std::uint64_t i = 0; i < nq; ++i) {
+  slot_ = DemandZeroArray<std::uint32_t>(slot_.size());
+  for (std::uint64_t k = 0; k < nq; ++k) {
     Event ev;
     ev.when = r.f64();
     ev.site = r.u64_as<SiteIndex>("frm queued event site");
     ev.type = r.u64_as<ReactionIndex>("frm queued event type");
-    ev.generation = r.u64_as<std::uint32_t>("frm queued event generation");
     if (ev.site >= config_.size() || ev.type >= model_.num_reactions()) {
-      throw StateFormatError("frm queued event references (type " +
-                             std::to_string(ev.type) + ", site " +
-                             std::to_string(ev.site) + ") out of range");
+      throw StateFormatError("frm queued event references " +
+                             pair_name(ev.type, ev.site) + " out of range");
+    }
+    std::uint32_t& slot = slot_[pair_index(ev.type, ev.site)];
+    if (slot != 0) {
+      throw StateFormatError("frm queue holds " + pair_name(ev.type, ev.site) +
+                             " twice, at heap slots " + std::to_string(slot - 1) +
+                             " and " + std::to_string(k));
     }
     // Saved verbatim from a valid heap, so the array is restored verbatim —
     // no re-heapify, preserving pop order even among equal keys.
     queue_.push_back(ev);
+    slot = static_cast<std::uint32_t>(queue_.size());
   }
   if (!std::is_heap(queue_.begin(), queue_.end())) {
     throw StateFormatError("frm queue is not a valid heap");
   }
-  // Flags and queue cover must agree with the restored configuration.
+  // Every enabled pair, and no other, must be queued.
   reject_inconsistent_restore();
 }
 
 void FrmSimulator::audit_derived_state(AuditReport& report, bool repair) {
   Simulator::audit_derived_state(report, repair);
   bool any = false;
+  const auto issue = [&](std::string detail) {
+    any = true;
+    if (report.issues.size() < 64) {
+      report.issues.push_back({"frm-queue", std::move(detail)});
+    }
+  };
 
-  // Flags vs recomputed enabledness, and the flag-count invariant.
-  std::uint64_t live_flags = 0;
+  // One pass over the pairs: each index entry against recomputed
+  // enabledness and against the heap entry it points at. Distinct pairs
+  // that each point at their own entry, as many as the heap holds, cover
+  // the heap exactly once.
+  std::uint64_t indexed = 0;
   for (ReactionIndex i = 0; i < model_.num_reactions(); ++i) {
     const ReactionType& rt = model_.reaction(i);
     for (SiteIndex s = 0; s < config_.size(); ++s) {
+      const std::uint32_t slot = slot_[pair_index(i, s)];
       const bool truth = rt.enabled(config_, s);
-      const bool cached = enabled_flag_[pair_index(i, s)] != 0;
-      if (cached) ++live_flags;
-      if (truth == cached) continue;
-      any = true;
-      if (report.issues.size() < 64) {
-        report.issues.push_back(
-            {"frm-queue", "pair (type " + std::to_string(i) + ", site " +
-                              std::to_string(s) + "): flag says " +
-                              (cached ? "enabled" : "disabled") +
-                              ", recompute says " + (truth ? "enabled" : "disabled")});
+      if (truth != (slot != 0)) {
+        issue(pair_name(i, s) + ": index says " + (slot != 0 ? "enabled" : "disabled") +
+              ", recompute says " + (truth ? "enabled" : "disabled"));
+      } else if (slot != 0 && (slot > queue_.size() || queue_[slot - 1].type != i ||
+                               queue_[slot - 1].site != s)) {
+        issue(pair_name(i, s) + ": index points at heap slot " +
+              std::to_string(slot - 1) + ", which does not hold it");
       }
+      if (slot != 0) ++indexed;
     }
   }
-  if (live_flags != enabled_pairs_) {
-    any = true;
-    report.issues.push_back(
-        {"frm-queue", "enabled-pair counter " + std::to_string(enabled_pairs_) +
-                          " disagrees with flag table (" + std::to_string(live_flags) +
-                          ")"});
+  if (indexed != queue_.size()) {
+    issue("queue holds " + std::to_string(queue_.size()) + " events for " +
+          std::to_string(indexed) + " indexed pairs");
   }
-
-  // Every enabled pair must be covered by exactly one live queued event.
-  DemandZeroArray<std::uint8_t> covered(generation_.size());
-  for (const Event& ev : queue_) {
-    const std::size_t p = pair_index(ev.type, ev.site);
-    if (ev.generation != generation_[p] || enabled_flag_[p] == 0) continue;  // stale
-    if (covered[p]) {
-      any = true;
-      report.issues.push_back(
-          {"frm-queue", "pair (type " + std::to_string(ev.type) + ", site " +
-                            std::to_string(ev.site) + ") has multiple live events"});
-    }
-    covered[p] = 1;
-  }
-  for (std::size_t p = 0; p < covered.size() && report.issues.size() < 96; ++p) {
-    if (enabled_flag_[p] != 0 && !covered[p]) {
-      any = true;
-      report.issues.push_back(
-          {"frm-queue", "pair (type " + std::to_string(p / config_.size()) + ", site " +
-                            std::to_string(p % config_.size()) +
-                            ") has no live queued event"});
-    }
-  }
+  if (!std::is_heap(queue_.begin(), queue_.end())) issue("queue is not in heap order");
 
   if (any && repair) {
-    // Full resynchronization: recompute flags from the configuration, drop
-    // the whole queue, and redraw a tentative time for every enabled pair.
-    // The redraw consumes fresh randomness — correct kinetics from here on,
-    // though not the trajectory an uncorrupted run would have taken.
+    // Rebuild from the configuration through a fresh index, so only the
+    // pages of enabled pairs are written. The redraw consumes fresh
+    // randomness — correct kinetics from here on, though not the
+    // trajectory an uncorrupted run would have taken.
     queue_.clear();
-    enabled_pairs_ = 0;
-    for (ReactionIndex i = 0; i < model_.num_reactions(); ++i) {
-      const ReactionType& rt = model_.reaction(i);
-      for (SiteIndex s = 0; s < config_.size(); ++s) {
-        const std::size_t p = pair_index(i, s);
-        ++generation_[p];  // invalidate anything that referenced the old state
-        const bool now = rt.enabled(config_, s);
-        enabled_flag_[p] = now ? 1 : 0;
-        if (now) {
-          ++enabled_pairs_;
-          push_event(Event{time_ + exponential(rng_, rt.rate()), s, i, generation_[p]});
-        }
-      }
-    }
+    slot_ = DemandZeroArray<std::uint32_t>(slot_.size());
+    build_queue();
   }
 }
 
 void FrmSimulator::corrupt_pair_for_test(ReactionIndex rt, SiteIndex s) {
-  enabled_flag_[pair_index(rt, s)] ^= 1;
+  std::uint32_t& slot = slot_[pair_index(rt, s)];
+  slot = slot == 0 ? 1 : 0;
 }
 
 }  // namespace casurf

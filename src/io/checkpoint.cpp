@@ -1,5 +1,6 @@
 #include "io/checkpoint.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
@@ -111,37 +112,41 @@ std::uint32_t crc32(std::span<const std::uint8_t> data) {
 
 void save_checkpoint(const std::string& path, const Simulator& sim,
                      std::string_view user_section) {
-  StateWriter payload;
-  write_meta(payload, sim);
-  payload.section("state");
-  sim.save_state(payload);
-  payload.section("user");
-  payload.str(user_section);
+  // One buffer holds the file: the header, whose CRC and payload size stay
+  // zero until the payload behind them is written, then the payload.
+  StateWriter w;
+  for (const std::uint8_t b : kMagic) w.u8(b);
+  w.u32(kCheckpointVersion);
+  w.u32(0);  // CRC-32 of the payload
+  w.u64(0);  // payload size
+  write_meta(w, sim);
+  w.section("state");
+  sim.save_state(w);
+  w.section("user");
+  w.str(user_section);
 
-  StateWriter file;
-  file.bytes(kMagic.data(), kMagic.size());
-  file.u32(kCheckpointVersion);
-  file.u32(crc32(payload.buffer()));
-  file.u64(payload.size());
-  file.bytes(payload.buffer().data(), payload.size());
+  std::vector<std::uint8_t> file = w.take();
+  const std::span<const std::uint8_t> payload(file.begin() + kHeaderSize, file.end());
+  StateWriter check;
+  check.u32(crc32(payload));
+  check.u64(payload.size());
+  std::ranges::copy(check.buffer(), file.begin() + kMagic.size() + 4);
 
   // Fault injection (docs/ROBUSTNESS.md): both failpoints simulate damage
   // the atomic write canNOT catch — the write itself succeeds, and only a
   // later restore discovers the file is unusable (CRC mismatch / short
   // payload) and falls back to the previous generation.
-  std::string bytes(reinterpret_cast<const char*>(file.buffer().data()),
-                    file.size());
   static constexpr fail::Failpoint kCorrupt{"io/checkpoint/corrupt"};
   static constexpr fail::Failpoint kTruncate{"io/checkpoint/truncate"};
-  if (kCorrupt.fire() && payload.size() > 0) {
-    bytes[kHeaderSize + payload.size() / 2] ^= 0x01;  // one bit of bit rot
+  std::size_t size = file.size();
+  if (kCorrupt.fire() && !payload.empty()) {
+    file[kHeaderSize + payload.size() / 2] ^= 0x01;  // one bit of bit rot
   }
-  if (kTruncate.fire()) {
-    bytes.resize(bytes.size() / 2);
-  }
+  if (kTruncate.fire()) size /= 2;
 
   try {
-    atomic_write_file(path, bytes);
+    atomic_write_file(path,
+                      std::string_view(reinterpret_cast<const char*>(file.data()), size));
   } catch (const std::exception& e) {
     throw CheckpointError(e.what());
   }

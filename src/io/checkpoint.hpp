@@ -27,7 +27,7 @@ class CheckpointError : public std::runtime_error {
 
 /// Current checkpoint container version. Bump on any layout change; loaders
 /// reject versions they do not understand rather than guessing.
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// Header fields of a checkpoint, available without restoring (the CRC is
 /// verified before anything is returned).

@@ -168,8 +168,8 @@ class ProbePlans {
 };
 
 /// The library's one recheck routine, shared by every store of incremental
-/// enabledness: VSSM's per-type enabled sets, FRM's pair flags and event
-/// queue, and the enabled-rate cache of the rate-weighted PNDCA policies.
+/// enabledness: VSSM's per-type enabled sets, FRM's indexed event queue,
+/// and the enabled-rate cache of the rate-weighted PNDCA policies.
 /// It owns the probe plans and the old-species scratch of the last
 /// execution, and tests every recheck against the configuration's bytes,
 /// so it holds no copy of the lattice state that could fall behind it;

@@ -115,6 +115,9 @@ class ScopedSpan {
 class Tracer {
  public:
   static constexpr std::size_t kDefaultCapacity = 1u << 16;
+  /// The largest ring a caller may ask for: a TraceEvent is 48 bytes, so
+  /// 192 MB a ring, reserved when the ring is made.
+  static constexpr std::size_t kMaxCapacity = 1u << 22;
 
   explicit Tracer(std::size_t ring_capacity = kDefaultCapacity);
   ~Tracer();

@@ -11,9 +11,11 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/simulator.hpp"
+#include "dmc/frm.hpp"
 #include "model/parser.hpp"
 #include "models/diffusion.hpp"
 #include "models/ising.hpp"
@@ -23,15 +25,34 @@
 
 namespace casurf {
 
+/// The (type, site) pairs enabled in `sim`'s configuration, counted one by
+/// one.
+inline std::uint64_t brute_force_enabled_pairs(const Simulator& sim) {
+  std::uint64_t n = 0;
+  for (const ReactionType& rt : sim.model().reactions()) {
+    for (SiteIndex s = 0; s < sim.configuration().size(); ++s) {
+      if (rt.enabled(sim.configuration(), s)) ++n;
+    }
+  }
+  return n;
+}
+
 /// Steps `sim` `events` times. After every event the simulator's own audit
-/// — its enabled sets, or its pair flags and queue, against the
-/// configuration — must report nothing.
-inline void expect_audit_clean_after_every_event(Simulator& sim, int events) {
+/// — its enabled sets, or its pair index and queue, against the
+/// configuration — must report nothing, and FRM's queue must hold exactly
+/// one event per enabled pair.
+template <class Sim>
+void expect_audit_clean_after_every_event(Sim& sim, int events) {
   for (int i = 0; i < events; ++i) {
     sim.mc_step();
     AuditReport report;
     sim.audit_derived_state(report, false);
     ASSERT_TRUE(report.clean()) << "after event " << i + 1 << ":\n" << report.to_string();
+    if constexpr (std::is_same_v<Sim, FrmSimulator>) {
+      ASSERT_EQ(sim.queue().size(), sim.enabled_pairs()) << "after event " << i + 1;
+      ASSERT_EQ(sim.enabled_pairs(), brute_force_enabled_pairs(sim))
+          << "after event " << i + 1;
+    }
   }
 }
 

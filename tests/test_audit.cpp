@@ -96,7 +96,7 @@ TEST_F(AuditTest, DetectsAndRepairsFrmBookkeepingDrift) {
 
   try {
     StateAuditor(AuditPolicy::kAbort).run(sim);
-    FAIL() << "corrupted FRM pair table passed the audit";
+    FAIL() << "corrupted FRM pair index passed the audit";
   } catch (const AuditError& e) {
     EXPECT_EQ(e.report().issues.front().component, "frm-queue");
   }

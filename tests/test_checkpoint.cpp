@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "core/simulation.hpp"
+#include "dmc/frm.hpp"
 #include "io/atomic_file.hpp"
 #include "models/zgb.hpp"
 
@@ -175,6 +177,62 @@ TEST_F(CheckpointFileTest, Crc32MatchesTheReferenceVector) {
   EXPECT_EQ(io::crc32({}), 0u);
 }
 
+// The file is the 24-byte header (magic, version, CRC-32 of the payload,
+// payload size) followed by the payload it checks: the meta, state and
+// user sections.
+TEST_F(CheckpointFileTest, FileIsTheHeaderThenThePayload) {
+  auto sim = make(Algorithm::kFrm);
+  sim->advance_to(1.0);
+  io::save_checkpoint(path_, *sim, "user-payload");
+
+  StateWriter payload;
+  payload.section("meta");
+  payload.str("FRM");
+  payload.u32(16);
+  payload.u32(16);
+  payload.u64(zgb_.model.species().names().size());
+  for (const std::string& n : zgb_.model.species().names()) payload.str(n);
+  payload.u64(zgb_.model.num_reactions());
+  for (const ReactionType& rt : zgb_.model.reactions()) payload.f64(rt.rate());
+  payload.f64(sim->time());
+  payload.u64(sim->counters().steps);
+  payload.section("state");
+  sim->save_state(payload);
+  payload.section("user");
+  payload.str("user-payload");
+
+  StateWriter want;
+  want.bytes("CASURFCK", 8);
+  want.u32(io::kCheckpointVersion);
+  want.u32(io::crc32(payload.buffer()));
+  want.u64(payload.size());
+  want.bytes(payload.buffer().data(), payload.size());
+
+  const std::string raw = io::read_file(path_);
+  EXPECT_EQ(raw, std::string(want.buffer().begin(), want.buffer().end()));
+}
+
+// Version 3 changed FRM's section; a version-2 file is refused by number
+// before anything in it is read.
+TEST_F(CheckpointFileTest, VersionTwoIsRefused) {
+  auto sim = make(Algorithm::kFrm);
+  io::save_checkpoint(path_, *sim);
+  std::string raw = io::read_file(path_);
+  raw[8] = 2;  // the u32 version after the 8-byte magic, little-endian
+  std::ofstream(path_, std::ios::binary).write(raw.data(),
+                                               static_cast<std::streamsize>(raw.size()));
+  for (const bool peek : {true, false}) {
+    try {
+      if (peek) (void)io::peek_checkpoint(path_);
+      else (void)io::restore_checkpoint(path_, *make(Algorithm::kFrm));
+      FAIL() << "a version-2 file was accepted";
+    } catch (const io::CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported version 2"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST_F(CheckpointFileTest, WrongAlgorithmIsRejectedByName) {
   auto vssm = make(Algorithm::kVssm);
   vssm->advance_to(1.0);
@@ -252,7 +310,7 @@ TEST_F(CheckpointFileTest, ParallelEngineResumesAtAnyThreadCount) {
 
 // Restored bookkeeping must agree with the restored lattice. A model whose
 // two reaction types were swapped passes every header guard (same species,
-// type count and total rate), yet the VSSM sets and FRM flags it restores
+// type count and total rate), yet the VSSM sets and FRM queue it restores
 // describe the other type at every site.
 ReactionModel ads_des_model(bool swapped) {
   const ReactionType ads("ads", 1.0, {exact({0, 0}, 0, 1)});
@@ -319,13 +377,13 @@ TEST_P(RestoreConsistencyTest, SameModelRestoreResumesByteIdentically) {
 // A stored site that does not fit a SiteIndex is rejected by name, never
 // truncated to a site in range: 2^32 + 5 must not restore as site 5.
 // VSSM's state ends with its last event's site; FRM's ends with the last
-// queued event's site, type and generation.
+// queued event's site and type.
 TEST_P(RestoreConsistencyTest, SiteBeyondThirtyTwoBitsIsRejected) {
   StateWriter w;
   run(20)->save_state(w);
   std::vector<std::uint8_t> bytes = w.buffer();
   const bool vssm = GetParam() == Algorithm::kVssm;
-  const std::size_t at = bytes.size() - (vssm ? 8 : 24);
+  const std::size_t at = bytes.size() - (vssm ? 8 : 16);
   const std::uint64_t site = (std::uint64_t{1} << 32) + 5;
   for (std::size_t i = 0; i < 8; ++i) {
     bytes[at + i] = static_cast<std::uint8_t>(site >> (8 * i));
@@ -349,6 +407,60 @@ INSTANTIATE_TEST_SUITE_P(Dmc, RestoreConsistencyTest,
                          [](const auto& row) {
                            return row.param == Algorithm::kVssm ? "VSSM" : "FRM";
                          });
+
+// FRM's state ends with its heap array, 24 bytes an event (time, site,
+// type); these rows rewrite queued events in a saved state and require the
+// restore to refuse it by name.
+class FrmQueueRestoreTest : public ::testing::Test {
+ protected:
+  FrmQueueRestoreTest() {
+    for (int i = 0; i < 20; ++i) saved_.mc_step();
+    StateWriter w;
+    saved_.save_state(w);
+    bytes_ = w.take();
+  }
+
+  /// The byte offset of heap slot k's event.
+  [[nodiscard]] std::size_t event_at(std::size_t k) const {
+    return bytes_.size() - 24 * (saved_.queue().size() - k);
+  }
+
+  void expect_refused(const std::string& needle) const {
+    FrmSimulator reader(model_, Configuration(Lattice(8, 8), 2, 0), 7);
+    StateReader r(bytes_);
+    try {
+      reader.restore_state(r);
+      FAIL() << "the rewritten queue was accepted";
+    } catch (const StateFormatError& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+    }
+  }
+
+  const ReactionModel model_ = ads_des_model(false);
+  FrmSimulator saved_{model_, Configuration(Lattice(8, 8), 2, 0), 7};
+  std::vector<std::uint8_t> bytes_;
+};
+
+TEST_F(FrmQueueRestoreTest, PairQueuedTwiceIsRejected) {
+  ASSERT_GE(saved_.queue().size(), 2u);
+  // Slot 1 keeps its time and takes slot 0's site and type.
+  std::copy_n(bytes_.begin() + static_cast<std::ptrdiff_t>(event_at(0) + 8), 16,
+              bytes_.begin() + static_cast<std::ptrdiff_t>(event_at(1) + 8));
+  const FrmSimulator::Event& head = saved_.queue()[0];
+  expect_refused("frm queue holds pair (type " + std::to_string(head.type) + ", site " +
+                 std::to_string(head.site) + ") twice, at heap slots 0 and 1");
+}
+
+TEST_F(FrmQueueRestoreTest, QueueOutOfHeapOrderIsRejected) {
+  ASSERT_GE(saved_.queue().size(), 2u);
+  ASSERT_LT(saved_.queue()[0].when, saved_.queue()[1].when);
+  // Swap the times of the root and its first child: the child now fires
+  // first.
+  std::swap_ranges(bytes_.begin() + static_cast<std::ptrdiff_t>(event_at(0)),
+                   bytes_.begin() + static_cast<std::ptrdiff_t>(event_at(0) + 8),
+                   bytes_.begin() + static_cast<std::ptrdiff_t>(event_at(1)));
+  expect_refused("frm queue is not a valid heap");
+}
 
 }  // namespace
 }  // namespace casurf

@@ -79,13 +79,6 @@ TEST(Frm, EnabledPairsConsistentAfterManyEvents) {
   auto zgb = models::make_zgb();
   FrmSimulator sim(zgb.model, Configuration(Lattice(8, 8), 3, zgb.vacant), 6);
   expect_audit_clean_after_every_event(sim, 2000);
-  std::uint64_t brute = 0;
-  for (ReactionIndex i = 0; i < zgb.model.num_reactions(); ++i) {
-    for (SiteIndex s = 0; s < sim.configuration().size(); ++s) {
-      if (zgb.model.reaction(i).enabled(sim.configuration(), s)) ++brute;
-    }
-  }
-  EXPECT_EQ(sim.enabled_pairs(), brute);
 }
 
 class FrmBookkeeping : public ::testing::TestWithParam<MaskRow> {};
@@ -111,7 +104,7 @@ TEST_P(FrmBookkeeping, InitialQueueIsThePerSiteRasterBuild) {
   for (ReactionIndex i = 0; i < model.num_reactions(); ++i) {
     for (SiteIndex s = 0; s < cfg.size(); ++s) {
       if (!model.reaction(i).enabled(cfg, s)) continue;
-      want.push_back({exponential(rng, model.reaction(i).rate()), s, i, 1});
+      want.push_back({exponential(rng, model.reaction(i).rate()), s, i});
       std::push_heap(want.begin(), want.end());
     }
   }
@@ -121,21 +114,11 @@ TEST_P(FrmBookkeeping, InitialQueueIsThePerSiteRasterBuild) {
     EXPECT_EQ(got[k].when, want[k].when) << "heap slot " << k;
     EXPECT_EQ(got[k].site, want[k].site) << "heap slot " << k;
     EXPECT_EQ(got[k].type, want[k].type) << "heap slot " << k;
-    EXPECT_EQ(got[k].generation, want[k].generation) << "heap slot " << k;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(MaskShapes, FrmBookkeeping, ::testing::ValuesIn(mask_rows()),
                          [](const auto& row) { return row.param.name; });
-
-TEST(Frm, QueueDoesNotLeakUnbounded) {
-  // Lazy deletion keeps stale events around, but after steady simulation
-  // the queue must stay within a small multiple of the enabled pairs.
-  const ReactionModel m = ads_des_model(1.0, 1.0);
-  FrmSimulator sim(m, Configuration(Lattice(16, 16), 2, 0), 7);
-  for (int i = 0; i < 20000; ++i) sim.mc_step();
-  EXPECT_LT(sim.queue_size(), 40u * sim.configuration().size());
-}
 
 TEST(Frm, SameSeedSameTrajectory) {
   auto zgb = models::make_zgb();
@@ -151,9 +134,9 @@ TEST(Frm, SameSeedSameTrajectory) {
 
 // On the hex-vacant 500x500 Pt(100) start that casurf_run builds, one of
 // the 39 types (CO_ads_hex) is enabled at every site and the rest at none.
-// Generation and flag tables filled over every (type, site) pair cost
-// about 53 MB of growth; on demand-zero pages only the one type's pages
-// count, next to its 250,000 queued events.
+// An index filled over every (type, site) pair would cost 39 MB of growth;
+// on demand-zero pages only the one type's pages count, next to its
+// 250,000 queued events.
 TEST(Frm, TypesNeverEnabledCostNoResidentMemory) {
   if (const std::string why = resident_memory_unmeasurable(); !why.empty()) {
     GTEST_SKIP() << why;
@@ -163,6 +146,31 @@ TEST(Frm, TypesNeverEnabledCostNoResidentMemory) {
   const double grown_mb =
       resident_growth_mb([&] { return FrmSimulator(pt.model, start, 3); });
   EXPECT_LT(grown_mb, 20.0) << "resident set grew by " << grown_mb << " MB";
+}
+
+// The same start, one corrupted pair, and an audit that repairs it: the
+// repair rebuilds through a fresh index, so it writes the pages of the
+// enabled type only, as the constructor does, not every pair's.
+TEST(Frm, AuditRepairTouchesOnlyEnabledPages) {
+  if (const std::string why = resident_memory_unmeasurable(); !why.empty()) {
+    GTEST_SKIP() << why;
+  }
+  const models::Pt100Model pt = models::make_pt100();
+  const Configuration start(Lattice(500, 500), pt.model.species().size(), pt.hex_vac);
+  FrmSimulator sim(pt.model, start, 3);
+  sim.corrupt_pair_for_test(0, 0);
+  AuditReport found;
+  sim.audit_derived_state(found, false);
+  ASSERT_FALSE(found.clean()) << "the corrupted pair passed the audit";
+  const double grown_mb = resident_growth_mb([&] {
+    AuditReport report;
+    sim.audit_derived_state(report, true);
+    return report;
+  });
+  EXPECT_LT(grown_mb, 8.0) << "resident set grew by " << grown_mb << " MB";
+  AuditReport after;
+  sim.audit_derived_state(after, false);
+  EXPECT_TRUE(after.clean()) << after.to_string();
 }
 
 TEST(Frm, NameIsFrm) {
