@@ -14,13 +14,13 @@
 //   casurf_run --model zgb --t-end 100 --checkpoint run.ck --resume run.ck
 //   casurf_run --model zgb --t-end 100 --checkpoint run.ck --supervise=5
 //
-// Exit codes (docs/ROBUSTNESS.md):
+// Exit codes (docs/ROBUSTNESS.md, src/util/exit_codes.hpp):
 //   0    run completed
-//   1    runtime error (bad input files, simulation failure)
-//   2    usage error (bad flags, bad --failpoints spec)
+//   1    runtime error (unreadable input files, simulation failure)
+//   2    usage error (bad flags, bad --failpoints spec, a model or initial
+//        configuration that can never run); never retried
 //   3    --resume: neither PATH nor PATH.bak could be restored
 //   4    --supervise: retry budget exhausted
-//   42   --die-at simulated crash (no cleanup, as a real crash)
 //   128+N  ended by signal N after a graceful shutdown (130 = SIGINT,
 //          143 = SIGTERM)
 
@@ -63,19 +63,13 @@
 #include "models/zgb.hpp"
 #include "stats/coverage.hpp"
 #include "stats/csv.hpp"
+#include "util/exit_codes.hpp"
 #include "util/failpoint.hpp"
 #include "util/log.hpp"
 
 using namespace casurf;
 
 namespace {
-
-// Exit-code taxonomy; see the header comment and docs/ROBUSTNESS.md.
-constexpr int kExitOk = 0;
-constexpr int kExitRuntime = 1;
-constexpr int kExitUsage = 2;
-constexpr int kExitRestoreFailed = 3;
-constexpr int kExitRetriesExhausted = 4;
 
 struct Options {
   std::string argv0 = "casurf_run";
@@ -112,7 +106,6 @@ struct Options {
   bool drift_corr_rmax_set = false;
   std::string heatmap;       // spatial-artifact prefix ("" = off)
   std::uint64_t heatmap_every = 0;  // refresh each N samples (0 = at end)
-  double die_at = -1;  // crash-test aid: _Exit mid-run once time() >= die_at
   std::string failpoints;  // fault-injection spec (flag or CASURF_FAILPOINTS)
   bool supervise = false;             // run under the restarting supervisor
   std::uint64_t supervise_retries = 3;  // restarts before giving up
@@ -209,7 +202,7 @@ struct Options {
                "  --heatmap-every N   also refresh the artifacts every N samples\n"
                "  --quiet             suppress the progress table\n",
                argv0, obs::Tracer::kMaxCapacity, obs::Tracer::kDefaultCapacity);
-  std::exit(error ? kExitUsage : 0);
+  std::exit(error ? exit_code::kUsage : 0);
 }
 
 /// strtod with the full error protocol: no partial parses ("5x" is an
@@ -355,7 +348,6 @@ Options parse_args(int argc, char** argv) {
     }
     else if (flag == "--heatmap") opt.heatmap = need_value(i);
     else if (flag == "--heatmap-every") opt.heatmap_every = integer(i, "--heatmap-every");
-    else if (flag == "--die-at") opt.die_at = num(i, "--die-at");  // crash-test aid
     else if (flag == "--quiet") opt.quiet = true;
     else if (flag == "--log-level") {
       if (!log::parse_level(need_value(i), opt.log_level)) {
@@ -578,7 +570,7 @@ int run_once(const Options& opt, obs::RecoveryLog& recovery) {
     const std::string err = fail::configure(opt.failpoints);
     if (!err.empty()) {
       std::fprintf(stderr, "error: %s\n", err.c_str());
-      return kExitUsage;
+      return exit_code::kUsage;
     }
   }
   install_worker_handlers();
@@ -593,6 +585,7 @@ int run_once(const Options& opt, obs::RecoveryLog& recovery) {
   // --- Build the model -----------------------------------------------
   std::optional<ReactionModel> model;
   Species fill_species = 0;
+  bool building = true;  // until the first simulator stands
   try {
     if (!opt.model_file.empty()) {
       model.emplace(parse_model_file(opt.model_file));
@@ -654,6 +647,7 @@ int run_once(const Options& opt, obs::RecoveryLog& recovery) {
       return make_simulator(*model, build_config(), sim_opt);
     };
     std::unique_ptr<Simulator> sim = build_sim();
+    building = false;
 
     // --- Resume ------------------------------------------------------
     CoverageRecorder recorder;
@@ -690,7 +684,7 @@ int run_once(const Options& opt, obs::RecoveryLog& recovery) {
             std::fprintf(stderr,
                          "error: %s\nerror: cannot restore from %s or %s\n",
                          secondary.what(), opt.resume.c_str(), bak.c_str());
-            return kExitRestoreFailed;
+            return exit_code::kRestoreFailed;
           }
           // Supervised restart: losing all progress beats losing the run.
           std::fprintf(stderr,
@@ -867,10 +861,6 @@ int run_once(const Options& opt, obs::RecoveryLog& recovery) {
         std::fprintf(stderr, "injected SIGTERM at t = %.6g\n", sim->time());
         ::raise(SIGTERM);
       }
-      if (opt.die_at >= 0 && sim->time() >= opt.die_at) {
-        std::fprintf(stderr, "simulated crash at t = %.6g\n", sim->time());
-        std::_Exit(42);  // no destructors, no final outputs — as a crash would
-      }
       if (g_signal != 0) {
         // Graceful shutdown: save where we are, flush what observability
         // state exists, and report the signal in the exit code. A later
@@ -972,16 +962,24 @@ int run_once(const Options& opt, obs::RecoveryLog& recovery) {
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    return kExitRuntime;
+    // While the model, the initial configuration and the simulator are
+    // built, a model that does not parse or a std::logic_error (make_zgb's
+    // or make_ising's invalid_argument, --fill's out_of_range, a simulator
+    // that refuses the model) means the run can never start: a usage error,
+    // which neither supervisor retries. I/O and snapshot failures are
+    // runtime errors.
+    const bool refused = dynamic_cast<const ModelParseError*>(&e) != nullptr ||
+                         dynamic_cast<const std::logic_error*>(&e) != nullptr;
+    return building && refused ? exit_code::kUsage : exit_code::kRuntime;
   }
-  return kExitOk;
+  return exit_code::kOk;
 }
 
 // --- Supervisor -----------------------------------------------------------
 
 /// Fork-based supervised execution: the simulation runs in a worker child
 /// while the parent watches a heartbeat pipe. A worker that crashes (any
-/// abnormal exit, an injected SIGKILL, a --die-at) or hangs (no heartbeat
+/// abnormal exit, an injected SIGKILL) or hangs (no heartbeat
 /// for --watchdog seconds; killed) is restarted from the latest good
 /// checkpoint with bounded exponential backoff, up to the retry budget.
 /// SIGINT/SIGTERM are forwarded to the worker, whose graceful shutdown
@@ -1007,7 +1005,7 @@ int supervise(const Options& opt) {
     if (::pipe(pipefd) != 0) {
       std::fprintf(stderr, "error: supervisor pipe failed: %s\n",
                    std::strerror(errno));
-      return kExitRuntime;
+      return exit_code::kRuntime;
     }
     // spawn_supervised closes the forwarding window: SIGINT/SIGTERM are
     // blocked across fork() and the g_child_pid store (a signal landing in
@@ -1035,7 +1033,7 @@ int supervise(const Options& opt) {
     if (pid < 0) {
       std::fprintf(stderr, "error: supervisor fork failed: %s\n",
                    std::strerror(errno));
-      return kExitRuntime;
+      return exit_code::kRuntime;
     }
     ::close(pipefd[1]);
     log::Event(log::Level::kDebug, "run.supervise", "worker_spawned")
@@ -1083,8 +1081,8 @@ int supervise(const Options& opt) {
     int detail = 0;
     if (WIFEXITED(status)) {
       const int code = WEXITSTATUS(status);
-      if (code == kExitOk) return kExitOk;
-      if (code == kExitUsage) return code;  // config error: retrying is pointless
+      if (code == exit_code::kOk) return exit_code::kOk;
+      if (code == exit_code::kUsage) return code;  // config error: retrying is pointless
       if (code == 128 + SIGINT || code == 128 + SIGTERM) {
         // The worker shut down gracefully after a forwarded (or external)
         // signal; that is an orderly preemption, not a failure.
@@ -1122,7 +1120,7 @@ int supervise(const Options& opt) {
           .str("cause", cause)
           .i64("detail", detail)
           .u64("retries", opt.supervise_retries);
-      return kExitRetriesExhausted;
+      return exit_code::kRetriesExhausted;
     }
     obs::RecoveryRecord record;
     record.cause = cause;

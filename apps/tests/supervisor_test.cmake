@@ -63,6 +63,30 @@ require_report_matches("${WORK_DIR}/calm.json" "calm supervised run"
 run_expecting(2 ${CASURF_RUN} ${common} --supervise)                  # no --checkpoint
 run_expecting(2 ${CASURF_RUN} ${common} --failpoints "a=hit@0")       # bad spec
 
+# 3b. So is a run that can never start (a model file that does not parse,
+#     ZGB at y = 1), and the supervisor forwards it from the first worker:
+#     the error is printed once and no restart is logged.
+foreach(bad "--model-file;${CMAKE_CURRENT_LIST_DIR}/undeclared_species.model" "--y;1")
+  file(REMOVE "${WORK_DIR}/never.log")
+  execute_process(COMMAND ${CASURF_RUN} ${common} ${bad} --checkpoint "${WORK_DIR}/never.ck"
+                          --supervise=3 --log-level info --log-file "${WORK_DIR}/never.log"
+                  RESULT_VARIABLE rv ERROR_VARIABLE err)
+  if(NOT rv EQUAL 2)
+    message(FATAL_ERROR "${bad} under --supervise=3: expected exit 2, got '${rv}':\n${err}")
+  endif()
+  string(REGEX MATCHALL "error: " errors "${err}")
+  list(LENGTH errors n)
+  if(NOT n EQUAL 1)
+    message(FATAL_ERROR "${bad} under --supervise=3: ${n} error lines, not 1:\n${err}")
+  endif()
+  if(EXISTS "${WORK_DIR}/never.log")
+    file(READ "${WORK_DIR}/never.log" log)
+    if(log MATCHES "worker_restart")
+      message(FATAL_ERROR "${bad} under --supervise=3 was restarted:\n${log}")
+    endif()
+  endif()
+endforeach()
+
 # 4. The torture run: the worker is SIGKILLed at its second checkpoint in
 #    every generation, and every second checkpoint write is corrupted on
 #    disk (forcing the .bak fallback on restore). The supervisor must grind

@@ -64,8 +64,10 @@ ChunkId LPndcaSimulator::select_chunk() {
     // Rate-weighted draw over the live per-chunk enabled rates; unlike
     // PNDCA's per-step freeze, each batch sees the counts updated by the
     // previous one. Falls back to the size draw when nothing is enabled.
-    const ChunkSampler& sampler = rate_cache_->sampler(0);
-    if (sampler.total() > 0) return sampler.sample(uniform01(rng_));
+    const std::vector<double>& rates = rate_cache_->chunk_cumulative(0);
+    if (rates.back() > 0) {
+      return static_cast<ChunkId>(sample_cumulative(rates, uniform01(rng_)));
+    }
   }
   // select P_i with probability |P_i| / N
   return static_cast<ChunkId>(sample_cumulative(chunk_cumulative_, uniform01(rng_)));

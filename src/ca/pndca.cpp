@@ -111,16 +111,16 @@ std::vector<ChunkId> PndcaSimulator::plan_schedule() {
       break;
     case ChunkPolicy::kRateWeighted: {
       // |P| draws weighted by the rate of currently-enabled reactions in
-      // each chunk (paper's option 4). The weights come from the
-      // incremental cache — no full-lattice rescan — and are frozen at the
-      // start of the step; each draw costs O(log m) through the Fenwick
-      // sampler, which never selects a zero-weight chunk. With nothing
-      // enabled anywhere the draw degenerates to uniform.
-      const ChunkSampler& sampler = rate_cache_->sampler(partition_cursor_);
+      // each chunk (paper's option 4). The weights are the incremental
+      // cache's cumulative chunk-rate table (no full-lattice rescan),
+      // frozen at the start of the step, and sample_cumulative never
+      // selects a zero-rate chunk. With nothing enabled anywhere the draw
+      // degenerates to uniform.
+      const std::vector<double>& rates = rate_cache_->chunk_cumulative(partition_cursor_);
       for (std::size_t i = 0; i < m; ++i) {
-        schedule[i] = sampler.total() > 0
-                          ? sampler.sample(uniform01(rng_))
-                          : static_cast<ChunkId>(uniform_below(rng_, m));
+        schedule[i] = static_cast<ChunkId>(rates.back() > 0
+                                               ? sample_cumulative(rates, uniform01(rng_))
+                                               : uniform_below(rng_, m));
       }
       break;
     }

@@ -1,63 +1,9 @@
 #include "ca/rate_cache.hpp"
 
-#include <bit>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
 namespace casurf {
-
-void ChunkSampler::assign(const std::vector<double>& weights) {
-  weights_ = weights;
-  const std::size_t m = weights_.size();
-  // Sanitize before building the prefix tree: a negative or NaN weight
-  // would poison every ancestor sum and make the descent's `tree_[next] <=
-  // remaining` comparisons meaningless (a negative weight even makes the
-  // prefix sums non-monotone, so "first chunk whose cumulative exceeds the
-  // target" stops being well-defined). Clamping to zero keeps such chunks
-  // unselectable — the semantics every caller wants — instead of silently
-  // skewing the distribution. `w > 0.0` is false for NaN, so NaN also
-  // clamps.
-  for (double& w : weights_) w = w > 0.0 ? w : 0.0;
-  top_bit_ = m == 0 ? 0 : std::bit_floor(m);
-  tree_.assign(m + 1, 0.0);
-  total_ = 0.0;
-  for (std::size_t i = 1; i <= m; ++i) {
-    tree_[i] += weights_[i - 1];
-    total_ += weights_[i - 1];
-    const std::size_t parent = i + (i & (~i + 1));
-    if (parent <= m) tree_[parent] += tree_[i];
-  }
-}
-
-ChunkId ChunkSampler::sample(double u) const {
-  assert(total_ > 0.0);
-  const std::size_t m = weights_.size();
-  double remaining = u * total_;
-  // Descend to the largest pos with prefix(pos) <= u * total; the selected
-  // chunk is pos (0-based), the first whose cumulative weight exceeds the
-  // target. A zero-weight chunk can never be that first-exceeding index —
-  // its cumulative equals its predecessor's — so the only way to land on
-  // one is accumulated rounding: tree_ sums the weights in a different
-  // association than the descent subtracts them, so with u just below 1 the
-  // walk can step past the last POSITIVE chunk into a zero tail (or past
-  // the end entirely, pos == m). Both are caught below.
-  std::size_t pos = 0;
-  for (std::size_t step = top_bit_; step > 0; step >>= 1) {
-    const std::size_t next = pos + step;
-    if (next <= m && tree_[next] <= remaining) {
-      pos = next;
-      remaining -= tree_[next];
-    }
-  }
-  // Clamp into range, then walk down to the nearest selectable chunk.
-  // assign() zeroed every non-positive weight, so total_ > 0 guarantees a
-  // positive-weight chunk exists at or below any landing point the descent
-  // can produce and the walk terminates on it.
-  std::size_t c = pos < m ? pos : m - 1;
-  while (c > 0 && weights_[c] <= 0.0) --c;
-  return static_cast<ChunkId>(c);
-}
 
 EnabledRateCache::EnabledRateCache(const ReactionModel& model,
                                    const Configuration& config)
@@ -89,7 +35,7 @@ void EnabledRateCache::recount_slot(Slot& slot) const {
       row[t] += enabled_.test(s, static_cast<ReactionIndex>(t)) ? 1 : 0;
     }
   }
-  slot.sampler_dirty = true;
+  slot.cumulative_dirty = true;
 }
 
 void EnabledRateCache::rebuild(const Configuration& config) {
@@ -184,21 +130,20 @@ double EnabledRateCache::chunk_rate(std::size_t slot_index, ChunkId c) const {
   return rate;
 }
 
-const ChunkSampler& EnabledRateCache::sampler(std::size_t slot_index) const {
+const std::vector<double>& EnabledRateCache::chunk_cumulative(std::size_t slot_index) const {
   const Slot& slot = slots_[slot_index];
-  if (slot.sampler_dirty) {
-    // Weights are derived from the integer counts in a fixed summation
-    // order, so identical counts — however they were reached — produce a
-    // bit-identical sampler. This is what keeps serial and threaded
-    // rate-weighted trajectories in lockstep.
-    weight_scratch_.resize(slot.num_chunks);
+  if (slot.cumulative_dirty) {
+    // Summed from the integer counts in a fixed order, so identical counts
+    // (however they were reached) give a bit-identical table. This is what
+    // keeps serial and threaded rate-weighted trajectories in lockstep.
+    slot.cumulative.resize(slot.num_chunks);
+    double acc = 0.0;
     for (ChunkId c = 0; c < slot.num_chunks; ++c) {
-      weight_scratch_[c] = chunk_rate(slot_index, c);
+      slot.cumulative[c] = acc += chunk_rate(slot_index, c);
     }
-    slot.sampler.assign(weight_scratch_);
-    slot.sampler_dirty = false;
+    slot.cumulative_dirty = false;
   }
-  return slot.sampler;
+  return slot.cumulative;
 }
 
 }  // namespace casurf

@@ -22,37 +22,6 @@ enum class ChunkWeighting {
                   ///< served by the incremental EnabledRateCache
 };
 
-/// Fenwick (binary-indexed) tree over per-chunk weights: O(m) rebuild,
-/// O(log m) weighted draw. Zero-weight chunks are never returned by
-/// sample(), even when floating-point rounding pushes u * total() onto a
-/// cumulative boundary (the failure mode of a plain cumulative search).
-class ChunkSampler {
- public:
-  ChunkSampler() = default;
-
-  /// Rebuild from scratch in O(m). Non-positive and NaN weights are
-  /// clamped to zero (unselectable) — they would otherwise break the
-  /// monotone-prefix invariant sample()'s descent depends on.
-  void assign(const std::vector<double>& weights);
-
-  [[nodiscard]] std::size_t size() const { return weights_.size(); }
-  [[nodiscard]] double total() const { return total_; }
-  /// The sanitized weight actually used (clamped, not the caller's value).
-  [[nodiscard]] double weight(ChunkId c) const { return weights_[c]; }
-
-  /// Draw chunk c with probability weight(c) / total() given u in [0, 1).
-  /// Precondition: total() > 0. Never returns a zero-weight chunk, even
-  /// when accumulated rounding pushes u * total() past the last positive
-  /// chunk's cumulative weight.
-  [[nodiscard]] ChunkId sample(double u) const;
-
- private:
-  std::vector<double> tree_;     // 1-based Fenwick array
-  std::vector<double> weights_;  // plain weights, for queries and zero checks
-  double total_ = 0.0;
-  std::size_t top_bit_ = 0;  // largest power of two <= size()
-};
-
 /// Incremental per-(chunk, reaction-type) enabled-count cache: the
 /// bookkeeping that turns the paper's "option 4" rate-weighted chunk
 /// selection from an O(N |T|) per-step rescan into an O(neighborhood)
@@ -80,9 +49,12 @@ class ChunkSampler {
 /// thread (threaded PNDCA's workers only test), so after each commit the
 /// counts are those of the configuration as it then stands.
 ///
-/// All counts are integers; the floating-point chunk weights and the
-/// Fenwick sampler are (re)derived from them in a fixed summation order, so
-/// identical counts always produce identical draws.
+/// All counts are integers; each slot's cumulative chunk-rate table is
+/// (re)derived from them in a fixed summation order, so identical counts
+/// always produce identical draws. The draws themselves are
+/// sample_cumulative's (rng/distributions.hpp), the library's one weighted
+/// draw: the table is rebuilt whole after a change, at most once per draw
+/// batch, and a handful of chunks per slot needs no partial-sum tree.
 class EnabledRateCache {
  public:
   /// Builds the probe plans, and the bitset with one full scan of species
@@ -109,10 +81,12 @@ class EnabledRateCache {
   /// Sum over types of k_t * count(slot, c, t): the chunk's enabled rate.
   [[nodiscard]] double chunk_rate(std::size_t slot, ChunkId c) const;
 
-  /// Fenwick sampler over the slot's chunk rates, lazily rebuilt from the
-  /// counts after any of them changed. total() == 0 means no reaction is
-  /// enabled anywhere; callers fall back to their structural draw.
-  [[nodiscard]] const ChunkSampler& sampler(std::size_t slot) const;
+  /// The slot's chunk rates as a cumulative table (entry c is the sum of
+  /// chunk_rate over chunks 0..c), for sample_cumulative. Rebuilt from the
+  /// counts, left to right, on the first call after any of them changed.
+  /// back() == 0 means no reaction is enabled anywhere; callers fall back
+  /// to their structural draw.
+  [[nodiscard]] const std::vector<double>& chunk_cumulative(std::size_t slot) const;
 
   /// Execute `rt` at `s` on `config` and bring the cache up to date: the
   /// Rechecker's execute and after_fire, folding each flip into the bitset
@@ -153,7 +127,7 @@ class EnabledRateCache {
                               std::int32_t delta) {
     slots_[slot].counts[static_cast<std::size_t>(c) * num_types_ + t] +=
         static_cast<std::uint32_t>(delta);
-    slots_[slot].sampler_dirty = true;
+    slots_[slot].cumulative_dirty = true;
   }
   void corrupt_enabled_for_test(SiteIndex s, ReactionIndex t) {
     enabled_.assign(s, t, !enabled_.test(s, t));
@@ -164,8 +138,8 @@ class EnabledRateCache {
     std::vector<ChunkId> chunk_of;      // copied site -> chunk map
     std::size_t num_chunks = 0;
     std::vector<std::uint32_t> counts;  // [chunk * num_types + type]
-    mutable ChunkSampler sampler;
-    mutable bool sampler_dirty = true;
+    mutable std::vector<double> cumulative;  // chunk_cumulative()'s table
+    mutable bool cumulative_dirty = true;
   };
 
   void recount_slot(Slot& slot) const;
@@ -179,7 +153,7 @@ class EnabledRateCache {
           slot.counts[static_cast<std::size_t>(slot.chunk_of[anchor]) * num_types_ +
                       t];
       now ? ++cnt : --cnt;
-      slot.sampler_dirty = true;
+      slot.cumulative_dirty = true;
     }
   }
 
@@ -191,7 +165,6 @@ class EnabledRateCache {
   std::vector<Slot> slots_;
   obs::Counter* rechecks_ = nullptr;
   obs::Counter* boundary_ = nullptr;
-  mutable std::vector<double> weight_scratch_;
 };
 
 }  // namespace casurf

@@ -27,6 +27,9 @@ TPndcaSimulator::TPndcaSimulator(const ReactionModel& model, Configuration confi
     acc += sub.total_rate;
     mean_chunks += static_cast<double>(sub.chunks.num_chunks());
     subset_cumulative_.push_back(acc);
+    std::vector<double>& rates = type_cumulative_.emplace_back();
+    double k = 0;
+    for (const ReactionIndex i : sub.types) rates.push_back(k += model_.reaction(i).rate());
   }
   // The average chunk count makes E[executions of type i per step] equal
   // to RSM's (k_i / K) * n_enabled(i) when subsets share a chunk count
@@ -44,15 +47,14 @@ ChunkId TPndcaSimulator::select_chunk(std::size_t subset_index, ReactionIndex ch
     // of sites where the chosen type is enabled; zero-count chunks are
     // unselectable. Enabled-nowhere types keep the uniform draw so the
     // sweep (and its time advance) still happens.
-    weight_scratch_.resize(m);
+    chunk_cumulative_.resize(m);
     double total = 0;
     for (ChunkId c = 0; c < m; ++c) {
-      weight_scratch_[c] = static_cast<double>(rate_cache_->count(subset_index, c, chosen));
-      total += weight_scratch_[c];
+      chunk_cumulative_[c] = total +=
+          static_cast<double>(rate_cache_->count(subset_index, c, chosen));
     }
     if (total > 0) {
-      sampler_scratch_.assign(weight_scratch_);
-      return sampler_scratch_.sample(uniform01(rng_));
+      return static_cast<ChunkId>(sample_cumulative(chunk_cumulative_, uniform01(rng_)));
     }
   }
   return static_cast<ChunkId>(uniform_below(rng_, m));
@@ -77,16 +79,8 @@ void TPndcaSimulator::mc_step() {
     const TypeSubset& sub = subsets_[j];
 
     // select a reaction type from T_j with probability k_i / K_Tj
-    double target = uniform01(rng_) * sub.total_rate;
-    ReactionIndex chosen = sub.types.back();
-    for (const ReactionIndex i : sub.types) {
-      const double k = model_.reaction(i).rate();
-      if (target < k) {
-        chosen = i;
-        break;
-      }
-      target -= k;
-    }
+    const ReactionIndex chosen =
+        sub.types[sample_cumulative(type_cumulative_[j], uniform01(rng_))];
 
     // select P_i from the subset's partition, then execute the chosen type
     // at every enabled site of the chunk. Same-chunk anchors of a single

@@ -55,9 +55,9 @@ class TPndcaSimulator final : public PartitionedSimulator {
   // sub-partition.
   std::vector<TypeSubset> subsets_;
   std::uint32_t sweeps_per_step_ = 0;
-  std::vector<double> subset_cumulative_;  // cumulative K_Tj
-  std::vector<double> weight_scratch_;
-  ChunkSampler sampler_scratch_;
+  std::vector<double> subset_cumulative_;            // cumulative K_Tj
+  std::vector<std::vector<double>> type_cumulative_;  // per subset, cumulative k_i
+  std::vector<double> chunk_cumulative_;  // the chosen type's chunk counts, cumulative
   obs::Timer* step_timer_ = nullptr;           // tpndca/step
   obs::Timer* sweep_timer_ = nullptr;          // tpndca/sweep
 };

@@ -35,9 +35,10 @@ void VssmSimulator::attach(const obs::Sinks& sinks) {
 
 double VssmSimulator::total_enabled_rate() const {
   const obs::ScopedTimer span(rate_scan_timer_);
+  bands_.resize(model_.num_reactions());
   double r = 0;
   for (ReactionIndex i = 0; i < model_.num_reactions(); ++i) {
-    r += model_.reaction(i).rate() * static_cast<double>(enabled_[i].size());
+    bands_[i] = r += model_.reaction(i).rate() * static_cast<double>(enabled_[i].size());
   }
   return r;
 }
@@ -50,34 +51,15 @@ void VssmSimulator::mc_step() {
 
   // Time to next event, then the event itself.
   time_ += exponential(rng_, total);
-  execute_event(total);
+  execute_event();
 }
 
-ReactionIndex VssmSimulator::select_type(double u, double total) const {
-  // Direct-method band selection: type i with probability k_i |E_i| / total.
-  // Empty bands are skipped entirely, and when rounding leaves the target
-  // unconsumed past the last band, the fall-through goes to the last type
-  // with a *nonzero* band — never to one whose enabled set is empty, which
-  // would silently drop the event after time was already advanced.
-  double target = u * total;
-  const auto num = static_cast<ReactionIndex>(model_.num_reactions());
-  ReactionIndex fallback = num;
-  for (ReactionIndex i = 0; i < num; ++i) {
-    const double band =
-        model_.reaction(i).rate() * static_cast<double>(enabled_[i].size());
-    if (!(band > 0.0)) continue;
-    fallback = i;
-    if (target < band) return i;
-    target -= band;
-  }
-  return fallback;  // == num_reactions() only when nothing is enabled at all
-}
-
-void VssmSimulator::execute_event(double total) {
-  // Type with probability proportional to k_i |E_i|, anchor uniform within
-  // the type's set.
-  const ReactionIndex chosen = select_type(uniform01(rng_), total);
-  if (chosen == model_.num_reactions()) return;  // possible only if total ~ 0
+void VssmSimulator::execute_event() {
+  // Type with probability proportional to k_i |E_i|, from the bands of the
+  // total_enabled_rate() scan that drew the waiting time (never an empty
+  // band), and the anchor uniform within the type's set.
+  const auto chosen =
+      static_cast<ReactionIndex>(sample_cumulative(bands_, uniform01(rng_)));
   const EnabledSet& set = enabled_[chosen];
   const SiteIndex s = set.at(static_cast<std::size_t>(uniform_below(rng_, set.size())));
 
@@ -180,7 +162,7 @@ void VssmSimulator::advance_to(double t) {
     }
     time_ += dt;
     const obs::ScopedTimer span(step_timer_);
-    execute_event(total);
+    execute_event();
   }
 }
 

@@ -27,7 +27,9 @@ class VssmSimulator final : public Simulator {
 
   void attach(const obs::Sinks& sinks) override;
 
-  /// Sum over types of k_i * |enabled_i|: the total propensity R(S).
+  /// Sum over types of k_i * |enabled_i|: the total propensity R(S). The
+  /// scan fills the cumulative band table the next event draws its type
+  /// from, so the event loop sums the bands once per event.
   [[nodiscard]] double total_enabled_rate() const;
 
   /// Number of sites where reaction type i is currently enabled.
@@ -37,14 +39,6 @@ class VssmSimulator final : public Simulator {
 
   /// True when no reaction is enabled (absorbing state).
   [[nodiscard]] bool stalled() const { return total_enabled_rate() <= 0.0; }
-
-  /// The type-selection kernel of the direct method: given u in [0, 1) and
-  /// total == total_enabled_rate() > 0, returns the type with probability
-  /// k_i |E_i| / total. Never returns a type whose enabled set is empty
-  /// (rounding can push u * total past the last band; the fall-through goes
-  /// to the last *nonzero* band). Returns num_reactions() only when no type
-  /// is enabled at all. Exposed for the rounding-overflow regression test.
-  [[nodiscard]] ReactionIndex select_type(double u, double total) const;
 
   /// The most recently executed event (valid once counters().executed > 0).
   /// Event-driven analyses — e.g. the Time-Warp rollback study — replay
@@ -76,10 +70,11 @@ class VssmSimulator final : public Simulator {
 
  private:
   void rebuild_enabled();
-  void execute_event(double total_rate);
+  void execute_event();
 
   Xoshiro256 rng_;
   std::vector<EnabledSet> enabled_;  // one per reaction type
+  mutable std::vector<double> bands_;  // cumulative k_i |E_i|, filled by total_enabled_rate()
   Rechecker rechecker_;
   Event last_event_;
   obs::Timer* step_timer_ = nullptr;       // vssm/step

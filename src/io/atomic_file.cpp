@@ -3,11 +3,10 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "util/failpoint.hpp"
@@ -100,18 +99,40 @@ void atomic_write_file(const std::string& path, std::string_view contents) {
 }
 
 std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    const int err = errno;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     throw std::runtime_error("read_file: cannot open " + path + ": " +
-                             std::strerror(err != 0 ? err : ENOENT));
+                             std::strerror(errno));
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (!in.good() && !in.eof()) {
-    throw std::runtime_error("read_file: read failed for " + path);
+  // One string at the file's size, filled by one read (a checkpoint is
+  // read whole before it is decoded, so a buffer grown by doubling would
+  // add up to twice its size to the restore's peak). Reads go on to end
+  // of file, so files that report no size (/proc) are read whole too.
+  struct stat st {};
+  std::string data(::fstat(fd, &st) == 0 && st.st_size > 0
+                       ? static_cast<std::size_t>(st.st_size)
+                       : std::size_t{0},
+                   '\0');
+  std::size_t got = 0;
+  char tail[4096];  // what lies past the size, read without regrowing data
+  for (;;) {
+    const bool sized = got < data.size();
+    const ssize_t n = sized ? ::read(fd, data.data() + got, data.size() - got)
+                            : ::read(fd, tail, sizeof tail);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      const int err = errno;
+      ::close(fd);
+      throw std::runtime_error("read_file: read failed for " + path + ": " +
+                               std::strerror(err));
+    }
+    if (n == 0) break;
+    if (!sized) data.append(tail, static_cast<std::size_t>(n));
+    got += static_cast<std::size_t>(n);
   }
-  return std::move(buf).str();
+  ::close(fd);
+  data.resize(got);
+  return data;
 }
 
 }  // namespace casurf::io

@@ -141,7 +141,10 @@ inline constexpr std::size_t kShortCumulative = 16;
 /// Sampling from a non-decreasing table of cumulative weights: the index of
 /// the first entry greater than u * total, never a zero-weight band.
 /// Allocation-free and exact; O(n) below kShortCumulative entries, O(log n)
-/// above. Used for L-PNDCA's chunk draw and T-PNDCA's subset draw.
+/// above. The library's one draw over weights that change between draws:
+/// VSSM's type draw (the direct method's bands k_i |E_i|), the rate-weighted
+/// chunk draws of PNDCA, L-PNDCA and T-PNDCA, L-PNDCA's size-weighted chunk
+/// draw, and T-PNDCA's subset and type draws.
 [[nodiscard]] std::size_t sample_cumulative(const std::vector<double>& cumulative,
                                             double u);
 

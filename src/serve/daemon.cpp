@@ -21,6 +21,7 @@
 #include "obs/prom.hpp"
 #include "serve/events.hpp"
 #include "serve/spawn.hpp"
+#include "util/exit_codes.hpp"
 #include "util/log.hpp"
 
 namespace casurf::serve {
@@ -29,12 +30,6 @@ namespace {
 namespace fs = std::filesystem;
 using obs::json::Value;
 using obs::json::Writer;
-
-// casurf_run's exit taxonomy (apps/casurf_run.cpp keeps the master copy).
-constexpr int kWorkerOk = 0;
-constexpr int kWorkerUsage = 2;
-constexpr int kWorkerRestoreFailed = 3;
-constexpr int kWorkerExecFailed = 127;
 
 /// Terminal-state marker inside a job directory: written once when the job
 /// reaches done/failed/stopped, consumed by daemon-restart recovery (a job
@@ -84,7 +79,7 @@ int exec_worker(const char* log_path, char* const* argv) {
   const char* err = std::strerror(errno);
   (void)!::write(STDERR_FILENO, err, std::strlen(err));
   (void)!::write(STDERR_FILENO, "\n", 1);
-  return kWorkerExecFailed;
+  return exit_code::kExecFailed;
 }
 
 std::string describe_exit(int code) {
@@ -92,11 +87,11 @@ std::string describe_exit(int code) {
     return "worker ended by signal " + std::to_string(code - 128);
   }
   switch (code) {
-    case kWorkerUsage:
+    case exit_code::kUsage:
       return "worker rejected the configuration (exit 2)";
-    case kWorkerRestoreFailed:
+    case exit_code::kRestoreFailed:
       return "checkpoint restore failed (exit 3)";
-    case kWorkerExecFailed:
+    case exit_code::kExecFailed:
       return "could not exec the worker binary (exit 127)";
     default:
       return "worker exited with code " + std::to_string(code);
@@ -352,7 +347,7 @@ int Daemon::supervise_worker(Job& job) {
               .u64("job", job.id)
               .str("verdict", "give_up")
               .str("cause", "fork_failed");
-          return kWorkerExecFailed;
+          return exit_code::kExecFailed;
         }
         restarts = ++job.restarts;
       }
@@ -415,15 +410,15 @@ int Daemon::supervise_worker(Job& job) {
       job.pid = 0;
       if (wait_errno != 0) {
         job.error = "waitpid failed: " + std::string(std::strerror(wait_errno));
-        return kWorkerExecFailed;
+        return exit_code::kExecFailed;
       }
       const int code = WIFEXITED(status) ? WEXITSTATUS(status)
                        : WIFSIGNALED(status) ? 128 + WTERMSIG(status)
-                                             : kWorkerExecFailed;
+                                             : exit_code::kExecFailed;
       exit_code = code;
 
-      if (code == kWorkerOk || code == kWorkerUsage ||
-          code == kWorkerExecFailed) {
+      if (code == exit_code::kOk || code == exit_code::kUsage ||
+          code == exit_code::kExecFailed) {
         return code;
       }
       if (job.stop_requested || draining_) {
@@ -433,7 +428,7 @@ int Daemon::supervise_worker(Job& job) {
             .i64("exit", code);
         return code;  // deliberate yield
       }
-      if (code == kWorkerRestoreFailed) {
+      if (code == exit_code::kRestoreFailed) {
         // Same policy as casurf_run --supervise: a checkpoint that cannot
         // be restored gets one clean restart from t = 0 instead of a
         // futile resume loop. If the fresh start also fails we give up.
@@ -448,7 +443,7 @@ int Daemon::supervise_worker(Job& job) {
         restarts = ++job.restarts;
         restart_cause = "restore_failed";
       } else {
-        // Crash (signal, exit 1, injected die-at, unforwarded SIGTERM...):
+        // Crash (signal, exit 1, unforwarded SIGTERM...):
         // restart from the checkpoint chain until the retry budget is
         // spent.
         if (job.restarts >= job.spec.retries) {
@@ -496,13 +491,13 @@ void Daemon::run_job(Job& job) {
     std::lock_guard lock(mutex_);
     return job.stop_requested || draining_;
   }();
-  if (code == kWorkerOk) {
+  if (code == exit_code::kOk) {
     finish(job, JobState::kDone, code, {});
   } else if (yielded && code >= 128) {
     finish(job, JobState::kStopped, code, {});
   } else {
     std::string why = job.error.empty() ? describe_exit(code) : job.error;
-    if (code != kWorkerUsage && code != kWorkerExecFailed &&
+    if (code != exit_code::kUsage && code != exit_code::kExecFailed &&
         job.restarts >= job.spec.retries) {
       why += " after " + std::to_string(job.restarts) + " restart(s)";
     }

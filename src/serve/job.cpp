@@ -118,10 +118,13 @@ JobSpec JobSpec::from_json(const Value& v) {
     } else if (key == "dt") {
       spec.dt = positive_number(value, "dt");
     } else if (key == "y") {
+      // The bounds make_zgb and make_ising enforce: y = 0 or 1 leaves one
+      // adsorption rate zero.
       spec.y = finite_number(value, "y");
-      if (spec.y < 0 || spec.y > 1) reject("y must be within [0, 1]");
+      if (!(spec.y > 0 && spec.y < 1)) reject("y must lie in (0, 1)");
     } else if (key == "beta") {
       spec.beta = finite_number(value, "beta");
+      if (spec.beta < 0) reject("beta must be non-negative");
     } else if (key == "hop") {
       spec.hop = positive_number(value, "hop");
     } else if (key == "coverage0") {

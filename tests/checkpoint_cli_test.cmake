@@ -1,10 +1,11 @@
 # Kill-and-restart test for casurf_run's checkpoint/resume flags, driven as
 #   cmake -DAPP=<casurf_run binary> -DWORKDIR=<scratch dir> -P checkpoint_cli_test.cmake
 #
-# Scenario: a run crashes mid-flight (--die-at calls _Exit, so no
-# destructors, no final outputs — exactly what a power loss leaves behind),
-# is resumed from its periodic checkpoint, and must produce outputs
-# byte-identical to a run that was never interrupted. Then the primary
+# Scenario: a run crashes mid-flight (the run/kill failpoint SIGKILLs it
+# right after a checkpointed sample, so no destructors, no final outputs —
+# exactly what a power loss leaves behind), is resumed from its periodic
+# checkpoint, and must produce outputs byte-identical to a run that was
+# never interrupted. Then the primary
 # checkpoint is corrupted and the resume must fall back to the rotated
 # .bak copy — and still match.
 
@@ -36,8 +37,18 @@ endfunction()
 run_expecting(0 ${APP} ${COMMON}
               --csv "${WORKDIR}/full.csv" --snapshot "${WORKDIR}/full.snap")
 
-# 2. The same run, checkpointing every dt, killed at t = 3 (exit 42).
-run_expecting(42 ${APP} ${COMMON} --checkpoint "${WORKDIR}/run.ck" --die-at 3)
+# 2. The same run, checkpointing every dt, killed by SIGKILL at its third
+#    sample, t = 3, right after that sample's checkpoint.
+execute_process(COMMAND ${APP} ${COMMON} --checkpoint "${WORKDIR}/run.ck"
+                        --failpoints run/kill=hit@3
+                        --csv "${WORKDIR}/killed.csv" --snapshot "${WORKDIR}/killed.snap"
+                RESULT_VARIABLE rv ERROR_VARIABLE err)
+if(rv MATCHES "^[0-9]+$")
+  message(FATAL_ERROR "expected death by signal, got exit ${rv}:\n${err}")
+endif()
+if(EXISTS "${WORKDIR}/killed.csv" OR EXISTS "${WORKDIR}/killed.snap")
+  message(FATAL_ERROR "the killed run wrote final outputs")
+endif()
 
 # 3. Restart from the checkpoint; outputs must match byte for byte.
 run_expecting(0 ${APP} ${COMMON} --resume "${WORKDIR}/run.ck"

@@ -306,8 +306,8 @@ void reference_lpndca_step(Reference& r, const ReactionModel& model, const Parti
     if (weighting == ChunkWeighting::kRateWeighted) {
       EnabledRateCache fresh(model, r.cfg);
       fresh.add_partition(p);
-      const ChunkSampler& sampler = fresh.sampler(0);
-      if (sampler.total() > 0) c = sampler.sample(u);
+      const std::vector<double>& rates = fresh.chunk_cumulative(0);
+      if (rates.back() > 0) c = static_cast<ChunkId>(sample_cumulative(rates, u));
     }
     const std::vector<SiteIndex>& sites = p.chunk(c);
     const std::uint64_t batch = std::min<std::uint64_t>(l, budget - t);
@@ -389,9 +389,10 @@ TEST(FastPath, LPndcaRepeatedSitesEndSpans) {
   }
 }
 
-/// One T-PNDCA step written out. A rate-weighted chunk draw recounts the
-/// chosen type's chunk counts from the lattice before every sweep; a
-/// structural one is uniform.
+/// One T-PNDCA step written out. Subset, type and a rate-weighted chunk
+/// are each drawn from a cumulative table; the chunk table recounts the
+/// chosen type's enabled sites per chunk from the lattice before every
+/// sweep, and a structural chunk draw is uniform.
 void reference_tpndca_step(Reference& r, const ReactionModel& model,
                            const std::vector<TypeSubset>& subsets, std::uint32_t sweeps,
                            ChunkWeighting weighting) {
@@ -401,27 +402,21 @@ void reference_tpndca_step(Reference& r, const ReactionModel& model,
   }
   for (std::uint32_t k = 0; k < sweeps; ++k) {
     const TypeSubset& sub = subsets[sample_cumulative(cumulative, uniform01(r.rng))];
-    double target = uniform01(r.rng) * sub.total_rate;
-    ReactionIndex chosen = sub.types.back();
+    std::vector<double> rates;
     for (const ReactionIndex i : sub.types) {
-      if (target < model.reaction(i).rate()) {
-        chosen = i;
-        break;
-      }
-      target -= model.reaction(i).rate();
+      rates.push_back((rates.empty() ? 0.0 : rates.back()) + model.reaction(i).rate());
     }
-    const ReactionType& rt = model.reaction(chosen);
-    std::vector<double> weights(sub.chunks.num_chunks(), 0.0);
-    if (weighting == ChunkWeighting::kRateWeighted) {
-      for (ChunkId c = 0; c < weights.size(); ++c) {
-        for (const SiteIndex s : sub.chunks.chunk(c)) weights[c] += rt.enabled(r.cfg, s);
+    const ReactionType& rt = model.reaction(sub.types[sample_cumulative(rates, uniform01(r.rng))]);
+    std::vector<double> counts(sub.chunks.num_chunks(), 0.0);  // cumulative
+    double acc = 0;
+    for (ChunkId c = 0; c < counts.size(); ++c) {
+      if (weighting == ChunkWeighting::kRateWeighted) {
+        for (const SiteIndex s : sub.chunks.chunk(c)) acc += rt.enabled(r.cfg, s);
       }
+      counts[c] = acc;
     }
-    ChunkSampler sampler;
-    sampler.assign(weights);
-    const ChunkId c = sampler.total() > 0
-                          ? sampler.sample(uniform01(r.rng))
-                          : static_cast<ChunkId>(uniform_below(r.rng, weights.size()));
+    const ChunkId c = static_cast<ChunkId>(acc > 0 ? sample_cumulative(counts, uniform01(r.rng))
+                                                   : uniform_below(r.rng, counts.size()));
     for (const SiteIndex s : sub.chunks.chunk(c)) r.trial(rt, s);
     r.time += 1.0 / (model.total_rate() * static_cast<double>(sweeps));
   }

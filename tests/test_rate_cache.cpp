@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -18,6 +17,7 @@
 #include "models/zgb.hpp"
 #include "partition/coloring.hpp"
 #include "partition/type_partition.hpp"
+#include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
 
 namespace casurf {
@@ -51,110 +51,6 @@ void expect_counts_match_brute_force(const EnabledRateCache& cache, std::size_t 
   }
 }
 
-TEST(ChunkSampler, MatchesWeights) {
-  ChunkSampler sampler;
-  sampler.assign({1.0, 2.0, 3.0, 4.0});
-  EXPECT_DOUBLE_EQ(sampler.total(), 10.0);
-  Xoshiro256 rng(1);
-  std::vector<int> counts(4, 0);
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) ++counts[sampler.sample(uniform01(rng))];
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(counts[i] / static_cast<double>(n), (i + 1) / 10.0, 0.005) << i;
-  }
-}
-
-TEST(ChunkSampler, ZeroWeightChunksUnselectable) {
-  ChunkSampler sampler;
-  sampler.assign({1.0, 0.0, 2.0, 0.0, 1.0});
-  Xoshiro256 rng(2);
-  for (int i = 0; i < 50000; ++i) {
-    const ChunkId c = sampler.sample(uniform01(rng));
-    ASSERT_NE(c, 1u);
-    ASSERT_NE(c, 3u);
-  }
-}
-
-TEST(ChunkSampler, BoundaryOverflowNeverLandsOnTrailingZeroWeight) {
-  // When the scaled target reaches the total (u == 1.0 from a misbehaving
-  // caller, or u * total rounding up for subnormal totals), the Fenwick
-  // descent consumes the whole tree and the clamp lands on the last chunk
-  // regardless of its weight. The sampler must walk back to the last chunk
-  // whose weight is nonzero.
-  ChunkSampler sampler;
-  sampler.assign({4.0, 0.0});
-  EXPECT_EQ(sampler.sample(1.0), 0u);
-  EXPECT_EQ(sampler.sample(std::nextafter(1.0, 0.0)), 0u);
-
-  sampler.assign({1.0, 3.0, 0.0, 0.0});
-  EXPECT_EQ(sampler.sample(1.0), 1u);
-  EXPECT_EQ(sampler.sample(std::nextafter(1.0, 0.0)), 1u);
-}
-
-TEST(ChunkSampler, NegativeAndNanWeightsClampToZero) {
-  // A negative weight makes the Fenwick prefix sums non-monotone and a NaN
-  // poisons every ancestor sum; both must clamp to zero (unselectable)
-  // instead of skewing or breaking the draw.
-  ChunkSampler sampler;
-  sampler.assign({2.0, -1.0, 2.0, std::numeric_limits<double>::quiet_NaN()});
-  EXPECT_DOUBLE_EQ(sampler.total(), 4.0);
-  EXPECT_DOUBLE_EQ(sampler.weight(1), 0.0);
-  EXPECT_DOUBLE_EQ(sampler.weight(3), 0.0);
-  Xoshiro256 rng(7);
-  std::vector<int> counts(4, 0);
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) ++counts[sampler.sample(uniform01(rng))];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_EQ(counts[3], 0);
-  EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.5, 0.01);
-  EXPECT_NEAR(counts[2] / static_cast<double>(n), 0.5, 0.01);
-}
-
-TEST(ChunkSampler, AccumulatedRoundingAdversarial) {
-  // Adversarial accumulated rounding: the descent subtracts node sums in a
-  // different association than assign() added them, so with hundreds of
-  // irrationally-spaced weights and u just below 1 the walk can drift past
-  // the last positive chunk into a long zero tail. Every draw must still
-  // land on a positive-weight chunk.
-  std::vector<double> weights;
-  for (int i = 0; i < 300; ++i) {
-    weights.push_back(0.1 * (1.0 + std::sin(static_cast<double>(i))));
-  }
-  for (int i = 0; i < 200; ++i) weights.push_back(0.0);  // zero tail
-  ChunkSampler sampler;
-  sampler.assign(weights);
-  const ChunkId last_positive = 299;
-  for (double u :
-       {std::nextafter(1.0, 0.0), 1.0 - 1e-16, 1.0 - 1e-12, 0.9999999, 1.0}) {
-    const ChunkId c = sampler.sample(u);
-    EXPECT_LE(c, last_positive) << "u=" << u << " landed in the zero tail";
-    EXPECT_GT(sampler.weight(c), 0.0) << "u=" << u;
-  }
-  Xoshiro256 rng(11);
-  for (int i = 0; i < 200000; ++i) {
-    const ChunkId c = sampler.sample(uniform01(rng));
-    ASSERT_GT(sampler.weight(c), 0.0) << "draw " << i << " chunk " << c;
-  }
-}
-
-TEST(ChunkSampler, TinyTotalsStillExcludeZeroChunks) {
-  // Subnormal-scale totals maximize relative rounding error in u * total.
-  ChunkSampler sampler;
-  sampler.assign({5e-324, 0.0, 5e-324, 0.0, 0.0});
-  for (double u : {0.0, 0.25, 0.5, std::nextafter(1.0, 0.0), 1.0}) {
-    const ChunkId c = sampler.sample(u);
-    EXPECT_TRUE(c == 0u || c == 2u) << "u=" << u << " chose " << c;
-  }
-}
-
-TEST(ChunkSampler, SingleChunk) {
-  ChunkSampler sampler;
-  sampler.assign({0.5});
-  Xoshiro256 rng(3);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(sampler.sample(uniform01(rng)), 0u);
-  EXPECT_EQ(sampler.sample(std::nextafter(1.0, 0.0)), 0u);
-}
-
 TEST(RateCache, InitialCountsMatchBruteForce) {
   auto zgb = models::make_zgb();
   const Lattice lat(10, 10);
@@ -176,6 +72,41 @@ TEST(RateCache, InitialCountsMatchBruteForce) {
     }
     EXPECT_DOUBLE_EQ(cache.chunk_rate(0, c), expected);
   }
+}
+
+TEST(RateCache, CumulativeTableNeverDrawsAnIdleChunk) {
+  // Irreversible adsorption on a full lattice with vacancies in chunks 0
+  // and 2 only: chunk 1 is an interior zero-rate band, chunks 3 and 4 a
+  // trailing one. The table is the running sum of chunk_rate, follows the
+  // counts after a commit, and no draw lands on an idle chunk, even at
+  // u * total == total.
+  ReactionModel m(SpeciesSet({"*", "A"}));
+  m.add(ReactionType("ads", 1.0, {exact({0, 0}, 0, 1)}));
+  const Lattice lat(10, 10);
+  const Partition p = Partition::linear_form(lat, 1, 3, 5);
+  Configuration cfg(lat, 2, 1);
+  for (SiteIndex s = 0; s < cfg.size(); ++s) {
+    if (p.chunk_of(s) == 0 || p.chunk_of(s) == 2) cfg.set(s, 0);
+  }
+  EnabledRateCache cache(m, cfg);
+  cache.add_partition(p);
+  const auto expect_running_sums = [&](const char* when) {
+    const std::vector<double>& table = cache.chunk_cumulative(0);
+    ASSERT_EQ(table.size(), p.num_chunks()) << when;
+    double acc = 0;
+    for (ChunkId c = 0; c < p.num_chunks(); ++c) {
+      EXPECT_EQ(table[c], acc += cache.chunk_rate(0, c)) << when << ", chunk " << c;
+    }
+    for (const double u : {0.0, 0.5, std::nextafter(1.0, 0.0), 1.0}) {
+      const auto c = static_cast<ChunkId>(sample_cumulative(table, u));
+      EXPECT_GT(cache.chunk_rate(0, c), 0.0) << when << ", u=" << u << " chose " << c;
+    }
+  };
+  expect_running_sums("built");
+  const double before = cache.chunk_cumulative(0).back();
+  cache.execute(cfg, m.reaction(0), p.chunk(2).front(), 0);
+  EXPECT_EQ(cache.chunk_cumulative(0).back(), before - 1.0);
+  expect_running_sums("after a commit");
 }
 
 TEST(RateCache, RefusesMismatchedPartition) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -369,9 +370,75 @@ TEST(SampleCumulative, ZeroWidthBandsNeverSelected) {
 
   const std::vector<double> cum = {1.0, 3.0, 3.0, 3.0};
   EXPECT_EQ(sample_cumulative(cum, 1.0), 1u);
+  EXPECT_EQ(sample_cumulative(cum, std::nextafter(1.0, 0.0)), 1u);
   for (int i = 0; i <= 32; ++i) {
     const std::size_t band = sample_cumulative(cum, i / 32.0);
     EXPECT_LE(band, 1u) << "u = " << i / 32.0;
+  }
+
+  // Interior zero-weight bands (weights 1, 0, 2, 0, 1) are never the first
+  // entry above the target.
+  const std::vector<double> interior = {1.0, 1.0, 3.0, 3.0, 4.0};
+  Xoshiro256 rng(2);
+  for (int i = 0; i < 50000; ++i) {
+    const std::size_t band = sample_cumulative(interior, uniform01(rng));
+    ASSERT_NE(band, 1u);
+    ASSERT_NE(band, 3u);
+  }
+}
+
+TEST(SampleCumulative, MatchesWeights) {
+  const std::vector<double> cum = {1.0, 3.0, 6.0, 10.0};  // weights 1, 2, 3, 4
+  Xoshiro256 rng(1);
+  std::vector<int> counts(4, 0);
+  const int n = 200000;
+  for (int i = 0; i < n; ++i) ++counts[sample_cumulative(cum, uniform01(rng))];
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_NEAR(counts[i] / static_cast<double>(n), (i + 1) / 10.0, 0.005) << i;
+  }
+}
+
+TEST(SampleCumulative, SingleBand) {
+  const std::vector<double> cum = {0.5};
+  Xoshiro256 rng(3);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(sample_cumulative(cum, uniform01(rng)), 0u);
+  EXPECT_EQ(sample_cumulative(cum, std::nextafter(1.0, 0.0)), 0u);
+  EXPECT_EQ(sample_cumulative(cum, 1.0), 0u);
+}
+
+TEST(SampleCumulative, AccumulatedRoundingAdversarial) {
+  // Hundreds of irrationally spaced weights summed left to right, as every
+  // caller builds its table, then a long zero tail: with u just below 1
+  // the target rounds onto the top of the table, and the bisection must
+  // still walk back to the last positive band.
+  std::vector<double> cum;
+  double acc = 0;
+  for (int i = 0; i < 300; ++i) {
+    cum.push_back(acc += 0.1 * (1.0 + std::sin(static_cast<double>(i))));
+  }
+  cum.insert(cum.end(), 200, acc);  // zero tail
+  const auto positive = [&](std::size_t b) { return cum[b] > (b == 0 ? 0.0 : cum[b - 1]); };
+  for (const double u :
+       {std::nextafter(1.0, 0.0), 1.0 - 1e-16, 1.0 - 1e-12, 0.9999999, 1.0}) {
+    const std::size_t band = sample_cumulative(cum, u);
+    EXPECT_LE(band, 299u) << "u=" << u << " landed in the zero tail";
+    EXPECT_TRUE(positive(band)) << "u=" << u;
+  }
+  Xoshiro256 rng(11);
+  for (int i = 0; i < 200000; ++i) {
+    const std::size_t band = sample_cumulative(cum, uniform01(rng));
+    ASSERT_TRUE(positive(band)) << "draw " << i << " band " << band;
+  }
+}
+
+TEST(SampleCumulative, TinyTotalsStillExcludeZeroBands) {
+  // Subnormal totals maximize the relative rounding of u * total: weights
+  // d, 0, d, 0, 0 for the least subnormal d.
+  const double d = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> cum = {d, d, 2 * d, 2 * d, 2 * d};
+  for (const double u : {0.0, 0.25, 0.5, std::nextafter(1.0, 0.0), 1.0}) {
+    const std::size_t band = sample_cumulative(cum, u);
+    EXPECT_TRUE(band == 0u || band == 2u) << "u=" << u << " chose " << band;
   }
 }
 

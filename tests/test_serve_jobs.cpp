@@ -72,6 +72,20 @@ TEST(JobSpec, ValidationRejectsOutOfRangeKnobs) {
   EXPECT_THROW(spec_of("[1,2,3]"), std::runtime_error);
 }
 
+TEST(JobSpec, ZgbAndIsingRatesInRange) {
+  // make_zgb refuses y = 0 and y = 1 (one adsorption rate is zero) and
+  // make_ising a negative beta: the spec answers 400 instead of spawning a
+  // worker that can never start.
+  for (const char* y : {"0", "1", "-0.5", "1.5"}) {
+    EXPECT_THROW(spec_of(std::string(R"({"model":"zgb","y":)") + y + "}"),
+                 std::runtime_error)
+        << "y " << y;
+  }
+  EXPECT_DOUBLE_EQ(spec_of(R"({"model":"zgb","y":0.525})").y, 0.525);
+  EXPECT_THROW(spec_of(R"({"model":"ising","beta":-1})"), std::runtime_error);
+  EXPECT_DOUBLE_EQ(spec_of(R"({"model":"ising","beta":0})").beta, 0.0);
+}
+
 TEST(JobSpec, ThreadsNeedAThreadedAlgorithm) {
   // Only PNDCA has a threaded sweep. Any other algorithm would ignore a
   // thread count, so the spec refuses one above 1 and names the algorithm.
@@ -289,6 +303,20 @@ TEST_F(ServeDaemonTest, InlineModelTextIsParsedByTheWorker) {
   const std::uint64_t id =
       submitted_id(post(daemon, "/jobs", std::move(w).str()));
   EXPECT_EQ(wait_for(daemon, id, "done"), "done");
+}
+
+TEST_F(ServeDaemonTest, UnparsableModelTextFailsWithoutRestarts) {
+  // The spec is well formed, but its model names an undeclared species:
+  // the worker exits 2 and the job fails at once, its retries unspent.
+  Daemon daemon(options());
+  const std::uint64_t id = submitted_id(post(
+      daemon, "/jobs",
+      R"({"model_text":"species * A\nreaction ads rate=1\n  (0,0) B -> A\nend\n",)"
+      R"("algorithm":"rsm","width":8,"height":8,"t_end":1,"retries":3})"));
+  ASSERT_EQ(wait_for(daemon, id, "failed"), "failed");
+  const Value v = Value::parse(get(daemon, "/jobs/" + std::to_string(id)).body);
+  EXPECT_EQ(v.at("exit_code").as_u64(), 2u);
+  EXPECT_EQ(v.at("restarts").as_u64(), 0u);
 }
 
 TEST_F(ServeDaemonTest, InvalidSpecsGet400) {

@@ -143,40 +143,6 @@ TEST(Vssm, SameSeedSameTrajectory) {
   EXPECT_DOUBLE_EQ(a.time(), b.time());
 }
 
-TEST(Vssm, SelectTypeSkipsTrailingEmptyBand) {
-  // 4x4 all vacant: "ads" enabled everywhere (band 0.25 * 16 = 4), "des"
-  // enabled nowhere (band 0). The old selector fell through to the final
-  // type whenever the scaled target consumed every nonzero band, silently
-  // wasting the event on a type with an empty enabled set.
-  const ReactionModel m = ads_des_model(0.25, 1.0);
-  VssmSimulator sim(m, Configuration(Lattice(4, 4), 2, 0), 8);
-  const double total = sim.total_enabled_rate();
-  ASSERT_DOUBLE_EQ(total, 4.0);
-  EXPECT_EQ(sim.select_type(0.0, total), 0u);
-  EXPECT_EQ(sim.select_type(std::nextafter(1.0, 0.0), total), 0u);
-  EXPECT_EQ(sim.select_type(1.0, total), 0u);  // target == total boundary
-}
-
-TEST(Vssm, SelectTypeSkipsInteriorEmptyBand) {
-  ReactionModel m(SpeciesSet({"*", "A"}));
-  m.add(ReactionType("ads", 1.0, {exact({0, 0}, 0, 1)}));
-  m.add(ReactionType("des", 2.0, {exact({0, 0}, 1, 0)}));  // enabled nowhere
-  m.add(ReactionType("noop", 1.0, {exact({0, 0}, 0, 0)}));
-  VssmSimulator sim(m, Configuration(Lattice(4, 4), 2, 0), 9);
-  const double total = sim.total_enabled_rate();
-  ASSERT_DOUBLE_EQ(total, 32.0);
-  for (int i = 0; i <= 64; ++i) {
-    EXPECT_NE(sim.select_type(i / 64.0, total), 1u) << "u = " << i / 64.0;
-  }
-}
-
-TEST(Vssm, SelectTypeSentinelWhenNothingEnabled) {
-  ReactionModel m(SpeciesSet({"*", "A"}));
-  m.add(ReactionType("ads", 1.0, {exact({0, 0}, 0, 1)}));
-  VssmSimulator sim(m, Configuration(Lattice(2, 2), 2, 1), 10);  // all occupied
-  EXPECT_EQ(sim.select_type(0.5, 0.0), m.num_reactions());
-}
-
 TEST(Vssm, EventsNotWastedOnEmptyFinalBand) {
   // Irreversible adsorption plus a never-enabled final type: every step
   // must execute a real adsorption until the lattice is full.
@@ -188,6 +154,20 @@ TEST(Vssm, EventsNotWastedOnEmptyFinalBand) {
   EXPECT_EQ(sim.counters().executed, 16u);
   EXPECT_EQ(sim.counters().executed_per_type[1], 0u);
   EXPECT_DOUBLE_EQ(sim.configuration().coverage(1), 1.0);
+}
+
+TEST(Vssm, EventsNeverFireAnEmptyInteriorBand) {
+  // Adsorption and desorption of A around a never-enabled middle type:
+  // every step fires one of the outer two.
+  ReactionModel m(SpeciesSet({"*", "A", "B"}));
+  m.add(ReactionType("ads", 1.0, {exact({0, 0}, 0, 1)}));
+  m.add(ReactionType("des_b", 5.0, {exact({0, 0}, 2, 0)}));  // no B ever exists
+  m.add(ReactionType("des_a", 1.0, {exact({0, 0}, 1, 0)}));
+  VssmSimulator sim(m, Configuration(Lattice(4, 4), 3, 0), 12);
+  for (int i = 0; i < 5000; ++i) sim.mc_step();
+  EXPECT_EQ(sim.counters().executed, 5000u);
+  EXPECT_EQ(sim.counters().executed_per_type[1], 0u);
+  EXPECT_GT(sim.counters().executed_per_type[2], 0u);
 }
 
 // On the hex-vacant 500x500 Pt(100) start that casurf_run builds, one of
