@@ -32,6 +32,11 @@ class VssmSimulator final : public Simulator {
   /// from, so the event loop sums the bands once per event.
   [[nodiscard]] double total_enabled_rate() const;
 
+  /// The band table of the last total_enabled_rate() scan: entry i is the
+  /// sum of k_j |E_j| over j <= i, and the event draws its type from it
+  /// with sample_cumulative.
+  [[nodiscard]] const std::vector<double>& type_bands() const { return bands_; }
+
   /// Number of sites where reaction type i is currently enabled.
   [[nodiscard]] std::size_t enabled_count(ReactionIndex i) const {
     return enabled_[i].size();

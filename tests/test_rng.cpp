@@ -375,7 +375,9 @@ TEST(SampleCumulative, ZeroWidthBandsNeverSelected) {
     const std::size_t band = sample_cumulative(cum, i / 32.0);
     EXPECT_LE(band, 1u) << "u = " << i / 32.0;
   }
+}
 
+TEST(SampleCumulative, ZeroWeightBandsUnselectable) {
   // Interior zero-weight bands (weights 1, 0, 2, 0, 1) are never the first
   // entry above the target.
   const std::vector<double> interior = {1.0, 1.0, 3.0, 3.0, 4.0};

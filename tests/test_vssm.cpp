@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "dmc_bookkeeping.hpp"
 #include "models/zgb.hpp"
+#include "rng/distributions.hpp"
 
 namespace casurf {
 namespace {
@@ -141,6 +143,34 @@ TEST(Vssm, SameSeedSameTrajectory) {
   }
   EXPECT_EQ(a.configuration(), b.configuration());
   EXPECT_DOUBLE_EQ(a.time(), b.time());
+}
+
+TEST(Vssm, SelectTypeSkipsTrailingEmptyBand) {
+  // 4x4 all vacant: "ads" enabled everywhere (band 0.25 * 16 = 4), "des"
+  // enabled nowhere (band 0). A type draw that fell through to the final
+  // type whenever the scaled target consumed every nonzero band would
+  // silently waste the event on a type with an empty enabled set.
+  const ReactionModel m = ads_des_model(0.25, 1.0);
+  VssmSimulator sim(m, Configuration(Lattice(4, 4), 2, 0), 8);
+  ASSERT_DOUBLE_EQ(sim.total_enabled_rate(), 4.0);
+  const std::vector<double>& bands = sim.type_bands();
+  ASSERT_EQ(bands, (std::vector<double>{4.0, 4.0}));
+  EXPECT_EQ(sample_cumulative(bands, 0.0), 0u);
+  EXPECT_EQ(sample_cumulative(bands, std::nextafter(1.0, 0.0)), 0u);
+  EXPECT_EQ(sample_cumulative(bands, 1.0), 0u);  // target == total boundary
+}
+
+TEST(Vssm, SelectTypeSkipsInteriorEmptyBand) {
+  ReactionModel m(SpeciesSet({"*", "A"}));
+  m.add(ReactionType("ads", 1.0, {exact({0, 0}, 0, 1)}));
+  m.add(ReactionType("des", 2.0, {exact({0, 0}, 1, 0)}));  // enabled nowhere
+  m.add(ReactionType("noop", 1.0, {exact({0, 0}, 0, 0)}));
+  VssmSimulator sim(m, Configuration(Lattice(4, 4), 2, 0), 9);
+  ASSERT_DOUBLE_EQ(sim.total_enabled_rate(), 32.0);
+  const std::vector<double>& bands = sim.type_bands();
+  for (int i = 0; i <= 64; ++i) {
+    EXPECT_NE(sample_cumulative(bands, i / 64.0), 1u) << "u = " << i / 64.0;
+  }
 }
 
 TEST(Vssm, EventsNotWastedOnEmptyFinalBand) {
