@@ -55,6 +55,7 @@
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "partition/conflict.hpp"
+#include "rng/counter_rng.hpp"
 #include "model/parser.hpp"
 #include "serve/spawn.hpp"
 #include "models/diffusion.hpp"

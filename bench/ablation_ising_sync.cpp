@@ -10,13 +10,13 @@
 
 #include "bench_util.hpp"
 #include "ca/pndca.hpp"
+#include "ca/synchronous_ca.hpp"
 #include "dmc/rsm.hpp"
 #include "models/ising.hpp"
 #include "partition/coloring.hpp"
 
 using namespace casurf;
 using models::IsingModel;
-using models::SynchronousHeatBathIsing;
 
 namespace {
 
@@ -49,7 +49,7 @@ int main() {
   RsmSimulator rsm(ising.model, checkerboard(ising, side), 1);
   const Partition part = make_partition(Lattice(side, side), ising.model);
   PndcaSimulator pndca(ising.model, checkerboard(ising, side), {part}, 2);
-  SynchronousHeatBathIsing sync(ising, checkerboard(ising, side), 3);
+  SynchronousCA sync(checkerboard(ising, side), models::heat_bath_rule(ising, 3));
 
   for (int step = 0; step <= steps; ++step) {
     if (step % (steps / 10) == 0) {

@@ -6,13 +6,13 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "ca/bca.hpp"
+#include "ca/synchronous_ca.hpp"
 
 using namespace casurf;
 
 namespace {
 
-void print_state(const BlockCA& ca, const char* note) {
+void print_state(const SynchronousCA& ca, const char* note) {
   std::printf("  ");
   for (SiteIndex s = 0; s < ca.configuration().size(); ++s) {
     std::printf("%d ", ca.configuration().get(s));
@@ -30,9 +30,9 @@ int main() {
   const std::vector<Species> initial = {0, 1, 1, 1, 1, 1, 0, 1, 1};
   for (std::int32_t x = 0; x < 9; ++x) cfg.set(Vec2{x, 0}, initial[x]);
 
-  BlockCA ca(std::move(cfg),
-             {Partition::blocks(lat, 3, 1), Partition::blocks(lat, 3, 1, {1, 0})},
-             fig3_zero_spreads_rule());
+  SynchronousCA ca(std::move(cfg),
+                   fig3_zero_spreads_rule({Partition::blocks(lat, 3, 1),
+                                           Partition::blocks(lat, 3, 1, {1, 0})}));
 
   std::printf("  sites 0..8; blocks {0,1,2}{3,4,5}{6,7,8}, then {1,2,3}{4,5,6}{7,8,0}\n\n");
   print_state(ca, "initial   (paper row 1)");

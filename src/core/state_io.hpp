@@ -29,7 +29,18 @@ class StateFormatError : public std::runtime_error {
 /// the reader self-describing error locality instead of silent misalignment.
 class StateWriter {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
+  /// A writer that keeps no bytes and only counts them in size(): one pass
+  /// through a save routine sizes the buffer of the pass that writes.
+  [[nodiscard]] static StateWriter counting() {
+    StateWriter w;
+    w.counting_ = true;
+    return w;
+  }
+
+  /// Room for `n` more bytes, so writing them never reallocates.
+  void reserve(std::size_t n) { buf_.reserve(buf_.size() + n); }
+
+  void u8(std::uint8_t v) { put_le(v, 1); }
   void u32(std::uint32_t v) { put_le(v, 4); }
   void u64(std::uint64_t v) { put_le(v, 8); }
   void i64(std::int64_t v) { put_le(static_cast<std::uint64_t>(v), 8); }
@@ -44,10 +55,14 @@ class StateWriter {
 
   void str(std::string_view s) {
     u64(s.size());
-    buf_.insert(buf_.end(), s.begin(), s.end());
+    bytes(s.data(), s.size());
   }
 
   void bytes(const void* data, std::size_t n) {
+    if (counting_) {
+      counted_ += n;
+      return;
+    }
     const auto* p = static_cast<const std::uint8_t*>(data);
     buf_.insert(buf_.end(), p, p + n);
   }
@@ -72,7 +87,7 @@ class StateWriter {
   }
 
   [[nodiscard]] const std::vector<std::uint8_t>& buffer() const { return buf_; }
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
+  [[nodiscard]] std::size_t size() const { return counting_ ? counted_ : buf_.size(); }
   /// Moves the bytes out, leaving the writer empty.
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::exchange(buf_, {}); }
 
@@ -80,10 +95,16 @@ class StateWriter {
   static constexpr std::uint8_t kSectionTag = 0xA5;
 
   void put_le(std::uint64_t v, int nbytes) {
+    if (counting_) {
+      counted_ += static_cast<std::size_t>(nbytes);
+      return;
+    }
     for (int i = 0; i < nbytes; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
   }
 
   std::vector<std::uint8_t> buf_;
+  bool counting_ = false;
+  std::size_t counted_ = 0;
 };
 
 /// Bounds-checked decoder for StateWriter streams. Every read validates the

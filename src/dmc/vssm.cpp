@@ -35,6 +35,7 @@ void VssmSimulator::attach(const obs::Sinks& sinks) {
 
 double VssmSimulator::total_enabled_rate() const {
   const obs::ScopedTimer span(rate_scan_timer_);
+  const obs::ScopedSpan trace(trace_, "vssm/rate_scan", time_, counters_.steps);
   bands_.resize(model_.num_reactions());
   double r = 0;
   for (ReactionIndex i = 0; i < model_.num_reactions(); ++i) {
@@ -162,6 +163,7 @@ void VssmSimulator::advance_to(double t) {
     }
     time_ += dt;
     const obs::ScopedTimer span(step_timer_);
+    const obs::ScopedSpan trace(trace_, "vssm/step", time_, counters_.steps);
     execute_event();
   }
 }

@@ -113,17 +113,25 @@ std::uint32_t crc32(std::span<const std::uint8_t> data) {
 void save_checkpoint(const std::string& path, const Simulator& sim,
                      std::string_view user_section) {
   // One buffer holds the file: the header, whose CRC and payload size stay
-  // zero until the payload behind them is written, then the payload.
+  // zero until the payload behind them is written, then the payload. A
+  // counting pass through the same routine sizes the buffer first; grown by
+  // doubling, it would hold two copies of the file at its last growth.
+  const auto write_file = [&](StateWriter& w) {
+    for (const std::uint8_t b : kMagic) w.u8(b);
+    w.u32(kCheckpointVersion);
+    w.u32(0);  // CRC-32 of the payload
+    w.u64(0);  // payload size
+    write_meta(w, sim);
+    w.section("state");
+    sim.save_state(w);
+    w.section("user");
+    w.str(user_section);
+  };
+  StateWriter sizing = StateWriter::counting();
+  write_file(sizing);
   StateWriter w;
-  for (const std::uint8_t b : kMagic) w.u8(b);
-  w.u32(kCheckpointVersion);
-  w.u32(0);  // CRC-32 of the payload
-  w.u64(0);  // payload size
-  write_meta(w, sim);
-  w.section("state");
-  sim.save_state(w);
-  w.section("user");
-  w.str(user_section);
+  w.reserve(sizing.size());
+  write_file(w);
 
   std::vector<std::uint8_t> file = w.take();
   const std::span<const std::uint8_t> payload(file.begin() + kHeaderSize, file.end());

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "rng/counter_rng.hpp"
+
 namespace casurf::models {
 
 namespace {
@@ -76,30 +78,19 @@ double IsingModel::energy_per_site(const Configuration& cfg) const {
   return -static_cast<double>(sum) / static_cast<double>(cfg.size());
 }
 
-SynchronousHeatBathIsing::SynchronousHeatBathIsing(const IsingModel& model,
-                                                   Configuration initial,
-                                                   std::uint64_t seed)
-    : model_(model), current_(initial), next_(std::move(initial)), seed_(seed) {}
-
-void SynchronousHeatBathIsing::step() {
-  const Lattice& lat = current_.lattice();
-  const SiteIndex n = current_.size();
-  for (SiteIndex s = 0; s < n; ++s) {
+CaRule heat_bath_rule(const IsingModel& ising, std::uint64_t seed) {
+  return [up = ising.up, down = ising.down, beta_j = ising.beta_j, seed](
+             const Configuration& prev, SiteIndex s, std::uint64_t step) -> Species {
+    const Lattice& lat = prev.lattice();
     int field = 0;  // sum of neighbor spins
     for (const Vec2 d : Lattice::von_neumann_offsets()) {
-      field += current_.get(lat.neighbor(s, d)) == model_.up ? 1 : -1;
+      field += prev.get(lat.neighbor(s, d)) == up ? 1 : -1;
     }
     // Heat bath: P(sigma = +1 | field) = 1 / (1 + exp(-2 beta J field)).
-    const double p_up = 1.0 / (1.0 + std::exp(-2.0 * model_.beta_j * field));
-    CounterRng rng(seed_, CounterRng::key(steps_, s));
-    next_.set(s, rng.next_double() < p_up ? model_.up : model_.down);
-  }
-  std::swap(current_, next_);
-  ++steps_;
-}
-
-void SynchronousHeatBathIsing::run(std::uint64_t steps) {
-  for (std::uint64_t i = 0; i < steps; ++i) step();
+    const double p_up = 1.0 / (1.0 + std::exp(-2.0 * beta_j * field));
+    CounterRng rng(seed, CounterRng::key(step, s));
+    return rng.next_double() < p_up ? up : down;
+  };
 }
 
 }  // namespace casurf::models

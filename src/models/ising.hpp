@@ -2,9 +2,9 @@
 
 #include <cstdint>
 
+#include "ca/synchronous_ca.hpp"
 #include "lattice/configuration.hpp"
 #include "model/reaction_model.hpp"
-#include "rng/counter_rng.hpp"
 
 namespace casurf::models {
 
@@ -44,29 +44,12 @@ struct IsingModel {
 /// (The 2-D critical point is beta_j ~ 0.4407.)
 [[nodiscard]] IsingModel make_ising(double beta_j, double attempt_rate = 1.0);
 
-/// The degenerate dynamics itself: fully synchronous heat-bath Ising CA.
-/// Every site simultaneously resamples its spin from the heat-bath
-/// distribution given the *previous* step's neighbors — the textbook CA
-/// parallelization, and exactly what the paper's partitioning is designed
-/// to avoid. Deterministic given (seed, steps) via counter RNG.
-class SynchronousHeatBathIsing {
- public:
-  SynchronousHeatBathIsing(const IsingModel& model, Configuration initial,
-                           std::uint64_t seed);
-
-  void step();
-  void run(std::uint64_t steps);
-
-  [[nodiscard]] const Configuration& configuration() const { return current_; }
-  [[nodiscard]] Configuration& configuration() { return current_; }
-  [[nodiscard]] std::uint64_t steps_done() const { return steps_; }
-
- private:
-  const IsingModel& model_;
-  Configuration current_;
-  Configuration next_;
-  std::uint64_t seed_;
-  std::uint64_t steps_ = 0;
-};
+/// The degenerate dynamics itself, as a SynchronousCA rule: every site
+/// resamples its spin from the heat-bath distribution given the *previous*
+/// step's neighbors — the textbook CA parallelization, and exactly what the
+/// paper's partitioning is designed to avoid. Step t draws site s's spin from
+/// CounterRng(seed, CounterRng::key(t, s)), so a run is deterministic given
+/// (seed, steps).
+[[nodiscard]] CaRule heat_bath_rule(const IsingModel& ising, std::uint64_t seed);
 
 }  // namespace casurf::models

@@ -510,7 +510,7 @@ void Daemon::harvest_report(Job& job) {
   // are trajectory-cumulative (a resumed worker continues its counters),
   // and a requeued job re-finishes with a newer report — so only the delta
   // beyond what this job already contributed is added.
-  std::uint64_t trials = 0, executed = 0, alarms = 0, restarts = 0;
+  std::uint64_t trials = 0, executed = 0, alarms = 0;
   std::uint64_t trace_drops = 0;
   double wall = 0;
   try {
@@ -528,9 +528,6 @@ void Daemon::harvest_report(Job& job) {
         alarms = list->items().size();
       }
     }
-    if (const Value* rec = report.find("recovery"); rec && rec->is_object()) {
-      restarts = static_cast<std::uint64_t>(rec->number_or("restarts", 0));
-    }
   } catch (const std::exception&) {
     return;  // no report yet (never sampled, or usage failure)
   }
@@ -539,13 +536,12 @@ void Daemon::harvest_report(Job& job) {
     harvested = std::max(harvested, now);
     return d;
   };
-  std::uint64_t d_trials, d_executed, d_alarms, d_restarts, d_trace_drops;
+  std::uint64_t d_trials, d_executed, d_alarms, d_trace_drops;
   {
     std::lock_guard lock(mutex_);
     d_trials = delta(trials, job.harvested_trials);
     d_executed = delta(executed, job.harvested_executed);
     d_alarms = delta(alarms, job.harvested_alarms);
-    d_restarts = delta(restarts, job.harvested_restarts);
     d_trace_drops = delta(trace_drops, job.harvested_trace_drops);
   }
   if (d_trials != 0) registry_.counter("casurf_worker_trials_total").add(d_trials);
@@ -554,12 +550,6 @@ void Daemon::harvest_report(Job& job) {
   }
   if (d_alarms != 0) {
     registry_.counter("casurf_worker_drift_alarms_total").add(d_alarms);
-  }
-  if (d_restarts != 0) {
-    registry_
-        .counter(obs::prom::series("casurf_worker_recoveries_total",
-                                   {{"scope", "worker"}}))
-        .add(d_restarts);
   }
   if (d_trace_drops != 0) {
     registry_.counter("casurf_worker_trace_drops_total").add(d_trace_drops);

@@ -102,10 +102,9 @@ class Daemon {
     std::uint64_t submit_ns = 0;  ///< mono ns at (re)enqueue; queue-wait base
     std::uint64_t sched_ns = 0;   ///< mono ns a runner picked it up
     std::uint64_t harvested_trials = 0;     ///< run-report totals already
-    std::uint64_t harvested_executed = 0;   ///< rolled into the registry
-    std::uint64_t harvested_alarms = 0;     ///< (deltas only: a requeued
-    std::uint64_t harvested_restarts = 0;   ///< job's report is cumulative)
-    std::uint64_t harvested_trace_drops = 0;  ///< run.trace_drops likewise
+    std::uint64_t harvested_executed = 0;   ///< rolled into the registry (deltas
+    std::uint64_t harvested_alarms = 0;     ///< only: a requeued job's report
+    std::uint64_t harvested_trace_drops = 0;  ///< is cumulative)
   };
 
   /// Per-request telemetry handle() threads through route(): the

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "ca/synchronous_ca.hpp"
 #include "dmc/rsm.hpp"
 #include "dmc/vssm.hpp"
 
@@ -125,7 +126,7 @@ TEST(SynchronousIsing, CheckerboardBlinksForever) {
     const Vec2 p = checker.lattice().coord(s);
     if ((p.x + p.y) % 2 == 0) checker.set(s, ising.up);
   }
-  SynchronousHeatBathIsing ca(ising, std::move(checker), 5);
+  SynchronousCA ca(std::move(checker), heat_bath_rule(ising, 5));
   double prev = ising.staggered_magnetization(ca.configuration());
   for (int i = 0; i < 50; ++i) {
     ca.step();
@@ -138,8 +139,8 @@ TEST(SynchronousIsing, CheckerboardBlinksForever) {
 
 TEST(SynchronousIsing, DeterministicForSeed) {
   const IsingModel ising = make_ising(0.5);
-  SynchronousHeatBathIsing a(ising, Configuration(Lattice(8, 8), 2, ising.up), 7);
-  SynchronousHeatBathIsing b(ising, Configuration(Lattice(8, 8), 2, ising.up), 7);
+  SynchronousCA a(Configuration(Lattice(8, 8), 2, ising.up), heat_bath_rule(ising, 7));
+  SynchronousCA b(Configuration(Lattice(8, 8), 2, ising.up), heat_bath_rule(ising, 7));
   a.run(20);
   b.run(20);
   EXPECT_EQ(a.configuration(), b.configuration());

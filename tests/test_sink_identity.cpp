@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -163,6 +164,41 @@ TEST_P(MetricsIdentity, DetachRestoresUninstrumentedOperation) {
 
 TEST_P(TraceIdentity, DetachRestoresUntracedOperation) {
   expect_detach_records_nothing(GetParam(), {.tracer = true});
+}
+
+// Every metrics timer phase has a trace twin (docs/OBSERVABILITY.md). Each
+// algorithm runs through advance_to, the path casurf_run drives, into a ring
+// too large to wrap: every timer of the simulation thread must count exactly
+// the spans of its name in ring 0. Threaded PNDCA's worker timers
+// (threads/busy/<w>, threads/wait/<w>) record into the workers' own rings
+// under the bare phase name; TraceIdentityThreaded covers those.
+TEST_P(TraceIdentity, EveryTimerCountsItsSpans) {
+  const auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 20.0));
+  const Lattice lat(20, 20);
+  SimulationOptions opt;
+  opt.algorithm = GetParam();
+  opt.seed = 77;
+  opt.threads = GetParam() == Algorithm::kParallelPndca ? 2 : 1;
+  auto sim = make_simulator(zgb.model, Configuration(lat, 3, zgb.vacant), opt);
+  obs::MetricsRegistry registry;
+  obs::Tracer tracer;
+  sim->attach({&registry, &tracer});
+  sim->advance_to(1.0);
+  ASSERT_EQ(tracer.total_dropped(), 0u) << "the ring wrapped";
+
+  std::map<std::string, std::uint64_t> spans;
+  for (const obs::TraceEvent& e : tracer.ring(0).events()) {
+    if (e.kind == obs::TraceEvent::Kind::kSpan) ++spans[e.name];
+  }
+  std::uint64_t timed = 0;
+  for (const auto& t : registry.timers()) {
+    if (t.name.starts_with("threads/busy/") || t.name.starts_with("threads/wait/")) {
+      continue;
+    }
+    EXPECT_EQ(spans[t.name], t.count) << t.name;
+    timed += t.count;
+  }
+  EXPECT_GT(timed, 0u);
 }
 
 const auto kAllAlgorithms = ::testing::Values(

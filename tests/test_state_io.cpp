@@ -35,6 +35,35 @@ TEST(StateIo, RoundTripsEveryPrimitive) {
   EXPECT_TRUE(r.at_end());
 }
 
+TEST(StateIo, CountingWriterSizesTheWriteExactly) {
+  // save_checkpoint sizes its buffer with a counting pass through the same
+  // routine, so the count must equal the bytes a real pass writes, and a
+  // buffer reserved at that count must never grow.
+  const auto write = [](StateWriter& w) {
+    w.section("sizing");
+    w.u8(1);
+    w.u32(2);
+    w.u64(3);
+    w.i64(-4);
+    w.f64(0.5);
+    w.str("five");
+    const std::uint8_t raw[6] = {};
+    w.bytes(raw, sizeof raw);
+    w.vec_u64(std::vector<std::uint32_t>{7, 8});
+    w.vec_f64({9.0});
+  };
+  StateWriter counting = StateWriter::counting();
+  write(counting);
+  EXPECT_TRUE(counting.buffer().empty());
+
+  StateWriter w;
+  w.reserve(counting.size());
+  const std::size_t capacity = w.buffer().capacity();
+  write(w);
+  EXPECT_EQ(w.size(), counting.size());
+  EXPECT_EQ(w.buffer().capacity(), capacity);
+}
+
 TEST(StateIo, DoublesAreBitExact) {
   // The values the text route mangles: negative zero, NaN payloads,
   // denormals, and long mantissas.
