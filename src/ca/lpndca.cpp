@@ -5,7 +5,6 @@
 #include <string>
 
 #include "ca/fastpath.hpp"
-#include "obs/trace.hpp"
 #include "rng/distributions.hpp"
 
 namespace casurf {
@@ -35,13 +34,6 @@ LPndcaSimulator::LPndcaSimulator(const ReactionModel& model, Configuration confi
   if (trials_per_batch_ >= kLanes && blocks(0)) seen_.assign((config_.size() + 63) / 64, 0);
 }
 
-void LPndcaSimulator::attach(const obs::Sinks& sinks) {
-  PartitionedSimulator::attach(sinks);
-  obs::MetricsRegistry* const registry = sinks.metrics;
-  step_timer_ = registry ? &registry->timer("lpndca/step") : nullptr;
-  select_timer_ = registry ? &registry->timer("lpndca/select") : nullptr;
-}
-
 void LPndcaSimulator::save_state(StateWriter& w) const {
   PartitionedSimulator::save_state(w);
   w.u64(trials_per_batch_);
@@ -58,8 +50,7 @@ void LPndcaSimulator::restore_state(StateReader& r) {
 }
 
 ChunkId LPndcaSimulator::select_chunk() {
-  const obs::ScopedTimer span(select_timer_);
-  const obs::ScopedSpan trace(trace_, "lpndca/select", time_, counters_.steps);
+  const obs::ScopedPhase phase(select_phase_, time_, counters_.steps);
   if (rate_cache_) {
     // Rate-weighted draw over the live per-chunk enabled rates; unlike
     // PNDCA's per-step freeze, each batch sees the counts updated by the
@@ -96,8 +87,7 @@ void LPndcaSimulator::run_spans(std::size_t from, std::size_t to,
 }
 
 void LPndcaSimulator::mc_step() {
-  const obs::ScopedTimer span(step_timer_);
-  const obs::ScopedSpan trace(trace_, "lpndca/step", time_, counters_.steps);
+  const obs::ScopedPhase phase(step_phase_, time_, counters_.steps);
   const std::uint64_t budget = config_.size();  // N trials per step
   std::uint64_t block = budget;  // first trial of the drawn block; none yet
   for (std::uint64_t t = 0; t < budget;) {

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "ca/partitioned.hpp"
-#include "obs/metrics.hpp"
 
 namespace casurf {
 
@@ -63,8 +62,6 @@ class LPndcaSimulator final : public PartitionedSimulator {
   void mc_step() override;
   [[nodiscard]] std::string name() const override { return "L-PNDCA"; }
 
-  void attach(const obs::Sinks& sinks) override;
-
   [[nodiscard]] const Partition& partition() const { return partition_; }
   [[nodiscard]] const Partition* spatial_partition() const override {
     return &partition_;
@@ -97,8 +94,8 @@ class LPndcaSimulator final : public PartitionedSimulator {
   std::array<std::uint64_t, kSpan> draws_{};
   std::array<SiteIndex, kSpan> sites_{};
   std::vector<std::uint64_t> seen_;  // one bit per site: in the current span
-  obs::Timer* step_timer_ = nullptr;             // lpndca/step
-  obs::Timer* select_timer_ = nullptr;           // lpndca/select
+  obs::Phase step_phase_{phases_, "lpndca/step"};
+  obs::Phase select_phase_{phases_, "lpndca/select"};
 };
 
 }  // namespace casurf

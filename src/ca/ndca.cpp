@@ -2,7 +2,6 @@
 
 #include <numeric>
 
-#include "obs/trace.hpp"
 #include "rng/distributions.hpp"
 
 namespace casurf {
@@ -52,11 +51,9 @@ void NdcaSimulator::restore_state(StateReader& r) {
 }
 
 void NdcaSimulator::mc_step() {
-  const obs::ScopedTimer span(step_timer_);
-  const obs::ScopedSpan trace(trace_, "ndca/step", time_, counters_.steps);
+  const obs::ScopedPhase phase(step_phase_, time_, counters_.steps);
   if (order_ == SweepOrder::kShuffled) {
-    const obs::ScopedTimer shuffle_span(shuffle_timer_);
-    const obs::ScopedSpan shuffle_trace(trace_, "ndca/shuffle", time_, counters_.steps);
+    const obs::ScopedPhase shuffle(shuffle_phase_, time_, counters_.steps);
     // Fisher-Yates with the simulator's own generator.
     for (std::size_t i = visit_order_.size(); i > 1; --i) {
       const auto j = static_cast<std::size_t>(uniform_below(rng_, i));
@@ -65,13 +62,6 @@ void NdcaSimulator::mc_step() {
   }
   for (const SiteIndex s : visit_order_) trial_at(s);
   ++counters_.steps;
-}
-
-void NdcaSimulator::attach(const obs::Sinks& sinks) {
-  Simulator::attach(sinks);
-  obs::MetricsRegistry* const registry = sinks.metrics;
-  step_timer_ = registry ? &registry->timer("ndca/step") : nullptr;
-  shuffle_timer_ = registry ? &registry->timer("ndca/shuffle") : nullptr;
 }
 
 }  // namespace casurf

@@ -3,7 +3,6 @@
 #include <cstdint>
 
 #include "core/simulator.hpp"
-#include "obs/metrics.hpp"
 #include "rng/xoshiro.hpp"
 
 namespace casurf {
@@ -29,8 +28,6 @@ class NdcaSimulator final : public Simulator {
   void mc_step() override;
   [[nodiscard]] std::string name() const override { return "NDCA"; }
 
-  void attach(const obs::Sinks& sinks) override;
-
   /// Checkpointing: besides the RNG, the visit order is saved — under
   /// kShuffled it carries the permutation state the next shuffle starts
   /// from.
@@ -44,8 +41,8 @@ class NdcaSimulator final : public Simulator {
   TrialClock clock_;
   SweepOrder order_;
   std::vector<SiteIndex> visit_order_;
-  obs::Timer* step_timer_ = nullptr;     // ndca/step
-  obs::Timer* shuffle_timer_ = nullptr;  // ndca/shuffle
+  obs::Phase step_phase_{phases_, "ndca/step"};
+  obs::Phase shuffle_phase_{phases_, "ndca/shuffle"};
 };
 
 }  // namespace casurf

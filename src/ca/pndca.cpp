@@ -6,7 +6,6 @@
 #include <string>
 
 #include "ca/fastpath.hpp"
-#include "obs/trace.hpp"
 #include "rng/distributions.hpp"
 
 namespace casurf {
@@ -26,7 +25,7 @@ PndcaSimulator::PndcaSimulator(const ReactionModel& model, Configuration config,
   require_draw_resolution(model_, "PNDCA");
   // Cache slot i == partition i, each with its block-rule verdict.
   for (const Partition& p : partitions_) add_slot(p);
-  slices_.resize(threads);
+  for (unsigned k = 0; k < threads; ++k) slices_.emplace_back(phases_, k + 1);
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
 }
 
@@ -41,26 +40,15 @@ double PndcaSimulator::enabled_rate_in_chunk(const Partition& p, ChunkId c) cons
 }
 
 void PndcaSimulator::attach(const obs::Sinks& sinks) {
-  PartitionedSimulator::attach(sinks);  // resolves ring 0 for the caller
+  PartitionedSimulator::attach(sinks);  // resolves every phase
   obs::MetricsRegistry* const registry = sinks.metrics;
-  step_timer_ = registry ? &registry->timer("pndca/step") : nullptr;
-  plan_timer_ = registry ? &registry->timer("pndca/plan") : nullptr;
-  sweep_timer_ = registry ? &registry->timer("pndca/sweep") : nullptr;
   chunk_sites_ = registry ? &registry->histogram("pndca/chunk_sites") : nullptr;
-  merge_timer_ = registry ? &registry->timer("threads/merge") : nullptr;
   // Registered for the run report's readers; no phase of this sweep is a
   // recheck, so it reads zero.
   if (registry) (void)registry->timer("threads/recheck");
+  if (sinks.tracer == nullptr) return;
   for (unsigned k = 0; k < slices_.size(); ++k) {
-    Slice& slice = slices_[k];
-    const std::string worker = "worker" + std::to_string(k);
-    slice.busy = registry ? &registry->timer("threads/busy/" + worker) : nullptr;
-    slice.wait = registry ? &registry->timer("threads/wait/" + worker) : nullptr;
-    slice.ring = nullptr;
-    if (sinks.tracer != nullptr) {
-      slice.ring = &sinks.tracer->ring(k + 1);
-      sinks.tracer->set_thread_name(k + 1, worker);
-    }
+    sinks.tracer->set_thread_name(k + 1, "worker" + std::to_string(k));
   }
 }
 
@@ -146,30 +134,22 @@ void PndcaSimulator::test_slice(std::uint64_t sweep, const SiteIndex* sites,
 
 void PndcaSimulator::sweep_blocks(std::uint64_t sweep,
                                   const std::vector<SiteIndex>& sites) {
-  const bool timed = merge_timer_ != nullptr;
-  const bool traced = slices_.front().ring != nullptr;
-  const bool clocked = timed || traced;
+  // Every phase of one simulator shares its sinks.
+  const bool timed = merge_phase_.on();
+  const std::uint64_t start = timed ? obs::now_ns() : 0;
   for (Slice& slice : slices_) {
-    // A slice left out of a small chunk's split keeps no hits and no time.
     slice.hits.clear();
-    slice.busy_ns = 0;
-    slice.busy_end = 0;
+    slice.busy_start = slice.busy_end = start;
   }
-  const std::uint64_t wall_start = clocked ? obs::now_ns() : 0;
 
   // Phase 1: every slice is tested against the configuration as the sweep
   // starts, and nothing writes it meanwhile, so the 8 lanes may read whole
   // words on any thread.
   const auto test = [&](unsigned k, std::size_t begin, std::size_t end) {
     Slice& slice = slices_[k];
-    const std::uint64_t busy_start = clocked ? obs::now_ns() : 0;
+    if (timed) slice.busy_start = obs::now_ns();
     test_slice(sweep, sites.data(), begin, end, slice);
-    if (!clocked) return;
-    slice.busy_end = obs::now_ns();
-    slice.busy_ns = slice.busy_end - busy_start;
-    if (traced) {
-      slice.ring->span("threads/busy", busy_start, slice.busy_ns, time_, sweep);
-    }
+    if (timed) slice.busy_end = obs::now_ns();
   };
   if (pool_) {
     pool_->parallel_for(sites.size(), test);
@@ -177,30 +157,22 @@ void PndcaSimulator::sweep_blocks(std::uint64_t sweep,
     test(0, 0, sites.size());
   }
 
-  if (clocked) {
-    // Wait is the rest of the test phase's wall: the slice's idle time at
-    // the phase's end (a slice left out of the split counts as all-wait).
-    // The load-imbalance figure is max/mean over the busy set. The test
-    // phase has ended, so the caller may append to the slices' rings.
-    const std::uint64_t wall_end = obs::now_ns();
-    const std::uint64_t wall = wall_end - wall_start;
+  if (timed) {
+    // The test phase has ended, so the caller records the slices' phases
+    // on their rings: the test, and the wait as two records, the idle head
+    // before the test and the idle tail after it, so that busy + wait is
+    // the phase's wall (a slice left out of the split waits all of it).
+    const std::uint64_t end = obs::now_ns();
     for (const Slice& slice : slices_) {
-      if (timed) {
-        slice.busy->add_ns(slice.busy_ns);
-        slice.wait->add_ns(wall - std::min(wall, slice.busy_ns));
-      }
-      if (traced) {
-        const std::uint64_t from = slice.busy_end != 0 ? slice.busy_end : wall_start;
-        slice.ring->span("threads/wait", from, wall_end - std::min(wall_end, from), time_,
-                         sweep);
-      }
+      slice.wait.record(start, slice.busy_start, time_, sweep);
+      slice.busy.record(slice.busy_start, slice.busy_end, time_, sweep);
+      slice.wait.record(slice.busy_end, end, time_, sweep);
     }
   }
 
   // Phase 2: the caller commits the hits in chunk order, the serial
   // sweep's order; under rate weighting each commit refreshes the cache.
-  const obs::ScopedTimer merge_span(merge_timer_);
-  const obs::ScopedSpan merge_trace(trace_, "threads/merge", time_, sweep);
+  const obs::ScopedPhase commit_phase(merge_phase_, time_, sweep);
   for (const Slice& slice : slices_) {
     for (const Hit& h : slice.hits) commit(h.site, h.type, partition_cursor_);
   }
@@ -220,12 +192,10 @@ void PndcaSimulator::sweep_trials(std::uint64_t sweep,
 }
 
 void PndcaSimulator::mc_step() {
-  const obs::ScopedTimer step_span(step_timer_);
-  const obs::ScopedSpan step_trace(trace_, "pndca/step", time_, counters_.steps);
+  const obs::ScopedPhase step(step_phase_, time_, counters_.steps);
   partition_cursor_ = static_cast<std::size_t>(counters_.steps % partitions_.size());
   {
-    const obs::ScopedTimer plan_span(plan_timer_);
-    const obs::ScopedSpan plan_trace(trace_, "pndca/plan", time_, counters_.steps);
+    const obs::ScopedPhase plan(plan_phase_, time_, counters_.steps);
     schedule_ = plan_schedule();
   }
   const Partition& p = partitions_[partition_cursor_];
@@ -234,8 +204,7 @@ void PndcaSimulator::mc_step() {
     ++sweep_;
     if (chunk_sites_ != nullptr) chunk_sites_->record(p.chunk(c).size());
     {
-      const obs::ScopedTimer sweep_span(sweep_timer_);
-      const obs::ScopedSpan sweep_trace(trace_, "pndca/sweep", time_, sweep_);
+      const obs::ScopedPhase phase(sweep_phase_, time_, sweep_);
       if (blocks(partition_cursor_)) {
         sweep_blocks(sweep_, p.chunk(c));
       } else {

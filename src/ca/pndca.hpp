@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -69,15 +70,14 @@ class PndcaSimulator : public PartitionedSimulator {
     return static_cast<unsigned>(slices_.size());
   }
 
-  /// Adds PNDCA's probes to the base's. Metrics: pndca/{step,plan,sweep},
-  /// the chunk-size histogram, and for every thread count the sweep phases:
-  /// per-slice test time and the rest of the test phase's wall
-  /// (threads/busy/worker<k>, threads/wait/worker<k> — the run report
-  /// derives load imbalance from the busy set) and the caller's commit phase
-  /// (threads/merge); threads/recheck is registered and reads zero.
-  /// Tracer: slice k's threads/busy spans go to ring k+1 (one writer per
-  /// ring); the caller appends the matching threads/wait span after the
-  /// test phase and records threads/merge on ring 0.
+  /// Adds the chunk-size histogram to the base's probes, registers
+  /// threads/recheck (it reads zero) and names worker k's ring k + 1.
+  /// PNDCA's phases are pndca/{step,plan,sweep} and, at every thread count,
+  /// the sweep's: slice k's test (threads/busy, timer
+  /// threads/busy/worker<k>; the run report derives load imbalance from
+  /// the busy set), the rest of the test phase's wall for that slice
+  /// (threads/wait), both on ring k + 1, and the caller's commit phase
+  /// (threads/merge) on ring 0.
   void attach(const obs::Sinks& sinks) override;
 
   [[nodiscard]] const Partition& current_partition() const {
@@ -117,9 +117,9 @@ class PndcaSimulator : public PartitionedSimulator {
   std::uint64_t sweep_ = 0;  // counts chunk sweeps; keys the per-site streams
   std::size_t partition_cursor_ = 0;
   std::vector<ChunkId> schedule_;
-  obs::Timer* step_timer_ = nullptr;          // pndca/step
-  obs::Timer* plan_timer_ = nullptr;          // pndca/plan
-  obs::Timer* sweep_timer_ = nullptr;         // pndca/sweep
+  obs::Phase step_phase_{phases_, "pndca/step"};
+  obs::Phase plan_phase_{phases_, "pndca/plan"};
+  obs::Phase sweep_phase_{phases_, "pndca/sweep"};
   obs::Histogram* chunk_sites_ = nullptr;     // pndca/chunk_sites
 
  private:
@@ -129,16 +129,18 @@ class PndcaSimulator : public PartitionedSimulator {
     ReactionIndex type;
   };
 
-  /// One test slice's output and probes, reused every sweep. Aligned to a
+  /// One test slice's output and phases, reused every sweep. Aligned to a
   /// cache line: each slice is written by its own thread during the test
   /// phase. The hit list grows with the hits, not with the slice.
   struct alignas(64) Slice {
-    std::vector<Hit> hits;       // in chunk order
-    std::uint64_t busy_ns = 0;   // the slice's test time this sweep
-    std::uint64_t busy_end = 0;  // when its test ended (tracing only)
-    obs::Timer* busy = nullptr;  // threads/busy/worker<k>
-    obs::Timer* wait = nullptr;  // threads/wait/worker<k>
-    obs::TraceRing* ring = nullptr;  // ring k+1
+    Slice(obs::Phases& phases, unsigned ring)
+        : busy(phases, "threads/busy", ring), wait(phases, "threads/wait", ring) {}
+    std::vector<Hit> hits;  // in chunk order
+    // When the slice's test began and ended this sweep (read only when its
+    // phases are on); a slice left out of the split keeps the phase's start.
+    std::uint64_t busy_start = 0, busy_end = 0;
+    obs::Phase busy;
+    obs::Phase wait;
   };
 
   /// A chunk sweep under the block rule: the test phase over num_threads()
@@ -156,9 +158,11 @@ class PndcaSimulator : public PartitionedSimulator {
   /// tested and committed before the next.
   void sweep_trials(std::uint64_t sweep, const std::vector<SiteIndex>& sites);
 
-  std::vector<Slice> slices_;          // one per thread
-  std::unique_ptr<ThreadPool> pool_;   // runs the slices; null at one thread
-  obs::Timer* merge_timer_ = nullptr;  // threads/merge
+  obs::Phase merge_phase_{phases_, "threads/merge"};
+  // One per thread; a deque, because phases_ holds each slice's phases by
+  // address.
+  std::deque<Slice> slices_;
+  std::unique_ptr<ThreadPool> pool_;  // runs the slices; null at one thread
 };
 
 }  // namespace casurf

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "obs/trace.hpp"
 #include "rng/distributions.hpp"
 
 namespace casurf {
@@ -60,20 +59,11 @@ ChunkId TPndcaSimulator::select_chunk(std::size_t subset_index, ReactionIndex ch
   return static_cast<ChunkId>(uniform_below(rng_, m));
 }
 
-void TPndcaSimulator::attach(const obs::Sinks& sinks) {
-  PartitionedSimulator::attach(sinks);
-  obs::MetricsRegistry* const registry = sinks.metrics;
-  step_timer_ = registry ? &registry->timer("tpndca/step") : nullptr;
-  sweep_timer_ = registry ? &registry->timer("tpndca/sweep") : nullptr;
-}
-
 void TPndcaSimulator::mc_step() {
-  const obs::ScopedTimer step_span(step_timer_);
-  const obs::ScopedSpan step_trace(trace_, "tpndca/step", time_, counters_.steps);
+  const obs::ScopedPhase step(step_phase_, time_, counters_.steps);
   const double total_k = model_.total_rate();
   for (std::uint32_t sweep = 0; sweep < sweeps_per_step_; ++sweep) {
-    const obs::ScopedTimer sweep_span(sweep_timer_);
-    const obs::ScopedSpan sweep_trace(trace_, "tpndca/sweep", time_, counters_.steps);
+    const obs::ScopedPhase phase(sweep_phase_, time_, counters_.steps);
     // select T_j with probability K_Tj / K
     const std::size_t j = sample_cumulative(subset_cumulative_, uniform01(rng_));
     const TypeSubset& sub = subsets_[j];

@@ -3,7 +3,6 @@
 #include <cstdint>
 
 #include "ca/partitioned.hpp"
-#include "obs/metrics.hpp"
 #include "partition/type_partition.hpp"
 
 namespace casurf {
@@ -40,8 +39,6 @@ class TPndcaSimulator final : public PartitionedSimulator {
   void mc_step() override;
   [[nodiscard]] std::string name() const override { return "TPNDCA"; }
 
-  void attach(const obs::Sinks& sinks) override;
-
   [[nodiscard]] const std::vector<TypeSubset>& subsets() const { return subsets_; }
   [[nodiscard]] const Partition* spatial_partition() const override {
     return &subsets_.front().chunks;
@@ -58,8 +55,8 @@ class TPndcaSimulator final : public PartitionedSimulator {
   std::vector<double> subset_cumulative_;            // cumulative K_Tj
   std::vector<std::vector<double>> type_cumulative_;  // per subset, cumulative k_i
   std::vector<double> chunk_cumulative_;  // the chosen type's chunk counts, cumulative
-  obs::Timer* step_timer_ = nullptr;           // tpndca/step
-  obs::Timer* sweep_timer_ = nullptr;          // tpndca/sweep
+  obs::Phase step_phase_{phases_, "tpndca/step"};
+  obs::Phase sweep_phase_{phases_, "tpndca/sweep"};
 };
 
 }  // namespace casurf

@@ -11,48 +11,29 @@
 
 namespace casurf {
 
-namespace {
-
-Partition partition_for(const ReactionModel& model, const Configuration& cfg,
-                        const SimulationOptions& options) {
-  if (options.partition) {
-    if (!(options.partition->lattice() == cfg.lattice())) {
-      throw std::invalid_argument("make_simulator: supplied partition has wrong lattice");
-    }
-    return *options.partition;
-  }
-  return make_partition(cfg.lattice(), model);
-}
-
-}  // namespace
-
 std::unique_ptr<Simulator> make_simulator(const ReactionModel& model,
                                           Configuration initial,
                                           const SimulationOptions& options) {
   switch (options.algorithm) {
     case Algorithm::kRsm:
-      return std::make_unique<RsmSimulator>(model, std::move(initial), options.seed,
-                                            options.time_mode);
+      return std::make_unique<RsmSimulator>(model, std::move(initial), options.seed);
     case Algorithm::kVssm:
       return std::make_unique<VssmSimulator>(model, std::move(initial), options.seed);
     case Algorithm::kFrm:
       return std::make_unique<FrmSimulator>(model, std::move(initial), options.seed);
     case Algorithm::kNdca:
-      return std::make_unique<NdcaSimulator>(model, std::move(initial), options.seed,
-                                             options.time_mode);
+      return std::make_unique<NdcaSimulator>(model, std::move(initial), options.seed);
     case Algorithm::kPndca:
     case Algorithm::kParallelPndca: {
-      Partition p = partition_for(model, initial, options);
-      return std::make_unique<PndcaSimulator>(model, std::move(initial),
-                                              std::vector<Partition>{std::move(p)},
-                                              options.seed, options.chunk_policy,
-                                              options.time_mode, options.threads);
+      Partition p = make_partition(initial.lattice(), model);
+      return std::make_unique<PndcaSimulator>(
+          model, std::move(initial), std::vector<Partition>{std::move(p)}, options.seed,
+          ChunkPolicy::kRandomOrder, TimeMode::kStochastic, options.threads);
     }
     case Algorithm::kLPndca: {
-      Partition p = partition_for(model, initial, options);
+      Partition p = make_partition(initial.lattice(), model);
       return std::make_unique<LPndcaSimulator>(model, std::move(initial), std::move(p),
-                                               options.seed, options.l_trials,
-                                               options.time_mode);
+                                               options.seed, options.l_trials);
     }
     case Algorithm::kTPndca: {
       auto subsets = make_type_partition(initial.lattice(), model);

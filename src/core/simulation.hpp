@@ -29,21 +29,17 @@ enum class Algorithm {
 struct SimulationOptions {
   Algorithm algorithm = Algorithm::kRsm;
   std::uint64_t seed = 1;
-  TimeMode time_mode = TimeMode::kStochastic;
-
-  // PNDCA family. When no explicit partition is given, a minimal valid one
-  // is derived from the model with make_partition().
-  ChunkPolicy chunk_policy = ChunkPolicy::kRandomOrder;
-  std::shared_ptr<const Partition> partition;  ///< optional override
-
   std::uint32_t l_trials = 1;  ///< L of L-PNDCA
   unsigned threads = 1;        ///< PNDCA's test slices (1 = no pool)
 };
 
 /// Build a ready-to-run simulator for `model` starting from `initial`.
 /// The model must outlive the simulator. This is the single entry point
-/// the examples and most benchmarks use; direct construction of the
-/// individual simulator classes remains available for finer control.
+/// the CLI, the examples and most benchmarks use. Every simulator runs in
+/// stochastic time, PNDCA in random chunk order, and the partitioned
+/// family on the partition make_partition() derives from the model; the
+/// simulators' constructors take the other time modes, chunk policies and
+/// partitions.
 [[nodiscard]] std::unique_ptr<Simulator> make_simulator(const ReactionModel& model,
                                                         Configuration initial,
                                                         const SimulationOptions& options);

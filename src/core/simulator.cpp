@@ -6,11 +6,8 @@ namespace casurf {
 
 void Simulator::attach(const obs::Sinks& sinks) {
   sinks_ = sinks;
-  trace_ = nullptr;
-  if (sinks.tracer != nullptr) {
-    trace_ = &sinks.tracer->ring(0);
-    sinks.tracer->set_thread_name(0, "main");
-  }
+  if (sinks.tracer != nullptr) sinks.tracer->set_thread_name(0, "main");
+  for (obs::Phase* phase : phases_) phase->attach(sinks);
   spatial_.attach(sinks.spatial);
 }
 

@@ -8,6 +8,7 @@
 #include "core/state_io.hpp"
 #include "lattice/configuration.hpp"
 #include "model/reaction_model.hpp"
+#include "obs/phase.hpp"
 #include "obs/sinks.hpp"
 #include "obs/spatial.hpp"
 #include "rng/distributions.hpp"
@@ -15,10 +16,6 @@
 namespace casurf {
 
 class Partition;
-
-namespace obs {
-class TraceRing;
-}
 
 /// How simulated time advances per trial (paper section 3).
 enum class TimeMode {
@@ -111,13 +108,14 @@ class Simulator {
 
   /// Attach observation sinks, replacing whatever was attached before; a
   /// null member turns that sink off, so attach({}) detaches everything.
-  /// Implementations resolve their probes by name once, here, and keep raw
-  /// pointers; the hot path then pays one branch per probe for a sink that
-  /// is off. The base resolves tracer ring 0 (the simulation thread) and
-  /// the spatial probe; threaded PNDCA adds one ring per worker.
-  /// Probes never read or write simulation state or RNG streams, so
-  /// trajectories are bit-identical whatever is attached. The sinks are
-  /// borrowed and must outlive the simulator (or be detached first).
+  /// Probes are resolved by name once, here, and hold raw pointers; the hot
+  /// path then pays one branch per probe for a sink that is off. The base
+  /// resolves every phase listed in phases_ (its timer, and its span ring:
+  /// ring 0 for the simulation thread, ring k + 1 for PNDCA's worker k) and
+  /// the spatial probe; an override adds counters and histograms. Probes
+  /// never read or write simulation state or RNG streams, so trajectories
+  /// are bit-identical whatever is attached. The sinks are borrowed and
+  /// must outlive the simulator (or be detached first).
   virtual void attach(const obs::Sinks& sinks);
 
   [[nodiscard]] const obs::Sinks& sinks() const { return sinks_; }
@@ -175,8 +173,8 @@ class Simulator {
   SimCounters counters_;
   double time_ = 0.0;
   obs::Sinks sinks_;
-  obs::TraceRing* trace_ = nullptr;  ///< ring 0; null = tracing off
-  obs::SpatialProbe spatial_;        ///< per-site activity; null map = off
+  obs::Phases phases_;         ///< the simulator's phases; attach() resolves them
+  obs::SpatialProbe spatial_;  ///< per-site activity; null map = off
 };
 
 }  // namespace casurf

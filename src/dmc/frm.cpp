@@ -4,7 +4,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "obs/trace.hpp"
 #include "rng/distributions.hpp"
 
 namespace casurf {
@@ -91,14 +90,8 @@ void FrmSimulator::sift_down(std::size_t k, const Event& ev) {
   place(k, ev);
 }
 
-void FrmSimulator::attach(const obs::Sinks& sinks) {
-  Simulator::attach(sinks);
-  step_timer_ = sinks.metrics ? &sinks.metrics->timer("frm/step") : nullptr;
-}
-
 void FrmSimulator::execute_head() {
-  const obs::ScopedTimer span(step_timer_);
-  const obs::ScopedSpan trace(trace_, "frm/step", time_, counters_.steps);
+  const obs::ScopedPhase phase(step_phase_, time_, counters_.steps);
   const Event ev = queue_.front();
   remove_event(0);
   time_ = ev.when;

@@ -6,7 +6,6 @@
 #include "core/simulator.hpp"
 #include "dmc/demand_zero_array.hpp"
 #include "model/probe_plans.hpp"
-#include "obs/metrics.hpp"
 #include "rng/xoshiro.hpp"
 
 namespace casurf {
@@ -26,8 +25,6 @@ class FrmSimulator final : public Simulator {
   void mc_step() override;
   void advance_to(double t) override;
   [[nodiscard]] std::string name() const override { return "FRM"; }
-
-  void attach(const obs::Sinks& sinks) override;
 
   /// Number of (type, site) pairs currently enabled: the queue's length.
   [[nodiscard]] std::uint64_t enabled_pairs() const { return queue_.size(); }
@@ -90,7 +87,7 @@ class FrmSimulator final : public Simulator {
   // pages of sites where it is ever enabled.
   DemandZeroArray<std::uint32_t> slot_;
   Rechecker rechecker_;
-  obs::Timer* step_timer_ = nullptr;  // frm/step
+  obs::Phase step_phase_{phases_, "frm/step"};
 };
 
 }  // namespace casurf

@@ -1,6 +1,5 @@
 #include "dmc/rsm.hpp"
 
-#include "obs/trace.hpp"
 #include "rng/distributions.hpp"
 
 namespace casurf {
@@ -34,18 +33,10 @@ void RsmSimulator::trial() {
 }
 
 void RsmSimulator::mc_step() {
-  const obs::ScopedTimer span(step_timer_);
-  const obs::ScopedSpan trace(trace_, "rsm/step", time_, counters_.steps);
+  const obs::ScopedPhase phase(step_phase_, time_, counters_.steps);
   const SiteIndex n = config_.size();
   for (SiteIndex i = 0; i < n; ++i) trial();
   ++counters_.steps;
-}
-
-void RsmSimulator::attach(const obs::Sinks& sinks) {
-  Simulator::attach(sinks);
-  obs::MetricsRegistry* const registry = sinks.metrics;
-  step_timer_ = registry ? &registry->timer("rsm/step") : nullptr;
-  advance_timer_ = registry ? &registry->timer("rsm/advance") : nullptr;
 }
 
 void RsmSimulator::save_state(StateWriter& w) const {
@@ -61,8 +52,7 @@ void RsmSimulator::restore_state(StateReader& r) {
 }
 
 void RsmSimulator::advance_to(double t) {
-  const obs::ScopedTimer span(advance_timer_);
-  const obs::ScopedSpan trace(trace_, "rsm/advance", time_, counters_.steps);
+  const obs::ScopedPhase phase(advance_phase_, time_, counters_.steps);
   while (time_ < t) {
     const double dt = clock_.increment(rng_);
     if (time_ + dt > t) {

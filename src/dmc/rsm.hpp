@@ -3,7 +3,6 @@
 #include <cstdint>
 
 #include "core/simulator.hpp"
-#include "obs/metrics.hpp"
 #include "rng/xoshiro.hpp"
 
 namespace casurf {
@@ -27,8 +26,6 @@ class RsmSimulator final : public Simulator {
 
   [[nodiscard]] std::string name() const override { return "RSM"; }
 
-  void attach(const obs::Sinks& sinks) override;
-
   void save_state(StateWriter& w) const override;
   void restore_state(StateReader& r) override;
 
@@ -41,8 +38,8 @@ class RsmSimulator final : public Simulator {
 
   Xoshiro256 rng_;
   TrialClock clock_;
-  obs::Timer* step_timer_ = nullptr;     // rsm/step
-  obs::Timer* advance_timer_ = nullptr;  // rsm/advance
+  obs::Phase step_phase_{phases_, "rsm/step"};
+  obs::Phase advance_phase_{phases_, "rsm/advance"};
 };
 
 }  // namespace casurf

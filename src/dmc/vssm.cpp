@@ -1,6 +1,5 @@
 #include "dmc/vssm.hpp"
 
-#include "obs/trace.hpp"
 #include "rng/distributions.hpp"
 
 namespace casurf {
@@ -26,16 +25,8 @@ void VssmSimulator::rebuild_enabled() {
   }
 }
 
-void VssmSimulator::attach(const obs::Sinks& sinks) {
-  Simulator::attach(sinks);
-  obs::MetricsRegistry* const registry = sinks.metrics;
-  step_timer_ = registry ? &registry->timer("vssm/step") : nullptr;
-  rate_scan_timer_ = registry ? &registry->timer("vssm/rate_scan") : nullptr;
-}
-
 double VssmSimulator::total_enabled_rate() const {
-  const obs::ScopedTimer span(rate_scan_timer_);
-  const obs::ScopedSpan trace(trace_, "vssm/rate_scan", time_, counters_.steps);
+  const obs::ScopedPhase phase(rate_scan_phase_, time_, counters_.steps);
   bands_.resize(model_.num_reactions());
   double r = 0;
   for (ReactionIndex i = 0; i < model_.num_reactions(); ++i) {
@@ -45,8 +36,7 @@ double VssmSimulator::total_enabled_rate() const {
 }
 
 void VssmSimulator::mc_step() {
-  const obs::ScopedTimer span(step_timer_);
-  const obs::ScopedSpan trace(trace_, "vssm/step", time_, counters_.steps);
+  const obs::ScopedPhase phase(step_phase_, time_, counters_.steps);
   const double total = total_enabled_rate();
   if (total <= 0.0) return;  // absorbing state; advance_to() handles time
 
@@ -162,8 +152,7 @@ void VssmSimulator::advance_to(double t) {
       return;
     }
     time_ += dt;
-    const obs::ScopedTimer span(step_timer_);
-    const obs::ScopedSpan trace(trace_, "vssm/step", time_, counters_.steps);
+    const obs::ScopedPhase phase(step_phase_, time_, counters_.steps);
     execute_event();
   }
 }

@@ -6,7 +6,6 @@
 #include "core/simulator.hpp"
 #include "dmc/enabled_set.hpp"
 #include "model/probe_plans.hpp"
-#include "obs/metrics.hpp"
 #include "rng/xoshiro.hpp"
 
 namespace casurf {
@@ -24,8 +23,6 @@ class VssmSimulator final : public Simulator {
   void mc_step() override;
   void advance_to(double t) override;
   [[nodiscard]] std::string name() const override { return "VSSM"; }
-
-  void attach(const obs::Sinks& sinks) override;
 
   /// Sum over types of k_i * |enabled_i|: the total propensity R(S). The
   /// scan fills the cumulative band table the next event draws its type
@@ -82,8 +79,8 @@ class VssmSimulator final : public Simulator {
   mutable std::vector<double> bands_;  // cumulative k_i |E_i|, filled by total_enabled_rate()
   Rechecker rechecker_;
   Event last_event_;
-  obs::Timer* step_timer_ = nullptr;       // vssm/step
-  obs::Timer* rate_scan_timer_ = nullptr;  // vssm/rate_scan
+  obs::Phase step_phase_{phases_, "vssm/step"};
+  obs::Phase rate_scan_phase_{phases_, "vssm/rate_scan"};
 };
 
 }  // namespace casurf

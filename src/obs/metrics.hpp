@@ -71,22 +71,6 @@ class Timer {
   std::atomic<std::uint64_t> max_ns_{0};
 };
 
-/// RAII span recorder; a null timer makes construction and destruction a
-/// branch each — the "metrics off" fast path.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Timer* timer) : timer_(timer), start_(timer ? now_ns() : 0) {}
-  ~ScopedTimer() {
-    if (timer_ != nullptr) timer_->add_ns(now_ns() - start_);
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Timer* timer_;
-  std::uint64_t start_;
-};
-
 /// Power-of-two histogram of nonnegative integer samples (bucket b counts
 /// values v with bit_width(v) == b, i.e. [2^(b-1), 2^b); bucket 0 counts
 /// zeros). 65 buckets cover the whole uint64 range — coarse, fixed-size,

@@ -65,7 +65,7 @@ class SpatialMap {
 };
 
 /// The handle simulators hold: a nullable pointer whose null state is the
-/// "off" fast path, mirroring the TraceRing/ScopedSpan pattern.
+/// "off" fast path, mirroring the phase probes (phase.hpp).
 class SpatialProbe {
  public:
   void attach(SpatialMap* map) { map_ = map; }

@@ -13,12 +13,13 @@ namespace casurf::obs {
 /// timestamped spans, exported as Chrome Trace Event Format JSON
 /// (chrome://tracing / Perfetto).
 ///
-/// Same discipline as the metrics probes (metrics.hpp): the simulator
-/// resolves its ring ONCE at `Simulator::attach` and holds a raw
-/// pointer; a null ring means "tracing off" — one branch per span site,
-/// never touching RNG or simulation state, so the traced trajectory is
-/// bit-identical to the bare run. Each ring has exactly one writer (its
-/// logical thread), so recording is lock- and atomic-free; when a ring
+/// Same discipline as the metrics probes (metrics.hpp): a simulator's
+/// phases (phase.hpp) resolve their rings ONCE at `Simulator::attach` and
+/// hold raw pointers; a null ring means "tracing off" — one branch per
+/// span site, never touching RNG or simulation state, so the traced
+/// trajectory is bit-identical to the bare run. Each ring has one writer
+/// at a time (its logical thread, or the thread that joined it), so
+/// recording is lock- and atomic-free; when a ring
 /// wraps, the oldest events are overwritten and a drop counter keeps the
 /// loss visible in the exported footer (no silent truncation).
 
@@ -36,7 +37,8 @@ struct TraceEvent {
 };
 
 /// Fixed-capacity overwrite-oldest ring of TraceEvents. Single-writer:
-/// only the owning thread may call span()/instant(); readers (export) run
+/// one thread at a time may call span()/instant(), the owning thread or
+/// one that has joined it; readers (export) run
 /// after the run, or between steps on the coordinating thread.
 class TraceRing {
  public:
@@ -83,29 +85,6 @@ class TraceRing {
   std::vector<TraceEvent> buf_;
   std::size_t next_ = 0;  ///< index of the oldest event once wrapped
   std::uint64_t recorded_ = 0;
-};
-
-/// RAII span: records [construction, destruction) into a ring. A null ring
-/// costs one branch — the "tracing off" fast path mirroring ScopedTimer.
-class ScopedSpan {
- public:
-  ScopedSpan(TraceRing* ring, const char* name, double sim_time, std::uint64_t step)
-      : ring_(ring), name_(name), sim_time_(sim_time), step_(step),
-        start_(ring != nullptr ? now_ns() : 0) {}
-  ~ScopedSpan() {
-    if (ring_ != nullptr) {
-      ring_->span(name_, start_, now_ns() - start_, sim_time_, step_);
-    }
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
- private:
-  TraceRing* ring_;
-  const char* name_;
-  double sim_time_;
-  std::uint64_t step_;
-  std::uint64_t start_;
 };
 
 /// Owns one ring per logical thread (tid 0 = the simulation thread, tid

@@ -18,6 +18,7 @@
 
 #include "io/atomic_file.hpp"
 #include "obs/json.hpp"
+#include "obs/phase.hpp"
 #include "obs/prom.hpp"
 #include "serve/events.hpp"
 #include "serve/spawn.hpp"
@@ -237,7 +238,10 @@ std::size_t Daemon::recover_jobs() {
 }
 
 void Daemon::runner_main(unsigned runner) {
-  obs::TraceRing& lane = trace_.ring(runner);
+  // One serve/job span per supervised worker on this runner's lane; the
+  // job id rides in args.step, matching the worker's "job-<id>" trace id.
+  obs::Phase job_phase("serve/job", runner);
+  job_phase.attach({.tracer = &trace_});
   for (;;) {
     Job* job = nullptr;
     {
@@ -258,9 +262,7 @@ void Daemon::runner_main(unsigned runner) {
         .u64("job", job->id)
         .i64("priority", job->spec.priority);
     {
-      // One span per supervised worker on this runner's lane; the job id
-      // rides in args.step, matching the worker's "job-<id>" trace id.
-      obs::ScopedSpan span(&lane, "serve/job", 0.0, job->id);
+      const obs::ScopedPhase span(job_phase, 0.0, job->id);
       run_job(*job);
     }
   }

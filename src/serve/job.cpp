@@ -12,6 +12,7 @@
 #include "core/simulation.hpp"
 #include "parallel/thread_pool.hpp"
 #include "stats/coverage.hpp"
+#include "util/failpoint.hpp"
 
 namespace casurf::serve {
 namespace {
@@ -163,6 +164,8 @@ JobSpec JobSpec::from_json(const Value& v) {
     } else if (key == "failpoints") {
       spec.failpoints = string_value(value, "failpoints");
       if (spec.failpoints.size() > 4096) reject("failpoints spec too long");
+      const std::string bad = fail::validate(spec.failpoints);
+      if (!bad.empty()) reject(bad);
     } else {
       reject("unknown member \"" + key + '"');
     }

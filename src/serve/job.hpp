@@ -26,7 +26,8 @@ struct JobSpec {
   std::string model;
   std::string model_text;
 
-  // Run parameters (the casurf_run defaults, same semantics).
+  // Run parameters: casurf_run's flags and semantics, and its defaults but
+  // for the smaller lattice and horizon (64 x 64 and t_end 10).
   std::string algorithm = "rsm";
   std::int32_t width = 64, height = 64;
   std::uint64_t seed = 1;
@@ -47,8 +48,8 @@ struct JobSpec {
   bool trace = false;               ///< worker writes a Chrome-trace JSON
 
   /// Deterministic fault injection forwarded to the worker (--failpoints
-  /// grammar). Operational/testing aid; rejected by builds that compiled
-  /// the failpoints out, exactly like the CLI.
+  /// grammar, checked by fail::validate as the CLI checks it).
+  /// Operational/testing aid.
   std::string failpoints;
 
   /// Parse and validate a spec. Unknown members are rejected (a typo in a

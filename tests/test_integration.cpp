@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/observer.hpp"
 #include "core/simulation.hpp"
+#include "dmc/rsm.hpp"
 #include "models/zgb.hpp"
 #include "stats/coverage.hpp"
 #include "stats/timeseries.hpp"
@@ -115,36 +118,34 @@ TEST(Integration, LPndcaLimitParametersReproduceRsm) {
   auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
   const Lattice lat(32, 32);
 
-  const auto trajectory = [&](const SimulationOptions& opt_base, std::uint64_t seed) {
-    SimulationOptions opt = opt_base;
-    opt.seed = seed;
-    auto sim = make_simulator(zgb.model, Configuration(lat, 3, zgb.vacant), opt);
-    CoverageRecorder rec({zgb.o});
-    run_sampled(*sim, 10.0, 0.5, rec);
-    return rec.series(zgb.o);
-  };
-  const auto mean_of = [&](const SimulationOptions& opt) {
+  // `make(seed)` builds one run's simulator.
+  const auto mean_of = [&](const auto& make) {
     std::vector<TimeSeries> runs;
-    for (std::uint64_t s = 1; s <= 4; ++s) runs.push_back(trajectory(opt, s));
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      std::unique_ptr<Simulator> sim = make(seed);
+      CoverageRecorder rec({zgb.o});
+      run_sampled(*sim, 10.0, 0.5, rec);
+      runs.push_back(rec.series(zgb.o));
+    }
     return ensemble_mean(runs, 100);
   };
+  const auto rsm = [&](std::uint64_t seed) {
+    return std::make_unique<RsmSimulator>(zgb.model, Configuration(lat, 3, zgb.vacant),
+                                          seed);
+  };
+  const auto lpndca = [&](Partition p, std::uint32_t l) {
+    return [&zgb, &lat, p = std::move(p), l](std::uint64_t seed) {
+      return std::make_unique<LPndcaSimulator>(
+          zgb.model, Configuration(lat, 3, zgb.vacant), p, seed, l);
+    };
+  };
 
-  SimulationOptions rsm_opt;
-  rsm_opt.algorithm = Algorithm::kRsm;
-
-  SimulationOptions one_chunk;
-  one_chunk.algorithm = Algorithm::kLPndca;
-  one_chunk.partition = std::make_shared<Partition>(Partition::single_chunk(lat));
-  one_chunk.l_trials = lat.size();
-
-  SimulationOptions singletons;
-  singletons.algorithm = Algorithm::kLPndca;
-  singletons.partition = std::make_shared<Partition>(Partition::singletons(lat));
-  singletons.l_trials = 1;
-
-  const TimeSeries rsm = mean_of(rsm_opt);
-  EXPECT_LT(mean_abs_difference(rsm, mean_of(one_chunk)), 0.035);
-  EXPECT_LT(mean_abs_difference(rsm, mean_of(singletons)), 0.035);
+  const TimeSeries exact = mean_of(rsm);
+  EXPECT_LT(mean_abs_difference(exact, mean_of(lpndca(Partition::single_chunk(lat),
+                                                      lat.size()))),
+            0.035);
+  EXPECT_LT(mean_abs_difference(exact, mean_of(lpndca(Partition::singletons(lat), 1))),
+            0.035);
 }
 
 TEST(Integration, ObserverSamplesOnGridForEveryAlgorithm) {

@@ -9,6 +9,7 @@
 
 #include "core/simulator.hpp"
 #include "models/diffusion.hpp"
+#include "obs/phase.hpp"
 #include "obs/run_report.hpp"
 
 namespace casurf::obs {
@@ -38,15 +39,41 @@ TEST(Timer, MeanOfEmptyTimerIsZero) {
   EXPECT_DOUBLE_EQ(t.mean_ns(), 0.0);
 }
 
-TEST(ScopedTimerTest, NullTimerIsANoOp) {
+TEST(ScopedPhaseTest, NullTimerIsANoOp) {
   // The metrics-off fast path: must not crash, must not record anywhere.
-  const ScopedTimer span(nullptr);
+  Phase phase("x/phase");
+  phase.attach({});
+  EXPECT_FALSE(phase.on());
+  const ScopedPhase span(phase, 0.0, 0);
 }
 
-TEST(ScopedTimerTest, RecordsOneSpan) {
-  Timer t;
-  { const ScopedTimer span(&t); }
+TEST(ScopedPhaseTest, RecordsOneSpan) {
+  // One clock pair feeds both the timer and the span.
+  MetricsRegistry reg;
+  Tracer tracer;
+  Phase phase("x/phase");
+  phase.attach({&reg, &tracer});
+  { const ScopedPhase span(phase, 1.5, 7); }
+  const Timer& t = reg.timer("x/phase");
   EXPECT_EQ(t.count(), 1u);
+  const auto events = tracer.ring(0).events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_STREQ(events[0].name, "x/phase");
+  EXPECT_EQ(events[0].dur_ns, t.total_ns());
+  EXPECT_DOUBLE_EQ(events[0].sim_time, 1.5);
+  EXPECT_EQ(events[0].step, 7u);
+}
+
+TEST(ScopedPhaseTest, WorkerPhaseTimesUnderItsWorkerOnItsRing) {
+  MetricsRegistry reg;
+  Tracer tracer;
+  Phase phase("threads/busy", 3);
+  phase.attach({&reg, &tracer});
+  phase.record(100, 250, 0.0, 1);
+  EXPECT_EQ(reg.timer("threads/busy/worker2").total_ns(), 150u);
+  ASSERT_EQ(tracer.ring(3).size(), 1u);
+  EXPECT_STREQ(tracer.ring(3).events()[0].name, "threads/busy");
+  EXPECT_EQ(tracer.ring(0).size(), 0u);
 }
 
 TEST(HistogramTest, BucketsByBitWidth) {

@@ -171,6 +171,24 @@ TEST(JobSpec, RetiredFastPathIsAcceptedTypeCheckedAndDropped) {
   EXPECT_THROW(spec_of(R"({"model":"zgb","fast_path":"yes"})"), std::runtime_error);
 }
 
+TEST(JobSpec, MalformedFailpointsAreRejected) {
+  // The CLI refuses this spec with exit 2; the JobSpec answers 400 with the
+  // same message instead of spawning a worker that can never start.
+  try {
+    (void)spec_of(R"({"model":"zgb","failpoints":"run/kill=sometimes"})");
+    FAIL() << "a malformed failpoints spec was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "failpoint 'run/kill': unknown trigger 'sometimes' (expected hit@N or "
+                  "prob@P)"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(spec_of(R"({"model":"zgb","failpoints":"run/kill"})"), std::runtime_error);
+  EXPECT_EQ(spec_of(R"({"model":"zgb","failpoints":"run/kill=prob@0.5"})").failpoints,
+            "run/kill=prob@0.5");
+}
+
 TEST(JobSpec, InlineModelTextUsesModelFileFlag) {
   const JobSpec s = spec_of(R"({"model_text":"species CO on *"})");
   const std::vector<std::string> argv = s.to_argv("r", "/d", false);

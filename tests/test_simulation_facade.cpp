@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 
+#include "dmc/rsm.hpp"
 #include "models/zgb.hpp"
 
 namespace casurf {
@@ -47,28 +50,34 @@ TEST(SimulationFacade, AutoPartitionIsFiveChunksForZgb) {
   EXPECT_EQ(pndca->current_partition().num_chunks(), 5u);
 }
 
+// make_simulator takes no partition: a caller with its own builds the
+// simulator directly.
 TEST(SimulationFacade, ExplicitPartitionHonored) {
   auto zgb = models::make_zgb();
   const Lattice lat(20, 20);
-  SimulationOptions opt;
-  opt.algorithm = Algorithm::kLPndca;
-  opt.l_trials = 10;
-  opt.partition = std::make_shared<Partition>(Partition::singletons(lat));
-  auto sim = make_simulator(zgb.model, Configuration(lat, 3, zgb.vacant), opt);
-  auto* lp = dynamic_cast<LPndcaSimulator*>(sim.get());
-  ASSERT_NE(lp, nullptr);
-  EXPECT_EQ(lp->partition().num_chunks(), 400u);
-  EXPECT_EQ(lp->trials_per_batch(), 10u);
+  const LPndcaSimulator lp(zgb.model, Configuration(lat, 3, zgb.vacant),
+                           Partition::singletons(lat), 1, 10);
+  EXPECT_EQ(lp.partition().num_chunks(), 400u);
+  EXPECT_EQ(lp.trials_per_batch(), 10u);
 }
 
+// PartitionedSimulator::add_slot refuses a partition of another lattice,
+// naming the simulator.
 TEST(SimulationFacade, WrongLatticePartitionThrows) {
   auto zgb = models::make_zgb();
-  SimulationOptions opt;
-  opt.algorithm = Algorithm::kPndca;
-  opt.partition = std::make_shared<Partition>(Partition::singletons(Lattice(4, 4)));
-  EXPECT_THROW((void)make_simulator(zgb.model,
-                                    Configuration(Lattice(20, 20), 3, zgb.vacant), opt),
-               std::invalid_argument);
+  const Configuration config(Lattice(20, 20), 3, zgb.vacant);
+  const Partition other = Partition::singletons(Lattice(4, 4));
+  const auto expect_mismatch = [](const std::function<void()>& build, const char* name) {
+    try {
+      build();
+      ADD_FAILURE() << name << " accepted a partition of another lattice";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string(name) + ": partition lattice mismatch");
+    }
+  };
+  expect_mismatch([&] { PndcaSimulator(zgb.model, config, {other}, 1); }, "PNDCA");
+  expect_mismatch([&] { LPndcaSimulator(zgb.model, config, other, 1, 1); }, "L-PNDCA");
 }
 
 TEST(SimulationFacade, AlgorithmNamesAreUnique) {
@@ -104,12 +113,10 @@ TEST(SimulationFacade, AlgorithmKeysAndThreadedPaths) {
 
 TEST(SimulationFacade, TimeModePropagates) {
   auto zgb = models::make_zgb();  // K = 4
-  SimulationOptions opt;
-  opt.algorithm = Algorithm::kRsm;
-  opt.time_mode = TimeMode::kDeterministic;
-  auto sim = make_simulator(zgb.model, Configuration(Lattice(10, 10), 3, zgb.vacant), opt);
-  sim->mc_step();
-  EXPECT_NEAR(sim->time(), 1.0 / zgb.model.total_rate(), 1e-12);
+  RsmSimulator sim(zgb.model, Configuration(Lattice(10, 10), 3, zgb.vacant), 1,
+                   TimeMode::kDeterministic);
+  sim.mc_step();
+  EXPECT_NEAR(sim.time(), 1.0 / zgb.model.total_rate(), 1e-12);
 }
 
 }  // namespace

@@ -49,21 +49,34 @@ struct OwnedSinks {
   obs::SpatialMap map;
 };
 
+/// `algorithm` as make_simulator builds it, except that PNDCA draws its
+/// chunks rate-weighted, which exercises the rate cache's refreshes.
+/// kPndca keeps the serial sweep; kParallelPndca runs it on 2 threads.
+std::unique_ptr<Simulator> make_rate_weighted(Algorithm algorithm,
+                                              const ReactionModel& model,
+                                              Configuration config, std::uint64_t seed) {
+  if (!has_threaded_path(algorithm)) {
+    SimulationOptions opt;
+    opt.algorithm = algorithm;
+    opt.seed = seed;
+    return make_simulator(model, std::move(config), opt);
+  }
+  Partition p = make_partition(config.lattice(), model);
+  return std::make_unique<PndcaSimulator>(
+      model, std::move(config), std::vector<Partition>{std::move(p)}, seed,
+      ChunkPolicy::kRateWeighted, TimeMode::kStochastic,
+      algorithm == Algorithm::kParallelPndca ? 2 : 1);
+}
+
 /// Bare vs observed run of `algorithm`: bit-identical trajectories, and
 /// every attached sink recorded something.
 void expect_bit_identical(Algorithm algorithm, SinkSet set) {
   const auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 20.0));
   const Lattice lat(20, 20);
-  SimulationOptions opt;
-  opt.algorithm = algorithm;
-  opt.seed = 1234;
-  // kPndca keeps the serial sweep; kParallelPndca's rows run it threaded.
-  opt.threads = algorithm == Algorithm::kParallelPndca ? 2 : 1;
-  // Exercise the rate-cache recheck path where the algorithm supports it.
-  opt.chunk_policy = ChunkPolicy::kRateWeighted;
 
   const auto run = [&](const obs::Sinks& sinks) {
-    auto sim = make_simulator(zgb.model, Configuration(lat, 3, zgb.vacant), opt);
+    auto sim =
+        make_rate_weighted(algorithm, zgb.model, Configuration(lat, 3, zgb.vacant), 1234);
     sim->attach(sinks);
     for (int i = 0; i < 5; ++i) sim->mc_step();
     sim->advance_to(sim->time() + 0.01);
@@ -166,25 +179,34 @@ TEST_P(TraceIdentity, DetachRestoresUntracedOperation) {
   expect_detach_records_nothing(GetParam(), {.tracer = true});
 }
 
-// Every metrics timer phase has a trace twin (docs/OBSERVABILITY.md). Each
-// algorithm runs through advance_to, the path casurf_run drives, into a ring
-// too large to wrap: every timer of the simulation thread must count exactly
-// the spans of its name in ring 0. Threaded PNDCA's worker timers
-// (threads/busy/<w>, threads/wait/<w>) record into the workers' own rings
-// under the bare phase name; TraceIdentityThreaded covers those.
-TEST_P(TraceIdentity, EveryTimerCountsItsSpans) {
+/// Runs `algorithm` on `threads` threads (PNDCA only) through advance_to,
+/// the path casurf_run drives, into `registry` and into rings of `tracer`
+/// too large to wrap.
+void traced_run(Algorithm algorithm, unsigned threads, obs::MetricsRegistry& registry,
+                obs::Tracer& tracer) {
   const auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 20.0));
   const Lattice lat(20, 20);
   SimulationOptions opt;
-  opt.algorithm = GetParam();
+  opt.algorithm = algorithm;
   opt.seed = 77;
-  opt.threads = GetParam() == Algorithm::kParallelPndca ? 2 : 1;
+  opt.threads = threads;
   auto sim = make_simulator(zgb.model, Configuration(lat, 3, zgb.vacant), opt);
-  obs::MetricsRegistry registry;
-  obs::Tracer tracer;
   sim->attach({&registry, &tracer});
   sim->advance_to(1.0);
-  ASSERT_EQ(tracer.total_dropped(), 0u) << "the ring wrapped";
+  ASSERT_EQ(tracer.total_dropped(), 0u) << "a ring wrapped";
+}
+
+// Every metrics timer is a phase that records spans of its name
+// (docs/OBSERVABILITY.md, "Span sites"): every timer of the simulation
+// thread must count exactly the spans of its name in ring 0. Threaded
+// PNDCA's worker timers (threads/busy/<w>, threads/wait/<w>) record into
+// the workers' own rings under the bare phase name;
+// EveryTimerEqualsItsSpans covers those.
+TEST_P(TraceIdentity, EveryTimerCountsItsSpans) {
+  obs::MetricsRegistry registry;
+  obs::Tracer tracer;
+  traced_run(GetParam(), GetParam() == Algorithm::kParallelPndca ? 2 : 1, registry,
+             tracer);
 
   std::map<std::string, std::uint64_t> spans;
   for (const obs::TraceEvent& e : tracer.ring(0).events()) {
@@ -199,6 +221,42 @@ TEST_P(TraceIdentity, EveryTimerCountsItsSpans) {
     timed += t.count;
   }
   EXPECT_GT(timed, 0u);
+}
+
+// A timer and its spans are one phase's records, read from one clock pair:
+// each timer's count and total equal the number and summed durations of
+// its spans, on ring 0 for the simulation thread's phases and on ring k + 1
+// for worker k's (timer <name>/worker<k>, spans <name>). PNDCA's worker
+// rings are checked at one thread (kPndca) and at three (kParallelPndca).
+TEST_P(TraceIdentity, EveryTimerEqualsItsSpans) {
+  const unsigned threads = GetParam() == Algorithm::kParallelPndca ? 3 : 1;
+  obs::MetricsRegistry registry;
+  obs::Tracer tracer;
+  traced_run(GetParam(), threads, registry, tracer);
+
+  std::uint64_t timed = 0;
+  unsigned worker_timers = 0;
+  for (const auto& t : registry.timers()) {
+    std::string name = t.name;
+    unsigned ring = 0;
+    if (const std::size_t at = name.find("/worker"); at != std::string::npos) {
+      ring = static_cast<unsigned>(std::stoul(name.substr(at + 7))) + 1;
+      name.resize(at);
+      ++worker_timers;
+    }
+    std::uint64_t count = 0, total_ns = 0;
+    for (const obs::TraceEvent& e : tracer.ring(ring).events()) {
+      if (e.kind != obs::TraceEvent::Kind::kSpan || name != e.name) continue;
+      ++count;
+      total_ns += e.dur_ns;
+    }
+    EXPECT_EQ(t.count, count) << t.name;
+    EXPECT_EQ(t.total_ns, total_ns) << t.name;
+    timed += t.count;
+  }
+  EXPECT_GT(timed, 0u);
+  // threads/busy/worker<k> and threads/wait/worker<k> for every thread.
+  EXPECT_EQ(worker_timers, has_threaded_path(GetParam()) ? 2 * threads : 0);
 }
 
 const auto kAllAlgorithms = ::testing::Values(
@@ -239,8 +297,9 @@ std::pair<std::vector<unsigned char>, std::uint64_t> run_seven_workers(
 }
 
 // The per-worker rings must carry both halves of the test phase's
-// accounting (busy from the worker, wait appended by the caller after the
-// phase).
+// accounting, which the caller records after the phase: per worker and
+// test phase, one busy span and two wait spans (the idle head before the
+// slice's test and the idle tail after it).
 TEST(TraceIdentityThreaded, SevenWorkersBitIdenticalAndRingsPopulated) {
   obs::Tracer tracer;
   const auto bare = run_seven_workers({});
@@ -254,10 +313,7 @@ TEST(TraceIdentityThreaded, SevenWorkersBitIdenticalAndRingsPopulated) {
       if (std::string_view(e.name) == "threads/wait") ++wait;
     }
     EXPECT_GT(busy, 0u) << "worker " << tid - 1 << " recorded no busy span";
-    EXPECT_GT(wait, 0u) << "worker " << tid - 1 << " recorded no wait span";
-    // The caller appends one wait span per test phase for every worker;
-    // busy spans only for workers that received a range.
-    EXPECT_GE(wait, busy);
+    EXPECT_EQ(wait, 2 * busy) << "worker " << tid - 1;
   }
 }
 

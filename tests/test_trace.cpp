@@ -8,14 +8,19 @@
 #include <string>
 
 #include "obs/json.hpp"
+#include "obs/phase.hpp"
 #include "obs/trace.hpp"
 
 namespace casurf::obs {
 namespace {
 
-TEST(TraceRing, NullRingScopedSpanIsANoOp) {
+TEST(TraceRing, NullRingScopedPhaseIsANoOp) {
   // The "tracing off" path: must not crash, must not record anywhere.
-  const ScopedSpan span(nullptr, "phase", 1.0, 2);
+  MetricsRegistry reg;
+  Phase phase("phase");
+  phase.attach({.metrics = &reg});
+  { const ScopedPhase span(phase, 1.0, 2); }
+  EXPECT_EQ(reg.timer("phase").count(), 1u);
 }
 
 TEST(TraceRing, RecordsSpansAndInstants) {
