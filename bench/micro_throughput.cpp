@@ -228,32 +228,35 @@ struct EventWorkload {
 
 // The per-event DMC workloads: ZGB from the vacant lattice, and Pt(100) —
 // 39 reaction types, where the rechecks after each event dominate its
-// cost — from a mixed-phase state ten PNDCA steps in.
-EventWorkload event_workload(EventModel m) {
-  if (m == EventModel::kZgb) return {zgb().model, initial()};
+// cost — from a mixed-phase state ten PNDCA steps in. The argument is the
+// side: at 80 the enabled sets' and the pair index's entries stay in
+// cache, at 1000 (the North star's size and above) most recheck visits
+// miss it.
+EventWorkload event_workload(EventModel m, std::int32_t side) {
+  const Lattice lat(side, side);
+  if (m == EventModel::kZgb) return {zgb().model, Configuration(lat, 3, zgb().vacant)};
   static const models::Pt100Model pt = models::make_pt100();
-  const Lattice lat(kSide, kSide);
   return {pt.model, equilibrated(pt.model, Configuration(lat, 5, pt.hex_vac),
-                                 Partition::linear_form(lat, 1, 3, 16), 10)};
+                                 make_partition(lat, pt.model), 10)};
 }
 
 void BM_VssmEvent(benchmark::State& state, EventModel m) {
-  EventWorkload w = event_workload(m);
+  EventWorkload w = event_workload(m, static_cast<std::int32_t>(state.range(0)));
   VssmSimulator sim(w.model, std::move(w.start), 7);
   for (auto _ : state) sim.mc_step();
   state.SetItemsProcessed(static_cast<std::int64_t>(sim.counters().executed));
 }
-BENCHMARK_CAPTURE(BM_VssmEvent, zgb, EventModel::kZgb);
-BENCHMARK_CAPTURE(BM_VssmEvent, pt100, EventModel::kPt100);
+BENCHMARK_CAPTURE(BM_VssmEvent, zgb, EventModel::kZgb)->Arg(80)->Arg(1000);
+BENCHMARK_CAPTURE(BM_VssmEvent, pt100, EventModel::kPt100)->Arg(80)->Arg(1000);
 
 void BM_FrmEvent(benchmark::State& state, EventModel m) {
-  EventWorkload w = event_workload(m);
+  EventWorkload w = event_workload(m, static_cast<std::int32_t>(state.range(0)));
   FrmSimulator sim(w.model, std::move(w.start), 8);
   for (auto _ : state) sim.mc_step();
   state.SetItemsProcessed(static_cast<std::int64_t>(sim.counters().executed));
 }
-BENCHMARK_CAPTURE(BM_FrmEvent, zgb, EventModel::kZgb);
-BENCHMARK_CAPTURE(BM_FrmEvent, pt100, EventModel::kPt100);
+BENCHMARK_CAPTURE(BM_FrmEvent, zgb, EventModel::kZgb)->Arg(80)->Arg(1000);
+BENCHMARK_CAPTURE(BM_FrmEvent, pt100, EventModel::kPt100)->Arg(80)->Arg(1000);
 
 void BM_EnabledCheck(benchmark::State& state) {
   const Configuration cfg = initial();

@@ -74,11 +74,12 @@ class StateWriter {
     str(name);
   }
 
-  /// Length, then every element widened to u64.
-  template <class T>
-  void vec_u64(const std::vector<T>& v) {
+  /// Length, then every element widened to u64; `v` is a std::vector or
+  /// a std::span.
+  template <class Range>
+  void vec_u64(const Range& v) {
     u64(v.size());
-    for (const T x : v) u64(static_cast<std::uint64_t>(x));
+    for (const auto x : v) u64(static_cast<std::uint64_t>(x));
   }
 
   void vec_f64(const std::vector<double>& v) {

@@ -23,6 +23,7 @@ FrmSimulator::FrmSimulator(const ReactionModel& model, Configuration config,
       rng_(seed),
       slot_(static_cast<std::size_t>(model.num_reactions()) * config_.size()),
       rechecker_(model, config_.lattice()) {
+  visits_.reserve(max_recheck_visits(model));
   build_queue();
 }
 
@@ -109,10 +110,16 @@ void FrmSimulator::execute_head() {
   // needs a fresh draw.
   sync_pair(ev.type, ev.site, rt.enabled(config_, ev.site));
 
+  // Record the visits while prefetching each pair's index entry, then sync
+  // the pairs in visit order: VSSM's two passes (dmc/vssm.cpp), exact for
+  // the same reason, and the draws keep their order.
+  visits_.clear();
   rechecker_.after_fire(config_, rt, ev.site, old_species,
                         [&](ReactionIndex i, SiteIndex anchor, bool now) {
-                          sync_pair(i, anchor, now);
+                          __builtin_prefetch(slot_.data() + pair_index(i, anchor));
+                          visits_.push_back({i, anchor, now});
                         });
+  for (const RecheckVisit& v : visits_) sync_pair(v.type, v.anchor, v.now);
 }
 
 void FrmSimulator::mc_step() {

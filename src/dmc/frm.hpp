@@ -5,6 +5,7 @@
 
 #include "core/simulator.hpp"
 #include "dmc/demand_zero_array.hpp"
+#include "dmc/recheck_visit.hpp"
 #include "model/probe_plans.hpp"
 #include "rng/xoshiro.hpp"
 
@@ -87,6 +88,7 @@ class FrmSimulator final : public Simulator {
   // pages of sites where it is ever enabled.
   DemandZeroArray<std::uint32_t> slot_;
   Rechecker rechecker_;
+  std::vector<RecheckVisit> visits_;  // the event's rechecks, reserved at construction
   obs::Phase step_phase_{phases_, "frm/step"};
 };
 

@@ -9,6 +9,7 @@ VssmSimulator::VssmSimulator(const ReactionModel& model, Configuration config,
     : Simulator(model, std::move(config)),
       rng_(seed),
       rechecker_(model, config_.lattice()) {
+  visits_.reserve(max_recheck_visits(model));
   enabled_.reserve(model.num_reactions());
   for (std::size_t i = 0; i < model.num_reactions(); ++i) {
     enabled_.emplace_back(config_.size());
@@ -64,14 +65,18 @@ void VssmSimulator::execute_event() {
   ++counters_.trials;
   ++counters_.steps;
 
+  // Two passes: record every visit and start loading the index entry it
+  // will update, then apply the visits in visit order, so the entries'
+  // cache misses overlap instead of each update waiting on its own. The
+  // deferral is exact: a visit's enabledness reads only the configuration,
+  // which no set update writes.
+  visits_.clear();
   rechecker_.after_fire(config_, rt, s, old_species,
                         [&](ReactionIndex i, SiteIndex anchor, bool now) {
-                          if (now) {
-                            enabled_[i].insert(anchor);
-                          } else {
-                            enabled_[i].erase(anchor);
-                          }
+                          enabled_[i].prefetch(anchor);
+                          visits_.push_back({i, anchor, now});
                         });
+  for (const RecheckVisit& v : visits_) enabled_[v.type].assign(v.anchor, v.now);
 }
 
 void VssmSimulator::save_state(StateWriter& w) const {
@@ -141,6 +146,8 @@ void VssmSimulator::advance_to(double t) {
   // event in [time, t]" simply restarts the clock at t, so discarding the
   // overshooting draw gives the exact distribution of the state AT t.
   while (time_ < t) {
+    // The extent of mc_step's: the scan, the draw and the event.
+    const obs::ScopedPhase phase(step_phase_, time_, counters_.steps);
     const double total = total_enabled_rate();
     if (total <= 0.0) {
       time_ = t;
@@ -152,7 +159,6 @@ void VssmSimulator::advance_to(double t) {
       return;
     }
     time_ += dt;
-    const obs::ScopedPhase phase(step_phase_, time_, counters_.steps);
     execute_event();
   }
 }

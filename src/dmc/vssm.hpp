@@ -5,6 +5,7 @@
 
 #include "core/simulator.hpp"
 #include "dmc/enabled_set.hpp"
+#include "dmc/recheck_visit.hpp"
 #include "model/probe_plans.hpp"
 #include "rng/xoshiro.hpp"
 
@@ -78,6 +79,7 @@ class VssmSimulator final : public Simulator {
   std::vector<EnabledSet> enabled_;  // one per reaction type
   mutable std::vector<double> bands_;  // cumulative k_i |E_i|, filled by total_enabled_rate()
   Rechecker rechecker_;
+  std::vector<RecheckVisit> visits_;  // the event's rechecks, reserved at construction
   Event last_event_;
   obs::Phase step_phase_{phases_, "vssm/step"};
   obs::Phase rate_scan_phase_{phases_, "vssm/rate_scan"};

@@ -181,6 +181,12 @@ class ProbePlans {
 /// transform order, then in ProbePlans::visit_rechecks order. Every member
 /// of the partitioned CA family, threaded PNDCA included, commits on one
 /// thread, so the two calls always run back to back.
+///
+/// An owner may apply the visits as they come (the rate cache) or record
+/// them and apply them in the same order once after_fire() returns (VSSM
+/// and FRM, which prefetch each visit's index entry while recording).
+/// Both give the same stores: a visit's enabledness reads only the
+/// configuration, which no store update writes.
 class Rechecker {
  public:
   Rechecker(const ReactionModel& model, const Lattice& lattice);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "rng/xoshiro.hpp"
 #include "rng/distributions.hpp"
@@ -100,6 +102,48 @@ TEST(EnabledSet, UniformSamplingOverItems) {
   for (const int c : counts) {
     EXPECT_NEAR(c / static_cast<double>(n), 0.2, 0.01);
   }
+}
+
+// assign(site, now) against a reference that applies insert's and erase's
+// semantics to a std::vector by linear search: an insert of a non-member
+// appends it, an erase of a member moves the last member into its slot,
+// and every other call changes nothing. Sets over 1 to 64 sites, 2,000
+// random calls each (no-ops and repeats included), the insert share
+// switching between 0.8 and 0.2 every 250 calls so that sets fill and
+// drain, and a clear() every 1,000 calls.
+TEST(EnabledSet, AssignMatchesLinearSearchReference) {
+  Xoshiro256 rng(2024);
+  std::size_t calls = 0;
+  for (SiteIndex sites = 1; sites <= 64; ++sites) {
+    EnabledSet set(sites);
+    std::vector<SiteIndex> ref;
+    for (int i = 1; i <= 2000; ++i, ++calls) {
+      const auto site = static_cast<SiteIndex>(uniform_below(rng, sites));
+      const bool now = uniform01(rng) < ((i / 250) % 2 == 0 ? 0.8 : 0.2);
+      const auto it = std::find(ref.begin(), ref.end(), site);
+      if (now && it == ref.end()) ref.push_back(site);
+      if (!now && it != ref.end()) {
+        *it = ref.back();
+        ref.pop_back();
+      }
+      set.assign(site, now);
+
+      ASSERT_EQ(set.size(), ref.size()) << sites << " sites, call " << i;
+      const auto items = set.items();
+      ASSERT_TRUE(std::equal(items.begin(), items.end(), ref.begin(), ref.end()))
+          << sites << " sites, call " << i;
+      std::vector<bool> member(sites, false);
+      for (const SiteIndex s : ref) member[s] = true;
+      for (SiteIndex s = 0; s < sites; ++s) {
+        ASSERT_EQ(set.contains(s), member[s]) << sites << " sites, call " << i;
+      }
+      if (i % 1000 == 0) {
+        set.clear();
+        ref.clear();
+      }
+    }
+  }
+  EXPECT_GE(calls, 100000u);
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,12 +27,14 @@ namespace {
 namespace fs = std::filesystem;
 using obs::json::Value;
 
+// A directory of the test's own: one named after the pid alone can be left
+// over from an earlier process with the same pid, and a daemon recovers
+// every unfinished job it finds in its data directory.
 std::string fresh_dir(const std::string& tag) {
-  static int counter = 0;
-  const std::string dir = testing::TempDir() + "/serve_e2e_" + tag + "_" +
-                          std::to_string(::getpid()) + "_" +
-                          std::to_string(counter++);
-  fs::create_directories(dir);
+  std::string dir = testing::TempDir() + "/serve_e2e_" + tag + "_XXXXXX";
+  if (::mkdtemp(dir.data()) == nullptr) {
+    throw std::runtime_error("mkdtemp failed for " + dir);
+  }
   return dir;
 }
 

@@ -8,7 +8,9 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -276,10 +278,29 @@ class ServeDaemonTest : public ::testing::Test {
       R"({"model":"zgb","algorithm":"rsm","width":16,"height":16,)"
       R"("t_end":1000000,"dt":1,"checkpoint_every":1})";
 
-  std::string data_dir_ = testing::TempDir() + "/serve_jobs_" +
-                          std::to_string(::getpid()) + "_" +
-                          std::to_string(counter_++);
-  static inline int counter_ = 0;
+  /// The job's /jobs/<id> record (state, exit_code, error, restarts), for
+  /// failure messages.
+  static std::string job_record(Daemon& d, std::uint64_t id) {
+    return "job " + std::to_string(id) + ": " + get(d, "/jobs/" + std::to_string(id)).body;
+  }
+
+  // A data directory made fresh for the test: one named after the pid alone
+  // can be left over from an earlier process with the same pid, and the
+  // daemon recovers every unfinished job it finds there. A failed test
+  // keeps its directory for inspection.
+  void TearDown() override {
+    if (!HasFailure()) fs::remove_all(data_dir_);
+  }
+
+  static std::string fresh_data_dir() {
+    std::string dir = testing::TempDir() + "/serve_jobs_XXXXXX";
+    if (::mkdtemp(dir.data()) == nullptr) {
+      throw std::runtime_error("mkdtemp failed for " + dir);
+    }
+    return dir;
+  }
+
+  std::string data_dir_ = fresh_data_dir();
 };
 
 TEST_F(ServeDaemonTest, JobRunsToCompletionWithArtifacts) {
@@ -538,13 +559,15 @@ TEST_F(ServeDaemonTest, RestartLogsAndSkipsAnUnparsableJobSpec) {
 TEST_F(ServeDaemonTest, StatsCountTheFleet) {
   Daemon daemon(options());
   const std::uint64_t id = submitted_id(post(daemon, "/jobs", kQuickJob));
-  ASSERT_EQ(wait_for(daemon, id, "done"), "done");
-  const Value stats = Value::parse(get(daemon, "/stats").body);
-  EXPECT_EQ(stats.at("done").as_u64(), 1u);
-  EXPECT_EQ(stats.at("failed").as_u64(), 0u);
-  const Value list = Value::parse(get(daemon, "/jobs").body);
-  ASSERT_EQ(list.items().size(), 1u);
-  EXPECT_EQ(list.items()[0].at("state").as_string(), "done");
+  ASSERT_EQ(wait_for(daemon, id, "done"), "done") << job_record(daemon, id);
+  const std::string stats_body = get(daemon, "/stats").body;
+  const Value stats = Value::parse(stats_body);
+  EXPECT_EQ(stats.at("done").as_u64(), 1u) << stats_body << "\n" << job_record(daemon, id);
+  EXPECT_EQ(stats.at("failed").as_u64(), 0u) << stats_body << "\n" << job_record(daemon, id);
+  const std::string list_body = get(daemon, "/jobs").body;
+  const Value list = Value::parse(list_body);
+  ASSERT_EQ(list.items().size(), 1u) << list_body;
+  EXPECT_EQ(list.items()[0].at("state").as_string(), "done") << list_body;
 }
 
 }  // namespace

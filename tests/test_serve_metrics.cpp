@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -197,10 +198,23 @@ class ServeMetricsTest : public ::testing::Test {
       R"({"model":"zgb","algorithm":"rsm","width":16,"height":16,)"
       R"("t_end":1000000,"dt":1,"checkpoint_every":1})";
 
-  std::string data_dir_ = testing::TempDir() + "/serve_metrics_" +
-                          std::to_string(::getpid()) + "_" +
-                          std::to_string(counter_++);
-  static inline int counter_ = 0;
+  // A data directory made fresh for the test: one named after the pid alone
+  // can be left over from an earlier process with the same pid, and the
+  // daemon recovers every unfinished job it finds there. A failed test
+  // keeps its directory for inspection.
+  void TearDown() override {
+    if (!HasFailure()) fs::remove_all(data_dir_);
+  }
+
+  static std::string fresh_data_dir() {
+    std::string dir = testing::TempDir() + "/serve_metrics_XXXXXX";
+    if (::mkdtemp(dir.data()) == nullptr) {
+      throw std::runtime_error("mkdtemp failed for " + dir);
+    }
+    return dir;
+  }
+
+  std::string data_dir_ = fresh_data_dir();
 };
 
 TEST_F(ServeMetricsTest, MetricsRouteMatchesBuildFlavor) {

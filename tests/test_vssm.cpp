@@ -68,7 +68,8 @@ TEST_P(VssmBookkeeping, InitialSetsAreInRasterOrder) {
     for (SiteIndex s = 0; s < cfg.size(); ++s) {
       if (model.reaction(i).enabled(cfg, s)) raster.push_back(s);
     }
-    EXPECT_EQ(sim.mutable_enabled_for_test(i).items(), raster)
+    const auto items = sim.mutable_enabled_for_test(i).items();
+    EXPECT_EQ(std::vector<SiteIndex>(items.begin(), items.end()), raster)
         << model.reaction(i).name();
   }
 }
