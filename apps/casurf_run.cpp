@@ -518,22 +518,36 @@ void heartbeat() {
 }
 
 /// Rotate the previous checkpoint to PATH.bak, then atomically publish the
-/// new one; at every instant at least one intact checkpoint exists. Both
-/// halves degrade gracefully rather than kill a long run: a failed rotation
-/// (other than "no previous checkpoint") skips this interval entirely —
-/// publishing anyway would overwrite the only intact checkpoint while .bak
-/// still holds an older generation — and a failed write retries with
-/// backoff, then carries on with the previous checkpoint still in place.
-/// Failures are counted in the recovery log and surfaced in the report.
+/// new one over PATH. The rotation hard-links PATH to a temporary sibling
+/// and renames that over PATH.bak, so PATH never leaves the disk: until the
+/// publish it names the previous checkpoint, as PATH.bak does. Both halves
+/// degrade gracefully rather than kill a long run: a failed rotation (other
+/// than "no previous checkpoint") skips this interval entirely — publishing
+/// anyway would leave PATH.bak two generations behind PATH, so a corrupt
+/// PATH would fall back further than one interval — and a failed write
+/// retries with backoff, then carries on with the previous checkpoint still
+/// at PATH. Failures are counted in the recovery log and surfaced in the
+/// report.
 bool write_checkpoint(const Options& opt, const Simulator& sim, double next,
                       const CoverageRecorder& recorder, obs::RecoveryLog& recovery) {
   const std::string bak = opt.checkpoint + ".bak";
-  if (std::rename(opt.checkpoint.c_str(), bak.c_str()) != 0 && errno != ENOENT) {
-    const int err = errno;
+  const std::string link = bak + ".tmp." + std::to_string(::getpid());
+  std::remove(link.c_str());  // left by a run of the same pid that died here
+  const char* failed = nullptr;
+  if (::link(opt.checkpoint.c_str(), link.c_str()) != 0) {
+    if (errno != ENOENT) failed = "link";
+  } else if (std::rename(link.c_str(), bak.c_str()) != 0) {
+    failed = "rename";
+  }
+  const int err = errno;
+  // rename(2) keeps both names when they already name one file, as PATH
+  // and PATH.bak do after a publish that failed.
+  std::remove(link.c_str());
+  if (failed != nullptr) {
     std::fprintf(stderr,
-                 "warning: checkpoint rotation failed: rename %s -> %s: %s; "
+                 "warning: checkpoint rotation failed: %s %s -> %s: %s; "
                  "keeping the previous checkpoint, skipping this interval\n",
-                 opt.checkpoint.c_str(), bak.c_str(), std::strerror(err));
+                 failed, opt.checkpoint.c_str(), bak.c_str(), std::strerror(err));
     ++recovery.checkpoint_rotate_failures;
     return false;
   }
@@ -548,7 +562,7 @@ bool write_checkpoint(const Options& opt, const Simulator& sim, double next,
         std::fprintf(stderr,
                      "warning: checkpoint write failed after %d attempts: %s; "
                      "continuing with the previous checkpoint (%s)\n",
-                     attempt, e.what(), bak.c_str());
+                     attempt, e.what(), opt.checkpoint.c_str());
         ++recovery.checkpoint_write_failures;
         return false;
       }

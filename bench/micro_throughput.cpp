@@ -64,16 +64,26 @@ void BM_PndcaMcStep(benchmark::State& state) {
 }
 BENCHMARK(BM_PndcaMcStep)->Unit(benchmark::kMicrosecond);
 
-// The argument is L: 1 runs one-trial spans, 64 and 1000 run spans of
-// distinct sites through the 8-lane test.
+// The arguments are L and the side, from the vacant lattice. At side 80 a
+// chunk holds 1,280 sites and the lattice fits in L1: L = 1 runs one-trial
+// spans, 64 and 1000 run batch pieces through the 8-lane passes. Side 500
+// at L = 100 is the ledger's lpndca geometry, with chunks of 50,000 sites.
 void BM_LPndcaMcStep(benchmark::State& state) {
-  const Lattice lat(kSide, kSide);
-  LPndcaSimulator sim(zgb().model, initial(), Partition::linear_form(lat, 1, 3, 5),
-                      4, static_cast<std::uint32_t>(state.range(0)));
+  const auto side = static_cast<std::int32_t>(state.range(1));
+  const Lattice lat(side, side);
+  LPndcaSimulator sim(zgb().model, Configuration(lat, 3, zgb().vacant),
+                      Partition::linear_form(lat, 1, 3, 5), 4,
+                      static_cast<std::uint32_t>(state.range(0)));
   for (auto _ : state) sim.mc_step();
   state.SetItemsProcessed(static_cast<std::int64_t>(sim.counters().trials));
 }
-BENCHMARK(BM_LPndcaMcStep)->Arg(1)->Arg(64)->Arg(1000)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_LPndcaMcStep)
+    ->ArgNames({"L", "side"})
+    ->Args({1, kSide})
+    ->Args({64, kSide})
+    ->Args({1000, kSide})
+    ->Args({100, 500})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_TPndcaMcStep(benchmark::State& state) {
   const Lattice lat(kSide, kSide);

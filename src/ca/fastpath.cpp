@@ -51,10 +51,19 @@ void sample_scalar(std::uint64_t step, std::uint64_t seed_hash, const SiteIndex*
   }
 }
 
-/// The position map's reference lanes over [from, n), and its tail.
-void chunk_positions_from(const std::uint64_t* draws, std::size_t from, std::size_t n,
-                          std::uint32_t size, std::uint32_t* out) {
-  for (std::size_t i = from; i < n; ++i) out[i] = chunk_position(draws[i], size);
+/// The site map's reference lanes over [from, n), and its tail.
+void chunk_sites_from(const std::uint64_t* draws, std::size_t from, std::size_t n,
+                      const SiteIndex* chunk, std::uint32_t size, SiteIndex* out) {
+  for (std::size_t i = from; i < n; ++i) out[i] = chunk[chunk_position(draws[i], size)];
+}
+
+/// The scalar lanes of first_recurring_hit.
+std::size_t first_recurring_hit_scalar(const SiteIndex* sites, std::size_t n,
+                                       const std::uint32_t* hits, std::size_t count) {
+  for (std::size_t k = 0; k < count; ++k) {
+    if (std::find(sites + hits[k] + 1, sites + n, sites[hits[k]]) != sites + n) return k;
+  }
+  return count;
 }
 
 /// The scalar lanes of enabled_trials over trials [from, n), appending the
@@ -203,12 +212,15 @@ void sample_lanes(std::uint64_t step, std::uint64_t seed_hash, const SiteIndex* 
   }
 }
 
-/// Eight positions per iteration. The 64 x 32-bit product's high word is
+/// Eight sites per iteration. The 64 x 32-bit product's high word is
 /// hi * size + (lo * size >> 32), shifted right by 32, with hi and lo the
 /// halves of the draw: the row reciprocal's trick in enabled_trials_avx512.
-/// The sum cannot overflow, so every lane equals the scalar multiply-shift.
-CASURF_AVX512 void chunk_positions_avx512(const std::uint64_t* draws, std::size_t n,
-                                          std::uint32_t size, std::uint32_t* out) {
+/// The sum cannot overflow, so every position equals the scalar
+/// multiply-shift. The sites are gathered by those 64-bit positions, which
+/// stay below 2^32, so every chunk size takes the lanes.
+CASURF_AVX512 void chunk_sites_avx512(const std::uint64_t* draws, std::size_t n,
+                                      const SiteIndex* chunk, std::uint32_t size,
+                                      SiteIndex* out) {
   const __m512i sizev = _mm512_set1_epi64(static_cast<long long>(size));
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -216,10 +228,33 @@ CASURF_AVX512 void chunk_positions_avx512(const std::uint64_t* draws, std::size_
     const __m512i low = _mm512_srli_epi64(_mm512_mul_epu32(r, sizev), 32);
     const __m512i high = _mm512_mul_epu32(_mm512_srli_epi64(r, 32), sizev);
     const __m512i pos = _mm512_srli_epi64(_mm512_add_epi64(high, low), 32);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), _mm512_cvtepi64_epi32(pos));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
+                        _mm512_i64gather_epi32(pos, chunk, 4));
   }
   _mm256_zeroupper();  // see sample_avx512
-  chunk_positions_from(draws, i, n, size, out);
+  chunk_sites_from(draws, i, n, chunk, size, out);
+}
+
+/// Each hit's site against the 16 later sites of a register per compare;
+/// the last load of a hit is masked to the sites below n, so no lane reads
+/// past the span.
+CASURF_AVX512 std::size_t first_recurring_hit_avx512(const SiteIndex* sites, std::size_t n,
+                                                     const std::uint32_t* hits,
+                                                     std::size_t count) {
+  std::size_t k = 0;
+  for (; k < count; ++k) {
+    const __m512i site = _mm512_set1_epi32(static_cast<int>(sites[hits[k]]));
+    bool recurs = false;
+    for (std::size_t j = hits[k] + 1; j < n && !recurs; j += 16) {
+      const auto live =
+          static_cast<__mmask16>(n - j >= 16 ? 0xffffu : (1u << (n - j)) - 1);
+      const __m512i later = _mm512_maskz_loadu_epi32(live, sites + j);
+      recurs = _mm512_mask_cmpeq_epi32_mask(live, later, site) != 0;
+    }
+    if (recurs) break;
+  }
+  _mm256_zeroupper();  // see sample_avx512
+  return k;
 }
 
 // The lanes gather the probe table and the type spans by byte offset; pin
@@ -241,11 +276,11 @@ CASURF_AVX512 inline __m256i lookup16(const __m256i (&words)[2], __m256i row) {
 /// its trial's type in round k and fails the trial at its first miss, as
 /// the scalar conjunction does. Lanes that pass are compressed into hits.
 /// Every step is exact 32-bit integer arithmetic, so the lanes agree with
-/// the scalar lanes bit for bit. With kSmall (at most 16 types and 16
-/// probes) the type spans and the probe table sit in registers, each lookup
-/// is one permute, and every block runs the rounds of the longest type, so
-/// no branch depends on the lattice; otherwise lookups are gathers and a
-/// block stops when no lane is left.
+/// the scalar lanes bit for bit. With kSmall (the lane table in_registers:
+/// at most 16 types and 16 probes) the type spans and the probe table sit
+/// in registers, each lookup is one permute, and every block runs the rounds
+/// of the longest type, so no branch depends on the lattice; otherwise
+/// lookups are gathers and a block stops when no lane is left.
 /// Requires width >= 2 and 4 <= size <= 2^31 (signed 32-bit gather
 /// indices; the last-word clamp needs 4 bytes).
 template <bool kSmall>
@@ -269,24 +304,16 @@ CASURF_AVX512 std::size_t enabled_trials_avx512(const ProbePlans& probes,
   const std::span<const ProbePlans::TypeSpan> spans = probes.types();
   const std::span<const ProbePlans::Probe> table = probes.probes();
   const Species* cells = config.raw().data();
-  std::uint32_t rounds = 0;
-  for (const ProbePlans::TypeSpan& ts : spans) rounds = std::max(rounds, ts.count);
-  // Columns first, count, dx, dy, mask, when they fit in registers.
-  __m256i column[5][2] = {};
+  using Lanes = ProbePlans::LaneTable;
+  const Lanes& lanes = probes.lanes();
+  const std::uint32_t rounds = lanes.rounds;
+  // The lane table's columns, each in two registers of 8 words.
+  __m256i column[Lanes::kColumns][2] = {};
   if constexpr (kSmall) {
-    alignas(32) std::uint32_t words[5][16] = {};
-    for (std::size_t t = 0; t < spans.size(); ++t) {
-      words[0][t] = spans[t].first;
-      words[1][t] = spans[t].count;
-    }
-    for (std::size_t p = 0; p < table.size(); ++p) {
-      words[2][p] = static_cast<std::uint32_t>(table[p].dx);
-      words[3][p] = static_cast<std::uint32_t>(table[p].dy);
-      words[4][p] = table[p].mask;
-    }
-    for (int c = 0; c < 5; ++c) {
-      column[c][0] = _mm256_load_si256(reinterpret_cast<const __m256i*>(words[c]));
-      column[c][1] = _mm256_load_si256(reinterpret_cast<const __m256i*>(words[c] + 8));
+    for (std::size_t c = 0; c < Lanes::kColumns; ++c) {
+      const std::uint32_t* words = lanes.columns[c].data();
+      column[c][0] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words));
+      column[c][1] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words + 8));
     }
   }
   __m256i index = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
@@ -306,8 +333,8 @@ CASURF_AVX512 std::size_t enabled_trials_avx512(const ProbePlans& probes,
     __m256i probe = zero;
     __m256i left = zero;
     if constexpr (kSmall) {
-      probe = lookup16(column[0], type);
-      left = lookup16(column[1], type);
+      probe = lookup16(column[Lanes::kFirst], type);
+      left = lookup16(column[Lanes::kCount], type);
     } else {
       const __m512i span = _mm512_i32gather_epi64(type, spans.data(), 8);
       probe = _mm512_cvtepi64_epi32(span);
@@ -321,9 +348,9 @@ CASURF_AVX512 std::size_t enabled_trials_avx512(const ProbePlans& probes,
       __m256i dy = zero;
       __m256i mask = zero;
       if constexpr (kSmall) {
-        dx = lookup16(column[2], probe);
-        dy = lookup16(column[3], probe);
-        mask = lookup16(column[4], probe);
+        dx = lookup16(column[Lanes::kDx], probe);
+        dy = lookup16(column[Lanes::kDy], probe);
+        mask = lookup16(column[Lanes::kMask], probe);
       } else {
         const __m256i at = _mm256_add_epi32(_mm256_slli_epi32(probe, 3),
                                             _mm256_slli_epi32(probe, 2));  // probe * 12
@@ -413,15 +440,23 @@ void require_draw_resolution(const ReactionModel& model, const char* who) {
   }
 }
 
-void chunk_positions(const std::uint64_t* draws, std::size_t n, std::uint32_t size,
-                     std::uint32_t* out) {
+void chunk_sites(const std::uint64_t* draws, std::size_t n, const SiteIndex* chunk,
+                 std::uint32_t size, SiteIndex* out) {
 #if defined(__GNUC__) && defined(__x86_64__)
   if (n >= 8 && have_avx512()) {
-    chunk_positions_avx512(draws, n, size, out);
+    chunk_sites_avx512(draws, n, chunk, size, out);
     return;
   }
 #endif
-  chunk_positions_from(draws, 0, n, size, out);
+  chunk_sites_from(draws, 0, n, chunk, size, out);
+}
+
+std::size_t first_recurring_hit(const SiteIndex* sites, std::size_t n,
+                                const std::uint32_t* hits, std::size_t count) {
+#if defined(__GNUC__) && defined(__x86_64__)
+  if (count != 0 && have_avx512()) return first_recurring_hit_avx512(sites, n, hits, count);
+#endif
+  return first_recurring_hit_scalar(sites, n, hits, count);
 }
 
 std::size_t enabled_trials(const ProbePlans& probes, const Configuration& config,
@@ -431,7 +466,7 @@ std::size_t enabled_trials(const ProbePlans& probes, const Configuration& config
   const Lattice& lat = config.lattice();
   if (have_avx512() && lat.width() > 1 && lat.size() >= 4 &&
       lat.size() <= (SiteIndex{1} << 31)) {
-    return probes.types().size() <= 16 && probes.probes().size() <= 16
+    return probes.lanes().in_registers
                ? enabled_trials_avx512<true>(probes, config, sites, types, n, hits)
                : enabled_trials_avx512<false>(probes, config, sites, types, n, hits);
   }

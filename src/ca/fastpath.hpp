@@ -10,12 +10,15 @@ namespace casurf {
 // The kernels of the partitioned CA's trial spans. PNDCA runs a span of a
 // chunk's sites: sample_types draws every trial's reaction type, then
 // enabled_trials tests every trial against the configuration's bytes
-// through the probe plans (model/probe_plans.hpp). L-PNDCA draws a block of
-// an MC step's trials at once with sample_trials, maps each batch's second
-// outputs onto the chunk it selected with chunk_positions, and tests its
-// spans with the same enabled_trials. Plus the per-site enabled-type bitset
-// the enabled-rate cache (ca/rate_cache.hpp) keeps through the shared
-// recheck routine.
+// through the probe plans (model/probe_plans.hpp) and their lane table.
+// L-PNDCA draws each batch from its own first trial index, in pieces of at
+// most 256 trials, with sample_trials, maps the second outputs onto the
+// sites of the chunk the batch selected with chunk_sites, and tests each
+// piece with the same enabled_trials. A piece's sites may repeat, so a pass
+// over it ends after the first hit whose site recurs later in the piece
+// (first_recurring_hit); the next pass starts at the trial after it. Plus
+// the per-site enabled-type bitset the enabled-rate cache
+// (ca/rate_cache.hpp) keeps through the shared recheck routine.
 
 /// Per-site "which reaction types are enabled here" bitset, site-major and
 /// word-packed so one trial test costs a single load and bit test. Derived
@@ -68,16 +71,16 @@ class EnabledTypeSet {
 void sample_types(std::uint64_t sweep, std::uint64_t seed_hash, const SiteIndex* sites,
                   std::size_t n, const AliasTable& alias, ReactionIndex* out);
 
-/// The random half of an L-PNDCA block: the same lanes as sample_types, with
-/// trial index first + i in place of a site as the key word. Trial t of MC
-/// step `step` owns the stream word of (step, t); its first output samples
-/// types[i] as sample_types does, and its second,
-/// CounterRng::nth(word, 2), goes to draws[i] raw, for chunk_positions to
-/// map onto whichever chunk the trial's batch selects. Three mix64 per
-/// trial. The draws depend on neither the lattice, L nor the chunk, so a
-/// block of trials is drawn before its batches are formed. `seed_hash` is
-/// CounterRng::seed_hash(seed). Runtime-dispatched like sample_types, and
-/// exact in both versions.
+/// The random half of an L-PNDCA batch: the same lanes as sample_types,
+/// with trial index first + i in place of a site as the key word. Trial t of
+/// MC step `step` owns the stream word of (step, t); its first output
+/// samples types[i] as sample_types does, and its second,
+/// CounterRng::nth(word, 2), goes to draws[i] raw, for chunk_sites to map
+/// onto whichever chunk the trial's batch selects. Three mix64 per trial.
+/// The draws depend on neither the lattice, L nor the chunk, so any run of
+/// trial indices draws the same values, whichever call draws them.
+/// `seed_hash` is CounterRng::seed_hash(seed). Runtime-dispatched like
+/// sample_types, and exact in both versions.
 void sample_trials(std::uint64_t step, std::uint64_t seed_hash, std::uint64_t first,
                    std::size_t n, const AliasTable& alias, ReactionIndex* types,
                    std::uint64_t* draws);
@@ -108,11 +111,23 @@ void sample_trials_scalar(std::uint64_t step, std::uint64_t seed_hash, std::uint
   return static_cast<std::uint32_t>((static_cast<u128>(draw) * size) >> 64);
 }
 
-/// chunk_position over a span: out[i] = chunk_position(draws[i], size),
-/// exact for every size up to 2^32 - 1. Runs 8 lanes wide under AVX-512
-/// for n >= 8.
-void chunk_positions(const std::uint64_t* draws, std::size_t n, std::uint32_t size,
-                     std::uint32_t* out);
+/// The sites raw draws select in a chunk: out[i] =
+/// chunk[chunk_position(draws[i], size)] for i < n, where `chunk` lists the
+/// chunk's `size` sites. Exact for every size up to 2^32 - 1. Runs 8 lanes
+/// wide under AVX-512 for n >= 8: each lane computes its multiply-shift and
+/// gathers its site from the chunk list by the 64-bit position.
+void chunk_sites(const std::uint64_t* draws, std::size_t n, const SiteIndex* chunk,
+                 std::uint32_t size, SiteIndex* out);
+
+/// Where a pass over a span whose sites may repeat must end: the least
+/// k < count whose hit's site sites[hits[k]] occurs again among
+/// sites[hits[k] + 1, n), or count when no hit's site recurs. `hits` holds
+/// count ascending indices below n, as enabled_trials writes them. A repeat
+/// whose earlier trial is not a hit does not count: that trial writes
+/// nothing. Runs under AVX-512 when the CPU has it, comparing a hit's site
+/// with 16 later sites per instruction; the answer is the same either way.
+[[nodiscard]] std::size_t first_recurring_hit(const SiteIndex* sites, std::size_t n,
+                                              const std::uint32_t* hits, std::size_t count);
 
 /// The deterministic half of a chunk sweep: writes to hits[] the indices
 /// i, ascending, whose reaction type types[i] is enabled at sites[i] on the
@@ -121,8 +136,8 @@ void chunk_positions(const std::uint64_t* draws, std::size_t n, std::uint32_t si
 ///
 /// Exactly ReactionType::enabled per trial, against the configuration as
 /// it stands: the caller commits the hits afterwards, which is the serial
-/// loop's answer whenever the span's sites are distinct and no trial of the
-/// span writes a site another one reads (the block rule; see
+/// loop's answer whenever no trial of the span writes a site another one
+/// reads (the block rule) and no hit's site recurs later in the span (see
 /// PartitionedSimulator::run_trials).
 ///
 /// Runs 8 lanes wide under AVX-512 when the CPU has it, dispatched at

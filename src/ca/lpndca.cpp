@@ -22,6 +22,8 @@ LPndcaSimulator::LPndcaSimulator(const ReactionModel& model, Configuration confi
   if (trials_per_batch_ == 0) {
     throw std::invalid_argument("L-PNDCA: L must be at least 1");
   }
+  // Only batches that can fill a lane block run in pieces.
+  pieces_ = trials_per_batch_ >= kLanes && blocks(0);
   require_draw_resolution(model_, "L-PNDCA");
   chunk_cumulative_.resize(partition_.num_chunks());
   double acc = 0;
@@ -29,9 +31,6 @@ LPndcaSimulator::LPndcaSimulator(const ReactionModel& model, Configuration confi
     acc += static_cast<double>(partition_.chunk(c).size());
     chunk_cumulative_[c] = acc;
   }
-  // Only batches that can fill a lane block run in spans, which track
-  // repeated sites.
-  if (trials_per_batch_ >= kLanes && blocks(0)) seen_.assign((config_.size() + 63) / 64, 0);
 }
 
 void LPndcaSimulator::save_state(StateWriter& w) const {
@@ -64,25 +63,15 @@ ChunkId LPndcaSimulator::select_chunk() {
   return static_cast<ChunkId>(sample_cumulative(chunk_cumulative_, uniform01(rng_)));
 }
 
-void LPndcaSimulator::run_spans(std::size_t from, std::size_t to,
-                                const std::vector<SiteIndex>& chunk) {
-  const std::size_t m = to - from;
-  SiteIndex* sites = sites_.data() + from;
-  const ReactionIndex* types = types_.data() + from;
-  chunk_positions(draws_.data() + from, m, static_cast<std::uint32_t>(chunk.size()), sites);
-  for (std::size_t i = 0; i < m; ++i) sites[i] = chunk[sites[i]];
-  // Each span ends just before the first trial whose site already occurs
-  // in it.
-  for (std::size_t i = 0; i < m;) {
-    std::size_t j = i;
-    for (; j < m; ++j) {
-      std::uint64_t& word = seen_[sites[j] >> 6];
-      const std::uint64_t bit = std::uint64_t{1} << (sites[j] & 63u);
-      if ((word & bit) != 0) break;
-      word |= bit;
-    }
-    run_trials(sites + i, types + i, j - i, 0);
-    for (; i < j; ++i) seen_[sites[i] >> 6] &= ~(std::uint64_t{1} << (sites[i] & 63u));
+void LPndcaSimulator::run_pieces(std::uint64_t t, std::uint64_t end,
+                                 const std::vector<SiteIndex>& chunk) {
+  for (; t < end; t += kSpan) {
+    const auto m = static_cast<std::size_t>(std::min<std::uint64_t>(kSpan, end - t));
+    sample_trials(counters_.steps, seed_hash_, t, m, model_.alias_table(), types_.data(),
+                  draws_.data());
+    chunk_sites(draws_.data(), m, chunk.data(), static_cast<std::uint32_t>(chunk.size()),
+                sites_.data());
+    run_trials(sites_.data(), types_.data(), m, 0);
   }
 }
 
@@ -100,7 +89,11 @@ void LPndcaSimulator::mc_step() {
     // L random sites within the chunk, with replacement — matching RSM's
     // site statistics in the degenerate-partition limits. No trial reads
     // the clock, so the batch advances time once, after its last trial.
-    while (t < end) {
+    if (pieces_) {
+      run_pieces(t, end, chunk);
+      t = end;
+    }
+    for (; t < end; ++t) {  // one-trial spans, drawn in blocks aligned to the step
       const std::uint64_t first = t - t % kSpan;
       if (first != block) {
         block = first;
@@ -108,18 +101,9 @@ void LPndcaSimulator::mc_step() {
                       static_cast<std::size_t>(std::min<std::uint64_t>(kSpan, budget - first)),
                       model_.alias_table(), types_.data(), draws_.data());
       }
-      const std::uint64_t stop = std::min(end, first + kSpan);
-      if (!seen_.empty()) {
-        run_spans(static_cast<std::size_t>(t - first), static_cast<std::size_t>(stop - first),
-                  chunk);
-        t = stop;
-        continue;
-      }
-      for (; t < stop; ++t) {  // one-trial spans
-        const std::size_t i = static_cast<std::size_t>(t - first);
-        sites_[i] = chunk[chunk_position(draws_[i], static_cast<std::uint32_t>(chunk.size()))];
-        run_trials(&sites_[i], &types_[i], 1, 0);
-      }
+      const std::size_t i = static_cast<std::size_t>(t - first);
+      sites_[i] = chunk[chunk_position(draws_[i], static_cast<std::uint32_t>(chunk.size()))];
+      run_trials(&sites_[i], &types_[i], 1, 0);
     }
     clock_.advance(time_, batch, rng_);
     counters_.trials += batch;

@@ -28,21 +28,24 @@ namespace casurf {
 /// word of (k, t). Its first output samples its reaction type, slot and
 /// flip as in PNDCA's (sweep, site) streams (sample_types), and its second
 /// its position in the chunk its batch selected, (draw * |chunk|) >> 64.
-/// The draws of a
-/// step are thus a pure function of (seed, k), generated in blocks of
-/// kSpan trial indices aligned to the step start, whatever L is. Chunk
-/// selection (one uniform per batch) and time (one Gamma(batch, N K) draw
-/// per batch) come from the base's sequential generator.
+/// The draws of a step are thus a pure function of (seed, k), whichever
+/// call draws them and whatever L is. Chunk selection (one uniform per
+/// batch) and time (one Gamma(batch, N K) draw per batch) come from the
+/// base's sequential generator.
 ///
-/// A batch is tested and committed in spans through the base's run_trials:
-/// trials of one batch lie in one chunk, so under the block rule a commit
-/// changes no other trial's test unless the two share a site. Draws are
-/// with replacement, so a span ends just before the first trial whose site
-/// already occurs in it, and at batch and block boundaries. Commits stay
-/// serial, in draw order, so the trajectory is the one-trial-at-a-time
-/// loop's under the same draws. With L below a lane block (kLanes), or a
-/// partition that fails the block rule (Partition::single_chunk, Fig 8's
-/// |P| = 1, L = N limit), every span holds one trial.
+/// A batch is drawn from its own first trial index in pieces of at most
+/// kSpan trials (sample_trials, then chunk_sites), and each piece runs
+/// through the base's run_trials. The trials of a batch lie in one chunk,
+/// so under the block rule a commit changes no other trial's test unless
+/// the two share a site. Draws are with replacement, so a piece may repeat
+/// sites: each 8-lane pass tests every trial left in the piece and ends
+/// after the first committed hit whose site recurs later in the piece, and
+/// the next pass starts at the trial after that hit. Commits stay serial,
+/// in draw order, so the trajectory is the one-trial-at-a-time loop's under
+/// the same draws. With L below a lane block (kLanes), or a partition that
+/// fails the block rule (Partition::single_chunk, Fig 8's |P| = 1, L = N
+/// limit), the step's trials are drawn in blocks of kSpan trial indices
+/// aligned to the step start and every span holds one trial.
 ///
 /// With `ChunkWeighting::kRateWeighted`, chunk draws are weighted by the
 /// rate of currently-enabled reactions per chunk instead of by size
@@ -77,23 +80,24 @@ class LPndcaSimulator final : public PartitionedSimulator {
  private:
   [[nodiscard]] ChunkId select_chunk();
 
-  /// Trials [from, to) of the current block, all in the batch that selected
-  /// `chunk`: maps their draws onto the chunk and runs them in spans of
-  /// distinct sites. Only for partitions that pass the block rule, at
-  /// L >= kLanes.
-  void run_spans(std::size_t from, std::size_t to, const std::vector<SiteIndex>& chunk);
+  /// Trials [t, end) of the current step, the batch that selected `chunk`:
+  /// draws them from their own first index in pieces of at most kSpan,
+  /// maps each piece's draws onto the chunk's sites and runs the piece
+  /// through run_trials. Only for partitions that pass the block rule, at
+  /// L >= kLanes (pieces_).
+  void run_pieces(std::uint64_t t, std::uint64_t end, const std::vector<SiteIndex>& chunk);
 
   // The base's cache, under kRateWeighted, has slot 0 == the partition.
   Partition partition_;
   std::uint32_t trials_per_batch_;
   TrialClock clock_;
   std::vector<double> chunk_cumulative_;  // cumulative chunk sizes for selection
-  // The current block of the step's trials: types, position draws, and the
-  // sites they map to in their batch's chunk.
+  bool pieces_ = false;  // batches run in pieces of up to kSpan trials
+  // The current piece or block of the step's trials: types, position draws,
+  // and the sites they map to in their batch's chunk.
   std::array<ReactionIndex, kSpan> types_{};
   std::array<std::uint64_t, kSpan> draws_{};
   std::array<SiteIndex, kSpan> sites_{};
-  std::vector<std::uint64_t> seen_;  // one bit per site: in the current span
   obs::Phase step_phase_{phases_, "lpndca/step"};
   obs::Phase select_phase_{phases_, "lpndca/select"};
 };

@@ -43,8 +43,24 @@ std::size_t PartitionedSimulator::test_span(const SiteIndex* sites,
 void PartitionedSimulator::run_lanes(const SiteIndex* sites, const ReactionIndex* types,
                                      std::size_t n, std::size_t slot) {
   std::uint32_t hits[kSpan];
-  const std::size_t passed = test_span(sites, types, n, hits);
-  for (std::size_t h = 0; h < passed; ++h) commit(sites[hits[h]], types[hits[h]], slot);
+  while (n >= kLanes) {
+    const std::size_t passed = enabled_trials(probes_, config_, sites, types, n, hits);
+    // No hit before the cut shares its site with a later trial, so those
+    // commits change no other test of this pass; the cut's commit may, so
+    // the next pass starts after it.
+    const std::size_t cut = first_recurring_hit(sites, n, hits, passed);
+    const std::size_t commits = cut < passed ? cut + 1 : passed;
+    const std::size_t used = cut < passed ? hits[cut] + 1 : n;
+    if (spatial_.map() != nullptr) {
+      for (std::size_t i = 0; i < used; ++i) spatial_.attempt(sites[i]);
+      for (std::size_t h = 0; h < commits; ++h) spatial_.fire(sites[hits[h]]);
+    }
+    for (std::size_t h = 0; h < commits; ++h) commit(sites[hits[h]], types[hits[h]], slot);
+    sites += used;
+    types += used;
+    n -= used;
+  }
+  run_trials(sites, types, n, slot);
 }
 
 void PartitionedSimulator::commit(SiteIndex s, ReactionIndex t, std::size_t slot) {

@@ -18,9 +18,10 @@ namespace casurf {
 /// own way, then commits every trial that passes through this base's
 /// serial commit. PNDCA tests a whole chunk sweep, span by span through
 /// the base's span test (test_span), before committing it, and L-PNDCA a
-/// span of trials at a time through the base's span routine, run_trials,
-/// which is that test followed by the commits; both use the block-rule
-/// verdict the base keeps per partition. T-PNDCA runs one-trial spans of
+/// piece of a batch at a time through the base's span routine, run_trials,
+/// whose passes each test the piece's remaining trials and commit them up
+/// to the first hit whose site recurs; both use the block-rule verdict the
+/// base keeps per partition. T-PNDCA runs one-trial spans of
 /// run_trials. The base also owns what the family shares besides the
 /// trial: the sequential generator and the seed hash that keys the counter
 /// streams, with their checkpoint section, and the optional incremental
@@ -83,22 +84,27 @@ class PartitionedSimulator : public Simulator {
   /// The most trials run_trials takes at once.
   static constexpr std::size_t kSpan = 256;
 
-  /// The width of enabled_trials' lanes: run_trials tests shorter spans one
-  /// trial at a time.
+  /// The width of enabled_trials' lanes: run_trials tests fewer trials
+  /// than this one at a time.
   static constexpr std::size_t kLanes = 8;
 
-  /// The serial span routine: tests the trials (sites[i], types[i]), i < n,
-  /// all against the configuration as it stands, then commits those that
-  /// passed in order through commit() with cache slot `slot`. That is the
-  /// one-trial-at-a-time loop's answer when the sites are distinct and lie
-  /// in one chunk of a slot that passes the block rule: no commit then
-  /// writes a site another trial of the span reads. Callers keep spans of
-  /// one trial otherwise. n <= kSpan. A span of at least kLanes trials is
-  /// tested in 8 lanes by enabled_trials; a shorter one takes the scalar
-  /// test on the bytes a trial at a time, without the lanes' dispatch, and
-  /// commits each pass before testing the next, which is the same answer.
-  /// A spatial map records an attempt for every trial and a fire for every
-  /// hit.
+  /// The serial span routine: runs the trials (sites[i], types[i]), i < n
+  /// <= kSpan, in draw order, committing each that passes through commit()
+  /// with cache slot `slot`, which is the one-trial-at-a-time loop's answer
+  /// when every site lies in one chunk of a slot that passes the block rule.
+  /// The sites may repeat. Callers keep spans of one trial otherwise.
+  ///
+  /// Under the block rule a commit changes no other trial's test but one at
+  /// the same site, and a trial that fails writes nothing. So while at least
+  /// kLanes trials are left, a pass tests them all in 8 lanes
+  /// (enabled_trials) against the configuration as it stands, commits the
+  /// hits in draw order up to and including the first hit whose site occurs
+  /// again later in the span (first_recurring_hit), and the next pass starts
+  /// at the trial after that hit; with no such hit the pass takes the rest.
+  /// Fewer than kLanes trials take the scalar test on the bytes a trial at
+  /// a time, without the lanes' dispatch, committing each before testing the
+  /// next. A spatial map records an attempt for every trial when a pass
+  /// consumes it and a fire for every commit.
   void run_trials(const SiteIndex* sites, const ReactionIndex* types, std::size_t n,
                   std::size_t slot) {
     if (n >= kLanes) {
@@ -134,7 +140,8 @@ class PartitionedSimulator : public Simulator {
   std::unique_ptr<EnabledRateCache> rate_cache_;  // rate-weighted draws only
 
  private:
-  /// run_trials over n >= kLanes trials: test_span, then the commits.
+  /// run_trials over n >= kLanes trials: the 8-lane passes, then the
+  /// scalar tail.
   void run_lanes(const SiteIndex* sites, const ReactionIndex* types, std::size_t n,
                  std::size_t slot);
 

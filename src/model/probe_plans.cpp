@@ -70,6 +70,19 @@ ProbePlans::ProbePlans(const ReactionModel& model, std::int32_t width,
                        return std::popcount(a.mask) < std::popcount(b.mask);
                      });
   }
+  for (const TypeSpan& ts : types_) lanes_.rounds = std::max(lanes_.rounds, ts.count);
+  lanes_.in_registers =
+      types_.size() <= LaneTable::kWords && probes_.size() <= LaneTable::kWords;
+  if (!lanes_.in_registers) return;
+  for (std::size_t t = 0; t < types_.size(); ++t) {
+    lanes_.columns[LaneTable::kFirst][t] = types_[t].first;
+    lanes_.columns[LaneTable::kCount][t] = types_[t].count;
+  }
+  for (std::size_t p = 0; p < probes_.size(); ++p) {
+    lanes_.columns[LaneTable::kDx][p] = static_cast<std::uint32_t>(probes_[p].dx);
+    lanes_.columns[LaneTable::kDy][p] = static_cast<std::uint32_t>(probes_[p].dy);
+    lanes_.columns[LaneTable::kMask][p] = probes_[p].mask;
+  }
 }
 
 namespace {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -40,6 +41,21 @@ class ProbePlans {
   struct TypeSpan {
     std::uint32_t first = 0;
     std::uint32_t count = 0;
+  };
+  /// The span kernel's lane table (ca/fastpath.hpp), built once with the
+  /// plans. `rounds` is the most probes of any type, the rounds a lane block
+  /// runs. When the types and the probes each fit kWords (in_registers), the
+  /// columns hold the type spans' first and count, indexed by type, and the
+  /// probes' dx, dy and mask, indexed by probe, each column one register of
+  /// 16 words that a lookup permutes; the words past the table are zero.
+  /// Otherwise every column is zero and the lanes gather from types() and
+  /// probes().
+  struct LaneTable {
+    static constexpr std::size_t kWords = 16;
+    enum Column : std::size_t { kFirst, kCount, kDx, kDy, kMask, kColumns };
+    bool in_registers = false;
+    std::uint32_t rounds = 0;
+    std::array<std::array<std::uint32_t, kWords>, kColumns> columns{};
   };
 
   ProbePlans(const ReactionModel& model, std::int32_t width, std::int32_t height);
@@ -96,6 +112,7 @@ class ProbePlans {
   /// The compiled table, for kernels that evaluate it lane-wise.
   [[nodiscard]] std::span<const TypeSpan> types() const { return types_; }
   [[nodiscard]] std::span<const Probe> probes() const { return probes_; }
+  [[nodiscard]] const LaneTable& lanes() const { return lanes_; }
 
   [[nodiscard]] std::size_t num_types() const { return types_.size(); }
 
@@ -165,6 +182,7 @@ class ProbePlans {
   std::vector<TypeSpan> types_;
   std::vector<Probe> probes_;
   std::vector<Recheck> rechecks_;
+  LaneTable lanes_;
 };
 
 /// The library's one recheck routine, shared by every store of incremental

@@ -124,7 +124,7 @@ void expect_lockstep(Simulator& ref, Simulator& sim, int steps) {
   EXPECT_EQ(ref.counters().executed_per_type, sim.counters().executed_per_type);
 }
 
-enum class Surface { kZgb, kPt100, kIsing };
+enum class Surface { kZgb, kPt100, kIsing, kDiffusion };
 
 /// A model with its initial configuration on a side x side lattice.
 struct Workload {
@@ -142,6 +142,16 @@ Workload workload(Surface surface, std::int32_t side) {
     auto pt = models::make_pt100();
     const std::size_t species = pt.model.species().size();
     return {std::move(pt.model), Configuration(lat, species, pt.hex_vac)};
+  }
+  if (surface == Surface::kDiffusion) {
+    // Coverage 0.5, where about a quarter of the trials fire.
+    auto diffusion = models::make_diffusion();
+    Configuration init(lat, 2, diffusion.vacant);
+    Xoshiro256 rng(static_cast<std::uint64_t>(side));
+    for (SiteIndex s = 0; s < init.size(); ++s) {
+      if (uniform_below(rng, 2) == 0) init.set(s, diffusion.particle);
+    }
+    return {std::move(diffusion.model), std::move(init)};
   }
   auto ising = models::make_ising(0.7);
   Configuration init(lat, 2, 0);
@@ -263,19 +273,24 @@ TEST(FastPath, SingleChunkPartitionStaysExact) {
   }
 }
 
-/// A run of the reference loops below: lattice, generator, clock, counters.
+/// A run of the reference loops below: lattice, generator, clock, counters
+/// and the per-site attempt and fire tallies.
 struct Reference {
   Configuration cfg;
   Xoshiro256 rng;
   double time = 0;
   std::uint64_t trials = 0;
   std::uint64_t executed = 0;
+  std::vector<std::uint64_t> attempts = std::vector<std::uint64_t>(cfg.size());
+  std::vector<std::uint64_t> fires = std::vector<std::uint64_t>(cfg.size());
 
   void trial(const ReactionType& rt, SiteIndex s) {
     ++trials;
+    ++attempts[s];
     if (!rt.enabled(cfg, s)) return;
     rt.execute(cfg, s);
     ++executed;
+    ++fires[s];
   }
 };
 
@@ -327,17 +342,25 @@ void reference_lpndca_step(Reference& r, const ReactionModel& model, const Parti
   }
 }
 
-/// L-PNDCA against reference_lpndca_step for `steps` MC steps.
+/// L-PNDCA against reference_lpndca_step for `steps` MC steps. With
+/// `tallies`, an attached spatial map must also hold the reference's
+/// per-site attempts and fires after every step.
 void expect_lpndca_lockstep(const Workload& w, const Partition& p, std::uint32_t l,
-                            ChunkWeighting weighting, TimeMode mode, int steps) {
+                            ChunkWeighting weighting, TimeMode mode, int steps,
+                            bool tallies = false) {
   constexpr std::uint64_t kSeed = 77;
   Reference ref{w.init, Xoshiro256(kSeed)};
   LPndcaSimulator sim(w.model, w.init, p, kSeed, l, mode, weighting);
+  obs::SpatialMap map(w.init.size());
+  if (tallies) sim.attach({nullptr, nullptr, &map});
   for (int step = 0; step < steps; ++step) {
     reference_lpndca_step(ref, w.model, p, l, kSeed, static_cast<std::uint64_t>(step),
                           weighting, mode);
     sim.mc_step();
     ASSERT_NO_FATAL_FAILURE(expect_same(of(ref), of(sim), step));
+    if (!tallies) continue;
+    ASSERT_EQ(map.attempts(), ref.attempts) << "attempt tallies diverged at step " << step;
+    ASSERT_EQ(map.fires(), ref.fires) << "fire tallies diverged at step " << step;
   }
 }
 
@@ -386,6 +409,28 @@ TEST(FastPath, LPndcaRepeatedSitesEndSpans) {
        {ChunkWeighting::kStructural, ChunkWeighting::kRateWeighted}) {
     SCOPED_TRACE(static_cast<int>(weighting));
     expect_lpndca_lockstep(w, p, 64, weighting, TimeMode::kStochastic, 40);
+  }
+}
+
+TEST(FastPath, LPndcaPassesCutAtRecurringHits) {
+  // Diffusion at coverage 0.5 fires about a quarter of its trials, so
+  // repeated sites of a batch piece are often both hits and a pass cuts
+  // after the first. 6x6 at L = 64 clips each step to one batch of 36
+  // trials in one chunk of a handful of sites; 20x20 at L = 300 runs a
+  // batch of 300 trials in pieces of 256 and 44, then one of 100. The cut
+  // decides which pass tallies a trial, so the per-site tallies are held to
+  // the reference too.
+  const std::pair<std::int32_t, std::uint32_t> runs[] = {{6, 64}, {20, 300}};
+  for (const auto& [side, l] : runs) {
+    const Workload w = workload(Surface::kDiffusion, side);
+    const Partition p = make_partition(w.init.lattice(), w.model);
+    ASSERT_TRUE(LPndcaSimulator(w.model, w.init, p, 1, l).blocks(0));
+    for (const ChunkWeighting weighting :
+         {ChunkWeighting::kStructural, ChunkWeighting::kRateWeighted}) {
+      SCOPED_TRACE("side " + std::to_string(side) + ", weighting " +
+                   std::to_string(static_cast<int>(weighting)));
+      expect_lpndca_lockstep(w, p, l, weighting, TimeMode::kStochastic, 40, true);
+    }
   }
 }
 
@@ -739,37 +784,121 @@ TEST(SampleTrials, LanesMatchTheScalarLanesAndTheStreams) {
   }
 }
 
-TEST(ChunkPositions, MatchTheMultiplyShift) {
-  // Raw draws only: no chunk is allocated, so the sizes can reach 2^32 - 1.
-  std::vector<std::uint64_t> draws = {0,
-                                      1,
-                                      0xffffffffull,
-                                      0x100000000ull,
-                                      0x8000000000000000ull,
-                                      0xfffffffffffffffeull,
-                                      0xffffffffffffffffull,
-                                      0xffffffff00000000ull,
-                                      0x00000000ffffffffull};
-  Xoshiro256 rng(41);
-  while (draws.size() < 1000) draws.push_back(rng());
+TEST(ChunkSites, MatchTheMultiplyShiftAndTheChunkList) {
+  // chunk_position against the 128-bit multiply-shift, and chunk_sites
+  // against chunk[that position] for every n in 0..256 from lane offsets 0, 1
+  // and 5. The chunk lists hold scattered sites so that a gather from the
+  // wrong position shows. Sizes from 2^31 up cannot be allocated; their
+  // draws are scaled so that every position falls in a list of 1024 sites,
+  // which is all the lanes read.
   __extension__ using u128 = unsigned __int128;
-  for (const std::uint32_t size :
-       {1u, 2u, 3u, 7u, 50000u, 0x80000000u, 0xffffffffu}) {
-    std::vector<std::uint32_t> want(draws.size());
-    for (std::size_t i = 0; i < draws.size(); ++i) {
-      want[i] = static_cast<std::uint32_t>((static_cast<u128>(draws[i]) * size) >> 64);
-      ASSERT_LT(want[i], size);
-      ASSERT_EQ(chunk_position(draws[i], size), want[i]) << "draw " << draws[i];
+  const std::vector<std::uint64_t> edges = {0,
+                                            1,
+                                            0xffffffffull,
+                                            0x100000000ull,
+                                            0x8000000000000000ull,
+                                            0xfffffffffffffffeull,
+                                            0xffffffffffffffffull,
+                                            0xffffffff00000000ull,
+                                            0x00000000ffffffffull};
+  Xoshiro256 rng(41);
+  for (const std::uint32_t size : {1u, 2u, 3u, 7u, 1280u, 50000u, 65536u, 0x80000000u,
+                                   0xffffffffu}) {
+    const bool huge = size > 65536;
+    const std::size_t listed = huge ? 1024 : size;
+    std::vector<SiteIndex> chunk(listed);
+    for (std::size_t k = 0; k < listed; ++k) {
+      chunk[k] = static_cast<SiteIndex>((k * 7919 + 13) % 1000003);
     }
-    for (std::size_t at = 0; at < 9; ++at) {
-      for (std::size_t n = 0; at + n <= draws.size(); n = n < 17 ? n + 1 : draws.size() - at) {
-        std::vector<std::uint32_t> got(n);
-        chunk_positions(draws.data() + at, n, size, got.data());
-        ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin() + static_cast<std::ptrdiff_t>(at)))
+    std::vector<std::uint64_t> draws = edges;
+    while (draws.size() < 300) draws.push_back(rng());
+    const auto position = [size](std::uint64_t d) {
+      return static_cast<std::uint32_t>((static_cast<u128>(d) * size) >> 64);
+    };
+    for (const std::uint64_t d : draws) {
+      ASSERT_LT(position(d), size);
+      ASSERT_EQ(chunk_position(d, size), position(d)) << "draw " << d;
+    }
+    if (huge) {
+      for (std::uint64_t& d : draws) d %= std::uint64_t{listed - 1} << 32;
+    }
+    std::vector<SiteIndex> want(draws.size());
+    for (std::size_t i = 0; i < draws.size(); ++i) {
+      ASSERT_LT(position(draws[i]), listed);
+      want[i] = chunk[position(draws[i])];
+    }
+    for (const std::size_t at : {0u, 1u, 5u}) {
+      for (std::size_t n = 0; n <= 256; ++n) {
+        std::vector<SiteIndex> got(n);
+        chunk_sites(draws.data() + at, n, chunk.data(), size, got.data());
+        ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                               want.begin() + static_cast<std::ptrdiff_t>(at)))
             << "size " << size << " at " << at << " n " << n;
-        if (n == draws.size() - at) break;
       }
     }
+  }
+}
+
+/// The cut written out: the first k whose hit's site occurs after it.
+std::size_t reference_cut(const std::vector<SiteIndex>& sites,
+                          const std::vector<std::uint32_t>& hits) {
+  for (std::size_t k = 0; k < hits.size(); ++k) {
+    for (std::size_t j = hits[k] + 1; j < sites.size(); ++j) {
+      if (sites[j] == sites[hits[k]]) return k;
+    }
+  }
+  return hits.size();
+}
+
+TEST(FirstRecurringHit, CutsAtTheFirstHitWhoseSiteRecurs) {
+  // Distinct sites with one planted repeat at every (hit, later index) pair,
+  // the last lane of every register included, must cut at that hit; a
+  // repeat whose earlier trial failed, and no repeat, must not cut. Then
+  // spans over a few sites, with many repeats, against the reference.
+  Xoshiro256 rng(7);
+  for (const std::size_t n :
+       {1u, 2u, 7u, 8u, 15u, 16u, 17u, 31u, 32u, 33u, 100u, 255u, 256u}) {
+    std::vector<SiteIndex> distinct(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      distinct[i] = static_cast<SiteIndex>((i * 7919 + 13) % 65521);
+    }
+    for (const std::uint64_t percent : {30u, 100u}) {
+      SCOPED_TRACE("n " + std::to_string(n) + ", " + std::to_string(percent) + "% hits");
+      std::vector<std::uint32_t> hits;
+      std::vector<bool> hit(n, false);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        if (uniform_below(rng, 100) < percent) {
+          hits.push_back(i);
+          hit[i] = true;
+        }
+      }
+      ASSERT_EQ(first_recurring_hit(distinct.data(), n, hits.data(), hits.size()),
+                hits.size());
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t k = static_cast<std::size_t>(
+            std::lower_bound(hits.begin(), hits.end(), i) - hits.begin());
+        for (std::size_t j = i + 1; j < n; ++j) {
+          std::vector<SiteIndex> sites = distinct;
+          sites[j] = sites[i];
+          ASSERT_EQ(first_recurring_hit(sites.data(), n, hits.data(), hits.size()),
+                    hit[i] ? k : hits.size())
+              << "repeat of trial " << i << " at " << j;
+        }
+      }
+    }
+  }
+  for (int round = 0; round < 2000; ++round) {
+    const auto n = static_cast<std::size_t>(uniform_below(rng, 257));
+    const auto domain = static_cast<SiteIndex>(1 + uniform_below(rng, 400));
+    std::vector<SiteIndex> sites(n);
+    for (SiteIndex& s : sites) s = static_cast<SiteIndex>(uniform_below(rng, domain));
+    std::vector<std::uint32_t> hits;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (uniform_below(rng, 4) == 0) hits.push_back(i);
+    }
+    ASSERT_EQ(first_recurring_hit(sites.data(), n, hits.data(), hits.size()),
+              reference_cut(sites, hits))
+        << "round " << round << ", n " << n << ", " << domain << " sites";
   }
 }
 
@@ -918,6 +1047,54 @@ INSTANTIATE_TEST_SUITE_P(
                       KernelCase{"seventy_types", KernelModel::kSeventy},
                       KernelCase{"edge_cases", KernelModel::kEdgeCases}),
     [](const auto& c) { return std::string(c.param.name); });
+
+/// `count` exchange types, each with a two-site pattern: 16 of them hold
+/// 16 types and 32 probes; 8 hold 8 types and 16 probes.
+ReactionModel exchange_types(int count) {
+  ReactionModel m(SpeciesSet({"*", "A"}));
+  for (int i = 0; i < count; ++i) {
+    m.add(ReactionType("swap" + std::to_string(i), 1.0 + 0.5 * i,
+                       {exact({0, 0}, 0, 1), exact({1 + i % 3, i / 3}, 1, 0)}));
+  }
+  return m;
+}
+
+TEST(LaneTable, HoldsTheProbePlansItIsBuiltFrom) {
+  // ZGB, 16 one-probe types and 8 two-probe types fill the register
+  // columns; Ising (32 types), 17 one-probe types and 16 two-probe types
+  // (32 probes) do not, and keep only the round count.
+  const ReactionModel zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0)).model;
+  const ReactionModel ising = models::make_ising(0.7).model;
+  const ReactionModel sixteen = adsorption_types(16);
+  const ReactionModel seventeen = adsorption_types(17);
+  const ReactionModel eight_pairs = exchange_types(8);
+  const ReactionModel sixteen_pairs = exchange_types(16);
+  using Lanes = ProbePlans::LaneTable;
+  for (const ReactionModel* model :
+       {&zgb, &ising, &sixteen, &eight_pairs, &seventeen, &sixteen_pairs}) {
+    SCOPED_TRACE(model->reaction(0).name() + " x " + std::to_string(model->num_reactions()));
+    const ProbePlans plans(*model, 30, 30);
+    const Lanes& lanes = plans.lanes();
+    std::uint32_t rounds = 0;
+    for (const ProbePlans::TypeSpan& ts : plans.types()) rounds = std::max(rounds, ts.count);
+    EXPECT_EQ(lanes.rounds, rounds);
+    const bool fits =
+        plans.types().size() <= Lanes::kWords && plans.probes().size() <= Lanes::kWords;
+    EXPECT_EQ(lanes.in_registers, fits);
+    EXPECT_EQ(fits, model == &zgb || model == &sixteen || model == &eight_pairs);
+    for (std::size_t w = 0; w < Lanes::kWords; ++w) {
+      const bool type = fits && w < plans.types().size();
+      const bool probe = fits && w < plans.probes().size();
+      EXPECT_EQ(lanes.columns[Lanes::kFirst][w], type ? plans.types()[w].first : 0u) << w;
+      EXPECT_EQ(lanes.columns[Lanes::kCount][w], type ? plans.types()[w].count : 0u) << w;
+      EXPECT_EQ(lanes.columns[Lanes::kDx][w],
+                probe ? static_cast<std::uint32_t>(plans.probes()[w].dx) : 0u) << w;
+      EXPECT_EQ(lanes.columns[Lanes::kDy][w],
+                probe ? static_cast<std::uint32_t>(plans.probes()[w].dy) : 0u) << w;
+      EXPECT_EQ(lanes.columns[Lanes::kMask][w], probe ? plans.probes()[w].mask : 0u) << w;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace casurf

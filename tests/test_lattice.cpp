@@ -217,7 +217,9 @@ TEST_P(LatticeSizes, EverySiteHasFourDistinctVonNeumannNeighborsWhenBigEnough) {
     const auto ns = lat.neighbors(s, Lattice::von_neumann_offsets());
     for (const SiteIndex n : ns) {
       EXPECT_LT(n, lat.size());
-      if (w >= 2 && h >= 2) EXPECT_NE(n, s);
+      if (w >= 2 && h >= 2) {
+        EXPECT_NE(n, s);
+      }
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <vector>
 
 #include "ca/fastpath.hpp"
@@ -146,12 +147,21 @@ LawDraws law_draws(const ReactionModel& model) {
   return d;
 }
 
+/// The positions the raw draws select in a chunk of `size` sites: the sites
+/// chunk_sites reads from a chunk that lists 0, 1, ..., size - 1.
+std::vector<std::uint32_t> positions(const LawDraws& d, std::uint32_t size) {
+  std::vector<SiteIndex> listed(size);
+  std::iota(listed.begin(), listed.end(), SiteIndex{0});
+  std::vector<std::uint32_t> pos(kLawTrials);
+  chunk_sites(d.draws.data(), kLawTrials, listed.data(), size, pos.data());
+  return pos;
+}
+
 TEST(LPndcaDrawLaw, PositionsAreUniformInTheChunk) {
   auto zgb = models::make_zgb();
   const LawDraws d = law_draws(zgb.model);
   for (const std::uint32_t size : {1u, 3u, 7u, 1000u}) {
-    std::vector<std::uint32_t> pos(kLawTrials);
-    chunk_positions(d.draws.data(), kLawTrials, size, pos.data());
+    const std::vector<std::uint32_t> pos = positions(d, size);
     std::vector<double> count(size, 0.0);
     for (const std::uint32_t p : pos) {
       ASSERT_LT(p, size);
@@ -187,8 +197,7 @@ TEST(LPndcaDrawLaw, TypeAndPositionAreIndependent) {
   auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
   const LawDraws d = law_draws(zgb.model);
   constexpr std::uint32_t kSize = 7;
-  std::vector<std::uint32_t> pos(kLawTrials);
-  chunk_positions(d.draws.data(), kLawTrials, kSize, pos.data());
+  const std::vector<std::uint32_t> pos = positions(d, kSize);
   const std::size_t types = zgb.model.num_reactions();
   std::vector<double> cell(types * kSize, 0.0);
   for (std::size_t i = 0; i < kLawTrials; ++i) ++cell[d.types[i] * kSize + pos[i]];
@@ -202,8 +211,7 @@ TEST(LPndcaDrawLaw, SuccessiveTrialsAreIndependent) {
   auto zgb = models::make_zgb(models::ZgbParams::from_y(0.45, 10.0));
   const LawDraws d = law_draws(zgb.model);
   constexpr std::uint32_t kSize = 7;
-  std::vector<std::uint32_t> pos(kLawTrials);
-  chunk_positions(d.draws.data(), kLawTrials, kSize, pos.data());
+  const std::vector<std::uint32_t> pos = positions(d, kSize);
   const std::size_t types = zgb.model.num_reactions();
   std::vector<double> type_pairs(types * types, 0.0), pos_pairs(kSize * kSize, 0.0);
   for (std::size_t i = 0; i + 1 < kLawTrials; ++i) {
